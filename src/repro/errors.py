@@ -97,29 +97,49 @@ class GenerationError(ModelError):
 
 
 class ServingError(ReproError):
-    """Base class for serving-layer errors (:mod:`repro.serving`)."""
+    """Base class for serving-layer errors (:mod:`repro.serving`).
+
+    Every error a request can end in carries its row of the **disposition
+    table** as class attributes: ``status`` is the HTTP (and in-band SSE)
+    status it travels as, ``outcome`` the terminal disposition it records
+    — ``None`` for a plain failure that is not one of the four outcomes.
+    """
+
+    status = 400
+    outcome: str | None = None
 
 
 class ServiceOverloadedError(ServingError):
     """The service shed this request: its admission queue is full.
 
-    Maps to an HTTP 503.  :attr:`retry_after_s` is the server's hint for
-    how long a well-behaved client should back off before retrying; the
-    REST layer mirrors it in a ``Retry-After`` header.
+    :attr:`retry_after_s` is the server's hint for how long a
+    well-behaved client should back off before retrying; the REST layer
+    mirrors it in a ``Retry-After`` header.
     """
+
+    status = 503
+    outcome = "shed"
 
     def __init__(self, message: str = "service overloaded", retry_after_s: float | None = None):
         super().__init__(message)
         self.retry_after_s = retry_after_s
 
 
+class ServiceUnreachableError(ServingError):
+    """No HTTP answer at all (refused, reset, timed out); client-side only.
+    Callers try elsewhere: the client rotates endpoints, a process worker
+    reports its replica dead."""
+
+
 class SessionNotFoundError(ServingError):
     """A session id names no live session (expired, evicted, or never created).
 
-    Maps to an HTTP 404.  The editor-plugin contract on receiving it is
-    to fall back to creating a fresh session from the full buffer —
-    eviction costs one re-prefill, never correctness.
+    The editor-plugin contract on receiving it is to fall back to
+    creating a fresh session from the full buffer — eviction costs one
+    re-prefill, never correctness.
     """
+
+    status = 404
 
     def __init__(self, session_id: str):
         super().__init__(f"unknown session: {session_id!r}")
@@ -127,11 +147,33 @@ class SessionNotFoundError(ServingError):
 
 
 class DeadlineExceededError(ReproError):
-    """A request's deadline elapsed before generation completed (HTTP 504)."""
+    """A request's deadline elapsed before generation completed."""
+
+    status = 504
+    outcome = "deadline_exceeded"
 
 
 class RequestCancelledError(ReproError):
     """A request was cancelled by its client before completing."""
+
+    status = 408
+    outcome = "cancelled"
+
+
+#: The errors that *are* a terminal outcome (shed / deadline_exceeded /
+#: cancelled); ``completed`` is the fourth outcome and has no error.
+OUTCOME_ERRORS = (ServiceOverloadedError, DeadlineExceededError, RequestCancelledError)
+#: Everything a request may raise that maps to an HTTP status.
+REQUEST_ERRORS = (ServingError, DeadlineExceededError, RequestCancelledError)
+
+
+def error_for_status(status: int | None) -> type[ReproError]:
+    """The error class an HTTP / in-band SSE ``status`` stands for.  Not
+    404: only the route tells an unknown session from an unknown path."""
+    for kind in OUTCOME_ERRORS:
+        if kind.status == status:
+            return kind
+    return ServingError
 
 
 class InjectedFault(ReproError):

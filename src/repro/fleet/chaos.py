@@ -26,13 +26,7 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import (
-    DeadlineExceededError,
-    RequestCancelledError,
-    ServiceOverloadedError,
-    SessionNotFoundError,
-    WorkerCrashed,
-)
+from repro.errors import OUTCOME_ERRORS, SessionNotFoundError, WorkerCrashed, error_for_status
 from repro.faults import FakeClock, FaultInjector, clock, use
 from repro.fleet.loadgen import generate_prompts
 from repro.fleet.router import FleetRouter
@@ -115,15 +109,10 @@ def _stream_one(router, prompt: str, deadline_s, abandon_after: int | None) -> d
                 ttft_ms = data.get("ttft_ms")
                 ttft_s = ttft_ms / 1000.0 if ttft_ms is not None else None
             elif event == "error":
-                status = data.get("status")
-                outcome = {504: "deadline_exceeded", 408: "cancelled"}.get(status, "shed")
+                outcome = error_for_status(data.get("status")).outcome or "shed"
                 worker = data.get("worker")
-    except DeadlineExceededError:
-        outcome = "deadline_exceeded"
-    except RequestCancelledError:
-        outcome = "cancelled"
-    except ServiceOverloadedError:
-        outcome = "shed"
+    except OUTCOME_ERRORS as error:
+        outcome = error.outcome
     finally:
         if events is not None:
             events.close()
@@ -155,16 +144,12 @@ def _session_one(router, prompt: str, deadline_s) -> dict:
         )
         reused = extended.get("reused_tokens", 0)
         extends = 1
-    except DeadlineExceededError:
-        outcome = "deadline_exceeded"
-    except RequestCancelledError:
-        outcome = "cancelled"
     except SessionNotFoundError:
         # The owning replica died between create and extend: the editor's
         # in-flight keystroke is cancelled (it would re-create next enter).
         outcome = "cancelled"
-    except ServiceOverloadedError:
-        outcome = "shed"
+    except OUTCOME_ERRORS as error:
+        outcome = error.outcome
     finally:
         if session_id is not None:
             router.session_close(session_id)
@@ -288,12 +273,8 @@ def run_fleet_chaos(
                     failovers = payload.get("failovers", 0)
                     ttft_ms = payload.get("ttft_ms")
                     ttft_s = ttft_ms / 1000.0 if ttft_ms is not None else None
-                except DeadlineExceededError:
-                    outcome = "deadline_exceeded"
-                except RequestCancelledError:
-                    outcome = "cancelled"
-                except ServiceOverloadedError:
-                    outcome = "shed"
+                except OUTCOME_ERRORS as error:
+                    outcome = error.outcome
                 outcomes[index] = outcome
                 if monitor is not None:
                     monitor.observe(clock.now() - started, outcome, ttft_s=ttft_s)

@@ -1,8 +1,8 @@
 """The fleet router: N engine replicas behind one serving surface.
 
-:class:`FleetRouter` duck-types :class:`~repro.serving.service.PredictionService`
-(``predict`` / ``predict_batch`` / ``health`` / ``stats`` / ``metrics`` /
-``metrics_prometheus``), so the existing :class:`~repro.serving.service.RestServer`
+:class:`FleetRouter` speaks the same request surface as
+:class:`~repro.serving.service.PredictionService` (DESIGN.md "Request
+surface"), so the existing :class:`~repro.serving.service.RestServer`
 fronts a whole fleet unchanged.  What it adds over one engine:
 
 * **Prefix-affinity scheduling** — prompts are reduced to a bucket key
@@ -27,8 +27,9 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   ``error`` event, never a silent re-dispatch that could duplicate
   delivered tokens.
 * **Session affinity** — :meth:`session_create` routes by prefix bucket
-  and pins the session to the replica holding its warm KV slab; extends
-  ride the ``session id -> worker`` map, and a dead owner converts to a
+  and pins the session to the replica holding its warm KV slab under a
+  fleet-unique id the router mints; extends ride the ``fleet id ->
+  (worker, replica-local id)`` table, and a dead owner converts to a
   crisp :class:`~repro.errors.SessionNotFoundError` (``sessions_lost``
   counter) so editors re-create instead of hanging.
 * **Heartbeat liveness** — :meth:`heartbeat_tick` probes every replica on
@@ -54,7 +55,9 @@ heartbeats or fail spawns — deterministically, replayably.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager
+from functools import partial
+from itertools import chain
 
 from repro.errors import (
     DeadlineExceededError,
@@ -73,11 +76,21 @@ from repro.obs.distributed import (
     FleetCollector,
     TraceContext,
     TraceIdAllocator,
+    adopt,
     router_span_ref,
 )
 from repro.obs.export import prometheus_exposition
+from repro.serving.service import require_prompts, require_text
 
 ROUTING_POLICIES = ("affinity", "round_robin")
+
+
+def _root_attrs(trace_context: TraceContext | None) -> dict:
+    """Attrs of the router's root span: the reference workers parent under."""
+    if trace_context is None:
+        return {}
+    trace_id = trace_context.trace_id
+    return {"trace_id": trace_id, "span_ref": router_span_ref(trace_id)}
 
 
 class FleetRouter:
@@ -114,8 +127,10 @@ class FleetRouter:
         self._last_heartbeat: dict[str, float] = {}
         self._rr_index = 0
         self._inflight_count = 0
-        #: Session affinity: session id -> worker id that holds its KV slab.
-        self._session_owner: dict[str, str] = {}
+        #: Session affinity: fleet session id -> (worker id, replica-local
+        #: id) of the replica holding its KV slab.  Ids are opaque: looked
+        #: up here, never parsed.
+        self._session_owner: dict[str, tuple[str, str]] = {}
         self._lock = threading.RLock()
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
@@ -200,7 +215,7 @@ class FleetRouter:
         # Sessions pinned to this replica died with its arena: forget the
         # affinity mappings so later extends get a crisp 404 (and the
         # plugin's create-on-miss fallback a fresh replica), not a hang.
-        orphaned = [sid for sid, owner in self._session_owner.items() if owner == worker_id]
+        orphaned = [sid for sid, owner in self._session_owner.items() if owner[0] == worker_id]
         for sid in orphaned:
             del self._session_owner[sid]
         if orphaned:
@@ -275,110 +290,132 @@ class FleetRouter:
             self._rr_index += 1
             return ordered[start:] + ordered[:start]
 
-    def _remaining_deadline(self, deadline_at: float | None) -> float | None:
-        if deadline_at is None:
-            return None
-        remaining = deadline_at - clock.now()
-        if remaining <= 0:
-            raise DeadlineExceededError("deadline exhausted before a replica answered")
-        return remaining
-
-    def _mint_trace(self) -> TraceContext | None:
-        """A fresh trace context for one fleet request; None when not tracing.
-
-        The context's ``parent_span`` names the router's ``fleet.predict``
-        root span (:func:`~repro.obs.distributed.router_span_ref`), so a
-        worker adopting it parents its span tree under the router's.
-        """
-        if not self.obs.tracer.enabled:
-            return None
-        with self._lock:
-            trace_id = self._trace_ids.allocate()
-        return TraceContext(trace_id=trace_id, parent_span=router_span_ref(trace_id))
-
     def _trace_for(self, inbound: TraceContext | None) -> TraceContext | None:
-        """The downstream context for one request: adopt or mint.
+        """The downstream context for one request: adopt, mint, or None.
 
         An ``inbound`` context (a client that already traces, or the REST
         front door forwarding the propagation headers) keeps its trace id
-        end to end — the router re-parents it onto its own root span
-        reference so workers still nest under ``fleet.predict``.  Without
-        one, the router mints its own when tracing is enabled.
+        end to end; without one the router mints its own when tracing is
+        enabled.  Either way ``parent_span`` names the router's root span
+        (:func:`~repro.obs.distributed.router_span_ref`), so a worker
+        adopting it parents its span tree under the router's.
         """
         if inbound is not None:
-            return TraceContext(
-                trace_id=inbound.trace_id, parent_span=router_span_ref(inbound.trace_id)
-            )
-        return self._mint_trace()
+            trace_id = inbound.trace_id
+        elif self.obs.tracer.enabled:
+            with self._lock:
+                trace_id = self._trace_ids.allocate()
+        else:
+            return None
+        return TraceContext(trace_id=trace_id, parent_span=router_span_ref(trace_id))
 
-    def _dispatch(
-        self,
-        prompt: str,
-        max_new_tokens,
-        deadline_at: float | None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Send to the preferred replica; fail over / spill as needed.
+    def _worker_kwargs(self, deadline_at: float | None, trace_context: TraceContext | None) -> dict:
+        """The keywords of one worker call: what is left of the deadline,
+        and the trace context — riding along only when one was minted, so
+        minimal duck-typed workers (tests, adapters) that predate trace
+        propagation keep working untraced."""
+        kwargs: dict = {"deadline_s": None}
+        if deadline_at is not None:
+            kwargs["deadline_s"] = deadline_at - clock.now()
+            if kwargs["deadline_s"] <= 0:
+                raise DeadlineExceededError("deadline exhausted before a replica answered")
+        if trace_context is not None:
+            kwargs["trace_context"] = trace_context
+        return kwargs
 
-        Dead replicas trigger failover (membership change + re-dispatch);
-        overloaded replicas trigger spill (next preference, no membership
-        change).  Raises the fleet-level 503 only when every live replica
-        is saturated or gone.
+    @contextmanager
+    def _admitted(self, deadline_s: float | None, inbound: TraceContext | None):
+        """What every entry point does around its dispatch: claim a fleet
+        admission slot (released on exit), fix the absolute deadline, adopt
+        or mint the trace context.  Yields ``(kwargs, trace_context)``;
+        ``kwargs()`` is evaluated per attempt, because the deadline keeps
+        running across failovers."""
+        if not self._try_admit():
+            raise self._shed("fleet admission queue full")
+        try:
+            deadline_at = clock.now() + deadline_s if deadline_s is not None else None
+            trace_context = self._trace_for(inbound)
+            yield partial(self._worker_kwargs, deadline_at, trace_context), trace_context
+        finally:
+            self._release_admission()
+
+    def _attempt(self, worker_id: str, call, **seam):
+        """One call to one replica through the ``fleet.dispatch`` seam.
+
+        Returns ``(result, None)``, or ``(None, why)`` when the replica
+        did not answer: ``"gone"`` (a concurrent removal got there first)
+        or ``"died"`` (it failed under the call and is declared dead here:
+        drained, ring rebalanced, failover counted).  A replica's 503
+        propagates — spilling, bouncing or surfacing it is caller policy.
+        """
+        with self._lock:
+            worker = self._workers.get(worker_id)
+        if worker is None:
+            return None, "gone"
+        try:
+            fire("fleet.dispatch", worker=worker_id, **seam)
+            result = call(worker)
+        except (WorkerUnavailableError, InjectedFault):
+            self._on_worker_failure(worker_id, "dispatch_failed")
+            return None, "died"
+        with self._lock:
+            self._last_heartbeat[worker_id] = clock.now()
+        return result, None
+
+    def _count_spill(self) -> None:
+        with self._lock:
+            self.spill_count += 1
+        self._c_spills.inc()
+
+    def _route(self, key: str, attempt, **seam) -> tuple[str, object, int]:
+        """The one failover / spill loop: ``(worker_id, result, failovers)``.
+
+        Walks the live replicas in ``key``'s preference order calling
+        ``attempt(worker)``.  A dead replica triggers failover (membership
+        change, then a fresh sweep over the survivors — the request is
+        re-enqueued, not dropped); an overloaded one triggers spill (next
+        preference, no membership change).  Raises the fleet-level 503
+        only once no replica is left to try.
         """
         failovers = 0
         overloaded: set[str] = set()
         last_overload: ServiceOverloadedError | None = None
         while True:
-            progressed = False
-            for worker_id in self._candidates(prompt):
+            for worker_id in self._candidates(key):
                 if worker_id in overloaded:
                     continue
-                with self._lock:
-                    worker = self._workers.get(worker_id)
-                if worker is None:
-                    continue  # raced with a heartbeat-driven removal
-                started = clock.now()
-                # Only ride the kwarg along when a context was minted, so
-                # minimal duck-typed workers (tests, adapters) that predate
-                # trace propagation keep working untraced.
-                extra = {"trace_context": trace_context} if trace_context is not None else {}
                 try:
-                    fire("fleet.dispatch", worker=worker_id)
-                    payload = worker.predict(
-                        prompt,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        **extra,
-                    )
-                except (WorkerUnavailableError, InjectedFault):
-                    # The replica died under us: declare it dead (draining
-                    # it and rebalancing the ring) and re-enqueue this
-                    # request against the survivors.
-                    self._on_worker_failure(worker_id, "dispatch_failed")
-                    failovers += 1
-                    progressed = True
-                    break
+                    result, missing = self._attempt(worker_id, attempt, **seam)
                 except ServiceOverloadedError as error:
                     last_overload = error
                     overloaded.add(worker_id)
-                    with self._lock:
-                        self.spill_count += 1
-                    self._c_spills.inc()
+                    self._count_spill()
                     continue
-                self._h_dispatch.observe(clock.now() - started)
-                with self._lock:
-                    self._last_heartbeat[worker_id] = clock.now()
-                payload["worker"] = worker_id
-                if failovers:
-                    payload["failovers"] = failovers
-                return payload
-            if not progressed:
+                if missing is None:
+                    return worker_id, result, failovers
+                if missing == "died":
+                    failovers += 1
+                    break  # membership changed: sweep the survivors afresh
+            else:
                 if not self.live_worker_ids:
                     raise self._shed("no live replicas")
                 raise self._shed(
                     "every live replica is saturated",
                     retry_after_s=last_overload.retry_after_s if last_overload else None,
                 )
+
+    @staticmethod
+    def _annotate(payload: dict, trace_context, worker_id=None, failovers: int = 0) -> dict:
+        """Stamp a response (or a terminal stream event) with who served it."""
+        if worker_id is not None:
+            payload["worker"] = worker_id
+        if failovers:
+            payload["failovers"] = failovers
+        if trace_context is not None:
+            payload["trace_id"] = trace_context.trace_id
+        return payload
+
+    # -- the request surface -------------------------------------------------
 
     def predict(
         self,
@@ -395,35 +432,25 @@ class FleetRouter:
         the fleet; see :meth:`_trace_for`) — carries it to the worker,
         and echoes the trace id back as ``"trace_id"``.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        inbound = trace_context
-        trace_context = self._trace_for(inbound)
-        activation = (
-            self.obs.tracer.activate(inbound.trace_id, inbound.parent_span)
-            if inbound is not None
-            else nullcontext()
-        )
-        try:
-            with activation, self.obs.tracer.span("fleet.predict") as span:
-                if trace_context is not None:
-                    span.set(
-                        trace_id=trace_context.trace_id,
-                        span_ref=router_span_ref(trace_context.trace_id),
-                    )
-                payload = self._dispatch(prompt, max_new_tokens, deadline_at, trace_context)
-                span.set(worker=payload["worker"], failovers=payload.get("failovers", 0))
-        finally:
-            self._release_admission()
+        require_text("prompt", prompt)
+        tracer = self.obs.tracer
+        with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
+
+            def attempt(worker):
+                started = clock.now()
+                payload = worker.predict(prompt, max_new_tokens, **kwargs())
+                self._h_dispatch.observe(clock.now() - started)
+                return payload
+
+            with adopt(tracer, trace_context), tracer.span(
+                "fleet.predict", **_root_attrs(downstream)
+            ) as span:
+                worker_id, payload, failovers = self._route(prompt, attempt)
+                span.set(worker=worker_id, failovers=failovers)
         with self._lock:
             self.request_count += 1
         self._c_requests.inc()
-        if trace_context is not None:
-            payload["trace_id"] = trace_context.trace_id
-        return payload
+        return self._annotate(payload, downstream, worker_id, failovers)
 
     def predict_stream(
         self,
@@ -442,273 +469,44 @@ class FleetRouter:
         replica is declared dead for subsequent requests; it is never
         silently re-dispatched.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        return self._stream(prompt, max_new_tokens, deadline_at, trace_context)
+        require_text("prompt", prompt)
+        return self._stream(prompt, max_new_tokens, deadline_s, trace_context)
 
-    def _stream(self, prompt, max_new_tokens, deadline_at, trace_context):
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        try:
-            failovers = 0
-            overloaded: set[str] = set()
-            last_overload: ServiceOverloadedError | None = None
-            while True:
-                progressed = False
-                for worker_id in self._candidates(prompt):
-                    if worker_id in overloaded:
-                        continue
-                    with self._lock:
-                        worker = self._workers.get(worker_id)
-                    if worker is None:
-                        continue
-                    inner = None
-                    try:
-                        fire("fleet.dispatch", worker=worker_id, stream=True)
-                        inner = worker.predict_stream(
-                            prompt,
-                            max_new_tokens,
-                            deadline_s=self._remaining_deadline(deadline_at),
-                            trace_context=trace_context,
-                        )
-                        first = next(inner, None)
-                    except (WorkerUnavailableError, InjectedFault):
-                        self._on_worker_failure(worker_id, "dispatch_failed")
-                        failovers += 1
-                        progressed = True
-                        break
-                    except ServiceOverloadedError as error:
-                        last_overload = error
-                        overloaded.add(worker_id)
-                        with self._lock:
-                            self.spill_count += 1
-                        self._c_spills.inc()
-                        continue
-                    with self._lock:
-                        self.stream_request_count += 1
-                        self.request_count += 1
-                        self._last_heartbeat[worker_id] = clock.now()
-                    self._c_streams.inc()
-                    self._c_requests.inc()
-                    yield from self._relay_stream(
-                        inner, first, worker_id, failovers, trace_context
-                    )
-                    return
-                if not progressed:
-                    if not self.live_worker_ids:
-                        raise self._shed("no live replicas")
-                    raise self._shed(
-                        "every live replica is saturated",
-                        retry_after_s=last_overload.retry_after_s if last_overload else None,
-                    )
-        finally:
-            self._release_admission()
+    def _stream(self, prompt, max_new_tokens, deadline_s, inbound):
+        with self._admitted(deadline_s, inbound) as (kwargs, trace_context):
 
-    def _relay_stream(self, inner, first, worker_id, failovers, trace_context):
-        """Forward one replica's live stream, annotating terminal events."""
+            def attempt(worker):
+                inner = worker.predict_stream(prompt, max_new_tokens, **kwargs())
+                return inner, next(inner, None)
 
-        def annotate(event, data):
-            if event in ("done", "error"):
-                data = dict(data)
-                data["worker"] = worker_id
-                if failovers:
-                    data["failovers"] = failovers
-                if trace_context is not None:
-                    data.setdefault("trace_id", trace_context.trace_id)
-            return event, data
-
-        try:
-            if first is not None:
-                yield annotate(*first)
-                for event, data in inner:
-                    yield annotate(event, data)
-        except (WorkerUnavailableError, InjectedFault):
-            # Died mid-stream: bytes already flowed, so no failover —
-            # report in-band and declare the replica dead.
-            self._on_worker_failure(worker_id, "stream_failed")
-            yield (
-                "error",
-                {
-                    "error": f"replica {worker_id} died mid-stream",
-                    "status": 503,
-                    "worker": worker_id,
-                },
-            )
-        finally:
-            close = getattr(inner, "close", None)
-            if close is not None:
-                close()
-
-    # -- sessions ------------------------------------------------------------
-
-    def _session_dispatch(self, worker_id: str, call) -> dict:
-        """One session call against a specific replica (no failover: the
-        warm KV slab lives only there).  A dead replica converts to
-        :class:`SessionNotFoundError` after dropping its mappings."""
-        with self._lock:
-            worker = self._workers.get(worker_id)
-        if worker is None:
-            raise SessionNotFoundError(f"(owner {worker_id} is gone)")
-        try:
-            fire("fleet.dispatch", worker=worker_id, session=True)
-            payload = call(worker)
-        except (WorkerUnavailableError, InjectedFault) as error:
-            self._on_worker_failure(worker_id, "dispatch_failed")
-            raise SessionNotFoundError(f"(owner {worker_id} died)") from error
-        with self._lock:
-            self._last_heartbeat[worker_id] = clock.now()
-        payload["worker"] = worker_id
-        return payload
-
-    def session_create(
-        self,
-        buffer: str,
-        max_new_tokens: int | None = None,
-        deadline_s: float | None = None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Open a keystroke session on the replica owning the buffer's
-        prefix bucket, then pin the session there (session affinity).
-
-        Creation routes like :meth:`predict` — failover and spill apply,
-        because no state exists yet.  Every subsequent extend must land on
-        the owning replica; the router keeps the ``session id -> worker``
-        map so callers never need to know fleet topology.
-        """
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        try:
-            failovers = 0
-            overloaded: set[str] = set()
-            last_overload: ServiceOverloadedError | None = None
-            while True:
-                progressed = False
-                for worker_id in self._candidates(buffer):
-                    if worker_id in overloaded:
-                        continue
-                    with self._lock:
-                        worker = self._workers.get(worker_id)
-                    if worker is None:
-                        continue
-                    try:
-                        fire("fleet.dispatch", worker=worker_id, session=True)
-                        payload = worker.session_create(
-                            buffer,
-                            max_new_tokens,
-                            deadline_s=self._remaining_deadline(deadline_at),
-                            trace_context=trace_context,
-                        )
-                    except (WorkerUnavailableError, InjectedFault):
-                        self._on_worker_failure(worker_id, "dispatch_failed")
-                        failovers += 1
-                        progressed = True
-                        break
-                    except ServiceOverloadedError as error:
-                        last_overload = error
-                        overloaded.add(worker_id)
-                        with self._lock:
-                            self.spill_count += 1
-                        self._c_spills.inc()
-                        continue
-                    with self._lock:
-                        self._session_owner[payload["session_id"]] = worker_id
-                        self._last_heartbeat[worker_id] = clock.now()
-                        self.session_create_count += 1
-                        self.request_count += 1
-                    self._c_requests.inc()
-                    payload["worker"] = worker_id
-                    if failovers:
-                        payload["failovers"] = failovers
-                    if trace_context is not None:
-                        payload.setdefault("trace_id", trace_context.trace_id)
-                    return payload
-                if not progressed:
-                    if not self.live_worker_ids:
-                        raise self._shed("no live replicas")
-                    raise self._shed(
-                        "every live replica is saturated",
-                        retry_after_s=last_overload.retry_after_s if last_overload else None,
-                    )
-        finally:
-            self._release_admission()
-
-    def session_extend(
-        self,
-        session_id: str,
-        buffer: str,
-        max_new_tokens: int | None = None,
-        deadline_s: float | None = None,
-        trace_context: TraceContext | None = None,
-    ) -> dict:
-        """Extend a session on its owning replica (affinity-pinned).
-
-        An unknown session — never created, already closed, owner dead,
-        or evicted replica-side — raises
-        :class:`~repro.errors.SessionNotFoundError`; callers (the editor
-        plugin, the REST 404 mapping) treat that as "re-create"."""
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        with self._lock:
-            owner = self._session_owner.get(session_id)
-        if owner is None:
-            raise SessionNotFoundError(session_id)
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
-        trace_context = self._trace_for(trace_context)
-        try:
-            try:
-                payload = self._session_dispatch(
-                    owner,
-                    lambda worker: worker.session_extend(
-                        session_id,
-                        buffer,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        trace_context=trace_context,
-                    ),
-                )
-            except SessionNotFoundError:
-                # Owner dead or replica evicted it: the mapping is stale.
-                with self._lock:
-                    if self._session_owner.pop(session_id, None) is not None:
-                        self.sessions_lost += 1
-                        self._c_sessions_lost.inc()
-                raise
+            worker_id, (inner, first), failovers = self._route(prompt, attempt, stream=True)
             with self._lock:
-                self.session_extend_count += 1
+                self.stream_request_count += 1
                 self.request_count += 1
+            self._c_streams.inc()
             self._c_requests.inc()
-            if trace_context is not None:
-                payload.setdefault("trace_id", trace_context.trace_id)
-            return payload
-        finally:
-            self._release_admission()
-
-    def session_close(self, session_id: str) -> dict:
-        """Release a session wherever it lives; idempotent."""
-        with self._lock:
-            owner = self._session_owner.pop(session_id, None)
-        if owner is None:
-            return {"session_id": session_id, "closed": False}
-        try:
-            return self._session_dispatch(
-                owner, lambda worker: worker.session_close(session_id)
-            )
-        except SessionNotFoundError:
-            return {"session_id": session_id, "closed": False, "worker": owner}
-
-    @property
-    def sessions(self):
-        """Duck-type marker: the fleet always speaks the session API (the
-        editor plugin checks ``backend.sessions is not None``)."""
-        return self._session_owner
+            try:
+                if first is not None:
+                    for event, data in chain([first], inner):
+                        if event in ("done", "error"):
+                            data = self._annotate(dict(data), trace_context, worker_id, failovers)
+                        yield event, data
+            except (WorkerUnavailableError, InjectedFault):
+                # Died mid-stream: bytes already flowed, so no failover —
+                # report in-band and declare the replica dead.
+                self._on_worker_failure(worker_id, "stream_failed")
+                yield (
+                    "error",
+                    {
+                        "error": f"replica {worker_id} died mid-stream",
+                        "status": ServiceOverloadedError.status,
+                        "worker": worker_id,
+                    },
+                )
+            finally:
+                close = getattr(inner, "close", None)
+                if close is not None:
+                    close()
 
     def predict_batch(
         self,
@@ -724,34 +522,14 @@ class FleetRouter:
         re-grouped over the survivors; no prompt is dropped by a
         membership change.
         """
-        if not isinstance(prompts, list) or not prompts:
-            raise ServingError("prompts must be a non-empty list of strings")
-        for prompt in prompts:
-            if not isinstance(prompt, str) or not prompt.strip():
-                raise ServingError("every prompt must be a non-empty string")
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
-        deadline_at = clock.now() + deadline_s if deadline_s is not None else None
+        require_prompts(prompts)
+        tracer = self.obs.tracer
         started = clock.now()
-        inbound = trace_context
-        trace_context = self._trace_for(inbound)
-        activation = (
-            self.obs.tracer.activate(inbound.trace_id, inbound.parent_span)
-            if inbound is not None
-            else nullcontext()
-        )
-        try:
-            with activation, self.obs.tracer.span(
-                "fleet.predict_batch", batch_size=len(prompts)
-            ) as span:
-                if trace_context is not None:
-                    span.set(
-                        trace_id=trace_context.trace_id,
-                        span_ref=router_span_ref(trace_context.trace_id),
-                    )
-                merged = self._dispatch_batch(prompts, max_new_tokens, deadline_at, trace_context)
-        finally:
-            self._release_admission()
+        with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
+            with adopt(tracer, trace_context), tracer.span(
+                "fleet.predict_batch", batch_size=len(prompts), **_root_attrs(downstream)
+            ):
+                merged = self._dispatch_batch(prompts, max_new_tokens, kwargs)
         with self._lock:
             self.request_count += len(prompts)
             self.batch_request_count += 1
@@ -759,13 +537,9 @@ class FleetRouter:
         self._c_batch_requests.inc()
         merged["latency_ms"] = (clock.now() - started) * 1000.0
         merged["batch_size"] = len(prompts)
-        if trace_context is not None:
-            merged["trace_id"] = trace_context.trace_id
-        return merged
+        return self._annotate(merged, downstream)
 
-    def _dispatch_batch(
-        self, prompts: list[str], max_new_tokens, deadline_at, trace_context=None
-    ) -> dict:
+    def _dispatch_batch(self, prompts: list[str], max_new_tokens, kwargs) -> dict:
         completions: list[str | None] = [None] * len(prompts)
         cached: list[bool] = [False] * len(prompts)
         degraded: list[bool] = [False] * len(prompts)
@@ -782,41 +556,28 @@ class FleetRouter:
                 groups.setdefault(candidates[0], []).append((index, prompt))
             pending = []
             for worker_id, items in groups.items():
-                with self._lock:
-                    worker = self._workers.get(worker_id)
-                if worker is None:
-                    pending.extend(items)  # membership changed mid-grouping
-                    continue
                 group_prompts = [prompt for _, prompt in items]
-                extra = {"trace_context": trace_context} if trace_context is not None else {}
                 try:
-                    fire("fleet.dispatch", worker=worker_id, batch=len(items))
-                    payload = worker.predict_batch(
-                        group_prompts,
-                        max_new_tokens,
-                        deadline_s=self._remaining_deadline(deadline_at),
-                        **extra,
+                    payload, _ = self._attempt(
+                        worker_id,
+                        lambda worker: worker.predict_batch(group_prompts, max_new_tokens, **kwargs()),
+                        batch=len(items),
                     )
-                except (WorkerUnavailableError, InjectedFault):
-                    self._on_worker_failure(worker_id, "dispatch_failed")
-                    pending.extend(items)  # re-enqueue the whole group
-                    continue
                 except ServiceOverloadedError as error:
                     # Spill the whole group; bounded so a fully saturated
                     # fleet sheds instead of spinning.
-                    with self._lock:
-                        self.spill_count += 1
-                        live = len(self._workers)
-                    self._c_spills.inc()
+                    self._count_spill()
                     if bounce_budget is None:
-                        bounce_budget = max(1, live)
+                        bounce_budget = max(1, len(self.live_worker_ids))
                     bounce_budget -= 1
                     if bounce_budget <= 0:
                         raise self._shed(
                             "every live replica is saturated",
                             retry_after_s=error.retry_after_s,
                         ) from error
-                    pending.extend(items)
+                    payload = None
+                if payload is None:
+                    pending.extend(items)  # gone, dead or saturated: re-group over the rest
                     continue
                 for (index, _prompt), completion, was_cached, was_degraded in zip(
                     items, payload["completions"], payload["cached"], payload["degraded"]
@@ -826,8 +587,6 @@ class FleetRouter:
                     degraded[index] = was_degraded
                     workers[index] = worker_id
                 decoded += payload.get("decoded", 0)
-                with self._lock:
-                    self._last_heartbeat[worker_id] = clock.now()
         return {
             "completions": completions,
             "cached": cached,
@@ -835,6 +594,115 @@ class FleetRouter:
             "workers": workers,
             "decoded": decoded,
         }
+
+    # -- sessions ------------------------------------------------------------
+
+    def session_create(
+        self,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict:
+        """Open a keystroke session on the replica owning the buffer's
+        prefix bucket, then pin the session there (session affinity).
+
+        Creation routes like :meth:`predict` — failover and spill apply,
+        because no state exists yet.  Every subsequent extend must land on
+        the owning replica, so the router keeps the table and hands out
+        its own id: replicas number their sessions locally (``s0000`` on
+        every one of them), the fleet id is unique across replicas and
+        respawns, and callers never parse it or need to know topology.
+        """
+        require_text("buffer", buffer)
+        with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
+            worker_id, payload, failovers = self._route(
+                buffer,
+                lambda worker: worker.session_create(buffer, max_new_tokens, **kwargs()),
+                session=True,
+            )
+            with self._lock:
+                self.session_create_count += 1
+                self.request_count += 1
+                session_id = f"{worker_id}.s{self.session_create_count:04d}"
+                self._session_owner[session_id] = (worker_id, payload["session_id"])
+            self._c_requests.inc()
+            payload["session_id"] = session_id
+            return self._annotate(payload, downstream, worker_id, failovers)
+
+    def _session_dispatch(self, session_id: str, owner: tuple[str, str], call) -> dict:
+        """One session call against the owning replica (no failover: the
+        warm KV slab lives only there).  A dead replica converts to
+        :class:`SessionNotFoundError` after dropping its mappings."""
+        worker_id, local_id = owner
+        payload, missing = self._attempt(
+            worker_id, lambda worker: call(worker, local_id), session=True
+        )
+        if missing is not None:
+            raise SessionNotFoundError(session_id)
+        payload["session_id"] = session_id
+        payload["worker"] = worker_id
+        return payload
+
+    def session_extend(
+        self,
+        session_id: str,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict:
+        """Extend a session on its owning replica (affinity-pinned).
+
+        An unknown session — never created, already closed, owner dead,
+        or evicted replica-side — raises
+        :class:`~repro.errors.SessionNotFoundError`; callers (the editor
+        plugin, the REST 404 mapping) treat that as "re-create"."""
+        require_text("buffer", buffer)
+        with self._lock:
+            owner = self._session_owner.get(session_id)
+        if owner is None:
+            raise SessionNotFoundError(session_id)
+        with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
+            try:
+                payload = self._session_dispatch(
+                    session_id,
+                    owner,
+                    lambda worker, local_id: worker.session_extend(
+                        local_id, buffer, max_new_tokens, **kwargs()
+                    ),
+                )
+            except SessionNotFoundError:
+                # Owner dead or replica evicted it: the mapping is stale.
+                with self._lock:
+                    if self._session_owner.pop(session_id, None) is not None:
+                        self.sessions_lost += 1
+                        self._c_sessions_lost.inc()
+                raise
+            with self._lock:
+                self.session_extend_count += 1
+                self.request_count += 1
+            self._c_requests.inc()
+            return self._annotate(payload, downstream)
+
+    def session_close(self, session_id: str) -> dict:
+        """Release a session wherever it lives; idempotent."""
+        with self._lock:
+            owner = self._session_owner.pop(session_id, None)
+        if owner is None:
+            return {"session_id": session_id, "closed": False}
+        try:
+            return self._session_dispatch(
+                session_id, owner, lambda worker, local_id: worker.session_close(local_id)
+            )
+        except SessionNotFoundError:
+            return {"session_id": session_id, "closed": False, "worker": owner[0]}
+
+    @property
+    def sessions(self):
+        """Duck-type marker: the fleet always speaks the session API (the
+        editor plugin checks ``backend.sessions is not None``)."""
+        return self._session_owner
 
     # -- liveness ------------------------------------------------------------
 
@@ -998,14 +866,9 @@ class FleetRouter:
 
     def metrics(self) -> dict:
         """The fleet ``/v1/metrics`` payload: router registry + fleet stats."""
-        tracer = self.obs.tracer
         return {
             "metrics": self.obs.metrics.snapshot(),
-            "tracing": {
-                "enabled": tracer.enabled,
-                "spans_buffered": len(tracer),
-                "spans_recorded": tracer.total_recorded,
-            },
+            "tracing": self.obs.tracer.status(),
             "fleet": self.stats(),
         }
 

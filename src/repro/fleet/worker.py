@@ -1,14 +1,14 @@
 """Fleet workers: one engine replica each, behind a uniform handle.
 
-The router only sees the *worker protocol* — duck-typed, six calls::
+The router only sees the *worker protocol*: the request surface every
+backend shares (DESIGN.md "Request surface") plus three liveness calls::
 
-    predict(prompt, max_new_tokens=None, deadline_s=None,
-            trace_context=None) -> payload dict
-    predict_batch(prompts, ...) -> payload dict
+    predict / predict_batch / predict_stream / session_create /
+    session_extend(..., max_new_tokens=None, deadline_s=None,
+                   trace_context=None) -> payload dict (or event stream)
+    session_close(session_id) / health() / stats() / telemetry() -> dict
     heartbeat() -> float            # raises WorkerUnavailableError when dead
-    stats() / health() -> dict
-    telemetry() -> dict             # span/metric/profile drain for collectors
-    stop()                          # release resources
+    kill() / stop()                 # abrupt death / release resources
 
 ``trace_context`` is a :class:`~repro.obs.distributed.TraceContext`
 minted by the router: in-process workers hand it straight to the
@@ -41,17 +41,9 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import urllib.error
 from dataclasses import dataclass
 
-from repro.errors import (
-    DeadlineExceededError,
-    RequestCancelledError,
-    ServiceOverloadedError,
-    ServingError,
-    WorkerCrashed,
-    WorkerUnavailableError,
-)
+from repro.errors import ServiceUnreachableError, WorkerCrashed, WorkerUnavailableError
 from repro.faults import clock
 from repro.faults.inject import fire
 
@@ -158,7 +150,69 @@ def build_service(spec: WorkerSpec):
     return service, engine
 
 
-class InProcessWorker:
+class _Worker:
+    """The request surface both worker flavours expose (DESIGN.md "Request
+    surface"), stated once over each flavour's own ``_call`` / ``_relay``."""
+
+    worker_id: str
+
+    def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
+        return self._call(
+            "predict", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
+
+    def predict_batch(
+        self, prompts: list[str], max_new_tokens=None, deadline_s=None, trace_context=None
+    ) -> dict:
+        return self._call(
+            "predict_batch", prompts, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
+
+    def predict_stream(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None):
+        """Stream ``(event, data)`` tuples from the replica.
+
+        The generator is returned *after* the flavour's liveness check,
+        but the replica can still die mid-stream; ``_relay`` converts that
+        to :class:`WorkerUnavailableError` exactly as ``predict`` does, so
+        router-side failover semantics stay uniform.
+        """
+        return self._relay(
+            self._call(
+                "predict_stream", prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+            )
+        )
+
+    def session_create(self, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
+        return self._call(
+            "session_create", buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
+        )
+
+    def session_extend(
+        self, session_id: str, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None
+    ) -> dict:
+        return self._call(
+            "session_extend",
+            session_id,
+            buffer,
+            max_new_tokens,
+            deadline_s=deadline_s,
+            trace_context=trace_context,
+        )
+
+    def session_close(self, session_id: str) -> dict:
+        return self._call("session_close", session_id)
+
+    def health(self) -> dict:
+        return dict(self._call("health"), worker=self.worker_id)
+
+    def stats(self) -> dict:
+        return self._call("stats")
+
+    def telemetry(self) -> dict:
+        return self._call("telemetry")
+
+
+class InProcessWorker(_Worker):
     """One replica served in-process; the deterministic chaos substrate."""
 
     def __init__(self, worker_id: str, service=None, engine=None, spec: WorkerSpec | None = None):
@@ -211,77 +265,29 @@ class InProcessWorker:
         if not self.alive:
             raise self._unavailable()
 
-    def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        self._guard()
-        try:
-            return self.service.predict(
-                prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
-        except WorkerCrashed as crash:
-            self._crash()
-            raise self._unavailable() from crash
+    def _call(self, method: str, *args, **kwargs):
+        """One call against the replica's service, behind the liveness guard.
 
-    def predict_batch(
-        self, prompts: list[str], max_new_tokens=None, deadline_s=None, trace_context=None
-    ) -> dict:
-        self._guard()
-        try:
-            return self.service.predict_batch(
-                prompts, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
-        except WorkerCrashed as crash:
-            self._crash()
-            raise self._unavailable() from crash
-
-    def predict_stream(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None):
-        """Stream ``(event, data)`` tuples from the replica's service.
-
-        The generator is returned *after* a liveness check, but the
-        replica can still die mid-stream — :class:`WorkerCrashed` inside
-        the stream converts to :class:`WorkerUnavailableError` exactly as
-        ``predict`` does, so router-side failover semantics stay uniform.
+        The method is looked up by name at call time, so a wrapper set as
+        an instance attribute on the service is honoured.  A crash under
+        the call drops everything the replica holds and surfaces as
+        :class:`WorkerUnavailableError`.
         """
         self._guard()
-        inner = self.service.predict_stream(
-            prompt, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-        )
-
-        def relay():
-            try:
-                yield from inner
-            except WorkerCrashed as crash:
-                self._crash()
-                raise self._unavailable() from crash
-            finally:
-                inner.close()
-
-        return relay()
-
-    def session_create(self, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        self._guard()
         try:
-            return self.service.session_create(
-                buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
+            return getattr(self.service, method)(*args, **kwargs)
         except WorkerCrashed as crash:
             self._crash()
             raise self._unavailable() from crash
 
-    def session_extend(
-        self, session_id: str, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None
-    ) -> dict:
-        self._guard()
+    def _relay(self, inner):
         try:
-            return self.service.session_extend(
-                session_id, buffer, max_new_tokens, deadline_s=deadline_s, trace_context=trace_context
-            )
+            yield from inner
         except WorkerCrashed as crash:
             self._crash()
             raise self._unavailable() from crash
-
-    def session_close(self, session_id: str) -> dict:
-        self._guard()
-        return self.service.session_close(session_id)
+        finally:
+            inner.close()
 
     def session_count(self) -> int:
         """Live server-side keystroke sessions (orphan accounting)."""
@@ -291,18 +297,6 @@ class InProcessWorker:
     def heartbeat(self) -> float:
         self._guard()
         return clock.now()
-
-    def health(self) -> dict:
-        self._guard()
-        return dict(self.service.health(), worker=self.worker_id)
-
-    def stats(self) -> dict:
-        self._guard()
-        return self.service.stats()
-
-    def telemetry(self) -> dict:
-        self._guard()
-        return self.service.telemetry()
 
     def arena_bytes_in_use(self) -> int:
         """KV bytes the replica's arena still holds (leak accounting)."""
@@ -321,7 +315,7 @@ def _process_worker_main(spec: WorkerSpec, port_queue) -> None:
     threading.Event().wait()  # serve until the parent terminates us
 
 
-class ProcessWorker:
+class ProcessWorker(_Worker):
     """One replica in a child process, reached over HTTP."""
 
     def __init__(
@@ -384,119 +378,40 @@ class ProcessWorker:
             f"worker {self.worker_id} unreachable: {error}", worker_id=self.worker_id
         )
 
-    def _call(self, method, *args, **kwargs):
-        if self._client is None:
-            raise WorkerUnavailableError(
-                f"worker {self.worker_id} is not started", worker_id=self.worker_id
-            )
-        try:
-            return method(*args, **kwargs)
-        except (ServiceOverloadedError, DeadlineExceededError, RequestCancelledError):
-            raise  # typed backpressure/deadline statuses pass through untouched
-        except ServingError as error:
-            cause = error.__cause__
-            transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                cause, urllib.error.HTTPError
-            )
-            if transport:
-                raise self._unavailable(error) from error
-            raise
+    def _call(self, method: str, *args, deadline_s=None, trace_context=None):
+        """One client call against the child, in the backend's own terms.
 
-    def predict(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
-        return self._call(
-            self._client.predict, prompt, max_new_tokens, deadline_ms=deadline_ms, headers=headers
-        )
-
-    def predict_batch(
-        self, prompts: list[str], max_new_tokens=None, deadline_s=None, trace_context=None
-    ) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
-        return self._call(
-            self._client.predict_batch,
-            prompts,
-            max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
-        )
-
-    def predict_stream(self, prompt: str, max_new_tokens=None, deadline_s=None, trace_context=None):
-        """Stream ``(event, data)`` tuples over HTTP (SSE under the hood).
-
-        Converts the client's :class:`~repro.serving.stream.SseEvent`
-        stream to the same tuple shape :class:`InProcessWorker` yields, so
-        the router passthrough treats both flavours identically.  Opening
-        the stream against an unreachable child raises
-        :class:`WorkerUnavailableError` before any event flows.
+        Seconds become the wire's ``deadline_ms`` and the trace context
+        its ``X-Repro-*`` headers.  Every HTTP status comes back as the
+        client's typed error untouched; only *no answer at all* means the
+        replica is dead.
         """
         if self._client is None:
             raise WorkerUnavailableError(
                 f"worker {self.worker_id} is not started", worker_id=self.worker_id
             )
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
+        envelope = {}
+        if deadline_s is not None:
+            envelope["deadline_ms"] = deadline_s * 1000.0
+        if trace_context is not None:
+            envelope["headers"] = trace_context.to_headers()
+        try:
+            return getattr(self._client, method)(*args, **envelope)
+        except ServiceUnreachableError as error:
+            raise self._unavailable(error) from error
 
-        def relay():
-            try:
-                inner = self._client.predict_stream(
-                    prompt, max_new_tokens, deadline_ms=deadline_ms, headers=headers
-                )
-                for event in inner:
-                    if event.comment:
-                        continue
+    def _relay(self, inner):
+        """The client's :class:`~repro.serving.stream.SseEvent` stream as the
+        tuples :class:`InProcessWorker` yields.  The client opens the
+        connection on the first pull, so an unreachable child surfaces
+        here, before any event flows."""
+        try:
+            for event in inner:
+                if not event.comment:
                     yield event.event, event.json()
-            except (ServiceOverloadedError, DeadlineExceededError, RequestCancelledError):
-                raise
-            except ServingError as error:
-                cause = error.__cause__
-                transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                    cause, urllib.error.HTTPError
-                )
-                if transport:
-                    raise self._unavailable(error) from error
-                raise
-
-        return relay()
-
-    def session_create(self, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
-        return self._call(
-            self._client.session_create,
-            buffer,
-            max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
-        )
-
-    def session_extend(
-        self, session_id: str, buffer: str, max_new_tokens=None, deadline_s=None, trace_context=None
-    ) -> dict:
-        deadline_ms = deadline_s * 1000.0 if deadline_s is not None else None
-        headers = trace_context.to_headers() if trace_context is not None else None
-        return self._call(
-            self._client.session_extend,
-            session_id,
-            buffer,
-            max_new_tokens,
-            deadline_ms=deadline_ms,
-            headers=headers,
-        )
-
-    def session_close(self, session_id: str) -> dict:
-        return self._call(self._client.session_close, session_id)
+        except ServiceUnreachableError as error:
+            raise self._unavailable(error) from error
 
     def heartbeat(self) -> float:
-        self._call(self._client.health)
+        self._call("health")
         return clock.now()
-
-    def health(self) -> dict:
-        return dict(self._call(self._client.health), worker=self.worker_id)
-
-    def stats(self) -> dict:
-        return self._call(self._client.stats)
-
-    def telemetry(self) -> dict:
-        return self._call(self._client.telemetry)

@@ -40,6 +40,7 @@ loss model as any pull-based telemetry system.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,13 @@ class TraceContext:
         if not trace_id:
             return None
         return cls(trace_id=trace_id, parent_span=headers.get(PARENT_SPAN_HEADER) or None)
+
+
+def adopt(tracer, context: TraceContext | None):
+    """``tracer.activate`` for an optional context: a no-op block without one."""
+    if context is None:
+        return nullcontext()
+    return tracer.activate(context.trace_id, context.parent_span)
 
 
 def router_span_ref(trace_id: str) -> str:

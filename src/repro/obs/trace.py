@@ -276,6 +276,14 @@ class Tracer:
 
     # -- reading -------------------------------------------------------------
 
+    def status(self) -> dict:
+        """The ``"tracing"`` block of every ``stats()`` / ``metrics()`` payload."""
+        return {
+            "enabled": self.enabled,
+            "spans_buffered": len(self),
+            "spans_recorded": self.total_recorded,
+        }
+
     def spans(self, name: str | None = None) -> list[Span]:
         """Snapshot of buffered spans, oldest first, optionally by name."""
         with self._lock:

@@ -16,10 +16,11 @@ import urllib.error
 import urllib.request
 
 from repro.errors import (
-    DeadlineExceededError,
     ServiceOverloadedError,
+    ServiceUnreachableError,
     ServingError,
     SessionNotFoundError,
+    error_for_status,
 )
 from repro.faults import clock
 from repro.serving.stream import SseParser
@@ -107,46 +108,46 @@ class PredictionClient:
         """The endpoint currently in use (rotates on transport failure)."""
         return self.base_urls[self._endpoint]
 
-    def _raise_http(self, method: str, path: str, error: urllib.error.HTTPError) -> None:
+    def _http_error(self, method: str, path: str, error: urllib.error.HTTPError) -> Exception:
+        """The typed error an HTTP error status stands for (the disposition
+        table of :mod:`repro.errors`, read right to left)."""
         try:
             body = json.loads(error.read().decode("utf-8"))
             message = body.get("error", str(error))
-        except (ValueError, json.JSONDecodeError):
-            body = {}
-            message = str(error)
-        if error.code == 503:
-            raise ServiceOverloadedError(
-                f"{method} {path} overloaded: {message}",
-                retry_after_s=body.get("retry_after_s"),
-            ) from error
-        if error.code == 504:
-            raise DeadlineExceededError(f"{method} {path} deadline exceeded: {message}") from error
-        if error.code == 404 and "/v1/sessions/" in path:
-            raise SessionNotFoundError(path.split("/")[3]) from error
-        raise ServingError(f"{method} {path} failed: {message}") from error
+        except (ValueError, AttributeError):
+            body, message = {}, str(error)
+        if error.code == SessionNotFoundError.status and "/v1/sessions/" in path:
+            return SessionNotFoundError(path.split("/")[3])
+        typed = error_for_status(error.code)(f"{method} {path} failed ({error.code}): {message}")
+        if isinstance(typed, ServiceOverloadedError):
+            typed.retry_after_s = body.get("retry_after_s")
+        return typed
 
-    def _request_once(
+    def _open(
         self,
         method: str,
         path: str,
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
-    ) -> dict:
+    ):
+        """The one place a URL is opened; returns the live HTTP response.
+
+        An HTTP error status raises its typed error; no answer at all
+        raises :class:`~repro.errors.ServiceUnreachableError`.
+        """
         url = self.base_url + path
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
         request = urllib.request.Request(
             url,
-            data=data,
+            data=json.dumps(payload).encode("utf-8") if payload is not None else None,
             method=method,
             headers={"Content-Type": "application/json", **(headers or {})},
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+            return urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as error:
-            self._raise_http(method, path, error)
+            raise self._http_error(method, path, error) from error
         except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+            raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error
 
     def _request(
         self,
@@ -155,12 +156,19 @@ class PredictionClient:
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> dict:
+        """One JSON exchange under the retry / endpoint-rotation rules.
+
+        Only overload and unreachable endpoints are retried: every other
+        status is the service's final answer (a later retry cannot beat an
+        already-spent deadline).
+        """
         policy = self.retry_policy
         attempt = 0
         swept = 0  # endpoints tried (and failed at transport level) this sweep
         while True:
             try:
-                return self._request_once(method, path, payload, headers)
+                with self._open(method, path, payload, headers) as response:
+                    return json.loads(response.read().decode("utf-8"))
             except ServiceOverloadedError as error:
                 # A 503 is the service answering — stay on this endpoint
                 # and honour its Retry-After through the policy.
@@ -169,17 +177,7 @@ class PredictionClient:
                 attempt += 1
                 self.retries += 1
                 self._sleep(policy.delay(attempt, error.retry_after_s))
-            except DeadlineExceededError:
-                raise  # a later retry cannot beat an already-spent deadline
-            except ServingError as error:
-                # Transport-level failure (unreachable host); HTTP-level
-                # errors other than 503/504 raised above are not retried.
-                cause = error.__cause__
-                transport = isinstance(cause, urllib.error.URLError) and not isinstance(
-                    cause, urllib.error.HTTPError  # HTTPError subclasses URLError
-                )
-                if not transport:
-                    raise
+            except ServiceUnreachableError:
                 swept += 1
                 if swept < len(self.base_urls):
                     # Another replica may be up: rotate and retry NOW —
@@ -199,17 +197,23 @@ class PredictionClient:
                     self.failovers += 1
                 self._sleep(policy.delay(attempt))
 
+    @staticmethod
+    def _body(field: str, value, max_new_tokens, deadline_ms, **extra) -> dict:
+        """The request envelope every POST route shares."""
+        payload = {field: value, **extra}
+        if max_new_tokens is not None:
+            payload["max_new_tokens"] = max_new_tokens
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
+        return payload
+
     def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
         """TextCompleter-compatible completion via HTTP."""
-        result = self._request(
-            "POST", "/v1/completions", {"prompt": prompt, "max_new_tokens": max_new_tokens}
-        )
-        return result["completion"]
+        return self.predict(prompt, max_new_tokens)["completion"]
 
     def complete_batch(self, prompts: list[str], max_new_tokens: int = 96) -> list[str]:
         """Batched completions via ``/v1/batch_completions``."""
-        result = self.predict_batch(prompts, max_new_tokens)
-        return result["completions"]
+        return self.predict_batch(prompts, max_new_tokens)["completions"]
 
     def predict_batch(
         self,
@@ -219,11 +223,7 @@ class PredictionClient:
         headers: dict[str, str] | None = None,
     ) -> dict:
         """Full batch payload (completions + per-prompt cache flags + latency)."""
-        payload: dict = {"prompts": prompts}
-        if max_new_tokens is not None:
-            payload["max_new_tokens"] = max_new_tokens
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
+        payload = self._body("prompts", prompts, max_new_tokens, deadline_ms)
         return self._request("POST", "/v1/batch_completions", payload, headers=headers)
 
     def predict(
@@ -239,11 +239,7 @@ class PredictionClient:
         propagates its trace context (``X-Repro-Trace-Id`` /
         ``X-Repro-Parent-Span``) to a process worker.
         """
-        payload: dict = {"prompt": prompt}
-        if max_new_tokens is not None:
-            payload["max_new_tokens"] = max_new_tokens
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
+        payload = self._body("prompt", prompt, max_new_tokens, deadline_ms)
         return self._request("POST", "/v1/completions", payload, headers=headers)
 
     def predict_stream(
@@ -265,25 +261,8 @@ class PredictionClient:
         do not retry or fail over: once bytes flowed, a replay could
         duplicate delivered tokens.
         """
-        path = "/v1/completions?stream=1"
-        url = self.base_url + path
-        payload: dict = {"prompt": prompt, "stream": True}
-        if max_new_tokens is not None:
-            payload["max_new_tokens"] = max_new_tokens
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            method="POST",
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
-        try:
-            response = urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            self._raise_http("POST", path, error)
-        except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+        payload = self._body("prompt", prompt, max_new_tokens, deadline_ms, stream=True)
+        response = self._open("POST", "/v1/completions?stream=1", payload, headers)
         parser = SseParser()
         try:
             while True:
@@ -318,11 +297,7 @@ class PredictionClient:
         headers: dict[str, str] | None = None,
     ) -> dict:
         """Open a keystroke session; the payload carries ``session_id``."""
-        payload: dict = {"buffer": buffer}
-        if max_new_tokens is not None:
-            payload["max_new_tokens"] = max_new_tokens
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
+        payload = self._body("buffer", buffer, max_new_tokens, deadline_ms)
         return self._request("POST", "/v1/sessions", payload, headers=headers)
 
     def session_extend(
@@ -334,11 +309,7 @@ class PredictionClient:
         headers: dict[str, str] | None = None,
     ) -> dict:
         """Extend a session with the full new buffer (only the delta prefills)."""
-        payload: dict = {"buffer": buffer}
-        if max_new_tokens is not None:
-            payload["max_new_tokens"] = max_new_tokens
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
+        payload = self._body("buffer", buffer, max_new_tokens, deadline_ms)
         return self._request(
             "POST", f"/v1/sessions/{session_id}/extend", payload, headers=headers
         )
@@ -362,9 +333,5 @@ class PredictionClient:
 
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition from ``/v1/metrics?format=prometheus``."""
-        url = self.base_url + "/v1/metrics?format=prometheus"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as error:
-            raise ServingError(f"cannot reach service at {url}: {error}") from error
+        with self._open("GET", "/v1/metrics?format=prometheus") as response:
+            return response.read().decode("utf-8")

@@ -79,24 +79,45 @@ from __future__ import annotations
 import json
 import math
 import threading
-from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
+    OUTCOME_ERRORS,
+    REQUEST_ERRORS,
     DeadlineExceededError,
     RequestCancelledError,
     ServiceOverloadedError,
     ServingError,
-    SessionNotFoundError,
 )
 from repro.faults import clock
 from repro.obs import Observability
-from repro.obs.distributed import TRACE_ID_HEADER, TraceContext
+from repro.obs.distributed import TRACE_ID_HEADER, TraceContext, adopt
 from repro.obs.export import prometheus_exposition
 from repro.serving.cache import LruCache
 from repro.serving.session import SessionManager
 from repro.serving.stream import TextDelta, sse_encode
+
+
+def require_text(name: str, value) -> None:
+    """Reject anything but a non-blank string (a prompt, a buffer)."""
+    if not isinstance(value, str) or not value.strip():
+        raise ServingError(f"{name} must be a non-empty string")
+
+
+def require_prompts(prompts) -> None:
+    if not isinstance(prompts, list) or not prompts:
+        raise ServingError("prompts must be a non-empty list of strings")
+    for prompt in prompts:
+        require_text("every prompt", prompt)
+
+
+def _error_event(error) -> tuple[str, dict]:
+    """A typed error as the in-band terminal event of a stream under way."""
+    data = {"error": str(error), "status": error.status, "outcome": error.outcome}
+    if getattr(error, "retry_after_s", None) is not None:
+        data["retry_after_s"] = error.retry_after_s
+    return "error", data
 
 
 class _InflightEntry:
@@ -225,6 +246,40 @@ class PredictionService:
         self._c_degraded.inc()
         return completion
 
+    def _abort(self, outcome: str, deadline_s: float | None) -> Exception:
+        """Count an expired or cancelled request; returns its typed error."""
+        if outcome == "deadline_exceeded":
+            with self._lock:
+                self.deadline_exceeded_count += 1
+            self._c_deadline.inc()
+            return DeadlineExceededError(f"deadline of {deadline_s}s exceeded")
+        with self._lock:
+            self.cancelled_count += 1
+        self._c_cancelled.inc()
+        return RequestCancelledError("request cancelled")
+
+    def _settle(self, prompt: str, budget: int, outcome: str, deadline_s: float | None) -> str:
+        """What an abnormal engine outcome becomes, for every engine-backed
+        path: a shed request degrades to the fallback (or raises the typed
+        503), an expired one raises the typed 504, a cancelled one the
+        typed client-closed-request error.  Returns the degraded text."""
+        if outcome == "shed":
+            return self._degrade(prompt, budget, "engine shed the request")
+        raise self._abort(outcome, deadline_s)
+
+    def _limits(self, max_new_tokens: int | None, deadline_s: float | None):
+        """One request's token budget and deadline, server defaults filled in."""
+        return (
+            max_new_tokens or self.max_new_tokens,
+            deadline_s if deadline_s is not None else self.default_deadline_s,
+        )
+
+    @staticmethod
+    def _echo(payload: dict, trace_context: TraceContext | None) -> dict:
+        if trace_context is not None:
+            payload["trace_id"] = trace_context.trace_id
+        return payload
+
     def _generate(
         self, prompt: str, budget: int, deadline_s: float | None
     ) -> tuple[str, bool, float | None]:
@@ -232,9 +287,7 @@ class PredictionService:
 
         Routes through the engine's outcome-aware path when available so
         shed / deadline / cancelled dispositions arrive as data, not
-        exceptions, and map onto serving behaviour here: shed requests
-        degrade to the fallback (or 503), expired ones raise the typed
-        504, cancelled ones the typed client-closed-request error.
+        exceptions, and map onto serving behaviour in :meth:`_settle`.
         ``ttft_s`` is the engine-measured time to first token, or None
         when the request never reached decode (or no engine is attached).
         """
@@ -242,20 +295,9 @@ class PredictionService:
             detail = self.engine.complete_batch_detailed(
                 [prompt], max_new_tokens=budget, deadline_s=deadline_s
             )[0]
-            outcome = detail["outcome"]
-            if outcome == "completed":
+            if detail["outcome"] == "completed":
                 return detail["completion"], False, detail.get("ttft_s")
-            if outcome == "deadline_exceeded":
-                with self._lock:
-                    self.deadline_exceeded_count += 1
-                self._c_deadline.inc()
-                raise DeadlineExceededError(f"deadline of {deadline_s}s exceeded")
-            if outcome == "cancelled":
-                with self._lock:
-                    self.cancelled_count += 1
-                self._c_cancelled.inc()
-                raise RequestCancelledError("request cancelled")
-            return self._degrade(prompt, budget, f"engine {outcome} the request"), True, None
+            return self._settle(prompt, budget, detail["outcome"], deadline_s), True, None
         return self.completer.complete(prompt, max_new_tokens=budget), False, None
 
     # -- single prediction ---------------------------------------------------
@@ -280,16 +322,10 @@ class PredictionService:
         with its trace id / parent span, and the response echoes the
         trace id as ``"trace_id"``.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        budget = max_new_tokens or self.max_new_tokens
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
-        activation = (
-            self.obs.tracer.activate(trace_context.trace_id, trace_context.parent_span)
-            if trace_context is not None
-            else nullcontext()
-        )
-        with activation, self.obs.tracer.span("serving.predict") as span:
+        require_text("prompt", prompt)
+        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        tracer = self.obs.tracer
+        with adopt(tracer, trace_context), tracer.span("serving.predict") as span:
             self._g_inflight.inc()
             try:
                 payload = self._predict(prompt, budget, deadline)
@@ -300,9 +336,7 @@ class PredictionService:
                 coalesced=bool(payload.get("coalesced")),
                 degraded=bool(payload.get("degraded")),
             )
-            if trace_context is not None:
-                payload["trace_id"] = trace_context.trace_id
-            return payload
+            return self._echo(payload, trace_context)
 
     def _predict(self, prompt: str, budget: int, deadline_s: float | None) -> dict:
         started = clock.now()
@@ -319,7 +353,7 @@ class PredictionService:
             # Coalesce: another thread is already generating this prompt.
             entry.done.wait()
             if entry.error is not None:
-                if isinstance(entry.error, (ServingError, DeadlineExceededError, RequestCancelledError)):
+                if isinstance(entry.error, REQUEST_ERRORS):
                     raise entry.error  # keep the typed status (503/504/...) for waiters
                 raise ServingError(f"coalesced request failed: {entry.error}") from entry.error
             with self._lock:
@@ -413,16 +447,31 @@ class PredictionService:
         first event, so an HTTP front-end can still answer with a plain
         status; anything after the first token arrives in-band.
         """
-        if not isinstance(prompt, str) or not prompt.strip():
-            raise ServingError("prompt must be a non-empty string")
-        budget = max_new_tokens or self.max_new_tokens
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
+        require_text("prompt", prompt)
+        budget, deadline = self._limits(max_new_tokens, deadline_s)
         return self._predict_stream(prompt, budget, deadline, trace_context)
 
-    def _stream_done(self, data: dict, trace_context: TraceContext | None) -> tuple[str, dict]:
-        if trace_context is not None:
-            data["trace_id"] = trace_context.trace_id
-        return "done", data
+    def _stream_done(
+        self, payload: dict, trace_context: TraceContext | None, stop_reason=None, **extra
+    ) -> tuple[str, dict]:
+        """The terminal ``done`` event for one accounted completion payload."""
+        data = {
+            "completion": payload["completion"],
+            "stop_reason": stop_reason,
+            "outcome": "completed",
+            "cached": payload["cached"],
+            "degraded": bool(payload.get("degraded")),
+            "latency_ms": payload["latency_ms"],
+            **extra,
+        }
+        return "done", self._echo(data, trace_context)
+
+    def _burst(self, payload: dict, trace_context: TraceContext | None, index: int = 0):
+        """A whole completion replayed as a one-burst stream: what a cache
+        hit, a backend with no token-level engine, and a degraded answer
+        all look like on the wire."""
+        yield "token", {"text": payload["completion"], "index": index}
+        yield self._stream_done(payload, trace_context)
 
     def _predict_stream(
         self,
@@ -436,67 +485,38 @@ class PredictionService:
             self.stream_count += 1
             cached = self.cache.get(prompt)
         self._c_streams.inc()
+        engine = self.engine
         if cached is not None:
             with self._lock:
                 payload = self._account(cached, started, cached_hit=True)
-            yield "token", {"text": cached, "index": 0}
-            yield self._stream_done(
-                {
-                    "completion": cached,
-                    "stop_reason": None,
-                    "outcome": "completed",
-                    "cached": True,
-                    "degraded": False,
-                    "latency_ms": payload["latency_ms"],
-                },
-                trace_context,
-            )
-            return
-        engine = self.engine
-        streamable = (
+        elif not (
             engine is not None
             and hasattr(engine, "stream_ids")
             and getattr(engine, "tokenizer", None) is not None
-        )
-        if not streamable:
+        ):
             # No token-level engine: serve the whole completion through
-            # the ordinary path, then replay it as a one-burst stream.
+            # the ordinary path.
             payload = self._predict(prompt, budget, deadline_s)
-            yield "token", {"text": payload["completion"], "index": 0}
-            yield self._stream_done(
-                {
-                    "completion": payload["completion"],
-                    "stop_reason": None,
-                    "outcome": "completed",
-                    "cached": payload["cached"],
-                    "degraded": bool(payload.get("degraded")),
-                    "latency_ms": payload["latency_ms"],
-                },
-                trace_context,
-            )
-            return
-        if not self._try_admit():
+        elif not self._try_admit():
             text = self._degrade(prompt, budget, "queue full")  # raises 503 sans fallback
             with self._lock:
                 payload = self._account(text, started, cached_hit=False, degraded=True)
-            yield "token", {"text": text, "index": 0}
-            yield self._stream_done(
-                {
-                    "completion": text,
-                    "stop_reason": None,
-                    "outcome": "completed",
-                    "cached": False,
-                    "degraded": True,
-                    "latency_ms": payload["latency_ms"],
-                },
-                trace_context,
-            )
+        else:
+            yield from self._stream_tokens(prompt, budget, deadline_s, trace_context, started)
             return
-        activation = (
-            self.obs.tracer.activate(trace_context.trace_id, trace_context.parent_span)
-            if trace_context is not None
-            else nullcontext()
-        )
+        yield from self._burst(payload, trace_context)
+
+    def _stream_tokens(
+        self,
+        prompt: str,
+        budget: int,
+        deadline_s: float | None,
+        trace_context: TraceContext | None,
+        started: float,
+    ):
+        """The token-level path of a stream, one engine burst per event.
+        The caller claimed the admission slot; it is released here."""
+        engine = self.engine
         tokenizer = engine.tokenizer
         deltas = TextDelta(tokenizer)
         handle: list = []
@@ -509,7 +529,7 @@ class PredictionService:
             tokenizer.encode(prompt), budget, deadline_s=deadline_s, handle=handle
         )
         try:
-            with activation:
+            with adopt(self.obs.tracer, trace_context):
                 for burst in inner:
                     now = clock.now()
                     if first_token_at is None:
@@ -528,8 +548,7 @@ class PredictionService:
                     yield "token", {"text": text, "token_ids": list(burst), "index": index}
                     index += 1
                 request = handle[0]
-                outcome = request.outcome
-                if outcome == "completed":
+                if request.outcome == "completed":
                     tail = deltas.flush(token_ids)
                     if tail:
                         yield "token", {"text": tail, "token_ids": [], "index": index}
@@ -543,63 +562,23 @@ class PredictionService:
                             completion, started, cached_hit=False, ttft_s=ttft_s
                         )
                     yield self._stream_done(
-                        {
-                            "completion": completion,
-                            "stop_reason": request.stop_reason,
-                            "outcome": outcome,
-                            "cached": False,
-                            "degraded": False,
-                            "latency_ms": payload["latency_ms"],
-                            "ttft_ms": payload.get("ttft_ms"),
-                            "generated_tokens": len(request.generated),
-                        },
+                        payload,
                         trace_context,
+                        request.stop_reason,
+                        ttft_ms=payload.get("ttft_ms"),
+                        generated_tokens=len(request.generated),
                     )
-                elif outcome == "deadline_exceeded":
-                    with self._lock:
-                        self.deadline_exceeded_count += 1
-                    self._c_deadline.inc()
-                    yield "error", {
-                        "error": f"deadline of {deadline_s}s exceeded",
-                        "status": 504,
-                        "outcome": outcome,
-                    }
-                elif outcome == "cancelled":
-                    with self._lock:
-                        self.cancelled_count += 1
-                    self._c_cancelled.inc()
-                    yield "error", {
-                        "error": "request cancelled",
-                        "status": 408,
-                        "outcome": outcome,
-                    }
-                else:  # shed by the engine at prefill
-                    if self.fallback is not None:
-                        text = self._degrade(prompt, budget, "engine shed the request")
-                        with self._lock:
-                            payload = self._account(text, started, cached_hit=False, degraded=True)
-                        yield "token", {"text": text, "index": index}
-                        yield self._stream_done(
-                            {
-                                "completion": text,
-                                "stop_reason": None,
-                                "outcome": "completed",
-                                "cached": False,
-                                "degraded": True,
-                                "latency_ms": payload["latency_ms"],
-                            },
-                            trace_context,
-                        )
+                else:
+                    # Bytes may have flowed already, so a disposition that
+                    # would have been an HTTP status arrives in-band.
+                    try:
+                        text = self._settle(prompt, budget, request.outcome, deadline_s)
+                    except OUTCOME_ERRORS as error:
+                        yield _error_event(error)
                     else:
                         with self._lock:
-                            self.shed_count += 1
-                        self._c_shed.inc()
-                        yield "error", {
-                            "error": "service overloaded (engine shed the request)",
-                            "status": 503,
-                            "outcome": outcome,
-                            "retry_after_s": self.shed_retry_after_s,
-                        }
+                            payload = self._account(text, started, cached_hit=False, degraded=True)
+                        yield from self._burst(payload, trace_context, index)
                 finished = True
         finally:
             # Runs on normal completion AND on generator close (client
@@ -634,6 +613,7 @@ class PredictionService:
         self,
         name: str,
         trace_context: TraceContext | None,
+        deadline_s: float | None,
         runner,
         discard_on_abort: bool = False,
     ) -> dict:
@@ -646,32 +626,18 @@ class PredictionService:
         before the error propagates.
         """
         started = clock.now()
-        activation = (
-            self.obs.tracer.activate(trace_context.trace_id, trace_context.parent_span)
-            if trace_context is not None
-            else nullcontext()
-        )
         if not self._try_admit():
             raise self._shed("queue full")
         try:
-            with activation, self.obs.tracer.span(name) as span:
+            with adopt(self.obs.tracer, trace_context), self.obs.tracer.span(name) as span:
                 payload = runner()
                 span.set(outcome=payload["outcome"], reused=payload["reused_tokens"])
         finally:
             self._release_admission()
-        outcome = payload["outcome"]
-        if outcome in ("deadline_exceeded", "cancelled") and discard_on_abort:
-            self.sessions.close(payload["session_id"])
-        if outcome == "deadline_exceeded":
-            with self._lock:
-                self.deadline_exceeded_count += 1
-            self._c_deadline.inc()
-            raise DeadlineExceededError("session deadline exceeded")
-        if outcome == "cancelled":
-            with self._lock:
-                self.cancelled_count += 1
-            self._c_cancelled.inc()
-            raise RequestCancelledError("session request cancelled")
+        if payload["outcome"] != "completed":
+            if discard_on_abort:
+                self.sessions.close(payload["session_id"])
+            raise self._abort(payload["outcome"], deadline_s)
         latency_ms = (clock.now() - started) * 1000.0
         with self._lock:
             self.request_count += 1
@@ -679,9 +645,7 @@ class PredictionService:
         self._c_requests.inc()
         payload["latency_ms"] = latency_ms
         payload["ttft_ms"] = payload.pop("ttft_s") * 1000.0
-        if trace_context is not None:
-            payload["trace_id"] = trace_context.trace_id
-        return payload
+        return self._echo(payload, trace_context)
 
     def session_create(
         self,
@@ -692,13 +656,12 @@ class PredictionService:
     ) -> dict:
         """``POST /v1/sessions``: open a keystroke session from a full buffer."""
         sessions = self._require_sessions()
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        budget = max_new_tokens or self.max_new_tokens
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
+        require_text("buffer", buffer)
+        budget, deadline = self._limits(max_new_tokens, deadline_s)
         return self._session_call(
             "serving.session_create",
             trace_context,
+            deadline,
             lambda: sessions.create(buffer, budget, deadline),
             discard_on_abort=True,
         )
@@ -718,13 +681,12 @@ class PredictionService:
         :meth:`session_create`.
         """
         sessions = self._require_sessions()
-        if not isinstance(buffer, str) or not buffer.strip():
-            raise ServingError("buffer must be a non-empty string")
-        budget = max_new_tokens or self.max_new_tokens
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
+        require_text("buffer", buffer)
+        budget, deadline = self._limits(max_new_tokens, deadline_s)
         return self._session_call(
             "serving.session_extend",
             trace_context,
+            deadline,
             lambda: sessions.extend(session_id, buffer, budget, deadline),
         )
 
@@ -750,28 +712,19 @@ class PredictionService:
         whole batch degrades to the fallback (or sheds with a typed 503);
         per-prompt engine sheds degrade individually.
         """
-        if not isinstance(prompts, list) or not prompts:
-            raise ServingError("prompts must be a non-empty list of strings")
-        for prompt in prompts:
-            if not isinstance(prompt, str) or not prompt.strip():
-                raise ServingError("every prompt must be a non-empty string")
-        budget = max_new_tokens or self.max_new_tokens
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
-        activation = (
-            self.obs.tracer.activate(trace_context.trace_id, trace_context.parent_span)
-            if trace_context is not None
-            else nullcontext()
-        )
-        with activation, self.obs.tracer.span("serving.predict_batch", batch_size=len(prompts)) as span:
+        require_prompts(prompts)
+        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        tracer = self.obs.tracer
+        with adopt(tracer, trace_context), tracer.span(
+            "serving.predict_batch", batch_size=len(prompts)
+        ) as span:
             self._g_inflight.inc()
             try:
                 payload = self._predict_batch(prompts, budget, deadline)
             finally:
                 self._g_inflight.dec()
             span.set(decoded=payload["decoded"])
-            if trace_context is not None:
-                payload["trace_id"] = trace_context.trace_id
-            return payload
+            return self._echo(payload, trace_context)
 
     def _complete_misses(
         self, misses: list[str], budget: int, deadline_s: float | None
@@ -783,21 +736,11 @@ class PredictionService:
             )
             results: list[tuple[str, bool]] = []
             for prompt, detail in zip(misses, details):
-                outcome = detail["outcome"]
-                if outcome == "completed":
+                if detail["outcome"] == "completed":
                     results.append((detail["completion"], False))
-                elif outcome == "deadline_exceeded":
-                    with self._lock:
-                        self.deadline_exceeded_count += 1
-                    self._c_deadline.inc()
-                    raise DeadlineExceededError(f"deadline of {deadline_s}s exceeded")
-                elif outcome == "cancelled":
-                    with self._lock:
-                        self.cancelled_count += 1
-                    self._c_cancelled.inc()
-                    raise RequestCancelledError("request cancelled")
-                else:  # shed by the engine: degrade just this prompt
-                    results.append((self._degrade(prompt, budget, f"engine {outcome} the request"), True))
+                else:  # an engine shed degrades just this prompt; the rest raise
+                    text = self._settle(prompt, budget, detail["outcome"], deadline_s)
+                    results.append((text, True))
             return results
         if self.engine is not None:
             return [(text, False) for text in self.engine.complete_batch(misses, max_new_tokens=budget)]
@@ -889,12 +832,7 @@ class PredictionService:
                 "mean_latency_ms": mean_latency,
             }
         report["fallback"] = getattr(self.fallback, "name", None) if self.fallback else None
-        tracer = self.obs.tracer
-        report["tracing"] = {
-            "enabled": tracer.enabled,
-            "spans_buffered": len(tracer),
-            "spans_recorded": tracer.total_recorded,
-        }
+        report["tracing"] = self.obs.tracer.status()
         if self.sessions is not None:
             report["sessions"] = self.sessions.stats()
         if self.engine is not None:
@@ -910,15 +848,7 @@ class PredictionService:
         ``engine`` section repeats the scheduler and prefix-cache counters
         so hit rates are available even to metrics-only scrapers.
         """
-        tracer = self.obs.tracer
-        payload = {
-            "metrics": self.obs.metrics.snapshot(),
-            "tracing": {
-                "enabled": tracer.enabled,
-                "spans_buffered": len(tracer),
-                "spans_recorded": tracer.total_recorded,
-            },
-        }
+        payload = {"metrics": self.obs.metrics.snapshot(), "tracing": self.obs.tracer.status()}
         if self.engine is not None:
             payload["engine"] = self.engine.stats()
         return payload
@@ -951,51 +881,86 @@ class PredictionService:
         return payload
 
 
+#: The route table: ``(verb, path pattern) -> (backend method, body fields)``.
+#: ``*`` binds a path argument, passed first.  Routes with body fields also
+#: take the request envelope: the first present field as the text, then
+#: ``max_new_tokens`` / ``deadline_ms`` and the trace headers.  The table
+#: holds method *names*, asked of the backend per request, so a wrapper set
+#: as an instance attribute on a live service or router is honoured.
+_ROUTES = {
+    ("GET", "/v1/health"): ("health", None),
+    ("GET", "/v1/stats"): ("stats", None),
+    ("GET", "/v1/telemetry"): ("telemetry", None),
+    ("GET", "/v1/metrics"): ("metrics", None),
+    ("POST", "/v1/completions"): ("predict", ("prompt",)),
+    ("POST", "/v1/batch_completions"): ("predict_batch", ("prompts",)),
+    ("POST", "/v1/sessions"): ("session_create", ("buffer", "prompt")),
+    ("POST", "/v1/sessions/*/extend"): ("session_extend", ("buffer", "prompt")),
+    ("DELETE", "/v1/sessions/*"): ("session_close", None),
+}
+
+
+def _match(verb: str, path: str):
+    """``(backend method, body fields, path arguments)`` or None."""
+    parts = [part for part in path.split("/") if part]
+    for (route_verb, pattern), (method, fields) in _ROUTES.items():
+        if route_verb != verb:
+            continue
+        wanted = pattern.strip("/").split("/")
+        if len(wanted) == len(parts) and all(w in ("*", p) for w, p in zip(wanted, parts)):
+            return method, fields, [p for w, p in zip(wanted, parts) if w == "*"]
+    return None
+
+
+def _envelope(body) -> tuple[int | None, float | None]:
+    """Type-check a request body once: ``(max_new_tokens, deadline_s)``.
+
+    Bodies arrive from outside the program: a wrong JSON type must answer
+    400, not escape as a ``TypeError`` and drop the connection.  0 keeps
+    meaning "server default" for ``max_new_tokens``.
+    """
+    if not isinstance(body, dict):
+        raise ServingError("request body must be a JSON object")
+    budget, deadline_ms = body.get("max_new_tokens"), body.get("deadline_ms")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ServingError("max_new_tokens must be a non-negative integer")
+    if deadline_ms is None:
+        return budget, None
+    if type(deadline_ms) not in (int, float) or not math.isfinite(deadline_ms):
+        raise ServingError("deadline_ms must be a finite number")
+    return budget, deadline_ms / 1000.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: PredictionService  # set by the server factory
 
     def log_message(self, format: str, *args) -> None:  # silence default logging
         del format, args
 
-    def _send_json(
-        self, payload: dict, status: int = 200, headers: dict[str, str] | None = None
+    def _send(
+        self, body: bytes, content_type: str, status: int = 200, headers: dict | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, text: str, status: int = 200, content_type: str = "text/plain; version=0.0.4") -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(
+        self, payload: dict, status: int = 200, headers: dict[str, str] | None = None
+    ) -> None:
+        self._send(json.dumps(payload).encode("utf-8"), "application/json", status, headers)
 
-    def do_GET(self) -> None:
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        if parsed.path == "/v1/health":
-            self._send_json(self.service.health())
-        elif parsed.path == "/v1/stats":
-            self._send_json(self.service.stats())
-        elif parsed.path == "/v1/telemetry":
-            self._send_json(self.service.telemetry())
-        elif parsed.path == "/v1/metrics":
-            wire_format = (query.get("format") or ["json"])[0]
-            if wire_format == "prometheus":
-                self._send_text(self.service.metrics_prometheus())
-            elif wire_format == "json":
-                self._send_json(self.service.metrics())
-            else:
-                self._send_json({"error": f"unknown metrics format {wire_format!r}"}, status=400)
-        else:
-            self._send_json({"error": f"unknown path {self.path}"}, status=404)
+    def _send_error(self, error) -> None:
+        """A typed error as its HTTP status (the disposition table, left to right)."""
+        payload, headers = {"error": str(error)}, None
+        if isinstance(error, ServiceOverloadedError):
+            retry_after = error.retry_after_s if error.retry_after_s is not None else 1.0
+            payload["retry_after_s"] = retry_after
+            headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
+        self._send_json(payload, status=error.status, headers=headers)
 
     def _stream_sse(self, events, trace_context: TraceContext | None) -> None:
         """Write a ``(event, data)`` generator as a ``text/event-stream``.
@@ -1029,96 +994,58 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             events.close()
 
-    def do_POST(self) -> None:
+    def _route(self, verb: str) -> None:
+        """Serve one request off the route table; the one backend call site."""
+        parsed = urlparse(self.path)
+        query = parse_qs(parsed.query)
+        route = _match(verb, parsed.path)
+        if route is None:
+            self._send_json({"error": f"unknown path {self.path}"}, status=404)
+            return
+        method, fields, args = route
+        kwargs: dict = {}
+        trace_context = None
         try:
-            parsed = urlparse(self.path)
-            query = parse_qs(parsed.query)
-            parts = [part for part in parsed.path.split("/") if part]
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-            deadline_ms = payload.get("deadline_ms")
-            deadline_s = deadline_ms / 1000.0 if deadline_ms is not None else None
-            trace_context = TraceContext.from_headers(self.headers)
-            if parsed.path == "/v1/completions":
-                wants_stream = (query.get("stream") or ["0"])[0] in ("1", "true") or bool(
-                    payload.get("stream")
-                )
-                if wants_stream:
-                    events = self.service.predict_stream(
-                        payload.get("prompt", ""),
-                        payload.get("max_new_tokens"),
-                        deadline_s=deadline_s,
-                        trace_context=trace_context,
-                    )
-                    self._stream_sse(events, trace_context)
-                    return
-                result = self.service.predict(
-                    payload.get("prompt", ""),
-                    payload.get("max_new_tokens"),
-                    deadline_s=deadline_s,
-                    trace_context=trace_context,
-                )
-            elif parsed.path == "/v1/batch_completions":
-                result = self.service.predict_batch(
-                    payload.get("prompts", []),
-                    payload.get("max_new_tokens"),
-                    deadline_s=deadline_s,
-                    trace_context=trace_context,
-                )
-            elif parsed.path == "/v1/sessions":
-                result = self.service.session_create(
-                    payload.get("buffer", payload.get("prompt", "")),
-                    payload.get("max_new_tokens"),
-                    deadline_s=deadline_s,
-                    trace_context=trace_context,
-                )
-            elif len(parts) == 4 and parts[:2] == ["v1", "sessions"] and parts[3] == "extend":
-                result = self.service.session_extend(
-                    parts[2],
-                    payload.get("buffer", payload.get("prompt", "")),
-                    payload.get("max_new_tokens"),
-                    deadline_s=deadline_s,
-                    trace_context=trace_context,
-                )
+            if fields is not None:
+                length = int(self.headers.get("Content-Length", "0"))
+                body = json.loads(self.rfile.read(length) or b"{}")
+                max_new_tokens, deadline_s = _envelope(body)
+                trace_context = TraceContext.from_headers(self.headers)
+                text = next((body[name] for name in fields if name in body), None)
+                args += [text, max_new_tokens]
+                kwargs = {"deadline_s": deadline_s, "trace_context": trace_context}
+                stream = (query.get("stream") or ["0"])[0] in ("1", "true") or body.get("stream")
+                if method == "predict" and stream:
+                    method = "predict_stream"
+            elif method == "metrics":
+                wire_format = (query.get("format") or ["json"])[0]
+                if wire_format == "prometheus":
+                    method = "metrics_prometheus"
+                elif wire_format != "json":
+                    raise ServingError(f"unknown metrics format {wire_format!r}")
+            result = getattr(self.service, method)(*args, **kwargs)
+            if method == "predict_stream":
+                self._stream_sse(result, trace_context)
+            elif method == "metrics_prometheus":
+                self._send(result.encode("utf-8"), "text/plain; version=0.0.4")
             else:
-                self._send_json({"error": f"unknown path {self.path}"}, status=404)
-                return
-            echo = (
-                {TRACE_ID_HEADER: trace_context.trace_id} if trace_context is not None else None
-            )
-            self._send_json(result, headers=echo)
-        except SessionNotFoundError as error:
-            self._send_json({"error": str(error)}, status=404)
-        except ServiceOverloadedError as error:
-            retry_after = error.retry_after_s if error.retry_after_s is not None else 1.0
-            body = json.dumps(
-                {"error": str(error), "retry_after_s": retry_after}
-            ).encode("utf-8")
-            self.send_response(503)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except DeadlineExceededError as error:
-            self._send_json({"error": str(error)}, status=504)
-        except RequestCancelledError as error:
-            self._send_json({"error": str(error)}, status=408)
-        except ServingError as error:
-            self._send_json({"error": str(error)}, status=400)
-        except (ValueError, json.JSONDecodeError) as error:
+                headers = None
+                if trace_context is not None:
+                    headers = {TRACE_ID_HEADER: trace_context.trace_id}
+                self._send_json(result, headers=headers)
+        except REQUEST_ERRORS as error:
+            self._send_error(error)
+        except (ValueError, OverflowError) as error:  # unparseable JSON, length or number
             self._send_json({"error": f"bad request: {error}"}, status=400)
 
+    def do_GET(self) -> None:
+        self._route("GET")
+
+    def do_POST(self) -> None:
+        self._route("POST")
+
     def do_DELETE(self) -> None:
-        parsed = urlparse(self.path)
-        parts = [part for part in parsed.path.split("/") if part]
-        try:
-            if len(parts) == 3 and parts[:2] == ["v1", "sessions"]:
-                self._send_json(self.service.session_close(parts[2]))
-            else:
-                self._send_json({"error": f"unknown path {self.path}"}, status=404)
-        except ServingError as error:
-            self._send_json({"error": str(error)}, status=400)
+        self._route("DELETE")
 
 
 class RestServer:

@@ -198,6 +198,17 @@ class FakeWorker:
             "decoded": len(prompts),
         }
 
+    def predict_stream(self, prompt, max_new_tokens=None, deadline_s=None, trace_context=None):
+        self._check()  # a generator: dies or saturates on the first pull
+        self.calls.append(prompt)
+        yield "token", {"text": prompt + "!", "index": 0}
+        yield "done", {"completion": prompt + "!", "outcome": "completed"}
+
+    def session_create(self, buffer, max_new_tokens=None, deadline_s=None, trace_context=None):
+        self._check()
+        self.calls.append(buffer)
+        return {"session_id": "s0000", "completion": buffer + "!"}
+
     def heartbeat(self):
         self._check()
         return faults_clock.now()
@@ -263,13 +274,27 @@ class TestRouterRouting:
             assert prompt in {w.worker_id: w for w in workers}[worker_id].calls
 
 
+def _request(router: FleetRouter, method: str, text: str) -> dict:
+    """One request through ``method``; a stream answers with its ``done`` data."""
+    if method != "predict_stream":
+        return getattr(router, method)(text)
+    events = list(router.predict_stream(text))
+    assert [event for event, _ in events] == ["token", "done"]
+    return events[-1][1]
+
+
+#: The entry points that route through the one failover / spill loop.
+ROUTED = ("predict", "predict_stream", "session_create")
+
+
 class TestRouterFailover:
-    def test_dead_replica_fails_over_without_dropping(self):
+    @pytest.mark.parametrize("method", ROUTED)
+    def test_dead_replica_fails_over_without_dropping(self, method):
         router, workers = fake_fleet()
         prompt = "- name: Install nginx on web01\n"
-        primary = router.predict(prompt)["worker"]
+        primary = _request(router, method, prompt)["worker"]
         {w.worker_id: w for w in workers}[primary].dead = True
-        payload = router.predict(prompt)
+        payload = _request(router, method, prompt)
         assert payload["completion"] == prompt + "!"
         assert payload["worker"] != primary
         assert payload["failovers"] == 1
@@ -284,34 +309,43 @@ class TestRouterFailover:
         router.remove_worker("w0", reason="dispatch_failed")
         assert workers[0].killed  # drain path ran
 
-    def test_overload_spills_without_membership_change(self):
+    @pytest.mark.parametrize("method", ROUTED)
+    def test_overload_spills_without_membership_change(self, method):
         router, workers = fake_fleet()
         prompt = "- name: Install nginx on web01\n"
-        primary = router.predict(prompt)["worker"]
+        primary = _request(router, method, prompt)["worker"]
         {w.worker_id: w for w in workers}[primary].overloaded = True
-        payload = router.predict(prompt)
+        payload = _request(router, method, prompt)
         assert payload["worker"] != primary
+        assert "failovers" not in payload
         stats = router.stats()
         assert stats["spills"] == 1
         assert stats["dead_workers"] == {}  # saturated is not dead
         assert primary in stats["live_workers"]
 
-    def test_all_saturated_sheds_with_retry_after(self):
+    @pytest.mark.parametrize("method", ROUTED)
+    def test_all_saturated_sheds_with_retry_after(self, method):
         router, workers = fake_fleet()
         for worker in workers:
             worker.overloaded = True
         with pytest.raises(ServiceOverloadedError) as excinfo:
-            router.predict("- name: anything\n")
+            _request(router, method, "- name: anything\n")
         assert excinfo.value.retry_after_s == 0.25  # propagates the replica hint
-        assert router.stats()["shed_requests"] == 1
+        stats = router.stats()
+        assert stats["shed_requests"] == 1
+        assert stats["spills"] == len(workers)
+        assert stats["inflight"] == 0  # the admission slot came back
 
-    def test_all_dead_sheds(self):
+    @pytest.mark.parametrize("method", ROUTED)
+    def test_all_dead_sheds(self, method):
         router, workers = fake_fleet()
         for worker in workers:
             worker.dead = True
-        with pytest.raises(ServiceOverloadedError):
-            router.predict("- name: anything\n")
+        with pytest.raises(ServiceOverloadedError) as excinfo:
+            _request(router, method, "- name: anything\n")
+        assert excinfo.value.retry_after_s == router.shed_retry_after_s
         assert router.live_worker_ids == []
+        assert router.stats()["inflight"] == 0
 
     def test_fleet_admission_control(self):
         router, _ = fake_fleet(max_inflight=1)
@@ -517,6 +551,83 @@ class TestRouterOverEngines:
             health = client.health()
             assert health["model"] == "fleet"
             assert client.stats()["aggregate"]["requests"] >= 1
+
+
+class TestRequestSurface:
+    """One request surface on every backend, looked up late at every hop.
+
+    An outside recorder wraps these methods as *instance attributes* on live
+    objects and reads the op id from the ``trace_context`` keyword, so each
+    hop must ask the next for its method per call, never bind it early.
+    """
+
+    METHODS = (
+        "predict",
+        "predict_batch",
+        "predict_stream",
+        "session_create",
+        "session_extend",
+        "session_close",
+        "health",
+        "stats",
+        "telemetry",
+    )
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_identical_parameter_lists(self, name):
+        import inspect
+
+        from repro.fleet import ProcessWorker
+        from repro.serving import PredictionService
+
+        def parameters(backend):
+            signature = inspect.signature(getattr(backend, name))
+            return [(p.name, p.kind, p.default) for p in signature.parameters.values()]
+
+        expected = parameters(PredictionService)
+        for backend in (FleetRouter, InProcessWorker, ProcessWorker):
+            assert parameters(backend) == expected, f"{backend.__name__}.{name} differs"
+
+    def test_instance_attribute_wrappers_are_honoured_at_every_hop(self):
+        from repro.obs.distributed import TraceContext
+        from repro.serving.client import PredictionClient
+        from repro.serving.service import RestServer
+
+        seen: list[tuple[str, str, str]] = []
+
+        def spy(layer, owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((layer, name, kwargs["trace_context"].trace_id))
+                return original(*args, **kwargs)
+
+            setattr(owner, name, wrapper)
+
+        worker = InProcessWorker("w0", spec=WorkerSpec(max_new_tokens=4)).start()
+        router = FleetRouter([worker])
+        buffer = "- name: Install nginx\n"
+        try:
+            with RestServer(router) as fleet_server, RestServer(worker.service) as bare_server:
+                # wrapped only after every hop above it has been constructed
+                for layer, owner in (("router", router), ("worker", worker), ("service", worker.service)):
+                    for name in ("predict", "session_create"):
+                        spy(layer, owner, name)
+                headers = TraceContext("op-1").to_headers()
+                fleet = PredictionClient(fleet_server.url)
+                fleet.predict(buffer, headers=headers)
+                created = fleet.session_create(buffer, headers=headers)
+                fleet.session_close(created["session_id"])
+                assert seen == [
+                    (layer, name, "op-1")
+                    for name in ("predict", "session_create")
+                    for layer in ("router", "worker", "service")
+                ]
+                del seen[:]
+                PredictionClient(bare_server.url).predict(buffer, headers=headers)
+                assert seen == [("service", "predict", "op-1")]
+        finally:
+            router.stop()
 
 
 class TestProcessWorker:

@@ -232,6 +232,40 @@ class TestStreamChaos:
             assert leaked == 0
             assert orphans == 0
 
+    def test_two_editors_on_different_replicas_do_not_collide(self):
+        # Replicas number their sessions locally (both start at s0000): the
+        # fleet's ids must still be unique, or closing one editor's session
+        # closes the other's on the wrong replica and orphans the first.
+        from repro.fleet import generate_prompts
+
+        with use(FakeClock()):
+            router, workers = build_chaos_fleet(0, 2)
+            editors: dict[str, tuple[str, str]] = {}  # replica -> (session id, buffer)
+            for head in generate_prompts("shared_prefix", 8, seed=0):
+                created = router.session_create(head, max_new_tokens=4)
+                if created["worker"] in editors:
+                    router.session_close(created["session_id"])
+                else:
+                    editors[created["worker"]] = (created["session_id"], head)
+            assert sorted(editors) == ["w0", "w1"], "prompt heads did not spread over both replicas"
+            (first, first_buffer), (second, second_buffer) = editors["w0"], editors["w1"]
+            assert first != second
+            assert router.session_close(first)["closed"] is True
+            extended = router.session_extend(second, second_buffer + "x\n", max_new_tokens=4)
+            assert extended["session_id"] == second and extended["worker"] == "w1"
+            # ... and the other way round, with a fresh session on w0
+            first = router.session_create(first_buffer, max_new_tokens=4)["session_id"]
+            assert router.session_close(second)["closed"] is True
+            extended = router.session_extend(first, first_buffer + "x\n", max_new_tokens=4)
+            assert extended["session_id"] == first and extended["worker"] == "w0"
+            assert router.session_close(first)["closed"] is True
+            assert [worker.session_count() for worker in workers] == [0, 0]
+            stats = router.stats()
+            assert stats["sessions_lost"] == 0 and stats["live_sessions"] == 0
+            leaked, orphans = _audit(workers)
+            assert leaked == 0
+            assert orphans == 0
+
     @pytest.mark.parametrize("seed", range(4))
     def test_stream_run_invariants_across_seeds(self, seed):
         result = run_fleet_chaos(seed=seed, tracing=False, stream=True)

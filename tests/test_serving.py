@@ -402,6 +402,81 @@ class TestRestRoundTrip:
             client.health()
 
 
+class TestMalformedEnvelopes:
+    """A body of the wrong JSON type answers 400 on every POST route — it
+    must not escape the handler as a TypeError and drop the connection."""
+
+    POST_ROUTES = (
+        "/v1/completions",
+        "/v1/completions?stream=1",
+        "/v1/batch_completions",
+        "/v1/sessions",
+        "/v1/sessions/s0000/extend",
+    )
+    TEXT = {"prompt": "- name: a\n", "prompts": ["- name: a\n"], "buffer": "- name: a\n"}
+    BAD_BODIES = {
+        "not-an-object": [],
+        "deadline-not-a-number": {**TEXT, "deadline_ms": "soon"},
+        "budget-not-an-int": {**TEXT, "max_new_tokens": "5"},
+    }
+
+    @pytest.fixture(scope="class")
+    def servers(self):
+        from repro.fleet import FleetRouter, InProcessWorker, WorkerSpec
+
+        router = FleetRouter([InProcessWorker("w0", spec=WorkerSpec(max_new_tokens=4)).start()])
+        with RestServer(PredictionService(_StubCompleter())) as bare, RestServer(router) as fleet:
+            yield {"service": bare.url, "fleet": fleet.url}
+        router.stop()
+
+    @pytest.mark.parametrize("backend", ["service", "fleet"])
+    @pytest.mark.parametrize("route", POST_ROUTES)
+    @pytest.mark.parametrize("body", sorted(BAD_BODIES))
+    def test_wrong_json_type_is_a_400(self, servers, backend, route, body):
+        import json
+        import urllib.request
+
+        request = urllib.request.Request(
+            servers[backend] + route,
+            data=json.dumps(self.BAD_BODIES[body]).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as error_info:
+            urllib.request.urlopen(request, timeout=10)
+        assert error_info.value.code == 400
+        assert "error" in json.loads(error_info.value.read())
+
+
+class TestTypedErrorRoundTrip:
+    """Every typed error survives HTTP: status out, the same type back in."""
+
+    class _Cancelling(PredictionService):
+        def predict(self, prompt, max_new_tokens=None, deadline_s=None, trace_context=None):
+            from repro.errors import RequestCancelledError
+
+            raise RequestCancelledError("client went away")
+
+        def metrics_prometheus(self):
+            raise ServingError("exposition unavailable")
+
+    def test_cancelled_request_round_trips_as_408(self):
+        from repro.errors import RequestCancelledError
+
+        with RestServer(self._Cancelling(_StubCompleter())) as server:
+            with pytest.raises(RequestCancelledError):
+                PredictionClient(server.url).predict("- name: a\n")
+
+    def test_prometheus_http_error_is_not_reported_as_unreachable(self):
+        from repro.errors import ServiceUnreachableError
+
+        with RestServer(self._Cancelling(_StubCompleter())) as server:
+            with pytest.raises(ServingError) as error_info:
+                PredictionClient(server.url).metrics_prometheus()
+        assert not isinstance(error_info.value, ServiceUnreachableError)
+        assert "cannot reach" not in str(error_info.value)
+
+
 class TestEditorPlugin:
     def make_session(self):
         return EditorSession(backend=PredictionService(_StubCompleter()))
