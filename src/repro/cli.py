@@ -227,6 +227,28 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_exit(args: argparse.Namespace, log: str, violations: list[str], replays) -> int:
+    """The tail of both chaos commands: write the log, report violated
+    invariants on stderr (never in the log: replay files stay as recorded)
+    and, under ``--verify``, ask ``replays()`` whether a second run of the
+    seed reproduced the first byte for byte."""
+    if args.out:
+        Path(args.out).write_text(log, encoding="utf-8")
+        print(f"{len(log.splitlines())} events written to {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(log)
+    for violation in violations:
+        print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
+    status = 1 if violations else 0
+    if args.verify:
+        if replays():
+            print("replay: byte-identical", file=sys.stderr)
+        else:
+            print("replay: DIVERGED", file=sys.stderr)
+            status = 1
+    return status
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Replay a seeded fault schedule against the engine; emit the event log.
 
@@ -255,8 +277,38 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.nn.parameter import numpy_rng
     from repro.nn.sampling import generate_greedy, plan_prompt
     from repro.nn.transformer import DecoderLM, TransformerConfig
+    from repro.obs import audit
 
-    def run_stream(rng, network, fake, injector, plans, draft) -> tuple[str, int, int]:
+    def render(events, injector, stats, leaked, **shape) -> tuple[str, list[str]]:
+        """``(log, violations)`` of either run shape: the canonical JSONL,
+        closed by the summary event, and the audit of the run's books —
+        the engine laws plus the zero-leak invariant."""
+        summary = {
+            "kind": "summary",
+            "seed": args.seed,
+            **shape,
+            "completed": stats["completed_requests"],
+            "cancelled": stats["cancelled_requests"],
+            "deadline_expired": stats["deadline_expired_requests"],
+            "shed": stats["shed_requests"],
+            "decode_faults": stats["decode_faults"],
+            "fault_events": len(injector.events()),
+            "arena_bytes_in_use": leaked,
+        }
+        if args.speculative_k:
+            speculative = stats["speculative"]
+            summary["speculative_k"] = speculative["k"]
+            if not args.stream:  # stream logs have never carried it
+                summary["speculative_steps"] = speculative["steps"]
+            summary["draft_proposed"] = speculative["proposed_tokens"]
+            summary["draft_accepted"] = speculative["accepted_tokens"]
+        violations = audit({"engine": stats})
+        if leaked:
+            violations.append(f"kv_arena: bytes_in_use == 0 (is {leaked})")
+        log = "".join(json.dumps(event, sort_keys=True) + "\n" for event in [*events, summary])
+        return log, violations
+
+    def run_stream(rng, network, fake, injector, plans, draft) -> tuple[str, list[str]]:
         """The ``--stream`` run shape: the same fault schedule pointed at
         :meth:`~repro.engine.engine.InferenceEngine.stream_ids`, with a
         seeded fraction of streams abandoned mid-decode (generator close —
@@ -311,32 +363,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             engine.prefix_cache.clear()
             leaked = engine.kv_arena.stats()["bytes_in_use"]
             events = [dict(event, kind="fault") for event in injector.events()]
-        events.extend(records)
-        stats = engine.batcher.stats()
-        summary = {
-            "kind": "summary",
-            "seed": args.seed,
-            "stream": True,
-            "streams": len(plans),
-            "disconnects": disconnects,
-            "completed": stats["completed_requests"],
-            "cancelled": stats["cancelled_requests"],
-            "deadline_expired": stats["deadline_expired_requests"],
-            "shed": stats["shed_requests"],
-            "decode_faults": stats["decode_faults"],
-            "fault_events": len(injector.events()),
-            "arena_bytes_in_use": leaked,
-        }
-        if args.speculative_k:
-            speculative = stats["speculative"]
-            summary["speculative_k"] = speculative["k"]
-            summary["draft_proposed"] = speculative["proposed_tokens"]
-            summary["draft_accepted"] = speculative["accepted_tokens"]
-        events.append(summary)
-        body = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
-        return body, leaked, len(events)
+        return render(
+            events + records,
+            injector,
+            engine.stats(),
+            leaked,
+            stream=True,
+            streams=len(plans),
+            disconnects=disconnects,
+        )
 
-    def run_once() -> tuple[str, int, int]:
+    def run_once() -> tuple[str, list[str]]:
         rng = SeededRng(args.seed).child("chaos")
         config = TransformerConfig(vocab_size=32, n_positions=48, dim=16, n_layers=2, n_heads=4)
         network = DecoderLM(config, numpy_rng(args.seed))
@@ -433,44 +470,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     "prefix_reused": request.prefix_reused,
                 }
             )
-        stats = batcher.stats()
-        summary = {
-            "kind": "summary",
-            "seed": args.seed,
-            "steps": step_index,
-            "completed": stats["completed_requests"],
-            "cancelled": stats["cancelled_requests"],
-            "deadline_expired": stats["deadline_expired_requests"],
-            "shed": stats["shed_requests"],
-            "decode_faults": stats["decode_faults"],
-            "fault_events": len(injector.events()),
-            "arena_bytes_in_use": leaked,
-        }
-        if args.speculative_k:
-            speculative = stats["speculative"]
-            summary["speculative_k"] = speculative["k"]
-            summary["speculative_steps"] = speculative["steps"]
-            summary["draft_proposed"] = speculative["proposed_tokens"]
-            summary["draft_accepted"] = speculative["accepted_tokens"]
-        events.append(summary)
-        body = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
-        return body, leaked, len(events)
+        # A bare batcher has no engine minting request ids: it was handed
+        # exactly these requests.
+        stats = dict(batcher.stats(), requests_submitted=len(requests))
+        return render(events, injector, stats, leaked, steps=step_index)
 
-    body, leaked, event_count = run_once()
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-        print(f"{event_count} events written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(body)
-    status = 0 if leaked == 0 else 1
-    if args.verify:
-        replay_body, _, _ = run_once()
-        if replay_body == body:
-            print("replay: byte-identical", file=sys.stderr)
-        else:
-            print("replay: DIVERGED", file=sys.stderr)
-            status = 1
-    return status
+    log, violations = run_once()
+    return _chaos_exit(args, log, violations, lambda: run_once()[0] == log)
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
@@ -516,12 +522,13 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
     prefix-affinity router, a fake clock, and a seeded fault schedule that
     crashes one replica while its batcher holds live rows.  Exit status is
     0 only when the run upholds the invariants (all four-outcome, zero KV
-    bytes leaked); ``--verify`` additionally reruns the seed and diffs the
-    two logs byte-for-byte.  ``--trace-out`` writes the merged multi-process
-    Chrome trace (router + every polled replica, flow arrows across the
-    process boundary) for ``chrome://tracing`` / Perfetto.
+    bytes leaked, no orphaned session, every replica's books balanced);
+    ``--verify`` additionally reruns the seed and diffs the two logs and
+    merged traces byte-for-byte.  ``--trace-out`` writes the merged
+    multi-process Chrome trace (router + every polled replica, flow arrows
+    across the process boundary) for ``chrome://tracing`` / Perfetto.
     """
-    from repro.fleet import OUTCOMES, run_fleet_chaos
+    from repro.fleet import run_fleet_chaos
 
     kwargs = dict(
         seed=args.seed,
@@ -533,38 +540,20 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
         stream=args.stream,
     )
     result = run_fleet_chaos(**kwargs)
-    if args.out:
-        Path(args.out).write_text(result["log"], encoding="utf-8")
-        print(f"{len(result['events'])} events written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(result["log"])
     if args.trace_out:
         from repro.obs.distributed import write_fleet_chrome_trace
 
         written = write_fleet_chrome_trace(args.trace_out, result["chrome_trace"])
         print(f"merged chrome trace ({written} spans) written to {args.trace_out}", file=sys.stderr)
-    leaked = sum(result["leaked_bytes"].values())
-    bad_outcomes = [o for o in result["outcomes"].values() if o not in OUTCOMES]
-    orphaned = sum(result.get("orphaned_sessions", {}).values())
-    status = 0
-    if leaked or bad_outcomes or orphaned:
-        print(
-            f"INVARIANT VIOLATED: leaked={leaked} bad_outcomes={bad_outcomes} "
-            f"orphaned_sessions={orphaned}",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.verify:
+
+    def replays() -> bool:
         replay = run_fleet_chaos(**kwargs)
-        identical = replay["log"] == result["log"] and replay.get("chrome_trace_json") == result.get(
-            "chrome_trace_json"
+        return (replay["log"], replay.get("chrome_trace_json")) == (
+            result["log"],
+            result.get("chrome_trace_json"),
         )
-        if identical:
-            print("replay: byte-identical (log + merged trace)", file=sys.stderr)
-        else:
-            print("replay: DIVERGED", file=sys.stderr)
-            status = 1
-    return status
+
+    return _chaos_exit(args, result["log"], result["violations"], replays)
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:

@@ -43,7 +43,7 @@ from collections import deque
 
 from repro.engine.batched_decode import PAD_TOKEN_ID, DecodingBatch, prefill_single
 from repro.engine.prefix_cache import PrefixCache
-from repro.engine.request import GenerationRequest, RequestState
+from repro.engine.request import ABNORMAL_STOP_REASONS, GenerationRequest, RequestState
 from repro.errors import EngineError, InjectedFault
 from repro.faults import clock
 from repro.faults.inject import fire
@@ -109,30 +109,15 @@ class ContinuousBatcher:
         self.batch = DecodingBatch(model, arena)
         self.queue: deque[GenerationRequest] = deque()
         # -- accounting --
-        # Guards the counters below, NOT the scheduler state: mutators hold
-        # it only for the few increments that publish a step's outcome, so
-        # ``stats()`` can take one consistent snapshot without waiting for
-        # an in-flight generation (the engine's coarse lock is held for the
-        # *entire* ``generate_batch``, which could be seconds).
-        self.stats_lock = threading.Lock()
-        self.completed = 0
-        self.cancelled = 0
-        self.deadline_expired = 0
-        self.shed = 0
-        self.decode_faults = 0
-        self.decode_steps = 0
-        self.decode_tokens = 0
-        self.prefill_tokens = 0
-        self.prefix_tokens_reused = 0
-        self.occupancy_ticks = 0  # sum over steps of active rows; occupancy = ticks/steps
-        self.peak_batch_size = 0
-        # -- speculative accounting --
-        self.spec_steps = 0  # decode steps that ran draft-then-verify
-        self.draft_proposed = 0  # draft positions verified (k per row per spec step)
-        self.draft_accepted = 0  # of those, accepted (matched the greedy chain)
-        self.spec_accept_ticks = 0  # sum of per-row acceptance lengths (1..k+1)
-        self.spec_row_ticks = 0  # row-steps verified; mean accept = accept/row ticks
-        # -- observability --
+        # Every count is a registry counter and nothing else (DESIGN.md
+        # "Counting").  ``stats_lock`` guards them, NOT the scheduler state:
+        # counts ``stats()`` reports together are bumped inside one hold and
+        # ``stats()`` reads under it, so a snapshot never waits for an
+        # in-flight generation (the engine's coarse lock is held for the
+        # *entire* ``generate_batch``, which could be seconds).  Re-entrant:
+        # the decode step books finished requests inside its publish pass.
+        self.stats_lock = threading.RLock()
+        self.peak_batch_size = 0  # a max, not a count
         self.obs = obs if obs is not None else Observability()
         metrics = self.obs.metrics
         self._h_prefill_forward = metrics.histogram("engine.prefill_forward_s")
@@ -143,15 +128,19 @@ class ContinuousBatcher:
         )
         self._c_admitted = metrics.counter("engine.requests_admitted")
         self._c_retired = metrics.counter("engine.requests_retired")
+        self._c_abnormal = {  # engine.requests_{cancelled,deadline_exceeded,shed}
+            reason: metrics.counter(f"engine.requests_{reason}")
+            for reason in sorted(ABNORMAL_STOP_REASONS)
+        }
+        self._c_decode_faults = metrics.counter("engine.decode_faults")
+        self._c_decode_steps = metrics.counter("engine.decode_steps")
+        # sum over steps of active rows; occupancy = ticks / steps
+        self._c_occupancy_ticks = metrics.counter("engine.occupancy_ticks")
         self._c_decode_tokens = metrics.counter("engine.decode_tokens")
         self._c_prefill_tokens = metrics.counter("engine.prefill_tokens")
         self._c_prefix_hits = metrics.counter("engine.prefix_cache_hits")
         self._c_prefix_misses = metrics.counter("engine.prefix_cache_misses")
         self._c_prefix_reused = metrics.counter("engine.prefix_tokens_reused")
-        self._c_cancelled = metrics.counter("engine.requests_cancelled")
-        self._c_deadline = metrics.counter("engine.requests_deadline_exceeded")
-        self._c_shed = metrics.counter("engine.requests_shed")
-        self._c_decode_faults = metrics.counter("engine.decode_faults")
         if self.speculative_k:
             self.configure_speculative(draft_model, speculative_k)
 
@@ -169,10 +158,6 @@ class ContinuousBatcher:
     def active_footprint(self) -> int:
         return sum(row.payload.footprint for row in self.batch.rows)
 
-    @property
-    def mean_occupancy(self) -> float:
-        return self.occupancy_ticks / self.decode_steps if self.decode_steps else 0.0
-
     # -- scheduling ----------------------------------------------------------
 
     def submit(self, request: GenerationRequest) -> None:
@@ -187,7 +172,20 @@ class ContinuousBatcher:
             return True  # never let one oversized request wedge the queue
         return self.active_footprint + request.footprint <= self.max_batch_tokens
 
-    # -- abnormal termination ------------------------------------------------
+    # -- termination ---------------------------------------------------------
+
+    def book(self, request: GenerationRequest) -> None:
+        """Count one finished request: the only place an outcome is booked.
+
+        Each site that finishes a request — three here, three in the
+        session loop — follows it with this call and nothing else that
+        counts, so submitted == Σ outcomes at quiescence.  One hold for
+        the pair: ``stats()`` derives ``completed_requests`` from it.
+        """
+        with self.stats_lock:
+            self._c_retired.inc()
+            if request.stop_reason in ABNORMAL_STOP_REASONS:
+                self._c_abnormal[request.stop_reason].inc()
 
     def _finish_abnormal(self, request: GenerationRequest, reason: str) -> None:
         """Terminate a live request with an abnormal outcome.
@@ -197,21 +195,7 @@ class ContinuousBatcher:
         that never completed must not seed future prefills.
         """
         request.finish(reason)
-        self._c_retired.inc()
-        if reason == "cancelled":
-            with self.stats_lock:
-                self.cancelled += 1
-            self._c_cancelled.inc()
-        elif reason == "deadline_exceeded":
-            with self.stats_lock:
-                self.deadline_expired += 1
-            self._c_deadline.inc()
-        elif reason == "shed":
-            with self.stats_lock:
-                self.shed += 1
-            self._c_shed.inc()
-        else:
-            raise EngineError(f"not an abnormal stop reason: {reason}")
+        self.book(request)
         if self.prefix_cache is not None and request.prefix_key is not None:
             self.prefix_cache.remove(request.prefix_key)
             request.prefix_key = None
@@ -253,8 +237,6 @@ class ContinuousBatcher:
             match = self.prefix_cache.lookup(request.prompt_ids)
             if match is not None:
                 request.prefix_reused, seeded = match
-                with self.stats_lock:
-                    self.prefix_tokens_reused += request.prefix_reused
                 self._c_prefix_hits.inc()
                 self._c_prefix_reused.inc(request.prefix_reused)
             else:
@@ -272,8 +254,6 @@ class ContinuousBatcher:
             self._finish_abnormal(request, "shed")
             return
         self._h_prefill_forward.observe(clock.now() - forward_started)
-        with self.stats_lock:
-            self.prefill_tokens += prefilled
         self._c_prefill_tokens.inc(prefilled)
         if self.prefix_cache is not None:
             if self.prefix_cache.insert(request.prompt_ids, caches):
@@ -284,9 +264,7 @@ class ContinuousBatcher:
         if reason is not None:
             # Finished on its very first token — never occupies a batch row.
             request.finish(reason)
-            with self.stats_lock:
-                self.completed += 1
-            self._c_retired.inc()
+            self.book(request)
             for cache in caches:
                 cache.release()  # prefix-cache claims, if any, keep the slabs alive
             return
@@ -316,7 +294,11 @@ class ContinuousBatcher:
         self.draft_model = draft_model
         metrics = self.obs.metrics
         self._c_spec_steps = metrics.counter("engine.speculative_steps")
+        # row-steps verified; mean accept length = (accepted + rows) / rows
+        self._c_spec_row_steps = metrics.counter("engine.speculative_row_steps")
+        # draft positions verified (k per row per speculative step)
         self._c_draft_proposed = metrics.counter("engine.draft_tokens_proposed")
+        # of those, accepted (matched the greedy chain)
         self._c_draft_accepted = metrics.counter("engine.draft_tokens_accepted")
         self._h_accept_length = metrics.histogram(
             "engine.speculative_accept_length",
@@ -385,8 +367,6 @@ class ContinuousBatcher:
             else:
                 emitted = [[token] for token in self.batch.step()]
         except InjectedFault:
-            with self.stats_lock:
-                self.decode_faults += 1
             self._c_decode_faults.inc()
             return True
         step_elapsed = clock.now() - step_started
@@ -394,12 +374,7 @@ class ContinuousBatcher:
         self._h_decode_step.observe(step_elapsed)
         self._h_per_token.observe(step_elapsed / total_emitted)
         self._h_occupancy.observe(len(emitted))
-        self._c_decode_tokens.inc(total_emitted)
         if drafts is not None:
-            k = len(drafts[0])
-            self._c_spec_steps.inc()
-            self._c_draft_proposed.inc(k * len(emitted))
-            self._c_draft_accepted.inc(total_emitted - len(emitted))
             for tokens in emitted:
                 self._h_accept_length.observe(len(tokens))
         tracer = self.obs.tracer
@@ -411,7 +386,7 @@ class ContinuousBatcher:
                 batch=len(emitted),
             )
         window = self.model.config.n_positions
-        finished: list[int] = []
+        finished: dict[int, str] = {}  # batch position -> stop reason
         for position, tokens in enumerate(emitted):
             row = self.batch.rows[position]
             request: GenerationRequest = row.payload
@@ -427,25 +402,24 @@ class ContinuousBatcher:
                 if row.context is not None:
                     row.context.extend(tokens)
             else:
-                request.finish(reason)
-                finished.append(position)
+                finished[position] = reason
         # Publish the whole step's accounting in one lock pass so a
         # concurrent ``stats()`` never observes tokens from a step whose
         # completions it hasn't seen yet (or vice versa).
         with self.stats_lock:
-            self.decode_steps += 1
-            self.occupancy_ticks += len(emitted)
-            self.decode_tokens += total_emitted
-            self.completed += len(finished)
+            self._c_decode_steps.inc()
+            self._c_occupancy_ticks.inc(len(emitted))
+            self._c_decode_tokens.inc(total_emitted)
             if drafts is not None:
-                self.spec_steps += 1
-                self.draft_proposed += len(drafts[0]) * len(emitted)
-                self.draft_accepted += total_emitted - len(emitted)
-                self.spec_accept_ticks += total_emitted
-                self.spec_row_ticks += len(emitted)
-        if finished:
-            self._c_retired.inc(len(finished))
-        self.batch.retire(finished)
+                self._c_spec_steps.inc()
+                self._c_spec_row_steps.inc(len(emitted))
+                self._c_draft_proposed.inc(len(drafts[0]) * len(emitted))
+                self._c_draft_accepted.inc(total_emitted - len(emitted))
+            for position, reason in finished.items():
+                request = self.batch.rows[position].payload
+                request.finish(reason)
+                self.book(request)
+        self.batch.retire(list(finished))
         return bool(self.batch.rows or self.queue)
 
     def run(self) -> None:
@@ -456,44 +430,49 @@ class ContinuousBatcher:
     def stats(self) -> dict:
         """One mutually-consistent snapshot of the scheduler counters.
 
-        Taken under :attr:`stats_lock` — never the engine's request lock —
+        A read of the registry's counters under :attr:`stats_lock` — the
+        lock their grouped bumps hold, never the engine's request lock —
         so callers (``/v1/stats`` handlers, the fleet router's aggregator)
         get a coherent read mid-decode without blocking behind it.
+        Completions, means and rates are derived here, not stored.
         """
         with self.stats_lock:
+            abnormal = {reason: counter.value for reason, counter in self._c_abnormal.items()}
+            decode_steps = self._c_decode_steps.value
             snapshot = {
                 "queue_depth": self.queue_depth,
                 "active_requests": self.active_size,
-                "completed_requests": self.completed,
-                "cancelled_requests": self.cancelled,
-                "deadline_expired_requests": self.deadline_expired,
-                "shed_requests": self.shed,
-                "decode_faults": self.decode_faults,
-                "decode_steps": self.decode_steps,
-                "decode_tokens": self.decode_tokens,
-                "prefill_tokens": self.prefill_tokens,
-                "prefix_tokens_reused": self.prefix_tokens_reused,
-                "mean_batch_occupancy": self.mean_occupancy,
+                "completed_requests": self._c_retired.value - sum(abnormal.values()),
+                "cancelled_requests": abnormal["cancelled"],
+                "deadline_expired_requests": abnormal["deadline_exceeded"],
+                "shed_requests": abnormal["shed"],
+                "decode_faults": self._c_decode_faults.value,
+                "decode_steps": decode_steps,
+                "decode_tokens": self._c_decode_tokens.value,
+                "prefill_tokens": self._c_prefill_tokens.value,
+                "prefix_tokens_reused": self._c_prefix_reused.value,
+                "mean_batch_occupancy": (
+                    self._c_occupancy_ticks.value / decode_steps if decode_steps else 0.0
+                ),
                 "peak_batch_size": self.peak_batch_size,
                 "max_batch_size": self.max_batch_size,
                 "max_batch_tokens": self.max_batch_tokens,
             }
             if self.speculative_k:
+                proposed = self._c_draft_proposed.value
+                accepted = self._c_draft_accepted.value
+                row_steps = self._c_spec_row_steps.value
                 snapshot["speculative"] = {
                     "k": self.speculative_k,
                     "draft_model": getattr(
                         self.draft_model, "name", type(self.draft_model).__name__
                     ),
-                    "steps": self.spec_steps,
-                    "proposed_tokens": self.draft_proposed,
-                    "accepted_tokens": self.draft_accepted,
-                    "acceptance_rate": (
-                        self.draft_accepted / self.draft_proposed if self.draft_proposed else 0.0
-                    ),
+                    "steps": self._c_spec_steps.value,
+                    "proposed_tokens": proposed,
+                    "accepted_tokens": accepted,
+                    "acceptance_rate": accepted / proposed if proposed else 0.0,
                     "mean_accept_length": (
-                        self.spec_accept_ticks / self.spec_row_ticks
-                        if self.spec_row_ticks
-                        else 0.0
+                        (accepted + row_steps) / row_steps if row_steps else 0.0
                     ),
                 }
             return snapshot

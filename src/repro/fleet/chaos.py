@@ -19,7 +19,11 @@ replica on the ring, and the run's invariants are asserted afterwards:
 * every submitted request ends in exactly one of the four PR 5 outcomes
   (``completed`` / ``cancelled`` / ``deadline_exceeded`` / ``shed``);
 * zero KV-arena bytes remain in use on any replica, survivors included;
+* the books of every replica ever spawned, dead ones included, balance
+  (:func:`repro.obs.audit`);
 * the event log replays byte-identically for the same seed.
+
+What a run breaks of the first three is listed in ``result["violations"]``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.faults import FakeClock, FaultInjector, clock, use
 from repro.fleet.loadgen import generate_prompts
 from repro.fleet.router import FleetRouter
 from repro.fleet.worker import InProcessWorker, WorkerSpec
-from repro.obs import Observability, Tracer
+from repro.obs import Observability, Tracer, audit
 from repro.obs.distributed import FleetCollector, fleet_chrome_trace
 from repro.obs.slo import DEFAULT_SLOS, SloMonitor
 from repro.utils.rng import SeededRng
@@ -187,8 +191,8 @@ def run_fleet_chaos(
     The returned dict carries ``events`` (list of dicts), ``log`` (their
     canonical sorted-key JSONL), ``outcomes`` (request id -> outcome),
     ``leaked_bytes`` (per-replica KV bytes still in use after the run —
-    the no-leak invariant wants all zeros) and ``crashed`` (replica ids
-    that died mid-run).
+    the no-leak invariant wants all zeros), ``crashed`` (replica ids
+    that died mid-run) and ``violations`` (one line per broken invariant).
 
     With ``tracing`` on (the default) the run additionally returns
     ``chrome_trace`` — the merged multi-process Perfetto timeline stitched
@@ -311,6 +315,11 @@ def run_fleet_chaos(
                 worker_obj.engine.prefix_cache.clear()
             leaked_bytes[worker_obj.worker_id] = worker_obj.arena_bytes_in_use()
         stats = router.stats()
+        # ``stats["workers"]`` holds only the live replicas; the dead ones
+        # answer for their books too.
+        violations = audit(
+            {**stats, "workers": {w.worker_id: w.service.stats() for w in workers}}
+        )
         slo_report = monitor.evaluate() if monitor is not None else None
         if tracing and router.collector is not None:
             # Final drain outside the heartbeat cadence so spans recorded
@@ -325,6 +334,13 @@ def run_fleet_chaos(
                 },
             )
 
+    for what, held in (("leaked KV bytes", leaked_bytes), ("orphaned sessions", orphaned_sessions)):
+        violations += [f"{worker}: {count} {what}" for worker, count in held.items() if count]
+    violations += [
+        f"request {index}: outcome {outcome!r} is not one of {OUTCOMES}"
+        for index, outcome in outcomes.items()
+        if outcome not in OUTCOMES
+    ]
     events = [dict(event, kind="fault") for event in injector.events()]
     events.extend(request_events)
     aggregate = stats["aggregate"]
@@ -369,6 +385,7 @@ def run_fleet_chaos(
         "orphaned_sessions": orphaned_sessions,
         "crashed": crashed,
         "stats": stats,
+        "violations": violations,
     }
     if slo_report is not None:
         result["slo"] = slo_report

@@ -84,6 +84,25 @@ from repro.serving.service import require_prompts, require_text
 
 ROUTING_POLICIES = ("affinity", "round_robin")
 
+#: Every count the router keeps: its ``stats()`` key -> the registry series
+#: that is its only store (DESIGN.md "Counting").
+COUNTS = {
+    "requests": "fleet.requests",
+    "batch_requests": "fleet.batch_requests",
+    "stream_requests": "fleet.streams",
+    "session_creates": "fleet.session_creates",
+    "session_extends": "fleet.session_extends",
+    "sessions_lost": "fleet.sessions_lost",
+    "shed_requests": "fleet.shed",
+    "failovers": "fleet.failovers",
+    "spills": "fleet.spills",
+    "rebalances": "fleet.rebalances",
+    "heartbeat_misses": "fleet.heartbeat_misses",
+    "workers_lost": "fleet.workers_lost",
+    "respawns": "fleet.respawns",
+    "spawn_failures": "fleet.spawn_failures",
+}
+
 
 def _root_attrs(trace_context: TraceContext | None) -> dict:
     """Attrs of the router's root span: the reference workers parent under."""
@@ -134,36 +153,15 @@ class FleetRouter:
         self._lock = threading.RLock()
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
-        # -- accounting --
-        self.request_count = 0
-        self.batch_request_count = 0
-        self.stream_request_count = 0
-        self.session_create_count = 0
-        self.session_extend_count = 0
-        self.sessions_lost = 0
-        self.shed_count = 0
-        self.failover_count = 0
-        self.spill_count = 0
-        self.rebalance_count = 0
-        self.heartbeat_miss_count = 0
-        self.workers_lost = 0
-        self.respawn_count = 0
-        self.spawn_failures = 0
         # -- observability --
         self.obs = obs if obs is not None else Observability()
         #: Telemetry aggregation (None = off): polled every heartbeat tick.
         self.collector = collector
         self._trace_ids = TraceIdAllocator(prefix=trace_prefix)
         metrics = self.obs.metrics
-        self._c_requests = metrics.counter("fleet.requests")
-        self._c_batch_requests = metrics.counter("fleet.batch_requests")
-        self._c_streams = metrics.counter("fleet.streams")
-        self._c_sessions_lost = metrics.counter("fleet.sessions_lost")
-        self._c_shed = metrics.counter("fleet.shed")
-        self._c_failovers = metrics.counter("fleet.failovers")
-        self._c_spills = metrics.counter("fleet.spills")
-        self._c_heartbeat_misses = metrics.counter("fleet.heartbeat_misses")
-        self._c_workers_lost = metrics.counter("fleet.workers_lost")
+        # Counts ``stats()`` reports together are bumped, and all are read,
+        # under ``self._lock``.
+        self._counts = {key: metrics.counter(series) for key, series in COUNTS.items()}
         self._g_live = metrics.gauge("fleet.live_workers")
         self._g_inflight = metrics.gauge("fleet.inflight")
         self._h_dispatch = metrics.histogram("fleet.dispatch_s")
@@ -192,7 +190,7 @@ class FleetRouter:
             self._ring.add(worker_id)
             self._last_heartbeat[worker_id] = clock.now()
             self._dead.pop(worker_id, None)
-            self.rebalance_count += 1
+            self._counts["rebalances"].inc()
             self._g_live.set(len(self._workers))
 
     def remove_worker(self, worker_id: str, reason: str = "removed") -> None:
@@ -207,10 +205,9 @@ class FleetRouter:
         self._ring.remove(worker_id)
         self._last_heartbeat.pop(worker_id, None)
         self._dead[worker_id] = reason
-        self.rebalance_count += 1
+        self._counts["rebalances"].inc()
         if reason != "removed":
-            self.workers_lost += 1
-            self._c_workers_lost.inc()
+            self._counts["workers_lost"].inc()
         self._g_live.set(len(self._workers))
         # Sessions pinned to this replica died with its arena: forget the
         # affinity mappings so later extends get a crisp 404 (and the
@@ -218,9 +215,7 @@ class FleetRouter:
         orphaned = [sid for sid, owner in self._session_owner.items() if owner[0] == worker_id]
         for sid in orphaned:
             del self._session_owner[sid]
-        if orphaned:
-            self.sessions_lost += len(orphaned)
-            self._c_sessions_lost.inc(len(orphaned))
+        self._counts["sessions_lost"].inc(len(orphaned))
         # Drain: abort whatever the replica still holds.  For an in-process
         # replica this cancels live engine rows (freeing KV slabs); for a
         # process replica it terminates the child.  Requests currently
@@ -236,8 +231,7 @@ class FleetRouter:
     def _on_worker_failure(self, worker_id: str, reason: str) -> None:
         with self._lock:
             self._mark_dead_locked(worker_id, reason)
-            self.failover_count += 1
-            self._c_failovers.inc()
+            self._counts["failovers"].inc()
 
     def _respawn_locked(self, dead_id: str) -> None:
         if self.spawner is None:
@@ -245,11 +239,11 @@ class FleetRouter:
         try:
             replacement = self.spawner(dead_id)
         except (InjectedFault, FleetError, ServingError):
-            self.spawn_failures += 1
+            self._counts["spawn_failures"].inc()
             return
         if replacement is not None:
             self.add_worker(replacement)
-            self.respawn_count += 1
+            self._counts["respawns"].inc()
 
     # -- admission -----------------------------------------------------------
 
@@ -267,9 +261,7 @@ class FleetRouter:
             self._g_inflight.dec()
 
     def _shed(self, reason: str, retry_after_s: float | None = None) -> ServiceOverloadedError:
-        with self._lock:
-            self.shed_count += 1
-        self._c_shed.inc()
+        self._counts["shed_requests"].inc()
         retry_after = retry_after_s if retry_after_s is not None else self.shed_retry_after_s
         return ServiceOverloadedError(
             f"fleet overloaded ({reason}); retry after {retry_after}s",
@@ -362,11 +354,6 @@ class FleetRouter:
             self._last_heartbeat[worker_id] = clock.now()
         return result, None
 
-    def _count_spill(self) -> None:
-        with self._lock:
-            self.spill_count += 1
-        self._c_spills.inc()
-
     def _route(self, key: str, attempt, **seam) -> tuple[str, object, int]:
         """The one failover / spill loop: ``(worker_id, result, failovers)``.
 
@@ -389,7 +376,7 @@ class FleetRouter:
                 except ServiceOverloadedError as error:
                     last_overload = error
                     overloaded.add(worker_id)
-                    self._count_spill()
+                    self._counts["spills"].inc()
                     continue
                 if missing is None:
                     return worker_id, result, failovers
@@ -447,9 +434,7 @@ class FleetRouter:
             ) as span:
                 worker_id, payload, failovers = self._route(prompt, attempt)
                 span.set(worker=worker_id, failovers=failovers)
-        with self._lock:
-            self.request_count += 1
-        self._c_requests.inc()
+        self._counts["requests"].inc()
         return self._annotate(payload, downstream, worker_id, failovers)
 
     def predict_stream(
@@ -481,10 +466,8 @@ class FleetRouter:
 
             worker_id, (inner, first), failovers = self._route(prompt, attempt, stream=True)
             with self._lock:
-                self.stream_request_count += 1
-                self.request_count += 1
-            self._c_streams.inc()
-            self._c_requests.inc()
+                self._counts["stream_requests"].inc()
+                self._counts["requests"].inc()
             try:
                 if first is not None:
                     for event, data in chain([first], inner):
@@ -531,10 +514,8 @@ class FleetRouter:
             ):
                 merged = self._dispatch_batch(prompts, max_new_tokens, kwargs)
         with self._lock:
-            self.request_count += len(prompts)
-            self.batch_request_count += 1
-        self._c_requests.inc(len(prompts))
-        self._c_batch_requests.inc()
+            self._counts["requests"].inc(len(prompts))
+            self._counts["batch_requests"].inc()
         merged["latency_ms"] = (clock.now() - started) * 1000.0
         merged["batch_size"] = len(prompts)
         return self._annotate(merged, downstream)
@@ -566,7 +547,7 @@ class FleetRouter:
                 except ServiceOverloadedError as error:
                     # Spill the whole group; bounded so a fully saturated
                     # fleet sheds instead of spinning.
-                    self._count_spill()
+                    self._counts["spills"].inc()
                     if bounce_budget is None:
                         bounce_budget = max(1, len(self.live_worker_ids))
                     bounce_budget -= 1
@@ -622,11 +603,11 @@ class FleetRouter:
                 session=True,
             )
             with self._lock:
-                self.session_create_count += 1
-                self.request_count += 1
-                session_id = f"{worker_id}.s{self.session_create_count:04d}"
+                minted = self._counts["session_creates"]
+                minted.inc()
+                self._counts["requests"].inc()
+                session_id = f"{worker_id}.s{minted.value:04d}"
                 self._session_owner[session_id] = (worker_id, payload["session_id"])
-            self._c_requests.inc()
             payload["session_id"] = session_id
             return self._annotate(payload, downstream, worker_id, failovers)
 
@@ -676,13 +657,11 @@ class FleetRouter:
                 # Owner dead or replica evicted it: the mapping is stale.
                 with self._lock:
                     if self._session_owner.pop(session_id, None) is not None:
-                        self.sessions_lost += 1
-                        self._c_sessions_lost.inc()
+                        self._counts["sessions_lost"].inc()
                 raise
             with self._lock:
-                self.session_extend_count += 1
-                self.request_count += 1
-            self._c_requests.inc()
+                self._counts["session_extends"].inc()
+                self._counts["requests"].inc()
             return self._annotate(payload, downstream)
 
     def session_close(self, session_id: str) -> dict:
@@ -728,9 +707,7 @@ class FleetRouter:
                 fire("fleet.heartbeat", worker=worker_id)
                 worker.heartbeat()
             except (WorkerUnavailableError, InjectedFault, ServingError):
-                with self._lock:
-                    self.heartbeat_miss_count += 1
-                self._c_heartbeat_misses.inc()
+                self._counts["heartbeat_misses"].inc()
             else:
                 with self._lock:
                     if worker_id in self._workers:
@@ -802,21 +779,8 @@ class FleetRouter:
                 "dead_workers": dict(self._dead),
                 "max_inflight": self.max_inflight,
                 "inflight": self._inflight_count,
-                "requests": self.request_count,
-                "batch_requests": self.batch_request_count,
-                "stream_requests": self.stream_request_count,
-                "session_creates": self.session_create_count,
-                "session_extends": self.session_extend_count,
-                "sessions_lost": self.sessions_lost,
                 "live_sessions": len(self._session_owner),
-                "shed_requests": self.shed_count,
-                "failovers": self.failover_count,
-                "spills": self.spill_count,
-                "rebalances": self.rebalance_count,
-                "heartbeat_misses": self.heartbeat_miss_count,
-                "workers_lost": self.workers_lost,
-                "respawns": self.respawn_count,
-                "spawn_failures": self.spawn_failures,
+                **{key: counter.value for key, counter in self._counts.items()},
             }
             workers = list(self._workers.items())
         per_worker: dict[str, dict] = {}

@@ -17,6 +17,8 @@ optimise) one without knowing where time goes.  Four primitives:
 :mod:`repro.obs.export` turns all of it into standard formats: Chrome
 trace-event JSON (Perfetto-loadable span + op timelines) and Prometheus
 text exposition (served via ``GET /v1/metrics?format=prometheus``).
+:func:`repro.obs.audit` checks the conservation laws a quiescent
+``stats()`` tree must satisfy; every chaos run ends with it.
 
 :class:`Observability` bundles a tracer, a metrics registry and a
 profiler, and is what instrumented components
@@ -36,6 +38,7 @@ Surfaced through ``GET /v1/metrics``, the extended ``/v1/stats`` and the
 
 from __future__ import annotations
 
+from repro.obs.audit import audit
 from repro.obs.distributed import (
     PARENT_SPAN_HEADER,
     TRACE_ID_HEADER,
@@ -110,6 +113,7 @@ class Observability:
 
 __all__ = [
     "Observability",
+    "audit",
     "Tracer",
     "Span",
     "NULL_TRACER",

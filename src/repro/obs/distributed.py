@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ObservabilityError
-from repro.obs.export import format_sample, parse_prometheus
+from repro.obs.export import SPAN_TID, format_sample, parse_prometheus, span_event
 from repro.obs.trace import Span
 
 #: HTTP header carrying the fleet-unique trace id.
@@ -228,29 +228,15 @@ class FleetCollector:
 
 # -- Chrome trace stitching ----------------------------------------------------
 
-_SPAN_TID = 1  # one "spans" lane per process, mirroring repro.obs.export
-
 
 def _process_events(pid: int, process_name: str, spans: list[Span]) -> list[dict]:
     events: list[dict] = [
         {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
          "args": {"name": process_name}},
-        {"ph": "M", "pid": pid, "tid": _SPAN_TID, "name": "thread_name",
+        {"ph": "M", "pid": pid, "tid": SPAN_TID, "name": "thread_name",
          "args": {"name": "spans"}},
     ]
-    for span in spans:
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "cat": "span",
-                "ts": span.start_s * 1e6,
-                "dur": span.duration_s * 1e6,
-                "pid": pid,
-                "tid": _SPAN_TID,
-                "args": {"span_id": span.span_id, "parent_id": span.parent_id, **span.attrs},
-            }
-        )
+    events.extend(span_event(span, pid) for span in spans)
     return events
 
 
@@ -278,22 +264,13 @@ def fleet_chrome_trace(
     # start per trace id.
     for span in router_spans:
         trace_id = span.attrs.get("trace_id")
-        event = {
-            "name": span.name,
-            "ph": "X",
-            "cat": "span",
-            "ts": span.start_s * 1e6,
-            "dur": span.duration_s * 1e6,
-            "pid": 0,
-            "tid": _SPAN_TID,
-            "args": {"span_id": span.span_id, "parent_id": span.parent_id, **span.attrs},
-        }
+        event = span_event(span)
         if trace_id is not None and span.parent_id is None:
             event["args"].setdefault("span_ref", router_span_ref(trace_id))
             events.append(event)
             events.append(
                 {"ph": "s", "cat": "trace", "name": "trace", "id": trace_id,
-                 "pid": 0, "tid": _SPAN_TID, "ts": span.start_s * 1e6}
+                 "pid": 0, "tid": SPAN_TID, "ts": span.start_s * 1e6}
             )
         else:
             events.append(event)
@@ -304,7 +281,7 @@ def fleet_chrome_trace(
             if span.parent_id is None and span.attrs.get("parent_span"):
                 events.append(
                     {"ph": "f", "bp": "e", "cat": "trace", "name": "trace",
-                     "id": span.attrs["trace_id"], "pid": pid, "tid": _SPAN_TID,
+                     "id": span.attrs["trace_id"], "pid": pid, "tid": SPAN_TID,
                      "ts": span.start_s * 1e6}
                 )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

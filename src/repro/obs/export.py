@@ -38,6 +38,20 @@ SPAN_TID = 1
 OP_TID = 2
 
 
+def span_event(span: Span, pid: int = 0) -> dict:
+    """One tracer span as a Chrome complete event on process ``pid``'s span lane."""
+    return {
+        "name": span.name,
+        "ph": "X",
+        "cat": "span",
+        "ts": span.start_s * 1e6,
+        "dur": span.duration_s * 1e6,
+        "pid": pid,
+        "tid": SPAN_TID,
+        "args": {"span_id": span.span_id, "parent_id": span.parent_id, **span.attrs},
+    }
+
+
 def chrome_trace_events(
     spans: list[Span] | None = None,
     op_events: list[OpEvent] | None = None,
@@ -58,19 +72,7 @@ def chrome_trace_events(
         {"ph": "M", "pid": 0, "tid": OP_TID, "name": "thread_name",
          "args": {"name": "ops"}},
     ]
-    for span in spans or []:
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "cat": "span",
-                "ts": span.start_s * 1e6,
-                "dur": span.duration_s * 1e6,
-                "pid": 0,
-                "tid": SPAN_TID,
-                "args": {"span_id": span.span_id, "parent_id": span.parent_id, **span.attrs},
-            }
-        )
+    events.extend(span_event(span) for span in spans or [])
     for event in op_events or []:
         events.append(
             {
@@ -249,6 +251,7 @@ def parse_prometheus(text: str) -> dict:
 
 
 __all__ = [
+    "span_event",
     "chrome_trace_events",
     "export_chrome_trace",
     "prometheus_exposition",

@@ -78,7 +78,7 @@ class EditorSession:
     def _complete(self) -> dict:
         """One completion of the full buffer, session-first.
 
-        A lost session (evicted / reaped server-side) degrades to a fresh
+        A lost session (evicted / dropped server-side) degrades to a fresh
         create — one cold prefill, never an error surfaced to the editor.
         """
         if not self.session_capable:

@@ -151,7 +151,6 @@ class PredictionService:
         default_deadline_s: float | None = None,
         shed_retry_after_s: float = 0.5,
         max_sessions: int = 64,
-        session_ttl_s: float | None = None,
         heartbeat_interval_s: float | None = None,
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
@@ -165,16 +164,6 @@ class PredictionService:
         self.default_deadline_s = default_deadline_s
         self.shed_retry_after_s = shed_retry_after_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.request_count = 0
-        self.coalesced_count = 0
-        self.batch_request_count = 0
-        self.shed_count = 0
-        self.degraded_count = 0
-        self.deadline_exceeded_count = 0
-        self.cancelled_count = 0
-        self.stream_count = 0
-        self.stream_disconnects = 0
-        self.total_latency_ms = 0.0
         self._inflight_count = 0  # generations currently admitted (backpressure)
         self._lock = threading.Lock()
         self._inflight: dict[str, _InflightEntry] = {}
@@ -183,10 +172,13 @@ class PredictionService:
         if obs is None:
             obs = getattr(engine, "obs", None) or Observability()
         self.obs = obs
+        # Every count is a registry counter (DESIGN.md "Counting"); those
+        # ``stats()`` reports together are bumped, and all read, under ``_lock``.
         metrics = obs.metrics
         self._h_completions = metrics.histogram("serving.completions_s")
         self._h_batch = metrics.histogram("serving.batch_completions_s")
         self._c_requests = metrics.counter("serving.requests")
+        self._c_latency_ms = metrics.counter("serving.latency_ms_total")
         self._c_batch_requests = metrics.counter("serving.batch_requests")
         self._c_cache_hits = metrics.counter("serving.cache_hits")
         self._c_coalesced = metrics.counter("serving.coalesced")
@@ -203,9 +195,7 @@ class PredictionService:
         # tokenizer-equipped engine the endpoints report 400 instead.
         self.sessions: SessionManager | None = None
         if engine is not None and getattr(engine, "tokenizer", None) is not None:
-            self.sessions = SessionManager(
-                engine, max_sessions=max_sessions, ttl_s=session_ttl_s, obs=obs
-            )
+            self.sessions = SessionManager(engine, max_sessions=max_sessions, obs=obs)
 
     # -- admission / degradation ---------------------------------------------
 
@@ -223,8 +213,6 @@ class PredictionService:
 
     def _shed(self, reason: str) -> ServiceOverloadedError:
         """Account a shed request and build the typed 503 to raise."""
-        with self._lock:
-            self.shed_count += 1
         self._c_shed.inc()
         return ServiceOverloadedError(
             f"service overloaded ({reason}); retry after {self.shed_retry_after_s}s",
@@ -241,20 +229,14 @@ class PredictionService:
         if self.fallback is None:
             raise self._shed(reason)
         completion = self.fallback.complete(prompt, max_new_tokens=budget)
-        with self._lock:
-            self.degraded_count += 1
         self._c_degraded.inc()
         return completion
 
     def _abort(self, outcome: str, deadline_s: float | None) -> Exception:
         """Count an expired or cancelled request; returns its typed error."""
         if outcome == "deadline_exceeded":
-            with self._lock:
-                self.deadline_exceeded_count += 1
             self._c_deadline.inc()
             return DeadlineExceededError(f"deadline of {deadline_s}s exceeded")
-        with self._lock:
-            self.cancelled_count += 1
         self._c_cancelled.inc()
         return RequestCancelledError("request cancelled")
 
@@ -357,7 +339,6 @@ class PredictionService:
                     raise entry.error  # keep the typed status (503/504/...) for waiters
                 raise ServingError(f"coalesced request failed: {entry.error}") from entry.error
             with self._lock:
-                self.coalesced_count += 1
                 return self._account(
                     entry.completion, started, cached_hit=True, coalesced=True,
                     degraded=entry.degraded,
@@ -400,10 +381,9 @@ class PredictionService:
     ) -> dict:
         """Record latency and build a response payload (caller holds the lock)."""
         latency_ms = (clock.now() - started) * 1000.0
-        self.request_count += 1
-        self.total_latency_ms += latency_ms
-        self._h_completions.observe(latency_ms / 1000.0)
         self._c_requests.inc()
+        self._c_latency_ms.inc(latency_ms)
+        self._h_completions.observe(latency_ms / 1000.0)
         if cached_hit:
             self._c_cache_hits.inc()
         if coalesced:
@@ -482,9 +462,8 @@ class PredictionService:
     ):
         started = clock.now()
         with self._lock:
-            self.stream_count += 1
+            self._c_streams.inc()
             cached = self.cache.get(prompt)
-        self._c_streams.inc()
         engine = self.engine
         if cached is not None:
             with self._lock:
@@ -587,8 +566,6 @@ class PredictionService:
             inner.close()
             self._release_admission()
             if not finished:
-                with self._lock:
-                    self.stream_disconnects += 1
                 self._c_stream_disconnects.inc()
             tracer = self.obs.tracer
             if tracer.enabled:
@@ -632,6 +609,10 @@ class PredictionService:
             with adopt(self.obs.tracer, trace_context), self.obs.tracer.span(name) as span:
                 payload = runner()
                 span.set(outcome=payload["outcome"], reused=payload["reused_tokens"])
+        except ServiceOverloadedError as error:
+            # Shed by the session manager (a prefill fault): count the 503
+            # and answer with the service's Retry-After, like any other.
+            raise self._shed(str(error)) from error
         finally:
             self._release_admission()
         if payload["outcome"] != "completed":
@@ -640,9 +621,8 @@ class PredictionService:
             raise self._abort(payload["outcome"], deadline_s)
         latency_ms = (clock.now() - started) * 1000.0
         with self._lock:
-            self.request_count += 1
-            self.total_latency_ms += latency_ms
-        self._c_requests.inc()
+            self._c_requests.inc()
+            self._c_latency_ms.inc(latency_ms)
         payload["latency_ms"] = latency_ms
         payload["ttft_ms"] = payload.pop("ttft_s") * 1000.0
         return self._echo(payload, trace_context)
@@ -677,7 +657,7 @@ class PredictionService:
         """``POST /v1/sessions/{id}/extend``: continue with the new buffer.
 
         Raises :class:`~repro.errors.SessionNotFoundError` (HTTP 404) for
-        evicted / reaped / unknown ids — clients fall back to
+        evicted / lost / unknown ids — clients fall back to
         :meth:`session_create`.
         """
         sessions = self._require_sessions()
@@ -782,12 +762,10 @@ class PredictionService:
                     self.cache.put(prompt, completion)
         latency_ms = (clock.now() - started) * 1000.0
         with self._lock:
-            self.request_count += len(prompts)
-            self.batch_request_count += 1
-            self.total_latency_ms += latency_ms
+            self._c_requests.inc(len(prompts))
+            self._c_batch_requests.inc()
+            self._c_latency_ms.inc(latency_ms)
         self._h_batch.observe(latency_ms / 1000.0)
-        self._c_requests.inc(len(prompts))
-        self._c_batch_requests.inc()
         return {
             "completions": [completions[prompt] for prompt in prompts],
             "cached": [cached_flags[prompt] for prompt in prompts],
@@ -805,31 +783,30 @@ class PredictionService:
     def stats(self) -> dict:
         """Serving counters as one mutually-consistent snapshot.
 
-        Every serving-side field — request/shed/degraded counters AND the
-        inflight depth — is read in a single pass under ``self._lock``.
-        ``inflight`` reads the authoritative ``_inflight_count`` (mutated
-        under this same lock by ``_try_admit``/``_release_admission``)
-        rather than the metrics gauge, which trails it outside the lock:
-        a snapshot must never report an admission count that disagrees
-        with the shed counter taken in the same breath.
+        Every serving-side field — the registry's request/shed/degraded
+        counters AND the inflight depth — is read in a single pass under
+        ``self._lock``, the lock their grouped bumps hold.  ``inflight``
+        reads the authoritative ``_inflight_count`` (mutated under this
+        same lock by ``_try_admit``/``_release_admission``) rather than
+        the metrics gauge, which trails it outside the lock.
         """
         with self._lock:
-            mean_latency = self.total_latency_ms / self.request_count if self.request_count else 0.0
+            requests = self._c_requests.value
             report = {
-                "requests": self.request_count,
-                "batch_requests": self.batch_request_count,
-                "coalesced_requests": self.coalesced_count,
-                "shed_requests": self.shed_count,
-                "degraded_requests": self.degraded_count,
-                "deadline_exceeded_requests": self.deadline_exceeded_count,
-                "cancelled_requests": self.cancelled_count,
-                "stream_requests": self.stream_count,
-                "stream_disconnects": self.stream_disconnects,
+                "requests": requests,
+                "batch_requests": self._c_batch_requests.value,
+                "coalesced_requests": self._c_coalesced.value,
+                "shed_requests": self._c_shed.value,
+                "degraded_requests": self._c_degraded.value,
+                "deadline_exceeded_requests": self._c_deadline.value,
+                "cancelled_requests": self._c_cancelled.value,
+                "stream_requests": self._c_streams.value,
+                "stream_disconnects": self._c_stream_disconnects.value,
                 "max_queue_depth": self.max_queue_depth,
                 "inflight": self._inflight_count,
                 "cache_hit_rate": self.cache.hit_rate,
                 "cache": self.cache.stats(),
-                "mean_latency_ms": mean_latency,
+                "mean_latency_ms": self._c_latency_ms.value / requests if requests else 0.0,
             }
         report["fallback"] = getattr(self.fallback, "name", None) if self.fallback else None
         report["tracing"] = self.obs.tracer.status()

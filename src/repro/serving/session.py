@@ -25,12 +25,13 @@ on), an extend's completion is byte-identical to a cold re-prefill of the
 full buffer; the conformance suite asserts this across dtypes and seeds.
 What changes is only the work: TTFT drops from O(buffer) to O(keystroke).
 
-Lifecycle: sessions are LRU-evicted beyond ``max_sessions`` and reaped
-after ``ttl_s`` idle seconds (both on the :mod:`repro.faults` clock, so
-TTL behaviour is exact under a fake clock).  Every exit path — close,
-evict, reap, crash (:meth:`close_all`), or a mid-extend fault — releases
-the session's caches back to the arena: the chaos suite's zero-leak and
-no-orphaned-session invariants hold by construction.
+Lifecycle: sessions are LRU-evicted beyond ``max_sessions``.  Every exit
+path — close, evict, crash (:meth:`close_all`), or a mid-extend fault —
+releases the session's caches back to the arena and is counted once
+(``closed`` / ``evicted`` / ``lost``): the chaos suite's zero-leak and
+no-orphaned-session invariants hold by construction, and ``created -
+closed - evicted - lost == live_sessions`` is a law
+:func:`repro.obs.audit` checks.
 
 Locking: public entry points take the manager lock, then the engine's
 request lock for anything touching the model or the arena — the same
@@ -54,9 +55,19 @@ from repro.errors import (
     ServingError,
     SessionNotFoundError,
 )
-from repro.faults import clock
 from repro.faults.inject import fire
 from repro.nn.kv_arena import KVCache
+
+
+#: Every count a manager keeps: each is the ``session.<name>`` registry
+#: series — its only store (DESIGN.md "Counting") — and the ``stats()`` key
+#: of the same name.  ``lost`` is a session dropped by a mid-prefill fault;
+#: ``decode_tokens`` is ALL generated tokens (the engine's series of that
+#: name counts only tokens emitted by batched decode steps).
+COUNTS = (
+    "created", "extends", "closed", "evicted", "lost",
+    "prefill_tokens", "reused_tokens", "decode_tokens", "decode_faults",
+)  # fmt: skip
 
 
 def _common_prefix(left: list[int], right: list[int]) -> int:
@@ -74,8 +85,6 @@ class _Session:
     session_id: str
     caches: list[KVCache]
     cached_ids: list[int] = field(default_factory=list)  # tokens with K/V resident
-    created_at: float = 0.0
-    last_used_at: float = 0.0
     extends: int = 0
 
     def release(self) -> None:
@@ -85,46 +94,22 @@ class _Session:
 
 
 class SessionManager:
-    """LRU/TTL-bounded table of keystroke sessions over one engine."""
+    """LRU-bounded table of keystroke sessions over one engine."""
 
-    def __init__(
-        self,
-        engine,
-        *,
-        max_sessions: int = 64,
-        ttl_s: float | None = None,
-        obs=None,
-    ):
+    def __init__(self, engine, *, max_sessions: int = 64, obs=None):
         if engine.tokenizer is None:
             raise ServingError("sessions need a tokenizer-equipped engine")
         if max_sessions < 1:
             raise ServingError(f"max_sessions must be >= 1, got {max_sessions}")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ServingError(f"ttl_s must be positive, got {ttl_s}")
         self.engine = engine
         self.max_sessions = max_sessions
-        self.ttl_s = ttl_s
         self.obs = obs if obs is not None else engine.obs
         self._sessions: "OrderedDict[str, _Session]" = OrderedDict()
         self._lock = threading.RLock()
         self._next_id = 0
-        # -- accounting (guarded by self._lock) --
-        self.created = 0
-        self.extends = 0
-        self.evicted = 0
-        self.reaped = 0
-        self.closed = 0
-        self.prefill_tokens = 0
-        self.reused_tokens = 0
-        self.decode_tokens = 0
-        self.decode_faults = 0
         metrics = self.obs.metrics
-        self._c_created = metrics.counter("session.created")
-        self._c_extends = metrics.counter("session.extends")
-        self._c_evicted = metrics.counter("session.evicted")
-        self._c_reaped = metrics.counter("session.reaped")
-        self._c_prefill = metrics.counter("session.prefill_tokens")
-        self._c_reused = metrics.counter("session.reused_tokens")
+        # Bumped and read under ``self._lock``.
+        self._counts = {name: metrics.counter(f"session.{name}") for name in COUNTS}
         self._h_create_ttft = metrics.histogram("session.create_ttft_s")
         self._h_extend_ttft = metrics.histogram("session.extend_ttft_s")
 
@@ -140,29 +125,28 @@ class SessionManager:
             return list(self._sessions)
 
     def stats(self) -> dict:
+        """A locked read of the session counters; the rate is derived here."""
         with self._lock:
-            fed = self.prefill_tokens + self.reused_tokens
+            counts = {name: counter.value for name, counter in self._counts.items()}
+            fed = counts["prefill_tokens"] + counts["reused_tokens"]
             return {
                 "live_sessions": len(self._sessions),
                 "max_sessions": self.max_sessions,
-                "ttl_s": self.ttl_s,
-                "created": self.created,
-                "extends": self.extends,
-                "evicted": self.evicted,
-                "reaped": self.reaped,
-                "closed": self.closed,
-                "prefill_tokens": self.prefill_tokens,
-                "reused_tokens": self.reused_tokens,
-                "decode_tokens": self.decode_tokens,
-                "decode_faults": self.decode_faults,
-                "token_reuse_rate": self.reused_tokens / fed if fed else 0.0,
+                **counts,
+                "token_reuse_rate": counts["reused_tokens"] / fed if fed else 0.0,
             }
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _drop_locked(self, session: _Session) -> None:
-        """Release a session's slabs and forget it; both locks held."""
-        self._sessions.pop(session.session_id, None)
+    def _drop_locked(self, session: _Session, exit_: str) -> None:
+        """Release a session's slabs and forget it; manager lock held.
+
+        Every way out of the table is counted here, as ``exit_`` — but only
+        if the session was in the table: a create that faults never reached
+        ``created``, and counting its drop would drive the books to -1.
+        """
+        if self._sessions.pop(session.session_id, None) is not None:
+            self._counts[exit_].inc()
         session.release()
 
     def close(self, session_id: str) -> bool:
@@ -171,8 +155,7 @@ class SessionManager:
             session = self._sessions.get(session_id)
             if session is None:
                 return False
-            self._drop_locked(session)
-            self.closed += 1
+            self._drop_locked(session, "closed")
             return True
 
     def close_all(self) -> int:
@@ -183,35 +166,10 @@ class SessionManager:
         calls from its crash handler, right after ``engine.abort_all()``.
         """
         with self._lock, self.engine._lock:
-            dropped = len(self._sessions)
-            for session in list(self._sessions.values()):
-                self._drop_locked(session)
-            self.closed += dropped
-            return dropped
-
-    def reap_idle(self, now: float | None = None) -> int:
-        """Drop sessions idle past ``ttl_s``; returns how many."""
-        if self.ttl_s is None:
-            return 0
-        moment = clock.now() if now is None else now
-        with self._lock, self.engine._lock:
-            stale = [
-                session
-                for session in self._sessions.values()
-                if moment - session.last_used_at >= self.ttl_s
-            ]
-            for session in stale:
-                self._drop_locked(session)
-                self.reaped += 1
-                self._c_reaped.inc()
-            return len(stale)
-
-    def _evict_over_capacity_locked(self) -> None:
-        while len(self._sessions) > self.max_sessions:
-            _, session = self._sessions.popitem(last=False)
-            session.release()
-            self.evicted += 1
-            self._c_evicted.inc()
+            dropped = list(self._sessions.values())
+            for session in dropped:
+                self._drop_locked(session, "closed")
+            return len(dropped)
 
     # -- generation core ------------------------------------------------------
 
@@ -244,8 +202,9 @@ class SessionManager:
             # leave per-layer caches at mixed lengths — the session is
             # unrecoverable.  Release every slab and forget it so the
             # failure sheds this one request without leaking a byte.
-            self._drop_locked(session)
+            self._drop_locked(session, "lost")
             request.finish("shed")
+            self.engine.batcher.book(request)
             self.engine._observe_request(request)
             raise
         session.cached_ids.extend(suffix)
@@ -271,7 +230,7 @@ class SessionManager:
                     # InjectedFault skips nothing and the retry is identical.
                     fire("engine.decode_step", batch=1, session=session.session_id)
                 except InjectedFault:
-                    self.decode_faults += 1
+                    self._counts["decode_faults"].inc()
                     continue
                 logits = model.forward_incremental(
                     np.array([[pending]], dtype=np.int64), session.caches
@@ -287,14 +246,14 @@ class SessionManager:
             # request as cancelled — the replica's crash handler closes
             # every session right after, releasing the slabs.
             request.finish("cancelled")
+            self.engine.batcher.book(request)
             self.engine._observe_request(request)
             raise
         request.finish(reason)
-        self.prefill_tokens += prefilled
-        self.reused_tokens += common
-        self.decode_tokens += len(request.generated)
-        self._c_prefill.inc(prefilled)
-        self._c_reused.inc(common)
+        self.engine.batcher.book(request)
+        self._counts["prefill_tokens"].inc(prefilled)
+        self._counts["reused_tokens"].inc(common)
+        self._counts["decode_tokens"].inc(len(request.generated))
         self.engine._observe_request(request)
         completion = self.engine.tokenizer.decode(request.generated)
         return {
@@ -337,20 +296,17 @@ class SessionManager:
         reports (``outcome``, ``stop_reason``, ``ttft_s``).
         """
         with self._lock:
-            now = clock.now()
             session = _Session(
                 session_id=f"s{self._next_id:04d}",
                 caches=self.engine.network.new_cache(self.engine.kv_arena),
-                created_at=now,
-                last_used_at=now,
             )
             self._next_id += 1
             payload = self._generate(session, buffer, max_new_tokens, deadline_s)
             self._sessions[session.session_id] = session
-            self.created += 1
-            self._c_created.inc()
+            self._counts["created"].inc()
             self._h_create_ttft.observe(payload["ttft_s"])
-            self._evict_over_capacity_locked()
+            while len(self._sessions) > self.max_sessions:  # LRU bound
+                self._drop_locked(next(iter(self._sessions.values())), "evicted")
             return payload
 
     def extend(
@@ -365,19 +321,16 @@ class SessionManager:
         Only the tokens past the common prefix with the session's cached
         context are prefilled; the payload's ``reused_tokens`` /
         ``prefilled`` split is the no-re-prefill regression surface.
-        Raises :class:`SessionNotFoundError` for unknown / evicted /
-        reaped ids — callers recover by creating a fresh session.
+        Raises :class:`SessionNotFoundError` for unknown / evicted / lost
+        ids — callers recover by creating a fresh session.
         """
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
                 raise SessionNotFoundError(session_id)
             session.extends += 1
-            session.last_used_at = clock.now()
             self._sessions.move_to_end(session_id)
             payload = self._generate(session, buffer, max_new_tokens, deadline_s)
-            session.last_used_at = clock.now()
-            self.extends += 1
-            self._c_extends.inc()
+            self._counts["extends"].inc()
             self._h_extend_ttft.observe(payload["ttft_s"])
             return payload

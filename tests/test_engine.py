@@ -206,7 +206,7 @@ class TestContinuousBatcher:
         assert batcher.peak_batch_size <= 2
         batcher.run()
         assert batcher.queue_depth == 0
-        assert batcher.completed == len(MIXED_PROMPTS)
+        assert batcher.stats()["completed_requests"] == len(MIXED_PROMPTS)
         assert all(request.is_finished for request in requests)
 
     def test_new_requests_join_mid_flight(self, trained_model):
@@ -221,11 +221,11 @@ class TestContinuousBatcher:
             batcher.submit(request)
         joined_late = False
         while batcher.step():
-            if batcher.completed and batcher.queue_depth < len(MIXED_PROMPTS) - 3:
+            if batcher.stats()["completed_requests"] and batcher.queue_depth < len(MIXED_PROMPTS) - 3:
                 joined_late = batcher.active_size > 0
-        assert batcher.completed == len(MIXED_PROMPTS)
+        assert batcher.stats()["completed_requests"] == len(MIXED_PROMPTS)
         assert joined_late
-        assert batcher.mean_occupancy > 1.0
+        assert batcher.stats()["mean_batch_occupancy"] > 1.0
 
     def test_token_budget_gate(self, trained_model):
         window = trained_model.config.n_positions
@@ -237,13 +237,13 @@ class TestContinuousBatcher:
         # head request fits; the empty-batch exemption admitted it anyway.
         assert batcher.active_size == 1
         batcher.run()
-        assert batcher.completed == 3
+        assert batcher.stats()["completed_requests"] == 3
 
     def test_oversized_request_not_wedged(self, trained_model):
         batcher = ContinuousBatcher(trained_model, max_batch_size=4, max_batch_tokens=4)
         batcher.submit(_request(trained_model, 0, [1, 2, 3, 4, 1, 2], max_new_tokens=8))
         batcher.run()
-        assert batcher.completed == 1
+        assert batcher.stats()["completed_requests"] == 1
 
     def test_request_lifecycle_and_timing(self, trained_model):
         # Timing runs on the swappable faults clock, so the assertions are

@@ -486,7 +486,7 @@ class TestServingBackpressure:
             # Degraded output is never cached: a later (unsaturated) call
             # must regenerate, not replay the fallback's answer.
             assert service.cache.get("another prompt") is None
-            assert service.degraded_count == 1
+            assert service.stats()["degraded_requests"] == 1
         finally:
             blocker.release.set()
             thread.join(timeout=10)
@@ -497,7 +497,7 @@ class TestServingBackpressure:
             with pytest.raises(ServiceOverloadedError) as exc_info:
                 service.predict("another prompt")
             assert exc_info.value.retry_after_s == 0.25
-            assert service.shed_count == 1
+            assert service.stats()["shed_requests"] == 1
             assert service.obs.metrics.snapshot()["counters"]["serving.shed"] == 1
         finally:
             blocker.release.set()
@@ -537,7 +537,7 @@ class TestServingBackpressure:
         service = PredictionService(engine, engine=engine)
         with pytest.raises(DeadlineExceededError):
             service.predict("- name: Install nginx", max_new_tokens=4, deadline_s=1e-9)
-        assert service.deadline_exceeded_count == 1
+        assert service.stats()["deadline_exceeded_requests"] == 1
         assert service.cache.get("- name: Install nginx") is None
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
 

@@ -1,8 +1,8 @@
-"""Keystroke sessions: lifecycle, eviction, reaping, HTTP surface, leaks.
+"""Keystroke sessions: lifecycle, eviction, HTTP surface, leaks.
 
 The session manager holds warm KV slabs between requests — exactly the
-kind of state that leaks when lifecycle paths (LRU eviction, idle TTL,
-explicit close, crash close_all) miss a release.  Every test here ends by
+kind of state that leaks when lifecycle paths (LRU eviction, explicit
+close, crash close_all) miss a release.  Every test here ends by
 asserting the arena is empty once sessions are gone.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServingError, SessionNotFoundError
-from repro.faults import FakeClock, use
 from repro.serving import PredictionService, RestServer, SessionManager
 from repro.serving.client import PredictionClient
 from tests.test_streaming_equivalence import TRAIN_TEXTS, build_engine
@@ -98,23 +97,6 @@ class TestEviction:
         manager.create(TRAIN_TEXTS[2], 4)
         assert first in manager.session_ids()
         assert second not in manager.session_ids()
-
-    def test_idle_ttl_reaping(self, tokenizer):
-        fake = FakeClock()
-        with use(fake):
-            engine = build_engine(tokenizer, 0)
-            manager = SessionManager(engine, ttl_s=10.0)
-            stale = manager.create(TRAIN_TEXTS[0], 4)["session_id"]
-            fake.advance(8.0)
-            live = manager.create(TRAIN_TEXTS[1], 4)["session_id"]
-            fake.advance(5.0)  # stale is 13s idle, live only 5s
-            assert manager.reap_idle() == 1
-            assert manager.session_ids() == [live]
-            with pytest.raises(SessionNotFoundError):
-                manager.extend(stale, TRAIN_TEXTS[0] + "x\n", 4)
-            assert manager.stats()["reaped"] == 1
-        manager.close_all()
-        assert arena_empty(engine)
 
     def test_close_all_drops_everything(self, tokenizer):
         engine = build_engine(tokenizer, 0)

@@ -206,7 +206,7 @@ class TestServiceStreaming:
                 if seen >= 2:
                     break
         stream.close()
-        assert service.stream_disconnects == 1
+        assert service.stats()["stream_disconnects"] == 1
         assert service.engine.batcher.stats()["cancelled_requests"] == 1
         service.engine.prefix_cache.clear()
         assert service.engine.kv_arena.stats()["bytes_in_use"] == 0
