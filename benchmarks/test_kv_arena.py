@@ -1,13 +1,30 @@
 """X4 — paged KV-cache arena vs the legacy concatenate decode path.
 
-The decode hot path claim of the KV-arena PR, measured: at generation
-length >= 256 the arena path (in-place block appends, cached masks, score
-scratch reuse) must deliver >= 1.5x the dense-concatenate path's decode
-tokens/second, and its per-step cache-append traffic must stay flat in
-sequence length while the dense path's grows linearly.  The float16
-storage mode must roughly halve peak resident KV bytes.  Results are
-written to ``benchmarks/_artifacts/BENCH_kv_arena.json`` so the perf
-trajectory is tracked from this PR onward (``build_artifacts.py`` emits
+What the KV arena buys, measured: its per-step cache-append traffic stays
+flat in sequence length while the dense-concatenate path's grows linearly,
+and the float16 storage mode roughly halves peak resident KV bytes.  Those
+are the gates here; decode tokens/s of both paths is reported, not gated.
+
+The original speed bar (arena >= 1.5x dense decode tokens/s) measured an
+accident, not the arena: ``DenseKVCache`` has no score scratch, so its
+one-token step multiplied the scores out of place by a float64 NumPy scalar
+and ran the rest of the forward in float64, while the arena's in-place
+multiply stayed float32.  Sets of nine alternating 272-step pairs on a busy
+2-core host — before that was fixed (3 sets): dense 2.3-4.3k vs arena
+3.4-6.6k tokens/s, median pair ratio 1.40-1.51x, single pairs 1.24-1.99x;
+with every forward float32 (4 sets): dense 3.0-6.5k vs arena 3.1-6.1k,
+median pair ratio 1.00-1.04x, single pairs 0.74-1.41x.  Both paths got
+faster; the ratio was the accident.
+
+No "not slower than dense, >= 0.9x" bar replaces it, because nothing cheap
+enough for this file resolves it on a shared host: the two are within a few
+percent (per-step least-time readings centre on 0.96-0.97x: at 64 columns
+the arena's append bookkeeping costs about what dense's small concatenate
+does), and in 12 to 30 readings each the single shot, the median of 5
+alternating pairs, least time per side over 5 runs, and per-step least time
+over 5 and over 11 alternating runs all dipped below 0.9 at least once
+(worst 0.77-0.89).  Results are written to
+``benchmarks/_artifacts/BENCH_kv_arena.json`` (``build_artifacts.py`` emits
 the same report for the definitive run).
 """
 
@@ -152,7 +169,7 @@ def report() -> dict:
 
 
 @pytest.mark.slow
-def test_arena_decode_speedup(report):
+def test_arena_decode_speed_is_reported(report):
     rows = [
         ["dense concatenate", f"{report['dense_tokens_per_second']:.1f}", "1.00x"],
         ["paged arena", f"{report['arena_tokens_per_second']:.1f}", f"{report['speedup']:.2f}x"],
@@ -170,7 +187,8 @@ def test_arena_decode_speedup(report):
             title=f"Paged KV arena vs dense concatenate ({DECODE_STEPS} generated tokens)",
         )
     )
-    assert report["speedup"] >= 1.5
+    # Reported, not gated (see the module docstring): the arena's claims are
+    # the traffic, bytes and sharing assertions below and in tests/.
 
 
 @pytest.mark.slow

@@ -224,10 +224,13 @@ class DecodingBatch:
         for b, row in enumerate(self.rows):
             pending[b, 0] = row.pending
         mask = self._mask[:, :total] if self._mask is not None else None
+        # Unpadded rows all sit at the cache offset: ``positions=None`` says
+        # so without a per-row rotary gather.
+        positions = self._positions if mask is not None else None
         # Shielded: the forward appends one K/V column per layer; a fault
         # between layers would leave the shared caches at mixed lengths.
         with shield():
-            logits = self.model.forward_incremental(pending, self.caches, self._positions, mask)
+            logits = self.model.forward_incremental(pending, self.caches, positions, mask)
         self._positions += 1
         for row in self.rows:
             row.real_length += 1
@@ -273,9 +276,11 @@ class DecodingBatch:
         for b, row in enumerate(self.rows):
             tokens[b, 0] = row.pending
             tokens[b, 1:] = drafts[b]
-        positions = self._positions + np.arange(width, dtype=np.int64)[None, :]
         total = old_total + width
         mask = self._mask[:, :total] if self._mask is not None else None
+        positions = None  # as in step(): unpadded rows sit at the cache offsets
+        if mask is not None:
+            positions = self._positions + np.arange(width, dtype=np.int64)[None, :]
         # Shielded like step(): the forward appends k+1 K/V columns per
         # layer, and the rollback below must also land on every layer.
         with shield():

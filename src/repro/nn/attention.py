@@ -6,13 +6,18 @@ layer supports an inference-time key/value cache so generation costs
 O(T) per new token instead of O(T^2).
 
 The decode hot path is allocation-free by design: K/V columns append in
-place into arena slabs (:mod:`repro.nn.kv_arena`), causal masks come from
-a memoized table keyed by ``(new_length, total, diagonal)``, rotary
-cos/sin tables are shared process-wide, the score matmul writes into a
-per-slab scratch buffer and masking + softmax run in place on it.
+place into arena slabs (:mod:`repro.nn.kv_arena`), causal masks are views
+of one read-only triangular table, rotary cos/sin tables are shared
+process-wide, the score matmul writes into a per-slab scratch buffer and
+masking + softmax run in place on it.  Activations stay float32 end to
+end: the one constant that multiplies them (the score scale) is an
+``np.float32``, because under NumPy 2 a float64 *NumPy* scalar promotes a
+float32 array to float64 (Python floats do not).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,32 +28,34 @@ from repro.nn.rotary import apply_rotary, apply_rotary_backward, shared_rotary_t
 
 NEG_INF = np.float32(-1e9)
 
-_MASK_CACHE: dict[tuple[int, int, int], np.ndarray | None] = {}
-_MASK_CACHE_LIMIT = 512
+_causal_table = np.zeros((0, 0), dtype=bool)  # np.triu(ones, k=1), grown on demand
 
 
 def causal_mask(new_length: int, total: int, diagonal: int) -> np.ndarray | None:
-    """Memoized boolean mask: True where query ``i`` must not see key ``j``.
+    """Read-only boolean mask: True where query ``i`` must not see key ``j``.
 
-    Equivalent to ``np.triu(np.ones((new_length, total), bool), k=diagonal)``
-    but built once per shape instead of once per forward call.  Returns
-    ``None`` when the mask would be all-False (every single-token decode
-    step: ``diagonal == total``), letting callers skip masking entirely.
-    The cached arrays are read-only.
+    Equal to ``np.triu(np.ones((new_length, total), bool), k=diagonal)`` for
+    ``diagonal >= 1``, but never built per call: ``j - i >= diagonal`` is
+    row ``i + diagonal - 1`` of one strictly-upper-triangular table, so
+    every mask is a view of it (the table at least doubles when it must
+    grow, so a process rebuilds it O(log N) times).  Returns ``None`` when
+    the mask would be all-False (every single-token decode step:
+    ``diagonal == total``), letting callers skip masking entirely.
     """
-    key = (new_length, total, diagonal)
-    try:
-        return _MASK_CACHE[key]
-    except KeyError:
-        pass
-    mask = np.triu(np.ones((new_length, total), dtype=bool), k=diagonal)
-    entry: np.ndarray | None = mask if mask.any() else None
-    if entry is not None:
-        entry.flags.writeable = False
-    if len(_MASK_CACHE) >= _MASK_CACHE_LIMIT:
-        _MASK_CACHE.clear()
-    _MASK_CACHE[key] = entry
-    return entry
+    global _causal_table
+    if diagonal < 1:
+        raise ValueError(f"causal_mask diagonal {diagonal} < 1")
+    if diagonal >= total:
+        return None
+    first = diagonal - 1
+    table = _causal_table
+    extent = max(total, first + new_length)
+    if table.shape[0] < extent:
+        extent = max(extent, 2 * table.shape[0])
+        table = np.triu(np.ones((extent, extent), dtype=bool), k=1)
+        table.flags.writeable = False
+        _causal_table = table
+    return table[first : first + new_length, :total]
 
 
 class CausalSelfAttention(Layer):
@@ -65,8 +72,24 @@ class CausalSelfAttention(Layer):
         self.key_proj = Linear(f"{name}.k", dim, dim, rng, std=std, bias=False)
         self.value_proj = Linear(f"{name}.v", dim, dim, rng, std=std, bias=False)
         self.out_proj = Linear(f"{name}.o", dim, dim, rng, std=std)
+        self._pack_qkv()
+        self._scale = np.float32(1.0 / math.sqrt(self.head_dim))
         self._cos, self._sin = shared_rotary_tables(n_positions, self.head_dim)
         self._cache: dict[str, np.ndarray] | None = None
+
+    def _pack_qkv(self) -> None:
+        """Make the q/k/v weights column views of one packed ``(dim, 3*dim)`` array.
+
+        Inference projects Q, K and V with one matmul over ``_qkv``; the
+        three Linears (drawn in the order the seeded state_dict depends on)
+        keep training and checkpoints working on the same memory.  Writers
+        may update those ``weight.data`` in place or rebind them:
+        :meth:`forward_incremental` re-packs when a view is no longer ours.
+        """
+        projections = (self.query_proj, self.key_proj, self.value_proj)
+        self._qkv = np.concatenate([proj.weight.data for proj in projections], axis=1)
+        for index, proj in enumerate(projections):
+            proj.weight.data = self._qkv[:, index * self.dim : (index + 1) * self.dim]
 
     # -- shape helpers -----------------------------------------------------
 
@@ -93,8 +116,7 @@ class CausalSelfAttention(Layer):
         rotated_queries = apply_rotary(queries, cos, sin)
         rotated_keys = apply_rotary(keys, cos, sin)
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (rotated_queries @ rotated_keys.transpose(0, 1, 3, 2)) * scale
+        scores = (rotated_queries @ rotated_keys.transpose(0, 1, 3, 2)) * self._scale
         causal = causal_mask(length, length, 1)
         if causal is not None:
             np.copyto(scores, NEG_INF, where=causal)
@@ -128,8 +150,7 @@ class CausalSelfAttention(Layer):
         # softmax backward (per row)
         weighted = (grad_weights * weights).sum(axis=-1, keepdims=True)
         grad_scores = weights * (grad_weights - weighted)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        grad_scores *= scale
+        grad_scores *= self._scale
 
         grad_rotated_queries = grad_scores @ cache["rotated_keys"]
         grad_rotated_keys = grad_scores.transpose(0, 1, 3, 2) @ cache["rotated_queries"]
@@ -187,16 +208,25 @@ class CausalSelfAttention(Layer):
         causal mask is vacuous and skipped, masked fill and softmax run in
         place.
         """
-        batch, new_length, _ = x.shape
+        batch, new_length, width = x.shape
         offset = kv_cache.length
         total = offset + new_length
         if total > self.n_positions:
             raise ShapeError(
                 f"cache {offset} + new {new_length} exceeds n_positions {self.n_positions}"
             )
-        queries = self._split_heads(self.query_proj.forward(x, training=False))
-        keys = self._split_heads(self.key_proj.forward(x, training=False))
-        values = self._split_heads(self.value_proj.forward(x, training=False))
+        if width != self.dim:
+            raise ShapeError(f"attention input dim {width} != {self.dim}")
+        packed = self._qkv
+        if not (
+            self.query_proj.weight.data.base is packed
+            and self.key_proj.weight.data.base is packed
+            and self.value_proj.weight.data.base is packed
+        ):
+            self._pack_qkv()  # a weight was rebound (e.g. load_state_dict)
+        # One matmul for Q, K and V, viewed as (3, B, H, T_new, D).
+        qkv = (x @ self._qkv).reshape(batch, new_length, 3, self.n_heads, self.head_dim)
+        qkv = qkv.transpose(2, 0, 3, 1, 4)
 
         if rope is not None:
             cos_new, sin_new = rope
@@ -215,24 +245,20 @@ class CausalSelfAttention(Layer):
                 )
             cos_new = self._cos[positions][:, None]  # (B, 1, T_new, rot)
             sin_new = self._sin[positions][:, None]
-        rotated_queries = apply_rotary(queries, cos_new, sin_new)
-        rotated_keys = apply_rotary(keys, cos_new, sin_new)
+        # Queries and keys rotate in one call: cos/sin broadcast over the
+        # leading stacked axis exactly as they do over heads.
+        rotated_queries, rotated_keys = apply_rotary(qkv[:2], cos_new, sin_new)
 
-        all_keys, all_values = kv_cache.append(rotated_keys, values)
-        scale = 1.0 / np.sqrt(self.head_dim)
+        all_keys, all_values = kv_cache.append(rotated_keys, qkv[2])
         scores = None
         if new_length == 1:
             scratch = getattr(kv_cache, "decode_scores", None)
             if scratch is not None:
                 scores = scratch(self.n_heads)
-        if scores is not None:
-            np.matmul(rotated_queries, all_keys.transpose(0, 1, 3, 2), out=scores)
-            scores *= scale
-        else:
-            scores = (rotated_queries @ all_keys.transpose(0, 1, 3, 2)) * scale
-        causal = causal_mask(new_length, total, offset + 1)
-        if causal is not None:
-            np.copyto(scores, NEG_INF, where=causal)
+        scores = np.matmul(rotated_queries, all_keys.transpose(0, 1, 3, 2), out=scores)
+        scores *= self._scale
+        if new_length > 1:  # a lone new token may see every key: nothing to mask
+            np.copyto(scores, NEG_INF, where=causal_mask(new_length, total, offset + 1))
         if key_padding_mask is not None:
             key_padding_mask = np.asarray(key_padding_mask, dtype=bool)
             if key_padding_mask.shape != (batch, total):

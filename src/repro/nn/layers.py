@@ -110,14 +110,22 @@ class LayerNorm(Layer):
         self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
+        # ``np.add.reduce`` + in-place divide: the two ufuncs ``ndarray.mean``
+        # runs, bit for bit, without its Python wrapper — this sits on the
+        # dispatch-bound decode path of every block.
+        dim = x.shape[-1]
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        mean /= dim
         centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
+        variance = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+        variance /= dim
         inv_std = 1.0 / np.sqrt(variance + self.eps)
         normalized = centered * inv_std
         if training:
             self._cache = (normalized, inv_std, centered)
-        return normalized * self.gamma.data + self.beta.data
+        out = normalized * self.gamma.data
+        out += self.beta.data
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -49,7 +49,10 @@ def shared_rotary_tables(
 
 
 def apply_rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate ``x`` of shape (B, H, T, D) using tables sliced to T rows.
+    """Rotate ``x`` of shape (..., T, D) using tables sliced to T rows.
+
+    Any leading axes the tables broadcast over will do: (B, H) for one
+    tensor, (2, B, H) for stacked queries and keys rotated in one call.
 
     Even/odd dimension pairs form the rotation planes::
 

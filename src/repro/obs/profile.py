@@ -83,9 +83,12 @@ def iter_layers(root) -> list:
 # closure at attach time so the per-call path only reads the shapes that
 # vary.  Cost functions run *after* the wrapped call, so post-call state
 # (e.g. the appended KV-cache length) is available.  Only the op's own
-# work is counted: attention's projections are Linear layers profiled as
-# their own ops, so the attention entry covers just the score/context
-# matmuls, softmax and rotary application — no FLOP is attributed twice.
+# work is counted: the Linear layers attention calls are profiled as their
+# own ops, so the attention entry covers the score/context matmuls,
+# softmax, rotary application and — on the incremental path, where Q/K/V
+# are one packed matmul rather than three Linear calls — that projection.
+# No FLOP is attributed twice, and ``forward`` and ``forward_incremental``
+# of the same ids total the same FLOPs.
 
 
 def _linear_cost(layer):
@@ -189,7 +192,13 @@ def _attention_incremental_cost(layer):
         # The cost function runs post-call, so kv_cache.length is the
         # post-append total the new queries actually attended over.
         cache = args[1]
-        flops, moved = _attention_shapes(heads, head_dim, dim, args[0], cache.length)
+        x = args[0]
+        flops, moved = _attention_shapes(heads, head_dim, dim, x, cache.length)
+        # The op's own packed (dim, 3*dim) Q/K/V matmul: x read once,
+        # three weight blocks read, three outputs written.
+        m = x.size // dim
+        flops += 6.0 * m * dim * dim
+        moved += _F32 * (m * dim + 3 * dim * dim + 3 * m * dim)
         # Cache-append traffic is where the paged arena and the legacy
         # concatenate path diverge: in-place arena appends report O(new)
         # bytes per step, dense concatenation O(total) — the profiler

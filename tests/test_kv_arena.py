@@ -223,7 +223,7 @@ class TestHotPathCaches:
     def test_causal_mask_is_memoized_and_readonly(self):
         a = causal_mask(4, 9, 6)
         b = causal_mask(4, 9, 6)
-        assert a is b
+        assert np.shares_memory(a, b)
         assert not a.flags.writeable
         expected = np.triu(np.ones((4, 9), dtype=bool), k=6)
         np.testing.assert_array_equal(a, expected)

@@ -254,8 +254,26 @@ class TestCostModelCoverage:
         head_dim = SIZE_350M.dim // heads
         dim = SIZE_350M.dim
         scores = 1 * heads * 1 * 5  # one new query over 5 total keys
-        expected_per_layer = 2 * scores * head_dim * 2 + 5 * scores + 12 * (1 * 1 * dim)
+        packed_qkv = 6 * 1 * dim * dim  # the op's own Q/K/V matmul for one new row
+        expected_per_layer = 2 * scores * head_dim * 2 + 5 * scores + 12 * (1 * 1 * dim) + packed_qkv
         assert stat.flops == pytest.approx(layers * expected_per_layer)
+        profiler.detach()
+
+    def test_incremental_and_training_forward_count_the_same_flops(self):
+        # The packed Q/K/V matmul of the incremental path is booked on the
+        # attention op; training books the same FLOPs on three Linear ops.
+        network = small_network()
+        ids = np.array([[1, 2, 3, 4, 5, 6, 7], [3, 4, 5, 6, 7, 8, 9]], dtype=np.int64)
+        profiler = OpProfiler().attach(network)
+        network.forward(ids, training=False)
+        full = profiler.total_flops
+        profiler.detach()
+        profiler = OpProfiler().attach(network)
+        network.forward_incremental(ids, network.new_cache())
+        assert profiler.total_flops == full
+        by_name = {stat.name: stat for stat in profiler.stats()}
+        # Only out_proj, the two MLP layers and lm_head remain Linear ops.
+        assert by_name["Linear.forward"].calls == 3 * network.config.n_layers + 1
         profiler.detach()
 
 
@@ -276,7 +294,8 @@ class TestSmokeEndToEnd:
         assert "CausalSelfAttention.forward" in names
         assert profiler.total_flops > 0
         assert profiler.alloc_high_water_bytes > 0
-        table = format_op_table(profiler.stats(), top=5)
+        # Every row, not the five slowest: which ops those are is wall time.
+        table = format_op_table(profiler.stats(), top=len(profiler.stats()))
         assert "Linear.forward" in table
         assert "GFLOP/s" in table
         profiler.detach()
