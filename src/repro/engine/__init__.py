@@ -20,7 +20,7 @@ Layers (bottom-up):
 """
 
 from repro.engine.batched_decode import BatchRow, DecodingBatch, generate_greedy_batch, prefill_single
-from repro.engine.batcher import ContinuousBatcher, advance_request
+from repro.engine.batcher import ContinuousBatcher
 from repro.engine.engine import InferenceEngine
 from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import ABNORMAL_STOP_REASONS, GenerationRequest, RequestState
@@ -39,7 +39,6 @@ __all__ = [
     "generate_greedy_batch",
     "prefill_single",
     "ContinuousBatcher",
-    "advance_request",
     "InferenceEngine",
     "PrefixCache",
     "GenerationRequest",

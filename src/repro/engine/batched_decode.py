@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import EngineError
 from repro.faults.inject import shield
 from repro.nn.kv_arena import KVArena, KVCache
-from repro.nn.sampling import GenerationResult, plan_prompt
+from repro.nn.sampling import GenerationResult, advance, plan_prompt
 from repro.nn.transformer import DecoderLM
 
 PAD_TOKEN_ID = 0  # embedding input for padding slots; masked out of attention
@@ -124,7 +124,7 @@ class DecodingBatch:
             self._pending = self._positions = self._mask = None
             return
         self._pending = np.empty((batch, 1), dtype=np.int64)
-        self._positions = np.array([[row.real_length] for row in self.rows], dtype=np.int64)
+        self._positions = np.empty((batch, 1), dtype=np.int64)  # filled from real_length per step
         total = self.total_columns
         pads = [total - row.real_length for row in self.rows]
         if any(pads):
@@ -202,7 +202,7 @@ class DecodingBatch:
             logits = self.model.forward_incremental(
                 ids, self.caches, positions, mask if width > min(lengths) else None
             )
-        first_tokens = [int(row.argmax()) for row in logits[:, -1, :]]
+        first_tokens = logits[:, -1].argmax(axis=-1).tolist()
         for b, payload in enumerate(payloads):
             self.rows.append(BatchRow(payload=payload, real_length=lengths[b], pending=first_tokens[b]))
         self._refresh_step_scratch()
@@ -220,21 +220,21 @@ class DecodingBatch:
         if not self.rows:
             raise EngineError("decode step on an empty batch")
         total = self.total_columns + 1
-        pending = self._pending
+        pending, positions = self._pending, self._positions
         for b, row in enumerate(self.rows):
             pending[b, 0] = row.pending
+            positions[b, 0] = row.real_length
+            row.real_length += 1  # the column the forward below appends
         mask = self._mask[:, :total] if self._mask is not None else None
         # Unpadded rows all sit at the cache offset: ``positions=None`` says
         # so without a per-row rotary gather.
-        positions = self._positions if mask is not None else None
+        if mask is None:
+            positions = None
         # Shielded: the forward appends one K/V column per layer; a fault
         # between layers would leave the shared caches at mixed lengths.
         with shield():
             logits = self.model.forward_incremental(pending, self.caches, positions, mask)
-        self._positions += 1
-        for row in self.rows:
-            row.real_length += 1
-        return [int(row.argmax()) for row in logits[:, -1, :]]
+        return logits[:, -1].argmax(axis=-1).tolist()
 
     def speculative_step(self, drafts: list[list[int]]) -> list[list[int]]:
         """One draft-then-verify decode step; returns emitted tokens per row.
@@ -276,6 +276,7 @@ class DecodingBatch:
         for b, row in enumerate(self.rows):
             tokens[b, 0] = row.pending
             tokens[b, 1:] = drafts[b]
+            self._positions[b, 0] = row.real_length
         total = old_total + width
         mask = self._mask[:, :total] if self._mask is not None else None
         positions = None  # as in step(): unpadded rows sit at the cache offsets
@@ -302,7 +303,6 @@ class DecodingBatch:
                 with shield():
                     for cache in self.caches:
                         cache.truncate(total - drop)
-            self._positions += accepts[0]
         else:
             # Mixed acceptance: re-pack every row right-aligned at the new
             # max length (one copy per mixed step, never per token).
@@ -331,10 +331,8 @@ class DecodingBatch:
         keep = [i for i in range(len(self.rows)) if i not in dropped]
         self.rows = [self.rows[i] for i in keep]
         if not self.rows:
-            with shield():
-                for cache in self.caches:
-                    cache.release()
-                self.caches = self.model.new_cache(self.arena)
+            for cache in self.caches:
+                cache.release()  # a released handle is as good as a new one
             self._refresh_step_scratch()
             return retired
         trim = self.total_columns - max(row.real_length for row in self.rows)
@@ -367,22 +365,16 @@ def generate_greedy_batch(
     results: list[GenerationResult | None] = [None] * len(prompts)
     generated: list[list[int]] = [[] for _ in prompts]
 
-    def advance(index: int, next_id: int) -> str | None:
-        if next_id in stop_ids:
-            return "stop_token"
-        generated[index].append(next_id)
-        if len(generated[index]) >= max_new_tokens:
-            return "max_tokens"
-        if len(planned[index][0]) + len(generated[index]) >= window:
-            return "context_full"
-        return None
+    def advance_row(index: int, next_id: int) -> str | None:
+        prompt_length = len(planned[index][0])
+        return advance(generated[index], next_id, stop_ids, max_new_tokens, prompt_length, window)
 
     batch = DecodingBatch(model)
     first_tokens = batch.admit_prompts([prompt for prompt, _ in planned], list(range(len(prompts))))
     finished = []
     for position, next_id in enumerate(first_tokens):
         index = batch.rows[position].payload
-        reason = advance(index, next_id)
+        reason = advance_row(index, next_id)
         if reason is not None:
             results[index] = GenerationResult(generated[index], reason, planned[index][1])
             finished.append(position)
@@ -393,7 +385,7 @@ def generate_greedy_batch(
         finished = []
         for position, next_id in enumerate(next_tokens):
             index = batch.rows[position].payload
-            reason = advance(index, next_id)
+            reason = advance_row(index, next_id)
             if reason is None:
                 batch.rows[position].pending = next_id
             else:

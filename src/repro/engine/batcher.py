@@ -24,6 +24,11 @@ decoding, and the point where the prefix cache plugs in); decode runs
 batched.  This mirrors the prefill/decode split of modern serving engines
 at laptop scale.
 
+A request may carry its caller's own warm ``caches`` (a keystroke
+session): prefill runs atop those handles instead of the prefix cache,
+and when the row leaves the batch its K/V goes back into them.  Such a
+request runs alone, so both moves are zero-copy ``take_from`` steals.
+
 Robustness: every step first *reaps* — cancelled or deadline-expired
 requests are retired from the queue and the active batch before any new
 work runs, so a cancelled mid-decode row frees its KV slabs within one
@@ -48,29 +53,10 @@ from repro.errors import EngineError, InjectedFault
 from repro.faults import clock
 from repro.faults.inject import fire
 from repro.nn.kv_arena import KVArena
+from repro.nn.sampling import advance
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability
 from repro.obs.metrics import linear_buckets
-
-
-def advance_request(request: GenerationRequest, next_id: int, window: int) -> str | None:
-    """Apply one sampled token to a request; return its stop reason, if any.
-
-    Token-for-token the same policy as
-    :func:`~repro.nn.sampling.generate_greedy`: a stop token ends the
-    request without being emitted, an exhausted budget ends it with
-    ``max_tokens``, and a full context window ends it with
-    ``context_full``.  The budget is checked first, so ``context_full``
-    always means the window cut generation short of the budget.
-    """
-    if next_id in request.stop_ids:
-        return "stop_token"
-    request.generated.append(next_id)
-    if len(request.generated) >= request.max_new_tokens:
-        return "max_tokens"
-    if request.prompt_length + len(request.generated) >= window:
-        return "context_full"
-    return None
 
 
 class ContinuousBatcher:
@@ -163,6 +149,11 @@ class ContinuousBatcher:
     def submit(self, request: GenerationRequest) -> None:
         if request.state is not RequestState.QUEUED:
             raise EngineError(f"request {request.request_id} is {request.state.value}, not queued")
+        live = [*self.queue, *(row.payload for row in self.batch.rows)]
+        if live and (request.caches is not None or live[0].caches is not None):
+            # No copy-out of one row of a shared batch while the engine lock
+            # serialises callers; a live warm request is alone, so ``live[0]``.
+            raise EngineError("a request atop caller-owned caches must run alone in the batcher")
         self.queue.append(request)
 
     def _admits(self, request: GenerationRequest) -> bool:
@@ -177,8 +168,9 @@ class ContinuousBatcher:
     def book(self, request: GenerationRequest) -> None:
         """Count one finished request: the only place an outcome is booked.
 
-        Each site that finishes a request — three here, three in the
-        session loop — follows it with this call and nothing else that
+        Each of the three sites that finish a request — abnormal
+        termination, a first-token finish at admission, the decode step's
+        publish pass — follows it with this call and nothing else that
         counts, so submitted == Σ outcomes at quiescence.  One hold for
         the pair: ``stats()`` derives ``completed_requests`` from it.
         """
@@ -202,8 +194,6 @@ class ContinuousBatcher:
 
     def _reap_queue(self, now: float) -> None:
         """Finish queued requests that were cancelled or expired while waiting."""
-        if not self.queue:
-            return
         survivors: deque[GenerationRequest] = deque()
         for request in self.queue:
             if request.cancel_requested:
@@ -226,15 +216,29 @@ class ContinuousBatcher:
                 self._finish_abnormal(request, "deadline_exceeded")
                 finished.append(position)
         if finished:
-            self.batch.retire(finished)
+            self._retire(finished)
+
+    def _retire(self, positions: list[int]) -> None:
+        """Drop rows from the batch; a warm row (alone, by ``submit``'s rule)
+        steals its K/V back into its owner's handles — the mirror of admit."""
+        caches = self.batch.rows[positions[0]].payload.caches
+        if caches is not None:
+            for own, shared in zip(caches, self.batch.caches):
+                own.take_from(shared)
+        self.batch.retire(positions)
 
     def _admit_one(self) -> None:
         request = self.queue.popleft()
         request.begin_prefill()
         self._c_admitted.inc()
-        seeded = None
-        if self.prefix_cache is not None:
-            match = self.prefix_cache.lookup(request.prompt_ids)
+        seeded = warm = request.caches
+        # A caller's warm K/V is private (it includes generated tokens):
+        # never looked up in, nor inserted into, the shared prefix cache.
+        prefix_cache = self.prefix_cache if warm is None else None
+        if warm is not None:
+            request.prefix_reused = warm[0].length
+        elif prefix_cache is not None:
+            match = prefix_cache.lookup(request.prompt_ids)
             if match is not None:
                 request.prefix_reused, seeded = match
                 self._c_prefix_hits.inc()
@@ -255,20 +259,26 @@ class ContinuousBatcher:
             return
         self._h_prefill_forward.observe(clock.now() - forward_started)
         self._c_prefill_tokens.inc(prefilled)
-        if self.prefix_cache is not None:
-            if self.prefix_cache.insert(request.prompt_ids, caches):
-                request.prefix_key = tuple(request.prompt_ids)
-        appended_from = len(request.generated)
-        reason = advance_request(request, first_token, self.model.config.n_positions)
-        request.emit_tokens(request.generated[appended_from:])
+        if prefix_cache is not None and prefix_cache.insert(request.prompt_ids, caches):
+            request.prefix_key = tuple(request.prompt_ids)
+        request.begin_decode()  # the first token exists: TTFT is defined from here
+        reason = advance(
+            request.generated,
+            first_token,
+            request.stop_ids,
+            request.max_new_tokens,
+            request.prompt_length,
+            self.model.config.n_positions,
+        )
+        request.emit_tokens(request.generated)
         if reason is not None:
             # Finished on its very first token — never occupies a batch row.
             request.finish(reason)
             self.book(request)
-            for cache in caches:
-                cache.release()  # prefix-cache claims, if any, keep the slabs alive
+            if warm is None:
+                for cache in caches:
+                    cache.release()  # prefix-cache claims, if any, keep the slabs alive
             return
-        request.begin_decode()
         row = self.batch.admit(caches, pending=first_token, payload=request)
         if self.speculative_k:
             # Per-request draft state: the context the draft model sees —
@@ -347,20 +357,22 @@ class ContinuousBatcher:
         and retried on the next call.
         """
         now = clock.now()
-        self._reap_queue(now)
         self._reap_active(now)
-        while self.queue and self._admits(self.queue[0]):
-            self._admit_one()
-        if not self.batch.rows:
+        if self.queue:
+            self._reap_queue(now)
+            while self.queue and self._admits(self.queue[0]):
+                self._admit_one()
+            now = clock.now()  # prefill took time; the decode step starts here
+        rows = self.batch.rows
+        if not rows:
             return bool(self.queue)
-        step_started = clock.now()
         try:
             # The seam fires *before* the drafts and the model forward: a
             # raising fault skips the whole step, leaving per-layer caches
             # consistent, and the retry recomputes identical drafts from
             # the identical contexts (draft models are pure), so chaos
             # replay stays byte-identical with speculation enabled.
-            fire("engine.decode_step", batch=len(self.batch.rows))
+            fire("engine.decode_step", batch=len(rows))
             drafts = self._plan_drafts() if self.speculative_k else None
             if drafts is not None:
                 emitted = self.batch.speculative_step(drafts)
@@ -369,40 +381,43 @@ class ContinuousBatcher:
         except InjectedFault:
             self._c_decode_faults.inc()
             return True
-        step_elapsed = clock.now() - step_started
-        total_emitted = sum(len(tokens) for tokens in emitted)
-        self._h_decode_step.observe(step_elapsed)
-        self._h_per_token.observe(step_elapsed / total_emitted)
+        step_ended = clock.now()
+        window = self.model.config.n_positions
+        total_emitted = 0
+        finished: dict[int, str] = {}  # batch position -> stop reason
+        for position, tokens in enumerate(emitted):
+            row = rows[position]
+            request: GenerationRequest = row.payload
+            generated = request.generated
+            appended_from = len(generated)
+            total_emitted += len(tokens)
+            for next_id in tokens:
+                reason = advance(
+                    generated,
+                    next_id,
+                    request.stop_ids,
+                    request.max_new_tokens,
+                    len(request.prompt_ids),
+                    window,
+                )
+                if reason is not None:
+                    finished[position] = reason
+                    break
+            else:
+                row.pending = next_id
+                if row.context is not None:
+                    row.context.extend(tokens)
+            if request.on_tokens is not None:
+                request.emit_tokens(generated[appended_from:])
+        self._h_decode_step.observe(step_ended - now)
+        self._h_per_token.observe((step_ended - now) / total_emitted)
         self._h_occupancy.observe(len(emitted))
         if drafts is not None:
             for tokens in emitted:
                 self._h_accept_length.observe(len(tokens))
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record(
-                "engine.decode_step",
-                step_started,
-                step_started + step_elapsed,
-                batch=len(emitted),
-            )
-        window = self.model.config.n_positions
-        finished: dict[int, str] = {}  # batch position -> stop reason
-        for position, tokens in enumerate(emitted):
-            row = self.batch.rows[position]
-            request: GenerationRequest = row.payload
-            reason = None
-            appended_from = len(request.generated)
-            for next_id in tokens:
-                reason = advance_request(request, next_id, window)
-                if reason is not None:
-                    break
-            request.emit_tokens(request.generated[appended_from:])
-            if reason is None:
-                row.pending = tokens[-1]
-                if row.context is not None:
-                    row.context.extend(tokens)
-            else:
-                finished[position] = reason
+            tracer.record("engine.decode_step", now, step_ended, batch=len(emitted))
         # Publish the whole step's accounting in one lock pass so a
         # concurrent ``stats()`` never observes tokens from a step whose
         # completions it hasn't seen yet (or vice versa).
@@ -416,10 +431,11 @@ class ContinuousBatcher:
                 self._c_draft_proposed.inc(len(drafts[0]) * len(emitted))
                 self._c_draft_accepted.inc(total_emitted - len(emitted))
             for position, reason in finished.items():
-                request = self.batch.rows[position].payload
+                request = rows[position].payload
                 request.finish(reason)
                 self.book(request)
-        self.batch.retire(list(finished))
+        if finished:
+            self._retire(list(finished))
         return bool(self.batch.rows or self.queue)
 
     def run(self) -> None:

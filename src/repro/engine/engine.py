@@ -1,19 +1,23 @@
 """The engine facade: submit prompts, get completions, read stats.
 
 :class:`InferenceEngine` wires the request lifecycle, the prefix cache and
-the continuous batcher together behind two entry points:
+the continuous batcher together behind these entry points:
 
 * :meth:`generate_batch` — token-id level, returns
   :class:`~repro.nn.sampling.GenerationResult` per prompt;
+* :meth:`stream_ids` — one prompt, token bursts as they land;
+* :meth:`generate_atop` — one prompt atop the caller's own warm KV
+  handles (keystroke sessions), returns the finished request;
 * :meth:`complete_batch` / :meth:`complete` — text level (requires a
   tokenizer), making the engine a drop-in ``TextCompleter`` for
   :class:`repro.serving.service.PredictionService`.
 
-The engine is synchronous: a ``generate_batch`` call drains its own
-requests (and any the batcher admits along the way) before returning.  A
-coarse lock serialises concurrent callers — e.g. threads of the REST
-server — so the shared KV batch and prefix cache stay consistent; the
-batching *within* a call is what buys the throughput.
+All are consumers of one request lifecycle, :meth:`_run`.  The engine is
+synchronous: a call drains its own requests before returning.  A coarse
+lock serialises concurrent callers — e.g. threads of the REST server — so
+the shared KV batch and prefix cache stay consistent (the batch is empty
+whenever the lock is free); the batching *within* a call is what buys the
+throughput.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.engine.batcher import ContinuousBatcher
 from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import GenerationRequest
 from repro.errors import EngineError
-from repro.nn.kv_arena import DEFAULT_BLOCK_SIZE, KVArena
+from repro.nn.kv_arena import DEFAULT_BLOCK_SIZE, KVArena, KVCache
 from repro.nn.sampling import GenerationResult, plan_prompt
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability, OpProfiler, Tracer
@@ -120,7 +124,8 @@ class InferenceEngine:
         prompt_ids: list[int],
         max_new_tokens: int | None,
         stop_ids: frozenset[int] | set[int] | None,
-        deadline_s: float | None = None,
+        deadline_s: float | None,
+        **fields,
     ) -> GenerationRequest:
         budget_request = max_new_tokens or self.default_max_new_tokens
         prompt, effective = plan_prompt(
@@ -133,9 +138,43 @@ class InferenceEngine:
             effective_budget=effective,
             stop_ids=frozenset(stop_ids) if stop_ids is not None else self.default_stop_ids,
             deadline_s=deadline_s,
+            **fields,
         )
         self._next_request_id += 1
         return request
+
+    def _run(self, prompts, max_new_tokens, stop_ids, deadline_s, handles, **fields):
+        """The one request lifecycle; a generator that yields after every step.
+
+        Lock → mint (``fields`` go to every :class:`GenerationRequest`) →
+        publish to ``handles`` → submit → step until the batcher drains →
+        observe.  One unwinding rule for every way out — a step that
+        raised, a crash seam, a consumer that closed the generator: cancel
+        this caller's still-live requests and run one reap step (reaping
+        precedes the decode seam, so it cannot re-raise an injected fault).
+        The lock is never released with the caller's rows in the batch.
+        """
+        with self._lock:
+            requests = [
+                self._make_request(prompt, max_new_tokens, stop_ids, deadline_s, **fields)
+                for prompt in prompts
+            ]
+            if handles is not None:
+                handles.extend(requests)
+            try:
+                for request in requests:
+                    self.batcher.submit(request)
+                more = True
+                while more:
+                    more = self.batcher.step()
+                    yield
+            finally:
+                live = [request for request in requests if request.cancel()]
+                if live:
+                    self.batcher.step()
+                for request in requests:
+                    if request.is_finished:
+                        self._observe_request(request)
 
     def generate_batch(
         self,
@@ -159,19 +198,33 @@ class InferenceEngine:
         """
         if not prompts:
             return []
-        with self._lock:
-            requests = [
-                self._make_request(prompt, max_new_tokens, stop_ids, deadline_s)
-                for prompt in prompts
-            ]
-            if handles is not None:
-                handles.extend(requests)
-            for request in requests:
-                self.batcher.submit(request)
-            self.batcher.run()
-            for request in requests:
-                self._observe_request(request)
-            return [request.result for request in requests]
+        handles = handles if handles is not None else []
+        for _ in self._run(prompts, max_new_tokens, stop_ids, deadline_s, handles):
+            pass
+        return [request.result for request in handles[-len(prompts) :]]
+
+    def generate_atop(
+        self,
+        prompt_ids: list[int],
+        caches: list[KVCache],
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+    ) -> GenerationRequest:
+        """Greedy-decode one prompt atop the caller's warm KV handles.
+
+        ``caches`` hold K/V for a prefix of ``prompt_ids`` (short of its
+        last token; empty handles prefill everything) and stay the
+        caller's: only the uncovered suffix is prefilled, the slabs ride
+        in the batch while the request decodes, and when this returns — or
+        unwinds — column ``i`` of ``caches`` belongs to ``(prompt_ids +
+        generated)[i]`` (the last emitted token has none yet).  Only a
+        prefill fault releases them: the request comes back ``shed``.
+        Same tokens as :meth:`generate_batch`; DESIGN.md "Warm caches".
+        """
+        handle: list[GenerationRequest] = []
+        for _ in self._run([prompt_ids], max_new_tokens, None, deadline_s, handle, caches=caches):
+            pass
+        return handle[0]
 
     def stream_ids(
         self,
@@ -192,41 +245,22 @@ class InferenceEngine:
         The engine lock is held from the first ``next()`` until the
         generator finishes or is closed, so a stream serialises with other
         callers exactly like ``generate_batch``.  Closing the generator
-        mid-stream (client disconnect) cancels the request cooperatively
-        and runs one reap step, returning its KV slabs to the arena
-        immediately; the abandoned request terminates with the
-        ``cancelled`` outcome.  ``handle``, when given, receives the live
-        request before decoding starts — e.g. for a deadline watchdog or
-        an out-of-band :meth:`~GenerationRequest.cancel`.
+        mid-stream (client disconnect) unwinds the lifecycle: the request
+        is cancelled and reaped, returning its KV slabs to the arena
+        immediately, and terminates with the ``cancelled`` outcome.
+        ``handle``, when given, receives the live request before decoding
+        starts — e.g. for a deadline watchdog or an out-of-band
+        :meth:`~GenerationRequest.cancel`.
         """
-        self._lock.acquire()
+        pending: list[list[int]] = []
+        fields = {"on_tokens": lambda _request, tokens: pending.append(tokens)}
+        run = self._run([prompt_ids], max_new_tokens, stop_ids, deadline_s, handle, **fields)
         try:
-            request = self._make_request(prompt_ids, max_new_tokens, stop_ids, deadline_s)
-            if handle is not None:
-                handle.append(request)
-            pending: list[list[int]] = []
-            request.on_tokens = lambda _request, tokens: pending.append(tokens)
-            self.batcher.submit(request)
-            try:
-                while not request.is_finished:
-                    self.batcher.step()
-                    while pending:
-                        yield pending.pop(0)
+            for _ in run:
                 while pending:
                     yield pending.pop(0)
-            finally:
-                request.on_tokens = None
-                if not request.is_finished:
-                    # Consumer closed the generator (or a crash unwound the
-                    # step) with the request still live: cancel and reap so
-                    # the row's KV slabs free now, not at interpreter exit.
-                    # The reap pass runs before the decode seam fires, so
-                    # this cannot re-raise an injected fault.
-                    request.cancel()
-                    self.batcher.step()
-                self._observe_request(request)
         finally:
-            self._lock.release()
+            run.close()
 
     def _observe_request(self, request: GenerationRequest) -> None:
         """Fold a finished request into histograms and (if tracing) spans.
@@ -297,14 +331,8 @@ class InferenceEngine:
         deadline_s: float | None = None,
     ) -> list[str]:
         """Tokenize, batch-decode, detokenize."""
-        if self.tokenizer is None:
-            raise EngineError("engine has no tokenizer; use generate_batch with token ids")
-        encoded = [self.tokenizer.encode(prompt) for prompt in prompts]
-        for prompt, ids in zip(prompts, encoded):
-            if not ids:
-                raise EngineError(f"prompt encodes to no tokens: {prompt!r}")
-        results = self.generate_batch(encoded, max_new_tokens, deadline_s=deadline_s)
-        return [self.tokenizer.decode(result.token_ids) for result in results]
+        details = self.complete_batch_detailed(prompts, max_new_tokens, deadline_s)
+        return [detail["completion"] for detail in details]
 
     def complete_batch_detailed(
         self,
@@ -316,10 +344,10 @@ class InferenceEngine:
 
         Returns one dict per prompt with ``completion`` (possibly partial
         text), ``stop_reason``, ``outcome`` and ``ttft_s`` (time from
-        submission to the first decode step, or None when the request
-        never reached decode) — the serving layer routes on ``outcome``
-        (e.g. shed → fallback completer, deadline → 504) instead of
-        parsing exceptions, and surfaces ``ttft_s`` for SLO accounting.
+        submission to the first token, or None when prefill never produced
+        one) — the serving layer routes on ``outcome`` (e.g. shed →
+        fallback completer, deadline → 504) instead of parsing exceptions,
+        and surfaces ``ttft_s`` for SLO accounting.
         """
         if self.tokenizer is None:
             raise EngineError("engine has no tokenizer; use generate_batch with token ids")
@@ -336,11 +364,7 @@ class InferenceEngine:
                 "completion": self.tokenizer.decode(result.token_ids),
                 "stop_reason": result.stop_reason,
                 "outcome": request.outcome,
-                "ttft_s": (
-                    request.decode_started_at - request.submitted_at
-                    if request.decode_started_at is not None
-                    else None
-                ),
+                "ttft_s": request.ttft_s,
             }
             for result, request in zip(results, handles)
         ]

@@ -5,9 +5,11 @@ A :class:`GenerationRequest` moves through the states
     QUEUED -> PREFILL -> DECODE -> FINISHED
 
 QUEUED requests wait for batch capacity; PREFILL runs the prompt through
-the model once to warm the request's KV cache (possibly seeded from the
-prefix cache); DECODE means the request occupies a row of the active batch
-and receives one token per engine step; FINISHED requests carry a
+the model once to warm the request's KV cache (seeded from the prefix
+cache, or from the caller's own warm :attr:`~GenerationRequest.caches`);
+DECODE begins the moment prefill yields the first token — the request then
+occupies a row of the active batch and receives tokens every engine step,
+unless that first token already ended it; FINISHED requests carry a
 :class:`~repro.nn.sampling.GenerationResult`.
 
 A request can leave the pipeline early from *any* pre-finished state:
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import EngineError
 from repro.faults import clock
+from repro.nn.kv_arena import KVCache
 from repro.nn.sampling import GenerationResult
 
 #: Terminal stop reasons that are *not* normal completions.
@@ -70,7 +73,13 @@ class GenerationRequest:
             the first token at prefill).  Called inline on the scheduler
             thread — keep it cheap; exceptions are swallowed so one
             stream's consumer cannot poison unrelated batch rows.
-        prefix_reused: prompt tokens whose K/V came from the prefix cache.
+        caches: caller-owned per-layer :class:`~repro.nn.kv_arena.KVCache`
+            handles already holding K/V for a prefix of ``prompt_ids`` (a
+            keystroke session's warm slabs).  Prefill runs atop them
+            instead of the prefix cache, and whenever the request leaves
+            the batch the K/V is back in them (released on a prefill fault).
+        prefix_reused: prompt tokens whose K/V came from the prefix cache
+            or from ``caches``.
         prefix_key: the prefix-cache key this request inserted, if any —
             invalidated should the request terminate abnormally.
     """
@@ -92,6 +101,7 @@ class GenerationRequest:
     decode_started_at: float | None = None
     finished_at: float | None = None
     on_tokens: object | None = field(default=None, repr=False)
+    caches: list[KVCache] | None = field(default=None, repr=False)
     _cancel_requested: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -212,6 +222,14 @@ class GenerationRequest:
             prefill_s = max(0.0, decode_start - prefill_start)
             decode_s = max(0.0, end - decode_start)
         return {"queued_s": queued_s, "prefill_s": prefill_s, "decode_s": decode_s}
+
+    @property
+    def ttft_s(self) -> float | None:
+        """Submission to first token, on every path; None iff prefill never
+        produced one (reaped while queued, or shed)."""
+        if self.decode_started_at is None:
+            return None
+        return self.decode_started_at - self.submitted_at
 
     @property
     def footprint(self) -> int:

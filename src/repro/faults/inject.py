@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
 
 from repro.errors import InjectedFault
 from repro.faults import clock
@@ -207,16 +206,6 @@ class FaultInjector:
                 raise matched.error(f"injected fault at {seam} (call {call})", seam=seam, call=call)
             raise matched.error(f"injected fault at {seam} (call {call})")
 
-    @contextmanager
-    def shielded(self):
-        """Suspend injection on this thread for the duration of the block."""
-        depth = getattr(self._shield, "depth", 0)
-        self._shield.depth = depth + 1
-        try:
-            yield
-        finally:
-            self._shield.depth = depth
-
     # -- event log -----------------------------------------------------------
 
     def events(self) -> list[dict]:
@@ -266,16 +255,22 @@ def fire(seam: str, **context) -> None:
         injector._fire(seam, context)
 
 
-@contextmanager
-def shield():
-    """Suspend injection for the block (no-op when no injector is active).
+class shield:
+    """Suspend injection on this thread for the block (no-op when no injector is active).
 
     Used around multi-cache batch reshapes whose mid-flight failure would
-    corrupt shared state rather than model a real fault.
+    corrupt shared state rather than model a real fault.  A plain class,
+    not a ``@contextmanager`` generator: it is entered on every decode step.
     """
-    injector = _ACTIVE
-    if injector is None:
-        yield
-        return
-    with injector.shielded():
-        yield
+
+    __slots__ = ("_local",)
+
+    def __enter__(self) -> None:
+        injector = _ACTIVE
+        self._local = local = injector._shield if injector is not None else None
+        if local is not None:
+            local.depth = getattr(local, "depth", 0) + 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._local is not None:
+            self._local.depth -= 1

@@ -240,16 +240,18 @@ class InProcessWorker(_Worker):
         """Die the way a process would: drop everything, free the arena."""
         self.alive = False
         self.crashes += 1
+        if self.engine is not None:
+            # Before close_all: reaping a session's mid-decode row hands its
+            # slabs back to the session, which must still be there to free them.
+            self.engine.abort_all()
+            if self.engine.prefix_cache is not None:
+                self.engine.prefix_cache.clear()
         sessions = getattr(self.service, "sessions", None)
         if sessions is not None:
             try:
                 sessions.close_all()
             except Exception:
-                pass  # crashing anyway; abort_all below frees remaining slabs
-        if self.engine is not None:
-            self.engine.abort_all()
-            if self.engine.prefix_cache is not None:
-                self.engine.prefix_cache.clear()
+                pass  # crashing anyway
 
     def kill(self) -> None:
         """Simulate abrupt replica death (chaos control plane)."""

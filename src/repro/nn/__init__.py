@@ -1,7 +1,7 @@
 """Numpy neural-network substrate: layers, transformer, optimizer, sampling."""
 
 from repro.nn.attention import CausalSelfAttention, KVCache, causal_mask
-from repro.nn.kv_arena import DenseKVCache, KVArena, SlabRef, default_arena
+from repro.nn.kv_arena import KVArena, SlabRef, default_arena
 from repro.nn.layers import (
     Embedding,
     Layer,
@@ -29,7 +29,6 @@ __all__ = [
     "CausalSelfAttention",
     "KVCache",
     "causal_mask",
-    "DenseKVCache",
     "KVArena",
     "SlabRef",
     "default_arena",

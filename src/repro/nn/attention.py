@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache, default_arena  # noqa: F401 — re-exported
+from repro.nn.kv_arena import KVArena, KVCache, default_arena  # noqa: F401 — re-exported
 from repro.nn.layers import Layer, Linear, softmax, softmax_inplace
 from repro.nn.rotary import apply_rotary, apply_rotary_backward, shared_rotary_tables
 

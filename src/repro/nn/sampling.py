@@ -59,8 +59,52 @@ def plan_prompt(window: int, prompt_ids: list[int], max_new_tokens: int) -> tupl
     return list(prompt_ids), effective_budget
 
 
-def _prepare_prompt(model: DecoderLM, prompt_ids: list[int], max_new_tokens: int) -> tuple[list[int], int]:
-    return plan_prompt(model.config.n_positions, prompt_ids, max_new_tokens)
+def advance(
+    generated: list[int],
+    next_id: int,
+    stop_ids: frozenset[int] | set[int],
+    max_new_tokens: int,
+    prompt_length: int,
+    window: int,
+) -> str | None:
+    """Apply one picked token to ``generated``; return the stop reason, if any.
+
+    The one statement of the stop policy every decode loop shares: a stop
+    token ends the generation without being emitted, an exhausted budget
+    ends it with ``max_tokens``, and a full context window ends it with
+    ``context_full``.  The budget is checked first, so ``context_full``
+    always means the window cut generation short of the budget.
+    """
+    if next_id in stop_ids:
+        return "stop_token"
+    generated.append(next_id)
+    if len(generated) >= max_new_tokens:
+        return "max_tokens"
+    if prompt_length + len(generated) >= window:
+        return "context_full"
+    return None
+
+
+def _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, name, pick) -> GenerationResult:
+    """Batch-1 prefill + decode with KV cache; ``pick`` maps ``logits[0, -1]``
+    to the next token id — the only thing greedy and sampled decoding differ in."""
+    tracer = tracer if tracer is not None else NULL_TRACER
+    window = model.config.n_positions
+    prompt, budget = plan_prompt(window, prompt_ids, max_new_tokens)
+    with tracer.span(name, prompt_tokens=len(prompt)) as span:
+        with tracer.span("sampling.prefill", tokens=len(prompt)):
+            caches = model.new_cache()
+            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
+        generated: list[int] = []
+        with tracer.span("sampling.decode"):
+            while True:
+                next_id = pick(logits[0, -1])
+                reason = advance(generated, next_id, stop_ids, max_new_tokens, len(prompt), window)
+                if reason is not None:
+                    break
+                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
+        span.set(tokens=len(generated), stop_reason=reason)
+        return GenerationResult(generated, reason, budget)
 
 
 def generate_greedy(
@@ -78,36 +122,11 @@ def generate_greedy(
     reads the monotonic clock, so the produced tokens are identical with
     or without it.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    prompt, budget = _prepare_prompt(model, prompt_ids, max_new_tokens)
-    with tracer.span("sampling.greedy", prompt_tokens=len(prompt)) as span:
-        with tracer.span("sampling.prefill", tokens=len(prompt)):
-            caches = model.new_cache()
-            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
-        generated: list[int] = []
-        window = model.config.n_positions
-        with tracer.span("sampling.decode"):
-            result = None
-            for _ in range(max_new_tokens):
-                next_id = int(logits[0, -1].argmax())
-                if next_id in stop_ids:
-                    result = GenerationResult(generated, "stop_token", budget)
-                    break
-                generated.append(next_id)
-                if len(generated) >= max_new_tokens:
-                    result = GenerationResult(generated, "max_tokens", budget)
-                    break
-                # Budget checked first, so context_full always means a
-                # shortfall: the window ended generation before the
-                # requested budget.
-                if len(prompt) + len(generated) >= window:
-                    result = GenerationResult(generated, "context_full", budget)
-                    break
-                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
-            if result is None:
-                result = GenerationResult(generated, "max_tokens", budget)
-        span.set(tokens=len(result.token_ids), stop_reason=result.stop_reason)
-        return result
+
+    def pick(row: np.ndarray) -> int:
+        return int(row.argmax())
+
+    return _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, "sampling.greedy", pick)
 
 
 def generate_sampled(
@@ -123,40 +142,18 @@ def generate_sampled(
     """Temperature / top-k sampling with KV cache."""
     if temperature <= 0.0:
         raise GenerationError("temperature must be positive; use generate_greedy for argmax")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    prompt, budget = _prepare_prompt(model, prompt_ids, max_new_tokens)
-    with tracer.span("sampling.sampled", prompt_tokens=len(prompt)) as span:
-        with tracer.span("sampling.prefill", tokens=len(prompt)):
-            caches = model.new_cache()
-            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
-        generated: list[int] = []
-        window = model.config.n_positions
-        with tracer.span("sampling.decode"):
-            result = None
-            for _ in range(max_new_tokens):
-                scores = logits[0, -1].astype(np.float64) / temperature
-                if top_k > 0 and top_k < scores.shape[0]:
-                    cutoff = np.partition(scores, -top_k)[-top_k]
-                    scores = np.where(scores < cutoff, -np.inf, scores)
-                scores -= scores.max()
-                probabilities = np.exp(scores)
-                probabilities /= probabilities.sum()
-                next_id = int(rng.choice(scores.shape[0], p=probabilities))
-                if next_id in stop_ids:
-                    result = GenerationResult(generated, "stop_token", budget)
-                    break
-                generated.append(next_id)
-                if len(generated) >= max_new_tokens:
-                    result = GenerationResult(generated, "max_tokens", budget)
-                    break
-                if len(prompt) + len(generated) >= window:
-                    result = GenerationResult(generated, "context_full", budget)
-                    break
-                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
-            if result is None:
-                result = GenerationResult(generated, "max_tokens", budget)
-        span.set(tokens=len(result.token_ids), stop_reason=result.stop_reason)
-        return result
+
+    def pick(row: np.ndarray) -> int:
+        scores = row.astype(np.float64) / temperature
+        if top_k > 0 and top_k < scores.shape[0]:
+            cutoff = np.partition(scores, -top_k)[-top_k]
+            scores = np.where(scores < cutoff, -np.inf, scores)
+        scores -= scores.max()
+        probabilities = np.exp(scores)
+        probabilities /= probabilities.sum()
+        return int(rng.choice(scores.shape[0], p=probabilities))
+
+    return _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, "sampling.sampled", pick)
 
 
 def generate_beam(
@@ -171,8 +168,8 @@ def generate_beam(
 
     Scores are mean-adjusted by ``length_penalty`` (0 = pure log-prob sum).
     """
-    prompt, budget = _prepare_prompt(model, prompt_ids, max_new_tokens)
     window = model.config.n_positions
+    prompt, budget = plan_prompt(window, prompt_ids, max_new_tokens)
     beams: list[tuple[float, list[int], bool]] = [(0.0, [], False)]
     for _ in range(max_new_tokens):
         candidates: list[tuple[float, list[int], bool]] = []

@@ -532,8 +532,12 @@ class PredictionService:
                     if tail:
                         yield "token", {"text": tail, "token_ids": [], "index": index}
                     completion = tokenizer.decode(request.generated)
+                    # A first token that was a stop id produced no burst:
+                    # the engine's TTFT stands in (one rule: see DESIGN.md).
                     ttft_s = (
-                        first_token_at - started if first_token_at is not None else None
+                        first_token_at - started
+                        if first_token_at is not None
+                        else request.ttft_s
                     )
                     with self._lock:
                         self.cache.put(prompt, completion)

@@ -14,15 +14,19 @@ the K/V of every token fed so far, and an *extend* call
    context and rolls the caches back to it (``KVCache.truncate`` —
    zero-copy COW-safe rollback, the same primitive speculative decode
    uses),
-3. runs one ``forward_incremental`` over only the *suffix* — the few
-   tokens the keystroke actually added — and
-4. greedy-decodes with exactly the
-   :func:`~repro.engine.batcher.advance_request` stop policy.
+3. hands the planned prompt and the caches to
+   :meth:`~repro.engine.engine.InferenceEngine.generate_atop`: an
+   ordinary engine request whose prefill covers only the *suffix* — the
+   few tokens the keystroke actually added — and which decodes as a row
+   of the continuous batcher like every other request, and
+4. gets the same handles back holding the prompt plus every generated
+   token that was fed.
 
-Because causal attention makes incremental prefill bit-identical to
-prefilling from scratch (the property the prefix cache already relies
-on), an extend's completion is byte-identical to a cold re-prefill of the
-full buffer; the conformance suite asserts this across dtypes and seeds.
+This module never drives the model or books an outcome itself.  Because
+causal attention makes incremental prefill bit-identical to prefilling
+from scratch (the property the prefix cache already relies on), an
+extend's completion is byte-identical to a cold re-prefill of the full
+buffer; the conformance suite asserts this across dtypes and seeds.
 What changes is only the work: TTFT drops from O(buffer) to O(keystroke).
 
 Lifecycle: sessions are LRU-evicted beyond ``max_sessions``.  Every exit
@@ -33,10 +37,10 @@ no-orphaned-session invariants hold by construction, and ``created -
 closed - evicted - lost == live_sessions`` is a law
 :func:`repro.obs.audit` checks.
 
-Locking: public entry points take the manager lock, then the engine's
-request lock for anything touching the model or the arena — the same
-coarse serialisation as ``generate_batch``, in a fixed order, so sessions
-never race a batch decode for slabs.
+Locking: public entry points take the manager lock; the engine takes its
+own request lock inside ``generate_atop`` — always in that order, so
+sessions never race a batch decode for slabs.  ``close`` / ``close_all``
+take both: releasing a slab writes the arena.
 """
 
 from __future__ import annotations
@@ -45,28 +49,21 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.engine.batcher import advance_request
-from repro.engine.request import GenerationRequest
-from repro.errors import (
-    InjectedFault,
-    ServiceOverloadedError,
-    ServingError,
-    SessionNotFoundError,
-)
-from repro.faults.inject import fire
+from repro.errors import ServiceOverloadedError, ServingError, SessionNotFoundError
 from repro.nn.kv_arena import KVCache
+from repro.nn.sampling import plan_prompt
 
 
 #: Every count a manager keeps: each is the ``session.<name>`` registry
 #: series — its only store (DESIGN.md "Counting") — and the ``stats()`` key
-#: of the same name.  ``lost`` is a session dropped by a mid-prefill fault;
-#: ``decode_tokens`` is ALL generated tokens (the engine's series of that
-#: name counts only tokens emitted by batched decode steps).
+#: of the same name.  ``lost`` is a session dropped by a mid-prefill fault.
+#: Session requests are ordinary engine requests, so ``engine.prefill_tokens``
+#: / ``engine.decode_tokens`` include this traffic; the ``*_tokens`` series
+#: here are the session-scoped split (``decode_tokens`` counts every
+#: generated token, the prefill's first one included).
 COUNTS = (
     "created", "extends", "closed", "evicted", "lost",
-    "prefill_tokens", "reused_tokens", "decode_tokens", "decode_faults",
+    "prefill_tokens", "reused_tokens", "decode_tokens",
 )  # fmt: skip
 
 
@@ -163,7 +160,8 @@ class SessionManager:
 
         A dead replica must not leave orphaned sessions pinning arena
         blocks: this is what :class:`repro.fleet.worker.InProcessWorker`
-        calls from its crash handler, right after ``engine.abort_all()``.
+        calls from its crash handler, right after ``engine.abort_all()``
+        (which hands a mid-decode row's slabs back to its session first).
         """
         with self._lock, self.engine._lock:
             dropped = list(self._sessions.values())
@@ -173,113 +171,52 @@ class SessionManager:
 
     # -- generation core ------------------------------------------------------
 
-    def _run(self, session: _Session, request: GenerationRequest) -> dict:
-        """Prefill the suffix atop the session's warm caches, then decode.
+    def _generate(self, session: _Session, buffer: str, max_new_tokens, deadline_s) -> dict:
+        """One engine request atop the session's warm caches; manager lock held.
 
-        Token-for-token the policy of
-        :func:`~repro.nn.sampling.generate_greedy`: same planned prompt,
-        same stop handling, same budget-before-window ordering — which is
-        what makes a warm extend byte-identical to a cold re-prefill.
-        Both locks and the engine lock are held by the caller.
+        Same planned prompt as a cold request and the engine's one decode
+        loop — which is what makes a warm extend byte-identical to a cold
+        re-prefill.
         """
-        model = self.engine.network
-        window = model.config.n_positions
-        planned = request.prompt_ids
-        common = min(_common_prefix(session.cached_ids, planned), len(planned) - 1)
-        if common < session.caches[0].length:
+        engine = self.engine
+        ids = engine.tokenizer.encode(buffer)
+        if not ids:
+            raise ServingError(f"buffer encodes to no tokens: {buffer!r}")
+        budget = max_new_tokens or engine.default_max_new_tokens
+        planned, _ = plan_prompt(engine.network.config.n_positions, ids, budget)
+        held = session.caches[0].length
+        # At least the last prompt token is always prefilled: its logits
+        # pick the first generated token.
+        common = min(_common_prefix(session.cached_ids, planned), held, len(planned) - 1)
+        if common < held:
             for cache in session.caches:
                 cache.truncate(common)
-            del session.cached_ids[common:]
-        request.prefix_reused = common
-        suffix = planned[common:]
-        request.begin_prefill()
-        try:
-            logits = model.forward_incremental(
-                np.array([suffix], dtype=np.int64), session.caches
-            )
-        except BaseException:
-            # A fault mid-prefill (slab allocation, injected crash) can
-            # leave per-layer caches at mixed lengths — the session is
-            # unrecoverable.  Release every slab and forget it so the
+        del session.cached_ids[common:]
+        request = engine.generate_atop(planned, session.caches, budget, deadline_s)
+        if request.outcome == "shed":
+            # A fault mid-prefill (slab allocation, injected) can leave
+            # per-layer caches at mixed lengths, so the engine released
+            # them all: the session is unrecoverable.  Forget it — the
             # failure sheds this one request without leaking a byte.
             self._drop_locked(session, "lost")
-            request.finish("shed")
-            self.engine.batcher.book(request)
-            self.engine._observe_request(request)
-            raise
-        session.cached_ids.extend(suffix)
-        prefilled = len(suffix)
-        first_token = int(logits[0, -1].argmax())
-        request.begin_decode()
-        ttft_s = request.decode_started_at - request.submitted_at
-        appended_from = len(request.generated)
-        reason = advance_request(request, first_token, window)
-        request.emit_tokens(request.generated[appended_from:])
-        pending = first_token
-        try:
-            while reason is None:
-                if request.cancel_requested:
-                    reason = "cancelled"
-                    break
-                if request.expired():
-                    reason = "deadline_exceeded"
-                    break
-                try:
-                    # Same transient-fault contract as the batcher: the seam
-                    # fires before the forward touches any state, so a raised
-                    # InjectedFault skips nothing and the retry is identical.
-                    fire("engine.decode_step", batch=1, session=session.session_id)
-                except InjectedFault:
-                    self._counts["decode_faults"].inc()
-                    continue
-                logits = model.forward_incremental(
-                    np.array([[pending]], dtype=np.int64), session.caches
-                )
-                session.cached_ids.append(pending)
-                appended_from = len(request.generated)
-                pending = int(logits[0, -1].argmax())
-                reason = advance_request(request, pending, window)
-                request.emit_tokens(request.generated[appended_from:])
-        except BaseException:
-            # A crash unwinding the decode loop (WorkerCrashed fires before
-            # the forward, so the caches stay consistent): record the
-            # request as cancelled — the replica's crash handler closes
-            # every session right after, releasing the slabs.
-            request.finish("cancelled")
-            self.engine.batcher.book(request)
-            self.engine._observe_request(request)
-            raise
-        request.finish(reason)
-        self.engine.batcher.book(request)
+            raise ServiceOverloadedError(f"session {session.session_id} shed during prefill")
+        # The last emitted token has no K/V yet; a stop token was never appended.
+        session.cached_ids = (planned + request.generated)[: session.caches[0].length]
+        prefilled = len(planned) - common
         self._counts["prefill_tokens"].inc(prefilled)
         self._counts["reused_tokens"].inc(common)
         self._counts["decode_tokens"].inc(len(request.generated))
-        self.engine._observe_request(request)
-        completion = self.engine.tokenizer.decode(request.generated)
         return {
             "session_id": session.session_id,
-            "completion": completion,
+            "completion": engine.tokenizer.decode(request.generated),
             "stop_reason": request.stop_reason,
             "outcome": request.outcome,
-            "ttft_s": ttft_s,
+            "ttft_s": request.ttft_s,
             "prefilled": prefilled,
             "reused_tokens": common,
             "generated_tokens": len(request.generated),
             "extends": session.extends,
         }
-
-    def _generate(self, session: _Session, buffer: str, max_new_tokens, deadline_s) -> dict:
-        ids = self.engine.tokenizer.encode(buffer)
-        if not ids:
-            raise ServingError(f"buffer encodes to no tokens: {buffer!r}")
-        with self.engine._lock:
-            request = self.engine._make_request(ids, max_new_tokens, None, deadline_s)
-            try:
-                return self._run(session, request)
-            except (InjectedFault, MemoryError) as error:
-                raise ServiceOverloadedError(
-                    f"session {session.session_id} shed during prefill"
-                ) from error
 
     # -- public API -----------------------------------------------------------
 
@@ -304,7 +241,8 @@ class SessionManager:
             payload = self._generate(session, buffer, max_new_tokens, deadline_s)
             self._sessions[session.session_id] = session
             self._counts["created"].inc()
-            self._h_create_ttft.observe(payload["ttft_s"])
+            if payload["ttft_s"] is not None:
+                self._h_create_ttft.observe(payload["ttft_s"])
             while len(self._sessions) > self.max_sessions:  # LRU bound
                 self._drop_locked(next(iter(self._sessions.values())), "evicted")
             return payload
@@ -332,5 +270,6 @@ class SessionManager:
             self._sessions.move_to_end(session_id)
             payload = self._generate(session, buffer, max_new_tokens, deadline_s)
             self._counts["extends"].inc()
-            self._h_extend_ttft.observe(payload["ttft_s"])
+            if payload["ttft_s"] is not None:
+                self._h_extend_ttft.observe(payload["ttft_s"])
             return payload

@@ -57,7 +57,7 @@ SPECULATIVE_KEYS = {
 }  # fmt: skip
 SESSION_KEYS = {
     "live_sessions", "max_sessions", "created", "extends", "evicted", "closed", "lost",
-    "prefill_tokens", "reused_tokens", "decode_tokens", "decode_faults", "token_reuse_rate",
+    "prefill_tokens", "reused_tokens", "decode_tokens", "token_reuse_rate",
 }  # fmt: skip
 ROUTER_KEYS = {
     "policy", "live_workers", "dead_workers", "max_inflight", "inflight", "requests",
@@ -97,7 +97,7 @@ SESSION_SERIES = {
     key: f"session.{key}"
     for key in (
         "created", "extends", "evicted", "closed", "lost", "prefill_tokens", "reused_tokens",
-        "decode_tokens", "decode_faults",
+        "decode_tokens",
     )  # fmt: skip
 }
 ROUTER_SERIES = {

@@ -136,6 +136,39 @@ class TestCrashMechanics:
             assert len(crashed) == 1
             assert crashed[0].arena_bytes_in_use() == 0
 
+    def test_crash_mid_session_extend_frees_the_sessions_slabs(self):
+        # A session's slabs ride in the batch while its extend decodes, so
+        # the crash must hand them back to the session *before* the
+        # replica drops its sessions — or nobody ever frees them.
+        from repro.errors import WorkerUnavailableError
+        from repro.obs import audit
+
+        with use(FakeClock()):
+            _, workers = build_chaos_fleet(0, 1)
+            worker = workers[0]
+            buffer = "- name: Install nginx please\n"
+            created = worker.session_create(buffer, max_new_tokens=8)
+            assert worker.arena_bytes_in_use() > 0
+            # Held so that a slab handed back to a forgotten session is a
+            # leak the arena reports, not garbage a refcount happens to free.
+            handles = worker.service.sessions._sessions[created["session_id"]].caches
+            injector = FaultInjector(seed=0)
+            injector.on("engine.decode_step", at_calls=[3], error=WorkerCrashed)
+            with injector, pytest.raises(WorkerUnavailableError):
+                worker.session_extend(
+                    created["session_id"], buffer + "  ansible.builtin.apt:\n", max_new_tokens=8
+                )
+            assert worker.crashes == 1 and not worker.alive
+            assert worker.session_count() == 0
+            assert [cache.length for cache in handles] == [0] * len(handles)
+            assert worker.arena_bytes_in_use() == 0
+            stats = worker.service.stats()
+            # booked exactly once: the create completed, the extend was cancelled
+            assert audit(stats) == []
+            assert stats["engine"]["requests_submitted"] == 2
+            assert stats["engine"]["cancelled_requests"] == 1
+            assert stats["sessions"]["closed"] == 1 and stats["sessions"]["lost"] == 0
+
 
 def _audit(workers):
     """(leaked_bytes, orphaned_sessions) across every replica, dead or alive."""

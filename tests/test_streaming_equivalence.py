@@ -175,6 +175,35 @@ class TestSessionExtendMatchesColdPrefill:
         assert extended["reused_tokens"] > 0
         assert extended["prefilled"] < fresh["prefilled"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_speculative_extend_equals_cold_and_plain_greedy(self, tokenizer, seed):
+        # A session is a batcher row, so it speculates when the engine
+        # does: warm + drafted == cold + drafted == plain greedy, and the
+        # verify forward really ran on the session's rows.
+        def drafting_engine():
+            # the n-gram drafter always has an opinion (the grid's retrieval
+            # drafter rarely matches a random-weight model's output)
+            engine = build_engine(tokenizer, seed)
+            engine.enable_speculative(build_draft_model("ngram", tokenizer, TRAIN_TEXTS), 4)
+            return engine
+
+        warm_engine = drafting_engine()
+        warm = SessionManager(warm_engine)
+        buffer = TRAIN_TEXTS[seed % len(TRAIN_TEXTS)]
+        created = warm.create(buffer, BUDGET)
+        grown = buffer + created["completion"] + "\n- name: Restart the service\n"
+        extended = warm.extend(created["session_id"], grown, BUDGET)
+        fresh = SessionManager(drafting_engine()).create(grown, BUDGET)
+        network = network_for(seed, tokenizer.vocab_size)
+        planned, effective = plan_prompt(network.config.n_positions, tokenizer.encode(grown), BUDGET)
+        want = generate_greedy(network, planned, effective)
+        assert extended["completion"] == fresh["completion"] == tokenizer.decode(want.token_ids)
+        assert extended["stop_reason"] == fresh["stop_reason"] == want.stop_reason
+        assert extended["reused_tokens"] > 0
+        speculative = warm_engine.stats()["speculative"]
+        assert speculative["steps"] > 0
+        assert speculative["accepted_tokens"] <= speculative["proposed_tokens"]
+
     @pytest.mark.parametrize("extends", (2, 4))
     def test_chained_extends_stay_identical(self, tokenizer, extends):
         warm_engine = build_engine(tokenizer, 1)
