@@ -1,9 +1,8 @@
 """X4 — paged KV-cache arena vs the legacy concatenate decode path.
 
 What the KV arena buys, measured: its per-step cache-append traffic stays
-flat in sequence length while the dense-concatenate path's grows linearly,
-and the float16 storage mode roughly halves peak resident KV bytes.  Those
-are the gates here; decode tokens/s of both paths is reported, not gated.
+flat in sequence length while the dense-concatenate path's grows linearly.
+That is the gate here; decode tokens/s of both paths is reported, not gated.
 
 The original speed bar (arena >= 1.5x dense decode tokens/s) measured an
 accident, not the arena: ``DenseKVCache`` has no score scratch, so its
@@ -109,13 +108,6 @@ def run_kv_arena_bench(network: DecoderLM | None = None, steps: int = DECODE_STE
     for cache in arena_caches:
         cache.release()
 
-    arena_fp16 = KVArena(block_size=32, dtype=np.float16)
-    fp16_caches = network.new_cache(arena_fp16)
-    fp16_tps, _ = _timed_decode(network, fp16_caches, steps)
-    fp16_peak = arena_fp16.peak_bytes_in_use
-    for cache in fp16_caches:
-        cache.release()
-
     # Dense has no allocator: peak resident is the final concatenated K/V,
     # and each append transiently holds old + new copies simultaneously.
     per_token = 2 * config.n_layers * config.dim * 4
@@ -138,7 +130,6 @@ def run_kv_arena_bench(network: DecoderLM | None = None, steps: int = DECODE_STE
         },
         "dense_tokens_per_second": round(dense_tps, 2),
         "arena_tokens_per_second": round(arena_tps, 2),
-        "arena_fp16_tokens_per_second": round(fp16_tps, 2),
         "speedup": round(arena_tps / dense_tps, 3),
         "append_bytes_per_step": {
             "dense_first_half_mean": dense_first,
@@ -148,7 +139,6 @@ def run_kv_arena_bench(network: DecoderLM | None = None, steps: int = DECODE_STE
         },
         "peak_kv_bytes": {
             "arena_fp32": arena_peak,
-            "arena_fp16": fp16_peak,
             "dense_final_resident": dense_final,
             "dense_transient_append": 2 * dense_final,
         },
@@ -173,11 +163,6 @@ def test_arena_decode_speed_is_reported(report):
     rows = [
         ["dense concatenate", f"{report['dense_tokens_per_second']:.1f}", "1.00x"],
         ["paged arena", f"{report['arena_tokens_per_second']:.1f}", f"{report['speedup']:.2f}x"],
-        [
-            "paged arena fp16",
-            f"{report['arena_fp16_tokens_per_second']:.1f}",
-            f"{report['arena_fp16_tokens_per_second'] / report['dense_tokens_per_second']:.2f}x",
-        ],
     ]
     print()
     print(
@@ -202,17 +187,3 @@ def test_arena_append_traffic_is_flat(report):
     # The profiler sees the same story at the attention-op level.
     profiled = report["profiler_attention_bytes_64_steps"]
     assert profiled["arena"] < profiled["dense"]
-
-
-@pytest.mark.slow
-def test_fp16_storage_halves_peak_bytes(report):
-    peaks = report["peak_kv_bytes"]
-    assert peaks["arena_fp16"] <= 0.6 * peaks["arena_fp32"]
-    rows = [
-        ["arena fp32", f"{peaks['arena_fp32']:,}"],
-        ["arena fp16", f"{peaks['arena_fp16']:,}"],
-        ["dense final resident", f"{peaks['dense_final_resident']:,}"],
-        ["dense transient (append)", f"{peaks['dense_transient_append']:,}"],
-    ]
-    print()
-    print(format_table(["KV storage", "peak bytes"], rows, title="Peak KV-cache bytes"))

@@ -326,9 +326,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 max_batch_size=args.max_batch,
                 prefix_cache_capacity=8,
                 default_max_new_tokens=8,
+                speculative_k=args.speculative_k,
+                draft_model=draft,
             )
-            if draft is not None:
-                engine.enable_speculative(draft, args.speculative_k)
             records = []
             disconnects = 0
             for index, ((planned, _effective, deadline), abandon) in enumerate(
@@ -472,7 +472,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
         # A bare batcher has no engine minting request ids: it was handed
         # exactly these requests.
-        stats = dict(batcher.stats(), requests_submitted=len(requests))
+        stats = dict(
+            batcher.stats(), requests_submitted=len(requests), kv_arena=arena.stats()
+        )
         return render(events, injector, stats, leaked, steps=step_index)
 
     log, violations = run_once()

@@ -107,10 +107,6 @@ class DecodingBatch:
     def total_columns(self) -> int:
         return self.caches[0].length if self.caches else 0
 
-    @property
-    def active_footprint(self) -> int:
-        return sum(row.real_length for row in self.rows)
-
     def _refresh_step_scratch(self) -> None:
         """Rebuild pending/positions/mask buffers after membership changes.
 

@@ -9,15 +9,10 @@ capacity, then runs exactly one batched decode step.  A request therefore
 joins the active batch as soon as there is room, mid-flight, without
 waiting for the current occupants to drain.
 
-Admission control uses two knobs:
-
-* ``max_batch_size`` — hard cap on concurrent rows;
-* ``max_batch_tokens`` — cap on the sum of worst-case row footprints
-  (``prompt + effective budget``), which bounds KV-cache memory.
-
-An empty batch always admits the head-of-queue request even if its
-footprint alone exceeds ``max_batch_tokens``, so an oversized request can
-never wedge the queue.
+Admission is capped by ``max_batch_size`` concurrent rows.  That also
+bounds KV-cache memory: ``plan_prompt`` fits every request's prompt plus
+budget inside the position window, so the batch never holds more than
+``max_batch_size * n_positions`` columns per layer.
 
 Prefill runs per request at batch size 1 (bit-identical to sequential
 decoding, and the point where the prefix cache plugs in); decode runs
@@ -66,7 +61,6 @@ class ContinuousBatcher:
         self,
         model: DecoderLM,
         max_batch_size: int = 8,
-        max_batch_tokens: int | None = None,
         prefix_cache: PrefixCache | None = None,
         obs: Observability | None = None,
         arena: KVArena | None = None,
@@ -84,13 +78,6 @@ class ContinuousBatcher:
         self.speculative_k = speculative_k
         self.draft_model = draft_model
         self.max_batch_size = max_batch_size
-        self.max_batch_tokens = (
-            max_batch_tokens
-            if max_batch_tokens is not None
-            else max_batch_size * model.config.n_positions
-        )
-        if self.max_batch_tokens < 1:
-            raise EngineError(f"max_batch_tokens must be >= 1, got {self.max_batch_tokens}")
         self.prefix_cache = prefix_cache
         self.batch = DecodingBatch(model, arena)
         self.queue: deque[GenerationRequest] = deque()
@@ -127,8 +114,18 @@ class ContinuousBatcher:
         self._c_prefix_hits = metrics.counter("engine.prefix_cache_hits")
         self._c_prefix_misses = metrics.counter("engine.prefix_cache_misses")
         self._c_prefix_reused = metrics.counter("engine.prefix_tokens_reused")
-        if self.speculative_k:
-            self.configure_speculative(draft_model, speculative_k)
+        if speculative_k:
+            self._c_spec_steps = metrics.counter("engine.speculative_steps")
+            # row-steps verified; mean accept length = (accepted + rows) / rows
+            self._c_spec_row_steps = metrics.counter("engine.speculative_row_steps")
+            # draft positions verified (k per row per speculative step)
+            self._c_draft_proposed = metrics.counter("engine.draft_tokens_proposed")
+            # of those, accepted (matched the greedy chain)
+            self._c_draft_accepted = metrics.counter("engine.draft_tokens_accepted")
+            self._h_accept_length = metrics.histogram(
+                "engine.speculative_accept_length",
+                linear_buckets(1, 1, speculative_k + 1),
+            )
 
     # -- introspection -------------------------------------------------------
 
@@ -139,10 +136,6 @@ class ContinuousBatcher:
     @property
     def active_size(self) -> int:
         return len(self.batch)
-
-    @property
-    def active_footprint(self) -> int:
-        return sum(row.payload.footprint for row in self.batch.rows)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -155,13 +148,6 @@ class ContinuousBatcher:
             # serialises callers; a live warm request is alone, so ``live[0]``.
             raise EngineError("a request atop caller-owned caches must run alone in the batcher")
         self.queue.append(request)
-
-    def _admits(self, request: GenerationRequest) -> bool:
-        if self.active_size >= self.max_batch_size:
-            return False
-        if not self.batch.rows:
-            return True  # never let one oversized request wedge the queue
-        return self.active_footprint + request.footprint <= self.max_batch_tokens
 
     # -- termination ---------------------------------------------------------
 
@@ -289,36 +275,6 @@ class ContinuousBatcher:
 
     # -- speculation ---------------------------------------------------------
 
-    def configure_speculative(self, draft_model, speculative_k: int) -> None:
-        """Enable draft-then-verify decoding after construction.
-
-        Registers the speculative instruments (get-or-create, so enabling
-        twice is harmless) and seeds draft context for any rows already
-        decoding, so mid-flight requests start drafting on the next step.
-        """
-        if speculative_k < 1:
-            raise EngineError(f"speculative_k must be >= 1, got {speculative_k}")
-        if draft_model is None:
-            raise EngineError("configure_speculative requires a draft_model")
-        self.speculative_k = speculative_k
-        self.draft_model = draft_model
-        metrics = self.obs.metrics
-        self._c_spec_steps = metrics.counter("engine.speculative_steps")
-        # row-steps verified; mean accept length = (accepted + rows) / rows
-        self._c_spec_row_steps = metrics.counter("engine.speculative_row_steps")
-        # draft positions verified (k per row per speculative step)
-        self._c_draft_proposed = metrics.counter("engine.draft_tokens_proposed")
-        # of those, accepted (matched the greedy chain)
-        self._c_draft_accepted = metrics.counter("engine.draft_tokens_accepted")
-        self._h_accept_length = metrics.histogram(
-            "engine.speculative_accept_length",
-            linear_buckets(1, 1, speculative_k + 1),
-        )
-        for row in self.batch.rows:
-            if row.context is None:
-                request: GenerationRequest = row.payload
-                row.context = list(request.prompt_ids) + list(request.generated)
-
     def _plan_drafts(self) -> list[list[int]] | None:
         """Propose one same-length draft per active row, or None to step plainly.
 
@@ -360,7 +316,7 @@ class ContinuousBatcher:
         self._reap_active(now)
         if self.queue:
             self._reap_queue(now)
-            while self.queue and self._admits(self.queue[0]):
+            while self.queue and self.active_size < self.max_batch_size:
                 self._admit_one()
             now = clock.now()  # prefill took time; the decode step starts here
         rows = self.batch.rows
@@ -472,7 +428,6 @@ class ContinuousBatcher:
                 ),
                 "peak_batch_size": self.peak_batch_size,
                 "max_batch_size": self.max_batch_size,
-                "max_batch_tokens": self.max_batch_tokens,
             }
             if self.speculative_k:
                 proposed = self._c_draft_proposed.value

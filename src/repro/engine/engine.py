@@ -28,7 +28,7 @@ from repro.engine.batcher import ContinuousBatcher
 from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import GenerationRequest
 from repro.errors import EngineError
-from repro.nn.kv_arena import DEFAULT_BLOCK_SIZE, KVArena, KVCache
+from repro.nn.kv_arena import KVArena, KVCache
 from repro.nn.sampling import GenerationResult, plan_prompt
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability, OpProfiler, Tracer
@@ -44,13 +44,10 @@ class InferenceEngine:
         *,
         name: str = "engine",
         max_batch_size: int = 8,
-        max_batch_tokens: int | None = None,
         prefix_cache_capacity: int = 32,
         default_max_new_tokens: int = 96,
         stop_ids: frozenset[int] | set[int] = frozenset(),
         obs: Observability | None = None,
-        kv_block_size: int = DEFAULT_BLOCK_SIZE,
-        kv_dtype: str = "float32",
         speculative_k: int = 0,
         draft_model=None,
     ):
@@ -62,14 +59,11 @@ class InferenceEngine:
         self.obs = obs if obs is not None else Observability()
         # One paged arena owns every KV byte this engine touches — decode
         # batches, prefills and prefix-cache claims all share its slabs.
-        # ``kv_dtype="float16"`` halves resident cache bytes (attention
-        # math stays float32); ``kv_block_size`` sets slab granularity.
-        self.kv_arena = KVArena(block_size=kv_block_size, dtype=kv_dtype)
+        self.kv_arena = KVArena()
         self.prefix_cache = PrefixCache(prefix_cache_capacity) if prefix_cache_capacity else None
         self.batcher = ContinuousBatcher(
             network,
             max_batch_size=max_batch_size,
-            max_batch_tokens=max_batch_tokens,
             prefix_cache=self.prefix_cache,
             obs=self.obs,
             arena=self.kv_arena,
@@ -84,10 +78,6 @@ class InferenceEngine:
         self._h_decode = metrics.histogram("engine.decode_s")
         self._c_requests = metrics.counter("engine.requests")
         self._c_generated = metrics.counter("engine.generated_tokens")
-
-    def enable_speculative(self, draft_model, speculative_k: int) -> None:
-        """Turn on draft-then-verify decoding (see :mod:`repro.engine.speculative`)."""
-        self.batcher.configure_speculative(draft_model, speculative_k)
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Route request-lifecycle and decode-step spans to ``tracer``."""

@@ -230,8 +230,3 @@ class GenerationRequest:
         if self.decode_started_at is None:
             return None
         return self.decode_started_at - self.submitted_at
-
-    @property
-    def footprint(self) -> int:
-        """Worst-case context-window claim: prompt plus full budget."""
-        return self.prompt_length + self.effective_budget

@@ -43,6 +43,12 @@ from repro.utils.rng import SeededRng
 #: The four terminal dispositions a request can reach (PR 5's invariant).
 OUTCOMES = ("completed", "cancelled", "deadline_exceeded", "shed")
 
+# The run shape every recorded replay log was cut with.
+SLOW_STEP_DELAY_S = 0.6  # fake-clock stall of a slow decode step
+HEARTBEAT_EVERY = 4  # requests between router heartbeat ticks
+DISCONNECT_RATE = 0.25  # --stream: share of clients that hang up mid-stream
+SESSION_EVERY = 5  # --stream: every n-th request is a keystroke session
+
 
 def build_chaos_fleet(
     seed: int,
@@ -173,18 +179,14 @@ def run_fleet_chaos(
     *,
     kill_decode_call: int | None = 30,
     slow_step_rate: float = 0.08,
-    slow_step_delay_s: float = 0.6,
     decode_fault_rate: float = 0.05,
     alloc_fault_rate: float = 0.0,
     heartbeat_fault_rate: float = 0.1,
     deadline_rate: float = 0.3,
     profile: str = "shared_prefix",
-    heartbeat_every: int = 4,
     tracing: bool = True,
     slo_specs=DEFAULT_SLOS,
     stream: bool = False,
-    disconnect_rate: float = 0.25,
-    session_every: int = 5,
 ) -> dict:
     """One deterministic chaos run; returns events, log text and invariants.
 
@@ -207,9 +209,9 @@ def run_fleet_chaos(
     With ``stream=True`` the run takes a different (still fully
     deterministic) shape: requests go through
     :meth:`~repro.fleet.router.FleetRouter.predict_stream`, a seeded
-    fraction of clients disconnects mid-stream (``disconnect_rate``,
+    fraction of clients disconnects mid-stream (``DISCONNECT_RATE``,
     exercised by closing the event generator — the router observes it
-    exactly as a dropped socket), and every ``session_every``-th request
+    exactly as a dropped socket), and every ``SESSION_EVERY``-th request
     exercises the keystroke-session API (create → extend → close)
     instead.  The same four-outcome and zero-leak invariants apply, plus
     a fifth: no replica may hold an orphaned session once the run ends
@@ -228,7 +230,7 @@ def run_fleet_chaos(
             "engine.decode_step",
             probability=slow_step_rate,
             error=None,
-            delay_s=slow_step_delay_s,
+            delay_s=SLOW_STEP_DELAY_S,
             max_fires=10,
         )
     if decode_fault_rate:
@@ -251,12 +253,10 @@ def run_fleet_chaos(
             deadline_s = rng.uniform(0.3, 1.5) if rng.bernoulli(deadline_rate) else None
             started = clock.now()
             if stream:
-                if session_every and (index + 1) % session_every == 0:
+                if (index + 1) % SESSION_EVERY == 0:
                     record = _session_one(router, prompt, deadline_s)
                 else:
-                    abandon_after = (
-                        rng.randint(1, 4) if rng.bernoulli(disconnect_rate) else None
-                    )
+                    abandon_after = rng.randint(1, 4) if rng.bernoulli(DISCONNECT_RATE) else None
                     record = _stream_one(router, prompt, deadline_s, abandon_after)
                 outcome = record["outcome"]
                 ttft_s = record.pop("ttft_s", None)
@@ -293,7 +293,7 @@ def run_fleet_chaos(
                     }
                 )
             fake.advance(0.05)
-            if (index + 1) % heartbeat_every == 0:
+            if (index + 1) % HEARTBEAT_EVERY == 0:
                 for dead_id in router.heartbeat_tick():
                     request_events.append({"kind": "worker_dead", "worker": dead_id})
         # Leak audit over every replica ever spawned, dead ones included:

@@ -70,7 +70,7 @@ from repro.errors import (
 )
 from repro.faults import clock
 from repro.faults.inject import fire
-from repro.fleet.affinity import DEFAULT_PREFIX_DEPTH, HashRing, prefix_bucket
+from repro.fleet.affinity import HashRing, prefix_bucket
 from repro.obs import Observability
 from repro.obs.distributed import (
     FleetCollector,
@@ -123,12 +123,9 @@ class FleetRouter:
         max_inflight: int | None = None,
         shed_retry_after_s: float = 0.5,
         heartbeat_timeout_s: float = 5.0,
-        affinity_depth: int = DEFAULT_PREFIX_DEPTH,
-        vnodes: int = 64,
         spawner=None,
         obs: Observability | None = None,
         collector: FleetCollector | None = None,
-        trace_prefix: str = "t",
     ):
         if policy not in ROUTING_POLICIES:
             raise FleetError(f"unknown policy {policy!r} (known: {ROUTING_POLICIES})")
@@ -138,11 +135,10 @@ class FleetRouter:
         self.max_inflight = max_inflight
         self.shed_retry_after_s = shed_retry_after_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.affinity_depth = affinity_depth
         self.spawner = spawner
         self._workers: dict[str, object] = {}
         self._dead: dict[str, str] = {}  # worker id -> reason
-        self._ring = HashRing(vnodes=vnodes)
+        self._ring = HashRing()
         self._last_heartbeat: dict[str, float] = {}
         self._rr_index = 0
         self._inflight_count = 0
@@ -157,7 +153,7 @@ class FleetRouter:
         self.obs = obs if obs is not None else Observability()
         #: Telemetry aggregation (None = off): polled every heartbeat tick.
         self.collector = collector
-        self._trace_ids = TraceIdAllocator(prefix=trace_prefix)
+        self._trace_ids = TraceIdAllocator()
         metrics = self.obs.metrics
         # Counts ``stats()`` reports together are bumped, and all are read,
         # under ``self._lock``.
@@ -274,7 +270,7 @@ class FleetRouter:
         """Live replicas in dispatch-preference order for ``prompt``."""
         with self._lock:
             if self.policy == "affinity":
-                return self._ring.preference(prefix_bucket(prompt, self.affinity_depth))
+                return self._ring.preference(prefix_bucket(prompt))
             ordered = sorted(self._workers)
             if not ordered:
                 return []

@@ -87,13 +87,22 @@ class WorkerSpec:
     #: Enable span tracing on the replica so ``telemetry()`` drains spans
     #: for the fleet collector; off by default (tracing is opt-in).
     tracing: bool = False
-    tracer_capacity: int = 4096
     #: Draft-then-verify speculative decoding: ``speculative_k`` tokens
     #: drafted per decode step by the ``draft_model`` ("ngram" or
     #: "retrieval", built from the fixed corpus so every replica drafts
     #: identically).  Off by default; output is byte-identical either way.
     speculative_k: int = 0
     draft_model: str | None = None
+
+
+def _draft_model(spec: WorkerSpec, tokenizer):
+    """The spec's drafter over ``tokenizer``; None with speculation off."""
+    if not spec.speculative_k:
+        return None
+    from repro.engine.speculative import build_draft_model
+
+    kind = spec.draft_model if spec.draft_model is not None else "retrieval"
+    return build_draft_model(kind, tokenizer, SPEC_TRAIN_TEXTS)
 
 
 def build_service(spec: WorkerSpec):
@@ -108,7 +117,11 @@ def build_service(spec: WorkerSpec):
         from repro.model import load_checkpoint
 
         model = load_checkpoint(spec.checkpoint)
-        engine = model.engine(max_batch_size=spec.max_batch_size)
+        engine = model.engine(
+            max_batch_size=spec.max_batch_size,
+            speculative_k=spec.speculative_k,
+            draft_model=_draft_model(spec, model.tokenizer),
+        )
     else:
         from repro.engine import InferenceEngine
         from repro.nn.parameter import numpy_rng
@@ -128,13 +141,8 @@ def build_service(spec: WorkerSpec):
             tokenizer,
             max_batch_size=spec.max_batch_size,
             prefix_cache_capacity=spec.prefix_cache_capacity,
-        )
-    if spec.speculative_k:
-        from repro.engine.speculative import build_draft_model
-
-        kind = spec.draft_model if spec.draft_model is not None else "retrieval"
-        engine.enable_speculative(
-            build_draft_model(kind, engine.tokenizer, SPEC_TRAIN_TEXTS), spec.speculative_k
+            speculative_k=spec.speculative_k,
+            draft_model=_draft_model(spec, tokenizer),
         )
     service = PredictionService(
         engine,
@@ -146,7 +154,7 @@ def build_service(spec: WorkerSpec):
     if spec.tracing:
         from repro.obs import Tracer
 
-        service.obs.attach_tracer(Tracer(capacity=spec.tracer_capacity))
+        service.obs.attach_tracer(Tracer())
     return service, engine
 
 
@@ -326,13 +334,12 @@ class ProcessWorker(_Worker):
         spec: WorkerSpec,
         start_timeout_s: float = 60.0,
         request_timeout_s: float = 30.0,
-        mp_context: str = "spawn",
     ):
         self.worker_id = worker_id
         self.spec = spec
         self.start_timeout_s = start_timeout_s
         self.request_timeout_s = request_timeout_s
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context("spawn")
         self._process = None
         self._client = None
         self.url: str | None = None

@@ -150,12 +150,10 @@ class WisdomModel:
     def engine(self, **kwargs):
         """This model's :class:`~repro.engine.engine.InferenceEngine`.
 
-        Built lazily on first use (pass kwargs then to size the batcher
-        and the KV arena — e.g. ``kv_block_size=64`` for coarser slabs or
-        ``kv_dtype="float16"`` to halve resident KV-cache bytes); the
-        instance — and with it the prefix cache and the paged KV arena —
-        persists across calls, which is what makes repeated
-        playbook-buffer completions skip redundant prefill.
+        Built lazily on first use (pass kwargs then, e.g. ``max_batch_size``
+        to size the batcher); the instance — and with it the prefix cache
+        and the paged KV arena — persists across calls, which is what makes
+        repeated playbook-buffer completions skip redundant prefill.
         """
         if self._engine is None:
             from repro.engine import InferenceEngine

@@ -63,18 +63,13 @@ def measure_engine_throughput(
     runs: int = 3,
     warmup_runs: int = 1,
     seed: int = 0,
-    max_batch_size: int | None = None,
     obs=None,
-    engine_kwargs: dict | None = None,
 ) -> ThroughputResult:
     """Time the continuous-batching engine on ``batch_size`` distinct prompts.
 
     ``obs`` (an :class:`repro.obs.Observability`, optional) is forwarded
     to the engine — how ``benchmarks/test_obs_overhead.py`` compares the
     traced and untraced decode paths on otherwise identical engines.
-    ``engine_kwargs`` passes extra :class:`InferenceEngine` knobs through —
-    e.g. ``{"kv_dtype": "float16"}`` or ``{"kv_block_size": 64}`` to
-    benchmark KV-arena configurations.
 
     The batched counterpart of :func:`measure_throughput`: each timed run
     decodes ``batch_size`` prompts of ``prompt_length`` random tokens (all
@@ -92,11 +87,7 @@ def measure_engine_throughput(
         for _ in range(batch_size)
     ]
     engine = InferenceEngine(
-        network,
-        max_batch_size=max_batch_size or batch_size,
-        prefix_cache_capacity=0,
-        obs=obs,
-        **(engine_kwargs or {}),
+        network, max_batch_size=batch_size, prefix_cache_capacity=0, obs=obs
     )
     for _ in range(warmup_runs):
         engine.generate_batch(prompts, max_new_tokens=new_tokens)

@@ -16,19 +16,13 @@ replaces that with an arena of reusable storage slabs:
   float32 score scratch buffer reused by the decode softmax.
 * :class:`KVCache` — the per-layer cache handle the transformer decodes
   through.  ``append`` writes new columns **in place**; capacity grows
-  geometrically (amortised O(1) copies per token); ``keys``/``values``
-  are zero-copy views.
+  geometrically (amortised O(1) copies per token); ``view`` is zero-copy.
 * :class:`SlabRef` — a read-only claim on a slab prefix, the currency of
   the prefix cache.  Sharing is **copy-on-write**: a continuation that
   appends right at the frozen high-water mark of an otherwise writer-free
   slab extends it in place (the dominant "playbook buffer grew by a few
   tokens" pattern costs zero copies); a continuation that would overwrite
   another claim's columns copies its own prefix out first.
-
-Storage dtype is a knob: ``KVArena(dtype=np.float16)`` stores K/V in
-half precision (halving resident cache bytes) while all attention math
-stays float32 — reads convert on the fly, trading one O(T) upcast per
-step for half the memory footprint.
 
 :class:`DenseKVCache` preserves the pre-arena concatenate-on-append
 behaviour for equivalence tests and benchmarks.
@@ -45,8 +39,8 @@ from repro.faults.inject import fire
 
 DEFAULT_BLOCK_SIZE = 32
 
-#: Storage dtypes the arena accepts; compute is always float32.
-SUPPORTED_KV_DTYPES = (np.dtype(np.float32), np.dtype(np.float16))
+#: Released slabs an arena keeps for reuse; beyond it a release frees.
+MAX_POOLED_SLABS = 64
 
 
 class ArenaSlab:
@@ -58,7 +52,7 @@ class ArenaSlab:
     sharer — in-place writes below it are forbidden.
     """
 
-    __slots__ = ("arena", "k", "v", "scores", "capacity", "refcount", "writers", "frozen", "managed")
+    __slots__ = ("arena", "k", "v", "scores", "capacity", "refcount", "writers", "frozen")
 
     def __init__(self) -> None:
         self.arena: "KVArena | None" = None
@@ -69,23 +63,17 @@ class ArenaSlab:
         self.refcount = 0
         self.writers = 0
         self.frozen = 0
-        self.managed = False
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        if self.k is not None:
-            total += self.k.nbytes
-        if self.v is not None:
-            total += self.v.nbytes
-        return total
+        return self.k.nbytes + self.v.nbytes
 
     def __del__(self) -> None:
         # A slab garbage-collected with live claims (its caches were
         # dropped without release()) must still surrender its byte
         # accounting, or ``bytes_in_use`` drifts upward forever.
         try:
-            if self.managed and self.refcount > 0 and self.arena is not None:
+            if self.refcount > 0 and self.arena is not None:
                 self.arena._forget(self)
         except Exception:
             pass  # interpreter shutdown
@@ -132,22 +120,12 @@ class SlabRef:
 class KVArena:
     """Block-granular slab allocator shared across layers and requests."""
 
-    def __init__(
-        self,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        dtype: np.dtype | str = np.float32,
-        max_pooled: int = 64,
-    ):
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
         if block_size < 1:
             raise ShapeError(f"block_size must be >= 1, got {block_size}")
-        dtype = np.dtype(dtype)
-        if dtype not in SUPPORTED_KV_DTYPES:
-            raise ShapeError(f"kv dtype must be float32 or float16, got {dtype}")
         self.block_size = block_size
-        self.dtype = dtype
         self._pool: dict[tuple[int, int, int, int], list[ArenaSlab]] = {}
         self._pooled = 0
-        self._max_pooled = max_pooled
         self._lock = threading.Lock()
         # -- lifetime counters (monotonic) --
         self.slabs_allocated = 0
@@ -157,6 +135,9 @@ class KVArena:
         self.appends = 0
         self.grow_copies = 0
         self.cow_copies = 0
+        #: Slabs garbage-collected with live claims: each one is a holder
+        #: that never called ``release()`` (repro.obs.audit wants zero).
+        self.slabs_dropped_live = 0
         # -- occupancy (approximate: slabs dropped by GC are reconciled lazily) --
         self.bytes_in_use = 0
         self.peak_bytes_in_use = 0
@@ -184,10 +165,9 @@ class KVArena:
         else:
             slab = ArenaSlab()
             slab.arena = self
-            slab.k = np.empty((batch, heads, capacity, head_dim), dtype=self.dtype)
-            slab.v = np.empty((batch, heads, capacity, head_dim), dtype=self.dtype)
+            slab.k = np.empty((batch, heads, capacity, head_dim), dtype=np.float32)
+            slab.v = np.empty((batch, heads, capacity, head_dim), dtype=np.float32)
             slab.capacity = capacity
-            slab.managed = True
             self.slabs_allocated += 1
             self.bytes_allocated += slab.nbytes
         slab.refcount = 1
@@ -198,18 +178,6 @@ class KVArena:
             self.peak_bytes_in_use = self.bytes_in_use
         return slab
 
-    def adopt(self) -> ArenaSlab:
-        """An empty unmanaged slab wrapping caller-provided arrays.
-
-        Used by the ``KVCache.keys``/``values`` setters; unmanaged slabs
-        are never pooled and excluded from byte accounting.
-        """
-        slab = ArenaSlab()
-        slab.arena = self
-        slab.refcount = 1
-        slab.writers = 1
-        return slab
-
     def release(self, slab: ArenaSlab) -> None:
         """Drop one claim; pool the slab once the last claim is gone."""
         slab.refcount -= 1
@@ -217,12 +185,10 @@ class KVArena:
             return
         slab.writers = 0
         slab.frozen = 0
-        if not slab.managed:
-            return
         self.bytes_in_use -= slab.nbytes
         key = (slab.k.shape[0], slab.k.shape[1], slab.capacity, slab.k.shape[3])
         with self._lock:
-            if self._pooled < self._max_pooled:
+            if self._pooled < MAX_POOLED_SLABS:
                 self._pool.setdefault(key, []).append(slab)
                 self._pooled += 1
 
@@ -230,12 +196,12 @@ class KVArena:
         """Reconcile byte accounting for a slab dropped without release."""
         self.bytes_in_use -= slab.nbytes
         slab.refcount = 0
+        self.slabs_dropped_live += 1
 
     def stats(self) -> dict:
         """JSON-ready allocator counters for engine/serving stats."""
         return {
             "block_size": self.block_size,
-            "dtype": self.dtype.name,
             "slabs_allocated": self.slabs_allocated,
             "slabs_reused": self.slabs_reused,
             "slabs_pooled": self._pooled,
@@ -246,6 +212,7 @@ class KVArena:
             "appends": self.appends,
             "grow_copies": self.grow_copies,
             "cow_copies": self.cow_copies,
+            "slabs_dropped_live": self.slabs_dropped_live,
         }
 
 
@@ -267,10 +234,6 @@ class KVCache:
     place (never ``np.concatenate``), growing capacity geometrically in
     whole blocks when exhausted, and honouring copy-on-write when the
     underlying slab is shared with the prefix cache or a sibling request.
-    ``keys``/``values`` keep the historical array-attribute interface:
-    reading yields views (copies when that is the only way to stay
-    isolated from sharers), assigning adopts the array as fresh exclusive
-    storage.
     """
 
     __slots__ = ("_arena", "_slab", "_length", "_writer", "last_append_moved_bytes")
@@ -292,84 +255,20 @@ class KVCache:
 
     @property
     def batch_size(self) -> int:
-        return 0 if self._slab is None or self._slab.k is None else self._slab.k.shape[0]
+        return 0 if self._slab is None else self._slab.k.shape[0]
 
     @property
     def capacity(self) -> int:
         return 0 if self._slab is None else self._slab.capacity
 
-    @property
-    def is_shared(self) -> bool:
-        return self._slab is not None and self._slab.refcount > 1
-
-    def _exclusive(self) -> bool:
-        return self._writer and self._slab is not None and self._slab.refcount == 1
-
-    # -- array-attribute compatibility ---------------------------------------
-
-    def _read(self, array: np.ndarray | None) -> np.ndarray | None:
-        if array is None:
-            return None
-        view = array[:, :, : self._length]
-        if view.dtype != np.float32:
-            return view.astype(np.float32)
-        if not self._exclusive():
-            return view.copy()  # isolate sharers from caller mutation
-        return view
-
-    @property
-    def keys(self) -> np.ndarray | None:
-        return None if self._slab is None else self._read(self._slab.k)
-
-    @property
-    def values(self) -> np.ndarray | None:
-        return None if self._slab is None else self._read(self._slab.v)
-
-    def _adopt_slot(self, array: np.ndarray, slot: str) -> None:
-        if array.ndim != 4:
-            raise ShapeError(f"cache arrays must be (B, H, T, D), got shape {array.shape}")
-        array = np.ascontiguousarray(array, dtype=self._arena.dtype)
-        slab = self._slab
-        if slab is None or slab.managed or not self._exclusive():
-            self.release()
-            slab = self._slab = self._arena.adopt()
-            self._writer = True
-        setattr(slab, slot, array)
-        slab.capacity = array.shape[2]
-        slab.scores = None
-        self._length = array.shape[2]
-
-    @keys.setter
-    def keys(self, array: np.ndarray | None) -> None:
-        if array is None:
-            self.release()
-        else:
-            self._adopt_slot(array, "k")
-
-    @values.setter
-    def values(self, array: np.ndarray | None) -> None:
-        if array is None:
-            self.release()
-        else:
-            self._adopt_slot(array, "v")
-
     # -- the hot path --------------------------------------------------------
 
     def view(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Zero-copy ``(keys, values)`` views over the live columns.
-
-        In float16 storage mode the views are upcast to float32 for
-        compute (one O(T) conversion — the documented fp16 tradeoff).
-        """
+        """Zero-copy ``(keys, values)`` views over the live columns."""
         slab = self._slab
-        if slab is None or slab.k is None:
+        if slab is None:
             return None, None
-        k = slab.k[:, :, : self._length]
-        v = slab.v[:, :, : self._length]
-        if k.dtype != np.float32:
-            k = k.astype(np.float32)
-            v = v.astype(np.float32)
-        return k, v
+        return slab.k[:, :, : self._length], slab.v[:, :, : self._length]
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write ``keys``/``values`` columns in place; return full views.
@@ -390,7 +289,7 @@ class KVCache:
         length = self._length
         needed = length + new
         moved = 0
-        if slab is not None and slab.k is not None and slab.k.shape[0] != batch:
+        if slab is not None and slab.k.shape[0] != batch:
             raise ShapeError(f"append batch {batch} != cache batch {slab.k.shape[0]}")
         if slab is None:
             slab = self._slab = arena.acquire(batch, heads, head_dim, needed)
@@ -437,7 +336,7 @@ class KVCache:
         matmul writes here via ``out=`` and the softmax runs in place.
         """
         slab = self._slab
-        if slab is None or slab.k is None:
+        if slab is None:
             return None
         batch = slab.k.shape[0]
         scores = slab.scores

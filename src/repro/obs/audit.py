@@ -43,6 +43,11 @@ def audit(stats: dict) -> list[str]:
         if speculative:
             accepted, proposed = speculative["accepted_tokens"], speculative["proposed_tokens"]
             law(accepted <= proposed, f"speculative: accepted <= proposed ({accepted}, {proposed})")
+        # An engine-arena slab garbage-collected with live claims: some
+        # holder never released it, and ``bytes_in_use`` was only squared
+        # by ``ArenaSlab.__del__`` (which is why the leak check reads 0).
+        dropped = engine.get("kv_arena", {}).get("slabs_dropped_live", 0)
+        law(dropped == 0, f"engine.kv_arena.slabs_dropped_live == 0 (is {dropped})")
     sessions = stats.get("sessions")
     if sessions:
         open_ = sessions["created"] - sessions["closed"] - sessions["evicted"] - sessions["lost"]

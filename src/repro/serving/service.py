@@ -148,7 +148,6 @@ class PredictionService:
         obs: Observability | None = None,
         max_queue_depth: int | None = None,
         fallback=None,
-        default_deadline_s: float | None = None,
         shed_retry_after_s: float = 0.5,
         max_sessions: int = 64,
         heartbeat_interval_s: float | None = None,
@@ -161,7 +160,6 @@ class PredictionService:
         self.cache = LruCache(cache_capacity)
         self.max_new_tokens = max_new_tokens
         self.max_queue_depth = max_queue_depth
-        self.default_deadline_s = default_deadline_s
         self.shed_retry_after_s = shed_retry_after_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self._inflight_count = 0  # generations currently admitted (backpressure)
@@ -249,13 +247,6 @@ class PredictionService:
             return self._degrade(prompt, budget, "engine shed the request")
         raise self._abort(outcome, deadline_s)
 
-    def _limits(self, max_new_tokens: int | None, deadline_s: float | None):
-        """One request's token budget and deadline, server defaults filled in."""
-        return (
-            max_new_tokens or self.max_new_tokens,
-            deadline_s if deadline_s is not None else self.default_deadline_s,
-        )
-
     @staticmethod
     def _echo(payload: dict, trace_context: TraceContext | None) -> dict:
         if trace_context is not None:
@@ -305,12 +296,12 @@ class PredictionService:
         trace id as ``"trace_id"``.
         """
         require_text("prompt", prompt)
-        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        budget = max_new_tokens or self.max_new_tokens
         tracer = self.obs.tracer
         with adopt(tracer, trace_context), tracer.span("serving.predict") as span:
             self._g_inflight.inc()
             try:
-                payload = self._predict(prompt, budget, deadline)
+                payload = self._predict(prompt, budget, deadline_s)
             finally:
                 self._g_inflight.dec()
             span.set(
@@ -428,8 +419,8 @@ class PredictionService:
         status; anything after the first token arrives in-band.
         """
         require_text("prompt", prompt)
-        budget, deadline = self._limits(max_new_tokens, deadline_s)
-        return self._predict_stream(prompt, budget, deadline, trace_context)
+        budget = max_new_tokens or self.max_new_tokens
+        return self._predict_stream(prompt, budget, deadline_s, trace_context)
 
     def _stream_done(
         self, payload: dict, trace_context: TraceContext | None, stop_reason=None, **extra
@@ -641,12 +632,12 @@ class PredictionService:
         """``POST /v1/sessions``: open a keystroke session from a full buffer."""
         sessions = self._require_sessions()
         require_text("buffer", buffer)
-        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        budget = max_new_tokens or self.max_new_tokens
         return self._session_call(
             "serving.session_create",
             trace_context,
-            deadline,
-            lambda: sessions.create(buffer, budget, deadline),
+            deadline_s,
+            lambda: sessions.create(buffer, budget, deadline_s),
             discard_on_abort=True,
         )
 
@@ -666,12 +657,12 @@ class PredictionService:
         """
         sessions = self._require_sessions()
         require_text("buffer", buffer)
-        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        budget = max_new_tokens or self.max_new_tokens
         return self._session_call(
             "serving.session_extend",
             trace_context,
-            deadline,
-            lambda: sessions.extend(session_id, buffer, budget, deadline),
+            deadline_s,
+            lambda: sessions.extend(session_id, buffer, budget, deadline_s),
         )
 
     def session_close(self, session_id: str) -> dict:
@@ -697,14 +688,14 @@ class PredictionService:
         per-prompt engine sheds degrade individually.
         """
         require_prompts(prompts)
-        budget, deadline = self._limits(max_new_tokens, deadline_s)
+        budget = max_new_tokens or self.max_new_tokens
         tracer = self.obs.tracer
         with adopt(tracer, trace_context), tracer.span(
             "serving.predict_batch", batch_size=len(prompts)
         ) as span:
             self._g_inflight.inc()
             try:
-                payload = self._predict_batch(prompts, budget, deadline)
+                payload = self._predict_batch(prompts, budget, deadline_s)
             finally:
                 self._g_inflight.dec()
             span.set(decoded=payload["decoded"])
@@ -989,6 +980,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if fields is not None:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:  # read(-1) would block this thread until the client hangs up
+                    raise ServingError(f"Content-Length must be >= 0, got {length}")
                 body = json.loads(self.rfile.read(length) or b"{}")
                 max_new_tokens, deadline_s = _envelope(body)
                 trace_context = TraceContext.from_headers(self.headers)

@@ -26,7 +26,7 @@ This module never drives the model or books an outcome itself.  Because
 causal attention makes incremental prefill bit-identical to prefilling
 from scratch (the property the prefix cache already relies on), an
 extend's completion is byte-identical to a cold re-prefill of the full
-buffer; the conformance suite asserts this across dtypes and seeds.
+buffer; the conformance suite asserts this across seeds and draft depths.
 What changes is only the work: TTFT drops from O(buffer) to O(keystroke).
 
 Lifecycle: sessions are LRU-evicted beyond ``max_sessions``.  Every exit
@@ -238,7 +238,15 @@ class SessionManager:
                 caches=self.engine.network.new_cache(self.engine.kv_arena),
             )
             self._next_id += 1
-            payload = self._generate(session, buffer, max_new_tokens, deadline_s)
+            try:
+                payload = self._generate(session, buffer, max_new_tokens, deadline_s)
+            except BaseException:
+                # Not in the table yet, so no close / close_all will ever
+                # find it: a crash at the decode seam handed the reaped
+                # slabs back to these handles, and only this frame has them.
+                with self.engine._lock:
+                    session.release()
+                raise
             self._sessions[session.session_id] = session
             self._counts["created"].inc()
             if payload["ttft_s"] is not None:

@@ -48,8 +48,13 @@ ENGINE_KEYS = {
     "queue_depth", "active_requests", "completed_requests", "cancelled_requests",
     "deadline_expired_requests", "shed_requests", "decode_faults", "decode_steps",
     "decode_tokens", "prefill_tokens", "prefix_tokens_reused", "mean_batch_occupancy",
-    "peak_batch_size", "max_batch_size", "max_batch_tokens", "requests_submitted",
+    "peak_batch_size", "max_batch_size", "requests_submitted",
     "kv_arena", "prefix_cache", "speculative",
+}  # fmt: skip
+KV_ARENA_KEYS = {
+    "block_size", "slabs_allocated", "slabs_reused", "slabs_pooled", "bytes_allocated",
+    "bytes_in_use", "peak_bytes_in_use", "bytes_copied", "appends", "grow_copies", "cow_copies",
+    "slabs_dropped_live",
 }  # fmt: skip
 SPECULATIVE_KEYS = {
     "k", "draft_model", "steps", "proposed_tokens", "accepted_tokens", "acceptance_rate",
@@ -165,6 +170,7 @@ class TestWire:
             stats = worker.service.stats()
             assert set(stats) == SERVICE_KEYS
             assert set(stats["engine"]) == ENGINE_KEYS
+            assert set(stats["engine"]["kv_arena"]) == KV_ARENA_KEYS
             assert set(stats["engine"]["speculative"]) == SPECULATIVE_KEYS
             assert set(stats["sessions"]) == SESSION_KEYS
 
@@ -316,6 +322,7 @@ class TestAuditNamesTheLaw:
             (("engine", "speculative", "accepted_tokens"), 10**6, "accepted <= proposed"),
             (("sessions", "lost"), 1, "closed - evicted - lost == live_sessions"),
             (("sessions", "live_sessions"), 3, "closed - evicted - lost == live_sessions"),
+            (("engine", "kv_arena", "slabs_dropped_live"), 2, "slabs_dropped_live == 0"),
         ],
     )
     def test_each_broken_law_is_named(self, tree, path, value, law):

@@ -178,19 +178,21 @@ class TestPrefixCache:
         cache = PrefixCache()
         kv = _fake_kv(3)
         cache.insert([7, 8, 9], [kv])
-        kv.keys[...] = -1.0  # mutate the caller's arrays after insert
+        kv.truncate(1)  # the caller rewrites columns the cache claimed
+        stomp = np.full((1, 2, 2, 2), -1.0, dtype=np.float32)
+        kv.append(stomp, stomp)
         match = cache.lookup([7, 8, 9, 1])
         assert match is not None
         _, caches = match
-        assert not np.any(caches[0].keys == -1.0)
+        assert not np.any(caches[0].view()[0] == -1.0)
 
 
 def _fake_kv(length: int):
     from repro.nn.attention import KVCache
 
     cache = KVCache()
-    cache.keys = np.arange(2 * length * 2, dtype=np.float32).reshape(1, 2, length, 2) / 7.0
-    cache.values = cache.keys + 1.0
+    keys = np.arange(2 * length * 2, dtype=np.float32).reshape(1, 2, length, 2) / 7.0
+    cache.append(keys, keys + 1.0)
     return cache
 
 
@@ -226,24 +228,6 @@ class TestContinuousBatcher:
         assert batcher.stats()["completed_requests"] == len(MIXED_PROMPTS)
         assert joined_late
         assert batcher.stats()["mean_batch_occupancy"] > 1.0
-
-    def test_token_budget_gate(self, trained_model):
-        window = trained_model.config.n_positions
-        batcher = ContinuousBatcher(trained_model, max_batch_size=8, max_batch_tokens=window)
-        for i, prompt in enumerate(MIXED_PROMPTS[:3]):
-            batcher.submit(_request(trained_model, i, prompt, max_new_tokens=10))
-        batcher.step()
-        # Footprints (prompt + budget) exceed one window each, so only the
-        # head request fits; the empty-batch exemption admitted it anyway.
-        assert batcher.active_size == 1
-        batcher.run()
-        assert batcher.stats()["completed_requests"] == 3
-
-    def test_oversized_request_not_wedged(self, trained_model):
-        batcher = ContinuousBatcher(trained_model, max_batch_size=4, max_batch_tokens=4)
-        batcher.submit(_request(trained_model, 0, [1, 2, 3, 4, 1, 2], max_new_tokens=8))
-        batcher.run()
-        assert batcher.stats()["completed_requests"] == 1
 
     def test_request_lifecycle_and_timing(self, trained_model):
         # Timing runs on the swappable faults clock, so the assertions are

@@ -169,6 +169,38 @@ class TestCrashMechanics:
             assert stats["engine"]["cancelled_requests"] == 1
             assert stats["sessions"]["closed"] == 1 and stats["sessions"]["lost"] == 0
 
+    def test_crash_mid_session_create_frees_the_slabs_it_prefilled(self):
+        # A create that crashes never reached the session table, so neither
+        # close nor close_all can find its slabs: create must free them.
+        from repro.errors import WorkerUnavailableError
+        from repro.obs import audit
+
+        with use(FakeClock()):
+            _, workers = build_chaos_fleet(0, 1)
+            worker = workers[0]
+            # Held (create mints its handles here) so a slab nobody released
+            # is a leak the arena reports, not garbage ``__del__`` squares.
+            network = worker.engine.network
+            minted: list = []
+            mint = network.new_cache
+            network.new_cache = lambda arena=None: minted.append(mint(arena)) or minted[-1]
+            injector = FaultInjector(seed=0)
+            injector.on("engine.decode_step", at_calls=[2], error=WorkerCrashed)
+            try:
+                with injector, pytest.raises(WorkerUnavailableError):
+                    worker.session_create("- name: Install nginx please\n", max_new_tokens=8)
+            finally:
+                del network.new_cache
+            assert worker.crashes == 1 and not worker.alive
+            (handles,) = minted
+            assert [cache.length for cache in handles] == [0] * len(handles)
+            assert worker.arena_bytes_in_use() == 0
+            stats = worker.service.stats()
+            assert audit(stats) == []
+            assert stats["engine"]["kv_arena"]["slabs_dropped_live"] == 0
+            assert stats["engine"]["cancelled_requests"] == 1
+            assert stats["sessions"]["created"] == 0 and stats["sessions"]["live_sessions"] == 0
+
 
 def _audit(workers):
     """(leaked_bytes, orphaned_sessions) across every replica, dead or alive."""

@@ -8,7 +8,7 @@ import pytest
 from repro.engine import InferenceEngine, PrefixCache, prefill_single
 from repro.errors import ShapeError
 from repro.nn.attention import causal_mask
-from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache
+from repro.nn.kv_arena import DEFAULT_BLOCK_SIZE, DenseKVCache, KVArena, KVCache
 from repro.nn.parameter import numpy_rng
 from repro.nn.rotary import shared_rotary_tables
 from repro.nn.sampling import plan_prompt
@@ -74,27 +74,9 @@ class TestDenseEquivalence:
         assert engine.prefix_cache.hits >= 1  # the second call decoded off shared slabs
         assert seeded.token_ids == _dense_greedy(network, extended, 8)
 
-    def test_float16_storage_stays_close_to_dense(self, network):
-        prompt = [2, 7, 1, 8, 2, 8]
-        caches = network.new_cache(KVArena(block_size=8, dtype=np.float16))
-        dense = network.new_dense_cache()
-        ids = np.array([prompt], dtype=np.int64)
-        logits_fp16 = network.forward_incremental(ids, caches)
-        logits_fp32 = network.forward_incremental(ids, dense)
-        np.testing.assert_allclose(logits_fp16, logits_fp32, rtol=0.0, atol=0.05)
-        token = int(logits_fp32[0, -1].argmax())
-        for _ in range(10):
-            step = np.array([[token]], dtype=np.int64)
-            logits_fp16 = network.forward_incremental(step, caches)
-            logits_fp32 = network.forward_incremental(step, dense)
-            np.testing.assert_allclose(logits_fp16, logits_fp32, rtol=0.0, atol=0.05)
-            token = int(logits_fp32[0, -1].argmax())
-        assert caches[0].keys.dtype == np.float32  # reads upcast for compute
-        assert engine_dtype(caches[0]) == np.float16
 
-
-def engine_dtype(cache: KVCache):
-    return cache._slab.k.dtype
+def _keys(cache: KVCache) -> np.ndarray:
+    return cache.view()[0]
 
 
 class TestCopyOnWrite:
@@ -110,7 +92,7 @@ class TestCopyOnWrite:
     def test_sibling_views_survive_continuation_writes(self):
         arena = KVArena(block_size=4)
         cache = self._filled_cache(arena, 6)
-        frozen_keys = cache.keys.copy()
+        frozen_keys = _keys(cache).copy()
         ref = cache.share(6)
         cache.release()
 
@@ -122,12 +104,12 @@ class TestCopyOnWrite:
         second.append(sibling_extra, sibling_extra)  # must copy-on-write
 
         assert arena.cow_copies == 1
-        np.testing.assert_array_equal(first.keys[:, :, :6], frozen_keys)
-        np.testing.assert_array_equal(second.keys[:, :, :6], frozen_keys)
-        np.testing.assert_array_equal(first.keys[:, :, 6], extra[:, :, 0])
-        np.testing.assert_array_equal(second.keys[:, :, 6], sibling_extra[:, :, 0])
+        np.testing.assert_array_equal(_keys(first)[:, :, :6], frozen_keys)
+        np.testing.assert_array_equal(_keys(second)[:, :, :6], frozen_keys)
+        np.testing.assert_array_equal(_keys(first)[:, :, 6], extra[:, :, 0])
+        np.testing.assert_array_equal(_keys(second)[:, :, 6], sibling_extra[:, :, 0])
         # The stored claim still reads the original columns.
-        np.testing.assert_array_equal(ref.alias().keys, frozen_keys)
+        np.testing.assert_array_equal(_keys(ref.alias()), frozen_keys)
 
     def test_writes_below_frozen_mark_are_never_in_place(self):
         arena = KVArena(block_size=8)
@@ -135,11 +117,11 @@ class TestCopyOnWrite:
         ref = cache.share(4)
         cache.release()
         short = ref.alias(2)  # claims fewer columns than are frozen
-        original = ref.alias().keys.copy()
+        original = _keys(ref.alias()).copy()
         stomp = np.full((1, 2, 1, 4), 99.0, dtype=np.float32)
         short.append(stomp, stomp)  # would overwrite frozen column 2 in place
         assert arena.cow_copies == 1
-        np.testing.assert_array_equal(ref.alias().keys, original)
+        np.testing.assert_array_equal(_keys(ref.alias()), original)
 
     def test_share_beyond_length_rejected(self):
         arena = KVArena(block_size=4)
@@ -277,25 +259,14 @@ class TestPrefixCacheAccounting:
 
 class TestEngineIntegration:
     def test_engine_stats_expose_arena(self, network):
-        engine = InferenceEngine(network, prefix_cache_capacity=4, kv_block_size=16)
+        engine = InferenceEngine(network, prefix_cache_capacity=4)
         engine.generate_batch([[1, 2, 3], [4, 5]], max_new_tokens=6)
         stats = engine.stats()
         arena = stats["kv_arena"]
-        assert arena["block_size"] == 16
-        assert arena["dtype"] == "float32"
+        assert arena["block_size"] == DEFAULT_BLOCK_SIZE
         assert arena["appends"] > 0
         assert arena["peak_bytes_in_use"] > 0
         assert stats["prefix_cache"]["skipped"] == 0
-
-    def test_engine_float16_mode_runs(self, network):
-        engine = InferenceEngine(network, prefix_cache_capacity=4, kv_dtype="float16")
-        results = engine.generate_batch([[9, 8, 7, 6]], max_new_tokens=6)
-        assert results[0].token_ids
-        assert engine.stats()["kv_arena"]["dtype"] == "float16"
-
-    def test_invalid_kv_dtype_rejected(self, network):
-        with pytest.raises(ShapeError):
-            InferenceEngine(network, kv_dtype="int8")
 
 
 class TestSpeculativeRollback:
@@ -313,12 +284,12 @@ class TestSpeculativeRollback:
     def test_truncate_forgets_columns_without_copying(self):
         arena = KVArena(block_size=8)
         cache = self._filled(arena, 1, 6)
-        before = cache.keys[:, :, :4].copy()
+        before = _keys(cache)[:, :, :4].copy()
         copied = arena.bytes_copied
         cache.truncate(4)
         assert cache.length == 4
         assert arena.bytes_copied == copied  # zero-copy rollback
-        np.testing.assert_array_equal(cache.keys, before)
+        np.testing.assert_array_equal(_keys(cache), before)
 
     def test_truncate_bounds_checked(self):
         arena = KVArena(block_size=8)
@@ -336,14 +307,14 @@ class TestSpeculativeRollback:
         cache = self._filled(arena, 1, 6)
         ref = cache.share(6)  # prefix cache holds columns 0..6
         sharer = ref.alias()
-        frozen = sharer.keys.copy()
+        frozen = _keys(sharer).copy()
         cache.truncate(3)  # rollback below the frozen boundary
         stomp = np.full((1, 2, 1, 4), 99.0, dtype=np.float32)
         cache.append(stomp, stomp)  # would overwrite frozen column 3 in place
         assert arena.cow_copies == 1
-        np.testing.assert_array_equal(sharer.keys, frozen)  # sharer intact
-        np.testing.assert_array_equal(cache.keys[:, :, :3], frozen[:, :, :3])
-        np.testing.assert_array_equal(cache.keys[:, :, 3], stomp[:, :, 0])
+        np.testing.assert_array_equal(_keys(sharer), frozen)  # sharer intact
+        np.testing.assert_array_equal(_keys(cache)[:, :, :3], frozen[:, :, :3])
+        np.testing.assert_array_equal(_keys(cache)[:, :, 3], stomp[:, :, 0])
         cache.release()
         sharer.release()
         ref.release()
@@ -376,11 +347,11 @@ class TestSpeculativeRollback:
     def test_realign_rows_repacks_right_aligned(self):
         arena = KVArena(block_size=8)
         cache = self._filled(arena, 3, 7)
-        original = cache.keys.copy()
+        original = _keys(cache).copy()
         # Row 0 keeps columns 1..6, row 1 keeps 0..7, row 2 keeps 3..7.
         cache.realign_rows([(1, 5), (0, 7), (3, 4)])
         assert cache.length == 7
-        got = cache.keys
+        got = _keys(cache)
         np.testing.assert_array_equal(got[0, :, 2:], original[0, :, 1:6])
         np.testing.assert_array_equal(got[0, :, :2], 0)
         np.testing.assert_array_equal(got[1], original[1])
@@ -392,10 +363,10 @@ class TestSpeculativeRollback:
         cache = self._filled(arena, 1, 6)
         ref = cache.share(6)
         sharer = ref.alias()
-        frozen = sharer.keys.copy()
+        frozen = _keys(sharer).copy()
         cache.realign_rows([(2, 3)])
-        np.testing.assert_array_equal(sharer.keys, frozen)
-        np.testing.assert_array_equal(cache.keys, frozen[:, :, 2:5])
+        np.testing.assert_array_equal(_keys(sharer), frozen)
+        np.testing.assert_array_equal(_keys(cache), frozen[:, :, 2:5])
         cache.release()
         sharer.release()
         ref.release()
@@ -416,7 +387,7 @@ class TestSpeculativeRollback:
         arena = KVArena(block_size=8)
         batch = self._filled(arena, 1, 5, seed=1)
         row = self._filled(arena, 1, 3, seed=2)
-        row_data = row.keys.copy()
+        row_data = _keys(row).copy()
         batch.merge_row(row, 5)
         row.release()
         # Speculative step appends 3 columns, then rolls 2 back.
@@ -424,12 +395,12 @@ class TestSpeculativeRollback:
         keys = rng.standard_normal((2, 2, 3, 4)).astype(np.float32)
         batch.append(keys, keys)
         batch.truncate(6)
-        np.testing.assert_array_equal(batch.keys[1, :, 2:5], row_data[0])
-        np.testing.assert_array_equal(batch.keys[:, :, 5], keys[:, :, 0])
+        np.testing.assert_array_equal(_keys(batch)[1, :, 2:5], row_data[0])
+        np.testing.assert_array_equal(_keys(batch)[:, :, 5], keys[:, :, 0])
         # Retire row 0: bottom row keeps its columns, pads trimmed.
         batch.select_rows([1], trim=2)
         assert batch.length == 4
-        np.testing.assert_array_equal(batch.keys[0, :, :3], row_data[0])
+        np.testing.assert_array_equal(_keys(batch)[0, :, :3], row_data[0])
         batch.release()
         assert arena.stats()["bytes_in_use"] == 0
 

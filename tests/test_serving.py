@@ -447,6 +447,26 @@ class TestMalformedEnvelopes:
         assert error_info.value.code == 400
         assert "error" in json.loads(error_info.value.read())
 
+    @pytest.mark.parametrize("backend", ["service", "fleet"])
+    def test_negative_content_length_is_a_400(self, servers, backend):
+        # rfile.read(-1) reads to EOF: the handler thread would sit on the
+        # socket, and the client would get no byte until it hung up.
+        import http.client
+        import json
+        from urllib.parse import urlparse
+
+        address = urlparse(servers[backend])
+        connection = http.client.HTTPConnection(address.hostname, address.port, timeout=2)
+        try:
+            connection.putrequest("POST", "/v1/completions")
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
+
 
 class TestTypedErrorRoundTrip:
     """Every typed error survives HTTP: status out, the same type back in."""

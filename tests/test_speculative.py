@@ -113,20 +113,6 @@ class TestGreedyIdentity:
         assert_matches_sequential(trained_model, results, MIXED_PROMPTS, 8, stop_ids={3})
         assert any(result.stop_reason == "stop_token" for result in results)
 
-    def test_identity_with_fp16_kv(self, trained_model):
-        plain = InferenceEngine(trained_model, max_batch_size=3, kv_dtype="float16")
-        want = plain.generate_batch(MIXED_PROMPTS, max_new_tokens=8)
-        spec = InferenceEngine(
-            trained_model,
-            max_batch_size=3,
-            kv_dtype="float16",
-            speculative_k=4,
-            draft_model=CycleDraft(),
-        )
-        got = spec.generate_batch(MIXED_PROMPTS, max_new_tokens=8)
-        for a, b in zip(want, got):
-            assert a.token_ids == b.token_ids and a.stop_reason == b.stop_reason
-
     def test_identity_with_prefix_cache_shared_slabs(self, trained_model):
         """Later rounds prefill from frozen shared slabs, then roll back past them."""
         head = [1, 2, 3, 4, 1, 2, 3, 4]
@@ -211,13 +197,6 @@ class TestSpeculativeStats:
             InferenceEngine(trained_model, speculative_k=2)  # no draft model
         with pytest.raises(EngineError):
             InferenceEngine(trained_model, speculative_k=-1, draft_model=CycleDraft())
-
-    def test_enable_after_construction(self, trained_model):
-        engine = InferenceEngine(trained_model, max_batch_size=3)
-        engine.enable_speculative(CycleDraft(), 4)
-        results = engine.generate_batch(MIXED_PROMPTS, max_new_tokens=8)
-        assert_matches_sequential(trained_model, results, MIXED_PROMPTS, 8)
-        assert engine.stats()["speculative"]["steps"] > 0
 
 
 class TestDrafters:

@@ -1,12 +1,11 @@
 """Streaming / session conformance: delivery changes, content never does.
 
-The property this suite pins down, across a grid of seeds, batch sizes,
-speculative draft depths and KV dtypes:
+The property this suite pins down, across a grid of seeds, batch sizes
+and speculative draft depths:
 
 * the concatenation of every burst ``stream_ids`` yields is byte-identical
   to the non-streaming ``generate_batch`` result for the same prompt, and
-  (at fp32) to the blessed :func:`~repro.nn.sampling.generate_greedy`
-  reference;
+  to the blessed :func:`~repro.nn.sampling.generate_greedy` reference;
 * a keystroke session's ``extend`` — which rolls the warm KV slab forward
   and prefills only the buffer delta — produces output byte-identical to
   a cold re-prefill of the same full buffer on a fresh engine;
@@ -40,7 +39,6 @@ TRAIN_TEXTS = [
 ]
 
 SPECULATIVE_KS = (0, 2, 4)
-KV_DTYPES = ("float32", "float16")
 BUDGET = 12
 
 
@@ -66,24 +64,21 @@ def build_engine(
     seed: int,
     *,
     speculative_k: int = 0,
-    kv_dtype: str = "float32",
+    draft_kind: str = "retrieval",
     max_batch_size: int = 4,
 ) -> InferenceEngine:
-    engine = InferenceEngine(
+    # A fresh draft per engine: drafts are stateful (they observe decoded
+    # contexts), and sharing one across the streaming and the reference
+    # engine would entangle the two runs' acceptance rates.
+    draft = build_draft_model(draft_kind, tokenizer, TRAIN_TEXTS) if speculative_k else None
+    return InferenceEngine(
         network_for(seed, tokenizer.vocab_size),
         tokenizer,
         max_batch_size=max_batch_size,
         default_max_new_tokens=BUDGET,
-        kv_dtype=kv_dtype,
+        speculative_k=speculative_k,
+        draft_model=draft,
     )
-    if speculative_k:
-        # A fresh draft per engine: drafts are stateful (they observe
-        # decoded contexts), and sharing one across the streaming and the
-        # reference engine would entangle the two runs' acceptance rates.
-        engine.enable_speculative(
-            build_draft_model("retrieval", tokenizer, TRAIN_TEXTS), speculative_k
-        )
-    return engine
 
 
 def seeded_prompts(seed: int, count: int, vocab_size: int) -> list[list[int]]:
@@ -107,15 +102,10 @@ class TestStreamMatchesNonStreaming:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("speculative_k", SPECULATIVE_KS)
-    @pytest.mark.parametrize("kv_dtype", KV_DTYPES)
-    def test_stream_concat_equals_batch(self, tokenizer, seed, speculative_k, kv_dtype):
+    def test_stream_concat_equals_batch(self, tokenizer, seed, speculative_k):
         prompts = seeded_prompts(seed, 4, tokenizer.vocab_size)
-        streaming = build_engine(
-            tokenizer, seed, speculative_k=speculative_k, kv_dtype=kv_dtype
-        )
-        reference = build_engine(
-            tokenizer, seed, speculative_k=speculative_k, kv_dtype=kv_dtype
-        )
+        streaming = build_engine(tokenizer, seed, speculative_k=speculative_k)
+        reference = build_engine(tokenizer, seed, speculative_k=speculative_k)
         streamed = [stream_all(streaming, prompt) for prompt in prompts]
         results = reference.generate_batch([list(p) for p in prompts], BUDGET)
         for got, want in zip(streamed, results):
@@ -124,8 +114,8 @@ class TestStreamMatchesNonStreaming:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("speculative_k", SPECULATIVE_KS)
     def test_stream_concat_equals_greedy_reference(self, tokenizer, seed, speculative_k):
-        # The blessed reference runs full fp32 forwards with no KV arena at
-        # all; at fp32 KV the streamed tokens must match it exactly.
+        # The blessed reference runs full forwards with no KV arena at all;
+        # the streamed tokens must match it exactly.
         engine = build_engine(tokenizer, seed, speculative_k=speculative_k)
         network = network_for(seed, tokenizer.vocab_size)
         for prompt in seeded_prompts(seed + 10, 3, tokenizer.vocab_size):
@@ -154,14 +144,9 @@ class TestSessionExtendMatchesColdPrefill:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("speculative_k", SPECULATIVE_KS)
-    @pytest.mark.parametrize("kv_dtype", KV_DTYPES)
-    def test_extend_equals_cold_create(self, tokenizer, seed, speculative_k, kv_dtype):
-        warm_engine = build_engine(
-            tokenizer, seed, speculative_k=speculative_k, kv_dtype=kv_dtype
-        )
-        cold_engine = build_engine(
-            tokenizer, seed, speculative_k=speculative_k, kv_dtype=kv_dtype
-        )
+    def test_extend_equals_cold_create(self, tokenizer, seed, speculative_k):
+        warm_engine = build_engine(tokenizer, seed, speculative_k=speculative_k)
+        cold_engine = build_engine(tokenizer, seed, speculative_k=speculative_k)
         warm = SessionManager(warm_engine)
         cold = SessionManager(cold_engine)
         buffer = TRAIN_TEXTS[seed % len(TRAIN_TEXTS)]
@@ -183,9 +168,7 @@ class TestSessionExtendMatchesColdPrefill:
         def drafting_engine():
             # the n-gram drafter always has an opinion (the grid's retrieval
             # drafter rarely matches a random-weight model's output)
-            engine = build_engine(tokenizer, seed)
-            engine.enable_speculative(build_draft_model("ngram", tokenizer, TRAIN_TEXTS), 4)
-            return engine
+            return build_engine(tokenizer, seed, speculative_k=4, draft_kind="ngram")
 
         warm_engine = drafting_engine()
         warm = SessionManager(warm_engine)
