@@ -11,9 +11,15 @@ Mirrors the workflows a user of the released system would run::
     python -m repro.cli obs --spans /tmp/trace.jsonl
     python -m repro.cli obs --runlog /tmp/run.jsonl [--compare /tmp/run2.jsonl]
     python -m repro.cli profile --size 350M --mode generate --trace /tmp/prof.json
+    python -m repro.cli chaos --seed 1 --verify
+    python -m repro.cli fleet chaos --seed 1 --verify
+    python -m repro.cli slo --seed 1
 
 Every subcommand is a thin shell over the library API; all heavy lifting
-stays importable and testable.
+stays importable and testable — the chaos storms are
+:func:`repro.engine.chaos.run_engine_chaos` and
+:func:`repro.fleet.run_fleet_chaos`, and CI fails on an engine class named
+in this file.
 """
 
 from __future__ import annotations
@@ -227,21 +233,27 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_exit(args: argparse.Namespace, log: str, violations: list[str], replays) -> int:
-    """The tail of both chaos commands: write the log, report violated
-    invariants on stderr (never in the log: replay files stay as recorded)
-    and, under ``--verify``, ask ``replays()`` whether a second run of the
-    seed reproduced the first byte for byte."""
+def _chaos_exit(args: argparse.Namespace, result: dict, rerun) -> int:
+    """The tail of both chaos commands, over the result shape the two
+    harnesses share: write the log, report violated invariants on stderr
+    (never in the log: replay files stay as recorded) and, under
+    ``--verify``, ``rerun()`` the seed and require the same log — and the
+    same merged trace, when the run made one — byte for byte."""
+    log = result["log"]
     if args.out:
         Path(args.out).write_text(log, encoding="utf-8")
         print(f"{len(log.splitlines())} events written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(log)
-    for violation in violations:
+    for violation in result["violations"]:
         print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
-    status = 1 if violations else 0
+    status = 1 if result["violations"] else 0
     if args.verify:
-        if replays():
+        replay = rerun()
+        if (replay["log"], replay.get("chrome_trace_json")) == (
+            log,
+            result.get("chrome_trace_json"),
+        ):
             print("replay: byte-identical", file=sys.stderr)
         else:
             print("replay: DIVERGED", file=sys.stderr)
@@ -250,235 +262,22 @@ def _chaos_exit(args: argparse.Namespace, log: str, violations: list[str], repla
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Replay a seeded fault schedule against the engine; emit the event log.
+    """Seeded engine chaos: a shell over
+    :func:`repro.engine.chaos.run_engine_chaos`, which owns the storm and
+    the verdict.  Exit status and ``--verify`` as for ``repro fleet chaos``."""
+    from repro.engine.chaos import run_engine_chaos
 
-    Runs a tiny random-weight model through the continuous batcher under a
-    fake clock with deadlines, scheduled cancellations and injected
-    slab-allocation / decode-step faults.  Everything — model weights,
-    prompts, fault schedule, clock — derives from ``--seed``, so the JSONL
-    written to ``--out`` is byte-identical across runs of the same seed:
-    diff two runs (or pass ``--verify`` to do it in one invocation) to
-    verify a failure reproduction, or bisect a seed range to hunt for
-    schedules that violate engine invariants.  ``--speculative-k`` runs
-    the same schedule with draft-then-verify decoding: the drafter is
-    warmed on the model's own greedy continuations before the injector
-    arms, and because drafts are pure functions of the context, faulted
-    steps recompute them identically on retry — the log stays
-    byte-identical across replays with speculation enabled.
-    """
-    from collections import deque
-
-    from repro.engine.batcher import ContinuousBatcher
-    from repro.engine.prefix_cache import PrefixCache
-    from repro.engine.request import GenerationRequest
-    from repro.engine.speculative import RetrievalSuffixDraft
-    from repro.faults import FakeClock, FaultInjector, use
-    from repro.nn.kv_arena import KVArena
-    from repro.nn.parameter import numpy_rng
-    from repro.nn.sampling import generate_greedy, plan_prompt
-    from repro.nn.transformer import DecoderLM, TransformerConfig
-    from repro.obs import audit
-
-    def render(events, injector, stats, leaked, **shape) -> tuple[str, list[str]]:
-        """``(log, violations)`` of either run shape: the canonical JSONL,
-        closed by the summary event, and the audit of the run's books —
-        the engine laws plus the zero-leak invariant."""
-        summary = {
-            "kind": "summary",
-            "seed": args.seed,
-            **shape,
-            "completed": stats["completed_requests"],
-            "cancelled": stats["cancelled_requests"],
-            "deadline_expired": stats["deadline_expired_requests"],
-            "shed": stats["shed_requests"],
-            "decode_faults": stats["decode_faults"],
-            "fault_events": len(injector.events()),
-            "arena_bytes_in_use": leaked,
-        }
-        if args.speculative_k:
-            speculative = stats["speculative"]
-            summary["speculative_k"] = speculative["k"]
-            if not args.stream:  # stream logs have never carried it
-                summary["speculative_steps"] = speculative["steps"]
-            summary["draft_proposed"] = speculative["proposed_tokens"]
-            summary["draft_accepted"] = speculative["accepted_tokens"]
-        violations = audit({"engine": stats})
-        if leaked:
-            violations.append(f"kv_arena: bytes_in_use == 0 (is {leaked})")
-        log = "".join(json.dumps(event, sort_keys=True) + "\n" for event in [*events, summary])
-        return log, violations
-
-    def run_stream(rng, network, fake, injector, plans, draft) -> tuple[str, list[str]]:
-        """The ``--stream`` run shape: the same fault schedule pointed at
-        :meth:`~repro.engine.engine.InferenceEngine.stream_ids`, with a
-        seeded fraction of streams abandoned mid-decode (generator close —
-        the client-disconnect path).  Its extra rng draws happen *after*
-        every draw the non-stream shape makes, so ``--stream`` cannot
-        perturb the schedules non-stream seeds already recorded."""
-        from repro.engine import InferenceEngine
-
-        abandons = [
-            rng.randint(1, 5) if rng.bernoulli(0.3) else None for _ in range(len(plans))
-        ]
-        with use(fake), injector:
-            engine = InferenceEngine(
-                network,
-                max_batch_size=args.max_batch,
-                prefix_cache_capacity=8,
-                default_max_new_tokens=8,
-                speculative_k=args.speculative_k,
-                draft_model=draft,
-            )
-            records = []
-            disconnects = 0
-            for index, ((planned, _effective, deadline), abandon) in enumerate(
-                zip(plans, abandons)
-            ):
-                handle: list = []
-                tokens = 0
-                disconnected = False
-                stream_gen = engine.stream_ids(planned, 8, deadline_s=deadline, handle=handle)
-                try:
-                    for burst in stream_gen:
-                        tokens += len(burst)
-                        if abandon is not None and tokens >= abandon:
-                            disconnected = True
-                            break
-                finally:
-                    stream_gen.close()
-                disconnects += disconnected
-                request = handle[0]
-                records.append(
-                    {
-                        "kind": "stream",
-                        "id": index,
-                        "outcome": request.outcome,
-                        "stop_reason": request.stop_reason,
-                        "tokens": tokens,
-                        "generated": len(request.generated),
-                        "disconnected": disconnected,
-                    }
-                )
-                fake.advance(0.05)
-            engine.prefix_cache.clear()
-            leaked = engine.kv_arena.stats()["bytes_in_use"]
-            events = [dict(event, kind="fault") for event in injector.events()]
-        return render(
-            events + records,
-            injector,
-            engine.stats(),
-            leaked,
-            stream=True,
-            streams=len(plans),
-            disconnects=disconnects,
-        )
-
-    def run_once() -> tuple[str, list[str]]:
-        rng = SeededRng(args.seed).child("chaos")
-        config = TransformerConfig(vocab_size=32, n_positions=48, dim=16, n_layers=2, n_heads=4)
-        network = DecoderLM(config, numpy_rng(args.seed))
-        fake = FakeClock()
-        injector = FaultInjector(seed=args.seed)
-        injector.on("kv_arena.acquire", probability=args.alloc_fault_rate, max_fires=4)
-        injector.on("engine.decode_step", probability=args.decode_fault_rate, max_fires=4)
-        injector.on(
-            "engine.decode_step",
-            probability=args.slow_step_rate,
-            error=None,
-            delay_s=0.25,
-            max_fires=4,
-        )
-
-        # Draw every random decision up front (the rng call order is the
-        # replay contract), so the optional drafter warm-up below cannot
-        # perturb the schedule non-speculative runs produced.
-        plans: list[tuple[list[int], int, float | None]] = []
-        for _ in range(args.requests):
-            prompt = [rng.randint(1, config.vocab_size - 1) for _ in range(rng.randint(3, 12))]
-            planned, effective = plan_prompt(config.n_positions, prompt, 8)
-            deadline = rng.uniform(0.3, 2.0) if rng.bernoulli(0.4) else None
-            plans.append((planned, effective, deadline))
-        cancel_steps = [
-            rng.randint(1, 15) if rng.bernoulli(0.2) else None for _ in range(args.requests)
-        ]
-
-        draft = None
-        if args.speculative_k:
-            # Warm the drafter on the model's own greedy continuations —
-            # outside the injector, so warm-up forwards never consume the
-            # fault schedule.  Deterministic: numpy only, no rng.
-            draft = RetrievalSuffixDraft()
-            for planned, _, _ in plans:
-                result = generate_greedy(network, list(planned), 8)
-                draft.observe(list(planned) + list(result.token_ids))
-
-        if args.stream:
-            return run_stream(rng, network, fake, injector, plans, draft)
-
-        with use(fake), injector:
-            arena = KVArena()
-            batcher = ContinuousBatcher(
-                network,
-                max_batch_size=args.max_batch,
-                prefix_cache=PrefixCache(8),
-                arena=arena,
-                speculative_k=args.speculative_k,
-                draft_model=draft,
-            )
-            requests: list[GenerationRequest] = []
-            for index, (planned, effective, deadline) in enumerate(plans):
-                requests.append(
-                    GenerationRequest(
-                        request_id=index,
-                        prompt_ids=planned,
-                        max_new_tokens=8,
-                        effective_budget=effective,
-                        deadline_s=deadline,
-                    )
-                )
-            cancel_at: dict[int, list[GenerationRequest]] = {}
-            for request, cancel_step in zip(requests, cancel_steps):
-                if cancel_step is not None:
-                    cancel_at.setdefault(cancel_step, []).append(request)
-            arrivals = deque(requests)
-            step_index = 0
-            while True:
-                for _ in range(2):  # staggered arrival: two submissions per step
-                    if arrivals:
-                        batcher.submit(arrivals.popleft())
-                for request in cancel_at.get(step_index, ()):
-                    request.cancel()
-                more = batcher.step()
-                fake.advance(0.05)
-                step_index += 1
-                if not more and not arrivals:
-                    break
-                if step_index > 10_000:  # max_fires caps make schedules finite; belt and braces
-                    raise RuntimeError("chaos run failed to terminate")
-            batcher.prefix_cache.clear()
-            leaked = arena.stats()["bytes_in_use"]
-            events = [dict(event, kind="fault") for event in injector.events()]
-
-        for request in requests:
-            events.append(
-                {
-                    "kind": "request",
-                    "id": request.request_id,
-                    "outcome": request.outcome,
-                    "stop_reason": request.stop_reason,
-                    "generated": len(request.generated),
-                    "prefix_reused": request.prefix_reused,
-                }
-            )
-        # A bare batcher has no engine minting request ids: it was handed
-        # exactly these requests.
-        stats = dict(
-            batcher.stats(), requests_submitted=len(requests), kv_arena=arena.stats()
-        )
-        return render(events, injector, stats, leaked, steps=step_index)
-
-    log, violations = run_once()
-    return _chaos_exit(args, log, violations, lambda: run_once()[0] == log)
+    kwargs = dict(
+        seed=args.seed,
+        requests=args.requests,
+        max_batch=args.max_batch,
+        alloc_fault_rate=args.alloc_fault_rate,
+        decode_fault_rate=args.decode_fault_rate,
+        slow_step_rate=args.slow_step_rate,
+        speculative_k=args.speculative_k,
+        stream=args.stream,
+    )
+    return _chaos_exit(args, run_engine_chaos(**kwargs), lambda: run_engine_chaos(**kwargs))
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
@@ -547,15 +346,7 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
 
         written = write_fleet_chrome_trace(args.trace_out, result["chrome_trace"])
         print(f"merged chrome trace ({written} spans) written to {args.trace_out}", file=sys.stderr)
-
-    def replays() -> bool:
-        replay = run_fleet_chaos(**kwargs)
-        return (replay["log"], replay.get("chrome_trace_json")) == (
-            result["log"],
-            result.get("chrome_trace_json"),
-        )
-
-    return _chaos_exit(args, result["log"], result["violations"], replays)
+    return _chaos_exit(args, result, lambda: run_fleet_chaos(**kwargs))
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:

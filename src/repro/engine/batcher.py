@@ -111,8 +111,6 @@ class ContinuousBatcher:
         self._c_occupancy_ticks = metrics.counter("engine.occupancy_ticks")
         self._c_decode_tokens = metrics.counter("engine.decode_tokens")
         self._c_prefill_tokens = metrics.counter("engine.prefill_tokens")
-        self._c_prefix_hits = metrics.counter("engine.prefix_cache_hits")
-        self._c_prefix_misses = metrics.counter("engine.prefix_cache_misses")
         self._c_prefix_reused = metrics.counter("engine.prefix_tokens_reused")
         if speculative_k:
             self._c_spec_steps = metrics.counter("engine.speculative_steps")
@@ -227,10 +225,7 @@ class ContinuousBatcher:
             match = prefix_cache.lookup(request.prompt_ids)
             if match is not None:
                 request.prefix_reused, seeded = match
-                self._c_prefix_hits.inc()
                 self._c_prefix_reused.inc(request.prefix_reused)
-            else:
-                self._c_prefix_misses.inc()
         forward_started = clock.now()
         try:
             caches, first_token, prefilled = prefill_single(

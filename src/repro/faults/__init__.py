@@ -5,8 +5,9 @@ seed-driven fault schedules against named seams in the engine, KV arena,
 tokenizer and checkpoint loader; :mod:`repro.faults.clock` is the
 monotonic clock every deadline, timing and backoff reads, swappable for a
 :class:`FakeClock` so failure timing is exact and replays are
-byte-identical.  Driven by ``tests/test_faults.py`` and the ``repro
-chaos`` CLI subcommand; see DESIGN.md §Failure model.
+byte-identical.  Driven by ``tests/test_faults.py`` and the chaos
+harnesses :mod:`repro.engine.chaos` / :mod:`repro.fleet.chaos` (beside what
+they storm: this package sits below ``nn``); see DESIGN.md §Failure model.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.faults.inject import (
     FaultSpec,
     active,
     fire,
+    render_jsonl,
     shield,
 )
 
@@ -34,5 +36,6 @@ __all__ = [
     "FaultSpec",
     "active",
     "fire",
+    "render_jsonl",
     "shield",
 ]

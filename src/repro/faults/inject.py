@@ -73,6 +73,12 @@ KNOWN_SEAMS = (
 )
 
 
+def render_jsonl(events) -> str:
+    """Canonical JSONL: one sorted-key object per line.  The byte-level
+    format of every replay log — the injector's and both chaos harnesses'."""
+    return "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
+
+
 class FaultSpec:
     """One registered fault: where it fires, when, and what it does.
 
@@ -214,17 +220,7 @@ class FaultInjector:
 
     def event_log(self) -> str:
         """Canonical JSONL rendering of the fired faults (sorted keys)."""
-        return "".join(
-            json.dumps(event, sort_keys=True) + "\n" for event in self.events()
-        )
-
-    def export_jsonl(self, path) -> int:
-        """Write the event log to ``path``; returns the number of events."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(events)
+        return render_jsonl(self.events())
 
     # -- installation --------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Every count in the stack is a registry counter and ``stats()`` is a locked
 read of it (DESIGN.md "Counting"), so once a replica is quiescent —
 nothing queued, decoding or admitted — its counts must satisfy a few
-identities.  Every chaos run ends with :func:`audit`: a request, session
-or admission slot that goes missing from the books fails the run.
+identities.  Every chaos run ends with :func:`audit`: a request, session,
+admission slot or KV byte that goes missing from the books fails the run.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ def audit(stats: dict) -> list[str]:
     if "inflight" in stats:
         law(stats["inflight"] == 0, f"inflight == 0 (is {stats['inflight']})")
     engine = stats.get("engine")
+    sessions = stats.get("sessions")
     if engine:
         live = engine["queue_depth"], engine["active_requests"]
         law(live == (0, 0), f"engine: queue_depth == active_requests == 0 (are {live})")
@@ -46,9 +47,15 @@ def audit(stats: dict) -> list[str]:
         # An engine-arena slab garbage-collected with live claims: some
         # holder never released it, and ``bytes_in_use`` was only squared
         # by ``ArenaSlab.__del__`` (which is why the leak check reads 0).
-        dropped = engine.get("kv_arena", {}).get("slabs_dropped_live", 0)
+        arena = engine.get("kv_arena", {})
+        dropped = arena.get("slabs_dropped_live", 0)
         law(dropped == 0, f"engine.kv_arena.slabs_dropped_live == 0 (is {dropped})")
-    sessions = stats.get("sessions")
+        # Zero leak: a cached prefix and a live session hold KV by design;
+        # with neither, every byte still claimed belongs to nobody.
+        cached = engine.get("prefix_cache", {}).get("entries", 0)
+        if not cached and not (sessions or {}).get("live_sessions", 0):
+            held = arena.get("bytes_in_use", 0)
+            law(held == 0, f"engine.kv_arena.bytes_in_use == 0, nothing cached or open (is {held})")
     if sessions:
         open_ = sessions["created"] - sessions["closed"] - sessions["evicted"] - sessions["lost"]
         law(

@@ -203,11 +203,13 @@ class PredictionService:
             if self.max_queue_depth is not None and self._inflight_count >= self.max_queue_depth:
                 return False
             self._inflight_count += 1
+            self._g_inflight.inc()
             return True
 
     def _release_admission(self) -> None:
         with self._lock:
             self._inflight_count -= 1
+            self._g_inflight.dec()
 
     def _shed(self, reason: str) -> ServiceOverloadedError:
         """Account a shed request and build the typed 503 to raise."""
@@ -299,11 +301,7 @@ class PredictionService:
         budget = max_new_tokens or self.max_new_tokens
         tracer = self.obs.tracer
         with adopt(tracer, trace_context), tracer.span("serving.predict") as span:
-            self._g_inflight.inc()
-            try:
-                payload = self._predict(prompt, budget, deadline_s)
-            finally:
-                self._g_inflight.dec()
+            payload = self._predict(prompt, budget, deadline_s)
             span.set(
                 cached=payload["cached"],
                 coalesced=bool(payload.get("coalesced")),
@@ -324,7 +322,11 @@ class PredictionService:
                 self._inflight[prompt] = entry
         if not owner:
             # Coalesce: another thread is already generating this prompt.
-            entry.done.wait()
+            # The wait is bounded by this request's own deadline, not the
+            # owner's: expiry leaves the owner and its other waiters be.
+            remaining = None if deadline_s is None else deadline_s - (clock.now() - started)
+            if not entry.done.wait(remaining):
+                raise self._abort("deadline_exceeded", deadline_s)
             if entry.error is not None:
                 if isinstance(entry.error, REQUEST_ERRORS):
                     raise entry.error  # keep the typed status (503/504/...) for waiters
@@ -693,11 +695,7 @@ class PredictionService:
         with adopt(tracer, trace_context), tracer.span(
             "serving.predict_batch", batch_size=len(prompts)
         ) as span:
-            self._g_inflight.inc()
-            try:
-                payload = self._predict_batch(prompts, budget, deadline_s)
-            finally:
-                self._g_inflight.dec()
+            payload = self._predict_batch(prompts, budget, deadline_s)
             span.set(decoded=payload["decoded"])
             return self._echo(payload, trace_context)
 
@@ -781,9 +779,9 @@ class PredictionService:
         Every serving-side field — the registry's request/shed/degraded
         counters AND the inflight depth — is read in a single pass under
         ``self._lock``, the lock their grouped bumps hold.  ``inflight``
-        reads the authoritative ``_inflight_count`` (mutated under this
-        same lock by ``_try_admit``/``_release_admission``) rather than
-        the metrics gauge, which trails it outside the lock.
+        is ``_inflight_count``, the number admission is decided on; the
+        ``serving.inflight`` gauge is set beside it under this same lock
+        by ``_try_admit``/``_release_admission``, so the two agree.
         """
         with self._lock:
             requests = self._c_requests.value

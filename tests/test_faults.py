@@ -21,8 +21,8 @@ from repro.engine import (
     GenerationRequest,
     InferenceEngine,
     PrefixCache,
-    RetrievalSuffixDraft,
 )
+from repro.engine.chaos import run_engine_chaos
 from repro.errors import (
     DeadlineExceededError,
     InjectedFault,
@@ -38,11 +38,13 @@ from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.serving.client import PredictionClient, RetryPolicy
 from repro.serving.service import PredictionService, RestServer
-from repro.utils.rng import SeededRng
 
 pytestmark = pytest.mark.faults
 
 TERMINAL_OUTCOMES = {"completed", "cancelled", "deadline_exceeded", "shed"}
+
+#: The three engine run shapes: ``repro chaos`` flags -> ``run_engine_chaos`` keywords.
+ENGINE_SHAPES = {"": {}, "--stream": {"stream": True}, "--speculative-k 4": {"speculative_k": 4}}
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +163,7 @@ class TestFaultInjector:
         assert fake.now() == 0.75
         assert injector.events()[0]["action"] == "delay"
 
-    def test_event_log_is_canonical_jsonl(self, tmp_path):
+    def test_event_log_is_canonical_jsonl(self):
         injector = FaultInjector(seed=0).on("tokenizer.encode", at_calls=[1])
         with injector:
             with pytest.raises(InjectedFault):
@@ -171,9 +173,6 @@ class TestFaultInjector:
         event = json.loads(lines[0])
         assert event["seam"] == "tokenizer.encode" and event["action"] == "raise"
         assert lines[0] == json.dumps(event, sort_keys=True)
-        out = tmp_path / "events.jsonl"
-        assert injector.export_jsonl(out) == 1
-        assert out.read_text() == injector.event_log()
 
     def test_known_seams_are_instrumented(self):
         # Every advertised seam must actually fire from its call site.
@@ -213,108 +212,60 @@ class TestFaultInjector:
 # -- engine chaos -------------------------------------------------------------
 
 
-def _drive_chaos(model, seed: int, requests: int = 10, speculative_k: int = 0):
-    """The test-side twin of ``repro chaos``: drive a seeded failure storm."""
-    rng = SeededRng(seed).child("chaos")
-    fake = FakeClock()
-    injector = (
-        FaultInjector(seed=seed)
-        .on("kv_arena.acquire", probability=0.15, max_fires=4)
-        .on("engine.decode_step", probability=0.1, max_fires=4)
-        .on("engine.decode_step", probability=0.1, error=None, delay_s=0.25, max_fires=4)
+def _assert_storm_upheld(result: dict, requests: int) -> dict:
+    """The load-bearing property, read off a ``run_engine_chaos`` result —
+    the storm ``repro chaos`` replays, so a seed failing here reproduces
+    from the command line.  Returns the engine stats for further checks."""
+    assert result["violations"] == []
+    outcomes = [event["outcome"] for event in result["events"] if event["kind"] == "request"]
+    assert len(outcomes) == requests
+    assert all(outcome in TERMINAL_OUTCOMES for outcome in outcomes), outcomes
+    stats = result["stats"]
+    assert stats["queue_depth"] == 0 and stats["active_requests"] == 0
+    # Slot accounting returns to zero: with the batch drained and the
+    # prefix cache cleared, every KV slab went back to the arena.
+    assert stats["prefix_cache"]["entries"] == 0
+    assert stats["kv_arena"]["bytes_in_use"] == 0
+    accounted = (
+        stats["completed_requests"]
+        + stats["cancelled_requests"]
+        + stats["deadline_expired_requests"]
+        + stats["shed_requests"]
     )
-    with use(fake):
-        jobs = []
-        for index in range(requests):
-            prompt = [rng.randint(1, model.config.vocab_size - 1) for _ in range(rng.randint(2, 8))]
-            jobs.append(
-                _request(
-                    model, index, prompt,
-                    deadline_s=rng.uniform(0.3, 2.0) if rng.bernoulli(0.4) else None,
-                )
-            )
-        cancel_at: dict[int, list] = {}
-        for job in jobs:
-            if rng.bernoulli(0.2):
-                cancel_at.setdefault(rng.randint(1, 12), []).append(job)
-        draft = None
-        if speculative_k:
-            # Warm the drafter on the model's own greedy continuations before
-            # the injector goes live: warm-up forwards must not consume the
-            # fault schedule, or the schedule would stop replaying.
-            draft = RetrievalSuffixDraft()
-            for job in jobs:
-                warm = generate_greedy(model, list(job.prompt_ids), 8)
-                draft.observe(list(job.prompt_ids) + list(warm.token_ids))
-        with injector:
-            arena = KVArena()
-            prefix_cache = PrefixCache(8)
-            batcher = ContinuousBatcher(
-                model,
-                max_batch_size=3,
-                prefix_cache=prefix_cache,
-                arena=arena,
-                speculative_k=speculative_k,
-                draft_model=draft,
-            )
-            arrivals = list(jobs)
-            step_index = 0
-            while True:
-                for _ in range(2):
-                    if arrivals:
-                        batcher.submit(arrivals.pop(0))
-                for job in cancel_at.get(step_index, ()):
-                    job.cancel()
-                more = batcher.step()
-                fake.advance(0.05)
-                step_index += 1
-                assert step_index < 10_000, "chaos run failed to terminate"
-                if not more and not arrivals:
-                    break
-            prefix_cache.clear()
-    return jobs, batcher, arena
+    assert accounted == requests
+    return stats
 
 
 class TestEngineChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_every_request_terminates_and_nothing_leaks(self, chaos_model, seed):
-        jobs, batcher, arena = _drive_chaos(chaos_model, seed)
-        outcomes = [job.outcome for job in jobs]
-        assert all(outcome in TERMINAL_OUTCOMES for outcome in outcomes), outcomes
-        assert batcher.queue_depth == 0 and batcher.active_size == 0
-        # Slot accounting returns to zero: with the batch drained and the
-        # prefix cache cleared, every KV slab went back to the arena.
-        assert arena.stats()["bytes_in_use"] == 0
-        stats = batcher.stats()
-        accounted = (
-            stats["completed_requests"]
-            + stats["cancelled_requests"]
-            + stats["deadline_expired_requests"]
-            + stats["shed_requests"]
-        )
-        assert accounted == len(jobs)
+    def test_every_request_terminates_and_nothing_leaks(self, seed):
+        _assert_storm_upheld(run_engine_chaos(seed=seed, requests=10), 10)
 
     @pytest.mark.speculative
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_speculation_terminates_and_leaks_nothing(self, chaos_model, seed):
+    def test_speculation_terminates_and_leaks_nothing(self, seed):
         """The chaos property is speculation-agnostic: same storm, draft on."""
-        jobs, batcher, arena = _drive_chaos(chaos_model, seed, speculative_k=4)
-        outcomes = [job.outcome for job in jobs]
-        assert all(outcome in TERMINAL_OUTCOMES for outcome in outcomes), outcomes
-        assert batcher.queue_depth == 0 and batcher.active_size == 0
-        assert arena.stats()["bytes_in_use"] == 0
-        stats = batcher.stats()
-        accounted = (
-            stats["completed_requests"]
-            + stats["cancelled_requests"]
-            + stats["deadline_expired_requests"]
-            + stats["shed_requests"]
-        )
-        assert accounted == len(jobs)
-        spec = stats["speculative"]
+        result = run_engine_chaos(seed=seed, requests=10, speculative_k=4)
+        spec = _assert_storm_upheld(result, 10)["speculative"]
         assert spec["k"] == 4
         assert spec["steps"] > 0
         assert spec["accepted_tokens"] <= spec["proposed_tokens"]
+
+    def test_an_unreleased_kv_cache_fails_the_run_through_the_audit(self, monkeypatch):
+        """The harness compares no byte count itself: a claim nobody
+        releases reaches ``violations`` as the audit's zero-leak law."""
+
+        class LeakyArena(KVArena):
+            def __init__(self):
+                super().__init__()
+                with shield():  # keep the seam's call count, and so the schedule
+                    self.leaked = self.acquire(1, 4, 4, 8)
+
+        monkeypatch.setattr("repro.engine.chaos.KVArena", LeakyArena)
+        result = run_engine_chaos(seed=0, requests=4)
+        assert len(result["violations"]) == 1
+        assert "engine.kv_arena.bytes_in_use == 0" in result["violations"][0]
+        assert result["events"][-1]["arena_bytes_in_use"] > 0  # and the log still says so
 
     def test_cancel_retires_mid_decode_row(self, chaos_model):
         batcher = ContinuousBatcher(chaos_model, max_batch_size=4)
@@ -635,6 +586,16 @@ class TestChaosCli:
         outcomes = [event["outcome"] for event in events if event["kind"] == "request"]
         assert len(outcomes) == 6
         assert all(outcome in TERMINAL_OUTCOMES for outcome in outcomes)
+
+    @pytest.mark.parametrize("flags", ENGINE_SHAPES)
+    def test_the_cli_adds_nothing_to_the_library_log(self, tmp_path, flags):
+        from repro.cli import main
+
+        out = tmp_path / "cli.jsonl"
+        argv = ["chaos", "--seed", "5", "--requests", "6", "--out", str(out), *flags.split()]
+        assert main(argv) == 0
+        library = run_engine_chaos(seed=5, requests=6, **ENGINE_SHAPES[flags])
+        assert out.read_text() == library["log"]
 
     def test_different_seeds_differ(self, tmp_path):
         from repro.cli import main

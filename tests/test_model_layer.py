@@ -3,10 +3,12 @@ throughput."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.errors import GenerationError
+from repro.errors import CheckpointError, GenerationError, ReproError
 from repro.model.checkpoints import load_checkpoint, restore_weights, save_checkpoint, snapshot_weights
 from repro.model.config import CONTEXT_WINDOWS, SIZE_2_7B, SIZE_350M, SIZE_6B, transformer_config
 from repro.model.lm import WisdomModel
@@ -91,10 +93,36 @@ class TestCheckpoints:
         assert restored.complete(prompt, max_new_tokens=6) == expected
 
     def test_missing_checkpoint(self, tmp_path):
-        from repro.errors import CheckpointError
-
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope")
+
+    @pytest.fixture()
+    def saved_model(self, wisdom_model, tmp_path):
+        return save_checkpoint(wisdom_model, tmp_path / "ckpt")
+
+    def test_missing_weights_file(self, saved_model):
+        (saved_model / "weights.npz").unlink()
+        with pytest.raises((CheckpointError, FileNotFoundError)):
+            load_checkpoint(saved_model)
+
+    def test_truncated_weights_file(self, saved_model):
+        weights = saved_model / "weights.npz"
+        weights.write_bytes(weights.read_bytes()[:100])
+        with pytest.raises(Exception):
+            load_checkpoint(saved_model)
+
+    def test_tampered_architecture(self, saved_model):
+        config_file = saved_model / "config.json"
+        metadata = json.loads(config_file.read_text())
+        metadata["architecture"]["dim"] = 128  # no longer matches weights
+        config_file.write_text(json.dumps(metadata))
+        with pytest.raises(ReproError):
+            load_checkpoint(saved_model)
+
+    def test_corrupt_vocab_json(self, saved_model):
+        (saved_model / "vocab.json").write_text("{not json")
+        with pytest.raises((ValueError, json.JSONDecodeError)):
+            load_checkpoint(saved_model)
 
     def test_snapshot_restore(self, wisdom_model):
         snapshot = snapshot_weights(wisdom_model.network)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import ReproError, ShapeError
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
 from repro.nn.transformer import DecoderLM, TransformerConfig
@@ -39,6 +39,11 @@ class TestForward:
     def test_requires_2d(self, small_model):
         with pytest.raises(ShapeError):
             small_model.forward(np.zeros(5, dtype=np.int64))
+
+    def test_unknown_token_id_rejected(self, small_model):
+        bad = np.array([[small_model.config.vocab_size + 5]], dtype=np.int64)
+        with pytest.raises(ReproError):
+            small_model.forward(bad, training=False)
 
     def test_deterministic(self, small_model):
         ids = np.arange(10, dtype=np.int64)[None]

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.engine import InferenceEngine
+from repro.cli import build_parser
 from repro.engine.batcher import ContinuousBatcher
+from repro.engine.chaos import run_engine_chaos
 from repro.fleet.affinity import HashRing
 from repro.fleet.chaos import run_fleet_chaos
 from repro.fleet.router import FleetRouter
@@ -46,6 +48,10 @@ SURFACE = {
         "seed checkpoint vocab_size n_positions dim n_layers n_heads max_batch_size "
         "max_new_tokens max_queue_depth prefix_cache_capacity cache_capacity tracing "
         "speculative_k draft_model"
+    ),
+    run_engine_chaos: (
+        "seed requests max_batch alloc_fault_rate decode_fault_rate slow_step_rate "
+        "speculative_k stream"
     ),
     run_fleet_chaos: (
         "seed n_workers n_requests kill_decode_call slow_step_rate decode_fault_rate "
@@ -84,6 +90,16 @@ def test_signature_matches_the_pinned_surface(target):
         f"removed {sorted(set(pinned) - set(actual))} — a new option needs two callers "
         'outside tests/ and benchmarks/ that set it differently (DESIGN.md "Options")'
     )
+
+
+def test_repro_chaos_parses_exactly_what_the_engine_harness_takes():
+    parsed = vars(build_parser().parse_args(["chaos"]))
+    flags = set(parsed) - {"command", "handler", "out", "verify"}  # the shell's own
+    assert flags == set(SURFACE[run_engine_chaos].split())
+    defaults = inspect.signature(run_engine_chaos).parameters
+    assert {name: parsed[name] for name in flags} == {
+        name: defaults[name].default for name in flags
+    }
 
 
 def test_design_options_table_lists_exactly_the_pinned_surface():

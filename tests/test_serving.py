@@ -6,11 +6,12 @@ import threading
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import DeadlineExceededError, ServingError
 from repro.serving.cache import LruCache
 from repro.serving.client import PredictionClient
 from repro.serving.plugin import ESCAPE, EditorSession, TAB
 from repro.serving.service import PredictionService, RestServer
+from tests.test_faults import _BlockingCompleter
 
 
 class _StubCompleter:
@@ -152,6 +153,11 @@ class TestPredictionService:
         with pytest.raises(ServingError):
             service.predict("   ")
 
+    def test_service_rejects_non_string(self):
+        service = PredictionService(_StubCompleter())
+        with pytest.raises(ServingError):
+            service.predict(12345)  # type: ignore[arg-type]
+
     def test_stats(self):
         service = PredictionService(_StubCompleter())
         service.predict("- name: a\n")
@@ -247,6 +253,30 @@ class TestRequestCoalescing:
         assert {source for source, _ in errors} == {"owner", "waiter"}
         # the failure must not be cached
         assert service.cache.get("- name: x\n") is None
+
+
+    def test_a_coalesced_waiter_keeps_its_own_deadline(self):
+        """Real threads, real clock: the waiter's 50 ms deadline expires
+        while the owner is still generating; the owner is unaffected."""
+
+        completer = _BlockingCompleter()
+        service = PredictionService(completer)
+        owned: list[dict] = []
+        owner = threading.Thread(target=lambda: owned.append(service.predict("- name: x\n")))
+        owner.start()
+        try:
+            assert completer.entered.wait(timeout=10)
+            with pytest.raises(DeadlineExceededError) as raised:
+                service.predict("- name: x\n", deadline_s=0.05)
+            assert raised.value.status == 504
+            assert not completer.release.is_set()  # it did not wait the owner out
+        finally:
+            completer.release.set()
+            owner.join(timeout=10)
+        assert owned[0]["completion"] == "blocked: done" and not owned[0]["cached"]
+        stats = service.stats()
+        assert (stats["deadline_exceeded_requests"], stats["coalesced_requests"]) == (1, 0)
+        assert service.predict("- name: x\n")["cached"]  # the owner's result was still cached
 
 
 class TestBatchPrediction:
@@ -446,6 +476,19 @@ class TestMalformedEnvelopes:
             urllib.request.urlopen(request, timeout=10)
         assert error_info.value.code == 400
         assert "error" in json.loads(error_info.value.read())
+
+    def test_http_malformed_json(self, servers):
+        import urllib.request
+
+        request = urllib.request.Request(
+            servers["service"] + "/v1/completions",
+            data=b"{broken",
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as error_info:
+            urllib.request.urlopen(request, timeout=5)
+        assert error_info.value.code == 400
 
     @pytest.mark.parametrize("backend", ["service", "fleet"])
     def test_negative_content_length_is_a_400(self, servers, backend):

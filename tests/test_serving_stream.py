@@ -211,6 +211,14 @@ class TestServiceStreaming:
         service.engine.prefix_cache.clear()
         assert service.engine.kv_arena.stats()["bytes_in_use"] == 0
 
+    def test_one_inflight_figure_while_a_stream_is_mid_flight(self, service):
+        gauge = service.obs.metrics.gauge("serving.inflight")
+        stream = service.predict_stream("- name: Install nginx\n", 8)
+        assert next(stream)[0] == "token"
+        assert gauge.value == service.stats()["inflight"] == 1
+        stream.close()
+        assert gauge.value == service.stats()["inflight"] == 0
+
     def test_stream_events_are_sse_encodable(self, service):
         parser = SseParser()
         for event, data in service.predict_stream("- name: Install nginx\n", 4):

@@ -6,7 +6,7 @@ import pytest
 import yaml as pyyaml
 
 from repro import yamlio
-from repro.errors import YamlParseError
+from repro.errors import ReproError, YamlParseError
 
 
 def both(text: str):
@@ -152,6 +152,13 @@ class TestErrors:
     def test_unterminated_quote_value(self):
         with pytest.raises(yamlio.YamlError):
             yamlio.loads("a: 'open\n")
+
+    def test_yaml_error_hierarchy(self):
+        """Every YAML failure is catchable as both YamlError and ReproError."""
+        with pytest.raises(yamlio.YamlError):
+            yamlio.loads("a: [unclosed")
+        with pytest.raises(ReproError):
+            yamlio.loads("a: &anchor 1")
 
     def test_error_carries_line_number(self):
         try:
