@@ -53,7 +53,6 @@ def _build_service() -> PredictionService:
     fallback = NgramLM(tokenizer).fit(TRAIN_TEXTS)
     return PredictionService(
         engine,
-        engine=engine,
         max_queue_depth=MAX_QUEUE_DEPTH,
         fallback=fallback,
         cache_capacity=4,  # tiny: the bench measures generation, not cache wins

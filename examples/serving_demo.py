@@ -1,9 +1,10 @@
 """The Wisdom demo/plugin flow (paper §Demo/Plugin).
 
-Starts the REST prediction service over a trained model, talks to it with
-the HTTP client, and replays the editor interaction the paper describes:
-the user types ``- name: install nginx on RHEL``, hits enter, the plugin
-calls the API, and tab accepts the suggestion.
+Starts the REST prediction service over a trained model's inference engine,
+talks to it with the HTTP client, and replays the editor interaction the
+paper describes: the user types ``- name: install nginx on RHEL``, hits
+enter, the plugin opens a server-side keystroke session, and tab accepts
+the suggestion.
 
 Run::
 
@@ -20,7 +21,7 @@ def main() -> None:
     print("training a small model first (this takes a minute or two)...")
     model, _ = quickstart_model(seed=7, galaxy_scale=0.001, finetune_epochs=6)
 
-    service = PredictionService(model, cache_capacity=64, max_new_tokens=64)
+    service = PredictionService(model.engine(), cache_capacity=64, max_new_tokens=64)
     with RestServer(service) as server:
         print(f"\nREST service listening at {server.url}")
         client = PredictionClient(server.url)
@@ -41,6 +42,7 @@ def main() -> None:
         session.press(TAB)
         print("buffer after tab-accept:")
         print(session.buffer)
+        session.close()
         print("server stats:", client.stats())
 
 

@@ -84,7 +84,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import PredictionService, RestServer
 
     model = load_checkpoint(args.model)
-    service = PredictionService(model, max_new_tokens=args.max_new_tokens, engine=model.engine())
+    service = PredictionService(model.engine(), max_new_tokens=args.max_new_tokens)
     server = RestServer(service, host=args.host, port=args.port).start()
     print(f"serving {model.name} at {server.url} (ctrl-c to stop)")
     try:

@@ -8,9 +8,8 @@ the continuous batcher together behind these entry points:
 * :meth:`stream_ids` — one prompt, token bursts as they land;
 * :meth:`generate_atop` — one prompt atop the caller's own warm KV
   handles (keystroke sessions), returns the finished request;
-* :meth:`complete_batch` / :meth:`complete` — text level (requires a
-  tokenizer), making the engine a drop-in ``TextCompleter`` for
-  :class:`repro.serving.service.PredictionService`.
+* :meth:`complete_batch_detailed` — text level (requires a tokenizer),
+  what :class:`repro.serving.service.PredictionService` decodes through.
 
 All are consumers of one request lifecycle, :meth:`_run`.  The engine is
 synchronous: a call drains its own requests before returning.  A coarse
@@ -314,23 +313,13 @@ class InferenceEngine:
 
     # -- text interface -------------------------------------------------------
 
-    def complete_batch(
-        self,
-        prompts: list[str],
-        max_new_tokens: int | None = None,
-        deadline_s: float | None = None,
-    ) -> list[str]:
-        """Tokenize, batch-decode, detokenize."""
-        details = self.complete_batch_detailed(prompts, max_new_tokens, deadline_s)
-        return [detail["completion"] for detail in details]
-
     def complete_batch_detailed(
         self,
         prompts: list[str],
         max_new_tokens: int | None = None,
         deadline_s: float | None = None,
     ) -> list[dict]:
-        """Like :meth:`complete_batch`, but keeps the request disposition.
+        """Tokenize, batch-decode, detokenize — keeping each request's disposition.
 
         Returns one dict per prompt with ``completion`` (possibly partial
         text), ``stop_reason``, ``outcome`` and ``ttft_s`` (time from
@@ -358,10 +347,6 @@ class InferenceEngine:
             }
             for result, request in zip(results, handles)
         ]
-
-    def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
-        """TextCompleter-compatible single completion (batch of one)."""
-        return self.complete_batch([prompt], max_new_tokens)[0]
 
     def abort_all(self) -> int:
         """Cancel every queued or decoding request and reap immediately.

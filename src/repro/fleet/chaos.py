@@ -196,10 +196,8 @@ def _release_holdings(workers) -> None:
     ever spawned (a crashed one dropped its own on the way down): what KV
     is claimed after this is held by nobody, which the audit calls a leak."""
     for worker in workers:
-        sessions = getattr(worker.service, "sessions", None)
-        if sessions is not None:
-            sessions.close_all()
-        if worker.engine is not None and worker.engine.prefix_cache is not None:
+        worker.service.sessions.close_all()
+        if worker.engine.prefix_cache is not None:
             worker.engine.prefix_cache.clear()
 
 

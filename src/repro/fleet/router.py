@@ -673,12 +673,6 @@ class FleetRouter:
         except SessionNotFoundError:
             return {"session_id": session_id, "closed": False, "worker": owner[0]}
 
-    @property
-    def sessions(self):
-        """Duck-type marker: the fleet always speaks the session API (the
-        editor plugin checks ``backend.sessions is not None``)."""
-        return self._session_owner
-
     # -- liveness ------------------------------------------------------------
 
     def heartbeat_tick(self) -> list[str]:

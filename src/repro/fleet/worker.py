@@ -146,7 +146,6 @@ def build_service(spec: WorkerSpec):
         )
     service = PredictionService(
         engine,
-        engine=engine,
         max_new_tokens=spec.max_new_tokens,
         max_queue_depth=spec.max_queue_depth,
         cache_capacity=spec.cache_capacity,
@@ -228,7 +227,7 @@ class InProcessWorker(_Worker):
             service, engine = build_service(spec if spec is not None else WorkerSpec())
         self.worker_id = worker_id
         self.service = service
-        self.engine = engine if engine is not None else getattr(service, "engine", None)
+        self.engine = engine if engine is not None else service.engine
         self.alive = False
         self.crashes = 0
 
@@ -248,18 +247,15 @@ class InProcessWorker(_Worker):
         """Die the way a process would: drop everything, free the arena."""
         self.alive = False
         self.crashes += 1
-        if self.engine is not None:
-            # Before close_all: reaping a session's mid-decode row hands its
-            # slabs back to the session, which must still be there to free them.
-            self.engine.abort_all()
-            if self.engine.prefix_cache is not None:
-                self.engine.prefix_cache.clear()
-        sessions = getattr(self.service, "sessions", None)
-        if sessions is not None:
-            try:
-                sessions.close_all()
-            except Exception:
-                pass  # crashing anyway
+        # Before close_all: reaping a session's mid-decode row hands its
+        # slabs back to the session, which must still be there to free them.
+        self.engine.abort_all()
+        if self.engine.prefix_cache is not None:
+            self.engine.prefix_cache.clear()
+        try:
+            self.service.sessions.close_all()
+        except Exception:
+            pass  # crashing anyway
 
     def kill(self) -> None:
         """Simulate abrupt replica death (chaos control plane)."""
@@ -301,8 +297,7 @@ class InProcessWorker(_Worker):
 
     def session_count(self) -> int:
         """Live server-side keystroke sessions (orphan accounting)."""
-        sessions = getattr(self.service, "sessions", None)
-        return sessions.count if sessions is not None else 0
+        return self.service.sessions.count
 
     def heartbeat(self) -> float:
         self._guard()
@@ -310,8 +305,6 @@ class InProcessWorker(_Worker):
 
     def arena_bytes_in_use(self) -> int:
         """KV bytes the replica's arena still holds (leak accounting)."""
-        if self.engine is None:
-            return 0
         return self.engine.kv_arena.stats()["bytes_in_use"]
 
 

@@ -172,7 +172,8 @@ class WisdomModel:
         together: one continuous batch amortises the per-step overhead and
         shared prompt prefixes skip prefill via the engine's prefix cache.
         """
-        return self.engine().complete_batch(prompts, max_new_tokens=max_new_tokens)
+        details = self.engine().complete_batch_detailed(prompts, max_new_tokens=max_new_tokens)
+        return [detail["completion"] for detail in details]
 
     # -- scoring ---------------------------------------------------------------
 

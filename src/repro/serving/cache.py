@@ -12,24 +12,40 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from repro.obs.metrics import MetricsRegistry
+
 
 class LruCache:
     """A bounded least-recently-used map from prompt to completion.
 
-    All operations (including the ``hits``/``misses``/``evictions``
-    accounting) are guarded by an internal lock, so the cache can be
-    shared between request-handler threads directly.
+    All operations are guarded by an internal lock, so the cache can be
+    shared between request-handler threads directly.  ``hits`` /
+    ``misses`` / ``evictions`` are the ``serving.cache_*`` counters of
+    ``metrics`` — their only store (DESIGN.md "Counting"): a ``get`` that
+    finds its key is a hit, every other ``get`` a miss.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int, metrics: MetricsRegistry):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._hits = metrics.counter("serving.cache_hits")
+        self._misses = metrics.counter("serving.cache_misses")
+        self._evictions = metrics.counter("serving.cache_evictions")
+
+    @property
+    def hits(self) -> int:
+        return self._hits.value
+
+    @property
+    def misses(self) -> int:
+        return self._misses.value
+
+    @property
+    def evictions(self) -> int:
+        return self._evictions.value
 
     def __len__(self) -> int:
         with self._lock:
@@ -39,9 +55,9 @@ class LruCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self.hits += 1
+                self._hits.inc()
                 return self._entries[key]
-            self.misses += 1
+            self._misses.inc()
             return None
 
     def put(self, key: str, value: str) -> None:
@@ -51,7 +67,7 @@ class LruCache:
             self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self._evictions.inc()
 
     def clear(self) -> None:
         """Drop every entry, keeping the lifetime counters.
@@ -74,12 +90,13 @@ class LruCache:
     def stats(self) -> dict:
         """Counter snapshot for ``/v1/stats``."""
         with self._lock:
-            total = self.hits + self.misses
+            hits, misses = self.hits, self.misses
+            total = hits + misses
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
+                "hits": hits,
+                "misses": misses,
                 "evictions": self.evictions,
-                "hit_rate": self.hits / total if total else 0.0,
+                "hit_rate": hits / total if total else 0.0,
             }

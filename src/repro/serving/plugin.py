@@ -7,14 +7,14 @@ paste it back on the editor.  The user can either hit tab and accept the
 suggestion, or escape key to reject the suggestion."
 
 :class:`EditorSession` models the buffer + keystroke protocol against any
-prediction backend (in-process service or HTTP client).  When the backend
-speaks the session API (``session_create`` / ``session_extend``), every
+prediction backend — in-process service, fleet router, worker or HTTP
+client; all speak the session API (DESIGN.md "Request surface").  Every
 enter after the first *extends* the server-side keystroke session: the
 buffer the plugin re-sends is almost entirely the previous prompt plus
 the accepted completion, so the server rolls its warm KV slab forward and
 prefills only the delta instead of the whole file — the pattern the KV
-arena was built for.  Backends without the session API (or whose session
-was evicted server-side) fall back to stateless ``predict`` transparently.
+arena was built for.  A session evicted server-side is re-created
+transparently.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ class EditorSession:
     """A minimal Ansible-file editing session with AI suggestions.
 
     Attributes:
-        backend: object with ``predict(prompt) -> dict`` (a
-            :class:`PredictionService` or :class:`PredictionClient`);
-            if it also exposes ``session_create``/``session_extend``,
-            suggestions ride a server-side keystroke session.
+        backend: anything speaking the session API
+            (``session_create`` / ``session_extend`` / ``session_close``):
+            a :class:`PredictionService`, a fleet router or worker, or a
+            :class:`PredictionClient`.  Suggestions ride a server-side
+            keystroke session.
         buffer: current file content.
         accepted / rejected: per-session acceptance accounting.
     """
@@ -60,29 +61,16 @@ class EditorSession:
     reused_tokens: int = 0  # cumulative warm-slab reuse
     _pending: Suggestion | None = field(default=None, repr=False)
 
-    @property
-    def session_capable(self) -> bool:
-        if not (
-            hasattr(self.backend, "session_create")
-            and hasattr(self.backend, "session_extend")
-        ):
-            return False
-        # An in-process PredictionService without a tokenizer-equipped
-        # engine has the methods but no session manager behind them.
-        return getattr(self.backend, "sessions", True) is not None
-
     def type_text(self, text: str) -> None:
         """User types raw text (no trigger)."""
         self.buffer += text
 
     def _complete(self) -> dict:
-        """One completion of the full buffer, session-first.
+        """One completion of the full buffer through the server-side session.
 
         A lost session (evicted / dropped server-side) degrades to a fresh
         create — one cold prefill, never an error surfaced to the editor.
         """
-        if not self.session_capable:
-            return self.backend.predict(self.buffer)
         if self.session_id is None:
             result = self.backend.session_create(self.buffer)
         else:
@@ -90,7 +78,7 @@ class EditorSession:
                 result = self.backend.session_extend(self.session_id, self.buffer)
             except SessionNotFoundError:
                 result = self.backend.session_create(self.buffer)
-        self.session_id = result.get("session_id", self.session_id)
+        self.session_id = result["session_id"]
         self.prefilled_tokens += result.get("prefilled", 0)
         self.reused_tokens += result.get("reused_tokens", 0)
         return result
@@ -119,6 +107,8 @@ class EditorSession:
         """Resolve the pending suggestion with tab (accept) or escape."""
         if self._pending is None:
             raise ServingError("no pending suggestion")
+        if key not in (TAB, ESCAPE):
+            raise ServingError(f"unknown key {key!r}; use 'tab' or 'escape'")
         suggestion = self._pending
         self._pending = None
         if key == TAB:
@@ -126,15 +116,13 @@ class EditorSession:
             if not self.buffer.endswith("\n"):
                 self.buffer += "\n"
             self.accepted += 1
-        elif key == ESCAPE:
-            self.rejected += 1
         else:
-            raise ServingError(f"unknown key {key!r}; use 'tab' or 'escape'")
+            self.rejected += 1
         return self.buffer
 
     def close(self) -> None:
         """Release the server-side session, if any (end of editing)."""
-        if self.session_id is not None and hasattr(self.backend, "session_close"):
+        if self.session_id is not None:
             self.backend.session_close(self.session_id)
         self.session_id = None
 

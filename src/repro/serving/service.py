@@ -24,9 +24,9 @@ Endpoints::
     DELETE /v1/sessions/{id} -> {"closed": true|false}
     GET  /v1/health             -> {"status": "ok", "model": "..."}
     GET  /v1/stats              -> request counts, cache stats, latency stats,
-                                   in-flight count and tracing status, engine
-                                   stats (queue depth, batch occupancy,
-                                   prefix-cache hits) when an engine is attached
+                                   in-flight count and tracing status, session
+                                   and engine stats (queue depth, batch
+                                   occupancy, prefix-cache hits)
     GET  /v1/metrics            -> full metrics snapshot: per-endpoint latency
                                    histograms (p50/p90/p99), serving counters,
                                    engine queue-wait/prefill/decode histograms
@@ -41,10 +41,12 @@ POST requests may carry the fleet trace headers ``X-Repro-Trace-Id`` /
 adopts the remote trace context for the request, stamps its root spans
 with it, and echoes the trace id in the response body and headers.
 
-The service shares its :class:`~repro.obs.Observability` with the engine
-when one is attached, so ``/v1/metrics`` is a single pane of glass over
-both layers; attach an enabled tracer (``service.obs.attach_tracer`` or
-``engine.attach_tracer``) to additionally capture request spans.
+The service fronts one tokenizer-equipped
+:class:`~repro.engine.engine.InferenceEngine` and shares its
+:class:`~repro.obs.Observability`, so ``/v1/metrics`` is a single pane of
+glass over both layers; attach an enabled tracer
+(``service.obs.attach_tracer`` or ``engine.attach_tracer``) to
+additionally capture request spans.
 
 Two concurrency behaviours matter under load:
 
@@ -53,9 +55,8 @@ Two concurrency behaviours matter under load:
   waits on the first's in-flight computation and reuses its result
   (``"coalesced": true`` in the response).  Without this, every cache miss
   thunders straight into the model.
-* **Batched decoding** — when constructed with an
-  :class:`~repro.engine.engine.InferenceEngine`, ``/v1/batch_completions``
-  decodes all cache-missing prompts through the continuous batcher in one
+* **Batched decoding** — ``/v1/batch_completions`` decodes all
+  cache-missing prompts through the engine's continuous batcher in one
   pass instead of sequentially.
 
 And three overload behaviours (the hardening layer):
@@ -64,7 +65,7 @@ And three overload behaviours (the hardening layer):
   generations; excess requests are *shed* before touching the model with
   a typed :class:`~repro.errors.ServiceOverloadedError` carrying a
   retry-after hint (HTTP 503 + ``Retry-After``).
-* **Graceful degradation** — with a ``fallback`` completer (e.g. the
+* **Graceful degradation** — with a ``fallback`` model (e.g. the
   n-gram baseline), saturated or engine-shed requests are served by the
   fallback instead of erroring, flagged ``"degraded": true`` and never
   cached.
@@ -91,7 +92,6 @@ from repro.errors import (
     ServingError,
 )
 from repro.faults import clock
-from repro.obs import Observability
 from repro.obs.distributed import TRACE_ID_HEADER, TraceContext, adopt
 from repro.obs.export import prometheus_exposition
 from repro.serving.cache import LruCache
@@ -131,21 +131,20 @@ class _InflightEntry:
 
 
 class PredictionService:
-    """Wraps any TextCompleter with caching, coalescing and latency accounting.
+    """Fronts an :class:`~repro.engine.engine.InferenceEngine` with caching,
+    coalescing, admission control and latency accounting.
 
-    ``engine`` is optional; when given (an
-    :class:`~repro.engine.engine.InferenceEngine` or anything with
-    ``complete_batch``/``stats``), batch predictions decode through it and
-    ``stats()`` gains an ``"engine"`` section.
+    The engine must carry a tokenizer (the service speaks text; its
+    keystroke sessions tokenize buffers) — a tokenizer-less engine is a
+    :class:`~repro.errors.ServingError` here.  Every count lands in the
+    engine's metrics registry, so ``/v1/metrics`` covers both layers.
     """
 
     def __init__(
         self,
-        completer,
+        engine,
         cache_capacity: int = 256,
         max_new_tokens: int = 96,
-        engine=None,
-        obs: Observability | None = None,
         max_queue_depth: int | None = None,
         fallback=None,
         shed_retry_after_s: float = 0.5,
@@ -154,10 +153,16 @@ class PredictionService:
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServingError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        self.completer = completer
+        # Keystroke sessions ride on the engine's KV arena; the manager
+        # rejects an engine without a tokenizer.
+        self.sessions = SessionManager(engine, max_sessions=max_sessions)
         self.engine = engine
         self.fallback = fallback
-        self.cache = LruCache(cache_capacity)
+        self.obs = engine.obs
+        # Every count is a registry counter (DESIGN.md "Counting"); those
+        # ``stats()`` reports together are bumped, and all read, under ``_lock``.
+        metrics = self.obs.metrics
+        self.cache = LruCache(cache_capacity, metrics)
         self.max_new_tokens = max_new_tokens
         self.max_queue_depth = max_queue_depth
         self.shed_retry_after_s = shed_retry_after_s
@@ -165,20 +170,11 @@ class PredictionService:
         self._inflight_count = 0  # generations currently admitted (backpressure)
         self._lock = threading.Lock()
         self._inflight: dict[str, _InflightEntry] = {}
-        # Share the engine's Observability unless the caller supplies one,
-        # so /v1/metrics covers serving and engine in a single snapshot.
-        if obs is None:
-            obs = getattr(engine, "obs", None) or Observability()
-        self.obs = obs
-        # Every count is a registry counter (DESIGN.md "Counting"); those
-        # ``stats()`` reports together are bumped, and all read, under ``_lock``.
-        metrics = obs.metrics
         self._h_completions = metrics.histogram("serving.completions_s")
         self._h_batch = metrics.histogram("serving.batch_completions_s")
         self._c_requests = metrics.counter("serving.requests")
         self._c_latency_ms = metrics.counter("serving.latency_ms_total")
         self._c_batch_requests = metrics.counter("serving.batch_requests")
-        self._c_cache_hits = metrics.counter("serving.cache_hits")
         self._c_coalesced = metrics.counter("serving.coalesced")
         self._c_shed = metrics.counter("serving.shed")
         self._c_degraded = metrics.counter("serving.degraded")
@@ -189,11 +185,6 @@ class PredictionService:
         self._c_stream_disconnects = metrics.counter("serving.stream_disconnects")
         self._h_stream_ttft = metrics.histogram("serving.stream_ttft_s")
         self._h_intertoken = metrics.histogram("serving.stream_intertoken_s")
-        # Keystroke sessions ride on the engine's KV arena; without a
-        # tokenizer-equipped engine the endpoints report 400 instead.
-        self.sessions: SessionManager | None = None
-        if engine is not None and getattr(engine, "tokenizer", None) is not None:
-            self.sessions = SessionManager(engine, max_sessions=max_sessions, obs=obs)
 
     # -- admission / degradation ---------------------------------------------
 
@@ -220,7 +211,7 @@ class PredictionService:
         )
 
     def _degrade(self, prompt: str, budget: int, reason: str) -> str:
-        """Serve ``prompt`` through the fallback completer (never cached).
+        """Serve ``prompt`` through the fallback model (never cached).
 
         Raises the typed 503 instead when no fallback is configured —
         degradation is strictly better than shedding, shedding strictly
@@ -260,20 +251,17 @@ class PredictionService:
     ) -> tuple[str, bool, float | None]:
         """One completion honouring deadlines; ``(text, degraded, ttft_s)``.
 
-        Routes through the engine's outcome-aware path when available so
-        shed / deadline / cancelled dispositions arrive as data, not
-        exceptions, and map onto serving behaviour in :meth:`_settle`.
-        ``ttft_s`` is the engine-measured time to first token, or None
-        when the request never reached decode (or no engine is attached).
+        The engine's outcome-aware path reports shed / deadline / cancelled
+        dispositions as data, not exceptions; they map onto serving
+        behaviour in :meth:`_settle`.  ``ttft_s`` is the engine-measured
+        time to first token, or None when the request never reached decode.
         """
-        if self.engine is not None and hasattr(self.engine, "complete_batch_detailed"):
-            detail = self.engine.complete_batch_detailed(
-                [prompt], max_new_tokens=budget, deadline_s=deadline_s
-            )[0]
-            if detail["outcome"] == "completed":
-                return detail["completion"], False, detail.get("ttft_s")
-            return self._settle(prompt, budget, detail["outcome"], deadline_s), True, None
-        return self.completer.complete(prompt, max_new_tokens=budget), False, None
+        detail = self.engine.complete_batch_detailed(
+            [prompt], max_new_tokens=budget, deadline_s=deadline_s
+        )[0]
+        if detail["outcome"] == "completed":
+            return detail["completion"], False, detail["ttft_s"]
+        return self._settle(prompt, budget, detail["outcome"], deadline_s), True, None
 
     # -- single prediction ---------------------------------------------------
 
@@ -287,7 +275,7 @@ class PredictionService:
         """One prediction, served from cache or a coalesced in-flight twin.
 
         Saturation (``max_queue_depth`` concurrent generations already
-        running) degrades to the fallback completer or sheds with a typed
+        running) degrades to the fallback model or sheds with a typed
         503 *before* the model is touched; cache hits are still served
         regardless, since they cost nothing.
 
@@ -377,8 +365,6 @@ class PredictionService:
         self._c_requests.inc()
         self._c_latency_ms.inc(latency_ms)
         self._h_completions.observe(latency_ms / 1000.0)
-        if cached_hit:
-            self._c_cache_hits.inc()
         if coalesced:
             self._c_coalesced.inc()
         payload = {"completion": completion, "latency_ms": latency_ms, "cached": cached_hit}
@@ -441,8 +427,7 @@ class PredictionService:
 
     def _burst(self, payload: dict, trace_context: TraceContext | None, index: int = 0):
         """A whole completion replayed as a one-burst stream: what a cache
-        hit, a backend with no token-level engine, and a degraded answer
-        all look like on the wire."""
+        hit and a degraded answer look like on the wire."""
         yield "token", {"text": payload["completion"], "index": index}
         yield self._stream_done(payload, trace_context)
 
@@ -457,18 +442,9 @@ class PredictionService:
         with self._lock:
             self._c_streams.inc()
             cached = self.cache.get(prompt)
-        engine = self.engine
         if cached is not None:
             with self._lock:
                 payload = self._account(cached, started, cached_hit=True)
-        elif not (
-            engine is not None
-            and hasattr(engine, "stream_ids")
-            and getattr(engine, "tokenizer", None) is not None
-        ):
-            # No token-level engine: serve the whole completion through
-            # the ordinary path.
-            payload = self._predict(prompt, budget, deadline_s)
         elif not self._try_admit():
             text = self._degrade(prompt, budget, "queue full")  # raises 503 sans fallback
             with self._lock:
@@ -576,13 +552,6 @@ class PredictionService:
 
     # -- sessions ------------------------------------------------------------
 
-    def _require_sessions(self) -> SessionManager:
-        if self.sessions is None:
-            raise ServingError(
-                "sessions unavailable: service has no tokenizer-equipped engine"
-            )
-        return self.sessions
-
     def _session_call(
         self,
         name: str,
@@ -632,14 +601,13 @@ class PredictionService:
         trace_context: TraceContext | None = None,
     ) -> dict:
         """``POST /v1/sessions``: open a keystroke session from a full buffer."""
-        sessions = self._require_sessions()
         require_text("buffer", buffer)
         budget = max_new_tokens or self.max_new_tokens
         return self._session_call(
             "serving.session_create",
             trace_context,
             deadline_s,
-            lambda: sessions.create(buffer, budget, deadline_s),
+            lambda: self.sessions.create(buffer, budget, deadline_s),
             discard_on_abort=True,
         )
 
@@ -657,20 +625,18 @@ class PredictionService:
         evicted / lost / unknown ids — clients fall back to
         :meth:`session_create`.
         """
-        sessions = self._require_sessions()
         require_text("buffer", buffer)
         budget = max_new_tokens or self.max_new_tokens
         return self._session_call(
             "serving.session_extend",
             trace_context,
             deadline_s,
-            lambda: sessions.extend(session_id, buffer, budget, deadline_s),
+            lambda: self.sessions.extend(session_id, buffer, budget, deadline_s),
         )
 
     def session_close(self, session_id: str) -> dict:
         """``DELETE /v1/sessions/{id}``: release the session's KV slabs."""
-        sessions = self._require_sessions()
-        return {"session_id": session_id, "closed": sessions.close(session_id)}
+        return {"session_id": session_id, "closed": self.sessions.close(session_id)}
 
     # -- batch prediction ----------------------------------------------------
 
@@ -683,9 +649,8 @@ class PredictionService:
     ) -> dict:
         """Serve a whole batch, decoding cache misses together.
 
-        Duplicate prompts within the batch run once.  Misses go through the
-        engine's continuous batcher when one is attached, otherwise through
-        sequential ``completer.complete`` calls.  Under saturation the
+        Duplicate prompts within the batch run once; misses decode together
+        through the engine's continuous batcher.  Under saturation the
         whole batch degrades to the fallback (or sheds with a typed 503);
         per-prompt engine sheds degrade individually.
         """
@@ -703,23 +668,17 @@ class PredictionService:
         self, misses: list[str], budget: int, deadline_s: float | None
     ) -> list[tuple[str, bool]]:
         """Generate the cache-missing prompts; returns ``(text, degraded)`` pairs."""
-        if self.engine is not None and hasattr(self.engine, "complete_batch_detailed"):
-            details = self.engine.complete_batch_detailed(
-                misses, max_new_tokens=budget, deadline_s=deadline_s
-            )
-            results: list[tuple[str, bool]] = []
-            for prompt, detail in zip(misses, details):
-                if detail["outcome"] == "completed":
-                    results.append((detail["completion"], False))
-                else:  # an engine shed degrades just this prompt; the rest raise
-                    text = self._settle(prompt, budget, detail["outcome"], deadline_s)
-                    results.append((text, True))
-            return results
-        if self.engine is not None:
-            return [(text, False) for text in self.engine.complete_batch(misses, max_new_tokens=budget)]
-        return [
-            (self.completer.complete(prompt, max_new_tokens=budget), False) for prompt in misses
-        ]
+        details = self.engine.complete_batch_detailed(
+            misses, max_new_tokens=budget, deadline_s=deadline_s
+        )
+        results: list[tuple[str, bool]] = []
+        for prompt, detail in zip(misses, details):
+            if detail["outcome"] == "completed":
+                results.append((detail["completion"], False))
+            else:  # an engine shed degrades just this prompt; the rest raise
+                text = self._settle(prompt, budget, detail["outcome"], deadline_s)
+                results.append((text, True))
+        return results
 
     def _predict_batch(self, prompts: list[str], budget: int, deadline_s: float | None) -> dict:
         started = clock.now()
@@ -771,7 +730,7 @@ class PredictionService:
     # -- introspection -------------------------------------------------------
 
     def health(self) -> dict:
-        return {"status": "ok", "model": getattr(self.completer, "name", "unknown")}
+        return {"status": "ok", "model": self.engine.name}
 
     def stats(self) -> dict:
         """Serving counters as one mutually-consistent snapshot.
@@ -803,25 +762,24 @@ class PredictionService:
             }
         report["fallback"] = getattr(self.fallback, "name", None) if self.fallback else None
         report["tracing"] = self.obs.tracer.status()
-        if self.sessions is not None:
-            report["sessions"] = self.sessions.stats()
-        if self.engine is not None:
-            report["engine"] = self.engine.stats()
+        report["sessions"] = self.sessions.stats()
+        report["engine"] = self.engine.stats()
         return report
 
     def metrics(self) -> dict:
         """The ``/v1/metrics`` payload: full snapshot across the stack.
 
         ``metrics`` holds every counter/gauge/histogram registered against
-        the shared registry (serving latencies plus, when the engine shares
-        its Observability, queue-wait/prefill/decode histograms); the
-        ``engine`` section repeats the scheduler and prefix-cache counters
-        so hit rates are available even to metrics-only scrapers.
+        the shared registry (serving latencies plus the engine's
+        queue-wait/prefill/decode histograms); the ``engine`` section
+        repeats the scheduler and prefix-cache counters so hit rates are
+        available even to metrics-only scrapers.
         """
-        payload = {"metrics": self.obs.metrics.snapshot(), "tracing": self.obs.tracer.status()}
-        if self.engine is not None:
-            payload["engine"] = self.engine.stats()
-        return payload
+        return {
+            "metrics": self.obs.metrics.snapshot(),
+            "tracing": self.obs.tracer.status(),
+            "engine": self.engine.stats(),
+        }
 
     def metrics_prometheus(self) -> str:
         """The ``/v1/metrics?format=prometheus`` body: text exposition.

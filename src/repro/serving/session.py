@@ -93,18 +93,17 @@ class _Session:
 class SessionManager:
     """LRU-bounded table of keystroke sessions over one engine."""
 
-    def __init__(self, engine, *, max_sessions: int = 64, obs=None):
+    def __init__(self, engine, *, max_sessions: int = 64):
         if engine.tokenizer is None:
             raise ServingError("sessions need a tokenizer-equipped engine")
         if max_sessions < 1:
             raise ServingError(f"max_sessions must be >= 1, got {max_sessions}")
         self.engine = engine
         self.max_sessions = max_sessions
-        self.obs = obs if obs is not None else engine.obs
         self._sessions: "OrderedDict[str, _Session]" = OrderedDict()
         self._lock = threading.RLock()
         self._next_id = 0
-        metrics = self.obs.metrics
+        metrics = engine.obs.metrics
         # Bumped and read under ``self._lock``.
         self._counts = {name: metrics.counter(f"session.{name}") for name in COUNTS}
         self._h_create_ttft = metrics.histogram("session.create_ttft_s")

@@ -7,10 +7,14 @@ invariants.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_corpus
+from repro.engine import InferenceEngine
+from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
 from repro.nn.parameter import numpy_rng
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
@@ -65,6 +69,65 @@ def tiny_config(tiny_tokenizer) -> TransformerConfig:
 @pytest.fixture()
 def tiny_network(tiny_config) -> DecoderLM:
     return DecoderLM(tiny_config, numpy_rng(0))
+
+
+@pytest.fixture(scope="session")
+def make_engine():
+    """Build a fresh tiny tokenizer-equipped engine per call.
+
+    The tokenizer and the random-weight network (the default
+    :class:`~repro.fleet.worker.WorkerSpec` shapes) are built once per test
+    session and shared — inference never writes weights — while each
+    engine owns its arena, prefix cache and metrics registry, so counts
+    never leak between tests.  No stop ids: every completion is exactly
+    its budget long.  Keyword arguments go to :class:`InferenceEngine`.
+    """
+    spec = WorkerSpec()
+    tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=spec.vocab_size)
+    config = TransformerConfig(
+        vocab_size=tokenizer.vocab_size,
+        n_positions=spec.n_positions,
+        dim=spec.dim,
+        n_layers=spec.n_layers,
+        n_heads=spec.n_heads,
+    )
+    network = DecoderLM(config, numpy_rng(spec.seed))
+
+    def make(**kwargs) -> InferenceEngine:
+        kwargs.setdefault("name", "tiny")
+        return InferenceEngine(network, tokenizer, **kwargs)
+
+    return make
+
+
+class GenerationGate:
+    """Counts, and until released parks, every generation of ``engine``.
+
+    Wraps ``engine.complete_batch_detailed`` as an instance attribute — the
+    service looks it up per call — so a test can hold an admission slot
+    for real, or count how many decode calls a request pattern costs.
+    ``batches`` lists the prompts of each call in arrival order.
+    """
+
+    def __init__(self, engine, *, closed: bool = True):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not closed:
+            self.release.set()
+        self.batches: list[list[str]] = []
+        inner = engine.complete_batch_detailed
+
+        def gated(prompts, *args, **kwargs):
+            self.batches.append(list(prompts))
+            self.entered.set()
+            assert self.release.wait(timeout=10), "test forgot to release the gate"
+            return inner(prompts, *args, **kwargs)
+
+        engine.complete_batch_detailed = gated
+
+    @property
+    def calls(self) -> int:
+        return len(self.batches)
 
 
 @pytest.fixture(scope="session")

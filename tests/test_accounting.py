@@ -105,6 +105,7 @@ SPECULATIVE_SERIES = {
     "proposed_tokens": "engine.draft_tokens_proposed",
     "accepted_tokens": "engine.draft_tokens_accepted",
 }
+CACHE_SERIES = {key: f"serving.cache_{key}" for key in ("hits", "misses", "evictions")}
 SESSION_SERIES = {
     key: f"session.{key}"
     for key in (
@@ -131,7 +132,7 @@ ROUTER_SERIES = {
 #: Series exported before this refactor that no ``stats()`` key reads directly.
 OTHER_REPLICA_COUNTERS = {
     "engine.requests", "engine.generated_tokens", "engine.requests_admitted",
-    "engine.requests_retired", "serving.cache_hits",
+    "engine.requests_retired",
 }  # fmt: skip
 
 
@@ -184,7 +185,7 @@ class TestWire:
     def test_every_counter_name_is_exported(self, fleet):
         router, workers = fleet
         assert set(ROUTER_SERIES.values()) <= set(router.metrics()["metrics"]["counters"])
-        tables = (SERVICE_SERIES, ENGINE_SERIES, SPECULATIVE_SERIES, SESSION_SERIES)
+        tables = (SERVICE_SERIES, CACHE_SERIES, ENGINE_SERIES, SPECULATIVE_SERIES, SESSION_SERIES)
         expected = OTHER_REPLICA_COUNTERS.union(*(table.values() for table in tables))
         for worker in workers:
             counters = worker.service.metrics()["metrics"]["counters"]
@@ -206,6 +207,7 @@ class TestWire:
             counters = worker.service.metrics()["metrics"]["counters"]
             for tree, table in (
                 (stats, SERVICE_SERIES),
+                (stats["cache"], CACHE_SERIES),
                 (stats["engine"], ENGINE_SERIES),
                 (stats["engine"]["speculative"], SPECULATIVE_SERIES),
                 (stats["sessions"], SESSION_SERIES),

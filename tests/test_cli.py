@@ -114,7 +114,7 @@ class TestObs:
         from repro.serving.service import PredictionService, RestServer
 
         model = WisdomModel("cli-obs", tiny_tokenizer, tiny_network)
-        service = PredictionService(model, engine=model.engine(max_batch_size=2))
+        service = PredictionService(model.engine(max_batch_size=2))
         with RestServer(service) as server:
             service.predict("- name: install nginx\n", max_new_tokens=3)
             code = main(["obs", "--url", server.url])

@@ -326,7 +326,7 @@ class TestEngineFacade:
     def test_text_interface_requires_tokenizer(self, trained_model):
         engine = InferenceEngine(trained_model)
         with pytest.raises(EngineError):
-            engine.complete_batch(["- name: install nginx\n"])
+            engine.complete_batch_detailed(["- name: install nginx\n"])
 
     def test_results_in_submission_order(self, trained_model):
         engine = InferenceEngine(trained_model, max_batch_size=2)

@@ -38,6 +38,7 @@ from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.serving.client import PredictionClient, RetryPolicy
 from repro.serving.service import PredictionService, RestServer
+from tests.conftest import GenerationGate
 
 pytestmark = pytest.mark.faults
 
@@ -397,21 +398,6 @@ class TestPrefixCacheInvalidation:
 # -- serving under faults -----------------------------------------------------
 
 
-class _BlockingCompleter:
-    """Parks in ``complete`` until released; saturates admission for real."""
-
-    name = "blocking"
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.entered = threading.Event()
-
-    def complete(self, prompt, max_new_tokens=96):
-        self.entered.set()
-        assert self.release.wait(timeout=10), "test forgot to release the completer"
-        return "blocked: done"
-
-
 class _FallbackCompleter:
     name = "fallback"
 
@@ -419,17 +405,21 @@ class _FallbackCompleter:
         return "fallback: ok"
 
 
-class TestServingBackpressure:
-    def _saturated_service(self, **kwargs):
-        blocker = _BlockingCompleter()
-        service = PredictionService(blocker, max_queue_depth=1, **kwargs)
-        thread = threading.Thread(target=service.predict, args=("occupy the slot",))
-        thread.start()
-        assert blocker.entered.wait(timeout=10)
-        return service, blocker, thread
+def _saturated_service(engine, **kwargs):
+    """A service whose only admission slot a parked generation holds."""
+    gate = GenerationGate(engine)
+    service = PredictionService(engine, max_queue_depth=1, **kwargs)
+    thread = threading.Thread(target=service.predict, args=("occupy the slot",))
+    thread.start()
+    assert gate.entered.wait(timeout=10)
+    return service, gate, thread
 
-    def test_saturation_degrades_to_fallback(self):
-        service, blocker, thread = self._saturated_service(fallback=_FallbackCompleter())
+
+class TestServingBackpressure:
+    def test_saturation_degrades_to_fallback(self, make_engine):
+        service, gate, thread = _saturated_service(
+            make_engine(), fallback=_FallbackCompleter()
+        )
         try:
             payload = service.predict("another prompt")
             assert payload["degraded"] is True
@@ -439,11 +429,11 @@ class TestServingBackpressure:
             assert service.cache.get("another prompt") is None
             assert service.stats()["degraded_requests"] == 1
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
 
-    def test_saturation_sheds_typed_503_without_fallback(self):
-        service, blocker, thread = self._saturated_service(shed_retry_after_s=0.25)
+    def test_saturation_sheds_typed_503_without_fallback(self, make_engine):
+        service, gate, thread = _saturated_service(make_engine(), shed_retry_after_s=0.25)
         try:
             with pytest.raises(ServiceOverloadedError) as exc_info:
                 service.predict("another prompt")
@@ -451,22 +441,22 @@ class TestServingBackpressure:
             assert service.stats()["shed_requests"] == 1
             assert service.obs.metrics.snapshot()["counters"]["serving.shed"] == 1
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
 
-    def test_cache_hits_served_even_when_saturated(self):
-        service, blocker, thread = self._saturated_service()
+    def test_cache_hits_served_even_when_saturated(self, make_engine):
+        service, gate, thread = _saturated_service(make_engine())
         try:
             service.cache.put("warm prompt", "warm answer")
             payload = service.predict("warm prompt")
             assert payload["cached"] is True and payload["completion"] == "warm answer"
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
 
     def test_engine_shed_degrades_and_counts(self, tiny_tokenizer, tiny_network):
         engine = InferenceEngine(tiny_network, tiny_tokenizer, max_batch_size=2)
-        service = PredictionService(engine, engine=engine, fallback=_FallbackCompleter())
+        service = PredictionService(engine, fallback=_FallbackCompleter())
         prompt = "- name: Install nginx"
         injector = FaultInjector(seed=0).on("kv_arena.acquire", at_calls=[1])
         with injector:
@@ -485,7 +475,7 @@ class TestServingBackpressure:
 
     def test_deadline_maps_to_typed_error_and_skips_cache(self, tiny_tokenizer, tiny_network):
         engine = InferenceEngine(tiny_network, tiny_tokenizer, max_batch_size=2)
-        service = PredictionService(engine, engine=engine)
+        service = PredictionService(engine)
         with pytest.raises(DeadlineExceededError):
             service.predict("- name: Install nginx", max_new_tokens=4, deadline_s=1e-9)
         assert service.stats()["deadline_exceeded_requests"] == 1
@@ -494,8 +484,8 @@ class TestServingBackpressure:
 
 
 class TestServingHttpFaults:
-    def test_503_shed_with_retry_after_header_and_metrics(self):
-        service, blocker, thread = self._start_saturated()
+    def test_503_shed_with_retry_after_header_and_metrics(self, make_engine):
+        service, gate, thread = _saturated_service(make_engine())
         server = RestServer(service)
         try:
             with server:
@@ -517,19 +507,11 @@ class TestServingHttpFaults:
                 client = PredictionClient(server.url)
                 assert client.metrics()["metrics"]["counters"]["serving.shed"] == 1
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
 
-    def _start_saturated(self):
-        blocker = _BlockingCompleter()
-        service = PredictionService(blocker, max_queue_depth=1)
-        thread = threading.Thread(target=service.predict, args=("occupy the slot",))
-        thread.start()
-        assert blocker.entered.wait(timeout=10)
-        return service, blocker, thread
-
-    def test_client_maps_503_to_typed_error(self):
-        service, blocker, thread = self._start_saturated()
+    def test_client_maps_503_to_typed_error(self, make_engine):
+        service, gate, thread = _saturated_service(make_engine())
         try:
             with RestServer(service) as server:
                 client = PredictionClient(server.url)
@@ -537,11 +519,11 @@ class TestServingHttpFaults:
                     client.predict("another prompt")
                 assert exc_info.value.retry_after_s == 0.5
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
 
-    def test_client_retries_with_backoff_honoring_retry_after(self):
-        service, blocker, thread = self._start_saturated()
+    def test_client_retries_with_backoff_honoring_retry_after(self, make_engine):
+        service, gate, thread = _saturated_service(make_engine())
         sleeps: list[float] = []
         try:
             with RestServer(service) as server:
@@ -553,7 +535,7 @@ class TestServingHttpFaults:
                 with pytest.raises(ServiceOverloadedError):
                     client.predict("another prompt")
         finally:
-            blocker.release.set()
+            gate.release.set()
             thread.join(timeout=10)
         assert len(sleeps) == 2 and client.retries == 2
         # Retry-After (0.5s) floors the backoff regardless of base delay.

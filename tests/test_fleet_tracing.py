@@ -191,15 +191,9 @@ class TestAggregateStatsHardening:
         assert aggregate["prefix_cache"]["hit_rate"] == 0.0
 
 
-class _StubCompleter:
-    def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
-        del max_new_tokens
-        return "  ansible.builtin.apt:\n    name: nginx\n"
-
-
 class TestServiceTelemetryHttp:
-    def test_headers_adopt_context_and_echo_trace_id(self):
-        service = PredictionService(_StubCompleter(), obs=Observability.with_tracing())
+    def test_headers_adopt_context_and_echo_trace_id(self, make_engine):
+        service = PredictionService(make_engine(obs=Observability.with_tracing()))
         with RestServer(service) as server:
             body = json.dumps({"prompt": "- name: install nginx\n"}).encode()
             request = urllib.request.Request(
@@ -219,8 +213,8 @@ class TestServiceTelemetryHttp:
         assert root.attrs["trace_id"] == "t-00000042"
         assert root.attrs["parent_span"] == "t-00000042/r"
 
-    def test_untraced_request_echoes_nothing(self):
-        service = PredictionService(_StubCompleter(), obs=Observability.with_tracing())
+    def test_untraced_request_echoes_nothing(self, make_engine):
+        service = PredictionService(make_engine(obs=Observability.with_tracing()))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             payload = client.predict("- name: install nginx\n")
@@ -228,14 +222,15 @@ class TestServiceTelemetryHttp:
         (root,) = service.obs.tracer.spans("serving.predict")
         assert "trace_id" not in root.attrs
 
-    def test_telemetry_endpoint_drains_exactly_once(self):
-        service = PredictionService(_StubCompleter(), obs=Observability.with_tracing())
+    def test_telemetry_endpoint_drains_exactly_once(self, make_engine):
+        service = PredictionService(make_engine(obs=Observability.with_tracing()))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.predict("- name: install nginx\n")
             first = client.telemetry()
             second = client.telemetry()
-        assert [span["name"] for span in first["spans"]] == ["serving.predict"]
+        names = [span["name"] for span in first["spans"]]
+        assert names.count("serving.predict") == names.count("engine.request") == 1
         assert second["spans"] == []
         assert "serving_requests_total" in first["metrics_prometheus"]
         assert first["profile"] is None  # profiler not enabled on this service

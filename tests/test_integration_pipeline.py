@@ -59,7 +59,7 @@ class TestPipeline:
         assert report.bleu > 10.0
 
     def test_served_model_flow(self, pipeline_model):
-        service = PredictionService(pipeline_model, max_new_tokens=32)
+        service = PredictionService(pipeline_model.engine(), max_new_tokens=32)
         session = EditorSession(backend=service)
         session.type_text("- name: Install nginx")
         session.press_enter()

@@ -120,8 +120,7 @@ class TestServingMetricsEndpoint:
     def test_metrics_round_trip(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
         model.attach_tracer(Tracer(capacity=512))
-        engine = model.engine(max_batch_size=4)
-        service = PredictionService(model, engine=engine)
+        service = PredictionService(model.engine(max_batch_size=4))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.predict("- name: install nginx\n", max_new_tokens=4)
@@ -147,7 +146,7 @@ class TestServingMetricsEndpoint:
 
     def test_stats_gains_tracing_and_inflight(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        service = PredictionService(model)
+        service = PredictionService(model.engine())
         service.predict("- name: install nginx\n", max_new_tokens=3)
         stats = service.stats()
         assert stats["inflight"] == 0
@@ -160,8 +159,7 @@ class TestServingMetricsEndpoint:
     def test_serving_spans_wrap_engine_spans(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
         model.attach_tracer(Tracer(capacity=512))
-        engine = model.engine(max_batch_size=2)
-        service = PredictionService(model, engine=engine)
+        service = PredictionService(model.engine(max_batch_size=2))
         service.predict_batch(["- name: install nginx\n"], max_new_tokens=3)
         tracer = model.obs.tracer
         assert len(tracer.spans("serving.predict_batch")) == 1

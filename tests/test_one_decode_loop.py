@@ -287,7 +287,7 @@ class TestFirstTokenFinishHasATtft:
         engine = InferenceEngine(
             network, tokenizer, default_max_new_tokens=BUDGET, stop_ids=stop_ids
         )
-        return PredictionService(engine, engine=engine, cache_capacity=1)
+        return PredictionService(engine, cache_capacity=1)
 
     @pytest.mark.parametrize("stop_first_token", (False, True), ids=("budget-1", "stop-id"))
     def test_every_path_reports_a_ttft(self, tokenizer, stop_first_token):

@@ -36,7 +36,7 @@ SURFACE = {
     ContinuousBatcher: "model max_batch_size prefix_cache obs arena speculative_k draft_model",
     KVArena: "block_size",
     PredictionService: (
-        "completer cache_capacity max_new_tokens engine obs max_queue_depth fallback "
+        "engine cache_capacity max_new_tokens max_queue_depth fallback "
         "shed_retry_after_s max_sessions heartbeat_interval_s"
     ),
     FleetRouter: (

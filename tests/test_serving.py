@@ -7,34 +7,27 @@ import threading
 import pytest
 
 from repro.errors import DeadlineExceededError, ServingError
+from repro.obs import MetricsRegistry
 from repro.serving.cache import LruCache
 from repro.serving.client import PredictionClient
 from repro.serving.plugin import ESCAPE, EditorSession, TAB
 from repro.serving.service import PredictionService, RestServer
-from tests.test_faults import _BlockingCompleter
+from tests.conftest import GenerationGate
 
 
-class _StubCompleter:
-    name = "stub"
+def _wait_for(condition, timeout_s: float = 10.0) -> None:
+    """Poll ``condition`` on the real clock (threaded tests only)."""
+    import time
 
-    def __init__(self, delay: float = 0.0):
-        self.calls = 0
-        self.delay = delay
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, max_new_tokens=96):
-        with self._lock:
-            self.calls += 1
-        if self.delay:
-            import time
-
-            time.sleep(self.delay)
-        return "  ansible.builtin.apt:\n    name: nginx\n    state: present\n"
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestLruCache:
     def test_hit_and_miss_accounting(self):
-        cache = LruCache(4)
+        cache = LruCache(4, MetricsRegistry())
         assert cache.get("a") is None
         cache.put("a", "1")
         assert cache.get("a") == "1"
@@ -42,7 +35,7 @@ class TestLruCache:
         assert cache.hit_rate == 0.5
 
     def test_eviction_order(self):
-        cache = LruCache(2)
+        cache = LruCache(2, MetricsRegistry())
         cache.put("a", "1")
         cache.put("b", "2")
         cache.get("a")  # refresh a
@@ -52,17 +45,17 @@ class TestLruCache:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            LruCache(0)
+            LruCache(0, MetricsRegistry())
 
     def test_overwrite(self):
-        cache = LruCache(2)
+        cache = LruCache(2, MetricsRegistry())
         cache.put("a", "1")
         cache.put("a", "2")
         assert cache.get("a") == "2"
         assert len(cache) == 1
 
     def test_stats_dict(self):
-        cache = LruCache(2)
+        cache = LruCache(2, MetricsRegistry())
         cache.get("a")
         cache.put("a", "1")
         cache.get("a")
@@ -81,7 +74,7 @@ class TestLruCache:
     def test_concurrent_access_accounting(self):
         # hits/misses are updated under the cache's own lock: hammering it
         # from many threads must not lose counts.
-        cache = LruCache(64)
+        cache = LruCache(64, MetricsRegistry())
         cache.put("k", "v")
         per_thread = 200
         threads = [
@@ -102,7 +95,7 @@ class TestCounterResetSemantics:
     """clear() reclaims entries; lifetime counters never move backwards."""
 
     def test_clear_preserves_lifetime_counters(self):
-        cache = LruCache(4)
+        cache = LruCache(4, MetricsRegistry())
         cache.get("a")  # miss
         cache.put("a", "1")
         cache.get("a")  # hit
@@ -118,7 +111,7 @@ class TestCounterResetSemantics:
         assert after["evictions"] == before["evictions"]
 
     def test_counters_stay_monotonic_across_clears(self):
-        cache = LruCache(2)
+        cache = LruCache(2, MetricsRegistry())
         observed = []
         for round_index in range(3):
             cache.put("k", str(round_index))
@@ -131,7 +124,7 @@ class TestCounterResetSemantics:
             assert later[1] > earlier[1]
 
     def test_clear_does_not_count_as_eviction(self):
-        cache = LruCache(2)
+        cache = LruCache(2, MetricsRegistry())
         cache.put("a", "1")
         cache.put("b", "2")
         cache.clear()
@@ -139,27 +132,28 @@ class TestCounterResetSemantics:
 
 
 class TestPredictionService:
-    def test_predict_and_cache(self):
-        completer = _StubCompleter()
-        service = PredictionService(completer)
+    def test_predict_and_cache(self, make_engine):
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine)
         first = service.predict("- name: install nginx\n")
         second = service.predict("- name: install nginx\n")
         assert not first["cached"] and second["cached"]
-        assert completer.calls == 1
+        assert gate.calls == 1
         assert first["completion"] == second["completion"]
 
-    def test_empty_prompt_rejected(self):
-        service = PredictionService(_StubCompleter())
+    def test_empty_prompt_rejected(self, make_engine):
+        service = PredictionService(make_engine())
         with pytest.raises(ServingError):
             service.predict("   ")
 
-    def test_service_rejects_non_string(self):
-        service = PredictionService(_StubCompleter())
+    def test_service_rejects_non_string(self, make_engine):
+        service = PredictionService(make_engine())
         with pytest.raises(ServingError):
             service.predict(12345)  # type: ignore[arg-type]
 
-    def test_stats(self):
-        service = PredictionService(_StubCompleter())
+    def test_stats(self, make_engine):
+        service = PredictionService(make_engine())
         service.predict("- name: a\n")
         service.predict("- name: a\n")
         stats = service.stats()
@@ -167,17 +161,53 @@ class TestPredictionService:
         assert stats["cache_hit_rate"] == 0.5
         assert stats["mean_latency_ms"] >= 0
 
-    def test_health(self):
-        assert PredictionService(_StubCompleter()).health() == {"status": "ok", "model": "stub"}
+    def test_health(self, make_engine):
+        assert PredictionService(make_engine()).health() == {"status": "ok", "model": "tiny"}
+
+    def test_every_cache_hit_is_counted_in_one_store(self, make_engine):
+        """A predict, batch and stream hit each bump the cache's counter once;
+        a coalesced waiter's lookup was a miss and stays one — the
+        Prometheus series and ``stats()["cache"]`` read the same store."""
+        from repro.obs.export import parse_prometheus
+
+        engine = make_engine()
+        service = PredictionService(engine, max_new_tokens=4)
+        service.predict("- name: a\n")
+        assert service.predict("- name: a\n")["cached"]
+        assert service.predict_batch(["- name: a\n"])["cached"] == [True]
+        assert list(service.predict_stream("- name: a\n"))[-1][1]["cached"]
+        gate = GenerationGate(engine)
+        waiter_payloads: list[dict] = []
+        owner = threading.Thread(target=service.predict, args=("- name: b\n",))
+        waiter = threading.Thread(
+            target=lambda: waiter_payloads.append(service.predict("- name: b\n"))
+        )
+        owner.start()
+        try:
+            assert gate.entered.wait(timeout=10)
+            waiter.start()
+            _wait_for(lambda: service.cache.misses == 3)  # the waiter looked and missed
+        finally:
+            gate.release.set()
+            owner.join(timeout=10)
+            waiter.join(timeout=10)
+        assert waiter_payloads[0]["coalesced"]
+        stats = service.stats()["cache"]
+        assert (stats["hits"], stats["misses"]) == (3, 3)
+        series = parse_prometheus(service.metrics_prometheus())
+        for key in ("hits", "misses", "evictions"):
+            (sample,) = series[f"serving_cache_{key}_total"]["samples"]
+            assert sample[2] == stats[key]
 
 
 class TestRequestCoalescing:
-    def test_concurrent_identical_prompts_run_generation_once(self):
-        # The thundering-herd case: both requests miss the cache, but only
-        # the first may invoke the completer; the second waits and reuses
-        # the in-flight result.
-        completer = _StubCompleter(delay=0.2)
-        service = PredictionService(completer)
+    def test_concurrent_identical_prompts_run_generation_once(self, make_engine):
+        # The thundering-herd case: every request misses the cache, but only
+        # the first may invoke the engine; the rest wait and reuse the
+        # in-flight result.
+        engine = make_engine()
+        gate = GenerationGate(engine)
+        service = PredictionService(engine)
         results = []
 
         def hit():
@@ -186,9 +216,12 @@ class TestRequestCoalescing:
         threads = [threading.Thread(target=hit) for _ in range(4)]
         for thread in threads:
             thread.start()
+        # every lookup happened (and missed) before the owner may finish
+        _wait_for(lambda: service.cache.misses == 4)
+        gate.release.set()
         for thread in threads:
             thread.join()
-        assert completer.calls == 1
+        assert gate.calls == 1
         assert len(results) == 4
         assert len({result["completion"] for result in results}) == 1
         coalesced = [result for result in results if result.get("coalesced")]
@@ -196,9 +229,10 @@ class TestRequestCoalescing:
         assert all(result["cached"] for result in coalesced)
         assert service.stats()["coalesced_requests"] == 3
 
-    def test_distinct_prompts_not_coalesced(self):
-        completer = _StubCompleter(delay=0.05)
-        service = PredictionService(completer)
+    def test_distinct_prompts_not_coalesced(self, make_engine):
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine)
         results = {}
 
         def hit(prompt):
@@ -211,25 +245,20 @@ class TestRequestCoalescing:
             thread.start()
         for thread in threads:
             thread.join()
-        assert completer.calls == 3
+        assert gate.calls == 3
         assert not any(result.get("coalesced") for result in results.values())
 
-    def test_owner_failure_propagates_to_waiters(self):
-        class _Exploding:
-            name = "boom"
+    def test_owner_failure_propagates_to_waiters(self, make_engine):
+        engine = make_engine()
+        started, release = threading.Event(), threading.Event()
 
-            def __init__(self):
-                self.started = threading.Event()
+        def explode(*args, **kwargs):
+            started.set()
+            assert release.wait(timeout=10)
+            raise ServingError("model fell over")
 
-            def complete(self, prompt, max_new_tokens=96):
-                self.started.set()
-                import time
-
-                time.sleep(0.1)
-                raise ServingError("model fell over")
-
-        completer = _Exploding()
-        service = PredictionService(completer)
+        engine.complete_batch_detailed = explode
+        service = PredictionService(engine)
         errors = []
 
         def owner():
@@ -239,7 +268,7 @@ class TestRequestCoalescing:
                 errors.append(("owner", error))
 
         def waiter():
-            completer.started.wait()
+            started.wait()
             try:
                 service.predict("- name: x\n")
             except ServingError as error:
@@ -248,78 +277,79 @@ class TestRequestCoalescing:
         threads = [threading.Thread(target=owner), threading.Thread(target=waiter)]
         for thread in threads:
             thread.start()
+        _wait_for(lambda: service.cache.misses == 2)  # the waiter joined the owner
+        release.set()
         for thread in threads:
             thread.join()
         assert {source for source, _ in errors} == {"owner", "waiter"}
         # the failure must not be cached
         assert service.cache.get("- name: x\n") is None
 
-
-    def test_a_coalesced_waiter_keeps_its_own_deadline(self):
+    def test_a_coalesced_waiter_keeps_its_own_deadline(self, make_engine):
         """Real threads, real clock: the waiter's 50 ms deadline expires
         while the owner is still generating; the owner is unaffected."""
 
-        completer = _BlockingCompleter()
-        service = PredictionService(completer)
+        engine = make_engine()
+        gate = GenerationGate(engine)
+        service = PredictionService(engine)
         owned: list[dict] = []
         owner = threading.Thread(target=lambda: owned.append(service.predict("- name: x\n")))
         owner.start()
         try:
-            assert completer.entered.wait(timeout=10)
+            assert gate.entered.wait(timeout=10)
             with pytest.raises(DeadlineExceededError) as raised:
                 service.predict("- name: x\n", deadline_s=0.05)
             assert raised.value.status == 504
-            assert not completer.release.is_set()  # it did not wait the owner out
+            assert not gate.release.is_set()  # it did not wait the owner out
         finally:
-            completer.release.set()
+            gate.release.set()
             owner.join(timeout=10)
-        assert owned[0]["completion"] == "blocked: done" and not owned[0]["cached"]
+        assert not owned[0]["cached"]
         stats = service.stats()
         assert (stats["deadline_exceeded_requests"], stats["coalesced_requests"]) == (1, 0)
-        assert service.predict("- name: x\n")["cached"]  # the owner's result was still cached
+        replay = service.predict("- name: x\n")
+        assert replay["cached"]  # the owner's result was still cached
+        assert replay["completion"] == owned[0]["completion"]
 
 
 class TestBatchPrediction:
-    def test_sequential_fallback_without_engine(self):
-        completer = _StubCompleter()
-        service = PredictionService(completer)
+    def test_duplicate_prompts_in_a_batch_decode_once(self, make_engine):
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine)
         result = service.predict_batch(["- name: a\n", "- name: b\n", "- name: a\n"])
         assert len(result["completions"]) == 3
-        assert completer.calls == 2  # duplicate prompt decoded once
+        assert result["completions"][0] == result["completions"][2]
+        assert gate.batches == [["- name: a\n", "- name: b\n"]]  # duplicate decoded once
         assert result["decoded"] == 2
         assert result["batch_size"] == 3
 
-    def test_cache_hits_skip_decoding(self):
-        completer = _StubCompleter()
-        service = PredictionService(completer)
+    def test_cache_hits_skip_decoding(self, make_engine):
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine)
         service.predict("- name: a\n")
         result = service.predict_batch(["- name: a\n", "- name: b\n"])
         assert result["cached"] == [True, False]
-        assert completer.calls == 2
+        assert gate.batches == [["- name: a\n"], ["- name: b\n"]]
 
-    def test_engine_path_used_when_attached(self):
-        class _StubEngine:
-            def __init__(self):
-                self.batches = []
-
-            def complete_batch(self, prompts, max_new_tokens=None):
-                self.batches.append(list(prompts))
-                return [f"done:{prompt}" for prompt in prompts]
-
-            def stats(self):
-                return {"queue_depth": 0}
-
-        engine = _StubEngine()
-        completer = _StubCompleter()
-        service = PredictionService(completer, engine=engine)
+    def test_engine_path_used_when_attached(self, make_engine):
+        # misses decode together in one engine call, token-identical to
+        # one-at-a-time predictions
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine, max_new_tokens=6)
         result = service.predict_batch(["- name: a\n", "- name: b\n"])
-        assert completer.calls == 0
-        assert engine.batches == [["- name: a\n", "- name: b\n"]]
-        assert result["completions"] == ["done:- name: a\n", "done:- name: b\n"]
-        assert service.stats()["engine"] == {"queue_depth": 0}
+        assert gate.batches == [["- name: a\n", "- name: b\n"]]
+        alone = PredictionService(make_engine(), max_new_tokens=6)
+        assert result["completions"] == [
+            alone.predict("- name: a\n")["completion"],
+            alone.predict("- name: b\n")["completion"],
+        ]
+        assert service.stats()["engine"]["completed_requests"] == 2
 
-    def test_empty_batch_rejected(self):
-        service = PredictionService(_StubCompleter())
+    def test_empty_batch_rejected(self, make_engine):
+        service = PredictionService(make_engine())
         with pytest.raises(ServingError):
             service.predict_batch([])
         with pytest.raises(ServingError):
@@ -327,27 +357,29 @@ class TestBatchPrediction:
 
 
 class TestRestRoundTrip:
-    def test_http_completion_flow(self):
-        service = PredictionService(_StubCompleter())
+    def test_http_completion_flow(self, make_engine):
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
-            assert client.health()["status"] == "ok"
+            assert client.health() == {"status": "ok", "model": "tiny"}
             completion = client.complete("- name: install nginx\n")
-            assert "ansible.builtin.apt" in completion
+            assert completion
             payload = client.predict("- name: install nginx\n")
             assert payload["cached"] is True
+            assert payload["completion"] == completion
             assert client.stats()["requests"] == 2
 
-    def test_http_error_mapped(self):
-        service = PredictionService(_StubCompleter())
+    def test_http_error_mapped(self, make_engine):
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             with pytest.raises(ServingError):
                 client.complete("   ")
 
-    def test_http_batch_completions(self):
-        completer = _StubCompleter()
-        service = PredictionService(completer)
+    def test_http_batch_completions(self, make_engine):
+        engine = make_engine()
+        gate = GenerationGate(engine, closed=False)
+        service = PredictionService(engine)
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             payload = client.predict_batch(["- name: a\n", "- name: b\n"])
@@ -357,14 +389,15 @@ class TestRestRoundTrip:
             # second round is fully cached
             again = client.predict_batch(["- name: a\n", "- name: b\n"])
             assert again["cached"] == [True, True]
-            assert completer.calls == 2
+            assert again["completions"] == payload["completions"]
+            assert gate.calls == 1  # both misses decoded in one engine call
             completions = client.complete_batch(["- name: a\n"])
-            assert "ansible.builtin.apt" in completions[0]
+            assert completions == payload["completions"][:1]
             stats = client.stats()
             assert stats["batch_requests"] == 3
 
-    def test_http_batch_validation_error(self):
-        service = PredictionService(_StubCompleter())
+    def test_http_batch_validation_error(self, make_engine):
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             with pytest.raises(ServingError):
@@ -372,12 +405,8 @@ class TestRestRoundTrip:
             with pytest.raises(ServingError):
                 client.predict_batch(["ok", "   "])
 
-    def test_http_stats_include_engine_section(self, tiny_tokenizer, tiny_network):
-        from repro.model.lm import WisdomModel
-
-        model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        engine = model.engine(max_batch_size=4)
-        service = PredictionService(model, engine=engine)
+    def test_http_stats_include_engine_section(self, make_engine):
+        service = PredictionService(make_engine(max_batch_size=4))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             payload = client.predict_batch(["- name: install nginx\n"], max_new_tokens=4)
@@ -390,10 +419,10 @@ class TestRestRoundTrip:
             assert "hits" in engine_stats["prefix_cache"]
             assert engine_stats["prefill_tokens"] > 0
 
-    def test_http_metrics_prometheus(self):
+    def test_http_metrics_prometheus(self, make_engine):
         from repro.obs.export import parse_prometheus
 
-        service = PredictionService(_StubCompleter())
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.complete("- name: install nginx\n")
@@ -406,11 +435,11 @@ class TestRestRoundTrip:
                    if s[0] == "serving_completions_s_bucket"]
         assert buckets[-1][1]["le"] == "+Inf"
 
-    def test_http_metrics_json_default_and_bad_format(self):
+    def test_http_metrics_json_default_and_bad_format(self, make_engine):
         import json as json_module
         import urllib.request
 
-        service = PredictionService(_StubCompleter())
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             with urllib.request.urlopen(f"{server.url}/v1/metrics") as response:
                 payload = json_module.loads(response.read())
@@ -419,8 +448,8 @@ class TestRestRoundTrip:
                 urllib.request.urlopen(f"{server.url}/v1/metrics?format=xml")
             assert error_info.value.code == 400
 
-    def test_unknown_path_404(self):
-        service = PredictionService(_StubCompleter())
+    def test_unknown_path_404(self, make_engine):
+        service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             with pytest.raises(ServingError):
@@ -451,11 +480,11 @@ class TestMalformedEnvelopes:
     }
 
     @pytest.fixture(scope="class")
-    def servers(self):
+    def servers(self, make_engine):
         from repro.fleet import FleetRouter, InProcessWorker, WorkerSpec
 
         router = FleetRouter([InProcessWorker("w0", spec=WorkerSpec(max_new_tokens=4)).start()])
-        with RestServer(PredictionService(_StubCompleter())) as bare, RestServer(router) as fleet:
+        with RestServer(PredictionService(make_engine())) as bare, RestServer(router) as fleet:
             yield {"service": bare.url, "fleet": fleet.url}
         router.stop()
 
@@ -523,17 +552,17 @@ class TestTypedErrorRoundTrip:
         def metrics_prometheus(self):
             raise ServingError("exposition unavailable")
 
-    def test_cancelled_request_round_trips_as_408(self):
+    def test_cancelled_request_round_trips_as_408(self, make_engine):
         from repro.errors import RequestCancelledError
 
-        with RestServer(self._Cancelling(_StubCompleter())) as server:
+        with RestServer(self._Cancelling(make_engine())) as server:
             with pytest.raises(RequestCancelledError):
                 PredictionClient(server.url).predict("- name: a\n")
 
-    def test_prometheus_http_error_is_not_reported_as_unreachable(self):
+    def test_prometheus_http_error_is_not_reported_as_unreachable(self, make_engine):
         from repro.errors import ServiceUnreachableError
 
-        with RestServer(self._Cancelling(_StubCompleter())) as server:
+        with RestServer(self._Cancelling(make_engine())) as server:
             with pytest.raises(ServingError) as error_info:
                 PredictionClient(server.url).metrics_prometheus()
         assert not isinstance(error_info.value, ServiceUnreachableError)
@@ -541,56 +570,57 @@ class TestTypedErrorRoundTrip:
 
 
 class TestEditorPlugin:
-    def make_session(self):
-        return EditorSession(backend=PredictionService(_StubCompleter()))
+    @pytest.fixture()
+    def session(self, make_engine):
+        return EditorSession(backend=PredictionService(make_engine(), max_new_tokens=8))
 
-    def test_accept_flow(self):
-        session = self.make_session()
+    def test_accept_flow(self, session):
         session.type_text("- name: install nginx on RHEL")
         suggestion = session.press_enter()
-        assert "apt" in suggestion.text
+        assert suggestion.text and session.session_id is not None
         buffer = session.press(TAB)
-        assert "state: present" in buffer
+        assert buffer.startswith("- name: install nginx on RHEL\n" + suggestion.text)
         assert session.accepted == 1
         assert session.acceptance_rate == 1.0
 
-    def test_reject_flow(self):
-        session = self.make_session()
+    def test_reject_flow(self, session):
         session.type_text("- name: install nginx")
         session.press_enter()
         buffer = session.press(ESCAPE)
-        assert "apt" not in buffer
+        assert buffer == "- name: install nginx\n"
         assert session.rejected == 1
 
-    def test_enter_requires_name_line(self):
-        session = self.make_session()
+    def test_enter_requires_name_line(self, session):
         session.type_text("tasks:")
         with pytest.raises(ServingError):
             session.press_enter()
 
-    def test_double_enter_rejected(self):
-        session = self.make_session()
+    def test_double_enter_rejected(self, session):
         session.type_text("- name: x")
         session.press_enter()
         with pytest.raises(ServingError):
             session.press_enter()
 
-    def test_key_without_pending(self):
-        session = self.make_session()
+    def test_key_without_pending(self, session):
         with pytest.raises(ServingError):
             session.press(TAB)
 
-    def test_unknown_key(self):
-        session = self.make_session()
+    def test_unknown_key(self, session):
         session.type_text("- name: x")
         session.press_enter()
         with pytest.raises(ServingError):
             session.press("space")
 
-    def test_buffer_stays_valid_yaml_after_accept(self):
+    def test_buffer_stays_valid_yaml_after_accept(self, session):
+        # A random-weight model writes no YAML, so the real session's
+        # payload carries a task body instead: what is checked is the
+        # plugin's splice (newline-terminated, indentation kept).
         from repro import yamlio
 
-        session = self.make_session()
+        create = session.backend.sessions.create
+        session.backend.sessions.create = lambda *args: dict(
+            create(*args), completion="  ansible.builtin.apt:\n    name: nginx"
+        )
         session.type_text("- name: install nginx")
         session.press_enter()
         session.press(TAB)
@@ -600,28 +630,26 @@ class TestEditorPlugin:
 class TestClientEndpointFailover:
     """Satellite: the client rotates to the next replica on dead endpoints."""
 
-    def serve_stub(self):
-        return RestServer(PredictionService(_StubCompleter()))
+    @pytest.fixture()
+    def server(self, make_engine):
+        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
+            yield server
 
-    def test_failover_to_live_endpoint_without_sleeping(self):
+    def test_failover_to_live_endpoint_without_sleeping(self, server):
         slept: list[float] = []
-        with self.serve_stub() as server:
-            client = PredictionClient(
-                ["http://127.0.0.1:1", server.url], sleep=slept.append
-            )
-            completion = client.complete("- name: install nginx\n")
-            assert "ansible.builtin.apt" in completion
-            assert client.failovers == 1
-            assert client.retries == 0
-            assert slept == []  # rotation is free; only full sweeps back off
+        client = PredictionClient(["http://127.0.0.1:1", server.url], sleep=slept.append)
+        completion = client.complete("- name: install nginx\n")
+        assert completion == client.predict("- name: install nginx\n")["completion"]
+        assert client.failovers == 1
+        assert client.retries == 0
+        assert slept == []  # rotation is free; only full sweeps back off
 
-    def test_sticky_on_the_endpoint_that_answered(self):
-        with self.serve_stub() as server:
-            client = PredictionClient(["http://127.0.0.1:1", server.url])
-            client.complete("- name: install nginx\n")
-            assert client.base_url == server.url
-            client.complete("- name: install redis\n")
-            assert client.failovers == 1  # second call went straight there
+    def test_sticky_on_the_endpoint_that_answered(self, server):
+        client = PredictionClient(["http://127.0.0.1:1", server.url])
+        client.complete("- name: install nginx\n")
+        assert client.base_url == server.url
+        client.complete("- name: install redis\n")
+        assert client.failovers == 1  # second call went straight there
 
     def test_all_dead_without_policy_raises_after_one_sweep(self):
         client = PredictionClient(["http://127.0.0.1:1", "http://127.0.0.1:2"])
@@ -672,11 +700,10 @@ class TestClientEndpointFailover:
         with pytest.raises(ServingError):
             PredictionClient([])
 
-    def test_http_errors_do_not_rotate(self):
+    def test_http_errors_do_not_rotate(self, make_engine):
         # a 503 is the service answering, not a dead endpoint: the client
         # must stay on it (and honour Retry-After) rather than failing over
-        completer = _StubCompleter()
-        service = PredictionService(completer, max_queue_depth=1)
+        service = PredictionService(make_engine(), max_queue_depth=1)
         assert service._try_admit()  # saturate the only slot
         with RestServer(service) as server:
             client = PredictionClient([server.url, "http://127.0.0.1:1"])

@@ -16,15 +16,21 @@ from repro.serving.service import PredictionService
 
 
 class _ScriptedBackend:
-    """Returns canned predict payloads and records the prompts it saw."""
+    """Answers the session API with canned payloads; records the buffers."""
 
     def __init__(self, completion="  ansible.builtin.apt:\n    name: nginx\n"):
         self.completion = completion
         self.prompts: list[str] = []
 
-    def predict(self, prompt):
-        self.prompts.append(prompt)
-        return {"completion": self.completion, "latency_ms": 1.5, "cached": False}
+    def session_create(self, buffer):
+        self.prompts.append(buffer)
+        return {"session_id": "s0", "completion": self.completion, "latency_ms": 1.5}
+
+    def session_extend(self, session_id, buffer):
+        return self.session_create(buffer)
+
+    def session_close(self, session_id):
+        return {"session_id": session_id, "closed": True}
 
 
 class TestKeystrokeProtocol:
@@ -87,6 +93,15 @@ class TestKeystrokeProtocol:
         with pytest.raises(ServingError):
             session.press("ctrl-z")
 
+    def test_an_unknown_key_keeps_the_suggestion_pending(self):
+        session = EditorSession(backend=_ScriptedBackend(completion="  apt: {name: nginx}"))
+        session.type_text("- name: Install nginx")
+        suggestion = session.press_enter()
+        with pytest.raises(ServingError):
+            session.press("x")
+        assert session.press(TAB).endswith(suggestion.text + "\n")
+        assert (session.accepted, session.rejected) == (1, 0)
+
     def test_acceptance_rate(self):
         session = EditorSession(backend=_ScriptedBackend())
         assert session.acceptance_rate == 0.0
@@ -97,37 +112,24 @@ class TestKeystrokeProtocol:
         assert session.acceptance_rate == pytest.approx(0.75)
 
 
-class _StaticCompleter:
-    name = "static"
-
-    def complete(self, prompt, max_new_tokens=96):
-        return "  ansible.builtin.service:\n    name: ssh\n    state: started\n"
-
-
 class TestAgainstRealService:
-    def test_session_round_trip_through_prediction_service(self):
-        service = PredictionService(_StaticCompleter())
+    def test_session_round_trip_through_prediction_service(self, make_engine):
+        service = PredictionService(make_engine(), max_new_tokens=8)
         session = EditorSession(backend=service)
         session.type_text("- name: Start SSH server")
         first = session.press_enter()
-        assert first.cached is False
+        assert first.cached is False and first.reused_tokens == 0
         session.press(TAB)
-        assert "ansible.builtin.service" in session.buffer
-        # Identical context in a new session hits the service cache.
+        assert session.buffer.startswith("- name: Start SSH server\n" + first.text)
+        # Identical context in a second editor: a session of its own, the
+        # same greedy suggestion.
         replay = EditorSession(backend=service)
         replay.type_text("- name: Start SSH server")
-        assert replay.press_enter().cached is True
-
-    def test_service_without_session_manager_falls_back_to_predict(self):
-        # A PredictionService over a bare completer HAS session_create /
-        # session_extend methods, but no manager behind them — the plugin
-        # must detect that and stay on the stateless predict path.
-        service = PredictionService(_StaticCompleter())
-        session = EditorSession(backend=service)
-        assert session.session_capable is False
-        session.type_text("- name: Start SSH server")
-        session.press_enter()
-        assert session.session_id is None
+        assert replay.press_enter().text == first.text
+        assert replay.session_id != session.session_id
+        session.close()
+        replay.close()
+        assert service.sessions.count == 0
 
 
 @pytest.mark.streaming
@@ -135,23 +137,16 @@ class TestSessionBackedPlugin:
     """The keystroke flow rides server-side sessions: every enter after
     the first extends the warm KV slab instead of re-prefilling the file."""
 
-    def _editor(self):
-        from tests.test_streaming_equivalence import TRAIN_TEXTS, build_engine
-        from repro.tokenizer.bpe import BpeTokenizer
-
-        tokenizer = BpeTokenizer.train(TRAIN_TEXTS, vocab_size=300)
-        engine = build_engine(tokenizer, 0)
+    @pytest.fixture()
+    def editor(self, make_engine):
         # max_new_tokens small enough that plan_prompt never left-truncates
         # the growing buffer (truncation would legitimately shrink the
         # common prefix and force a re-prefill, muddying the regression).
-        service = PredictionService(
-            engine, engine=engine, cache_capacity=1, max_new_tokens=12
-        )
+        service = PredictionService(make_engine(), cache_capacity=1, max_new_tokens=12)
         return EditorSession(backend=service), service
 
-    def test_no_reprefill_across_keystroke_extends(self):
-        editor, service = self._editor()
-        assert editor.session_capable is True
+    def test_no_reprefill_across_keystroke_extends(self, editor):
+        editor, service = editor
         engine = service.engine
 
         editor.type_text("- name: Install nginx")
@@ -183,8 +178,8 @@ class TestSessionBackedPlugin:
         editor.close()
         assert service.sessions.count == 0
 
-    def test_session_prefill_is_delta_only(self):
-        editor, service = self._editor()
+    def test_session_prefill_is_delta_only(self, editor):
+        editor, service = editor
         editor.type_text("- name: Install nginx")
         editor.press_enter()
         # Reject the suggestion: the buffer then grows ONLY by what the
@@ -203,8 +198,8 @@ class TestSessionBackedPlugin:
         assert after - before < whole_buffer
         assert after - before <= typed_delta + 4  # BPE boundary slack
 
-    def test_lost_session_degrades_to_fresh_create(self):
-        editor, service = self._editor()
+    def test_lost_session_degrades_to_fresh_create(self, editor):
+        editor, service = editor
         editor.type_text("- name: Install nginx")
         editor.press_enter()
         editor.press(TAB)

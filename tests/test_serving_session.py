@@ -59,7 +59,7 @@ class TestLifecycle:
 
     def test_empty_buffer_rejected(self, tokenizer):
         engine = build_engine(tokenizer, 0)
-        service = PredictionService(engine, engine=engine)
+        service = PredictionService(engine)
         with pytest.raises(ServingError):
             service.session_create("   ")
 
@@ -111,7 +111,7 @@ class TestEviction:
 class TestHttpSurface:
     def test_session_endpoints_roundtrip(self, tokenizer):
         engine = build_engine(tokenizer, 0)
-        service = PredictionService(engine, engine=engine)
+        service = PredictionService(engine)
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             created = client.session_create(BUFFER, max_new_tokens=6)
@@ -126,7 +126,7 @@ class TestHttpSurface:
 
     def test_extend_unknown_session_is_http_404(self, tokenizer):
         engine = build_engine(tokenizer, 0)
-        service = PredictionService(engine, engine=engine)
+        service = PredictionService(engine)
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             with pytest.raises(SessionNotFoundError):
@@ -134,7 +134,7 @@ class TestHttpSurface:
 
     def test_stats_surface_sessions(self, tokenizer):
         engine = build_engine(tokenizer, 0)
-        service = PredictionService(engine, engine=engine)
+        service = PredictionService(engine)
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.session_create(BUFFER, max_new_tokens=4)
@@ -142,12 +142,9 @@ class TestHttpSurface:
         assert stats["sessions"]["created"] == 1
         assert stats["sessions"]["live_sessions"] == 1
 
-    def test_sessions_unavailable_without_engine_tokenizer(self):
-        class _Stub:
-            def complete(self, prompt, max_new_tokens=96):
-                return " done"
+    def test_service_rejects_an_engine_without_tokenizer(self, tokenizer):
+        # the service speaks text and its sessions tokenize buffers
+        from repro.engine import InferenceEngine
 
-        service = PredictionService(_Stub())
-        assert service.sessions is None
         with pytest.raises(ServingError):
-            service.session_create(BUFFER)
+            PredictionService(InferenceEngine(build_engine(tokenizer, 0).network))

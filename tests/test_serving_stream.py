@@ -181,7 +181,7 @@ class TestServiceStreaming:
             vocab_size=300,
         )
         engine = build_engine(tokenizer, 0)
-        return PredictionService(engine, engine=engine, heartbeat_interval_s=1.0)
+        return PredictionService(engine, heartbeat_interval_s=1.0)
 
     def test_heartbeats_ride_the_faults_clock(self, service):
         fake = FakeClock()

@@ -219,11 +219,9 @@ class TestServiceStreamMatchesPredict:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_stream_text_concat_equals_predict(self, tokenizer, seed):
-        stream_service = PredictionService(
-            (engine := build_engine(tokenizer, seed)), engine=engine, cache_capacity=1
-        )
+        stream_service = PredictionService(build_engine(tokenizer, seed), cache_capacity=1)
         plain_engine = build_engine(tokenizer, seed)
-        plain_service = PredictionService(plain_engine, engine=plain_engine, cache_capacity=1)
+        plain_service = PredictionService(plain_engine, cache_capacity=1)
         prompt = TRAIN_TEXTS[seed]
         want = plain_service.predict(prompt, BUDGET)
         events = list(stream_service.predict_stream(prompt, BUDGET))
@@ -235,7 +233,7 @@ class TestServiceStreamMatchesPredict:
 
     def test_streamed_token_ids_concat_equals_engine_tokens(self, tokenizer):
         engine = build_engine(tokenizer, 0)
-        service = PredictionService(engine, engine=engine, cache_capacity=1)
+        service = PredictionService(engine, cache_capacity=1)
         reference = build_engine(tokenizer, 0)
         prompt = TRAIN_TEXTS[1]
         ids: list[int] = []
