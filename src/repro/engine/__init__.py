@@ -9,17 +9,20 @@ prefix.  See DESIGN.md §Inference engine for the architecture.
 Layers (bottom-up):
 
 * :mod:`repro.engine.batched_decode` — left-padded batched KV decoding
-  over :class:`~repro.nn.transformer.DecoderLM`, plus
-  :func:`generate_greedy_batch` for one-shot static batches;
+  over :class:`~repro.nn.transformer.DecoderLM`;
 * :mod:`repro.engine.prefix_cache` — longest-common-prefix K/V reuse;
 * :mod:`repro.engine.request` — request lifecycle and timing;
 * :mod:`repro.engine.speculative` — draft models for draft-then-verify
   speculative decoding (token-identical to greedy);
 * :mod:`repro.engine.batcher` — the continuous-admission scheduler;
 * :mod:`repro.engine.engine` — the :class:`InferenceEngine` facade.
+
+Two decode loops exist: :meth:`ContinuousBatcher.step` decodes every
+served token, and :func:`repro.nn.sampling.generate_greedy` is the batch-1
+oracle it is held to.
 """
 
-from repro.engine.batched_decode import BatchRow, DecodingBatch, generate_greedy_batch, prefill_single
+from repro.engine.batched_decode import BatchRow, DecodingBatch, prefill_single
 from repro.engine.batcher import ContinuousBatcher
 from repro.engine.engine import InferenceEngine
 from repro.engine.prefix_cache import PrefixCache
@@ -36,7 +39,6 @@ __all__ = [
     "ABNORMAL_STOP_REASONS",
     "BatchRow",
     "DecodingBatch",
-    "generate_greedy_batch",
     "prefill_single",
     "ContinuousBatcher",
     "InferenceEngine",

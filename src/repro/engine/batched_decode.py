@@ -35,7 +35,6 @@ import numpy as np
 from repro.errors import EngineError
 from repro.faults.inject import shield
 from repro.nn.kv_arena import KVArena, KVCache
-from repro.nn.sampling import GenerationResult, advance, plan_prompt
 from repro.nn.transformer import DecoderLM
 
 PAD_TOKEN_ID = 0  # embedding input for padding slots; masked out of attention
@@ -170,7 +169,9 @@ class DecodingBatch:
         Runs one ``forward_incremental`` over the left-padded prompt matrix
         (padding slots embed ``PAD_TOKEN_ID`` and are masked out of
         attention) and admits every prompt as a row.  Returns the first
-        greedily sampled token per prompt, in order.
+        greedily sampled token per prompt, in order.  No serving path calls
+        it: ``bench/trace.py`` wraps it by name, and the left-padded prefill
+        conformance case drives it against ``generate_greedy``.
         """
         if len(prompts) != len(payloads):
             raise EngineError(f"{len(prompts)} prompts vs {len(payloads)} payloads")
@@ -337,57 +338,3 @@ class DecodingBatch:
                 cache.select_rows(keep, trim)
         self._refresh_step_scratch()
         return retired
-
-
-def generate_greedy_batch(
-    model: DecoderLM,
-    prompts: list[list[int]],
-    max_new_tokens: int,
-    stop_ids: frozenset[int] | set[int] = frozenset(),
-) -> list[GenerationResult]:
-    """Greedy-decode a batch of prompts with fully batched prefill + decode.
-
-    The direct batched analogue of calling
-    :func:`~repro.nn.sampling.generate_greedy` once per prompt: same
-    budget-aware truncation, same stop handling, token-identical outputs.
-    Rows that stop early retire mid-flight so the remaining rows keep
-    decoding without them.  For continuous admission of *new* work into a
-    running batch, use :class:`repro.engine.batcher.ContinuousBatcher`.
-    """
-    if not prompts:
-        return []
-    window = model.config.n_positions
-    planned = [plan_prompt(window, prompt, max_new_tokens) for prompt in prompts]
-    results: list[GenerationResult | None] = [None] * len(prompts)
-    generated: list[list[int]] = [[] for _ in prompts]
-
-    def advance_row(index: int, next_id: int) -> str | None:
-        prompt_length = len(planned[index][0])
-        return advance(generated[index], next_id, stop_ids, max_new_tokens, prompt_length, window)
-
-    batch = DecodingBatch(model)
-    first_tokens = batch.admit_prompts([prompt for prompt, _ in planned], list(range(len(prompts))))
-    finished = []
-    for position, next_id in enumerate(first_tokens):
-        index = batch.rows[position].payload
-        reason = advance_row(index, next_id)
-        if reason is not None:
-            results[index] = GenerationResult(generated[index], reason, planned[index][1])
-            finished.append(position)
-    batch.retire(finished)
-
-    while batch.rows:
-        next_tokens = batch.step()
-        finished = []
-        for position, next_id in enumerate(next_tokens):
-            index = batch.rows[position].payload
-            reason = advance_row(index, next_id)
-            if reason is None:
-                batch.rows[position].pending = next_id
-            else:
-                results[index] = GenerationResult(generated[index], reason, planned[index][1])
-                finished.append(position)
-        batch.retire(finished)
-    if any(result is None for result in results):
-        raise EngineError("batched decode ended with unfinished rows")
-    return results

@@ -389,11 +389,6 @@ class ContinuousBatcher:
             self._retire(list(finished))
         return bool(self.batch.rows or self.queue)
 
-    def run(self) -> None:
-        """Drive until the queue and the active batch are both empty."""
-        while self.step():
-            pass
-
     def stats(self) -> dict:
         """One mutually-consistent snapshot of the scheduler counters.
 

@@ -178,11 +178,6 @@ class FaultInjector:
 
     # -- firing --------------------------------------------------------------
 
-    def calls(self, seam: str) -> int:
-        """How many times ``seam`` has been reached (shielded calls excluded)."""
-        with self._lock:
-            return self._calls.get(seam, 0)
-
     def _fire(self, seam: str, context: dict) -> None:
         if getattr(self._shield, "depth", 0):
             return

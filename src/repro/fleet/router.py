@@ -830,15 +830,6 @@ class FleetRouter:
         """Prometheus text exposition of the router's own registry."""
         return prometheus_exposition(self.obs.metrics)
 
-    def fleet_prometheus(self) -> str:
-        """Fleet-wide exposition: every collected replica's samples under
-        ``replica="<id>"`` labels plus the router's own under
-        ``replica="router"``.  Falls back to the router's own exposition
-        when no collector is attached."""
-        if self.collector is None:
-            return self.metrics_prometheus()
-        return self.collector.merged_prometheus(extra={"router": self.metrics_prometheus()})
-
     def collect_telemetry(self) -> dict | None:
         """Force one collector poll of every live replica, outside the
         heartbeat cadence (e.g. a final drain before rendering a merged

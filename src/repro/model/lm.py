@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GenerationError
-from repro.nn.sampling import generate_greedy, generate_sampled
+from repro.nn.sampling import generate_greedy
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.obs import NULL_PROFILER, Observability, OpProfiler, Tracer
 from repro.tokenizer.bpe import BpeTokenizer
@@ -108,15 +108,8 @@ class WisdomModel:
 
     # -- generation -----------------------------------------------------------
 
-    def complete(
-        self,
-        prompt: str,
-        max_new_tokens: int = 96,
-        temperature: float | None = None,
-        top_k: int = 0,
-        seed: int = 0,
-    ) -> str:
-        """Continue ``prompt``; greedy when ``temperature`` is None.
+    def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
+        """Greedy continuation of ``prompt``.
 
         The prompt is left-truncated to the context window (paper: "when the
         input to the model is larger than the context window, it is
@@ -128,21 +121,9 @@ class WisdomModel:
         if not prompt_ids:
             raise GenerationError("prompt is empty")
         stop_ids = frozenset({self.tokenizer.end_of_text_id, self.tokenizer.separator_id})
-        if temperature is None:
-            result = generate_greedy(
-                self.network, prompt_ids, max_new_tokens, stop_ids=stop_ids, tracer=self._tracer
-            )
-        else:
-            result = generate_sampled(
-                self.network,
-                prompt_ids,
-                max_new_tokens,
-                rng=np.random.default_rng(seed),
-                temperature=temperature,
-                top_k=top_k,
-                stop_ids=stop_ids,
-                tracer=self._tracer,
-            )
+        result = generate_greedy(
+            self.network, prompt_ids, max_new_tokens, stop_ids=stop_ids, tracer=self._tracer
+        )
         return self.tokenizer.decode(result.token_ids)
 
     # -- batched generation ----------------------------------------------------

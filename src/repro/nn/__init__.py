@@ -1,4 +1,4 @@
-"""Numpy neural-network substrate: layers, transformer, optimizer, sampling."""
+"""Numpy neural-network substrate: layers, transformer, optimizer, greedy decoding."""
 
 from repro.nn.attention import CausalSelfAttention, KVCache, causal_mask
 from repro.nn.kv_arena import KVArena, SlabRef, default_arena
@@ -16,13 +16,7 @@ from repro.nn.layers import (
 from repro.nn.optim import Adam, CosineSchedule, LinearSchedule, clip_grad_norm
 from repro.nn.parameter import Parameter, numpy_rng
 from repro.nn.rotary import apply_rotary, apply_rotary_backward, rotary_tables, shared_rotary_tables
-from repro.nn.sampling import (
-    GenerationResult,
-    generate_beam,
-    generate_greedy,
-    generate_sampled,
-    plan_prompt,
-)
+from repro.nn.sampling import GenerationResult, generate_greedy, plan_prompt
 from repro.nn.transformer import Block, DecoderLM, Mlp, TransformerConfig
 
 __all__ = [
@@ -52,9 +46,7 @@ __all__ = [
     "rotary_tables",
     "shared_rotary_tables",
     "GenerationResult",
-    "generate_beam",
     "generate_greedy",
-    "generate_sampled",
     "plan_prompt",
     "Block",
     "DecoderLM",

@@ -1,9 +1,11 @@
-"""Decoding strategies over a :class:`repro.nn.transformer.DecoderLM`.
+"""Greedy decoding over a :class:`repro.nn.transformer.DecoderLM`, and the
+prompt plan and stop policy every decode loop shares.
 
-The paper evaluates with greedy decoding ("all results presented thereafter
-were obtained using greedy decoding.  We would expect some improvement by
-using random sampling or beam search"); greedy, temperature/top-k sampling,
-and beam search are all provided.
+The paper evaluates with greedy decoding only ("all results presented
+thereafter were obtained using greedy decoding"), so greedy is the one
+strategy here.  :func:`generate_greedy` is the batch-1 oracle that
+``bench/loadgen.py`` and the conformance suites hold the production loop,
+``ContinuousBatcher.step``, to.
 """
 
 from __future__ import annotations
@@ -85,28 +87,6 @@ def advance(
     return None
 
 
-def _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, name, pick) -> GenerationResult:
-    """Batch-1 prefill + decode with KV cache; ``pick`` maps ``logits[0, -1]``
-    to the next token id — the only thing greedy and sampled decoding differ in."""
-    tracer = tracer if tracer is not None else NULL_TRACER
-    window = model.config.n_positions
-    prompt, budget = plan_prompt(window, prompt_ids, max_new_tokens)
-    with tracer.span(name, prompt_tokens=len(prompt)) as span:
-        with tracer.span("sampling.prefill", tokens=len(prompt)):
-            caches = model.new_cache()
-            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
-        generated: list[int] = []
-        with tracer.span("sampling.decode"):
-            while True:
-                next_id = pick(logits[0, -1])
-                reason = advance(generated, next_id, stop_ids, max_new_tokens, len(prompt), window)
-                if reason is not None:
-                    break
-                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
-        span.set(tokens=len(generated), stop_reason=reason)
-        return GenerationResult(generated, reason, budget)
-
-
 def generate_greedy(
     model: DecoderLM,
     prompt_ids: list[int],
@@ -122,86 +102,20 @@ def generate_greedy(
     reads the monotonic clock, so the produced tokens are identical with
     or without it.
     """
-
-    def pick(row: np.ndarray) -> int:
-        return int(row.argmax())
-
-    return _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, "sampling.greedy", pick)
-
-
-def generate_sampled(
-    model: DecoderLM,
-    prompt_ids: list[int],
-    max_new_tokens: int,
-    rng: np.random.Generator,
-    temperature: float = 1.0,
-    top_k: int = 0,
-    stop_ids: frozenset[int] | set[int] = frozenset(),
-    tracer: Tracer | None = None,
-) -> GenerationResult:
-    """Temperature / top-k sampling with KV cache."""
-    if temperature <= 0.0:
-        raise GenerationError("temperature must be positive; use generate_greedy for argmax")
-
-    def pick(row: np.ndarray) -> int:
-        scores = row.astype(np.float64) / temperature
-        if top_k > 0 and top_k < scores.shape[0]:
-            cutoff = np.partition(scores, -top_k)[-top_k]
-            scores = np.where(scores < cutoff, -np.inf, scores)
-        scores -= scores.max()
-        probabilities = np.exp(scores)
-        probabilities /= probabilities.sum()
-        return int(rng.choice(scores.shape[0], p=probabilities))
-
-    return _generate(model, prompt_ids, max_new_tokens, stop_ids, tracer, "sampling.sampled", pick)
-
-
-def generate_beam(
-    model: DecoderLM,
-    prompt_ids: list[int],
-    max_new_tokens: int,
-    beam_width: int = 3,
-    stop_ids: frozenset[int] | set[int] = frozenset(),
-    length_penalty: float = 0.0,
-) -> GenerationResult:
-    """Beam search (no cache sharing across beams; intended for small beams).
-
-    Scores are mean-adjusted by ``length_penalty`` (0 = pure log-prob sum).
-    """
+    tracer = tracer if tracer is not None else NULL_TRACER
     window = model.config.n_positions
     prompt, budget = plan_prompt(window, prompt_ids, max_new_tokens)
-    beams: list[tuple[float, list[int], bool]] = [(0.0, [], False)]
-    for _ in range(max_new_tokens):
-        candidates: list[tuple[float, list[int], bool]] = []
-        for score, tokens, finished in beams:
-            if finished:
-                candidates.append((score, tokens, True))
-                continue
-            sequence = prompt + tokens
-            if len(sequence) >= window:
-                candidates.append((score, tokens, True))
-                continue
-            logits = model.forward(np.array([sequence], dtype=np.int64), training=False)
-            row = logits[0, -1].astype(np.float64)
-            row -= row.max()
-            log_probabilities = row - np.log(np.exp(row).sum())
-            top = np.argsort(log_probabilities)[::-1][:beam_width]
-            for token_id in top:
-                token_id = int(token_id)
-                new_score = score + float(log_probabilities[token_id])
-                if token_id in stop_ids:
-                    candidates.append((new_score, tokens, True))
-                else:
-                    candidates.append((new_score, tokens + [token_id], False))
-        def adjusted(entry: tuple[float, list[int], bool]) -> float:
-            score, tokens, _ = entry
-            denominator = max(1, len(tokens)) ** length_penalty
-            return score / denominator
-        candidates.sort(key=adjusted, reverse=True)
-        beams = candidates[:beam_width]
-        if all(finished for _, _, finished in beams):
-            break
-    best_score, best_tokens, best_finished = beams[0]
-    del best_score
-    reason = "stop_token" if best_finished else "max_tokens"
-    return GenerationResult(best_tokens, reason, budget)
+    with tracer.span("sampling.greedy", prompt_tokens=len(prompt)) as span:
+        with tracer.span("sampling.prefill", tokens=len(prompt)):
+            caches = model.new_cache()
+            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
+        generated: list[int] = []
+        with tracer.span("sampling.decode"):
+            while True:
+                next_id = int(logits[0, -1].argmax())
+                reason = advance(generated, next_id, stop_ids, max_new_tokens, len(prompt), window)
+                if reason is not None:
+                    break
+                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
+        span.set(tokens=len(generated), stop_reason=reason)
+        return GenerationResult(generated, reason, budget)

@@ -66,7 +66,7 @@ from repro.obs.slo import (
     SloMonitor,
     SloSpec,
 )
-from repro.obs.trace import NULL_TRACER, Span, Tracer, load_spans_jsonl, read_spans_jsonl
+from repro.obs.trace import NULL_TRACER, Span, Tracer, read_spans_jsonl
 
 
 class Observability:
@@ -95,14 +95,6 @@ class Observability:
         """An Observability whose tracer is enabled from the start."""
         return cls(tracer=Tracer(capacity=capacity))
 
-    @property
-    def tracing_enabled(self) -> bool:
-        return self.tracer.enabled
-
-    @property
-    def profiling_enabled(self) -> bool:
-        return self.profiler.enabled
-
     def attach_tracer(self, tracer: Tracer) -> None:
         self.tracer = tracer
 
@@ -117,7 +109,6 @@ __all__ = [
     "Tracer",
     "Span",
     "NULL_TRACER",
-    "load_spans_jsonl",
     "read_spans_jsonl",
     "MetricsRegistry",
     "Counter",

@@ -23,14 +23,10 @@ tracer; the stitcher joins on the references, not the ids.
 (cleared on read), the cumulative Prometheus exposition, and the profiler
 snapshot.  A :class:`FleetCollector` on the router polls it from the
 heartbeat tick — driven by :mod:`repro.faults.clock`, so seeded chaos
-runs collect deterministically — and accumulates per-replica telemetry.
-From the accumulated state it can render
-
-* a **merged Prometheus exposition** where every sample gains a
-  ``replica="..."`` label (:meth:`FleetCollector.merged_prometheus`), and
-* one **Chrome/Perfetto trace** with a track (pid) per replica and flow
-  arrows from each router span to the worker spans it parents
-  (:func:`fleet_chrome_trace`).
+runs collect deterministically — and accumulates per-replica spans, from
+which :func:`fleet_chrome_trace` renders one **Chrome/Perfetto trace**
+with a track (pid) per replica and flow arrows from each router span to
+the worker spans it parents.
 
 Spans drained from a replica that later dies stay in the collector;
 spans the replica recorded *after* its last poll die with it — the same
@@ -45,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ObservabilityError
-from repro.obs.export import SPAN_TID, format_sample, parse_prometheus, span_event
+from repro.obs.export import SPAN_TID, span_event
 from repro.obs.trace import Span
 
 #: HTTP header carrying the fleet-unique trace id.
@@ -123,17 +119,14 @@ class FleetCollector:
     """Accumulates per-replica telemetry drains on the router.
 
     :meth:`poll` is called from the router's heartbeat tick for every
-    live worker; each call drains the worker's span buffer (so a span is
-    collected exactly once) and replaces the worker's *cumulative*
-    Prometheus exposition and profiler snapshot.  All state is keyed by
-    replica name; a replica that respawns keeps appending to the same
-    span history — its restarted metrics read as the usual counter reset.
+    live worker; each call drains the worker's span buffer, so a span is
+    collected exactly once.  All state is keyed by replica name; a replica
+    that respawns keeps appending to the same span history.
     """
 
     def __init__(self) -> None:
         self._spans: dict[str, list[Span]] = {}
-        self._prometheus: dict[str, str] = {}
-        self._profiles: dict[str, dict] = {}
+        self._reported: set[str] = set()  # replicas whose drain carried metrics
         self.polls = 0
         self.poll_errors = 0
 
@@ -160,18 +153,14 @@ class FleetCollector:
         """Fold one ``/v1/telemetry`` payload into the accumulated state."""
         for record in payload.get("spans") or []:
             self._spans.setdefault(replica, []).append(Span.from_dict(record))
-        exposition = payload.get("metrics_prometheus")
-        if exposition:
-            self._prometheus[replica] = exposition
-        profile = payload.get("profile")
-        if profile:
-            self._profiles[replica] = profile
+        if payload.get("metrics_prometheus") or payload.get("profile"):
+            self._reported.add(replica)
 
     # -- reading -------------------------------------------------------------
 
     def replicas(self) -> list[str]:
         """Replica names with any collected telemetry, sorted."""
-        return sorted(set(self._spans) | set(self._prometheus) | set(self._profiles))
+        return sorted(set(self._spans) | self._reported)
 
     def spans(self, replica: str | None = None) -> list[Span]:
         """Collected spans for one replica, or all replicas (sorted by name)."""
@@ -181,40 +170,6 @@ class FleetCollector:
         for name in sorted(self._spans):
             merged.extend(self._spans[name])
         return merged
-
-    def profiles(self) -> dict[str, dict]:
-        return dict(self._profiles)
-
-    def merged_prometheus(self, extra: dict[str, str] | None = None) -> str:
-        """One exposition over all replicas, samples labelled ``replica=...``.
-
-        Families are emitted in sorted order with a single ``# TYPE``
-        header each; within a family, each replica's samples keep their
-        original order (histogram buckets must stay cumulative).  The
-        output is fully determined by the collected state, so seeded runs
-        merge byte-identically.
-
-        ``extra`` folds in additional expositions under their own replica
-        labels without touching collector state — how the router's own
-        registry joins the merge as ``replica="router"``.
-        """
-        sources = dict(self._prometheus)
-        sources.update(extra or {})
-        families: dict[str, dict] = {}
-        for replica in sorted(sources):
-            parsed = parse_prometheus(sources[replica])
-            for family, entry in parsed.items():
-                slot = families.setdefault(family, {"type": entry["type"], "lines": []})
-                for sample_name, labels, value in entry["samples"]:
-                    slot["lines"].append(
-                        format_sample(sample_name, {"replica": replica, **labels}, value)
-                    )
-        lines: list[str] = []
-        for family in sorted(families):
-            slot = families[family]
-            lines.append(f"# TYPE {family} {slot['type']}")
-            lines.extend(slot["lines"])
-        return "\n".join(lines) + "\n" if lines else ""
 
     def stats(self) -> dict:
         """Collector health: poll counts and per-replica span tallies."""

@@ -14,15 +14,13 @@ Two sinks, both plain text, both loadable by stock tooling:
   series plus ``_sum``/``_count``.  Served live by
   ``GET /v1/metrics?format=prometheus``.
 
-:func:`parse_prometheus` reads the exposition back (enough of the format
-for round-trip testing and offline diffing — gauges, counters, and
-histogram series with escaped label values).
+The tests read the exposition back with their own parser
+(``tests/prometheus.py``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -106,12 +104,6 @@ def export_chrome_trace(
 # -- Prometheus text exposition ------------------------------------------------
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_SAMPLE_LINE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{(?P<labels>.*)\})?'
-    r'\s+(?P<value>\S+)$'
-)
-_LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -125,26 +117,6 @@ def sanitize_metric_name(name: str) -> str:
 def escape_label_value(value: str) -> str:
     """Escape a label value per the exposition format (\\, ", newline)."""
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def unescape_label_value(value: str) -> str:
-    result: list[str] = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            follower = value[index + 1]
-            if follower == "n":
-                result.append("\n")
-            elif follower in ('"', "\\"):
-                result.append(follower)
-            else:
-                result.append(char + follower)
-            index += 2
-        else:
-            result.append(char)
-            index += 1
-    return "".join(result)
 
 
 def _format_number(value: float) -> str:
@@ -198,66 +170,12 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def parse_prometheus(text: str) -> dict:
-    """Parse an exposition back into ``{name: {"type":..., "samples": [...]}}``.
-
-    Each sample is ``(labels_dict, value)``.  Lines that are neither
-    comments nor valid samples raise, so a round-trip test validates the
-    exposition line-by-line.
-    """
-    metrics: dict[str, dict] = {}
-    types: dict[str, str] = {}
-    # Split on "\n" exactly: the exposition format only escapes backslash,
-    # double-quote and newline, so label values may legally contain \r,
-    # \x0b, U+2028 and other characters str.splitlines() would wrongly
-    # treat as line boundaries.
-    for line_number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_LINE.match(line)
-        if match is None:
-            raise ObservabilityError(f"unparseable exposition line {line_number}: {raw!r}")
-        name = match.group("name")
-        labels: dict[str, str] = {}
-        label_text = match.group("labels")
-        if label_text:
-            for key, value in _LABEL_PAIR.findall(label_text):
-                labels[key] = unescape_label_value(value)
-        raw_value = match.group("value")
-        if raw_value == "+Inf":
-            value = math.inf
-        elif raw_value == "-Inf":
-            value = -math.inf
-        else:
-            value = float(raw_value)
-        # Histogram series (_bucket/_sum/_count) group under the family
-        # name their # TYPE header declared.
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                family = name[: -len(suffix)]
-                break
-        entry = metrics.setdefault(
-            family, {"type": types.get(family, "untyped"), "samples": []}
-        )
-        entry["samples"].append((name, labels, value))
-    return metrics
-
-
 __all__ = [
     "span_event",
     "chrome_trace_events",
     "export_chrome_trace",
     "prometheus_exposition",
-    "parse_prometheus",
     "sanitize_metric_name",
     "escape_label_value",
-    "unescape_label_value",
     "format_sample",
 ]

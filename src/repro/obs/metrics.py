@@ -223,10 +223,6 @@ class MetricsRegistry:
     def histogram(self, name: str, buckets: tuple[float, ...] | None = None) -> Histogram:
         return self._get_or_create(name, Histogram, lambda: Histogram(name, buckets))
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def instruments(self) -> dict[str, Counter | Gauge | Histogram]:
         """Shallow snapshot of name -> instrument (for exporters)."""
         with self._lock:

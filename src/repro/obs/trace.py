@@ -4,9 +4,9 @@ A :class:`Tracer` records *spans* — named, timed intervals with
 parent/child nesting — into a bounded in-memory ring buffer.  Two APIs
 feed it:
 
-* **live spans** (:meth:`Tracer.span` as a context manager, or
-  :meth:`Tracer.traced` as a decorator) time a block of code on the
-  current thread and nest automatically via a thread-local stack;
+* **live spans** (:meth:`Tracer.span`, a context manager) time a block of
+  code on the current thread and nest automatically via a thread-local
+  stack;
 * **retroactive records** (:meth:`Tracer.record`) register an interval
   whose start/end timestamps were captured elsewhere — how the engine
   reports request lifecycles, whose phases interleave across the
@@ -34,7 +34,7 @@ generation — spans only read the monotonic clock, never the RNG or any
 model state.
 
 Finished spans can be exported as JSON lines (:meth:`Tracer.export_jsonl`)
-and read back with :func:`load_spans_jsonl` for offline inspection via
+and read back with :func:`read_spans_jsonl` for offline inspection via
 ``repro obs --spans``.
 """
 
@@ -227,23 +227,6 @@ class Tracer:
             return _NOOP_SPAN
         return _LiveSpan(self, name, attrs)
 
-    def traced(self, name: str | None = None, **attrs):
-        """Decorator form of :meth:`span`; defaults to the function name."""
-
-        def wrap(function):
-            span_name = name or function.__qualname__
-
-            def inner(*args, **kwargs):
-                with self.span(span_name, **attrs):
-                    return function(*args, **kwargs)
-
-            inner.__name__ = function.__name__
-            inner.__qualname__ = function.__qualname__
-            inner.__doc__ = function.__doc__
-            return inner
-
-        return wrap
-
     def record(
         self,
         name: str,
@@ -295,12 +278,6 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
-
-    @property
-    def evicted(self) -> int:
-        """Spans pushed out of the ring by newer ones (lifetime count)."""
-        with self._lock:
-            return self.total_recorded - len(self._ring)
 
     def clear(self) -> None:
         """Drop buffered spans; ``total_recorded`` stays monotonic."""
@@ -356,16 +333,6 @@ def read_spans_jsonl(path: str | Path, strict: bool = False) -> tuple[list[Span]
                     ) from error
                 skipped += 1
     return spans, skipped
-
-
-def load_spans_jsonl(path: str | Path) -> list[Span]:
-    """Read a :meth:`Tracer.export_jsonl` dump back into :class:`Span`s.
-
-    Corrupt lines (e.g. a truncated trailing line) are skipped; use
-    :func:`read_spans_jsonl` to also get the skipped count.
-    """
-    spans, _ = read_spans_jsonl(path)
-    return spans
 
 
 #: Shared disabled tracer for instrumented code paths with no tracer attached.

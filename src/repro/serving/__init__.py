@@ -10,7 +10,6 @@ from repro.serving.stream import (
     SseEvent,
     SseParser,
     TextDelta,
-    iter_sse,
     sse_comment,
     sse_encode,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SseEvent",
     "SseParser",
     "TextDelta",
-    "iter_sse",
     "sse_comment",
     "sse_encode",
 ]

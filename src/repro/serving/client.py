@@ -11,6 +11,7 @@ fake clock.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -25,6 +26,13 @@ from repro.errors import (
 from repro.faults import clock
 from repro.serving.stream import SseParser
 from repro.utils.rng import SeededRng
+
+#: What "no HTTP answer" looks like under urllib: a refused, reset or timed-out
+#: socket (``OSError``, ``URLError`` among them) or a response cut short or
+#: without a status line (``http.client.HTTPException``).  ``urlopen`` wraps
+#: only the sending of the request in ``URLError``; these reach the caller
+#: raw from reading the status line and from reading the body.
+_NO_ANSWER = (OSError, http.client.HTTPException)
 
 
 class RetryPolicy:
@@ -146,8 +154,25 @@ class PredictionClient:
             return urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as error:
             raise self._http_error(method, path, error) from error
-        except urllib.error.URLError as error:
+        except _NO_ANSWER as error:
             raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error
+
+    def _read(
+        self,
+        method: str,
+        path: str,
+        payload: dict | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> bytes:
+        """One whole answer: open, read the body to its end, close.  A body
+        cut short is no answer either."""
+        with self._open(method, path, payload, headers) as response:
+            try:
+                return response.read()
+            except _NO_ANSWER as error:
+                raise ServiceUnreachableError(
+                    f"answer from {self.base_url}{path} cut short: {error}"
+                ) from error
 
     def _request(
         self,
@@ -167,8 +192,7 @@ class PredictionClient:
         swept = 0  # endpoints tried (and failed at transport level) this sweep
         while True:
             try:
-                with self._open(method, path, payload, headers) as response:
-                    return json.loads(response.read().decode("utf-8"))
+                return json.loads(self._read(method, path, payload, headers).decode("utf-8"))
             except ServiceOverloadedError as error:
                 # A 503 is the service answering — stay on this endpoint
                 # and honour its Retry-After through the policy.
@@ -206,14 +230,6 @@ class PredictionClient:
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms
         return payload
-
-    def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
-        """TextCompleter-compatible completion via HTTP."""
-        return self.predict(prompt, max_new_tokens)["completion"]
-
-    def complete_batch(self, prompts: list[str], max_new_tokens: int = 96) -> list[str]:
-        """Batched completions via ``/v1/batch_completions``."""
-        return self.predict_batch(prompts, max_new_tokens)["completions"]
 
     def predict_batch(
         self,
@@ -260,32 +276,36 @@ class PredictionClient:
         client disconnect and answers by cancelling the request.  Streams
         do not retry or fail over: once bytes flowed, a replay could
         duplicate delivered tokens.
+
+        The body is close-delimited (HTTP/1.0, no ``Content-Length``), so a
+        replica that dies mid-stream looks like a clean end of file: a
+        stream that ends without its ``done`` or ``error`` event raises
+        :class:`~repro.errors.ServiceUnreachableError` after yielding what
+        arrived.
         """
         payload = self._body("prompt", prompt, max_new_tokens, deadline_ms, stream=True)
         response = self._open("POST", "/v1/completions?stream=1", payload, headers)
         parser = SseParser()
+        ended = False
         try:
             while True:
-                chunk = response.read(chunk_size)
+                try:
+                    chunk = response.read(chunk_size)
+                except _NO_ANSWER as error:
+                    raise ServiceUnreachableError(
+                        f"stream from {self.base_url} cut short: {error}"
+                    ) from error
+                for event in parser.feed(chunk) if chunk else parser.close():
+                    ended = ended or event.event in ("done", "error")
+                    yield event
                 if not chunk:
                     break
-                for event in parser.feed(chunk):
-                    yield event
-            for event in parser.close():
-                yield event
         finally:
             response.close()
-
-    def stream_text(self, prompt: str, max_new_tokens: int | None = None) -> "list[str]":
-        """Convenience: the stream's ``token`` text deltas, in order."""
-        deltas = []
-        for event in self.predict_stream(prompt, max_new_tokens):
-            if event.event == "token":
-                deltas.append(event.json().get("text", ""))
-            elif event.event == "error":
-                data = event.json()
-                raise ServingError(f"stream failed: {data.get('error')} ({data.get('status')})")
-        return deltas
+        if not ended:
+            raise ServiceUnreachableError(
+                f"stream from {self.base_url} ended without a done or error event"
+            )
 
     # -- sessions -------------------------------------------------------------
 
@@ -333,5 +353,4 @@ class PredictionClient:
 
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition from ``/v1/metrics?format=prometheus``."""
-        with self._open("GET", "/v1/metrics?format=prometheus") as response:
-            return response.read().decode("utf-8")
+        return self._read("GET", "/v1/metrics?format=prometheus").decode("utf-8")

@@ -116,10 +116,6 @@ class SessionManager:
         with self._lock:
             return len(self._sessions)
 
-    def session_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._sessions)
-
     def stats(self) -> dict:
         """A locked read of the session counters; the rate is derived here."""
         with self._lock:

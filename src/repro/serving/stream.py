@@ -181,16 +181,6 @@ class SseParser:
         return events
 
 
-def iter_sse(chunks) -> "list[SseEvent]":
-    """Parse an iterable of byte chunks into a flat event list (eager)."""
-    parser = SseParser()
-    events: list[SseEvent] = []
-    for chunk in chunks:
-        events.extend(parser.feed(chunk))
-    events.extend(parser.close())
-    return events
-
-
 @dataclass
 class TextDelta:
     """Incremental detokenizer whose deltas concatenate to the full decode.

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_corpus
-from repro.engine import InferenceEngine
+from repro.engine import DecodingBatch, InferenceEngine
 from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
 from repro.nn.parameter import numpy_rng
+from repro.nn.sampling import GenerationResult, advance, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
 from repro.utils.rng import SeededRng
@@ -128,6 +129,41 @@ class GenerationGate:
     @property
     def calls(self) -> int:
         return len(self.batches)
+
+
+def drain(batcher) -> None:
+    """Step a batcher until its queue and active batch are both empty."""
+    while batcher.step():
+        pass
+
+
+def greedy_via_admit_prompts(model, prompts, max_new_tokens, stop_ids=frozenset()):
+    """Greedy-decode ``prompts`` through one left-padded batched prefill
+    (``DecodingBatch.admit_prompts``) and lockstep ``step`` calls, retiring
+    rows as they stop — the padding-sensitive path that must agree with
+    ``generate_greedy`` prompt by prompt."""
+    window = model.config.n_positions
+    planned = [plan_prompt(window, prompt, max_new_tokens) for prompt in prompts]
+    generated: list[list[int]] = [[] for _ in prompts]
+    results: list[GenerationResult | None] = [None] * len(prompts)
+    batch = DecodingBatch(model)
+    next_tokens = batch.admit_prompts([prompt for prompt, _ in planned], list(range(len(prompts))))
+    while True:
+        finished = []
+        for position, next_id in enumerate(next_tokens):
+            row = batch.rows[position]
+            index = row.payload
+            prompt, budget = planned[index]
+            reason = advance(generated[index], next_id, stop_ids, max_new_tokens, len(prompt), window)
+            if reason is None:
+                row.pending = next_id
+            else:
+                results[index] = GenerationResult(generated[index], reason, budget)
+                finished.append(position)
+        batch.retire(finished)
+        if not batch.rows:
+            return results
+        next_tokens = batch.step()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from repro.engine import (
     InferenceEngine,
     PrefixCache,
     RequestState,
-    generate_greedy_batch,
 )
 from repro.errors import EngineError
 from repro.faults import FakeClock, use
@@ -26,6 +25,7 @@ from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
+from tests.conftest import drain, greedy_via_admit_prompts
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +79,13 @@ class TestBatchedVsSequentialEquivalence:
         assert len(lengths) > 1  # at least one row finished early
 
     def test_static_batched_prefill_path(self, trained_model):
-        # generate_greedy_batch prefills all rows in one left-padded
+        # DecodingBatch.admit_prompts prefills all rows in one left-padded
         # forward — the other padding-sensitive code path.
-        results = generate_greedy_batch(trained_model, MIXED_PROMPTS, max_new_tokens=8)
+        results = greedy_via_admit_prompts(trained_model, MIXED_PROMPTS, max_new_tokens=8)
         assert_matches_sequential(trained_model, results, MIXED_PROMPTS, 8)
 
     def test_static_batch_with_stop(self, trained_model):
-        results = generate_greedy_batch(trained_model, MIXED_PROMPTS, max_new_tokens=8, stop_ids={3})
+        results = greedy_via_admit_prompts(trained_model, MIXED_PROMPTS, max_new_tokens=8, stop_ids={3})
         assert_matches_sequential(trained_model, results, MIXED_PROMPTS, 8, stop_ids={3})
 
     def test_window_filling_rows_retire_individually(self, trained_model):
@@ -206,7 +206,7 @@ class TestContinuousBatcher:
         batcher.step()
         assert batcher.active_size <= 2
         assert batcher.peak_batch_size <= 2
-        batcher.run()
+        drain(batcher)
         assert batcher.queue_depth == 0
         assert batcher.stats()["completed_requests"] == len(MIXED_PROMPTS)
         assert all(request.is_finished for request in requests)
@@ -239,7 +239,7 @@ class TestContinuousBatcher:
             assert request.state is RequestState.QUEUED
             fake.advance(0.25)  # the request sits queued for exactly 0.25s
             batcher.submit(request)
-            batcher.run()
+            drain(batcher)
             assert request.state is RequestState.FINISHED
             timings = request.timings()
             assert timings["queued_s"] == 0.25

@@ -38,7 +38,7 @@ from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.serving.client import PredictionClient, RetryPolicy
 from repro.serving.service import PredictionService, RestServer
-from tests.conftest import GenerationGate
+from tests.conftest import GenerationGate, drain
 
 pytestmark = pytest.mark.faults
 
@@ -117,7 +117,6 @@ class TestFaultInjector:
             fire("tokenizer.encode")
         assert exc_info.value.seam == "tokenizer.encode"
         assert exc_info.value.call == 2
-        assert injector.calls("tokenizer.encode") == 3
 
     def test_probability_schedule_replays(self):
         def run(seed):
@@ -150,9 +149,9 @@ class TestFaultInjector:
         with injector:
             with shield():
                 fire("kv_arena.acquire")  # suppressed, not even counted
-            with pytest.raises(InjectedFault):
+            with pytest.raises(InjectedFault) as exc_info:
                 fire("kv_arena.acquire")
-        assert injector.calls("kv_arena.acquire") == 1
+        assert exc_info.value.call == 1
 
     def test_delay_fault_sleeps_on_shared_clock(self):
         fake = FakeClock()
@@ -281,7 +280,7 @@ class TestEngineChaos:
         assert victim.outcome == "cancelled"
         assert victim.result.stop_reason == "cancelled"  # partial result, no raise
         assert batcher.active_size == 1
-        batcher.run()
+        drain(batcher)
         assert survivor.outcome == "completed"
         want = generate_greedy(chaos_model, [2, 3, 4, 1], 8)
         assert survivor.result.token_ids == want.token_ids
@@ -290,7 +289,7 @@ class TestEngineChaos:
         batcher = ContinuousBatcher(chaos_model, max_batch_size=2)
         request = _request(chaos_model, 0, [1, 2, 3], max_new_tokens=2)
         batcher.submit(request)
-        batcher.run()
+        drain(batcher)
         assert request.outcome == "completed"
         assert request.cancel() is False
         assert request.outcome == "completed"
@@ -304,7 +303,7 @@ class TestEngineChaos:
             batcher = ContinuousBatcher(chaos_model, max_batch_size=2)
             request = _request(chaos_model, 0, [1, 2, 3, 4], max_new_tokens=8, deadline_s=0.5)
             batcher.submit(request)
-            batcher.run()
+            drain(batcher)
         assert request.outcome == "deadline_exceeded"
         assert 0 < len(request.generated) < 8  # partial generation survives
 
@@ -319,7 +318,7 @@ class TestEngineChaos:
             batcher.submit(waiter)
             batcher.step()
             fake.advance(0.5)  # waiter's deadline passes while queued
-            batcher.run()
+            drain(batcher)
         assert blocker.outcome == "completed"
         assert waiter.outcome == "deadline_exceeded"
         assert waiter.prefill_started_at is None
@@ -334,7 +333,7 @@ class TestEngineChaos:
             lucky = _request(chaos_model, 1, [2, 3, 4, 1], max_new_tokens=4)
             batcher.submit(unlucky)
             batcher.submit(lucky)
-            batcher.run()
+            drain(batcher)
         assert unlucky.outcome == "shed"
         assert unlucky.result.token_ids == []
         assert lucky.outcome == "completed"
@@ -347,7 +346,7 @@ class TestEngineChaos:
             batcher = ContinuousBatcher(chaos_model, max_batch_size=2)
             request = _request(chaos_model, 0, [1, 2, 3, 4], max_new_tokens=6)
             batcher.submit(request)
-            batcher.run()
+            drain(batcher)
         assert request.outcome == "completed"
         assert batcher.stats()["decode_faults"] == 2
         want = generate_greedy(chaos_model, [1, 2, 3, 4], 6)
@@ -367,7 +366,7 @@ class TestPrefixCacheInvalidation:
             batcher = ContinuousBatcher(chaos_model, max_batch_size=2, prefix_cache=prefix_cache)
             doomed = _request(chaos_model, 0, prompt, max_new_tokens=8, deadline_s=0.5)
             batcher.submit(doomed)
-            batcher.run()
+            drain(batcher)
             assert doomed.outcome == "deadline_exceeded"
             # The prefill-time insert was rolled back on abnormal finish...
             assert prefix_cache.stats()["invalidations"] == 1
@@ -375,7 +374,7 @@ class TestPrefixCacheInvalidation:
             # ...so an identical prompt misses instead of reusing suspect K/V.
             retry = _request(chaos_model, 1, prompt, max_new_tokens=8)
             batcher.submit(retry)
-            batcher.run()
+            drain(batcher)
         assert retry.outcome == "completed"
         assert retry.prefix_reused == 0
         assert prefix_cache.stats()["misses"] >= 1
@@ -387,11 +386,11 @@ class TestPrefixCacheInvalidation:
         batcher = ContinuousBatcher(chaos_model, max_batch_size=2, prefix_cache=prefix_cache)
         first = _request(chaos_model, 0, [1, 2, 3, 4, 1, 2], max_new_tokens=4)
         batcher.submit(first)
-        batcher.run()
+        drain(batcher)
         assert len(prefix_cache) == 1
         again = _request(chaos_model, 1, [1, 2, 3, 4, 1, 2], max_new_tokens=4)
         batcher.submit(again)
-        batcher.run()
+        drain(batcher)
         assert again.prefix_reused > 0
 
 

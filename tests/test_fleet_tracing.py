@@ -112,15 +112,6 @@ class TestChaosTraceStitching:
 
 
 class TestRouterTelemetry:
-    def test_fleet_prometheus_merges_replica_labels(self):
-        with use(FakeClock()):
-            router, _ = build_chaos_fleet(0, 2, tracing=True)
-            router.predict("- name: install nginx\n", max_new_tokens=4)
-            router.heartbeat_tick()
-            merged = router.fleet_prometheus()
-            assert 'replica="w0"' in merged or 'replica="w1"' in merged
-            assert 'replica="router"' in merged
-
     def test_collect_telemetry_force_drains_all_live_workers(self):
         with use(FakeClock()):
             router, _ = build_chaos_fleet(0, 2, tracing=True)

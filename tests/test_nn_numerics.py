@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.engine.batched_decode import DecodingBatch, generate_greedy_batch
+from repro.engine.batched_decode import DecodingBatch
 from repro.engine.batcher import ContinuousBatcher, GenerationRequest
 from repro.errors import ShapeError
 from repro.fleet.loadgen import generate_prompts
@@ -35,6 +35,7 @@ from repro.nn.rotary import apply_rotary
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
+from tests.conftest import drain, greedy_via_admit_prompts
 
 #: The benchmark's model (``bench/fleet.py: SPEC``).
 BENCH_SPEC = WorkerSpec(seed=0, dim=64, n_layers=2, n_heads=4, n_positions=384)
@@ -345,7 +346,7 @@ def test_seeded_state_dict_did_not_move():
 
 
 def test_three_decoders_agree_at_the_bench_spec():
-    """generate_greedy == generate_greedy_batch == ContinuousBatcher, 32 prompts.
+    """generate_greedy == admit_prompts + step == ContinuousBatcher, 32 prompts.
 
     Plain equality: no tie-aware comparator lives in ``tests/`` yet
     (ROADMAP "State the greedy-identity invariant honestly"); these 32
@@ -369,7 +370,7 @@ def test_three_decoders_agree_at_the_bench_spec():
 
     batched = []
     for start in range(0, len(prompts), 4):
-        batched += [r.token_ids for r in generate_greedy_batch(model, prompts[start : start + 4], budget)]
+        batched += [r.token_ids for r in greedy_via_admit_prompts(model, prompts[start : start + 4], budget)]
     assert batched == sequential
 
     batcher = ContinuousBatcher(model, max_batch_size=spec.max_batch_size)
@@ -386,6 +387,6 @@ def test_three_decoders_agree_at_the_bench_spec():
             )
         )
         batcher.submit(requests[-1])
-    batcher.run()
+    drain(batcher)
     assert [request.result.token_ids for request in requests] == sequential
     assert batcher.stats()["mean_batch_occupancy"] > 1.0

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import GenerationError
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
-from repro.nn.sampling import generate_beam, generate_greedy, generate_sampled
+from repro.nn.sampling import generate_greedy
 from repro.nn.transformer import DecoderLM, TransformerConfig
 
 
@@ -90,40 +90,3 @@ class TestGreedy:
     def test_bad_budget_rejected(self, trained_model):
         with pytest.raises(GenerationError):
             generate_greedy(trained_model, [1], max_new_tokens=0)
-
-
-class TestSampled:
-    def test_zero_temperature_rejected(self, trained_model):
-        with pytest.raises(GenerationError):
-            generate_sampled(trained_model, [1], 4, np.random.default_rng(0), temperature=0.0)
-
-    def test_deterministic_given_seed(self, trained_model):
-        a = generate_sampled(trained_model, [1, 2], 6, np.random.default_rng(7), temperature=0.8)
-        b = generate_sampled(trained_model, [1, 2], 6, np.random.default_rng(7), temperature=0.8)
-        assert a.token_ids == b.token_ids
-
-    def test_low_temperature_matches_greedy(self, trained_model):
-        greedy = generate_greedy(trained_model, [1, 2, 3, 4, 1, 2], max_new_tokens=4)
-        sampled = generate_sampled(
-            trained_model, [1, 2, 3, 4, 1, 2], 4, np.random.default_rng(0), temperature=0.01
-        )
-        assert sampled.token_ids == greedy.token_ids
-
-    def test_top_k_limits_support(self, trained_model):
-        result = generate_sampled(
-            trained_model, [1, 2, 3, 4, 1, 2], 8, np.random.default_rng(3), temperature=5.0, top_k=1
-        )
-        greedy = generate_greedy(trained_model, [1, 2, 3, 4, 1, 2], max_new_tokens=8)
-        assert result.token_ids == greedy.token_ids
-
-
-class TestBeam:
-    def test_beam_matches_greedy_on_peaked_model(self, trained_model):
-        greedy = generate_greedy(trained_model, [1, 2, 3, 4, 1, 2], max_new_tokens=4)
-        beam = generate_beam(trained_model, [1, 2, 3, 4, 1, 2], max_new_tokens=4, beam_width=2)
-        assert beam.token_ids == greedy.token_ids
-
-    def test_beam_stop_token(self, trained_model):
-        next_token = generate_greedy(trained_model, [1, 2], max_new_tokens=1).token_ids[0]
-        result = generate_beam(trained_model, [1, 2], max_new_tokens=3, beam_width=2, stop_ids={next_token})
-        assert result.stop_reason in ("stop_token", "max_tokens")

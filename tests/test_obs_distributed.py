@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.obs.distributed import (
     PARENT_SPAN_HEADER,
     TRACE_ID_HEADER,
@@ -28,13 +28,8 @@ from repro.obs.distributed import (
     router_span_ref,
     write_fleet_chrome_trace,
 )
-from repro.obs.export import (
-    escape_label_value,
-    format_sample,
-    parse_prometheus,
-    prometheus_exposition,
-    unescape_label_value,
-)
+from repro.obs.export import escape_label_value, format_sample
+from tests.prometheus import parse_prometheus, unescape_label_value
 
 
 class TestTraceContext:
@@ -158,60 +153,6 @@ class TestFleetCollector:
         assert collector.poll_errors == 1
         assert collector.stats()["polls"] == 1
 
-    def test_prometheus_and_profile_are_replaced_spans_accumulate(self):
-        collector = FleetCollector()
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        collector.ingest("w0", {**_span_payload(tracer), "metrics_prometheus": "m 1\n",
-                                "profile": {"events": 1}})
-        with tracer.span("b"):
-            pass
-        collector.ingest("w0", {**_span_payload(tracer), "metrics_prometheus": "m 2\n",
-                                "profile": {"events": 2}})
-        assert [span.name for span in collector.spans("w0")] == ["a", "b"]
-        assert collector.profiles()["w0"] == {"events": 2}
-        merged = collector.merged_prometheus()
-        assert 'm{replica="w0"} 2' in merged
-        assert 'm{replica="w0"} 1' not in merged
-
-    def test_merged_prometheus_labels_and_determinism(self):
-        def build() -> FleetCollector:
-            collector = FleetCollector()
-            for replica in ("w1", "w0"):
-                registry = MetricsRegistry()
-                registry.counter("engine.requests").inc(2)
-                registry.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
-                collector.ingest(
-                    replica, {"metrics_prometheus": prometheus_exposition(registry)}
-                )
-            return collector
-
-        merged = build().merged_prometheus()
-        assert merged == build().merged_prometheus()
-        parsed = parse_prometheus(merged)
-        for entry in parsed.values():
-            for _, labels, _ in entry["samples"]:
-                assert labels["replica"] in {"w0", "w1"}
-        # one # TYPE header per family, not per replica
-        assert merged.count("# TYPE engine_requests_total") == 1
-        # histogram buckets stay ordered per replica (cumulative invariant)
-        buckets = [
-            (labels["replica"], labels["le"])
-            for name, labels, _ in parsed["latency"]["samples"]
-            if name.endswith("_bucket")
-        ]
-        assert buckets == sorted(buckets, key=lambda pair: pair[0])
-
-    def test_extra_exposition_joins_without_touching_state(self):
-        collector = FleetCollector()
-        merged = collector.merged_prometheus(extra={"router": "routed 3\n"})
-        assert 'routed{replica="router"} 3' in merged
-        assert collector.replicas() == []
-
-    def test_empty_collector_merges_to_empty(self):
-        assert FleetCollector().merged_prometheus() == ""
-
 
 class TestFleetChromeTrace:
     def _spans(self):
@@ -280,12 +221,10 @@ class TestPrometheusEscaping:
         assert parsed_labels == labels
         assert parsed_value == value
 
-    @pytest.mark.parametrize("hostile", ["a\rb", "a\x0bb", "a b", "a\x85b", 'q"\\\nz'])
+    @pytest.mark.parametrize("hostile", ["a\rb", "a\x0bb", "a\u2028b", "a\x85b", 'q"\\\nz'])
     def test_splitlines_hazards_survive_a_merge(self, hostile):
-        collector = FleetCollector()
-        collector.ingest(
-            "w0", {"metrics_prometheus": format_sample("m", {"k": hostile}, 1.0) + "\n"}
-        )
-        parsed = parse_prometheus(collector.merged_prometheus())
+        # beside a replica label, through the exposition format and back
+        line = format_sample("m", {"replica": "w0", "k": hostile}, 1.0)
+        parsed = parse_prometheus(line + "\n")
         ((_, labels, _),) = parsed["m"]["samples"]
         assert labels == {"replica": "w0", "k": hostile}

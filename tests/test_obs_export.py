@@ -26,13 +26,12 @@ from repro.obs.export import (
     escape_label_value,
     export_chrome_trace,
     format_sample,
-    parse_prometheus,
     prometheus_exposition,
     sanitize_metric_name,
-    unescape_label_value,
 )
 from repro.obs.profile import OpEvent
 from repro.obs.trace import Span
+from tests.prometheus import parse_prometheus, unescape_label_value
 
 
 class TestChromeTrace:

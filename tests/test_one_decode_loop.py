@@ -25,6 +25,7 @@ from repro.errors import EngineError
 from repro.faults import FakeClock, FaultInjector, use
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.serving import PredictionService, SessionManager
+from tests.conftest import drain
 from tests.test_streaming_equivalence import BUDGET, TRAIN_TEXTS, build_engine, network_for
 
 pytestmark = pytest.mark.streaming
@@ -246,7 +247,7 @@ class TestWarmRequestsRunAlone:
             batcher.submit(warm)
         assert warm.state.value == "queued" and batcher.queue_depth == 0
         assert all(cache.length == 0 for cache in handles)
-        batcher.run()
+        drain(batcher)
         engine.prefix_cache.clear()
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
         assert batcher.stats()["completed_requests"] == 1
@@ -263,7 +264,7 @@ class TestWarmRequestsRunAlone:
         assert all(cache.length == 0 for cache in handles)  # slabs ride in the batch
         with pytest.raises(EngineError, match="alone"):
             batcher.submit(self._request(2))  # ... and while it decodes
-        batcher.run()
+        drain(batcher)
         # prompt + every fed token is back in the caller's handles
         fed = warm.prompt_length + len(warm.generated) - 1
         assert [cache.length for cache in handles] == [fed] * len(handles)

@@ -1,0 +1,541 @@
+"""Reachability census: every public definition in ``src/repro`` is used
+outside ``tests/``, or ``ALLOWED`` says why it stays.  A new public function
+that only tests call fails here.
+
+DESIGN.md "Reachability" carries "an option nobody sets is a constant" from
+options to code: a public ``def`` or ``class`` that only tests reach is
+deleted, moved into ``tests/``, or listed below with one of ``REASONS``.
+The census is static — stdlib ``ast`` over every ``*.py`` under ``src/``,
+``bench/``, ``benchmarks/`` and ``examples/``.
+
+A *name* is an identifier, an attribute or an equal string constant; the
+definition itself, ``__all__`` entries, dict keys and subscripts are not
+names.  A module-level function or class is used when a name equals it
+outside its own body.  A method ``C.m`` is used by an attribute ``.m`` or a
+string ``"m"`` whose receiver may be a ``C``:
+
+* a receiver whose class the syntax shows — ``self``, a class name, a local
+  or ``self.`` attribute bound by ``C(...)``, by an annotation or by a call
+  annotated ``-> C`` — must be ``C``, a base or subclass of it, or a
+  ``Protocol`` ``C`` satisfies;
+* an imported module (``subprocess.run``) is never a ``C``;
+* any other attribute may be a ``C`` when no unrelated class has a member
+  called ``m``, or in a file that names ``C`` or one of those relatives;
+  any other string only in such a file.
+
+So ``model.complete(...)`` in the CLI, where ``model`` comes from
+``load_checkpoint() -> WisdomModel``, does not keep a client's
+``complete`` alive.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
+
+REASONS = {
+    "reference": "a reference implementation tests compare the real one against",
+    "bench": "a frozen bench/ file reaches it by attribute or string",
+    "flag": "the code behind a CLI flag or a WorkerSpec field",
+    "open": 'an option DESIGN.md "Options" marks open',
+}
+
+#: Public definitions no file outside tests/ uses, each with its reason.
+ALLOWED = {
+    "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
+    "repro.obs.trace.Tracer.export_jsonl": "flag",
+}
+
+#: What the census found when it was introduced and no change has triaged
+#: yet: library helpers only tests call (metrics, dataset, ansible, yamlio,
+#: utils) and calls the static rule cannot see (a backend method the REST
+#: handler dispatches by name, a worker method the router calls duck-typed).
+#: Not a reason to stay: an entry goes when it is deleted, moved into
+#: tests/, given an ALLOWED reason or found used — the test fails until it
+#: is struck, so the list only shrinks.  Nothing may be added to it.
+BACKLOG = (
+    "repro.ansible.equivalence.equivalence_group",
+    "repro.ansible.fqcn.is_fqcn",
+    "repro.ansible.keywords.is_play_keyword",
+    "repro.ansible.keywords.is_task_keyword",
+    "repro.ansible.model.Block.is_block",
+    "repro.ansible.model.Task.fqcn",
+    "repro.ansible.model.Task.is_block",
+    "repro.ansible.model.Task.normalized_args",
+    "repro.ansible.modules.all_modules",
+    "repro.ansible.modules.categories",
+    "repro.ansible.modules.is_known_module",
+    "repro.ansible.modules.modules_in_category",
+    "repro.baselines.codex_sim.CodexSimulator.fit_samples",
+    "repro.dataset.corpus.Corpus.by_type",
+    "repro.dataset.corpus.Corpus.counts_by_type",
+    "repro.dataset.corpus.Corpus.summary_rows",
+    "repro.dataset.corpus.Corpus.total_characters",
+    "repro.dataset.dedup.dedup_samples",
+    "repro.dataset.sources.GitSourceSimulator.repositories",
+    "repro.dataset.stats.render_stats_table",
+    "repro.dataset.stats.stats_by_source",
+    "repro.dataset.synthesis.AnsibleSynthesizer.task_list_with_block",
+    "repro.dataset.synthesis.build_restart_handler",
+    "repro.engine.speculative.NgramDraft.propose",
+    "repro.engine.speculative.RetrievalSuffixDraft.propose",
+    "repro.errors.AnsibleSchemaError",
+    "repro.errors.UnknownModuleError",
+    "repro.faults.clock.get_clock",
+    "repro.faults.clock.set_clock",
+    "repro.faults.inject.FaultInjector.event_log",
+    "repro.faults.inject.active",
+    "repro.fleet.affinity.HashRing.route",
+    "repro.fleet.router.FleetRouter.health",
+    "repro.fleet.router.FleetRouter.remove_worker",
+    "repro.fleet.router.FleetRouter.telemetry",
+    "repro.fleet.worker.InProcessWorker.heartbeat",
+    "repro.fleet.worker.ProcessWorker.alive",
+    "repro.fleet.worker.ProcessWorker.heartbeat",
+    "repro.fleet.worker.ProcessWorker.kill",
+    "repro.metrics.ansible_aware.average_ansible_aware",
+    "repro.metrics.bleu.average_sentence_bleu",
+    "repro.metrics.bleu.corpus_bleu",
+    "repro.metrics.edit_distance.LineDiff.total_reference_lines",
+    "repro.metrics.edit_distance.line_diff",
+    "repro.metrics.edit_distance.mean_correction_effort",
+    "repro.metrics.edit_distance.token_edit_distance",
+    "repro.metrics.exact_match.canonical_exact_match",
+    "repro.metrics.exact_match.exact_match_rate",
+    "repro.metrics.schema_correct.schema_correct_rate",
+    "repro.model.lm.WisdomModel.attach_observability",
+    "repro.model.lm.WisdomModel.attach_profiler",
+    "repro.model.lm.WisdomModel.attach_tracer",
+    "repro.model.lm.WisdomModel.detach_profiler",
+    "repro.model.lm.WisdomModel.perplexity",
+    "repro.model.zoo.build_zoo",
+    "repro.nn.kv_arena.DenseKVCache.truncate",
+    "repro.nn.kv_arena.DenseKVCache.view",
+    "repro.nn.optim.LinearSchedule.lr_at",
+    "repro.obs.metrics.Histogram.mean",
+    "repro.serving.client.PredictionClient.metrics_prometheus",
+    "repro.serving.plugin.EditorSession.acceptance_rate",
+    "repro.serving.session.SessionManager.count",
+    "repro.serving.stream.sse_comment",
+    "repro.training.pretrain.continue_pretraining",
+    "repro.training.trainer.TrainingHistory.final_loss",
+    "repro.training.trainer.TrainingHistory.improved",
+    "repro.utils.text.dedent_block",
+    "repro.utils.text.normalize_newlines",
+    "repro.utils.text.split_words",
+    "repro.utils.text.truncate_left",
+    "repro.utils.timing.Stopwatch.mean_lap",
+    "repro.yamlio.dumps_all",
+    "repro.yamlio.normalize",
+)
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+MODULE = "<module>"  # receiver: an imported module
+NAME = "<name>"  # a bare identifier, not an attribute
+STRING = "<string>"  # a string constant
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _annotation(node, classes) -> str | None:
+    """The one package class an annotation names: ``C``, ``"C"``,
+    ``C | None`` or ``Optional[C]``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [
+            side
+            for side in (node.left, node.right)
+            if not (isinstance(side, ast.Constant) and side.value is None)
+        ]
+        return _annotation(sides[0], classes) if len(sides) == 1 else None
+    if isinstance(node, ast.Subscript) and _name(node.value) == "Optional":
+        return _annotation(node.slice, classes)
+    name = _name(node)
+    return name if name in classes else None
+
+
+def _arguments(function) -> tuple[list[ast.arg], list[ast.arg]]:
+    """``(positional, every)`` parameters of a function."""
+    arguments = function.args
+    positional = [*arguments.posonlyargs, *arguments.args]
+    every = [*positional, *arguments.kwonlyargs, arguments.vararg, arguments.kwarg]
+    return positional, [argument for argument in every if argument is not None]
+
+
+def _decorated(function, name: str) -> bool:
+    return any(_name(decorator) == name for decorator in function.decorator_list)
+
+
+def _members(node: ast.ClassDef) -> set[str]:
+    """Methods, class-level names and ``self.`` attributes of a class."""
+    found = set()
+    for item in node.body:
+        if isinstance(item, DEFS):
+            found.add(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            found.add(item.target.id)
+        elif isinstance(item, ast.Assign):
+            found |= {target.id for target in item.targets if isinstance(target, ast.Name)}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            if _name(sub.value) == "self":
+                found.add(sub.attr)
+    return found
+
+
+def _bind(table: dict, name: str, kind: str | None) -> None:
+    """Record a binding; two bindings that disagree leave the name unknown."""
+    table[name] = kind if table.get(name, kind) == kind else None
+
+
+class Package:
+    """What the package defines: public definitions, class relations, and the
+    classes functions return and attributes hold, as far as annotations and
+    constructor calls show."""
+
+    def __init__(self, sources: dict[str, str]):
+        #: qualified name -> (name, owning class or None, module)
+        self.definitions: dict[str, tuple[str, str | None, str]] = {}
+        nodes: dict[str, list[ast.ClassDef]] = defaultdict(list)
+        functions: list = []
+        for module, source in sources.items():
+            tree = ast.parse(source)
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    nodes[node.name].append(node)
+                if not isinstance(node, (*DEFS, ast.ClassDef)) or node.name.startswith("_"):
+                    continue
+                self.definitions[f"{module}.{node.name}"] = (node.name, None, module)
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, DEFS) and not item.name.startswith("_"):
+                        qualname = f"{module}.{node.name}.{item.name}"
+                        self.definitions[qualname] = (item.name, node.name, module)
+            functions += [node for node in ast.walk(tree) if isinstance(node, DEFS)]
+        self.classes = set(nodes)
+        bases = {
+            name: {_name(base) for node in found for base in node.bases}
+            for name, found in nodes.items()
+        }
+        members = {name: set().union(*map(_members, found)) for name, found in nodes.items()}
+        #: member name -> every class that has one by that name
+        self.owners: dict[str, set[str]] = defaultdict(set)
+        for name, names in members.items():
+            for member in names:
+                self.owners[member].add(name)
+        ancestors = {name: self._closure(name, lambda c: bases[c] & self.classes) for name in nodes}
+        self.related = {name: {name} | ancestors[name] for name in nodes}
+        for name in nodes:
+            for ancestor in ancestors[name]:
+                self.related[ancestor].add(name)
+        for protocol in (name for name in nodes if "Protocol" in bases[name]):
+            required = {member for member in members[protocol] if not member.startswith("_")}
+            for name in nodes:
+                inherited = members[name].union(*(members[a] for a in ancestors[name]))
+                if name != protocol and required <= inherited:
+                    self.related[protocol].add(name)
+                    self.related[name].add(protocol)
+        returns: dict[str, set] = defaultdict(set)
+        for function in functions:
+            returns[function.name].add(_annotation(function.returns, self.classes))
+        self.returns = {name: kinds.pop() for name, kinds in returns.items() if len(kinds) == 1}
+        #: class -> attribute -> the class it holds
+        self.attributes: dict[str, dict[str, str | None]] = {name: {} for name in nodes}
+        for _ in range(2):  # a second pass sees attributes of attributes
+            for name, found in nodes.items():
+                self.attributes[name] = self._attribute_kinds(name, found)
+
+    @staticmethod
+    def _closure(start: str, step) -> set[str]:
+        seen: set[str] = set()
+        frontier = set(step(start))
+        while frontier:
+            name = frontier.pop()
+            if name not in seen:
+                seen.add(name)
+                frontier |= step(name)
+        return seen
+
+    def _attribute_kinds(self, owner: str, nodes: list[ast.ClassDef]) -> dict[str, str | None]:
+        table: dict[str, str | None] = {}
+        for node in nodes:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    _bind(table, item.target.id, _annotation(item.annotation, self.classes))
+                if not isinstance(item, DEFS):
+                    continue
+                if _decorated(item, "property"):
+                    _bind(table, item.name, _annotation(item.returns, self.classes))
+                positional, every = _arguments(item)
+                scope = {arg.arg: _annotation(arg.annotation, self.classes) for arg in every}
+                if positional:
+                    scope[positional[0].arg] = owner
+                for sub in ast.walk(item):
+                    if not isinstance(sub, ast.Assign) or (
+                        isinstance(sub.value, ast.Constant) and sub.value.value is None
+                    ):
+                        continue
+                    for target in sub.targets:
+                        if isinstance(target, ast.Attribute) and _name(target.value) == "self":
+                            _bind(table, target.attr, self.kind(sub.value, scope.get))
+        return table
+
+    def kind(self, node, lookup) -> str | None:
+        """The package class an expression evaluates to, when the syntax shows it."""
+        if isinstance(node, ast.Call):
+            name = _name(node.func)
+            return name if name in self.classes else self.returns.get(name)
+        if isinstance(node, ast.Name):
+            return node.id if node.id in self.classes else lookup(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = self.kind(node.value, lookup)
+            return self.attributes[owner].get(node.attr) if owner in self.attributes else None
+        branches = ()
+        if isinstance(node, ast.IfExp):
+            branches = (node.body, node.orelse)
+        elif isinstance(node, ast.BoolOp):
+            branches = node.values
+        kinds = {self.kind(branch, lookup) for branch in branches} - {None}
+        return kinds.pop() if len(kinds) == 1 else None
+
+
+class Usage(ast.NodeVisitor):
+    """The names one file uses, each with what the syntax says of its receiver."""
+
+    def __init__(self, package: Package, source: str):
+        self.package = package
+        #: name -> [(receiver, enclosing module-level function)]
+        self.uses: dict[str, list[tuple[str | None, str | None]]] = defaultdict(list)
+        self.mentions: set[str] = set()
+        self.modules: set[str] = set()
+        self.scopes: list[dict[str, str | None]] = [{}]
+        self.owner: str | None = None  # the class whose body is being visited
+        self.top: str | None = None
+        self.quiet: set[int] = set()  # string constants that are not names
+        self.visit(ast.parse(source))
+
+    def _lookup(self, name: str) -> str | None:
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+    def _receiver(self, node) -> str | None:
+        if isinstance(node, ast.Name) and node.id in self.modules:
+            return MODULE
+        return self.package.kind(node, self._lookup)
+
+    def visit_Import(self, node) -> None:
+        for alias in node.names:
+            self.modules.add(alias.asname or alias.name.split(".")[0])
+            self.mentions.update(alias.name.split("."))
+
+    def visit_ImportFrom(self, node) -> None:
+        self.mentions.update(alias.name for alias in node.names)
+
+    def visit_ClassDef(self, node) -> None:
+        self.mentions.add(node.name)
+        for child in (*node.decorator_list, *node.bases, *node.keywords):
+            self.visit(child)
+        outer, self.owner = self.owner, node.name
+        self.scopes.append({})
+        for statement in node.body:
+            self.visit(statement)
+        self.scopes.pop()
+        self.owner = outer
+
+    def visit_FunctionDef(self, node) -> None:
+        arguments = node.args
+        positional, every = _arguments(node)
+        annotations = [argument.annotation for argument in every]
+        outside = (*node.decorator_list, *arguments.defaults, *arguments.kw_defaults)
+        for child in (*outside, *annotations, node.returns):
+            if child is not None:
+                self.visit(child)
+        classes = self.package.classes
+        scope = {argument.arg: _annotation(argument.annotation, classes) for argument in every}
+        if self.owner is not None and positional and not _decorated(node, "staticmethod"):
+            scope[positional[0].arg] = self.owner
+        outer_top, outer_owner = self.top, self.owner
+        if self.owner is None and len(self.scopes) == 1:
+            self.top = node.name
+        self.owner = None
+        self.scopes.append(scope)
+        for statement in node.body:
+            self.visit(statement)
+        self.scopes.pop()
+        self.top, self.owner = outer_top, outer_owner
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node) -> None:
+        self.scopes.append({argument.arg: None for argument in node.args.args})
+        self.visit(node.body)
+        self.scopes.pop()
+
+    def visit_Assign(self, node) -> None:
+        if any(_name(target) == "__all__" for target in node.targets):
+            self.quiet.update(id(sub) for sub in ast.walk(node.value))
+        kind = self._receiver(node.value)
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                _bind(self.scopes[-1], target.id, kind)
+            else:
+                self.visit(target)
+        self.visit(node.value)
+
+    def visit_AnnAssign(self, node) -> None:
+        if isinstance(node.target, ast.Name):
+            kind = _annotation(node.annotation, self.package.classes)
+            _bind(self.scopes[-1], node.target.id, kind)
+        else:
+            self.visit(node.target)
+        self.visit(node.annotation)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node) -> None:
+        self.mentions.add(node.id)
+        if isinstance(node.ctx, ast.Load):
+            self.uses[node.id].append((NAME, self.top))
+        else:
+            _bind(self.scopes[-1], node.id, None)
+
+    def visit_Attribute(self, node) -> None:
+        self.mentions.add(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            self.uses[node.attr].append((self._receiver(node.value), self.top))
+        self.visit(node.value)
+
+    def visit_Constant(self, node) -> None:
+        if isinstance(node.value, str) and id(node) not in self.quiet:
+            self.mentions.add(node.value)
+            self.uses[node.value].append((STRING, self.top))
+
+    def visit_Dict(self, node) -> None:
+        self.quiet.update(id(key) for key in node.keys if key is not None)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node) -> None:
+        self.quiet.add(id(node.slice))
+        self.generic_visit(node)
+
+
+class Census:
+    """The package's definitions against the names every caller file uses."""
+
+    def __init__(self, package: dict[str, str], callers: dict[str, str]):
+        self.package = Package(package)
+        self.usages = {where: Usage(self.package, source) for where, source in callers.items()}
+
+    @classmethod
+    def of(cls, root: Path) -> "Census":
+        src = root / "src"
+        package = {
+            _module(path, src): path.read_text(encoding="utf-8")
+            for path in sorted((src / "repro").rglob("*.py"))
+        }
+        callers = {}
+        for directory in CALLER_DIRS:
+            for path in sorted((root / directory).rglob("*.py")):
+                where = _module(path, src) if directory == "src" else str(path.relative_to(root))
+                callers[where] = path.read_text(encoding="utf-8")
+        return cls(package, callers)
+
+    def used(self, qualname: str) -> bool:
+        name, owner, module = self.package.definitions[qualname]
+        related = self.package.related[owner] if owner is not None else set()
+        unique = self.package.owners[name] <= related
+        for where, usage in self.usages.items():
+            for receiver, top in usage.uses.get(name, ()):
+                if owner is None:
+                    if where != module or top != name:
+                        return True
+                elif receiver in (NAME, MODULE):
+                    continue
+                elif receiver in (None, STRING):
+                    if (unique and receiver is None) or usage.mentions & related:
+                        return True
+                elif receiver in related:
+                    return True
+        return False
+
+
+def _module(path: Path, src: Path) -> str:
+    return ".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+
+
+@pytest.fixture(scope="module")
+def census() -> Census:
+    return Census.of(ROOT)
+
+
+def test_every_public_definition_is_used_outside_tests(census):
+    unused = [
+        qualname
+        for qualname in census.package.definitions
+        if qualname not in ALLOWED and qualname not in BACKLOG and not census.used(qualname)
+    ]
+    assert not unused, (
+        "only tests reach these public definitions: delete them, move them into "
+        "tests/, or give them an ALLOWED reason\n  " + "\n  ".join(unused)
+    )
+
+
+def test_every_allowed_entry_is_defined_unused_and_reasoned(census):
+    stale = {}
+    for qualname, reason in ALLOWED.items():
+        if reason not in REASONS:
+            stale[qualname] = f"no such reason {reason!r}"
+        elif qualname not in census.package.definitions:
+            stale[qualname] = "gone"
+        elif census.used(qualname):
+            stale[qualname] = "used outside tests/"
+    assert not stale, stale
+
+
+def test_every_backlog_entry_is_still_defined_and_unused(census):
+    settled = [
+        qualname
+        for qualname in BACKLOG
+        if qualname not in census.package.definitions or census.used(qualname)
+    ]
+    assert not settled, f"strike these from BACKLOG: {settled}"
+    assert len(set(BACKLOG)) == len(BACKLOG) and not set(BACKLOG) & set(ALLOWED)
+
+
+def test_a_shared_method_name_is_resolved_by_its_receiver():
+    census = Census(
+        {
+            "pkg.client": "class Client:\n    def complete(self): ...\n    def health(self): ...\n",
+            "pkg.model": (
+                "class Model:\n    name = 'm'\n    def complete(self): ...\n\n"
+                "def load() -> Model: ...\n"
+            ),
+        },
+        {
+            "cli.py": "from pkg.model import load\nmodel = load()\nmodel.complete()\n",
+            "ops.py": (
+                "import subprocess\nfrom pkg.client import Client\n"
+                "Client().health()\nsubprocess.complete()\n"
+            ),
+        },
+    )
+    assert census.used("pkg.model.Model.complete")
+    assert census.used("pkg.client.Client.health")
+    assert not census.used("pkg.client.Client.complete")

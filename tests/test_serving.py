@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import socket
 import threading
 
 import pytest
@@ -168,7 +170,7 @@ class TestPredictionService:
         """A predict, batch and stream hit each bump the cache's counter once;
         a coalesced waiter's lookup was a miss and stays one — the
         Prometheus series and ``stats()["cache"]`` read the same store."""
-        from repro.obs.export import parse_prometheus
+        from tests.prometheus import parse_prometheus
 
         engine = make_engine()
         service = PredictionService(engine, max_new_tokens=4)
@@ -362,7 +364,7 @@ class TestRestRoundTrip:
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             assert client.health() == {"status": "ok", "model": "tiny"}
-            completion = client.complete("- name: install nginx\n")
+            completion = client.predict("- name: install nginx\n")["completion"]
             assert completion
             payload = client.predict("- name: install nginx\n")
             assert payload["cached"] is True
@@ -374,7 +376,7 @@ class TestRestRoundTrip:
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             with pytest.raises(ServingError):
-                client.complete("   ")
+                client.predict("   ")
 
     def test_http_batch_completions(self, make_engine):
         engine = make_engine()
@@ -391,7 +393,7 @@ class TestRestRoundTrip:
             assert again["cached"] == [True, True]
             assert again["completions"] == payload["completions"]
             assert gate.calls == 1  # both misses decoded in one engine call
-            completions = client.complete_batch(["- name: a\n"])
+            completions = client.predict_batch(["- name: a\n"])["completions"]
             assert completions == payload["completions"][:1]
             stats = client.stats()
             assert stats["batch_requests"] == 3
@@ -420,12 +422,12 @@ class TestRestRoundTrip:
             assert engine_stats["prefill_tokens"] > 0
 
     def test_http_metrics_prometheus(self, make_engine):
-        from repro.obs.export import parse_prometheus
+        from tests.prometheus import parse_prometheus
 
         service = PredictionService(make_engine())
         with RestServer(service) as server:
             client = PredictionClient(server.url)
-            client.complete("- name: install nginx\n")
+            client.predict("- name: install nginx\n")
             text = client.metrics_prometheus()
         parsed = parse_prometheus(text)  # raises on any unparseable line
         assert "# TYPE serving_requests_total counter" in text
@@ -638,7 +640,7 @@ class TestClientEndpointFailover:
     def test_failover_to_live_endpoint_without_sleeping(self, server):
         slept: list[float] = []
         client = PredictionClient(["http://127.0.0.1:1", server.url], sleep=slept.append)
-        completion = client.complete("- name: install nginx\n")
+        completion = client.predict("- name: install nginx\n")["completion"]
         assert completion == client.predict("- name: install nginx\n")["completion"]
         assert client.failovers == 1
         assert client.retries == 0
@@ -646,9 +648,9 @@ class TestClientEndpointFailover:
 
     def test_sticky_on_the_endpoint_that_answered(self, server):
         client = PredictionClient(["http://127.0.0.1:1", server.url])
-        client.complete("- name: install nginx\n")
+        client.predict("- name: install nginx\n")
         assert client.base_url == server.url
-        client.complete("- name: install redis\n")
+        client.predict("- name: install redis\n")
         assert client.failovers == 1  # second call went straight there
 
     def test_all_dead_without_policy_raises_after_one_sweep(self):
@@ -710,5 +712,94 @@ class TestClientEndpointFailover:
             from repro.errors import ServiceOverloadedError
 
             with pytest.raises(ServiceOverloadedError):
-                client.complete("- name: install nginx\n")
+                client.predict("- name: install nginx\n")
             assert client.failovers == 0
+
+
+class _HangUp:
+    """A loopback socket that accepts each connection, reads the whole
+    request, sends ``reply`` (nothing by default: no status line) and closes."""
+
+    def __init__(self, reply: bytes = b""):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._reply = reply
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                connection, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            with connection:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += connection.recv(65536)
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = re.search(rb"(?i)content-length:\s*(\d+)", head)
+                while length and len(body) < int(length.group(1)):
+                    body += connection.recv(65536)
+                connection.sendall(self._reply)
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+class TestNoAnswerIsUnreachable:
+    """A connection that closes without an HTTP answer, or a stream that ends
+    without its terminal event, is a transport failure: the client raises
+    ServiceUnreachableError, rotates endpoints on it, and a process replica
+    behind the router is declared dead."""
+
+    SSE_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\n\r\n"
+
+    @pytest.fixture()
+    def hang_up(self):
+        server = _HangUp()
+        yield server
+        server.close()
+
+    @pytest.fixture()
+    def cut_stream(self):
+        from repro.serving.stream import sse_encode
+
+        server = _HangUp(self.SSE_HEAD + sse_encode("token", {"text": "- name"}))
+        yield server
+        server.close()
+
+    def test_no_status_line_is_unreachable(self, hang_up):
+        from repro.errors import ServiceUnreachableError
+
+        with pytest.raises(ServiceUnreachableError):
+            PredictionClient(hang_up.url, timeout=5).predict("- name: a\n")
+
+    def test_rotates_past_an_endpoint_that_hangs_up(self, hang_up, make_engine):
+        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
+            client = PredictionClient([hang_up.url, server.url], timeout=5)
+            payload = client.predict("- name: install nginx\n")
+        assert payload["completion"]
+        assert client.failovers == 1
+        assert client.base_url == server.url
+
+    def test_stream_without_terminal_event_raises_after_what_arrived(self, cut_stream):
+        from repro.errors import ServiceUnreachableError
+
+        events = []
+        with pytest.raises(ServiceUnreachableError):
+            for event in PredictionClient(cut_stream.url, timeout=5).predict_stream("- name: a\n"):
+                events.append(event)
+        assert [(event.event, event.json()) for event in events] == [("token", {"text": "- name"})]
+
+    def test_router_reports_a_cut_stream_in_band_and_the_replica_dead(self, cut_stream):
+        from repro.fleet import FleetRouter, ProcessWorker, WorkerSpec
+
+        worker = ProcessWorker("w0", WorkerSpec())
+        worker._client = PredictionClient(cut_stream.url, timeout=5)  # a child that died mid-stream
+        router = FleetRouter([worker])
+        events = list(router.predict_stream("- name: a\n"))
+        assert events[0] == ("token", {"text": "- name"})
+        event, data = events[-1]
+        assert event == "error" and data["status"] == 503
+        assert router.dead_worker_ids == ["w0"]
+

@@ -67,8 +67,9 @@ class TestLifecycle:
         engine = build_engine(tokenizer, 0)
         manager = SessionManager(engine)
         ids = [manager.create(text, 4)["session_id"] for text in TRAIN_TEXTS[:3]]
-        assert len(set(ids)) == 3
-        assert manager.session_ids() == ids
+        assert len(set(ids)) == 3 and manager.count == 3
+        for session_id, text in zip(ids, TRAIN_TEXTS):
+            manager.extend(session_id, text + "x\n", 4)  # each id still names its session
 
 
 class TestEviction:
@@ -94,9 +95,10 @@ class TestEviction:
         first = manager.create(TRAIN_TEXTS[0], 4)["session_id"]
         second = manager.create(TRAIN_TEXTS[1], 4)["session_id"]
         manager.extend(first, TRAIN_TEXTS[0] + "y\n", 4)  # first is now MRU
-        manager.create(TRAIN_TEXTS[2], 4)
-        assert first in manager.session_ids()
-        assert second not in manager.session_ids()
+        manager.create(TRAIN_TEXTS[2], 4)  # evicts the least recently used: second
+        manager.extend(first, TRAIN_TEXTS[0] + "y\nz\n", 4)
+        with pytest.raises(SessionNotFoundError):
+            manager.extend(second, TRAIN_TEXTS[1] + "y\n", 4)
 
     def test_close_all_drops_everything(self, tokenizer):
         engine = build_engine(tokenizer, 0)

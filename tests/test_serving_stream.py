@@ -22,13 +22,22 @@ from repro.serving.stream import (
     SseEvent,
     SseParser,
     TextDelta,
-    iter_sse,
     sse_comment,
     sse_encode,
 )
 from repro.utils.rng import SeededRng
 
 pytestmark = pytest.mark.streaming
+
+
+def iter_sse(chunks) -> list[SseEvent]:
+    """Parse an iterable of byte chunks into a flat event list (eager)."""
+    parser = SseParser()
+    events: list[SseEvent] = []
+    for chunk in chunks:
+        events.extend(parser.feed(chunk))
+    events.extend(parser.close())
+    return events
 
 HOSTILE_PAYLOADS = [
     {"text": "plain ascii"},

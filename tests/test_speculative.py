@@ -186,7 +186,7 @@ class TestSpeculativeStats:
             trained_model, max_batch_size=3, speculative_k=3, draft_model=CycleDraft()
         )
         engine.generate_batch(MIXED_PROMPTS[:3], max_new_tokens=6)
-        names = engine.obs.metrics.names()
+        names = engine.obs.metrics.instruments()
         assert "engine.speculative_steps" in names
         assert "engine.draft_tokens_proposed" in names
         assert "engine.draft_tokens_accepted" in names
