@@ -1,14 +1,14 @@
 """Continuous-batching inference engine.
 
 The serving-side decode subsystem: a vLLM-style (laptop-scale) scheduler
-that admits queued generation requests into a shared left-padded KV-cache
-batch, decodes all active sequences in lockstep, retires finished rows
+that admits queued generation requests into a batch with one KV slot per
+row, decodes all active sequences in lockstep, retires finished rows
 mid-flight, and reuses prefilled K/V for prompts that share a token
 prefix.  See DESIGN.md §Inference engine for the architecture.
 
 Layers (bottom-up):
 
-* :mod:`repro.engine.batched_decode` — left-padded batched KV decoding
+* :mod:`repro.engine.batched_decode` — batched KV decoding, one slot per row,
   over :class:`~repro.nn.transformer.DecoderLM`;
 * :mod:`repro.engine.prefix_cache` — longest-common-prefix K/V reuse;
 * :mod:`repro.engine.request` — request lifecycle and timing;

@@ -9,10 +9,11 @@ capacity, then runs exactly one batched decode step.  A request therefore
 joins the active batch as soon as there is room, mid-flight, without
 waiting for the current occupants to drain.
 
-Admission is capped by ``max_batch_size`` concurrent rows.  That also
-bounds KV-cache memory: ``plan_prompt`` fits every request's prompt plus
-budget inside the position window, so the batch never holds more than
-``max_batch_size * n_positions`` columns per layer.
+Admission is capped by ``max_batch_size`` concurrent rows, one KV slot
+each.  That also bounds KV-cache memory: ``plan_prompt`` fits every
+request's prompt plus budget inside the position window, the width of a
+slot, so the batch holds ``max_batch_size * n_positions`` columns per
+layer.
 
 Prefill runs per request at batch size 1 (bit-identical to sequential
 decoding, and the point where the prefix cache plugs in); decode runs
@@ -21,8 +22,9 @@ at laptop scale.
 
 A request may carry its caller's own warm ``caches`` (a keystroke
 session): prefill runs atop those handles instead of the prefix cache,
-and when the row leaves the batch its K/V goes back into them.  Such a
-request runs alone, so both moves are zero-copy ``take_from`` steals.
+admission copies the row into its slot like any other, and when the row
+leaves the batch the columns it decoded are appended to the handles.
+Warm and cold rows share the batch.
 
 Robustness: every step first *reaps* — cancelled or deadline-expired
 requests are retired from the queue and the active batch before any new
@@ -44,9 +46,10 @@ from collections import deque
 from repro.engine.batched_decode import PAD_TOKEN_ID, DecodingBatch, prefill_single
 from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import ABNORMAL_STOP_REASONS, GenerationRequest, RequestState
+from repro.engine.speculative import DraftModel
 from repro.errors import EngineError, InjectedFault
 from repro.faults import clock
-from repro.faults.inject import fire
+from repro.faults.inject import fire, shield
 from repro.nn.kv_arena import KVArena
 from repro.nn.sampling import advance
 from repro.nn.transformer import DecoderLM
@@ -65,7 +68,7 @@ class ContinuousBatcher:
         obs: Observability | None = None,
         arena: KVArena | None = None,
         speculative_k: int = 0,
-        draft_model=None,
+        draft_model: DraftModel | None = None,
     ):
         if max_batch_size < 1:
             raise EngineError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -79,7 +82,7 @@ class ContinuousBatcher:
         self.draft_model = draft_model
         self.max_batch_size = max_batch_size
         self.prefix_cache = prefix_cache
-        self.batch = DecodingBatch(model, arena)
+        self.batch = DecodingBatch(model, max_batch_size, arena)
         self.queue: deque[GenerationRequest] = deque()
         # -- accounting --
         # Every count is a registry counter and nothing else (DESIGN.md
@@ -140,11 +143,6 @@ class ContinuousBatcher:
     def submit(self, request: GenerationRequest) -> None:
         if request.state is not RequestState.QUEUED:
             raise EngineError(f"request {request.request_id} is {request.state.value}, not queued")
-        live = [*self.queue, *(row.payload for row in self.batch.rows)]
-        if live and (request.caches is not None or live[0].caches is not None):
-            # No copy-out of one row of a shared batch while the engine lock
-            # serialises callers; a live warm request is alone, so ``live[0]``.
-            raise EngineError("a request atop caller-owned caches must run alone in the batcher")
         self.queue.append(request)
 
     # -- termination ---------------------------------------------------------
@@ -203,12 +201,15 @@ class ContinuousBatcher:
             self._retire(finished)
 
     def _retire(self, positions: list[int]) -> None:
-        """Drop rows from the batch; a warm row (alone, by ``submit``'s rule)
-        steals its K/V back into its owner's handles — the mirror of admit."""
-        caches = self.batch.rows[positions[0]].payload.caches
-        if caches is not None:
-            for own, shared in zip(caches, self.batch.caches):
-                own.take_from(shared)
+        """Drop rows from the batch; a warm row first appends the columns it
+        decoded to its owner's handles (the one-row copy-out).  Shielded: a
+        handle may grow, and allocation faults belong at prefill."""
+        with shield():
+            for position in positions:
+                handles = self.batch.rows[position].payload.caches
+                if handles is not None:
+                    for own, slots in zip(handles, self.batch.caches):
+                        slots.copy_out(position, own)
         self.batch.retire(positions)
 
     def _admit_one(self) -> None:
@@ -256,17 +257,17 @@ class ContinuousBatcher:
             # Finished on its very first token — never occupies a batch row.
             request.finish(reason)
             self.book(request)
-            if warm is None:
-                for cache in caches:
-                    cache.release()  # prefix-cache claims, if any, keep the slabs alive
-            return
-        row = self.batch.admit(caches, pending=first_token, payload=request)
-        if self.speculative_k:
-            # Per-request draft state: the context the draft model sees —
-            # prompt plus everything generated, pending token included.
-            row.context = list(request.prompt_ids) + list(request.generated)
-        with self.stats_lock:
-            self.peak_batch_size = max(self.peak_batch_size, self.active_size)
+        else:
+            row = self.batch.admit(caches, pending=first_token, payload=request)
+            if self.speculative_k:
+                # Per-request draft state: the context the draft model sees —
+                # prompt plus everything generated, pending token included.
+                row.context = list(request.prompt_ids) + list(request.generated)
+            with self.stats_lock:
+                self.peak_batch_size = max(self.peak_batch_size, self.active_size)
+        if warm is None:
+            for cache in caches:
+                cache.release()  # prefix-cache claims, if any, keep the slabs alive
 
     # -- speculation ---------------------------------------------------------
 
@@ -286,7 +287,7 @@ class ContinuousBatcher:
         window = self.model.config.n_positions
         k = min(
             self.speculative_k,
-            window - 1 - max(row.real_length for row in rows),
+            window - 1 - self.batch.caches[0].length,
             max(row.payload.max_new_tokens - len(row.payload.generated) for row in rows) - 1,
         )
         if k < 1:

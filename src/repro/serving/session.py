@@ -12,8 +12,7 @@ the K/V of every token fed so far, and an *extend* call
    engine path,
 2. finds the longest common token prefix with the session's cached
    context and rolls the caches back to it (``KVCache.truncate`` —
-   zero-copy COW-safe rollback, the same primitive speculative decode
-   uses),
+   zero-copy COW-safe rollback),
 3. hands the planned prompt and the caches to
    :meth:`~repro.engine.engine.InferenceEngine.generate_atop`: an
    ordinary engine request whose prefill covers only the *suffix* — the
@@ -39,8 +38,8 @@ closed - evicted - lost == live_sessions`` is a law
 
 Locking: public entry points take the manager lock; the engine takes its
 own request lock inside ``generate_atop`` — always in that order, so
-sessions never race a batch decode for slabs.  ``close`` / ``close_all``
-take both: releasing a slab writes the arena.
+sessions never race a batch decode for slabs.  ``close``, ``close_all``
+and ``create``'s LRU eviction take both: releasing a slab writes the arena.
 """
 
 from __future__ import annotations
@@ -246,8 +245,9 @@ class SessionManager:
             self._counts["created"].inc()
             if payload["ttft_s"] is not None:
                 self._h_create_ttft.observe(payload["ttft_s"])
-            while len(self._sessions) > self.max_sessions:  # LRU bound
-                self._drop_locked(next(iter(self._sessions.values())), "evicted")
+            with self.engine._lock:  # LRU bound; releasing a slab writes the arena
+                while len(self._sessions) > self.max_sessions:
+                    self._drop_locked(next(iter(self._sessions.values())), "evicted")
             return payload
 
     def extend(

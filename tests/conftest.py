@@ -16,7 +16,7 @@ from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_cor
 from repro.engine import DecodingBatch, InferenceEngine
 from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
 from repro.nn.parameter import numpy_rng
-from repro.nn.sampling import GenerationResult, advance, plan_prompt
+from repro.nn.sampling import GenerationResult, advance, generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
 from repro.utils.rng import SeededRng
@@ -138,15 +138,15 @@ def drain(batcher) -> None:
 
 
 def greedy_via_admit_prompts(model, prompts, max_new_tokens, stop_ids=frozenset()):
-    """Greedy-decode ``prompts`` through one left-padded batched prefill
-    (``DecodingBatch.admit_prompts``) and lockstep ``step`` calls, retiring
-    rows as they stop — the padding-sensitive path that must agree with
-    ``generate_greedy`` prompt by prompt."""
+    """Greedy-decode ``prompts`` as one static batch: every prompt prefilled
+    and admitted up front (``DecodingBatch.admit_prompts``), then lockstep
+    ``step`` calls, retiring rows as they stop — rows of mixed lengths from
+    the first step on, which must agree with ``generate_greedy``."""
     window = model.config.n_positions
     planned = [plan_prompt(window, prompt, max_new_tokens) for prompt in prompts]
     generated: list[list[int]] = [[] for _ in prompts]
     results: list[GenerationResult | None] = [None] * len(prompts)
-    batch = DecodingBatch(model)
+    batch = DecodingBatch(model, len(prompts))
     next_tokens = batch.admit_prompts([prompt for prompt, _ in planned], list(range(len(prompts))))
     while True:
         finished = []
@@ -164,6 +164,34 @@ def greedy_via_admit_prompts(model, prompts, max_new_tokens, stop_ids=frozenset(
         if not batch.rows:
             return results
         next_tokens = batch.step()
+
+
+
+#: Two logits closer than this are a float32 tie: either token is a correct
+#: greedy choice (DESIGN.md "Inference engine").
+TIE_MARGIN = 1e-4
+
+
+def greedy_or_tie(model, prompt_ids, token_ids, max_new_tokens, stop_ids=frozenset()) -> bool:
+    """Whether ``token_ids`` is a greedy completion of ``prompt_ids`` — the
+    one definition of "same output" the conformance suites share.
+
+    It is when it equals :func:`generate_greedy`'s, or when it is as long
+    and every token lies within :data:`TIE_MARGIN` of its own step's best
+    logit (one full forward over the prompt and the tokens): batched
+    decoding sums float32 in another order and may take either side of a
+    tie.  ``bench/loadgen.py: Oracle`` applies the same rule.
+    """
+    token_ids = list(token_ids)
+    expected = generate_greedy(model, prompt_ids, max_new_tokens, stop_ids).token_ids
+    if token_ids == expected:
+        return True
+    if len(token_ids) != len(expected):
+        return False
+    prompt, _ = plan_prompt(model.config.n_positions, prompt_ids, max_new_tokens)
+    ids = np.array([list(prompt) + token_ids], dtype=np.int64)
+    steps = model.forward(ids, training=False)[0, len(prompt) - 1 :]
+    return all(logits[token] >= logits.max() - TIE_MARGIN for logits, token in zip(steps, token_ids))
 
 
 @pytest.fixture(scope="session")

@@ -270,7 +270,7 @@ class TestEngineIntegration:
 
 
 class TestSpeculativeRollback:
-    """truncate()/realign_rows(): the speculative-decode rollback primitives."""
+    """truncate(): the rollback of shared and caller-owned handles."""
 
     @staticmethod
     def _filled(arena: KVArena, batch: int, length: int, seed: int = 0) -> KVCache:
@@ -342,66 +342,6 @@ class TestSpeculativeRollback:
         assert arena.cow_copies == 0  # write landed above frozen columns, in place
         ref.release()
         cache.release()
-        assert arena.stats()["bytes_in_use"] == 0
-
-    def test_realign_rows_repacks_right_aligned(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 3, 7)
-        original = _keys(cache).copy()
-        # Row 0 keeps columns 1..6, row 1 keeps 0..7, row 2 keeps 3..7.
-        cache.realign_rows([(1, 5), (0, 7), (3, 4)])
-        assert cache.length == 7
-        got = _keys(cache)
-        np.testing.assert_array_equal(got[0, :, 2:], original[0, :, 1:6])
-        np.testing.assert_array_equal(got[0, :, :2], 0)
-        np.testing.assert_array_equal(got[1], original[1])
-        np.testing.assert_array_equal(got[2, :, 3:], original[2, :, 3:7])
-        np.testing.assert_array_equal(got[2, :, :3], 0)
-
-    def test_realign_rows_leaves_sharers_intact(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 6)
-        ref = cache.share(6)
-        sharer = ref.alias()
-        frozen = _keys(sharer).copy()
-        cache.realign_rows([(2, 3)])
-        np.testing.assert_array_equal(_keys(sharer), frozen)
-        np.testing.assert_array_equal(_keys(cache), frozen[:, :, 2:5])
-        cache.release()
-        sharer.release()
-        ref.release()
-        assert arena.stats()["bytes_in_use"] == 0
-
-    def test_realign_rows_validates_spans(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 2, 5)
-        with pytest.raises(ShapeError):
-            cache.realign_rows([(0, 5)])  # wrong batch
-        with pytest.raises(ShapeError):
-            cache.realign_rows([(0, 6), (0, 5)])  # past the end
-        with pytest.raises(ShapeError):
-            cache.realign_rows([(-1, 3), (0, 5)])  # negative start
-
-    def test_truncate_interacts_with_merge_and_select(self):
-        """Rollback composes with mid-batch admission and retirement."""
-        arena = KVArena(block_size=8)
-        batch = self._filled(arena, 1, 5, seed=1)
-        row = self._filled(arena, 1, 3, seed=2)
-        row_data = _keys(row).copy()
-        batch.merge_row(row, 5)
-        row.release()
-        # Speculative step appends 3 columns, then rolls 2 back.
-        rng = np.random.default_rng(3)
-        keys = rng.standard_normal((2, 2, 3, 4)).astype(np.float32)
-        batch.append(keys, keys)
-        batch.truncate(6)
-        np.testing.assert_array_equal(_keys(batch)[1, :, 2:5], row_data[0])
-        np.testing.assert_array_equal(_keys(batch)[:, :, 5], keys[:, :, 0])
-        # Retire row 0: bottom row keeps its columns, pads trimmed.
-        batch.select_rows([1], trim=2)
-        assert batch.length == 4
-        np.testing.assert_array_equal(_keys(batch)[0, :, :3], row_data[0])
-        batch.release()
         assert arena.stats()["bytes_in_use"] == 0
 
     def test_dense_reference_truncate(self):

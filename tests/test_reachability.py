@@ -50,6 +50,8 @@ REASONS = {
 ALLOWED = {
     "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
     "repro.obs.trace.Tracer.export_jsonl": "flag",
+    "repro.nn.kv_arena.DenseKVCache.truncate": "reference",
+    "repro.nn.kv_arena.DenseKVCache.view": "reference",
 }
 
 #: What the census found when it was introduced and no change has triaged
@@ -83,8 +85,6 @@ BACKLOG = (
     "repro.dataset.stats.stats_by_source",
     "repro.dataset.synthesis.AnsibleSynthesizer.task_list_with_block",
     "repro.dataset.synthesis.build_restart_handler",
-    "repro.engine.speculative.NgramDraft.propose",
-    "repro.engine.speculative.RetrievalSuffixDraft.propose",
     "repro.errors.AnsibleSchemaError",
     "repro.errors.UnknownModuleError",
     "repro.faults.clock.get_clock",
@@ -115,8 +115,6 @@ BACKLOG = (
     "repro.model.lm.WisdomModel.detach_profiler",
     "repro.model.lm.WisdomModel.perplexity",
     "repro.model.zoo.build_zoo",
-    "repro.nn.kv_arena.DenseKVCache.truncate",
-    "repro.nn.kv_arena.DenseKVCache.view",
     "repro.nn.optim.LinearSchedule.lr_at",
     "repro.obs.metrics.Histogram.mean",
     "repro.serving.client.PredictionClient.metrics_prometheus",

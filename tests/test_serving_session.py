@@ -89,6 +89,30 @@ class TestEviction:
         assert arena_empty(engine)
         assert second  # silence unused warning
 
+    def test_lru_eviction_releases_slabs_under_the_engine_lock(self, tokenizer):
+        # Releasing a slab writes the arena, which a decoding thread may be
+        # using: close, close_all and the create unwind hold the engine
+        # lock for it, and so must the LRU bound.
+        engine = build_engine(tokenizer, 0)
+        manager = SessionManager(engine, max_sessions=1)
+        manager.create(TRAIN_TEXTS[0], 4)
+        held: list[bool] = []
+        release = engine.kv_arena.release
+
+        def recording(slab):
+            held.append(engine._lock.locked())
+            release(slab)
+
+        engine.kv_arena.release = recording
+        try:
+            manager.create(TRAIN_TEXTS[1], 4)  # evicts the first session
+        finally:
+            del engine.kv_arena.release
+        assert manager.stats()["evicted"] == 1
+        assert held and all(held)
+        manager.close_all()
+        assert arena_empty(engine)
+
     def test_extend_refreshes_lru_position(self, tokenizer):
         engine = build_engine(tokenizer, 0)
         manager = SessionManager(engine, max_sessions=2)
