@@ -371,7 +371,9 @@ class ProcessWorker(_Worker):
             self._process.terminate()
             self._process.join(timeout=10)
             self._process = None
-        self._client = None
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
     # -- worker protocol -----------------------------------------------------
 

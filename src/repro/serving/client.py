@@ -7,14 +7,18 @@ jitter, honouring the server's ``Retry-After`` hint as a floor on the
 wait.  Retries are opt-in (``max_retries=0`` by default) and sleep on the
 shared :mod:`repro.faults.clock`, so retry schedules are exact under a
 fake clock.
+
+The transport is HTTP/1.1 keep-alive over :mod:`http.client`: each JSON
+exchange borrows an idle connection to its endpoint, or opens one, and
+hands it back once the answer is read, so a keystroke pays no TCP connect.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+from urllib.parse import urlsplit
 
 from repro.errors import (
     ServiceOverloadedError,
@@ -27,11 +31,9 @@ from repro.faults import clock
 from repro.serving.stream import SseParser
 from repro.utils.rng import SeededRng
 
-#: What "no HTTP answer" looks like under urllib: a refused, reset or timed-out
-#: socket (``OSError``, ``URLError`` among them) or a response cut short or
-#: without a status line (``http.client.HTTPException``).  ``urlopen`` wraps
-#: only the sending of the request in ``URLError``; these reach the caller
-#: raw from reading the status line and from reading the body.
+#: What "no HTTP answer" looks like: a refused, reset or timed-out socket
+#: (``OSError``) or a response cut short or without a status line
+#: (``http.client.HTTPException``).
 _NO_ANSWER = (OSError, http.client.HTTPException)
 
 
@@ -91,6 +93,14 @@ class PredictionClient:
     ``retry_policy`` opts into backoff-retry of 503s and unreachable-host
     errors; ``sleep`` is injectable for tests and defaults to the shared
     faults clock (real ``time.sleep`` in production).
+
+    One client is safe to share between threads (a ``ProcessWorker``'s
+    client serves every router thread): idle keep-alive connections wait
+    in a lock-guarded list per endpoint, and each exchange holds its
+    connection alone until the answer is read.  A request that gets no
+    status line on a *reused* connection is sent once more on a fresh one
+    to the same endpoint — the server closed it while it sat idle — which
+    is not a failover.  :meth:`close` drops the idle connections.
     """
 
     def __init__(
@@ -110,25 +120,36 @@ class PredictionClient:
         self._sleep = sleep if sleep is not None else clock.sleep
         self.retries = 0  # lifetime count of retry sleeps taken
         self.failovers = 0  # lifetime count of endpoint rotations
+        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._idle_lock = threading.Lock()
 
     @property
     def base_url(self) -> str:
         """The endpoint currently in use (rotates on transport failure)."""
         return self.base_urls[self._endpoint]
 
-    def _http_error(self, method: str, path: str, error: urllib.error.HTTPError) -> Exception:
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for connection in connections:
+                connection.close()
+
+    def _http_error(self, method: str, path: str, status: int, body: bytes) -> Exception:
         """The typed error an HTTP error status stands for (the disposition
         table of :mod:`repro.errors`, read right to left)."""
+        message = body.decode("utf-8", "replace")
         try:
-            body = json.loads(error.read().decode("utf-8"))
-            message = body.get("error", str(error))
+            answer = json.loads(message)
+            message = answer.get("error", message)
         except (ValueError, AttributeError):
-            body, message = {}, str(error)
-        if error.code == SessionNotFoundError.status and "/v1/sessions/" in path:
+            answer = {}
+        if status == SessionNotFoundError.status and "/v1/sessions/" in path:
             return SessionNotFoundError(path.split("/")[3])
-        typed = error_for_status(error.code)(f"{method} {path} failed ({error.code}): {message}")
+        typed = error_for_status(status)(f"{method} {path} failed ({status}): {message}")
         if isinstance(typed, ServiceOverloadedError):
-            typed.retry_after_s = body.get("retry_after_s")
+            typed.retry_after_s = answer.get("retry_after_s")
         return typed
 
     def _open(
@@ -137,25 +158,67 @@ class PredictionClient:
         path: str,
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
-    ):
-        """The one place a URL is opened; returns the live HTTP response.
+    ) -> tuple[str, http.client.HTTPConnection, http.client.HTTPResponse]:
+        """The one place a request is sent; returns ``(endpoint, connection,
+        response)`` with the status line read and the body not yet.
 
-        An HTTP error status raises its typed error; no answer at all
-        raises :class:`~repro.errors.ServiceUnreachableError`.
+        The request borrows an idle connection to the endpoint when one
+        waits.  An HTTP error status raises its typed error; no answer at
+        all raises :class:`~repro.errors.ServiceUnreachableError`.
         """
-        url = self.base_url + path
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8") if payload is not None else None,
-            method=method,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
+        endpoint = self.base_url
+        target = urlsplit(endpoint)
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        head = {"Content-Type": "application/json", **(headers or {})}
+        with self._idle_lock:
+            idle = self._idle.get(endpoint)
+            connection = idle.pop() if idle else None
+        while True:
+            reused = connection is not None
+            if connection is None:
+                connection = http.client.HTTPConnection(
+                    target.hostname, target.port, timeout=self.timeout
+                )
+            try:
+                connection.request(method, target.path + path, body, head)
+                response = connection.getresponse()
+                break
+            except _NO_ANSWER as error:
+                connection.close()
+                connection = None
+                # A timeout is a slow server, not a stale connection.
+                if reused and not isinstance(error, TimeoutError):
+                    continue
+                raise ServiceUnreachableError(
+                    f"cannot reach service at {endpoint}{path}: {error}"
+                ) from error
+        if not 200 <= response.status < 300:
+            answer = self._finish(path, endpoint, connection, response)
+            raise self._http_error(method, path, response.status, answer)
+        return endpoint, connection, response
+
+    def _finish(
+        self,
+        path: str,
+        endpoint: str,
+        connection: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> bytes:
+        """Read the body to its end and give the connection back to the
+        idle list while it stays open.  A body cut short is no answer
+        either."""
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            raise self._http_error(method, path, error) from error
+            body = response.read()
         except _NO_ANSWER as error:
-            raise ServiceUnreachableError(f"cannot reach service at {url}: {error}") from error
+            connection.close()
+            raise ServiceUnreachableError(
+                f"answer from {endpoint}{path} cut short: {error}"
+            ) from error
+        # http.client drops the socket of an answer that closes the connection.
+        if connection.sock is not None:
+            with self._idle_lock:
+                self._idle.setdefault(endpoint, []).append(connection)
+        return body
 
     def _read(
         self,
@@ -164,15 +227,8 @@ class PredictionClient:
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> bytes:
-        """One whole answer: open, read the body to its end, close.  A body
-        cut short is no answer either."""
-        with self._open(method, path, payload, headers) as response:
-            try:
-                return response.read()
-            except _NO_ANSWER as error:
-                raise ServiceUnreachableError(
-                    f"answer from {self.base_url}{path} cut short: {error}"
-                ) from error
+        """One whole answer."""
+        return self._finish(path, *self._open(method, path, payload, headers))
 
     def _request(
         self,
@@ -277,23 +333,28 @@ class PredictionClient:
         do not retry or fail over: once bytes flowed, a replay could
         duplicate delivered tokens.
 
-        The body is close-delimited (HTTP/1.0, no ``Content-Length``), so a
-        replica that dies mid-stream looks like a clean end of file: a
+        The server closes the connection after a stream — the close
+        delimits the body, which has no ``Content-Length`` — so the
+        connection is never handed back, and a replica that dies
+        mid-stream looks like a clean end of file: a
         stream that ends without its ``done`` or ``error`` event raises
         :class:`~repro.errors.ServiceUnreachableError` after yielding what
-        arrived.
+        arrived.  Each read returns what one socket read delivered, at
+        most ``chunk_size`` bytes, so an event is yielded as soon as it
+        lands rather than once ``chunk_size`` bytes have queued up.
         """
         payload = self._body("prompt", prompt, max_new_tokens, deadline_ms, stream=True)
-        response = self._open("POST", "/v1/completions?stream=1", payload, headers)
+        path = "/v1/completions?stream=1"
+        endpoint, connection, response = self._open("POST", path, payload, headers)
         parser = SseParser()
         ended = False
         try:
             while True:
                 try:
-                    chunk = response.read(chunk_size)
+                    chunk = response.read1(chunk_size)
                 except _NO_ANSWER as error:
                     raise ServiceUnreachableError(
-                        f"stream from {self.base_url} cut short: {error}"
+                        f"stream from {endpoint} cut short: {error}"
                     ) from error
                 for event in parser.feed(chunk) if chunk else parser.close():
                     ended = ended or event.event in ("done", "error")
@@ -302,9 +363,10 @@ class PredictionClient:
                     break
         finally:
             response.close()
+            connection.close()
         if not ended:
             raise ServiceUnreachableError(
-                f"stream from {self.base_url} ended without a done or error event"
+                f"stream from {endpoint} ended without a done or error event"
             )
 
     # -- sessions -------------------------------------------------------------

@@ -79,6 +79,8 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -860,7 +862,20 @@ def _envelope(body) -> tuple[int | None, float | None]:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """One client connection, kept alive: HTTP/1.1, one request after another.
+
+    Keep-alive makes the framing strict.  An answer sent before the
+    request's body was read closes the connection, or the unread bytes
+    would be parsed as the next request; a stream has no length, so it
+    closes the connection too.
+    """
+
     service: PredictionService  # set by the server factory
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes: with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
+    _unread_body = False  # the request declared a body nobody has read yet
 
     def log_message(self, format: str, *args) -> None:  # silence default logging
         del format, args
@@ -871,6 +886,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -907,6 +924,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")  # the close delimits the body
         if trace_context is not None:
             self.send_header(TRACE_ID_HEADER, trace_context.trace_id)
         self.end_headers()
@@ -922,8 +940,19 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             events.close()
 
+    def _read_body(self) -> bytes:
+        length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:  # read(-1) would block this thread until the client hangs up
+            raise ServingError(f"Content-Length must be >= 0, got {length}")
+        body = self.rfile.read(length)
+        self._unread_body = "Transfer-Encoding" in self.headers  # a chunked body is not read
+        return body
+
     def _route(self, verb: str) -> None:
         """Serve one request off the route table; the one backend call site."""
+        self._unread_body = (
+            "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0"
+        )
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
         route = _match(verb, parsed.path)
@@ -935,10 +964,7 @@ class _Handler(BaseHTTPRequestHandler):
         trace_context = None
         try:
             if fields is not None:
-                length = int(self.headers.get("Content-Length", "0"))
-                if length < 0:  # read(-1) would block this thread until the client hangs up
-                    raise ServingError(f"Content-Length must be >= 0, got {length}")
-                body = json.loads(self.rfile.read(length) or b"{}")
+                body = json.loads(self._read_body() or b"{}")
                 max_new_tokens, deadline_s = _envelope(body)
                 trace_context = TraceContext.from_headers(self.headers)
                 text = next((body[name] for name in fields if name in body), None)
@@ -978,12 +1004,49 @@ class _Handler(BaseHTTPRequestHandler):
         self._route("DELETE")
 
 
+class _Server(ThreadingHTTPServer):
+    """A thread per connection, and a list of the open ones: a keep-alive
+    connection outlives its requests, so stopping the listener alone would
+    leave idle connections answering."""
+
+    def __init__(self, address: tuple[str, int], handler) -> None:
+        super().__init__(address, handler)
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # not just a client hanging up
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Answer nothing more: wake every connection's thread with an end
+        of file and send its client one.  A request that arrives later is
+        reset by the kernel, never read."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its client
+
+
 class RestServer:
     """A small threaded HTTP server around a :class:`PredictionService`."""
 
     def __init__(self, service: PredictionService, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {"service": service})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -1007,6 +1070,7 @@ class RestServer:
             self._httpd.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._httpd.close_connections()
         self._httpd.server_close()
 
     def __enter__(self) -> "RestServer":

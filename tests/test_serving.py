@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import socket
+import sys
 import threading
 
 import pytest
@@ -803,3 +804,195 @@ class TestNoAnswerIsUnreachable:
         assert event == "error" and data["status"] == 503
         assert router.dead_worker_ids == ["w0"]
 
+
+def _read_answer(reader) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP answer off a raw socket's reader: status, headers, body.
+    A body without ``Content-Length`` runs to the end of the stream."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline().decode("latin-1").strip()):
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length")
+    return status, headers, reader.read(int(length)) if length is not None else reader.read()
+
+
+class TestKeepAliveFraming:
+    """Keep-alive, seen from a raw socket: answers are framed so that one
+    connection carries request after request, and never misreads a body
+    that was left unread as the next request."""
+
+    #: A second request hidden in a body: parsed only if the body is skipped.
+    SMUGGLED = b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.fixture()
+    def server(self, make_engine):
+        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
+            yield server
+
+    @staticmethod
+    def _connect(server):
+        connection = socket.create_connection(server.address, timeout=10)
+        return connection, connection.makefile("rb")
+
+    def test_two_requests_on_one_socket_get_two_answers(self, server):
+        import json
+
+        body = json.dumps({"prompt": "- name: install nginx\n"}).encode()
+        connection, reader = self._connect(server)
+        with connection, reader:
+            connection.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, headers, answer = _read_answer(reader)
+            assert status == 200 and json.loads(answer)["status"] == "ok"
+            assert headers.get("connection") != "close"
+            connection.sendall(
+                b"POST /v1/completions HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            status, _, answer = _read_answer(reader)
+            assert status == 200 and json.loads(answer)["completion"]
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n", 404),
+            (b"POST /v1/completions HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+            (b"POST /v1/completions HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\nContent-Length: %d\r\n", 200),
+        ],
+        ids=["unknown-path", "negative-length", "unparseable-length", "get-with-body"],
+    )
+    def test_an_answer_before_the_body_closes_the_connection(self, server, head, status):
+        if b"%d" in head:
+            head %= len(self.SMUGGLED)
+        connection, reader = self._connect(server)
+        with connection, reader:
+            connection.sendall(head + b"Host: x\r\n\r\n" + self.SMUGGLED)
+            answered, headers, _ = _read_answer(reader)
+            assert (answered, headers["connection"]) == (status, "close")
+            assert reader.read() == b""  # the smuggled request got no answer
+
+    def test_the_stream_is_close_delimited(self, server):
+        import json
+
+        from repro.serving.stream import SseParser
+
+        body = json.dumps({"prompt": "- name: install nginx\n"}).encode()
+        connection, reader = self._connect(server)
+        with connection, reader:
+            connection.sendall(
+                b"POST /v1/completions?stream=1 HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            status, headers, answer = _read_answer(reader)
+        assert (status, headers["connection"]) == (200, "close")
+        assert "content-length" not in headers
+        assert SseParser().feed(answer)[-1].event == "done"
+
+    def test_sequential_requests_do_not_wait_on_delayed_acks(self, server):
+        # With Nagle's algorithm on, each answer's body waits ~40 ms for the
+        # ACK of its headers; a loopback round trip is well under 1 ms.
+        import time
+
+        client = PredictionClient(server.url)
+        client.health()
+        started = time.perf_counter()
+        for _ in range(20):
+            client.health()
+        elapsed = time.perf_counter() - started
+        client.close()
+        assert elapsed < 0.5
+
+    def test_a_stopped_server_answers_nothing(self, make_engine):
+        from repro.errors import ServiceUnreachableError
+
+        server = RestServer(PredictionService(make_engine())).start()
+        client = PredictionClient(server.url, timeout=5)
+        assert client.health()["status"] == "ok"  # leaves a pooled connection
+        server.stop()
+        with pytest.raises(ServiceUnreachableError):
+            client.health()
+
+
+class TestKeepAliveClient:
+    """The client's side: connections pooled per endpoint, shared safely
+    between threads, and a connection the server closed while idle is
+    replaced without a failover."""
+
+    @pytest.fixture()
+    def server(self, make_engine):
+        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
+            yield server
+
+    @pytest.fixture()
+    def connects(self, monkeypatch):
+        import http.client
+
+        opened: list[int] = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting(connection):
+            opened.append(1)
+            connect(connection)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+        return opened
+
+    def test_threads_share_one_client(self, server, connects):
+        from repro.obs.distributed import TRACE_ID_HEADER
+
+        client = PredictionClient(server.url)
+        prompts = [f"- name: install package {index}\n" for index in range(4)]
+        expected = {prompt: client.predict(prompt)["completion"] for prompt in prompts}
+        client.close()
+        connects.clear()
+        barrier = threading.Barrier(len(prompts))
+        mismatches: list[str] = []
+
+        def drive(prompt: str, thread: int) -> None:
+            barrier.wait()
+            for call in range(10):
+                trace_id = f"t{thread}.{call}"
+                payload = client.predict(prompt, headers={TRACE_ID_HEADER: trace_id})
+                if (payload["trace_id"], payload["completion"]) != (trace_id, expected[prompt]):
+                    mismatches.append(trace_id)
+
+        threads = [
+            threading.Thread(target=drive, args=(prompt, thread))
+            for thread, prompt in enumerate(prompts)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: a lost pool update shows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert 1 <= len(connects) <= len(threads)
+
+    def test_a_connection_closed_while_idle_is_replaced(self, server, connects):
+        client = PredictionClient(server.url, timeout=5)
+        assert client.health()["status"] == "ok"
+        for connection in list(server._httpd._connections):  # the server drops it
+            connection.shutdown(socket.SHUT_RDWR)
+        _wait_for(lambda: not server._httpd._connections)
+        assert client.health()["status"] == "ok"
+        client.close()
+        assert len(connects) == 2
+        assert client.failovers == 0
+
+    def test_close_drops_idle_connections(self, server, connects):
+        client = PredictionClient(server.url)
+        client.health()
+        client.health()
+        assert len(connects) == 1
+        client.close()
+        _wait_for(lambda: not server._httpd._connections)
+        client.health()
+        client.close()
+        assert len(connects) == 2

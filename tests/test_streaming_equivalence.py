@@ -48,16 +48,19 @@ def tokenizer():
     return BpeTokenizer.train(TRAIN_TEXTS, vocab_size=300)
 
 
-_NETWORKS: dict[int, DecoderLM] = {}
+_NETWORKS: dict[tuple[int, int], DecoderLM] = {}
 
 
 def network_for(seed: int, vocab_size: int) -> DecoderLM:
-    if seed not in _NETWORKS:
+    # Keyed by vocabulary too: callers train tokenizers of different sizes,
+    # and a network memoised for a smaller vocabulary cannot embed their ids.
+    key = (seed, vocab_size)
+    if key not in _NETWORKS:
         config = TransformerConfig(
             vocab_size=vocab_size, n_positions=160, dim=32, n_layers=2, n_heads=4
         )
-        _NETWORKS[seed] = DecoderLM(config, numpy_rng(seed))
-    return _NETWORKS[seed]
+        _NETWORKS[key] = DecoderLM(config, numpy_rng(seed))
+    return _NETWORKS[key]
 
 
 def build_engine(
