@@ -11,7 +11,7 @@ cache hit rate, token-weighted (the fraction of prompt tokens served from
 cached K/V instead of prefilled — the byte-hit-ratio of caching
 literature; a per-lookup rate would count a 3-token partial match the
 same as a 100-token playbook head).  The claim under test: affinity
-routing keeps each prefix group on one replica, so its COW prefix cache
+routing keeps each prefix group on one replica, so its prefix cache
 keeps serving the long shared heads as the fleet grows, while round-robin
 smears groups across replicas, each of which must prefill the head from
 scratch.  Results go to ``benchmarks/_artifacts/BENCH_fleet.json``.

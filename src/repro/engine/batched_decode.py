@@ -52,7 +52,7 @@ def prefill_single(
     seeded_caches: list[KVCache] | None = None,
     arena: KVArena | None = None,
 ) -> tuple[list[KVCache], int, int]:
-    """Prefill one prompt at batch size 1, optionally atop prefix-cache K/V.
+    """Prefill one prompt at batch size 1, optionally atop K/V it already has.
 
     Returns ``(caches, first_token, prefilled)`` where ``prefilled`` is the
     number of prompt tokens actually run through the model (the suffix not
@@ -70,9 +70,8 @@ def prefill_single(
     except BaseException:
         # Prefill is the fault-injection point for allocation failures:
         # layers appended before the fault hold live slabs, and the
-        # request is about to be shed — return every claim to the arena
-        # so shedding never leaks KV memory (seeded prefix-cache aliases
-        # included; their entry keeps the underlying slab alive).
+        # request is about to be shed — return every cache to the arena
+        # so shedding never leaks KV memory (seeded caches included).
         for cache in caches:
             cache.release()
         raise
@@ -98,10 +97,10 @@ class DecodingBatch:
     def admit(self, row_caches: list[KVCache], pending: int, payload: object) -> BatchRow:
         """Copy one prefilled batch-1 row into the next free slot.
 
-        ``row_caches`` stay the caller's and unchanged: release them, or
-        keep them as a warm request's handles.  The first admission
-        acquires the slot slabs, shielded: allocation faults belong at
-        prefill, where exactly one request is chargeable.
+        ``row_caches`` stay the caller's and unchanged: release them, hand
+        them to the prefix cache, or keep them as a warm request's handles.
+        The first admission acquires the slot slabs, shielded: allocation
+        faults belong at prefill, where exactly one request is chargeable.
         """
         if len(row_caches) != len(self.model.blocks):
             raise EngineError(

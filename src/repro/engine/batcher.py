@@ -50,7 +50,7 @@ from repro.engine.speculative import DraftModel
 from repro.errors import EngineError, InjectedFault
 from repro.faults import clock
 from repro.faults.inject import fire, shield
-from repro.nn.kv_arena import KVArena
+from repro.nn.kv_arena import KVArena, KVCache
 from repro.nn.sampling import advance
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability
@@ -220,28 +220,41 @@ class ContinuousBatcher:
         # A caller's warm K/V is private (it includes generated tokens):
         # never looked up in, nor inserted into, the shared prefix cache.
         prefix_cache = self.prefix_cache if warm is None else None
+        match = None
         if warm is not None:
             request.prefix_reused = warm[0].length
         elif prefix_cache is not None:
             match = prefix_cache.lookup(request.prompt_ids)
             if match is not None:
-                request.prefix_reused, seeded = match
+                request.prefix_reused = match[0]
                 self._c_prefix_reused.inc(request.prefix_reused)
         forward_started = clock.now()
+        copies: list[KVCache] = []
         try:
+            if match is not None:
+                # The entry keeps its caches: the request prefills atop its
+                # own copy of the matched columns, sized for the prompt.
+                matched, stored = match
+                for cache in stored:
+                    copies.append(cache.copy_prefix(matched, len(request.prompt_ids)))
+                seeded = copies
             caches, first_token, prefilled = prefill_single(
                 self.model, request.prompt_ids, seeded, arena=self.arena
             )
         except (InjectedFault, MemoryError):
             # Admission failed (slab allocation or injected prefill fault).
-            # prefill_single already returned every cache claim to the
-            # arena; the one chargeable request is shed, the batch and the
-            # rest of the queue are untouched.
+            # prefill_single already returned its caches to the arena; so
+            # do the prefix copies made before a fault.  The one chargeable
+            # request is shed, the batch and the rest of the queue are
+            # untouched.
+            for cache in copies:
+                cache.release()
             self._finish_abnormal(request, "shed")
             return
         self._h_prefill_forward.observe(clock.now() - forward_started)
         self._c_prefill_tokens.inc(prefilled)
-        if prefix_cache is not None and prefix_cache.insert(request.prompt_ids, caches):
+        inserted = prefix_cache is not None and prefix_cache.insert(request.prompt_ids, caches)
+        if inserted:
             request.prefix_key = tuple(request.prompt_ids)
         request.begin_decode()  # the first token exists: TTFT is defined from here
         reason = advance(
@@ -265,9 +278,9 @@ class ContinuousBatcher:
                 row.context = list(request.prompt_ids) + list(request.generated)
             with self.stats_lock:
                 self.peak_batch_size = max(self.peak_batch_size, self.active_size)
-        if warm is None:
+        if warm is None and not inserted:
             for cache in caches:
-                cache.release()  # prefix-cache claims, if any, keep the slabs alive
+                cache.release()
 
     # -- speculation ---------------------------------------------------------
 

@@ -57,7 +57,7 @@ class InferenceEngine:
         self.default_stop_ids = frozenset(stop_ids)
         self.obs = obs if obs is not None else Observability()
         # One paged arena owns every KV byte this engine touches — decode
-        # batches, prefills and prefix-cache claims all share its slabs.
+        # batches, prefills and prefix-cache entries all draw its slabs.
         self.kv_arena = KVArena()
         self.prefix_cache = PrefixCache(prefix_cache_capacity) if prefix_cache_capacity else None
         self.batcher = ContinuousBatcher(
@@ -349,7 +349,7 @@ class InferenceEngine:
         ]
 
     def abort_all(self) -> int:
-        """Cancel every queued or decoding request and reap immediately.
+        """Cancel every queued or decoding request, reap, and clear the prefix cache.
 
         The fleet layer's crash path: when a replica is declared dead
         mid-decode, its engine may still hold live rows whose KV slabs
@@ -357,7 +357,9 @@ class InferenceEngine:
         (no decode step runs once everything is cancelled) retires every
         request with the ``cancelled`` outcome and returns their slabs to
         the arena — the survivors'-side no-leak invariant the chaos suite
-        asserts.  Returns the number of requests aborted.
+        asserts.  The prefix cache is cleared under the same lock hold: a
+        request admitted before the crash may be copying out of an entry.
+        Returns the number of requests aborted.
         """
         with self._lock:
             live = list(self.batcher.queue) + [row.payload for row in self.batcher.batch.rows]
@@ -365,6 +367,8 @@ class InferenceEngine:
                 request.cancel()
             if live:
                 self.batcher.step()
+            if self.prefix_cache is not None:
+                self.prefix_cache.clear()
             return len(live)
 
     # -- introspection --------------------------------------------------------

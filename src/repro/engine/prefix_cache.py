@@ -8,14 +8,13 @@ computed while prefilling one prompt are bit-identical to what any later
 prompt with the same token prefix would recompute — so we keep them
 reachable and let later requests skip that part of prefill entirely.
 
-Storage is zero-copy: an entry holds per-layer
-:class:`~repro.nn.kv_arena.SlabRef` claims on the arena slabs the prefill
-already wrote, not array snapshots.  ``insert`` freezes the claimed
-columns; ``lookup`` hands back reader :class:`KVCache` aliases over them.
-Copy-on-write in the arena keeps sharers safe: the common case — a
-continuation appending right after the frozen columns — extends the slab
-in place for free, while a divergent continuation copies its own prefix
-out before writing.  Dropping an entry merely releases the claim.
+Each entry is the sole holder of its K/V: ``insert`` takes over the
+inserting request's own per-layer prefill caches — zero copies — and
+freezes them read-only.  ``lookup`` hands back those caches and the
+matched length; a request that reuses them copies the matched columns out
+(:meth:`~repro.nn.kv_arena.KVCache.copy_prefix`) into caches of its own
+before its prefill appends the rest of the prompt.  Dropping an entry
+releases its caches to the arena.
 
 Entries are stored per *truncated* prompt (positions are absolute, so the
 post-truncation token sequence is the correct cache key) and evicted LRU.
@@ -30,25 +29,25 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.nn.kv_arena import KVCache, SlabRef
+from repro.nn.kv_arena import KVCache
 
 
 class _Entry:
-    """One stored prefix: its token ids (as an array) and per-layer claims."""
+    """One stored prefix: its token ids (as an array) and per-layer caches."""
 
-    __slots__ = ("key_array", "refs")
+    __slots__ = ("key_array", "caches")
 
-    def __init__(self, key_array: np.ndarray, refs: list[SlabRef]):
+    def __init__(self, key_array: np.ndarray, caches: list[KVCache]):
         self.key_array = key_array
-        self.refs = refs
+        self.caches = caches
 
     def release(self) -> None:
-        for ref in self.refs:
-            ref.release()
+        for cache in self.caches:
+            cache.release()
 
 
 class PrefixCache:
-    """LRU map from token-id prefixes to per-layer arena slab claims."""
+    """LRU map from token-id prefixes to the per-layer K/V caches that hold them."""
 
     def __init__(self, capacity: int = 32):
         if capacity < 1:
@@ -77,9 +76,9 @@ class PrefixCache:
     def lookup(self, prompt_ids: list[int] | tuple[int, ...]) -> tuple[int, list[KVCache]] | None:
         """Best reusable prefix for ``prompt_ids``.
 
-        Returns ``(matched_length, seeded_caches)`` — fresh per-layer
-        reader :class:`KVCache` aliases over the matched arena columns,
-        zero bytes copied — or ``None`` when nothing matches.  The match
+        Returns ``(matched_length, caches)`` — the matching entry's own
+        read-only per-layer caches, to copy the first ``matched_length``
+        columns out of — or ``None`` when nothing matches.  The match
         is capped at ``len(prompt_ids) - 1`` so at least one token remains
         for live prefill.  Prompts too short to ever match are counted as
         ``skipped``, not ``misses``, so ``hit_rate`` reflects prompts the
@@ -106,19 +105,17 @@ class PrefixCache:
             self.misses += 1
             return None
         self._entries.move_to_end(best_key)
-        entry = self._entries[best_key]
-        caches = [ref.alias(best_len) for ref in entry.refs]
         self.hits += 1
         self.tokens_reused += best_len
-        return best_len, caches
+        return best_len, self._entries[best_key].caches
 
     def insert(self, prompt_ids: list[int] | tuple[int, ...], caches: list[KVCache]) -> bool:
-        """Claim a freshly prefilled prompt's K/V columns — zero copies.
+        """Take over a freshly prefilled prompt's caches — zero copies.
 
-        Takes :meth:`~repro.nn.kv_arena.KVCache.share` refs on the live
-        caches' slabs, freezing the prompt's columns in place.  Skipped
-        when an existing entry already covers this prompt (the prompt is a
-        prefix of a stored key).  Returns True if stored.
+        On True the entry holds ``caches`` and made them read-only: the caller
+        may still read them but no longer writes or releases them.  On
+        False (an existing entry already covers this prompt, or the caches
+        do not) they stay the caller's.
         """
         prompt = tuple(prompt_ids)
         if not prompt:
@@ -131,10 +128,9 @@ class PrefixCache:
         for cache in caches:
             if not isinstance(cache, KVCache) or cache.length < length:
                 return False  # cache does not cover the prompt; nothing to store
-        entry = _Entry(
-            np.asarray(prompt, dtype=np.int64), [cache.share(length) for cache in caches]
-        )
-        self._entries[prompt] = entry
+        for cache in caches:
+            cache.freeze()
+        self._entries[prompt] = _Entry(np.asarray(prompt, dtype=np.int64), list(caches))
         self._entries.move_to_end(prompt)
         while len(self._entries) > self.capacity:
             _, evicted = self._entries.popitem(last=False)
@@ -148,7 +144,7 @@ class PrefixCache:
         The batcher calls this when the request that inserted an entry
         terminates abnormally (cancelled, deadline-expired, shed): K/V
         written on behalf of a request that never completed is treated as
-        suspect and must not seed future prefills.  Releasing the claims
+        suspect and must not seed future prefills.  Releasing the caches
         is what lets the arena reclaim the slabs — the chaos suite's
         no-leak assertion depends on it.
         """
@@ -160,7 +156,7 @@ class PrefixCache:
         return True
 
     def clear(self) -> None:
-        """Drop every stored claim, keeping the lifetime counters.
+        """Drop every stored entry, keeping the lifetime counters.
 
         ``hits``/``misses``/``evictions``/``tokens_reused`` survive so any
         rate computed from :meth:`stats` stays monotonic across resets —

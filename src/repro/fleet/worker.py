@@ -249,9 +249,7 @@ class InProcessWorker(_Worker):
         self.crashes += 1
         # Before close_all: reaping a session's mid-decode row hands its
         # slabs back to the session, which must still be there to free them.
-        self.engine.abort_all()
-        if self.engine.prefix_cache is not None:
-            self.engine.prefix_cache.clear()
+        self.engine.abort_all()  # clears the prefix cache too
         try:
             self.service.sessions.close_all()
         except Exception:

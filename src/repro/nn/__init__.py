@@ -1,7 +1,7 @@
 """Numpy neural-network substrate: layers, transformer, optimizer, greedy decoding."""
 
 from repro.nn.attention import CausalSelfAttention, KVCache, causal_mask
-from repro.nn.kv_arena import KVArena, SlabRef, default_arena
+from repro.nn.kv_arena import KVArena, default_arena
 from repro.nn.layers import (
     Embedding,
     Layer,
@@ -24,7 +24,6 @@ __all__ = [
     "KVCache",
     "causal_mask",
     "KVArena",
-    "SlabRef",
     "default_arena",
     "Embedding",
     "Layer",

@@ -1,4 +1,4 @@
-"""Paged KV-cache arena: preallocated block storage with copy-on-write sharing.
+"""Paged KV-cache arena: preallocated block storage, one holder per slab.
 
 The decode hot path used to pay O(T) memory traffic per generated token per
 layer just to *store* one new K/V column: ``np.concatenate`` reallocates and
@@ -11,21 +11,21 @@ replaces that with an arena of reusable storage slabs:
   token *blocks* and pools released slabs for reuse, so steady-state
   serving recycles memory instead of churning the allocator.  One arena is
   shared by every layer and every request of an engine.
-* :class:`ArenaSlab` — refcounted K/V storage for one sequence batch:
-  ``k``/``v`` arrays of shape ``(B, H, capacity, D)`` plus an optional
-  float32 score scratch buffer reused by the decode softmax.
+* :class:`ArenaSlab` — K/V storage: ``k``/``v`` arrays of shape
+  ``(B, H, capacity, D)`` plus a float32 decode-softmax score buffer.
 * :class:`KVCache` — the per-layer cache handle the transformer decodes
   through.  ``append`` writes new columns **in place**; capacity grows
   geometrically (amortised O(1) copies per token); ``view`` is zero-copy.
 * :class:`SlotKVCache` — one layer's K/V for a decoding batch: one slot
   per row in a slab held for the batch's lifetime; rows of different
   lengths append at their own offsets, so a batch never pads or grows.
-* :class:`SlabRef` — a read-only claim on a slab prefix, the currency of
-  the prefix cache.  Sharing is **copy-on-write**: a continuation that
-  appends right at the frozen high-water mark of an otherwise writer-free
-  slab extends it in place (the dominant "playbook buffer grew by a few
-  tokens" pattern costs zero copies); a continuation that would overwrite
-  another claim's columns copies its own prefix out first.
+
+Every slab has exactly one holder — a :class:`KVCache` or a
+:class:`SlotKVCache` — and goes back to the arena when that holder
+releases it.  So the prefix cache takes over a request's own prefill
+handles and freezes them read-only (:meth:`KVCache.freeze`), and a later
+request that matches a stored prefix gets a copy of the matched columns
+(:meth:`KVCache.copy_prefix`).
 
 :class:`DenseKVCache` preserves the pre-arena concatenate-on-append
 behaviour for equivalence tests and benchmarks.
@@ -47,15 +47,13 @@ MAX_POOLED_SLABS = 64
 
 
 class ArenaSlab:
-    """Refcounted K/V storage for one sequence batch over ``capacity`` columns.
+    """K/V storage for one sequence batch over ``capacity`` columns.
 
-    ``refcount`` counts every live claim (cache handles and prefix-cache
-    refs); ``writers`` counts handles allowed to append in place (at most
-    one); ``frozen`` is the highest column claimed by any read-only
-    sharer — in-place writes below it are forbidden.
+    ``live`` is True from :meth:`KVArena.acquire` until the one holder
+    hands the slab back with :meth:`KVArena.release`.
     """
 
-    __slots__ = ("arena", "k", "v", "scores", "capacity", "refcount", "writers", "frozen")
+    __slots__ = ("arena", "k", "v", "scores", "capacity", "live")
 
     def __init__(self) -> None:
         self.arena: "KVArena | None" = None
@@ -63,61 +61,21 @@ class ArenaSlab:
         self.v: np.ndarray | None = None
         self.scores: np.ndarray | None = None
         self.capacity = 0
-        self.refcount = 0
-        self.writers = 0
-        self.frozen = 0
+        self.live = False
 
     @property
     def nbytes(self) -> int:
         return self.k.nbytes + self.v.nbytes
 
     def __del__(self) -> None:
-        # A slab garbage-collected with live claims (its caches were
-        # dropped without release()) must still surrender its byte
-        # accounting, or ``bytes_in_use`` drifts upward forever.
+        # A slab garbage-collected while live (its holder was dropped
+        # without release()) must still surrender its byte accounting, or
+        # ``bytes_in_use`` drifts upward forever.
         try:
-            if self.refcount > 0 and self.arena is not None:
+            if self.live and self.arena is not None:
                 self.arena._forget(self)
         except Exception:
             pass  # interpreter shutdown
-
-
-class SlabRef:
-    """A read-only claim on the first ``length`` columns of a slab.
-
-    What the prefix cache stores instead of K/V copies: holding a ref
-    keeps the slab (and its first ``length`` columns) alive and immutable;
-    :meth:`alias` mints :class:`KVCache` reader handles over the claim.
-    """
-
-    __slots__ = ("slab", "length", "_released")
-
-    def __init__(self, slab: ArenaSlab, length: int):
-        self.slab = slab
-        self.length = length
-        self._released = False
-
-    def alias(self, length: int | None = None) -> "KVCache":
-        """A fresh reader cache over the first ``length`` claimed columns."""
-        if self._released:
-            raise ShapeError("alias of a released SlabRef")
-        use = self.length if length is None else length
-        if use > self.length:
-            raise ShapeError(f"alias length {use} exceeds claimed {self.length}")
-        cache = KVCache.__new__(KVCache)
-        cache._arena = self.slab.arena
-        cache._slab = self.slab
-        cache._length = use
-        cache._writer = False
-        cache.last_append_moved_bytes = 0
-        self.slab.refcount += 1
-        return cache
-
-    def release(self) -> None:
-        """Drop the claim; idempotent."""
-        if not self._released:
-            self._released = True
-            self.slab.arena.release(self.slab)
 
 
 class KVArena:
@@ -134,11 +92,11 @@ class KVArena:
         self.slabs_allocated = 0
         self.slabs_reused = 0
         self.bytes_allocated = 0
-        self.bytes_copied = 0  # growth + copy-on-write + batch slot copies
+        self.bytes_copied = 0  # growth + prefix copies + batch slot copies
         self.appends = 0
         self.grow_copies = 0
-        self.cow_copies = 0
-        #: Slabs garbage-collected with live claims: each one is a holder
+        self.cow_copies = 0  # prefix copies made at a prefix-cache hit
+        #: Slabs garbage-collected while live: each one is a holder
         #: that never called ``release()`` (repro.obs.audit wants zero).
         self.slabs_dropped_live = 0
         # -- occupancy (approximate: slabs dropped by GC are reconciled lazily) --
@@ -175,21 +133,16 @@ class KVArena:
             slab.capacity = capacity
             self.slabs_allocated += 1
             self.bytes_allocated += slab.nbytes
-        slab.refcount = 1
-        slab.writers = 1
-        slab.frozen = 0
+        slab.live = True
         self.bytes_in_use += slab.nbytes
         if self.bytes_in_use > self.peak_bytes_in_use:
             self.peak_bytes_in_use = self.bytes_in_use
         return slab
 
     def release(self, slab: ArenaSlab) -> None:
-        """Drop one claim; pool the slab once the last claim is gone."""
-        slab.refcount -= 1
-        if slab.refcount > 0:
-            return
-        slab.writers = 0
-        slab.frozen = 0
+        """Take the slab back from its holder, writable again, and pool it."""
+        slab.live = False
+        slab.k.flags.writeable = slab.v.flags.writeable = True
         self.bytes_in_use -= slab.nbytes
         key = (slab.k.shape[0], slab.k.shape[1], slab.capacity, slab.k.shape[3])
         with self._lock:
@@ -200,7 +153,7 @@ class KVArena:
     def _forget(self, slab: ArenaSlab) -> None:
         """Reconcile byte accounting for a slab dropped without release."""
         self.bytes_in_use -= slab.nbytes
-        slab.refcount = 0
+        slab.live = False
         self.slabs_dropped_live += 1
 
     def stats(self) -> dict:
@@ -237,19 +190,17 @@ class KVCache:
 
     A handle over arena-owned storage: ``append`` writes new columns in
     place (never ``np.concatenate``), growing capacity geometrically in
-    whole blocks when exhausted, and honouring copy-on-write when the
-    underlying slab is shared with the prefix cache or a sibling request.
+    whole blocks when exhausted.  The handle is its slab's one holder.
     """
 
-    __slots__ = ("_arena", "_slab", "_length", "_writer", "last_append_moved_bytes")
+    __slots__ = ("_arena", "_slab", "_length", "last_append_moved_bytes")
 
     def __init__(self, arena: KVArena | None = None) -> None:
         self._arena = arena if arena is not None else default_arena()
         self._slab: ArenaSlab | None = None
         self._length = 0
-        self._writer = False
         #: Bytes physically moved (read+write) by the most recent append —
-        #: O(new columns) in place, O(length) when growth or COW copied.
+        #: O(new columns) in place, O(length) when growth copied.
         self.last_append_moved_bytes = 0
 
     # -- introspection -------------------------------------------------------
@@ -278,13 +229,9 @@ class KVCache:
     def append(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write ``keys``/``values`` columns in place; return full views.
 
-        In-place unless capacity is exhausted (geometric growth, amortised
-        O(1) copies per token) or the slab is shared in a way that makes
-        the write unsafe (copy-on-write: the cache copies its own prefix
-        to a fresh slab, leaving every sharer's view intact).  A reader
-        whose view already spans the slab's frozen columns promotes to the
-        writer when the seat is free — the extend-the-prompt serving
-        pattern appends with zero copies.
+        In place unless capacity is exhausted: then the columns move to a
+        slab twice the size (amortised O(1) copies per token).  A cache
+        made read-only by :meth:`freeze` raises ``ValueError``, unchanged.
         """
         if keys.ndim != 4 or keys.shape != values.shape:
             raise ShapeError(f"append shapes {keys.shape} vs {values.shape} must match (B, H, T, D)")
@@ -294,38 +241,24 @@ class KVCache:
         length = self._length
         needed = length + new
         moved = 0
-        if slab is not None and slab.k.shape[0] != batch:
-            raise ShapeError(f"append batch {batch} != cache batch {slab.k.shape[0]}")
         if slab is None:
             slab = self._slab = arena.acquire(batch, heads, head_dim, needed)
-            self._writer = True
         else:
-            in_place = needed <= slab.capacity
-            if in_place and not self._writer:
-                if slab.writers == 0 and length >= slab.frozen:
-                    slab.writers = 1
-                    self._writer = True
-                else:
-                    in_place = False
-            if not in_place:
-                if slab.refcount > 1 and not self._writer:
-                    target = max(needed, slab.capacity)
-                    arena.cow_copies += 1
-                else:
-                    target = max(needed, 2 * slab.capacity)
-                    arena.grow_copies += 1
-                grown = arena.acquire(batch, heads, head_dim, target)
+            if slab.k.shape[0] != batch:
+                raise ShapeError(f"append batch {batch} != cache batch {slab.k.shape[0]}")
+            if not slab.k.flags.writeable:
+                raise ValueError("append to a read-only KV cache")
+            if needed > slab.capacity:
+                arena.grow_copies += 1
+                grown = arena.acquire(batch, heads, head_dim, max(needed, 2 * slab.capacity))
                 if length:
                     grown.k[:, :, :length] = slab.k[:, :, :length]
                     grown.v[:, :, :length] = slab.v[:, :, :length]
                     copied = 2 * length * batch * heads * head_dim * grown.k.itemsize
                     arena.bytes_copied += copied
                     moved += 2 * copied
-                if self._writer:
-                    slab.writers -= 1
                 arena.release(slab)
                 slab = self._slab = grown
-                self._writer = True
         slab.k[:, :, length:needed] = keys
         slab.v[:, :, length:needed] = values
         self._length = needed
@@ -349,62 +282,48 @@ class KVCache:
             scores = slab.scores = np.empty((batch, heads, 1, slab.capacity), dtype=np.float32)
         return scores[:, :, :, : self._length]
 
-    # -- sharing (prefix cache) ----------------------------------------------
+    # -- the prefix cache ----------------------------------------------------
 
-    def share(self, length: int) -> SlabRef:
-        """A read-only claim on the first ``length`` columns — zero copies.
+    def freeze(self) -> None:
+        """Make the stored columns read-only until :meth:`release` (the prefix cache's hold)."""
+        self._slab.k.flags.writeable = self._slab.v.flags.writeable = False
 
-        Freezes those columns: any sharer (including this cache) may keep
-        appending *beyond* them in place, but a write below the frozen
-        mark forces copy-on-write.
+    def copy_prefix(self, length: int, tokens: int) -> "KVCache":
+        """A new cache holding a copy of the first ``length`` columns.
+
+        Its slab is sized for ``tokens`` columns, so a prefill of the rest
+        of a ``tokens``-long prompt appends in place.  Counted in the
+        arena's ``cow_copies``.
         """
         slab = self._slab
         if slab is None or length > self._length:
-            raise ShapeError(f"cannot share {length} columns of a length-{self._length} cache")
-        slab.refcount += 1
-        if length > slab.frozen:
-            slab.frozen = length
-        return SlabRef(slab, length)
+            raise ShapeError(f"cannot copy {length} columns of a length-{self._length} cache")
+        batch, heads, _, head_dim = slab.k.shape
+        arena = self._arena
+        copy = KVCache(arena)
+        arena.cow_copies += 1
+        target = copy._slab = arena.acquire(batch, heads, head_dim, max(length, tokens))
+        target.k[:, :, :length] = slab.k[:, :, :length]
+        target.v[:, :, :length] = slab.v[:, :, :length]
+        copy._length = length
+        arena.bytes_copied += 2 * length * batch * heads * head_dim * target.k.itemsize
+        return copy
 
-    # -- speculative rollback (engine) ---------------------------------------
+    # -- rollback (sessions) -------------------------------------------------
 
     def truncate(self, length: int) -> None:
-        """Roll the live window back to ``length`` columns — zero copies.
-
-        The speculative-decode rollback: verified-and-rejected columns are
-        simply forgotten (the next append overwrites them).  COW safety:
-        truncating *below* the slab's frozen mark while sharers hold claims
-        on those columns relinquishes the writer seat, so a later append —
-        which would otherwise write over frozen, shared columns — takes the
-        copy-on-write path instead of corrupting the sharers' view.  With
-        an exclusive claim the frozen mark is stale (every sharer already
-        released) and is clamped so in-place appends resume.
-        """
+        """Forget the columns past ``length`` — zero copies; the next append overwrites them."""
         if length < 0 or length > self._length:
             raise ShapeError(f"cannot truncate length-{self._length} cache to {length}")
-        if length == self._length:
-            return
         self._length = length
-        slab = self._slab
-        if slab is None:
-            return
-        if slab.refcount == 1:
-            if slab.frozen > length:
-                slab.frozen = length
-        elif self._writer and slab.frozen > length:
-            slab.writers -= 1
-            self._writer = False
 
     def release(self) -> None:
-        """Return the storage claim to the arena; the cache becomes empty."""
+        """Return the slab to the arena; the cache becomes empty."""
         slab = self._slab
         if slab is None:
             return
-        if self._writer:
-            slab.writers -= 1
         self._slab = None
         self._length = 0
-        self._writer = False
         self._arena.release(slab)
 
 

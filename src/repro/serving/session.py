@@ -11,8 +11,8 @@ the K/V of every token fed so far, and an *extend* call
    budget-aware :func:`~repro.nn.sampling.plan_prompt` as every other
    engine path,
 2. finds the longest common token prefix with the session's cached
-   context and rolls the caches back to it (``KVCache.truncate`` —
-   zero-copy COW-safe rollback),
+   context and rolls the caches back to it (``KVCache.truncate`` — a
+   zero-copy rollback: the session is its handles' one holder),
 3. hands the planned prompt and the caches to
    :meth:`~repro.engine.engine.InferenceEngine.generate_atop`: an
    ordinary engine request whose prefill covers only the *suffix* — the

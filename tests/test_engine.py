@@ -126,7 +126,7 @@ class TestPrefixCache:
         assert match is not None
         matched, caches = match
         assert matched == 3  # one token always left for live prefill
-        assert caches[0].length == 3
+        assert caches == fake  # the entry's own caches; the caller copies the match out
 
     def test_insert_skips_covered_prompts(self):
         cache = PrefixCache()
@@ -179,14 +179,15 @@ class TestPrefixCache:
     def test_snapshot_is_isolated_from_caller(self):
         cache = PrefixCache()
         kv = _fake_kv(3)
+        original = kv.view()[0].copy()
         cache.insert([7, 8, 9], [kv])
-        kv.truncate(1)  # the caller rewrites columns the cache claimed
         stomp = np.full((1, 2, 2, 2), -1.0, dtype=np.float32)
-        kv.append(stomp, stomp)
+        with pytest.raises(ValueError):
+            kv.append(stomp, stomp)  # the caller handed the cache over
         match = cache.lookup([7, 8, 9, 1])
         assert match is not None
         _, caches = match
-        assert not np.any(caches[0].view()[0] == -1.0)
+        np.testing.assert_array_equal(caches[0].view()[0], original)
 
 
 def _fake_kv(length: int):

@@ -38,7 +38,7 @@ from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.serving.client import PredictionClient, RetryPolicy
 from repro.serving.service import PredictionService, RestServer
-from tests.conftest import GenerationGate, drain
+from tests.conftest import GenerationGate, drain, greedy_or_tie
 
 pytestmark = pytest.mark.faults
 
@@ -392,6 +392,60 @@ class TestPrefixCacheInvalidation:
         batcher.submit(again)
         drain(batcher)
         assert again.prefix_reused > 0
+
+    def test_fault_during_prefix_copy_sheds_only_that_request(self, chaos_model):
+        """A hit copies its match out per layer; a fault on the second copy
+        sheds the request, frees the first copy and leaves the entry intact."""
+        arena = KVArena()
+        prefix_cache = PrefixCache(8)
+        prompt = [1, 2, 3, 4, 1, 2]
+        batcher = ContinuousBatcher(
+            chaos_model, max_batch_size=2, prefix_cache=prefix_cache, arena=arena
+        )
+        batcher.submit(_request(chaos_model, 0, prompt, max_new_tokens=4))
+        drain(batcher)
+        held = arena.stats()["bytes_in_use"]  # the one entry's caches
+        _, stored = prefix_cache.lookup(prompt + [3])
+        inserted = [[array.copy() for array in cache.view()] for cache in stored]
+        # Acquire 1 copies layer 0's match, acquire 2 copies layer 1's.
+        with FaultInjector(seed=0).on("kv_arena.acquire", at_calls=[2]) as injector:
+            doomed = _request(chaos_model, 1, prompt, max_new_tokens=4)
+            batcher.submit(doomed)
+            drain(batcher)
+        assert [event["call"] for event in injector.events()] == [2]
+        assert doomed.outcome == "shed"
+        assert doomed.prefix_reused == len(prompt) - 1  # booked before the copy
+        assert batcher.stats()["shed_requests"] == 1
+        assert arena.stats()["bytes_in_use"] == held
+        assert arena.stats()["slabs_dropped_live"] == 0  # the first copy was released
+        for cache, (keys, values) in zip(stored, inserted):
+            np.testing.assert_array_equal(cache.view()[0], keys)
+            np.testing.assert_array_equal(cache.view()[1], values)
+        retry = _request(chaos_model, 2, prompt, max_new_tokens=4)
+        batcher.submit(retry)
+        drain(batcher)
+        assert retry.outcome == "completed"
+        assert retry.prefix_reused == len(prompt) - 1
+        assert greedy_or_tie(chaos_model, prompt, retry.result.token_ids, 4)
+        assert arena.stats()["bytes_in_use"] == held
+        assert batcher.stats()["shed_requests"] == 1
+
+    def test_abort_all_clears_the_prefix_cache_under_the_engine_lock(self, chaos_model):
+        engine = InferenceEngine(chaos_model, prefix_cache_capacity=8, max_batch_size=2)
+        engine.generate_batch([[1, 2, 3, 4, 1, 2], [2, 3, 4, 1]], max_new_tokens=4)
+        assert len(engine.prefix_cache) == 2
+        clear = engine.prefix_cache.clear
+        held_during_clear = []
+
+        def clear_and_look():
+            held_during_clear.append(engine._lock.locked())
+            clear()
+
+        engine.prefix_cache.clear = clear_and_look
+        engine.abort_all()
+        assert held_during_clear == [True]
+        assert len(engine.prefix_cache) == 0
+        assert engine.kv_arena.stats()["bytes_in_use"] == 0
 
 
 # -- serving under faults -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Paged KV-arena: equivalence with the dense path, COW safety, zero-copy sharing."""
+"""Paged KV-arena: equivalence with the dense path, zero-copy prefix insert, rollback."""
 
 from __future__ import annotations
 
@@ -79,57 +79,6 @@ def _keys(cache: KVCache) -> np.ndarray:
     return cache.view()[0]
 
 
-class TestCopyOnWrite:
-    @staticmethod
-    def _filled_cache(arena: KVArena, length: int, seed: int = 0) -> KVCache:
-        rng = np.random.default_rng(seed)
-        cache = KVCache(arena)
-        keys = rng.standard_normal((1, 2, length, 4)).astype(np.float32)
-        values = rng.standard_normal((1, 2, length, 4)).astype(np.float32)
-        cache.append(keys, values)
-        return cache
-
-    def test_sibling_views_survive_continuation_writes(self):
-        arena = KVArena(block_size=4)
-        cache = self._filled_cache(arena, 6)
-        frozen_keys = _keys(cache).copy()
-        ref = cache.share(6)
-        cache.release()
-
-        first = ref.alias(6)
-        second = ref.alias(6)
-        extra = np.full((1, 2, 1, 4), 5.0, dtype=np.float32)
-        first.append(extra, extra)  # promotes to in-place writer (seat was free)
-        sibling_extra = np.full((1, 2, 1, 4), -3.0, dtype=np.float32)
-        second.append(sibling_extra, sibling_extra)  # must copy-on-write
-
-        assert arena.cow_copies == 1
-        np.testing.assert_array_equal(_keys(first)[:, :, :6], frozen_keys)
-        np.testing.assert_array_equal(_keys(second)[:, :, :6], frozen_keys)
-        np.testing.assert_array_equal(_keys(first)[:, :, 6], extra[:, :, 0])
-        np.testing.assert_array_equal(_keys(second)[:, :, 6], sibling_extra[:, :, 0])
-        # The stored claim still reads the original columns.
-        np.testing.assert_array_equal(_keys(ref.alias()), frozen_keys)
-
-    def test_writes_below_frozen_mark_are_never_in_place(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled_cache(arena, 4)
-        ref = cache.share(4)
-        cache.release()
-        short = ref.alias(2)  # claims fewer columns than are frozen
-        original = _keys(ref.alias()).copy()
-        stomp = np.full((1, 2, 1, 4), 99.0, dtype=np.float32)
-        short.append(stomp, stomp)  # would overwrite frozen column 2 in place
-        assert arena.cow_copies == 1
-        np.testing.assert_array_equal(_keys(ref.alias()), original)
-
-    def test_share_beyond_length_rejected(self):
-        arena = KVArena(block_size=4)
-        cache = self._filled_cache(arena, 3)
-        with pytest.raises(ShapeError):
-            cache.share(5)
-
-
 class TestZeroCopySharing:
     def test_insert_and_lookup_copy_nothing(self, network):
         arena = KVArena(block_size=8)
@@ -146,24 +95,6 @@ class TestZeroCopySharing:
         assert arena.slabs_allocated == allocated
         assert arena.bytes_copied == copied
         assert seeded[0].length == len(prompt)
-
-    def test_keystroke_extension_appends_in_place(self, network):
-        """The dominant serving pattern — prompt grows by one token — is free."""
-        arena = KVArena(block_size=8)
-        prompt = [1, 2, 3, 4, 5]
-        caches, _, _ = prefill_single(network, prompt, arena=arena)
-        cache = PrefixCache(4)
-        assert cache.insert(prompt, caches)
-        for layer_cache in caches:
-            layer_cache.release()  # the request retired; writer seats free up
-        allocated = arena.slabs_allocated
-        copied = arena.bytes_copied
-        matched, seeded = cache.lookup(prompt + [6])
-        _, _, prefilled = prefill_single(network, prompt + [6], seeded_caches=seeded, arena=arena)
-        assert prefilled == 1
-        assert arena.cow_copies == 0
-        assert arena.slabs_allocated == allocated  # extended the shared slab in place
-        assert arena.bytes_copied == copied
 
     def test_geometric_growth_amortizes_copies(self):
         arena = KVArena(block_size=4)
@@ -270,7 +201,7 @@ class TestEngineIntegration:
 
 
 class TestSpeculativeRollback:
-    """truncate(): the rollback of shared and caller-owned handles."""
+    """truncate(): the zero-copy rollback of a session's handles."""
 
     @staticmethod
     def _filled(arena: KVArena, batch: int, length: int, seed: int = 0) -> KVCache:
@@ -300,49 +231,6 @@ class TestSpeculativeRollback:
             cache.truncate(-1)
         cache.truncate(3)  # no-op at current length
         assert cache.length == 3
-
-    def test_truncate_past_shared_prefix_forces_cow(self):
-        """Rolling back below the frozen mark must not corrupt the sharer."""
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 6)
-        ref = cache.share(6)  # prefix cache holds columns 0..6
-        sharer = ref.alias()
-        frozen = _keys(sharer).copy()
-        cache.truncate(3)  # rollback below the frozen boundary
-        stomp = np.full((1, 2, 1, 4), 99.0, dtype=np.float32)
-        cache.append(stomp, stomp)  # would overwrite frozen column 3 in place
-        assert arena.cow_copies == 1
-        np.testing.assert_array_equal(_keys(sharer), frozen)  # sharer intact
-        np.testing.assert_array_equal(_keys(cache)[:, :, :3], frozen[:, :, :3])
-        np.testing.assert_array_equal(_keys(cache)[:, :, 3], stomp[:, :, 0])
-        cache.release()
-        sharer.release()
-        ref.release()
-        assert arena.stats()["bytes_in_use"] == 0
-
-    def test_truncate_exclusive_claim_clamps_stale_frozen_mark(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 6)
-        ref = cache.share(6)
-        ref.release()  # sharer gone; the frozen mark is now stale
-        cache.truncate(2)
-        grows = arena.grow_copies
-        extra = np.full((1, 2, 1, 4), 1.0, dtype=np.float32)
-        cache.append(extra, extra)  # exclusive again: in place, no copies
-        assert arena.cow_copies == 0 and arena.grow_copies == grows
-        assert cache.length == 3
-
-    def test_truncate_above_frozen_keeps_writer_seat(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 6)
-        ref = cache.share(3)
-        cache.truncate(4)  # still above the frozen mark
-        extra = np.full((1, 2, 1, 4), 2.0, dtype=np.float32)
-        cache.append(extra, extra)
-        assert arena.cow_copies == 0  # write landed above frozen columns, in place
-        ref.release()
-        cache.release()
-        assert arena.stats()["bytes_in_use"] == 0
 
     def test_dense_reference_truncate(self):
         dense = DenseKVCache()

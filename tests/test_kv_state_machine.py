@@ -3,20 +3,25 @@ state machine over one arena.
 
 Every live handle and every occupied slot row carries a dense model — the
 concatenate-on-append reference — and every rule applies the same operation
-to both.  Handles: append, truncate, share a prefix and alias it back as a
-reader, release.  Slots (a decoding batch's layer cache): open one, copy a
-batch-1 handle into the next slot, write every row at its own offset, roll
-one row back, copy a row out into a handle, free a slot by moving the last
-row into it, close.  Copy-on-write, in-place growth and the writer seat are
-then exercised in orders no hand-written test picks, and the invariants are
-the arena's whole contract: every handle's ``view()`` and every slot row
-equals its model, every shared claim still reads what was shared, and once
-everything is released no byte is in use and no slab was dropped live.
+to both.  Handles: append, truncate, release.  Prefix entries, the way the
+prefix cache keeps them: insert (the entry takes a handle over and freezes
+it), try to write one, copy a prefix of one out into a new handle, release.
+Slots (a decoding batch's layer cache): open one, copy a batch-1 handle or
+entry into the next slot, write every row at its own offset, roll one row
+back, copy a row out into a handle, free a slot by moving the last row into
+it, close.  In-place growth and slab reuse are then exercised in orders no
+hand-written test picks, and the invariants are the arena's whole
+contract: every handle's ``view()`` and every slot row equals its model,
+every entry still reads what was inserted, a slab is read-only exactly
+while an entry holds it (so one taken back from an entry is writable when
+acquired again), and once everything is released no byte is in use and no
+slab was dropped live.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -39,7 +44,7 @@ class ArenaMachine(RuleBasedStateMachine):
         super().__init__()
         self.arena = KVArena(block_size=2)
         self.handles: list[tuple[KVCache, DenseKVCache]] = []
-        self.claims: list[tuple[object, np.ndarray, np.ndarray]] = []  # SlabRef, keys, values
+        self.entries: list[tuple[KVCache, np.ndarray, np.ndarray]] = []  # frozen, keys, values
         self.slots: SlotKVCache | None = None
         self.rows: list[DenseKVCache] = []  # the model of each occupied slot, in slot order
         self.stamp = 0
@@ -80,28 +85,36 @@ class ArenaMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: any(cache.length for cache, _ in self.handles))
     @rule(data=st.data())
-    def share(self, data):
-        cache, model = self.handles[self._pick(data, filled=True)]
-        length = data.draw(st.integers(1, cache.length))
+    def insert(self, data):
+        cache, model = self.handles.pop(self._pick(data, filled=True))
+        cache.freeze()
         keys, values = model.view()
-        self.claims.append(
-            (cache.share(length), keys[:, :, :length].copy(), values[:, :, :length].copy())
-        )
+        self.entries.append((cache, keys.copy(), values.copy()))
 
-    @precondition(lambda self: self.claims)
-    @rule(data=st.data())
-    def alias(self, data):
-        claim, keys, values = data.draw(st.sampled_from(self.claims))
-        length = data.draw(st.integers(1, claim.length))
-        self.handles.append(
-            (claim.alias(length), _dense(keys[:, :, :length], values[:, :, :length]))
-        )
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data(), count=st.integers(1, 5))
+    def write_entry(self, data, count):
+        entry, keys, _ = data.draw(st.sampled_from(self.entries))
+        new_keys, new_values = self._columns(keys.shape[0], count)
+        with pytest.raises(ValueError):
+            entry.append(new_keys, new_values)
+        assert entry.length == keys.shape[2]
 
-    def _admissible(self) -> list[int]:
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data(), spare=st.integers(0, 6))
+    def copy_prefix(self, data, spare):
+        entry, keys, values = data.draw(st.sampled_from(self.entries))
+        length = data.draw(st.integers(1, entry.length))
+        copy = entry.copy_prefix(length, length + spare)
+        self.handles.append((copy, _dense(keys[:, :, :length], values[:, :, :length])))
+
+    def _admissible(self) -> list[tuple[KVCache, np.ndarray, np.ndarray]]:
+        """Batch-1 handles and entries that fit a slot, with their columns."""
+        held = [(cache, *model.view()) for cache, model in self.handles if cache.length]
         return [
-            index
-            for index, (cache, model) in enumerate(self.handles)
-            if model.view()[0].shape[0] == 1 and 0 < cache.length <= COLUMNS
+            (cache, keys, values)
+            for cache, keys, values in held + self.entries
+            if keys.shape[0] == 1 and cache.length <= COLUMNS
         ]
 
     @precondition(lambda self: self.slots is None)
@@ -114,9 +127,9 @@ class ArenaMachine(RuleBasedStateMachine):
     )
     @rule(data=st.data())
     def copy_in(self, data):
-        cache, model = self.handles[data.draw(st.sampled_from(self._admissible()))]
+        cache, keys, values = data.draw(st.sampled_from(self._admissible()))
         self.slots.copy_in(cache)
-        self.rows.append(_dense(*model.view()))
+        self.rows.append(_dense(keys, values))
 
     @precondition(lambda self: self.rows and self.slots.length < COLUMNS)
     @rule(data=st.data())
@@ -168,11 +181,11 @@ class ArenaMachine(RuleBasedStateMachine):
         cache, _ = self.handles.pop(self._pick(data))
         cache.release()
 
-    @precondition(lambda self: self.claims)
+    @precondition(lambda self: self.entries)
     @rule(data=st.data())
-    def release_claim(self, data):
-        claim, _, _ = self.claims.pop(data.draw(st.integers(0, len(self.claims) - 1)))
-        claim.release()
+    def release_entry(self, data):
+        entry, _, _ = self.entries.pop(data.draw(st.integers(0, len(self.entries) - 1)))
+        entry.release()
 
     @invariant()
     def every_view_equals_its_model(self):
@@ -201,18 +214,29 @@ class ArenaMachine(RuleBasedStateMachine):
             np.testing.assert_array_equal(self.slots._slab.v[row, :, : model.length], values[0])
 
     @invariant()
-    def every_claim_still_reads_what_was_shared(self):
-        for claim, keys, values in self.claims:
-            np.testing.assert_array_equal(claim.slab.k[:, :, : claim.length], keys)
-            np.testing.assert_array_equal(claim.slab.v[:, :, : claim.length], values)
+    def every_entry_still_reads_what_was_inserted(self):
+        for entry, keys, values in self.entries:
+            got_keys, got_values = entry.view()
+            np.testing.assert_array_equal(got_keys, keys)
+            np.testing.assert_array_equal(got_values, values)
+
+    @invariant()
+    def a_slab_is_read_only_exactly_while_an_entry_holds_it(self):
+        held = [cache._slab for cache, _ in self.handles if cache._slab is not None]
+        if self.slots is not None:
+            held.append(self.slots._slab)
+        for slab in held:
+            assert slab.k.flags.writeable and slab.v.flags.writeable
+        for entry, _, _ in self.entries:
+            assert not entry._slab.k.flags.writeable and not entry._slab.v.flags.writeable
 
     def teardown(self):
         if self.slots is not None:
             self.slots.release()
         for cache, _ in self.handles:
             cache.release()
-        for claim, _, _ in self.claims:
-            claim.release()
+        for entry, _, _ in self.entries:
+            entry.release()
         stats = self.arena.stats()
         assert stats["bytes_in_use"] == 0
         assert stats["slabs_dropped_live"] == 0
