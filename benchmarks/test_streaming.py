@@ -58,9 +58,9 @@ def _build_parts() -> tuple[DecoderLM, BpeTokenizer]:
     return DecoderLM(config, numpy_rng(0)), tokenizer
 
 
-def _engine(network, tokenizer, *, budget=MAX_NEW_TOKENS) -> InferenceEngine:
+def _engine(network, tokenizer, *, budget=MAX_NEW_TOKENS, **options) -> InferenceEngine:
     return InferenceEngine(
-        network, tokenizer, max_batch_size=4, default_max_new_tokens=budget
+        network, tokenizer, max_batch_size=4, default_max_new_tokens=budget, **options
     )
 
 
@@ -142,7 +142,9 @@ def _session_cell(network, tokenizer) -> dict:
         warm_prefilled.append(payload["prefilled"])
     warm.close_all()
 
-    cold_engine = _engine(network, tokenizer, budget=SESSION_BUDGET)
+    # Cold means cold: with no unpinned path kept, a closed session's path
+    # leaves the prefix store, so no create reuses the one before it.
+    cold_engine = _engine(network, tokenizer, budget=SESSION_BUDGET, prefix_cache_capacity=0)
     cold = SessionManager(cold_engine)
     cold_ttfts = []
     cold_prefilled = []

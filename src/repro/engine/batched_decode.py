@@ -97,8 +97,7 @@ class DecodingBatch:
     def admit(self, row_caches: list[KVCache], pending: int, payload: object) -> BatchRow:
         """Copy one prefilled batch-1 row into the next free slot.
 
-        ``row_caches`` stay the caller's and unchanged: release them, hand
-        them to the prefix cache, or keep them as a warm request's handles.
+        ``row_caches`` stay the caller's and unchanged: it releases them.
         The first admission acquires the slot slabs, shielded: allocation
         faults belong at prefill, where exactly one request is chargeable.
         """

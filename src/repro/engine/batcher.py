@@ -16,26 +16,26 @@ slot, so the batch holds ``max_batch_size * n_positions`` columns per
 layer.
 
 Prefill runs per request at batch size 1 (bit-identical to sequential
-decoding, and the point where the prefix cache plugs in); decode runs
-batched.  This mirrors the prefill/decode split of modern serving engines
-at laptop scale.
+decoding), atop whatever the prefix store already holds of the prompt;
+decode runs batched.  This mirrors the prefill/decode split of modern
+serving engines at laptop scale.
 
-A request may carry its caller's own warm ``caches`` (a keystroke
-session): prefill runs atop those handles instead of the prefix cache,
-admission copies the row into its slot like any other, and when the row
-leaves the batch the columns it decoded are appended to the handles.
-Warm and cold rows share the batch.
+Every request takes the same path through the prefix store: admission
+gathers the longest stored path into fresh caches as wide as the position
+window and prefills the rest; a request that completes normally leaves its
+fed context (prompt plus every generated token with K/V) in the store as
+it leaves — from its batch row, or from its prefill caches when its first
+token ended it.  A keystroke session's request pins that path.
 
 Robustness: every step first *reaps* — cancelled or deadline-expired
 requests are retired from the queue and the active batch before any new
 work runs, so a cancelled mid-decode row frees its KV slabs within one
 step.  Prefill-time failures (KV slab allocation, injected faults) *shed*
 the one request being admitted instead of propagating; decode-step faults
-are transient (the step is skipped and retried).  Abnormal terminations
-invalidate any prefix-cache entry the request inserted, so partial work
-never seeds future prefills.  All timing reads the swappable
-:mod:`repro.faults.clock`, which is what makes deadline behaviour exact
-under a fake clock.
+are transient (the step is skipped and retried).  Nothing that finished
+abnormally is inserted, so partial work never seeds future prefills.  All
+timing reads the swappable :mod:`repro.faults.clock`, which is what makes
+deadline behaviour exact under a fake clock.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.engine.speculative import DraftModel
 from repro.errors import EngineError, InjectedFault
 from repro.faults import clock
 from repro.faults.inject import fire, shield
-from repro.nn.kv_arena import KVArena, KVCache
+from repro.nn.kv_arena import KVArena
 from repro.nn.sampling import advance
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability
@@ -81,7 +81,7 @@ class ContinuousBatcher:
         self.speculative_k = speculative_k
         self.draft_model = draft_model
         self.max_batch_size = max_batch_size
-        self.prefix_cache = prefix_cache
+        self.prefix_cache = PrefixCache(0) if prefix_cache is None else prefix_cache
         self.batch = DecodingBatch(model, max_batch_size, arena)
         self.queue: deque[GenerationRequest] = deque()
         # -- accounting --
@@ -162,17 +162,9 @@ class ContinuousBatcher:
                 self._c_abnormal[request.stop_reason].inc()
 
     def _finish_abnormal(self, request: GenerationRequest, reason: str) -> None:
-        """Terminate a live request with an abnormal outcome.
-
-        Besides the state transition, this invalidates any prefix-cache
-        entry the request inserted: K/V written on behalf of a request
-        that never completed must not seed future prefills.
-        """
+        """Terminate a live request with an abnormal outcome."""
         request.finish(reason)
         self.book(request)
-        if self.prefix_cache is not None and request.prefix_key is not None:
-            self.prefix_cache.remove(request.prefix_key)
-            request.prefix_key = None
 
     def _reap_queue(self, now: float) -> None:
         """Finish queued requests that were cancelled or expired while waiting."""
@@ -200,62 +192,56 @@ class ContinuousBatcher:
         if finished:
             self._retire(finished)
 
-    def _retire(self, positions: list[int]) -> None:
-        """Drop rows from the batch; a warm row first appends the columns it
-        decoded to its owner's handles (the one-row copy-out).  Shielded: a
-        handle may grow, and allocation faults belong at prefill."""
+    def _insert(self, request: GenerationRequest, layers: list, row: int, columns: int) -> None:
+        """Leave a completed request's fed context — its first ``columns``
+        tokens, held in row ``row`` of the per-layer ``layers`` — in the
+        prefix store.  Shielded: the copies allocate, and allocation faults
+        belong at admission."""
+        fed = (request.prompt_ids + request.generated)[:columns]
         with shield():
-            for position in positions:
-                handles = self.batch.rows[position].payload.caches
-                if handles is not None:
-                    for own, slots in zip(handles, self.batch.caches):
-                        slots.copy_out(position, own)
+            path = self.prefix_cache.insert(fed, layers, row, pin=request.pin)
+        if request.pin:
+            request.path = path
+
+    def _retire(self, positions: list[int]) -> None:
+        """Drop rows from the batch; a completed row first leaves its fed context in the store."""
+        slots = self.batch.caches
+        for position in positions:
+            request = self.batch.rows[position].payload
+            if request.outcome == "completed":
+                self._insert(request, slots, position, slots[0].lengths[position])
         self.batch.retire(positions)
 
     def _admit_one(self) -> None:
         request = self.queue.popleft()
         request.begin_prefill()
         self._c_admitted.inc()
-        seeded = warm = request.caches
-        # A caller's warm K/V is private (it includes generated tokens):
-        # never looked up in, nor inserted into, the shared prefix cache.
-        prefix_cache = self.prefix_cache if warm is None else None
-        match = None
-        if warm is not None:
-            request.prefix_reused = warm[0].length
-        elif prefix_cache is not None:
-            match = prefix_cache.lookup(request.prompt_ids)
-            if match is not None:
-                request.prefix_reused = match[0]
-                self._c_prefix_reused.inc(request.prefix_reused)
+        match = self.prefix_cache.lookup(request.prompt_ids)
+        seeded = None
+        if match is not None:
+            request.prefix_reused = match[0]
+            self._c_prefix_reused.inc(request.prefix_reused)
         forward_started = clock.now()
-        copies: list[KVCache] = []
         try:
             if match is not None:
-                # The entry keeps its caches: the request prefills atop its
-                # own copy of the matched columns, sized for the prompt.
-                matched, stored = match
-                for cache in stored:
-                    copies.append(cache.copy_prefix(matched, len(request.prompt_ids)))
-                seeded = copies
+                # The store keeps its segments: the request prefills atop
+                # its own copy of the matched columns.  Sized for the
+                # window, not the prompt, so every hit's copy lands in the
+                # same pooled slab per layer instead of allocating one per
+                # prompt length.
+                seeded = self.prefix_cache.gather(match, self.model.config.n_positions)
             caches, first_token, prefilled = prefill_single(
                 self.model, request.prompt_ids, seeded, arena=self.arena
             )
         except (InjectedFault, MemoryError):
             # Admission failed (slab allocation or injected prefill fault).
-            # prefill_single already returned its caches to the arena; so
-            # do the prefix copies made before a fault.  The one chargeable
-            # request is shed, the batch and the rest of the queue are
-            # untouched.
-            for cache in copies:
-                cache.release()
+            # The gather and prefill_single already returned their caches to
+            # the arena.  The one chargeable request is shed, the batch and
+            # the rest of the queue are untouched.
             self._finish_abnormal(request, "shed")
             return
         self._h_prefill_forward.observe(clock.now() - forward_started)
         self._c_prefill_tokens.inc(prefilled)
-        inserted = prefix_cache is not None and prefix_cache.insert(request.prompt_ids, caches)
-        if inserted:
-            request.prefix_key = tuple(request.prompt_ids)
         request.begin_decode()  # the first token exists: TTFT is defined from here
         reason = advance(
             request.generated,
@@ -270,6 +256,7 @@ class ContinuousBatcher:
             # Finished on its very first token — never occupies a batch row.
             request.finish(reason)
             self.book(request)
+            self._insert(request, caches, 0, request.prompt_length)
         else:
             row = self.batch.admit(caches, pending=first_token, payload=request)
             if self.speculative_k:
@@ -278,9 +265,8 @@ class ContinuousBatcher:
                 row.context = list(request.prompt_ids) + list(request.generated)
             with self.stats_lock:
                 self.peak_batch_size = max(self.peak_batch_size, self.active_size)
-        if warm is None and not inserted:
-            for cache in caches:
-                cache.release()
+        for cache in caches:
+            cache.release()
 
     # -- speculation ---------------------------------------------------------
 

@@ -1,20 +1,20 @@
 """The engine facade: submit prompts, get completions, read stats.
 
-:class:`InferenceEngine` wires the request lifecycle, the prefix cache and
+:class:`InferenceEngine` wires the request lifecycle, the prefix store and
 the continuous batcher together behind these entry points:
 
 * :meth:`generate_batch` — token-id level, returns
   :class:`~repro.nn.sampling.GenerationResult` per prompt;
 * :meth:`stream_ids` — one prompt, token bursts as they land;
-* :meth:`generate_atop` — one prompt atop the caller's own warm KV
-  handles (keystroke sessions), returns the finished request;
+* :meth:`generate_pinned` — one prompt whose fed context stays pinned in
+  the prefix store (keystroke sessions), returns the finished request;
 * :meth:`complete_batch_detailed` — text level (requires a tokenizer),
   what :class:`repro.serving.service.PredictionService` decodes through.
 
 All are consumers of one request lifecycle, :meth:`_run`.  The engine is
 synchronous: a call drains its own requests before returning.  A coarse
 lock serialises concurrent callers — e.g. threads of the REST server — so
-the shared KV batch and prefix cache stay consistent (the batch is empty
+the shared KV batch and prefix store stay consistent (the batch is empty
 whenever the lock is free); the batching *within* a call is what buys the
 throughput.
 """
@@ -27,7 +27,7 @@ from repro.engine.batcher import ContinuousBatcher
 from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import GenerationRequest
 from repro.errors import EngineError
-from repro.nn.kv_arena import KVArena, KVCache
+from repro.nn.kv_arena import KVArena
 from repro.nn.sampling import GenerationResult, plan_prompt
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability, OpProfiler, Tracer
@@ -57,9 +57,9 @@ class InferenceEngine:
         self.default_stop_ids = frozenset(stop_ids)
         self.obs = obs if obs is not None else Observability()
         # One paged arena owns every KV byte this engine touches — decode
-        # batches, prefills and prefix-cache entries all draw its slabs.
+        # batches, prefills and prefix-store segments all draw its slabs.
         self.kv_arena = KVArena()
-        self.prefix_cache = PrefixCache(prefix_cache_capacity) if prefix_cache_capacity else None
+        self.prefix_cache = PrefixCache(prefix_cache_capacity)
         self.batcher = ContinuousBatcher(
             network,
             max_batch_size=max_batch_size,
@@ -192,28 +192,29 @@ class InferenceEngine:
             pass
         return [request.result for request in handles[-len(prompts) :]]
 
-    def generate_atop(
+    def generate_pinned(
         self,
         prompt_ids: list[int],
-        caches: list[KVCache],
         max_new_tokens: int | None = None,
         deadline_s: float | None = None,
     ) -> GenerationRequest:
-        """Greedy-decode one prompt atop the caller's warm KV handles.
+        """Greedy-decode one prompt and pin the context it leaves in the prefix store.
 
-        ``caches`` hold K/V for a prefix of ``prompt_ids`` (short of its
-        last token; empty handles prefill everything) and stay the
-        caller's: only the uncovered suffix is prefilled, the slabs ride
-        in the batch while the request decodes, and when this returns — or
-        unwinds — column ``i`` of ``caches`` belongs to ``(prompt_ids +
-        generated)[i]`` (the last emitted token has none yet).  Only a
-        prefill fault releases them: the request comes back ``shed``.
-        Same tokens as :meth:`generate_batch`; DESIGN.md "Warm caches".
+        A keystroke session's request, with :meth:`generate_batch`'s
+        lifecycle and tokens.  A normal finish sets ``request.path``, the
+        pinned path's last node, kept until :meth:`unpin_path`; an abnormal
+        one pins nothing.  DESIGN.md "One prefix store".
         """
         handle: list[GenerationRequest] = []
-        for _ in self._run([prompt_ids], max_new_tokens, None, deadline_s, handle, caches=caches):
+        for _ in self._run([prompt_ids], max_new_tokens, None, deadline_s, handle, pin=True):
             pass
         return handle[0]
+
+    def unpin_path(self, path) -> None:
+        """Take back the pin :meth:`generate_pinned` left on ``path`` (None: nothing)."""
+        if path is not None:
+            with self._lock:
+                self.prefix_cache.unpin(path)
 
     def stream_ids(
         self,
@@ -349,7 +350,7 @@ class InferenceEngine:
         ]
 
     def abort_all(self) -> int:
-        """Cancel every queued or decoding request, reap, and clear the prefix cache.
+        """Cancel every queued or decoding request, reap, and clear the prefix store.
 
         The fleet layer's crash path: when a replica is declared dead
         mid-decode, its engine may still hold live rows whose KV slabs
@@ -357,9 +358,9 @@ class InferenceEngine:
         (no decode step runs once everything is cancelled) retires every
         request with the ``cancelled`` outcome and returns their slabs to
         the arena — the survivors'-side no-leak invariant the chaos suite
-        asserts.  The prefix cache is cleared under the same lock hold: a
-        request admitted before the crash may be copying out of an entry.
-        Returns the number of requests aborted.
+        asserts.  The prefix store is cleared under the same lock hold;
+        pinned paths stay until their sessions close.  Returns the number
+        of requests aborted.
         """
         with self._lock:
             live = list(self.batcher.queue) + [row.payload for row in self.batcher.batch.rows]
@@ -367,28 +368,26 @@ class InferenceEngine:
                 request.cancel()
             if live:
                 self.batcher.step()
-            if self.prefix_cache is not None:
-                self.prefix_cache.clear()
+            self.prefix_cache.clear()
             return len(live)
 
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict:
-        """Scheduler + prefix-cache counters for ``/v1/stats``.
+        """Scheduler + prefix-store counters for ``/v1/stats``.
 
         Deliberately does NOT take the engine's request lock: that lock is
         held for an entire ``generate_batch`` call, so a stats probe (a
         health checker, the fleet router's aggregator) would stall behind
         whichever generation happens to be in flight.  Instead the batcher
         snapshot comes from its own ``stats_lock`` — a single consistent
-        pass over the counters — and the arena / prefix-cache reads are
+        pass over the counters — and the arena / prefix-store reads are
         point-in-time reads of their own monotonic accounting.
         """
         report = self.batcher.stats()
         report["requests_submitted"] = self._next_request_id
         report["kv_arena"] = self.kv_arena.stats()
-        if self.prefix_cache is not None:
-            report["prefix_cache"] = self.prefix_cache.stats()
+        report["prefix_cache"] = self.prefix_cache.stats()
         profiler = self.obs.profiler
         if profiler.enabled and profiler.total_calls:
             report["profile"] = {

@@ -1,182 +1,232 @@
-"""Longest-common-prefix KV reuse across requests.
+"""One token-prefix KV store: a trie of frozen K/V segments.
 
-The dominant serving pattern for Ansible ``name:`` completion re-sends the
-whole playbook buffer on every keystroke, so consecutive prompts share a
-long common prefix.  Because keys and values in a causal model depend only
-on the tokens at or before their position, the per-layer K/V arrays
-computed while prefilling one prompt are bit-identical to what any later
-prompt with the same token prefix would recompute — so we keep them
-reachable and let later requests skip that part of prefill entirely.
+Editor traffic re-sends the whole playbook buffer on every keystroke, and
+a causal model's K/V for a token depends only on the tokens up to it, so
+K/V computed for one context serves every later prompt sharing its
+prefix.  This store is the only place K/V outlives a request.
 
-Each entry is the sole holder of its K/V: ``insert`` takes over the
-inserting request's own per-layer prefill caches — zero copies — and
-freezes them read-only.  ``lookup`` hands back those caches and the
-matched length; a request that reuses them copies the matched columns out
-(:meth:`~repro.nn.kv_arena.KVCache.copy_prefix`) into caches of its own
-before its prefill appends the rest of the prompt.  Dropping an entry
-releases its caches to the arena.
+A node holds a *segment*: the token ids of its columns and, per layer, one
+read-only :class:`~repro.nn.kv_arena.KVCache` of exactly those columns.  A
+node's path is its parent's path up to the offset it hangs at, then its
+tokens.  A node is never split: a context that diverges inside a segment
+hangs a child at that offset, so an insert copies only new columns and
+every slab keeps one holder.
 
-Entries are stored per *truncated* prompt (positions are absolute, so the
-post-truncation token sequence is the correct cache key) and evicted LRU.
-A lookup may match any number of leading tokens of an entry, not just the
-whole entry; at least one prompt token is always left for live prefill so
-the engine still obtains next-token logits.
+* :meth:`lookup` walks the longest stored path along a prompt in
+  O(prompt), capped at ``len(prompt) - 1`` (the engine needs the last
+  token's logits); :meth:`gather` copies it into caches sized for the
+  prompt.
+* :meth:`insert` stores a normally completed request's fed context (the
+  prompt plus every generated token with K/V): only the columns past the
+  longest stored path, into one new node.
+* A keystroke session is an id plus a *pinned* path: ``insert(pin=True)``
+  counts a pin on every node of the path, :meth:`unpin` takes it back.
+  Eviction is LRU over unpinned leaves, and ``capacity`` bounds the
+  unpinned nodes kept (0 keeps none) — nodes, not leaves, because a closed
+  session leaves a chain of one node per keystroke behind one leaf.
+  :meth:`clear` drops everything no pin holds.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import numpy as np
-
 from repro.nn.kv_arena import KVCache
 
 
-class _Entry:
-    """One stored prefix: its token ids (as an array) and per-layer caches."""
+class _Node:
+    """One stored segment: its token ids and per-layer K/V columns."""
 
-    __slots__ = ("key_array", "caches")
+    __slots__ = ("parent", "offset", "tokens", "caches", "children", "pins", "used")
 
-    def __init__(self, key_array: np.ndarray, caches: list[KVCache]):
-        self.key_array = key_array
-        self.caches = caches
-
-    def release(self) -> None:
-        for cache in self.caches:
-            cache.release()
+    def __init__(self, parent: "_Node | None", offset: int, tokens: tuple[int, ...], caches):
+        self.parent = parent
+        self.offset = offset  # where in the parent's segment this node hangs
+        self.tokens = tokens
+        self.caches: list[KVCache] = caches
+        # (offset in this segment, first token) -> child
+        self.children: dict[tuple[int, int], _Node] = {}
+        self.pins = 0  # pinned paths through this node
+        self.used = 0  # recency stamp
 
 
 class PrefixCache:
-    """LRU map from token-id prefixes to the per-layer K/V caches that hold them."""
+    """Trie of frozen K/V segments keyed by token ids, at most ``capacity`` unpinned nodes."""
 
     def __init__(self, capacity: int = 32):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, ...], _Entry] = OrderedDict()
+        self._root = _Node(None, 0, (), [])
+        self._nodes: dict[_Node, None] = {}  # every node but the root, in insertion order
+        self._unpinned = 0  # nodes in ``_nodes`` with no pin
+        self._clock = 0
+        self.bytes_held = 0
         self.hits = 0
         self.misses = 0
         self.skipped = 0
         self.evictions = 0
-        self.invalidations = 0
         self.tokens_reused = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nodes)
 
-    @staticmethod
-    def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
-        """Length of the common prefix of two int arrays, vectorized."""
-        limit = min(a.size, b.size)
-        if limit == 0:
-            return 0
-        equal = a[:limit] == b[:limit]
-        return limit if equal.all() else int(np.argmin(equal))
+    # -- the walk ------------------------------------------------------------
 
-    def lookup(self, prompt_ids: list[int] | tuple[int, ...]) -> tuple[int, list[KVCache]] | None:
-        """Best reusable prefix for ``prompt_ids``.
+    def _walk(self, ids: tuple[int, ...], limit: int) -> tuple[list[tuple[_Node, int]], int]:
+        """The longest stored path along ``ids[:limit]``.
 
-        Returns ``(matched_length, caches)`` — the matching entry's own
-        read-only per-layer caches, to copy the first ``matched_length``
-        columns out of — or ``None`` when nothing matches.  The match
-        is capped at ``len(prompt_ids) - 1`` so at least one token remains
-        for live prefill.  Prompts too short to ever match are counted as
-        ``skipped``, not ``misses``, so ``hit_rate`` reflects prompts the
-        cache actually scanned.
+        Returns ``(path, matched)``: ``path`` lists every node visited, the
+        root first, with how many of its columns the match uses.  A child
+        hangs where its context left the parent's segment, so its first
+        token differs from the segment's there: the ids can only continue
+        into a child at their first difference from the segment.
         """
-        prompt = tuple(prompt_ids)
-        usable_limit = len(prompt) - 1
-        if usable_limit < 1:
+        path: list[tuple[_Node, int]] = []
+        node, position = self._root, 0
+        while True:
+            segment = node.tokens
+            used = min(len(segment), limit - position)
+            if ids[position : position + used] != segment[:used]:
+                used = 0
+                while segment[used] == ids[position + used]:
+                    used += 1
+            path.append((node, used))
+            position += used
+            if position >= limit:
+                return path, position
+            node = node.children.get((used, ids[position]))
+            if node is None:
+                return path, position
+
+    def _touch(self, path: list[tuple[_Node, int]]) -> None:
+        self._clock += 1
+        for node, _ in path:
+            node.used = self._clock
+
+    # -- requests ------------------------------------------------------------
+
+    def lookup(self, prompt_ids) -> tuple[int, list[tuple[_Node, int]]] | None:
+        """Longest stored path for ``prompt_ids``: ``(matched, path)`` or None.
+
+        The match is capped at ``len(prompt_ids) - 1``.  Prompts too short
+        to ever match are counted as ``skipped``, not ``misses``, so
+        ``hit_rate`` reflects prompts the store actually walked.
+        """
+        limit = len(prompt_ids) - 1
+        if limit < 1:
             self.skipped += 1
             return None
-        prompt_array = np.asarray(prompt, dtype=np.int64)
-        first = prompt_array[0]
-        best_key: tuple[int, ...] | None = None
-        best_len = 0
-        for key, entry in self._entries.items():
-            # O(1) reject before the vectorized compare: a differing first
-            # token can never beat best_len >= 0 matches.
-            if entry.key_array[0] != first:
-                continue
-            usable = min(self._common_prefix(prompt_array, entry.key_array), usable_limit)
-            if usable > best_len:
-                best_key, best_len = key, usable
-        if best_key is None:
+        path, matched = self._walk(tuple(prompt_ids), limit)
+        if not matched:
             self.misses += 1
             return None
-        self._entries.move_to_end(best_key)
+        self._touch(path)
         self.hits += 1
-        self.tokens_reused += best_len
-        return best_len, self._entries[best_key].caches
+        self.tokens_reused += matched
+        return matched, path
 
-    def insert(self, prompt_ids: list[int] | tuple[int, ...], caches: list[KVCache]) -> bool:
-        """Take over a freshly prefilled prompt's caches — zero copies.
+    def gather(self, match: tuple[int, list[tuple[_Node, int]]], tokens: int) -> list[KVCache]:
+        """Per layer, a new cache holding a :meth:`lookup` match, room for ``tokens`` columns.
 
-        On True the entry holds ``caches`` and made them read-only: the caller
-        may still read them but no longer writes or releases them.  On
-        False (an existing entry already covers this prompt, or the caches
-        do not) they stay the caller's.
+        One counted arena acquire per layer; should one fail, the copies
+        already made are released before the fault propagates.
         """
-        prompt = tuple(prompt_ids)
-        if not prompt:
-            return False
-        for key in self._entries:
-            if len(key) >= len(prompt) and key[: len(prompt)] == prompt:
-                self._entries.move_to_end(key)
-                return False
-        length = len(prompt)
-        for cache in caches:
-            if not isinstance(cache, KVCache) or cache.length < length:
-                return False  # cache does not cover the prompt; nothing to store
-        for cache in caches:
-            cache.freeze()
-        self._entries[prompt] = _Entry(np.asarray(prompt, dtype=np.int64), list(caches))
-        self._entries.move_to_end(prompt)
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            evicted.release()
-            self.evictions += 1
-        return True
+        parts = [(node, used) for node, used in match[1] if used]
+        gathered: list[KVCache] = []
+        try:
+            for layer in range(len(parts[0][0].caches)):
+                segments = [(node.caches[layer], used) for node, used in parts]
+                gathered.append(KVCache.gather(segments, tokens))
+        except BaseException:
+            for cache in gathered:
+                cache.release()
+            raise
+        return gathered
 
-    def remove(self, prompt_ids: list[int] | tuple[int, ...]) -> bool:
-        """Drop the entry stored for exactly ``prompt_ids``, if present.
+    def insert(self, token_ids, layers: list, row: int = 0, pin: bool = False) -> _Node | None:
+        """Store the K/V of ``token_ids``, held in row ``row`` of the per-layer ``layers``.
 
-        The batcher calls this when the request that inserted an entry
-        terminates abnormally (cancelled, deadline-expired, shed): K/V
-        written on behalf of a request that never completed is treated as
-        suspect and must not seed future prefills.  Releasing the caches
-        is what lets the arena reclaim the slabs — the chaos suite's
-        no-leak assertion depends on it.
+        Only the columns past the longest stored path are copied, into one
+        new node.  Returns the node holding the path's last column — with
+        the path pinned once more when ``pin`` — or None when the store
+        keeps no unpinned path (``capacity`` 0) and nothing asked for a pin.
         """
-        entry = self._entries.pop(tuple(prompt_ids), None)
-        if entry is None:
-            return False
-        entry.release()
-        self.invalidations += 1
-        return True
+        ids = tuple(token_ids)
+        if not ids or not (pin or self.capacity):
+            return None
+        path, matched = self._walk(ids, len(ids))
+        node, used = path[-1]
+        if matched < len(ids):
+            caches = [layer.copy_out(row, matched, len(ids)) for layer in layers]
+            child = _Node(node, used, ids[matched:], caches)
+            node.children[(used, ids[matched])] = child
+            self._nodes[child] = None
+            self._unpinned += 1
+            self.bytes_held += sum(cache.nbytes for cache in caches)
+            path.append((child, len(child.tokens)))
+            node = child
+        self._touch(path)
+        if pin:
+            self._pin(node, 1)
+        self.evictions += self._trim(self.capacity)
+        return node
+
+    def unpin(self, node: _Node) -> None:
+        """Take back the pin :meth:`insert` counted on the path ending at ``node``."""
+        self._pin(node, -1)
+        self.evictions += self._trim(self.capacity)
+
+    def _pin(self, node: _Node, count: int) -> None:
+        while node is not self._root:
+            if not node.pins:
+                self._unpinned -= 1
+            node.pins += count
+            if not node.pins:
+                self._unpinned += 1
+            node = node.parent
+
+    # -- memory --------------------------------------------------------------
+
+    def _trim(self, keep: int) -> int:
+        """Drop least-recently-used unpinned leaves until at most ``keep``
+        unpinned nodes remain; how many went.  Every descendant of an
+        unpinned node is unpinned, so leaves alone can empty the count."""
+        if self._unpinned <= keep:
+            return 0
+        leaves = [node for node in self._nodes if not node.pins and not node.children]
+        dropped = 0
+        while self._unpinned > keep:
+            victim = min(leaves, key=lambda node: node.used)
+            leaves.remove(victim)
+            parent = victim.parent
+            del parent.children[(victim.offset, victim.tokens[0])]
+            del self._nodes[victim]
+            self._unpinned -= 1
+            for cache in victim.caches:
+                self.bytes_held -= cache.nbytes
+                cache.release()
+            dropped += 1
+            if parent is not self._root and not parent.children and not parent.pins:
+                leaves.append(parent)
+        return dropped
 
     def clear(self) -> None:
-        """Drop every stored entry, keeping the lifetime counters.
+        """Drop every node no pin holds (a live session's path stays).
 
-        ``hits``/``misses``/``evictions``/``tokens_reused`` survive so any
-        rate computed from :meth:`stats` stays monotonic across resets —
-        clearing reclaims memory, it does not rewrite history.  Cleared
-        entries are not counted as evictions (nothing displaced them).
+        The lifetime counters survive, so rates computed from :meth:`stats`
+        stay monotonic; cleared nodes are not counted as evictions.
         """
-        for entry in self._entries.values():
-            entry.release()
-        self._entries.clear()
+        self._trim(0)
 
     def stats(self) -> dict:
         total = self.hits + self.misses
         return {
-            "entries": len(self._entries),
+            "entries": len(self._nodes),
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
             "skipped": self.skipped,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "tokens_reused": self.tokens_reused,
+            "bytes_held": self.bytes_held,
             "hit_rate": self.hits / total if total else 0.0,
         }

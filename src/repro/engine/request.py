@@ -5,12 +5,13 @@ A :class:`GenerationRequest` moves through the states
     QUEUED -> PREFILL -> DECODE -> FINISHED
 
 QUEUED requests wait for batch capacity; PREFILL runs the prompt through
-the model once to warm the request's KV cache (seeded from the prefix
-cache, or from the caller's own warm :attr:`~GenerationRequest.caches`);
-DECODE begins the moment prefill yields the first token — the request then
-occupies a row of the active batch and receives tokens every engine step,
-unless that first token already ended it; FINISHED requests carry a
-:class:`~repro.nn.sampling.GenerationResult`.
+the model once to warm the request's KV cache (seeded with whatever the
+prefix store already holds of it); DECODE begins the moment prefill
+yields the first token — the request then occupies a row of the active
+batch and receives tokens every engine step, unless that first token
+already ended it; FINISHED requests carry a
+:class:`~repro.nn.sampling.GenerationResult`, and one that completed
+normally has left its fed context in the prefix store.
 
 A request can leave the pipeline early from *any* pre-finished state:
 
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import EngineError
 from repro.faults import clock
-from repro.nn.kv_arena import KVCache
 from repro.nn.sampling import GenerationResult
 
 #: Terminal stop reasons that are *not* normal completions.
@@ -73,15 +73,11 @@ class GenerationRequest:
             the first token at prefill).  Called inline on the scheduler
             thread — keep it cheap; exceptions are swallowed so one
             stream's consumer cannot poison unrelated batch rows.
-        caches: caller-owned per-layer :class:`~repro.nn.kv_arena.KVCache`
-            handles already holding K/V for a prefix of ``prompt_ids`` (a
-            keystroke session's warm slabs).  Prefill runs atop them
-            instead of the prefix cache, and whenever the request leaves
-            the batch the K/V is back in them (released on a prefill fault).
-        prefix_reused: prompt tokens whose K/V came from the prefix cache
-            or from ``caches``.
-        prefix_key: the prefix-cache key this request inserted, if any —
-            invalidated should the request terminate abnormally.
+        prefix_reused: prompt tokens whose K/V came from the prefix store.
+        pin: a keystroke session's request — a normal finish pins the path
+            it leaves in the prefix store, and sets :attr:`path`.
+        path: the prefix-store node that pin is counted on; the caller
+            takes it back with ``InferenceEngine.unpin_path``.
     """
 
     request_id: int
@@ -94,14 +90,14 @@ class GenerationRequest:
     generated: list[int] = field(default_factory=list)
     stop_reason: str | None = None
     prefix_reused: int = 0
-    prefix_key: tuple[int, ...] | None = None
+    pin: bool = False
     submitted_at: float = field(default_factory=clock.now)
     deadline_at: float | None = None
     prefill_started_at: float | None = None
     decode_started_at: float | None = None
     finished_at: float | None = None
     on_tokens: object | None = field(default=None, repr=False)
-    caches: list[KVCache] | None = field(default=None, repr=False)
+    path: object | None = field(default=None, repr=False)
     _cancel_requested: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:

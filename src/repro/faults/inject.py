@@ -11,9 +11,10 @@ Seams instrumented across the stack:
 
 =====================  ====================================================
 ``kv_arena.acquire``   slab allocation in :class:`~repro.nn.kv_arena.KVArena`
-                       (fires at prefill allocations; the decoding
-                       batch's slot slabs and a warm row's copy-out run
-                       under :func:`shield` — see below)
+                       (fires at admission: the prefix-store gather and
+                       prefill; the decoding batch's slot slabs and the
+                       prefix store's retirement inserts run under
+                       :func:`shield` — see below)
 ``engine.decode_step`` one batched decode step in
                        :class:`~repro.engine.batcher.ContinuousBatcher`
                        (raise = failed step, retried; delay = slow step;
@@ -44,10 +45,10 @@ Two properties make schedules *replayable*:
   across replays.
 
 :func:`shield` suspends injection for a block.  The engine shields the
-allocations of the shared decoding batch (the per-layer slot slabs of
-:class:`~repro.engine.batched_decode.DecodingBatch` and a warm row's
-copy-out into its owner's handles): a fault between layers would leave
-them disagreeing — not a failure mode real allocators
+allocations of shared state (the per-layer slot slabs of
+:class:`~repro.engine.batched_decode.DecodingBatch` and the prefix store's
+segments a completed request leaves on retirement): a fault between
+layers would leave them disagreeing — not a failure mode real allocators
 produce, just corruption.  Allocation faults instead surface at request
 admission (prefill), where exactly one request is chargeable and the
 batcher can shed it cleanly.
@@ -250,10 +251,11 @@ def fire(seam: str, **context) -> None:
 class shield:
     """Suspend injection on this thread for the block (no-op when no injector is active).
 
-    Used around multi-cache batch allocations whose mid-flight failure would
+    Used around multi-cache allocations whose mid-flight failure would
     corrupt shared state rather than model a real fault: a decoding batch's
-    first admission and every retirement.  A plain class, not a
-    ``@contextmanager`` generator: retirement is on the per-request path.
+    first admission and every retirement insert into the prefix store.  A
+    plain class, not a ``@contextmanager`` generator: retirement is on the
+    per-request path.
     """
 
     __slots__ = ("_local",)

@@ -197,8 +197,7 @@ def _release_holdings(workers) -> None:
     is claimed after this is held by nobody, which the audit calls a leak."""
     for worker in workers:
         worker.service.sessions.close_all()
-        if worker.engine.prefix_cache is not None:
-            worker.engine.prefix_cache.clear()
+        worker.engine.prefix_cache.clear()
 
 
 def _summary(result: dict, records: list[dict], slo_report: dict | None, stream: bool) -> dict:

@@ -27,7 +27,7 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   ``error`` event, never a silent re-dispatch that could duplicate
   delivered tokens.
 * **Session affinity** — :meth:`session_create` routes by prefix bucket
-  and pins the session to the replica holding its warm KV slab under a
+  and pins the session to the replica holding its path of K/V under a
   fleet-unique id the router mints; extends ride the ``fleet id ->
   (worker, replica-local id)`` table, and a dead owner converts to a
   crisp :class:`~repro.errors.SessionNotFoundError` (``sessions_lost``
@@ -143,7 +143,7 @@ class FleetRouter:
         self._rr_index = 0
         self._inflight_count = 0
         #: Session affinity: fleet session id -> (worker id, replica-local
-        #: id) of the replica holding its KV slab.  Ids are opaque: looked
+        #: id) of the replica holding its K/V.  Ids are opaque: looked
         #: up here, never parsed.
         self._session_owner: dict[str, tuple[str, str]] = {}
         self._lock = threading.RLock()
@@ -609,7 +609,7 @@ class FleetRouter:
 
     def _session_dispatch(self, session_id: str, owner: tuple[str, str], call) -> dict:
         """One session call against the owning replica (no failover: the
-        warm KV slab lives only there).  A dead replica converts to
+        session's K/V lives only there).  A dead replica converts to
         :class:`SessionNotFoundError` after dropping its mappings."""
         worker_id, local_id = owner
         payload, missing = self._attempt(

@@ -247,13 +247,13 @@ class InProcessWorker(_Worker):
         """Die the way a process would: drop everything, free the arena."""
         self.alive = False
         self.crashes += 1
-        # Before close_all: reaping a session's mid-decode row hands its
-        # slabs back to the session, which must still be there to free them.
-        self.engine.abort_all()  # clears the prefix cache too
+        # close_all first: with every session's path unpinned, the clear
+        # inside abort_all drops the whole prefix store.
         try:
             self.service.sessions.close_all()
         except Exception:
             pass  # crashing anyway
+        self.engine.abort_all()
 
     def kill(self) -> None:
         """Simulate abrupt replica death (chaos control plane)."""

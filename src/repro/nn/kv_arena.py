@@ -11,8 +11,10 @@ replaces that with an arena of reusable storage slabs:
   token *blocks* and pools released slabs for reuse, so steady-state
   serving recycles memory instead of churning the allocator.  One arena is
   shared by every layer and every request of an engine.
-* :class:`ArenaSlab` — K/V storage: ``k``/``v`` arrays of shape
-  ``(B, H, capacity, D)`` plus a float32 decode-softmax score buffer.
+* :class:`ArenaSlab` — K/V storage: one ``kv`` array of shape
+  ``(2, B, H, capacity, D)`` whose halves are the ``k``/``v`` views (so a
+  copy moves keys and values in one call), plus a float32 decode-softmax
+  score buffer.
 * :class:`KVCache` — the per-layer cache handle the transformer decodes
   through.  ``append`` writes new columns **in place**; capacity grows
   geometrically (amortised O(1) copies per token); ``view`` is zero-copy.
@@ -22,10 +24,11 @@ replaces that with an arena of reusable storage slabs:
 
 Every slab has exactly one holder — a :class:`KVCache` or a
 :class:`SlotKVCache` — and goes back to the arena when that holder
-releases it.  So the prefix cache takes over a request's own prefill
-handles and freezes them read-only (:meth:`KVCache.freeze`), and a later
-request that matches a stored prefix gets a copy of the matched columns
-(:meth:`KVCache.copy_prefix`).
+releases it.  So the prefix store keeps its own read-only segments: a
+completed request's row leaves the columns no stored path holds yet in a
+new one (:meth:`SlotKVCache.copy_out`), and a later request that matches a
+stored path gets a copy of the matched columns, gathered from the path's
+segments into one cache of its own (:meth:`KVCache.gather`).
 
 :class:`DenseKVCache` preserves the pre-arena concatenate-on-append
 behaviour for equivalence tests and benchmarks.
@@ -53,10 +56,11 @@ class ArenaSlab:
     hands the slab back with :meth:`KVArena.release`.
     """
 
-    __slots__ = ("arena", "k", "v", "scores", "capacity", "live")
+    __slots__ = ("arena", "kv", "k", "v", "scores", "capacity", "live")
 
     def __init__(self) -> None:
         self.arena: "KVArena | None" = None
+        self.kv: np.ndarray | None = None  # keys then values: ``k`` / ``v`` are its halves
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.scores: np.ndarray | None = None
@@ -65,7 +69,7 @@ class ArenaSlab:
 
     @property
     def nbytes(self) -> int:
-        return self.k.nbytes + self.v.nbytes
+        return self.kv.nbytes
 
     def __del__(self) -> None:
         # A slab garbage-collected while live (its holder was dropped
@@ -92,10 +96,10 @@ class KVArena:
         self.slabs_allocated = 0
         self.slabs_reused = 0
         self.bytes_allocated = 0
-        self.bytes_copied = 0  # growth + prefix copies + batch slot copies
+        self.bytes_copied = 0  # growth + path gathers + segment copies + batch slot copies
         self.appends = 0
         self.grow_copies = 0
-        self.cow_copies = 0  # prefix copies made at a prefix-cache hit
+        self.cow_copies = 0  # path gathers, one per layer per prefix-store hit
         #: Slabs garbage-collected while live: each one is a holder
         #: that never called ``release()`` (repro.obs.audit wants zero).
         self.slabs_dropped_live = 0
@@ -128,8 +132,8 @@ class KVArena:
             slab.arena = self
             # Zeroed, not np.empty: a decoding batch reads columns past a
             # row's length (masked to weight 0), and 0 x NaN is still NaN.
-            slab.k = np.zeros((batch, heads, capacity, head_dim), dtype=np.float32)
-            slab.v = np.zeros((batch, heads, capacity, head_dim), dtype=np.float32)
+            slab.kv = np.zeros((2, batch, heads, capacity, head_dim), dtype=np.float32)
+            slab.k, slab.v = slab.kv
             slab.capacity = capacity
             self.slabs_allocated += 1
             self.bytes_allocated += slab.nbytes
@@ -142,7 +146,7 @@ class KVArena:
     def release(self, slab: ArenaSlab) -> None:
         """Take the slab back from its holder, writable again, and pool it."""
         slab.live = False
-        slab.k.flags.writeable = slab.v.flags.writeable = True
+        slab.kv.flags.writeable = slab.k.flags.writeable = slab.v.flags.writeable = True
         self.bytes_in_use -= slab.nbytes
         key = (slab.k.shape[0], slab.k.shape[1], slab.capacity, slab.k.shape[3])
         with self._lock:
@@ -252,8 +256,7 @@ class KVCache:
                 arena.grow_copies += 1
                 grown = arena.acquire(batch, heads, head_dim, max(needed, 2 * slab.capacity))
                 if length:
-                    grown.k[:, :, :length] = slab.k[:, :, :length]
-                    grown.v[:, :, :length] = slab.v[:, :, :length]
+                    grown.kv[:, :, :, :length] = slab.kv[:, :, :, :length]
                     copied = 2 * length * batch * heads * head_dim * grown.k.itemsize
                     arena.bytes_copied += copied
                     moved += 2 * copied
@@ -282,40 +285,57 @@ class KVCache:
             scores = slab.scores = np.empty((batch, heads, 1, slab.capacity), dtype=np.float32)
         return scores[:, :, :, : self._length]
 
-    # -- the prefix cache ----------------------------------------------------
+    # -- the prefix store ----------------------------------------------------
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the slab this cache holds (0 while empty)."""
+        return 0 if self._slab is None else self._slab.nbytes
 
     def freeze(self) -> None:
-        """Make the stored columns read-only until :meth:`release` (the prefix cache's hold)."""
-        self._slab.k.flags.writeable = self._slab.v.flags.writeable = False
-
-    def copy_prefix(self, length: int, tokens: int) -> "KVCache":
-        """A new cache holding a copy of the first ``length`` columns.
-
-        Its slab is sized for ``tokens`` columns, so a prefill of the rest
-        of a ``tokens``-long prompt appends in place.  Counted in the
-        arena's ``cow_copies``.
-        """
+        """Make the stored columns read-only until :meth:`release` (the prefix store's hold)."""
         slab = self._slab
-        if slab is None or length > self._length:
-            raise ShapeError(f"cannot copy {length} columns of a length-{self._length} cache")
-        batch, heads, _, head_dim = slab.k.shape
-        arena = self._arena
-        copy = KVCache(arena)
+        slab.kv.flags.writeable = slab.k.flags.writeable = slab.v.flags.writeable = False
+
+    @classmethod
+    def gather(cls, parts: list[tuple["KVCache", int]], tokens: int) -> "KVCache":
+        """A new batch-1 cache holding the first ``used`` columns of each part, back to back.
+
+        The prefix store's path gather: ``parts`` are one layer's segments
+        along a stored path.  The slab is sized for ``tokens`` columns, so
+        a prefill of the rest of a prompt up to ``tokens`` long appends in
+        place.  One acquire, counted in the arena's ``cow_copies``.
+        """
+        first = parts[0][0]
+        arena = first._arena
+        _, heads, _, head_dim = first._slab.k.shape
+        length = sum(used for _, used in parts)
+        gathered = cls(arena)
+        target = gathered._slab = arena.acquire(1, heads, head_dim, max(length, tokens))
         arena.cow_copies += 1
-        target = copy._slab = arena.acquire(batch, heads, head_dim, max(length, tokens))
-        target.k[:, :, :length] = slab.k[:, :, :length]
-        target.v[:, :, :length] = slab.v[:, :, :length]
-        copy._length = length
-        arena.bytes_copied += 2 * length * batch * heads * head_dim * target.k.itemsize
-        return copy
+        columns = [part._slab.kv[:, :, :, :used] for part, used in parts]
+        np.concatenate(columns, axis=3, out=target.kv[:, :, :, :length])
+        gathered._length = length
+        arena.bytes_copied += 2 * length * heads * head_dim * target.k.itemsize
+        return gathered
 
-    # -- rollback (sessions) -------------------------------------------------
+    def copy_out(self, row: int, start: int, stop: int) -> "KVCache":
+        """Row ``row``'s columns ``[start, stop)`` as a new read-only batch-1 segment.
 
-    def truncate(self, length: int) -> None:
-        """Forget the columns past ``length`` — zero copies; the next append overwrites them."""
-        if length < 0 or length > self._length:
-            raise ShapeError(f"cannot truncate length-{self._length} cache to {length}")
-        self._length = length
+        The row-to-node copy: a completed request's row (of its prefill
+        caches, or of its batch slot — :class:`SlotKVCache` shares this
+        method) leaves the columns no stored path holds yet in the prefix
+        store.
+        """
+        columns = self._slab.kv[:, row, :, start:stop]
+        _, heads, tokens, head_dim = columns.shape
+        segment = KVCache(self._arena)
+        slab = segment._slab = self._arena.acquire(1, heads, head_dim, tokens)
+        slab.kv[:, 0, :, :tokens] = columns
+        segment._length = tokens
+        self._arena.bytes_copied += columns.nbytes
+        segment.freeze()
+        return segment
 
     def release(self) -> None:
         """Return the slab to the arena; the cache becomes empty."""
@@ -416,20 +436,7 @@ class SlotKVCache:
         self.lengths[slot] -= columns
         self._settle()
 
-    def copy_out(self, slot: int, own: KVCache) -> None:
-        """Append row ``slot``'s columns past ``own.length`` to ``own``.
-
-        The one-row copy-out a warm request's handles get when it leaves
-        the batch.  Each append takes at most ``own``'s spare capacity (one
-        column when it is full), so ``own`` grows by doubling exactly as
-        one-token appends would have grown it.
-        """
-        k, v = self._slab.k, self._slab.v
-        start, stop = own.length, self.lengths[slot]
-        while start < stop:
-            end = min(stop, start + max(own.capacity - start, 1))
-            own.append(k[slot : slot + 1, :, start:end], v[slot : slot + 1, :, start:end])
-            start = end
+    copy_out = KVCache.copy_out  # row ``slot``'s columns as a segment: the row-to-node copy
 
     def pop_row(self, slot: int) -> None:
         """Free ``slot``: the last row moves into it (one row copy)."""
@@ -437,10 +444,9 @@ class SlotKVCache:
         last = len(lengths) - 1
         if slot != last:
             length = lengths[slot] = lengths[last]
-            k, v = self._slab.k, self._slab.v
-            k[slot, :, :length] = k[last, :, :length]
-            v[slot, :, :length] = v[last, :, :length]
-            self._arena.bytes_copied += 2 * k[slot, :, :length].nbytes
+            kv = self._slab.kv
+            kv[:, slot, :, :length] = kv[:, last, :, :length]
+            self._arena.bytes_copied += kv[:, slot, :, :length].nbytes
         lengths.pop()
         self._settle()
 
@@ -486,11 +492,3 @@ class DenseKVCache:
         # The concatenate read and wrote every accumulated element.
         self.last_append_moved_bytes = 2 * (self.keys.nbytes + self.values.nbytes)
         return self.keys, self.values
-
-    def truncate(self, length: int) -> None:
-        """Reference rollback: slice the accumulated arrays."""
-        if length < 0 or length > self.length:
-            raise ShapeError(f"cannot truncate length-{self.length} cache to {length}")
-        if self.keys is not None:
-            self.keys = self.keys[:, :, :length]
-            self.values = self.values[:, :, :length]

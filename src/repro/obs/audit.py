@@ -50,17 +50,20 @@ def audit(stats: dict) -> list[str]:
         arena = engine.get("kv_arena", {})
         dropped = arena.get("slabs_dropped_live", 0)
         law(dropped == 0, f"engine.kv_arena.slabs_dropped_live == 0 (is {dropped})")
-        # Zero leak: a cached prefix and a live session hold KV by design;
-        # with neither, every byte still claimed belongs to nobody.
-        cached = engine.get("prefix_cache", {}).get("entries", 0)
-        if not cached and not (sessions or {}).get("live_sessions", 0):
-            held = arena.get("bytes_in_use", 0)
-            law(held == 0, f"engine.kv_arena.bytes_in_use == 0, nothing cached or open (is {held})")
+        # Zero leak: at quiescence the prefix store — sessions' pinned
+        # paths included — is the only holder of KV; any other claimed
+        # byte belongs to nobody.
+        held = engine.get("prefix_cache", {}).get("bytes_held", 0)
+        in_use = arena.get("bytes_in_use", 0)
+        law(
+            in_use == held,
+            f"engine.kv_arena.bytes_in_use == {held}, the prefix store's bytes_held (is {in_use})",
+        )
     if sessions:
-        open_ = sessions["created"] - sessions["closed"] - sessions["evicted"] - sessions["lost"]
+        open_ = sessions["created"] - sessions["closed"] - sessions["evicted"]
         law(
             open_ == sessions["live_sessions"],
-            "sessions: created - closed - evicted - lost == live_sessions "
+            "sessions: created - closed - evicted == live_sessions "
             f"({open_} vs {sessions['live_sessions']})",
         )
     for worker_id, tree in sorted(stats.get("workers", {}).items()):

@@ -11,10 +11,10 @@ prediction backend — in-process service, fleet router, worker or HTTP
 client; all speak the session API (DESIGN.md "Request surface").  Every
 enter after the first *extends* the server-side keystroke session: the
 buffer the plugin re-sends is almost entirely the previous prompt plus
-the accepted completion, so the server rolls its warm KV slab forward and
-prefills only the delta instead of the whole file — the pattern the KV
-arena was built for.  A session evicted server-side is re-created
-transparently.
+the accepted completion, so the server gathers the session's pinned path
+in its prefix store and prefills only the delta instead of the whole
+file — the pattern the prefix store was built for.  A session evicted
+server-side is re-created transparently.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Suggestion:
     text: str
     latency_ms: float
     cached: bool
-    #: Tokens served from the session's warm KV slab (0 = cold/stateless).
+    #: Tokens served from the server's prefix store (0 = cold/stateless).
     reused_tokens: int = 0
 
 
@@ -58,7 +58,7 @@ class EditorSession:
     rejected: int = 0
     session_id: str | None = field(default=None)
     prefilled_tokens: int = 0  # cumulative server-side prefill work
-    reused_tokens: int = 0  # cumulative warm-slab reuse
+    reused_tokens: int = 0  # cumulative prefix-store reuse
     _pending: Suggestion | None = field(default=None, repr=False)
 
     def type_text(self, text: str) -> None:

@@ -155,8 +155,8 @@ class PredictionService:
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServingError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        # Keystroke sessions ride on the engine's KV arena; the manager
-        # rejects an engine without a tokenizer.
+        # Keystroke sessions are pinned paths in the engine's prefix store;
+        # the manager rejects an engine without a tokenizer.
         self.sessions = SessionManager(engine, max_sessions=max_sessions)
         self.engine = engine
         self.fallback = fallback
@@ -567,7 +567,7 @@ class PredictionService:
         ``discard_on_abort`` marks calls whose caller has no way to learn
         the session id when the call maps to an error status (create): a
         session that survived server-side but was never announced would be
-        an orphan pinning arena blocks until eviction, so it is closed
+        an orphan pinning its path until eviction, so it is closed
         before the error propagates.
         """
         started = clock.now()
@@ -578,7 +578,7 @@ class PredictionService:
                 payload = runner()
                 span.set(outcome=payload["outcome"], reused=payload["reused_tokens"])
         except ServiceOverloadedError as error:
-            # Shed by the session manager (a prefill fault): count the 503
+            # Shed at admission (a prefill fault): count the 503
             # and answer with the service's Retry-After, like any other.
             raise self._shed(str(error)) from error
         finally:
@@ -624,7 +624,7 @@ class PredictionService:
         """``POST /v1/sessions/{id}/extend``: continue with the new buffer.
 
         Raises :class:`~repro.errors.SessionNotFoundError` (HTTP 404) for
-        evicted / lost / unknown ids — clients fall back to
+        evicted / unknown ids — clients fall back to
         :meth:`session_create`.
         """
         require_text("buffer", buffer)
@@ -637,7 +637,7 @@ class PredictionService:
         )
 
     def session_close(self, session_id: str) -> dict:
-        """``DELETE /v1/sessions/{id}``: release the session's KV slabs."""
+        """``DELETE /v1/sessions/{id}``: unpin the session's path in the prefix store."""
         return {"session_id": session_id, "closed": self.sessions.close(session_id)}
 
     # -- batch prediction ----------------------------------------------------

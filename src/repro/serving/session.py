@@ -1,92 +1,67 @@
-"""Keystroke sessions: incremental prompt extension over a live KV slab.
+"""Keystroke sessions: an id plus a pinned path in the engine's prefix store.
 
-The editor-plugin serving pattern the KV arena was designed for: the user
-types, the plugin re-sends the *full* buffer, and almost all of it is the
-previous request's prompt plus the completion the user just accepted.  A
-:class:`SessionManager` keeps that state warm — each session owns
-exclusive per-layer :class:`~repro.nn.kv_arena.KVCache` handles holding
-the K/V of every token fed so far, and an *extend* call
+The editor-plugin serving pattern the prefix store was designed for: the
+user types, the plugin re-sends the *full* buffer, and almost all of it is
+the previous request's prompt plus the completion the user just accepted.
+A :class:`SessionManager` holds no K/V of its own.  Each create or extend
 
-1. tokenizes the new buffer and plans it through the same
-   budget-aware :func:`~repro.nn.sampling.plan_prompt` as every other
-   engine path,
-2. finds the longest common token prefix with the session's cached
-   context and rolls the caches back to it (``KVCache.truncate`` — a
-   zero-copy rollback: the session is its handles' one holder),
-3. hands the planned prompt and the caches to
-   :meth:`~repro.engine.engine.InferenceEngine.generate_atop`: an
-   ordinary engine request whose prefill covers only the *suffix* — the
-   few tokens the keystroke actually added — and which decodes as a row
-   of the continuous batcher like every other request, and
-4. gets the same handles back holding the prompt plus every generated
-   token that was fed.
+1. tokenizes the buffer and hands it to
+   :meth:`~repro.engine.engine.InferenceEngine.generate_pinned`: an
+   ordinary engine request — planned, admitted and decoded like every
+   other — whose admission gathers the longest path the prefix store
+   holds of it and prefills only the rest, the few tokens the keystroke
+   actually added;
+2. gets back, on a normal finish, the store node its fed context (the
+   prompt plus every generated token with K/V) is pinned on, and unpins
+   the path the session held before.
 
 This module never drives the model or books an outcome itself.  Because
-causal attention makes incremental prefill bit-identical to prefilling
-from scratch (the property the prefix cache already relies on), an
-extend's completion is byte-identical to a cold re-prefill of the full
-buffer; the conformance suite asserts this across seeds and draft depths.
-What changes is only the work: TTFT drops from O(buffer) to O(keystroke).
+causal attention makes prefill atop stored K/V the same computation as
+prefilling from scratch, an extend's completion is what a cold re-prefill
+of the full buffer yields (up to float32 ties); the conformance suite
+asserts this across seeds and draft depths.  What changes is only the
+work: TTFT drops from O(buffer) to O(keystroke).
 
 Lifecycle: sessions are LRU-evicted beyond ``max_sessions``.  Every exit
-path — close, evict, crash (:meth:`close_all`), or a mid-extend fault —
-releases the session's caches back to the arena and is counted once
-(``closed`` / ``evicted`` / ``lost``): the chaos suite's zero-leak and
-no-orphaned-session invariants hold by construction, and ``created -
-closed - evicted - lost == live_sessions`` is a law
-:func:`repro.obs.audit` checks.
+path — close, evict, crash (:meth:`close_all`) — unpins the session's path
+and is counted once (``closed`` / ``evicted``), so ``created - closed -
+evicted == live_sessions`` is a law :func:`repro.obs.audit` checks.  A
+request shed at prefill pinned nothing and touched nothing the session
+holds: the call fails with a 503 and the session stays open.
 
 Locking: public entry points take the manager lock; the engine takes its
-own request lock inside ``generate_atop`` — always in that order, so
-sessions never race a batch decode for slabs.  ``close``, ``close_all``
-and ``create``'s LRU eviction take both: releasing a slab writes the arena.
+own lock inside ``generate_pinned`` and ``unpin_path`` — always in that order.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ServiceOverloadedError, ServingError, SessionNotFoundError
-from repro.nn.kv_arena import KVCache
-from repro.nn.sampling import plan_prompt
 
 
 #: Every count a manager keeps: each is the ``session.<name>`` registry
 #: series — its only store (DESIGN.md "Counting") — and the ``stats()`` key
-#: of the same name.  ``lost`` is a session dropped by a mid-prefill fault.
-#: Session requests are ordinary engine requests, so ``engine.prefill_tokens``
-#: / ``engine.decode_tokens`` include this traffic; the ``*_tokens`` series
-#: here are the session-scoped split (``decode_tokens`` counts every
-#: generated token, the prefill's first one included).
+#: of the same name.  Session requests are ordinary engine requests, so
+#: ``engine.prefill_tokens`` / ``engine.decode_tokens`` include this
+#: traffic; the ``*_tokens`` series here are the session-scoped split
+#: (``decode_tokens`` counts every generated token, the prefill's first one
+#: included).
 COUNTS = (
-    "created", "extends", "closed", "evicted", "lost",
+    "created", "extends", "closed", "evicted",
     "prefill_tokens", "reused_tokens", "decode_tokens",
 )  # fmt: skip
 
 
-def _common_prefix(left: list[int], right: list[int]) -> int:
-    bound = min(len(left), len(right))
-    index = 0
-    while index < bound and left[index] == right[index]:
-        index += 1
-    return index
-
-
 @dataclass
 class _Session:
-    """One live editor session and the token context its caches hold."""
+    """One live editor session: its id and the store node its path is pinned on."""
 
     session_id: str
-    caches: list[KVCache]
-    cached_ids: list[int] = field(default_factory=list)  # tokens with K/V resident
+    path: object | None = None  # None until a request of it completes
     extends: int = 0
-
-    def release(self) -> None:
-        for cache in self.caches:
-            cache.release()
-        self.cached_ids.clear()
 
 
 class SessionManager:
@@ -130,19 +105,14 @@ class SessionManager:
     # -- lifecycle ------------------------------------------------------------
 
     def _drop_locked(self, session: _Session, exit_: str) -> None:
-        """Release a session's slabs and forget it; manager lock held.
-
-        Every way out of the table is counted here, as ``exit_`` — but only
-        if the session was in the table: a create that faults never reached
-        ``created``, and counting its drop would drive the books to -1.
-        """
-        if self._sessions.pop(session.session_id, None) is not None:
-            self._counts[exit_].inc()
-        session.release()
+        """Forget a session and unpin its path, counted as ``exit_``; manager lock held."""
+        del self._sessions[session.session_id]
+        self._counts[exit_].inc()
+        self.engine.unpin_path(session.path)
 
     def close(self, session_id: str) -> bool:
-        """Release one session; True if it existed."""
-        with self._lock, self.engine._lock:
+        """Close one session; True if it existed."""
+        with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
                 return False
@@ -150,14 +120,13 @@ class SessionManager:
             return True
 
     def close_all(self) -> int:
-        """Release every session — the replica-crash / shutdown path.
+        """Close every session — the replica-crash / shutdown path.
 
         A dead replica must not leave orphaned sessions pinning arena
-        blocks: this is what :class:`repro.fleet.worker.InProcessWorker`
-        calls from its crash handler, right after ``engine.abort_all()``
-        (which hands a mid-decode row's slabs back to its session first).
+        blocks: :class:`repro.fleet.worker.InProcessWorker` calls this from
+        its crash handler.
         """
-        with self._lock, self.engine._lock:
+        with self._lock:
             dropped = list(self._sessions.values())
             for session in dropped:
                 self._drop_locked(session, "closed")
@@ -166,39 +135,28 @@ class SessionManager:
     # -- generation core ------------------------------------------------------
 
     def _generate(self, session: _Session, buffer: str, max_new_tokens, deadline_s) -> dict:
-        """One engine request atop the session's warm caches; manager lock held.
+        """One pinned engine request for the session's buffer; manager lock held.
 
         Same planned prompt as a cold request and the engine's one decode
-        loop — which is what makes a warm extend byte-identical to a cold
-        re-prefill.
+        loop — which is what makes an extend match a cold re-prefill.
         """
         engine = self.engine
         ids = engine.tokenizer.encode(buffer)
         if not ids:
             raise ServingError(f"buffer encodes to no tokens: {buffer!r}")
         budget = max_new_tokens or engine.default_max_new_tokens
-        planned, _ = plan_prompt(engine.network.config.n_positions, ids, budget)
-        held = session.caches[0].length
-        # At least the last prompt token is always prefilled: its logits
-        # pick the first generated token.
-        common = min(_common_prefix(session.cached_ids, planned), held, len(planned) - 1)
-        if common < held:
-            for cache in session.caches:
-                cache.truncate(common)
-        del session.cached_ids[common:]
-        request = engine.generate_atop(planned, session.caches, budget, deadline_s)
+        request = engine.generate_pinned(ids, budget, deadline_s)
         if request.outcome == "shed":
-            # A fault mid-prefill (slab allocation, injected) can leave
-            # per-layer caches at mixed lengths, so the engine released
-            # them all: the session is unrecoverable.  Forget it — the
-            # failure sheds this one request without leaking a byte.
-            self._drop_locked(session, "lost")
+            # A fault at admission (slab allocation, injected) sheds this
+            # one request; it touched nothing the session holds.
             raise ServiceOverloadedError(f"session {session.session_id} shed during prefill")
-        # The last emitted token has no K/V yet; a stop token was never appended.
-        session.cached_ids = (planned + request.generated)[: session.caches[0].length]
-        prefilled = len(planned) - common
+        if request.path is not None:
+            engine.unpin_path(session.path)
+            session.path = request.path
+        reused = request.prefix_reused
+        prefilled = request.prompt_length - reused
         self._counts["prefill_tokens"].inc(prefilled)
-        self._counts["reused_tokens"].inc(common)
+        self._counts["reused_tokens"].inc(reused)
         self._counts["decode_tokens"].inc(len(request.generated))
         return {
             "session_id": session.session_id,
@@ -207,7 +165,7 @@ class SessionManager:
             "outcome": request.outcome,
             "ttft_s": request.ttft_s,
             "prefilled": prefilled,
-            "reused_tokens": common,
+            "reused_tokens": reused,
             "generated_tokens": len(request.generated),
             "extends": session.extends,
         }
@@ -227,27 +185,15 @@ class SessionManager:
         reports (``outcome``, ``stop_reason``, ``ttft_s``).
         """
         with self._lock:
-            session = _Session(
-                session_id=f"s{self._next_id:04d}",
-                caches=self.engine.network.new_cache(self.engine.kv_arena),
-            )
+            session = _Session(session_id=f"s{self._next_id:04d}")
             self._next_id += 1
-            try:
-                payload = self._generate(session, buffer, max_new_tokens, deadline_s)
-            except BaseException:
-                # Not in the table yet, so no close / close_all will ever
-                # find it: a crash at the decode seam handed the reaped
-                # slabs back to these handles, and only this frame has them.
-                with self.engine._lock:
-                    session.release()
-                raise
+            payload = self._generate(session, buffer, max_new_tokens, deadline_s)
             self._sessions[session.session_id] = session
             self._counts["created"].inc()
             if payload["ttft_s"] is not None:
                 self._h_create_ttft.observe(payload["ttft_s"])
-            with self.engine._lock:  # LRU bound; releasing a slab writes the arena
-                while len(self._sessions) > self.max_sessions:
-                    self._drop_locked(next(iter(self._sessions.values())), "evicted")
+            while len(self._sessions) > self.max_sessions:
+                self._drop_locked(next(iter(self._sessions.values())), "evicted")
             return payload
 
     def extend(
@@ -259,11 +205,11 @@ class SessionManager:
     ) -> dict:
         """Continue a session with the client's *full* new buffer.
 
-        Only the tokens past the common prefix with the session's cached
-        context are prefilled; the payload's ``reused_tokens`` /
+        Only the tokens past the longest path the prefix store holds of
+        the buffer are prefilled; the payload's ``reused_tokens`` /
         ``prefilled`` split is the no-re-prefill regression surface.
-        Raises :class:`SessionNotFoundError` for unknown / evicted / lost
-        ids — callers recover by creating a fresh session.
+        Raises :class:`SessionNotFoundError` for unknown / evicted ids —
+        callers recover by creating a fresh session.
         """
         with self._lock:
             session = self._sessions.get(session_id)

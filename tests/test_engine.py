@@ -8,6 +8,8 @@ show up as silently different tokens, never as crashes.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -109,14 +111,18 @@ class TestPrefixCache:
     def test_lookup_reuses_longest_prefix(self, trained_model):
         engine = InferenceEngine(trained_model)
         prompt = [1, 2, 3, 4, 1, 2, 3, 4]
-        engine.generate_batch([prompt], max_new_tokens=4)
+        first = engine.generate_batch([prompt], max_new_tokens=4)[0]
         extended = prompt + [1, 2]
         results = engine.generate_batch([extended], max_new_tokens=4)
         want = generate_greedy(trained_model, extended, max_new_tokens=4)
         assert results[0].token_ids == want.token_ids
         stats = engine.stats()["prefix_cache"]
         assert stats["hits"] == 1
-        assert stats["tokens_reused"] == len(prompt)
+        # the store holds the first request's fed context: its prompt and
+        # every generated token but the last, which was never fed
+        fed = prompt + first.token_ids[:-1]
+        longest = len(os.path.commonprefix([fed, extended]))
+        assert stats["tokens_reused"] == min(longest, len(extended) - 1) >= len(prompt)
 
     def test_prefix_never_covers_whole_prompt(self):
         cache = PrefixCache()
@@ -124,15 +130,18 @@ class TestPrefixCache:
         assert cache.insert([5, 6, 7, 8], fake)
         match = cache.lookup([5, 6, 7, 8])
         assert match is not None
-        matched, caches = match
-        assert matched == 3  # one token always left for live prefill
-        assert caches == fake  # the entry's own caches; the caller copies the match out
+        assert match[0] == 3  # one token always left for live prefill
+        (gathered,) = cache.gather(match, 4)  # the caller's own copy of the match
+        np.testing.assert_array_equal(gathered.view()[0], fake[0].view()[0][:, :, :3])
+        assert gathered.capacity >= 4
 
     def test_insert_skips_covered_prompts(self):
         cache = PrefixCache()
-        assert cache.insert([5, 6, 7, 8], [_fake_kv(4)])
-        assert not cache.insert([5, 6], [_fake_kv(2)])
-        assert len(cache) == 1
+        stored = cache.insert([5, 6, 7, 8], [_fake_kv(4)])
+        assert stored is not None
+        bytes_held = cache.stats()["bytes_held"]
+        assert cache.insert([5, 6], [_fake_kv(2)]) is stored  # covered: nothing copied
+        assert len(cache) == 1 and cache.stats()["bytes_held"] == bytes_held
 
     def test_eviction_is_lru(self):
         cache = PrefixCache(capacity=2)
@@ -181,13 +190,11 @@ class TestPrefixCache:
         kv = _fake_kv(3)
         original = kv.view()[0].copy()
         cache.insert([7, 8, 9], [kv])
-        stomp = np.full((1, 2, 2, 2), -1.0, dtype=np.float32)
-        with pytest.raises(ValueError):
-            kv.append(stomp, stomp)  # the caller handed the cache over
+        kv.view()[0][...] = -1.0  # the caller's cache stays its own, and writable
         match = cache.lookup([7, 8, 9, 1])
         assert match is not None
-        _, caches = match
-        np.testing.assert_array_equal(caches[0].view()[0], original)
+        (gathered,) = cache.gather(match, 4)
+        np.testing.assert_array_equal(gathered.view()[0], original)
 
 
 def _fake_kv(length: int):

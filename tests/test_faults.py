@@ -355,7 +355,8 @@ class TestEngineChaos:
 
 class TestPrefixCacheInvalidation:
     def test_abnormal_finish_invalidates_inserted_prefix(self, chaos_model):
-        """A failed request's prefill K/V must not seed later requests."""
+        """A failed request's K/V never seeds later requests: nothing that
+        finished abnormally is inserted."""
         fake = FakeClock()
         prefix_cache = PrefixCache(8)
         prompt = [1, 2, 3, 4, 1, 2]
@@ -368,9 +369,8 @@ class TestPrefixCacheInvalidation:
             batcher.submit(doomed)
             drain(batcher)
             assert doomed.outcome == "deadline_exceeded"
-            # The prefill-time insert was rolled back on abnormal finish...
-            assert prefix_cache.stats()["invalidations"] == 1
-            assert len(prefix_cache) == 0
+            # Inserts happen at a normal retirement only...
+            assert len(prefix_cache) == 0 and prefix_cache.stats()["bytes_held"] == 0
             # ...so an identical prompt misses instead of reusing suspect K/V.
             retry = _request(chaos_model, 1, prompt, max_new_tokens=8)
             batcher.submit(retry)
@@ -394,8 +394,8 @@ class TestPrefixCacheInvalidation:
         assert again.prefix_reused > 0
 
     def test_fault_during_prefix_copy_sheds_only_that_request(self, chaos_model):
-        """A hit copies its match out per layer; a fault on the second copy
-        sheds the request, frees the first copy and leaves the entry intact."""
+        """A hit gathers its match per layer; a fault on the second gather
+        sheds the request, frees the first copy and leaves the store intact."""
         arena = KVArena()
         prefix_cache = PrefixCache(8)
         prompt = [1, 2, 3, 4, 1, 2]
@@ -404,8 +404,10 @@ class TestPrefixCacheInvalidation:
         )
         batcher.submit(_request(chaos_model, 0, prompt, max_new_tokens=4))
         drain(batcher)
-        held = arena.stats()["bytes_in_use"]  # the one entry's caches
-        _, stored = prefix_cache.lookup(prompt + [3])
+        held = arena.stats()["bytes_in_use"]  # the store's segments
+        assert held == prefix_cache.stats()["bytes_held"] > 0
+        _, path = prefix_cache.lookup(prompt + [3])
+        stored = [cache for node, used in path if used for cache in node.caches]
         inserted = [[array.copy() for array in cache.view()] for cache in stored]
         # Acquire 1 copies layer 0's match, acquire 2 copies layer 1's.
         with FaultInjector(seed=0).on("kv_arena.acquire", at_calls=[2]) as injector:

@@ -1,4 +1,4 @@
-"""Paged KV-arena: equivalence with the dense path, zero-copy prefix insert, rollback."""
+"""Paged KV-arena: equivalence with the dense path, the prefix store's copies, growth."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine import InferenceEngine, PrefixCache, prefill_single
-from repro.errors import ShapeError
 from repro.nn.attention import causal_mask
 from repro.nn.kv_arena import DEFAULT_BLOCK_SIZE, DenseKVCache, KVArena, KVCache
 from repro.nn.parameter import numpy_rng
@@ -75,26 +74,28 @@ class TestDenseEquivalence:
         assert seeded.token_ids == _dense_greedy(network, extended, 8)
 
 
-def _keys(cache: KVCache) -> np.ndarray:
-    return cache.view()[0]
-
-
 class TestZeroCopySharing:
-    def test_insert_and_lookup_copy_nothing(self, network):
+    def test_lookup_copies_nothing_and_insert_copies_only_new_columns(self, network):
         arena = KVArena(block_size=8)
-        prompt = [1, 2, 3, 4, 5]
-        caches, _, _ = prefill_single(network, prompt, arena=arena)
-        allocated = arena.slabs_allocated
-        copied = arena.bytes_copied
+        head = [1, 2, 3, 4, 5]
+        caches, _, _ = prefill_single(network, head + [6, 7], arena=arena)
         cache = PrefixCache(4)
-        assert cache.insert(prompt, caches)
-        hit = cache.lookup(prompt + [6])
-        assert hit is not None
-        matched, seeded = hit
-        assert matched == len(prompt)
-        assert arena.slabs_allocated == allocated
+        assert cache.insert(head, caches) is not None
+        copied = arena.bytes_copied
+        allocated, reused = arena.slabs_allocated, arena.slabs_reused
+        matched, _ = cache.lookup(head + [9])
+        assert matched == len(head)
+        assert (arena.slabs_allocated, arena.slabs_reused) == (allocated, reused)
         assert arena.bytes_copied == copied
-        assert seeded[0].length == len(prompt)
+        # a context that runs on past the stored path copies only its new columns
+        column_bytes = 2 * sum(layer.view()[0][0, :, :1].nbytes for layer in caches)
+        cache.insert(head + [6, 7], caches)
+        assert arena.bytes_copied == copied + 2 * column_bytes
+        assert len(cache) == 2
+        for layer in caches:
+            layer.release()
+        cache.clear()
+        assert arena.bytes_in_use == 0
 
     def test_geometric_growth_amortizes_copies(self):
         arena = KVArena(block_size=4)
@@ -167,26 +168,6 @@ class TestPrefixCacheAccounting:
         for key in ("entries", "capacity", "hits", "misses", "evictions", "tokens_reused", "hit_rate"):
             assert key in stats
 
-    def test_vectorized_common_prefix_matches_reference(self):
-        rng = np.random.default_rng(3)
-
-        def reference(a, b):
-            matched = 0
-            for x, y in zip(a, b):
-                if x != y:
-                    break
-                matched += 1
-            return matched
-
-        for _ in range(50):
-            shared = rng.integers(0, 4, size=rng.integers(0, 12)).tolist()
-            a = shared + rng.integers(0, 4, size=rng.integers(0, 6)).tolist()
-            b = shared + rng.integers(4, 8, size=rng.integers(0, 6)).tolist()
-            got = PrefixCache._common_prefix(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            )
-            assert got == reference(a, b)
-
 
 class TestEngineIntegration:
     def test_engine_stats_expose_arena(self, network):
@@ -198,45 +179,3 @@ class TestEngineIntegration:
         assert arena["appends"] > 0
         assert arena["peak_bytes_in_use"] > 0
         assert stats["prefix_cache"]["skipped"] == 0
-
-
-class TestSpeculativeRollback:
-    """truncate(): the zero-copy rollback of a session's handles."""
-
-    @staticmethod
-    def _filled(arena: KVArena, batch: int, length: int, seed: int = 0) -> KVCache:
-        rng = np.random.default_rng(seed)
-        cache = KVCache(arena)
-        keys = rng.standard_normal((batch, 2, length, 4)).astype(np.float32)
-        values = rng.standard_normal((batch, 2, length, 4)).astype(np.float32)
-        cache.append(keys, values)
-        return cache
-
-    def test_truncate_forgets_columns_without_copying(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 6)
-        before = _keys(cache)[:, :, :4].copy()
-        copied = arena.bytes_copied
-        cache.truncate(4)
-        assert cache.length == 4
-        assert arena.bytes_copied == copied  # zero-copy rollback
-        np.testing.assert_array_equal(_keys(cache), before)
-
-    def test_truncate_bounds_checked(self):
-        arena = KVArena(block_size=8)
-        cache = self._filled(arena, 1, 3)
-        with pytest.raises(ShapeError):
-            cache.truncate(4)
-        with pytest.raises(ShapeError):
-            cache.truncate(-1)
-        cache.truncate(3)  # no-op at current length
-        assert cache.length == 3
-
-    def test_dense_reference_truncate(self):
-        dense = DenseKVCache()
-        keys = np.ones((1, 2, 5, 4), dtype=np.float32)
-        dense.append(keys, keys)
-        dense.truncate(2)
-        assert dense.length == 2
-        with pytest.raises(ShapeError):
-            dense.truncate(3)

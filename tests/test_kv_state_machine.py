@@ -1,24 +1,27 @@
-"""``KVCache`` and ``SlotKVCache`` against ``DenseKVCache``: a hypothesis
-state machine over one arena.
+"""``KVCache``, ``SlotKVCache`` and the prefix store against ``DenseKVCache``:
+a hypothesis state machine over one arena.
 
-Every live handle and every occupied slot row carries a dense model — the
-concatenate-on-append reference — and every rule applies the same operation
-to both.  Handles: append, truncate, release.  Prefix entries, the way the
-prefix cache keeps them: insert (the entry takes a handle over and freezes
-it), try to write one, copy a prefix of one out into a new handle, release.
-Slots (a decoding batch's layer cache): open one, copy a batch-1 handle or
-entry into the next slot, write every row at its own offset, roll one row
-back, copy a row out into a handle, free a slot by moving the last row into
-it, close.  In-place growth and slab reuse are then exercised in orders no
-hand-written test picks, and the invariants are the arena's whole
-contract: every handle's ``view()`` and every slot row equals its model,
-every entry still reads what was inserted, a slab is read-only exactly
-while an entry holds it (so one taken back from an entry is writable when
-acquired again), and once everything is released no byte is in use and no
-slab was dropped live.
+Every live handle and every occupied slot row carries a token context and
+a dense model — the concatenate-on-append reference — built from it, and
+every rule applies the same operation to both.  K/V columns are a function
+of the token prefix up to them, as a causal model's are, so whatever the
+store hands back for a prompt can be checked against the reference for
+that prompt.  Handles: append, release.  Slots (a decoding batch's layer
+cache): open one, copy a handle into the next slot, write every row at its
+own offset, roll one row back, free a slot by moving the last row into it,
+close.  The store: insert a slot row or a handle (pinned or not), look a
+prompt up and gather the match into a new handle, try to write a segment,
+unpin, clear.  The invariants are the store's and the arena's whole
+contract: every view equals its model, every node reads what was inserted,
+the walk finds the longest stored path, a pinned path survives eviction,
+at most ``capacity`` unpinned nodes are kept, the store's ``bytes_held``
+is what its segments hold, and once everything is released no byte is in
+use and no slab was dropped live.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,119 +29,125 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.engine import PrefixCache
 from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache, SlotKVCache
 
 HEADS, DIM = 2, 3
 SLOTS, COLUMNS = 3, 12
+CAPACITY = 2
+
+TOKENS = st.lists(st.integers(1, 3), min_size=1, max_size=5)
 
 
-def _dense(keys: np.ndarray | None, values: np.ndarray | None) -> DenseKVCache:
+def _kv(tokens: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(1, H, T, D)`` keys/values; column ``i`` depends on ``tokens[: i + 1]`` only."""
+    columns, state = [], 0
+    for token in tokens:
+        state = (state * 31 + token) % 10007
+        columns.append(state + np.arange(HEADS * DIM, dtype=np.float32) / 64)
+    keys = np.array(columns, dtype=np.float32).reshape(len(tokens), HEADS, DIM)
+    keys = keys.transpose(1, 0, 2)[None].copy()
+    return keys, -keys
+
+
+def _dense(tokens: list[int]) -> DenseKVCache:
     model = DenseKVCache()
-    if keys is not None:
-        model.append(keys.copy(), values.copy())
+    if tokens:
+        model.append(*_kv(tokens))
     return model
+
+
+def _common(left, right) -> int:
+    """The length of the common prefix of two token sequences."""
+    length = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        length += 1
+    return length
+
+
+def _start(node) -> int:
+    """The column a node's segment starts at: the offsets summed up its parent chain."""
+    if node.parent is None:
+        return 0
+    return _start(node.parent) + node.offset
+
+
+def _path_tokens(node) -> tuple[int, ...]:
+    """A node's whole token path: its parent's path up to where it hangs, then its own tokens."""
+    if node.parent is None:
+        return ()
+    return _path_tokens(node.parent)[: _start(node)] + node.tokens
 
 
 class ArenaMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.arena = KVArena(block_size=2)
-        self.handles: list[tuple[KVCache, DenseKVCache]] = []
-        self.entries: list[tuple[KVCache, np.ndarray, np.ndarray]] = []  # frozen, keys, values
+        self.store = PrefixCache(CAPACITY)
+        self.handles: list[tuple[KVCache, DenseKVCache, list[int]]] = []
         self.slots: SlotKVCache | None = None
-        self.rows: list[DenseKVCache] = []  # the model of each occupied slot, in slot order
-        self.stamp = 0
+        self.rows: list[list[int]] = []  # the token context of each occupied slot, in slot order
+        self.pins: list[tuple[object, list[int]]] = []  # (node, the pinned context)
 
-    def _columns(self, batch: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        self.stamp += 1
-        keys = self.stamp + np.arange(batch * HEADS * count * DIM, dtype=np.float32) / 64
-        keys = keys.reshape(batch, HEADS, count, DIM)
-        return keys, -keys
+    def _contexts(self) -> list[list[int]]:
+        return [tokens for _, _, tokens in self.handles] + self.rows + [t for _, t in self.pins]
 
-    def _pick(self, data, filled: bool = False) -> int:
-        indices = [i for i, (cache, _) in enumerate(self.handles) if cache.length or not filled]
-        return data.draw(st.sampled_from(indices))
+    # -- handles -------------------------------------------------------------
 
-    @rule(batch=st.integers(1, 2), count=st.integers(1, 5))
-    def new_handle(self, batch, count):
-        cache, model = KVCache(self.arena), DenseKVCache()
-        keys, values = self._columns(batch, count)
-        cache.append(keys, values)
-        model.append(keys, values)
-        self.handles.append((cache, model))
+    @rule(tokens=TOKENS)
+    def new_handle(self, tokens):
+        cache = KVCache(self.arena)
+        cache.append(*_kv(tokens))
+        self.handles.append((cache, _dense(tokens), tokens))
 
     @precondition(lambda self: self.handles)
-    @rule(data=st.data(), count=st.integers(1, 5))
-    def append(self, data, count):
-        cache, model = self.handles[self._pick(data)]
-        keys, values = self._columns(model.view()[0].shape[0], count)
-        cache.append(keys, values)
-        model.append(keys, values)
+    @rule(data=st.data(), more=TOKENS)
+    def append(self, data, more):
+        cache, model, tokens = self.handles[data.draw(st.integers(0, len(self.handles) - 1))]
+        keys, values = _kv(tokens + more)
+        cache.append(keys[:, :, len(tokens) :].copy(), values[:, :, len(tokens) :].copy())
+        model.append(keys[:, :, len(tokens) :].copy(), values[:, :, len(tokens) :].copy())
+        tokens.extend(more)
 
-    @precondition(lambda self: any(cache.length for cache, _ in self.handles))
+    @precondition(lambda self: self.handles)
     @rule(data=st.data())
-    def truncate(self, data):
-        cache, model = self.handles[self._pick(data, filled=True)]
-        length = data.draw(st.integers(0, cache.length))
-        cache.truncate(length)
-        model.truncate(length)
+    def release(self, data):
+        cache, _, _ = self.handles.pop(data.draw(st.integers(0, len(self.handles) - 1)))
+        cache.release()
 
-    @precondition(lambda self: any(cache.length for cache, _ in self.handles))
-    @rule(data=st.data())
-    def insert(self, data):
-        cache, model = self.handles.pop(self._pick(data, filled=True))
-        cache.freeze()
-        keys, values = model.view()
-        self.entries.append((cache, keys.copy(), values.copy()))
-
-    @precondition(lambda self: self.entries)
-    @rule(data=st.data(), count=st.integers(1, 5))
-    def write_entry(self, data, count):
-        entry, keys, _ = data.draw(st.sampled_from(self.entries))
-        new_keys, new_values = self._columns(keys.shape[0], count)
-        with pytest.raises(ValueError):
-            entry.append(new_keys, new_values)
-        assert entry.length == keys.shape[2]
-
-    @precondition(lambda self: self.entries)
-    @rule(data=st.data(), spare=st.integers(0, 6))
-    def copy_prefix(self, data, spare):
-        entry, keys, values = data.draw(st.sampled_from(self.entries))
-        length = data.draw(st.integers(1, entry.length))
-        copy = entry.copy_prefix(length, length + spare)
-        self.handles.append((copy, _dense(keys[:, :, :length], values[:, :, :length])))
-
-    def _admissible(self) -> list[tuple[KVCache, np.ndarray, np.ndarray]]:
-        """Batch-1 handles and entries that fit a slot, with their columns."""
-        held = [(cache, *model.view()) for cache, model in self.handles if cache.length]
-        return [
-            (cache, keys, values)
-            for cache, keys, values in held + self.entries
-            if keys.shape[0] == 1 and cache.length <= COLUMNS
-        ]
+    # -- slots ---------------------------------------------------------------
 
     @precondition(lambda self: self.slots is None)
     @rule()
     def open_slots(self):
         self.slots = SlotKVCache(self.arena, SLOTS, HEADS, DIM, COLUMNS)
 
+    def _admissible(self) -> list[int]:
+        return [i for i, (cache, _, _) in enumerate(self.handles) if cache.length <= COLUMNS]
+
     @precondition(
         lambda self: self.slots is not None and len(self.rows) < SLOTS and self._admissible()
     )
     @rule(data=st.data())
     def copy_in(self, data):
-        cache, keys, values = data.draw(st.sampled_from(self._admissible()))
+        cache, _, tokens = self.handles[data.draw(st.sampled_from(self._admissible()))]
         self.slots.copy_in(cache)
-        self.rows.append(_dense(keys, values))
+        self.rows.append(list(tokens))
 
     @precondition(lambda self: self.rows and self.slots.length < COLUMNS)
     @rule(data=st.data())
     def write(self, data):
         count = data.draw(st.integers(1, COLUMNS - self.slots.length))
-        keys, values = self._columns(len(self.rows), count)
-        self.slots.append(keys, values)
-        for row, model in enumerate(self.rows):
-            model.append(keys[row : row + 1].copy(), values[row : row + 1].copy())
+        draw = st.lists(st.integers(1, 3), min_size=count, max_size=count)
+        new = [data.draw(draw) for _ in self.rows]
+        keys = np.concatenate(
+            [_kv(row + more)[0][:, :, len(row) :] for row, more in zip(self.rows, new)]
+        )
+        self.slots.append(keys, -keys)
+        for row, more in zip(self.rows, new):
+            row.extend(more)
 
     @precondition(lambda self: self.rows)
     @rule(data=st.data())
@@ -146,19 +155,7 @@ class ArenaMachine(RuleBasedStateMachine):
         row = data.draw(st.integers(0, len(self.rows) - 1))
         length = data.draw(st.integers(0, self.slots.lengths[row]))
         self.slots.roll_back(row, self.slots.lengths[row] - length)
-        self.rows[row].truncate(length)
-
-    @precondition(lambda self: self.rows)
-    @rule(data=st.data())
-    def copy_out(self, data):
-        row = data.draw(st.integers(0, len(self.rows) - 1))
-        keys, values = self.rows[row].view()
-        held = data.draw(st.integers(0, keys.shape[2]))
-        handle = KVCache(self.arena)
-        if held:
-            handle.append(keys[:, :, :held].copy(), values[:, :, :held].copy())
-        self.slots.copy_out(row, handle)
-        self.handles.append((handle, _dense(keys, values)))
+        del self.rows[row][length:]
 
     @precondition(lambda self: self.rows)
     @rule(data=st.data())
@@ -175,22 +172,69 @@ class ArenaMachine(RuleBasedStateMachine):
         self.slots.release()
         self.slots, self.rows = None, []
 
-    @precondition(lambda self: self.handles)
-    @rule(data=st.data())
-    def release(self, data):
-        cache, _ = self.handles.pop(self._pick(data))
-        cache.release()
+    # -- the store -----------------------------------------------------------
 
-    @precondition(lambda self: self.entries)
+    def _inserted(self, node, tokens: list[int], pin: bool) -> None:
+        if pin:
+            assert node is not None
+            self.pins.append((node, list(tokens)))
+
+    @precondition(lambda self: any(self.rows))
+    @rule(data=st.data(), pin=st.booleans())
+    def insert_row(self, data, pin):
+        row = data.draw(st.sampled_from([i for i, tokens in enumerate(self.rows) if tokens]))
+        tokens = self.rows[row]
+        self._inserted(self.store.insert(tokens, [self.slots], row, pin=pin), tokens, pin)
+
+    @precondition(lambda self: self.handles)
+    @rule(data=st.data(), pin=st.booleans())
+    def insert_handle(self, data, pin):
+        cache, _, tokens = self.handles[data.draw(st.integers(0, len(self.handles) - 1))]
+        self._inserted(self.store.insert(tokens, [cache], 0, pin=pin), tokens, pin)
+
+    @rule(data=st.data(), tail=TOKENS)
+    def lookup_and_gather(self, data, tail):
+        contexts = self._contexts()
+        base = data.draw(st.sampled_from(contexts)) if contexts else []
+        prompt = base[: data.draw(st.integers(0, len(base)))] + tail
+        longest = max(
+            (_common(prompt[:-1], _path_tokens(node)) for node in self.store._nodes),
+            default=0,
+        )
+        match = self.store.lookup(prompt)
+        if match is None:
+            assert longest == 0 or len(prompt) < 2
+            return
+        assert match[0] == longest
+        (gathered,) = self.store.gather(match, len(prompt))
+        assert gathered.capacity >= len(prompt)
+        tokens = prompt[: match[0]]
+        self.handles.append((gathered, _dense(tokens), tokens))
+
+    @precondition(lambda self: self.store._nodes)
     @rule(data=st.data())
-    def release_entry(self, data):
-        entry, _, _ = self.entries.pop(data.draw(st.integers(0, len(self.entries) - 1)))
-        entry.release()
+    def write_segment(self, data):
+        node = data.draw(st.sampled_from(list(self.store._nodes)))
+        keys, values = _kv([1])
+        with pytest.raises(ValueError):
+            node.caches[0].append(keys, values)
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def unpin(self, data):
+        node, _ = self.pins.pop(data.draw(st.integers(0, len(self.pins) - 1)))
+        self.store.unpin(node)
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+
+    # -- invariants ----------------------------------------------------------
 
     @invariant()
     def every_view_equals_its_model(self):
-        for cache, model in self.handles:
-            assert cache.length == model.length
+        for cache, model, tokens in self.handles:
+            assert cache.length == model.length == len(tokens)
             if cache.length:
                 keys, values = cache.view()
                 want_keys, want_values = model.view()
@@ -201,42 +245,55 @@ class ArenaMachine(RuleBasedStateMachine):
     def every_slot_row_equals_its_model(self):
         if self.slots is None:
             return
-        assert self.slots.lengths == [model.length for model in self.rows]
+        assert self.slots.lengths == [len(tokens) for tokens in self.rows]
         assert self.slots.length == max(self.slots.lengths, default=0)
         offsets = self.slots.row_offsets()
         if len(set(self.slots.lengths)) > 1:
             assert offsets.tolist() == self.slots.lengths
         else:
             assert offsets is None
-        for row, model in enumerate(self.rows):
-            keys, values = model.view()
-            np.testing.assert_array_equal(self.slots._slab.k[row, :, : model.length], keys[0])
-            np.testing.assert_array_equal(self.slots._slab.v[row, :, : model.length], values[0])
+        for row, tokens in enumerate(self.rows):
+            if tokens:
+                keys, values = _dense(tokens).view()
+                np.testing.assert_array_equal(self.slots._slab.k[row, :, : len(tokens)], keys[0])
+                np.testing.assert_array_equal(self.slots._slab.v[row, :, : len(tokens)], values[0])
 
     @invariant()
-    def every_entry_still_reads_what_was_inserted(self):
-        for entry, keys, values in self.entries:
-            got_keys, got_values = entry.view()
-            np.testing.assert_array_equal(got_keys, keys)
-            np.testing.assert_array_equal(got_values, values)
+    def every_node_reads_what_was_inserted(self):
+        held = 0
+        for node in self.store._nodes:
+            (segment,) = node.caches
+            start = _start(node)
+            stop = start + len(node.tokens)
+            keys, values = _dense(list(_path_tokens(node))).view()
+            np.testing.assert_array_equal(segment.view()[0], keys[:, :, start:stop])
+            np.testing.assert_array_equal(segment.view()[1], values[:, :, start:stop])
+            assert not segment.view()[0].flags.writeable
+            held += segment.nbytes
+        assert self.store.bytes_held == held
 
     @invariant()
-    def a_slab_is_read_only_exactly_while_an_entry_holds_it(self):
-        held = [cache._slab for cache, _ in self.handles if cache._slab is not None]
-        if self.slots is not None:
-            held.append(self.slots._slab)
-        for slab in held:
-            assert slab.k.flags.writeable and slab.v.flags.writeable
-        for entry, _, _ in self.entries:
-            assert not entry._slab.k.flags.writeable and not entry._slab.v.flags.writeable
+    def a_pinned_path_survives_eviction(self):
+        through: Counter = Counter()  # pinned paths through each node
+        for node, tokens in self.pins:
+            assert self.store._walk(tuple(tokens), len(tokens))[1] == len(tokens)
+            while node.parent is not None:
+                through[node] += 1
+                node = node.parent
+        for node in self.store._nodes:
+            assert node.pins == through[node]
+        unpinned = [node for node in self.store._nodes if not node.pins]
+        assert self.store._unpinned == len(unpinned) <= CAPACITY
 
     def teardown(self):
         if self.slots is not None:
             self.slots.release()
-        for cache, _ in self.handles:
+        for cache, _, _ in self.handles:
             cache.release()
-        for entry, _, _ in self.entries:
-            entry.release()
+        for node, _ in self.pins:
+            self.store.unpin(node)
+        self.store.clear()
+        assert len(self.store) == 0 and self.store.bytes_held == 0
         stats = self.arena.stats()
         assert stats["bytes_in_use"] == 0
         assert stats["slabs_dropped_live"] == 0

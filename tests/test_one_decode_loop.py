@@ -1,17 +1,17 @@
 """One decode loop, one request lifecycle: sessions are batcher rows.
 
-A keystroke session's extend is an ordinary engine request that carries
-the session's warm KV handles (``GenerationRequest.caches``); the batcher
-prefills atop them, decodes the row like any other, and hands the K/V back
-when the row leaves.  What this file pins down is what that contract adds
-to the conformance suites:
+A keystroke session's extend is an ordinary engine request whose
+admission gathers the longest path the prefix store holds of the buffer —
+the session's own pinned path, usually — and whose normal finish pins the
+context it fed.  What this file pins down is what that contract adds to
+the conformance suites:
 
 * the model does exactly the work the retired private session loop did —
   same ``forward_incremental`` calls, same shapes, in the same order;
-* every way a row can leave the batch abnormally (deadline, cancel)
-  returns the slabs to the session, which stays usable and byte-identical
-  to a cold re-prefill;
-* a warm row shares the batch with cold rows;
+* no way a request can end abnormally (deadline, cancel, a shed prefill)
+  costs the session its path: it stays usable and byte-identical to a
+  cold re-prefill;
+* a store hit shares the batch with cold rows;
 * a first token always yields a TTFT, on every serving path.
 """
 
@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine import GenerationRequest, InferenceEngine, prefill_single
 from repro.faults import FakeClock, FaultInjector, use
-from repro.nn.kv_arena import KVArena
+from repro.nn.kv_arena import KVArena, KVCache
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.serving import PredictionService, SessionManager
 from tests.conftest import drain, greedy_or_tie
@@ -38,14 +38,24 @@ def tokenizer():
     return BpeTokenizer.train(TRAIN_TEXTS, vocab_size=300)
 
 
-def session_slab_bytes(manager: SessionManager) -> int:
-    """Bytes of every slab the manager's live sessions hold (white box)."""
-    return sum(
-        cache._slab.nbytes
-        for session in manager._sessions.values()
-        for cache in session.caches
-        if cache._slab is not None
-    )
+def _truncated(cache: KVCache, length: int) -> KVCache:
+    """A new cache holding ``cache``'s first ``length`` columns; ``cache`` is released."""
+    keys, values = cache.view()
+    kept = KVCache()
+    if length:
+        kept.append(keys[:, :, :length].copy(), values[:, :, :length].copy())
+    cache.release()
+    return kept
+
+
+def _common(left: list[int], right: list[int]) -> int:
+    """The length of the common prefix of two token sequences."""
+    length = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        length += 1
+    return length
 
 
 def record_forwards(network, log: list) -> None:
@@ -60,9 +70,9 @@ def record_forwards(network, log: list) -> None:
 
 
 class _ReferenceSession:
-    """The session decode loop this PR deleted, written out as the yardstick:
-    truncate to the common prefix, one forward over the suffix, then one
-    batch-1 forward per generated token that is fed back."""
+    """The private session decode loop, written out as the yardstick: cut
+    the caches back to the common prefix, one forward over the suffix, then
+    one batch-1 forward per generated token that is fed back."""
 
     def __init__(self, network, tokenizer):
         self.network, self.tokenizer = network, tokenizer
@@ -79,8 +89,7 @@ class _ReferenceSession:
         ):
             common += 1
         if common < self.caches[0].length:
-            for cache in self.caches:
-                cache.truncate(common)
+            self.caches = [_truncated(cache, common) for cache in self.caches]
             del self.cached_ids[common:]
         suffix = planned[common:]
         logits = self.network.forward_incremental(np.array([suffix], dtype=np.int64), self.caches)
@@ -101,11 +110,14 @@ class TestSameWork:
     def test_twelve_extend_episode_makes_the_old_loops_forward_calls(self, tokenizer):
         budget = 8
         network = network_for(3, tokenizer.vocab_size)
+        window = network.config.n_positions
         engine = InferenceEngine(network, tokenizer, default_max_new_tokens=budget)
         manager = SessionManager(engine)
         reference = _ReferenceSession(network, tokenizer)
         got: list = []
         want: list = []
+        expected: list = []
+        contexts: list[list[int]] = []  # every fed context the store has been left
         original = network.forward_incremental
         try:
             buffer = TRAIN_TEXTS[0]
@@ -122,8 +134,18 @@ class TestSameWork:
                 tokens = reference.extend(buffer, budget)
                 network.forward_incremental = original
                 assert payload["completion"] == tokenizer.decode(tokens)
+                # What the store holds decides the reuse: the longest common
+                # prefix with any context left so far, short of the last token.
+                planned, _ = plan_prompt(window, tokenizer.encode(buffer), budget)
+                cached = min(
+                    max((_common(planned, context) for context in contexts), default=0),
+                    len(planned) - 1,
+                )
+                expected.append(((1, len(planned) - cached), cached))
+                expected.extend(((1, 1), len(planned) + fed) for fed in range(len(tokens) - 1))
+                contexts.append(planned + tokens[:-1])  # the last token has no K/V
                 # accept the suggestion on even keystrokes, reject it on odd
-                # ones, and edit earlier text once so the slab truncates
+                # ones, and edit earlier text once so the match falls back
                 if keystroke % 2 == 0:
                     buffer += payload["completion"]
                 if keystroke == 6:
@@ -131,16 +153,28 @@ class TestSameWork:
                 buffer += f"\n- name: Task number {keystroke}\n"
         finally:
             network.forward_incremental = original
-        assert got == want
-        assert len(got) == 13 * budget  # one prefill + budget - 1 fed tokens per call
+        assert len(got) == 13 * budget  # one prefill + budget - 1 fed tokens each
+        assert got == expected
+        # The same positions as the old loop, never more prefill: the store
+        # may hold a longer head than the session's last context (after the
+        # buffer outgrows the window and the left truncation shifts it, an
+        # older context can still match where the last one no longer does).
+        assert [shape[1] + cached for shape, cached in got] == [
+            shape[1] + cached for shape, cached in want
+        ]
+        assert all(mine[1] >= old[1] for mine, old in zip(got, want))
+        assert any(mine[1] > old[1] for mine, old in zip(got, want))
         stats = engine.stats()
         assert stats["decode_steps"] == 13 * (budget - 1)
         assert stats["decode_tokens"] == 13 * (budget - 1)
         assert stats["mean_batch_occupancy"] == 1.0
-        assert stats["prefix_cache"]["hits"] == stats["prefix_cache"]["misses"] == 0
-        assert stats["prefix_cache"]["entries"] == 0
+        # every request walked the store; once the buffer outgrows the window
+        # its left truncation shifts the tokens and the walk misses
+        assert stats["prefix_cache"]["hits"] + stats["prefix_cache"]["misses"] == 13
+        assert stats["prefix_cache"]["tokens_reused"] == manager.stats()["reused_tokens"]
         assert stats["prefill_tokens"] == manager.stats()["prefill_tokens"]
         manager.close_all()
+        engine.prefix_cache.clear()
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
 
 
@@ -152,16 +186,17 @@ class TestAbnormalExitsKeepTheSession:
         return SessionManager(build_engine(tokenizer, 1)).create(buffer, BUDGET)
 
     def _check_usable(self, tokenizer, engine, manager, session_id):
-        """The slabs came back: accounted for, and good for the next extend."""
+        """Every KV byte is the store's, and the session's path is good for the next extend."""
         assert engine.batcher.active_size == engine.batcher.queue_depth == 0
         in_use = engine.kv_arena.stats()["bytes_in_use"]
-        assert in_use == session_slab_bytes(manager) > 0
+        assert in_use == engine.prefix_cache.stats()["bytes_held"] > 0
         again = self.GROWN + "- name: Reload the unit\n"
         extended = manager.extend(session_id, again, BUDGET)
         assert extended["outcome"] == "completed"
         assert extended["reused_tokens"] > 0
         assert extended["completion"] == self._cold(tokenizer, again)["completion"]
         assert manager.close(session_id) is True
+        engine.prefix_cache.clear()
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
 
     def test_deadline_exceeded_extend_leaves_a_usable_session(self, tokenizer):
@@ -201,36 +236,31 @@ class TestAbnormalExitsKeepTheSession:
         assert engine.stats()["cancelled_requests"] == 1
         self._check_usable(tokenizer, engine, manager, created["session_id"])
 
-    def test_prefill_fault_sheds_the_request_and_loses_only_that_session(self, tokenizer):
-        from repro.errors import ServiceOverloadedError, SessionNotFoundError
+    def test_prefill_fault_sheds_the_request_and_the_session_stays_open(self, tokenizer):
+        from repro.errors import ServiceOverloadedError
 
         engine = build_engine(tokenizer, 1)
         manager = SessionManager(engine)
-        kept = manager.create(TRAIN_TEXTS[0], BUDGET)["session_id"]
-        doomed = manager.create(self.BUFFER, BUDGET)["session_id"]
-        # Not GROWN: a suffix long enough to outgrow the slab, so the
-        # prefill has to ask the arena for a bigger one.
-        long_buffer = self.BUFFER + "".join(TRAIN_TEXTS)
+        created = manager.create(self.BUFFER, BUDGET)["session_id"]
         faulty = FaultInjector(seed=0)
-        faulty.on("kv_arena.acquire", at_calls=[1])
+        faulty.on("kv_arena.acquire", at_calls=[1])  # the gather of the session's path
         with faulty, pytest.raises(ServiceOverloadedError):
-            manager.extend(doomed, long_buffer, BUDGET)
+            manager.extend(created, self.GROWN, BUDGET)
+        assert [event["call"] for event in faulty.events()] == [1]
         stats = manager.stats()
-        assert (stats["lost"], stats["live_sessions"]) == (1, 1)
+        assert (stats["created"], stats["live_sessions"]) == (1, 1)
         assert engine.stats()["shed_requests"] == 1
-        with pytest.raises(SessionNotFoundError):
-            manager.extend(doomed, long_buffer, BUDGET)
-        assert engine.kv_arena.stats()["bytes_in_use"] == session_slab_bytes(manager)
-        assert manager.extend(kept, TRAIN_TEXTS[0] + "x\n", BUDGET)["outcome"] == "completed"
-        manager.close_all()
-        assert engine.kv_arena.stats()["bytes_in_use"] == 0
+        assert engine.kv_arena.stats()["bytes_in_use"] == engine.prefix_cache.stats()["bytes_held"]
+        self._check_usable(tokenizer, engine, manager, created)
 
 
-class TestWarmRowsShareTheBatch:
-    """A warm row decodes beside cold rows: admission copies it into a slot,
-    and retirement appends what it decoded to the owner's handles."""
+class TestStoreHitsShareTheBatch:
+    """A request that hits the prefix store decodes beside cold rows:
+    admission gathers its match and copies the row into a slot, and its
+    normal finish leaves its fed context in the store."""
 
     BUDGET = 6
+    HEAD = 4
 
     def _setup(self, tokenizer):
         engine = build_engine(tokenizer, 0)  # four slots
@@ -238,60 +268,65 @@ class TestWarmRowsShareTheBatch:
         return engine, prompts
 
     def _request(self, request_id, prompt, engine=None) -> GenerationRequest:
-        caches = None
-        if engine is not None:  # warm: the handles already hold a prefix, as a session's do
-            caches, _, _ = prefill_single(engine.network, prompt[:4], arena=engine.kv_arena)
+        if engine is not None:  # a hit: the store already holds the prompt's head
+            head = prompt[: self.HEAD]
+            caches, _, _ = prefill_single(engine.network, head, arena=engine.kv_arena)
+            engine.prefix_cache.insert(head, caches)
+            for cache in caches:
+                cache.release()
         return GenerationRequest(
             request_id=request_id,
             prompt_ids=prompt,
             max_new_tokens=self.BUDGET,
             effective_budget=self.BUDGET,
-            caches=caches,
         )
 
-    def _check(self, engine, requests, warm):
+    def _check(self, engine, requests, hit):
         network = engine.network
         for request in requests:
             assert request.outcome == "completed"
             assert greedy_or_tie(network, request.prompt_ids, request.generated, self.BUDGET)
         assert engine.batcher.stats()["mean_batch_occupancy"] > 1.0
-        # prompt + every fed token is in the handles; the last one never was fed
-        fed = (warm.prompt_ids + warm.generated)[: warm.caches[0].length]
-        assert len(fed) == warm.prompt_length + len(warm.generated) - 1
+        assert hit.prefix_reused == self.HEAD
+        # prompt + every fed token is in the store; the last one never was fed
+        fed = (hit.prompt_ids + hit.generated)[:-1]
+        store = engine.prefix_cache
+        match = store.lookup(fed + [0])
+        assert match[0] == len(fed)
         reference, _, _ = prefill_single(network, fed, arena=KVArena())
-        for own, want in zip(warm.caches, reference):
-            for got_array, want_array in zip(own.view(), want.view()):
+        for got, want in zip(store.gather(match, len(fed) + 1), reference):
+            for got_array, want_array in zip(got.view(), want.view()):
                 np.testing.assert_allclose(got_array, want_array, rtol=1e-4, atol=1e-5)
-            own.release()
+            got.release()
             want.release()
-        engine.prefix_cache.clear()
+        store.clear()
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
 
-    def test_warm_row_admitted_beside_cold_rows(self, tokenizer):
+    def test_store_hit_admitted_beside_decoding_cold_rows(self, tokenizer):
         engine, prompts = self._setup(tokenizer)
         batcher = engine.batcher
         cold = [self._request(i, prompt) for i, prompt in enumerate(prompts[:2])]
         for request in cold:
             batcher.submit(request)
         assert batcher.step() and batcher.active_size == 2
-        warm = self._request(2, prompts[2], engine)
-        batcher.submit(warm)  # beside two decoding cold rows
+        hit = self._request(2, prompts[2], engine)
+        batcher.submit(hit)  # beside two decoding cold rows
         assert batcher.step() and batcher.active_size == 3
         drain(batcher)
-        self._check(engine, [*cold, warm], warm)
+        self._check(engine, [*cold, hit], hit)
 
-    def test_cold_rows_join_a_decoding_warm_row(self, tokenizer):
+    def test_cold_rows_join_a_decoding_store_hit(self, tokenizer):
         engine, prompts = self._setup(tokenizer)
         batcher = engine.batcher
-        warm = self._request(0, prompts[0], engine)
-        batcher.submit(warm)
+        hit = self._request(0, prompts[0], engine)
+        batcher.submit(hit)
         assert batcher.step() and batcher.active_size == 1
         cold = [self._request(i, prompt) for i, prompt in enumerate(prompts[1:], start=1)]
         for request in cold:
-            batcher.submit(request)  # beside the decoding warm row
+            batcher.submit(request)  # beside the decoding store hit
         assert batcher.step() and batcher.active_size == 3
         drain(batcher)
-        self._check(engine, [warm, *cold], warm)
+        self._check(engine, [hit, *cold], hit)
 
 
 class TestFirstTokenFinishHasATtft:

@@ -50,7 +50,6 @@ REASONS = {
 ALLOWED = {
     "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
     "repro.obs.trace.Tracer.export_jsonl": "flag",
-    "repro.nn.kv_arena.DenseKVCache.truncate": "reference",
     "repro.nn.kv_arena.DenseKVCache.view": "reference",
 }
 
