@@ -15,9 +15,11 @@ A decode step is one batched ``forward_incremental`` that writes each
 row's new column at that row's own offset; when rows differ in length
 the slot caches say so, and key ``j`` is visible to new token ``i`` of
 row ``b`` iff ``j <= length_b + i``.  Nothing is padded, re-packed or grown:
-admission copies a prefilled batch-1 row into the next free slot,
-retirement moves the last row into the freed slot, and a speculative
-rollback just lowers a row's length — copies per event, never per token.
+admission prefills a request in place in the next free slot, through a
+batch-1 view (:class:`~repro.nn.kv_arena.SlotRow`) that a prefix-store
+hit's match was gathered into, retirement moves the last row into the
+freed slot, and a speculative rollback just lowers a row's length —
+copies per event, never per token.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EngineError
-from repro.faults.inject import shield
-from repro.nn.kv_arena import KVArena, KVCache, SlotKVCache
+from repro.nn.kv_arena import KVArena, KVCache, SlotKVCache, SlotRow
 from repro.nn.transformer import DecoderLM
 
 PAD_TOKEN_ID = 0  # pads a short draft: accepted only if it is the greedy token
@@ -47,35 +48,21 @@ class BatchRow:
 
 
 def prefill_single(
-    model: DecoderLM,
-    prompt_ids: list[int],
-    seeded_caches: list[KVCache] | None = None,
-    arena: KVArena | None = None,
-) -> tuple[list[KVCache], int, int]:
-    """Prefill one prompt at batch size 1, optionally atop K/V it already has.
+    model: DecoderLM, prompt_ids: list[int], caches: list[KVCache] | list[SlotRow]
+) -> tuple[int, int]:
+    """Prefill one prompt at batch size 1, appending past what the per-layer ``caches`` hold.
 
-    Returns ``(caches, first_token, prefilled)`` where ``prefilled`` is the
-    number of prompt tokens actually run through the model (the suffix not
-    covered by ``seeded_caches``).  Batch-1 prefill is bit-identical to the
+    In the engine ``caches`` are a slot row (:meth:`DecodingBatch.open_row`).
+    Returns ``(first_token, prefilled)``, ``prefilled`` being the prompt
+    tokens run through the model.  Batch-1 prefill is bit-identical to the
     sequential :func:`~repro.nn.sampling.generate_greedy` prefill, which is
     what makes engine outputs token-identical to sequential decoding.
     """
-    caches = seeded_caches if seeded_caches is not None else model.new_cache(arena)
-    offset = caches[0].length
-    suffix = prompt_ids[offset:]
+    suffix = prompt_ids[caches[0].length :]
     if not suffix:
         raise EngineError("prefix cache covered the whole prompt; nothing to prefill")
-    try:
-        logits = model.forward_incremental(np.array([suffix], dtype=np.int64), caches)
-    except BaseException:
-        # Prefill is the fault-injection point for allocation failures:
-        # layers appended before the fault hold live slabs, and the
-        # request is about to be shed — return every cache to the arena
-        # so shedding never leaks KV memory (seeded caches included).
-        for cache in caches:
-            cache.release()
-        raise
-    return caches, int(logits[0, -1].argmax()), len(suffix)
+    logits = model.forward_incremental(np.array([suffix], dtype=np.int64), caches)
+    return int(logits[0, -1].argmax()), len(suffix)
 
 
 class DecodingBatch:
@@ -94,37 +81,43 @@ class DecodingBatch:
 
     # -- admission ----------------------------------------------------------
 
-    def admit(self, row_caches: list[KVCache], pending: int, payload: object) -> BatchRow:
-        """Copy one prefilled batch-1 row into the next free slot.
+    def open_row(self) -> list[SlotRow]:
+        """Per layer, a batch-1 view of the next free slot, for a prefill to write through.
 
-        ``row_caches`` stay the caller's and unchanged: it releases them.
-        The first admission acquires the slot slabs, shielded: allocation
-        faults belong at prefill, where exactly one request is chargeable.
+        The first row opens the batch, acquiring the slot slabs in layer
+        order, so an allocation fault is charged to the request being
+        admitted (claimed slabs go back first); a row joining allocates nothing.
         """
-        if len(row_caches) != len(self.model.blocks):
-            raise EngineError(
-                f"row has {len(row_caches)} layer caches, model has {len(self.model.blocks)}"
-            )
-        if row_caches[0].length < 1:
-            raise EngineError("cannot admit a row with an empty cache")
         if len(self.rows) == self.slots:
             raise EngineError(f"all {self.slots} slots are taken")
-        if not self.rows:
+        if not self.caches:
             config = self.model.config
-            head_dim = config.dim // config.n_heads
-            with shield():
-                self.caches = [
-                    SlotKVCache(self.arena, self.slots, config.n_heads, head_dim, config.n_positions)
-                    for _ in row_caches
-                ]
-        for slot_cache, own in zip(self.caches, row_caches):
-            slot_cache.copy_in(own)
+            shape = (config.n_heads, config.dim // config.n_heads, config.n_positions)
+            try:
+                for _ in self.model.blocks:
+                    self.caches.append(SlotKVCache(self.arena, self.slots, *shape))
+            except BaseException:
+                self.close_if_empty()
+                raise
+        return [SlotRow(cache) for cache in self.caches]
+
+    def admit(self, opened: list[SlotRow], pending: int, payload: object) -> BatchRow:
+        """Seat the row the ``opened`` views were prefilled through; the next step decodes it."""
+        for cache, row in zip(self.caches, opened):
+            cache.seat(row)
         row = BatchRow(payload=payload, pending=pending)
         self.rows.append(row)
         return row
 
+    def close_if_empty(self) -> None:
+        """With no row seated, give the slot slabs back (an opened, unseated row holds none)."""
+        if not self.rows:
+            for cache in self.caches:
+                cache.release()
+            self.caches = []
+
     def admit_prompts(self, prompts: list[list[int]], payloads: list[object]) -> list[int]:
-        """Prefill each prompt at batch 1 and admit it; the first greedy token per prompt.
+        """Prefill each prompt in its slot and admit it; the first greedy token per prompt.
 
         No serving path calls it: ``bench/trace.py`` wraps it by name, and
         the static-batch conformance case drives it against
@@ -134,12 +127,9 @@ class DecodingBatch:
             raise EngineError(f"{len(prompts)} prompts vs {len(payloads)} payloads")
         first_tokens = []
         for prompt, payload in zip(prompts, payloads):
-            caches, first_token, _ = prefill_single(self.model, prompt, arena=self.arena)
-            try:
-                self.admit(caches, first_token, payload)
-            finally:
-                for cache in caches:
-                    cache.release()
+            opened = self.open_row()
+            first_token, _ = prefill_single(self.model, prompt, opened)
+            self.admit(opened, first_token, payload)
             first_tokens.append(first_token)
         return first_tokens
 
@@ -225,8 +215,5 @@ class DecodingBatch:
                 self.rows[index] = last
             for cache in self.caches:
                 cache.pop_row(index)
-        if not self.rows:
-            for cache in self.caches:
-                cache.release()
-            self.caches = []
+        self.close_if_empty()
         return retired

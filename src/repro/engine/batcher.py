@@ -16,23 +16,24 @@ slot, so the batch holds ``max_batch_size * n_positions`` columns per
 layer.
 
 Prefill runs per request at batch size 1 (bit-identical to sequential
-decoding), atop whatever the prefix store already holds of the prompt;
-decode runs batched.  This mirrors the prefill/decode split of modern
-serving engines at laptop scale.
+decoding), in the request's own batch slot, atop whatever the prefix store
+already holds of the prompt; decode runs batched.  This mirrors the
+prefill/decode split of modern serving engines at laptop scale.
 
 Every request takes the same path through the prefix store: admission
-gathers the longest stored path into fresh caches as wide as the position
-window and prefills the rest; a request that completes normally leaves its
-fed context (prompt plus every generated token with K/V) in the store as
-it leaves — from its batch row, or from its prefill caches when its first
-token ended it.  A keystroke session's request pins that path.
+opens the batch if it is empty (the one step that allocates), gathers the
+longest stored path straight into the next free slot row — one copy per
+hit, none per miss — and prefills the rest there.  A request that
+completes normally, on its first token or later, leaves its fed context
+(prompt plus every generated token with K/V) in the store as its row
+retires.  A keystroke session's request pins that path.
 
 Robustness: every step first *reaps* — cancelled or deadline-expired
 requests are retired from the queue and the active batch before any new
 work runs, so a cancelled mid-decode row frees its KV slabs within one
-step.  Prefill-time failures (KV slab allocation, injected faults) *shed*
-the one request being admitted instead of propagating; decode-step faults
-are transient (the step is skipped and retried).  Nothing that finished
+step.  Admission failures (opening the batch's slabs, injected faults)
+*shed* the one request being admitted instead of propagating; decode-step
+faults are transient (the step is skipped and retried).  Nothing that finished
 abnormally is inserted, so partial work never seeds future prefills.  All
 timing reads the swappable :mod:`repro.faults.clock`, which is what makes
 deadline behaviour exact under a fake clock.
@@ -73,7 +74,6 @@ class ContinuousBatcher:
         if max_batch_size < 1:
             raise EngineError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self.model = model
-        self.arena = arena
         if speculative_k < 0:
             raise EngineError(f"speculative_k must be >= 0, got {speculative_k}")
         if speculative_k and draft_model is None:
@@ -192,56 +192,50 @@ class ContinuousBatcher:
         if finished:
             self._retire(finished)
 
-    def _insert(self, request: GenerationRequest, layers: list, row: int, columns: int) -> None:
-        """Leave a completed request's fed context — its first ``columns``
-        tokens, held in row ``row`` of the per-layer ``layers`` — in the
-        prefix store.  Shielded: the copies allocate, and allocation faults
-        belong at admission."""
-        fed = (request.prompt_ids + request.generated)[:columns]
-        with shield():
-            path = self.prefix_cache.insert(fed, layers, row, pin=request.pin)
-        if request.pin:
-            request.path = path
-
     def _retire(self, positions: list[int]) -> None:
-        """Drop rows from the batch; a completed row first leaves its fed context in the store."""
+        """Drop rows from the batch; a completed row first leaves its fed
+        context in the prefix store — the only place the store is inserted
+        into.  Shielded: the copies allocate, and allocation faults belong
+        at admission."""
         slots = self.batch.caches
         for position in positions:
             request = self.batch.rows[position].payload
             if request.outcome == "completed":
-                self._insert(request, slots, position, slots[0].lengths[position])
+                fed = (request.prompt_ids + request.generated)[: slots[0].lengths[position]]
+                with shield():
+                    path = self.prefix_cache.insert(fed, slots, position, pin=request.pin)
+                if request.pin:
+                    request.path = path
         self.batch.retire(positions)
 
     def _admit_one(self) -> None:
         request = self.queue.popleft()
         request.begin_prefill()
         self._c_admitted.inc()
-        match = self.prefix_cache.lookup(request.prompt_ids)
-        seeded = None
-        if match is not None:
-            request.prefix_reused = match[0]
-            self._c_prefix_reused.inc(request.prefix_reused)
-        forward_started = clock.now()
         try:
+            # Opening the batch is the only step that allocates, so it
+            # comes before the store walk: a request it sheds books no reuse.
+            opened = self.batch.open_row()
+            match = self.prefix_cache.lookup(request.prompt_ids)
+            forward_started = clock.now()
             if match is not None:
-                # The store keeps its segments: the request prefills atop
-                # its own copy of the matched columns.  Sized for the
-                # window, not the prompt, so every hit's copy lands in the
-                # same pooled slab per layer instead of allocating one per
-                # prompt length.
-                seeded = self.prefix_cache.gather(match, self.model.config.n_positions)
-            caches, first_token, prefilled = prefill_single(
-                self.model, request.prompt_ids, seeded, arena=self.arena
-            )
-        except (InjectedFault, MemoryError):
-            # Admission failed (slab allocation or injected prefill fault).
-            # The gather and prefill_single already returned their caches to
-            # the arena.  The one chargeable request is shed, the batch and
-            # the rest of the queue are untouched.
+                request.prefix_reused = match[0]
+                self._c_prefix_reused.inc(request.prefix_reused)
+                self.prefix_cache.gather(match, opened)
+            first_token, prefilled = prefill_single(self.model, request.prompt_ids, opened)
+        except BaseException as error:
+            # The half-open row is dropped: an empty batch closes and its
+            # slabs go back to the arena.  An allocation or injected fault
+            # sheds the one chargeable request; the batch and the rest of
+            # the queue are untouched.
+            self.batch.close_if_empty()
+            if not isinstance(error, (InjectedFault, MemoryError)):
+                raise
             self._finish_abnormal(request, "shed")
             return
         self._h_prefill_forward.observe(clock.now() - forward_started)
         self._c_prefill_tokens.inc(prefilled)
+        row = self.batch.admit(opened, pending=first_token, payload=request)
         request.begin_decode()  # the first token exists: TTFT is defined from here
         reason = advance(
             request.generated,
@@ -253,20 +247,17 @@ class ContinuousBatcher:
         )
         request.emit_tokens(request.generated)
         if reason is not None:
-            # Finished on its very first token — never occupies a batch row.
+            # Finished on its very first token: its row retires like any other.
             request.finish(reason)
             self.book(request)
-            self._insert(request, caches, 0, request.prompt_length)
-        else:
-            row = self.batch.admit(caches, pending=first_token, payload=request)
-            if self.speculative_k:
-                # Per-request draft state: the context the draft model sees —
-                # prompt plus everything generated, pending token included.
-                row.context = list(request.prompt_ids) + list(request.generated)
-            with self.stats_lock:
-                self.peak_batch_size = max(self.peak_batch_size, self.active_size)
-        for cache in caches:
-            cache.release()
+            self._retire([len(self.batch.rows) - 1])
+            return
+        if self.speculative_k:
+            # Per-request draft state: the context the draft model sees —
+            # prompt plus everything generated, pending token included.
+            row.context = list(request.prompt_ids) + list(request.generated)
+        with self.stats_lock:
+            self.peak_batch_size = max(self.peak_batch_size, self.active_size)
 
     # -- speculation ---------------------------------------------------------
 

@@ -14,8 +14,9 @@ every slab keeps one holder.
 
 * :meth:`lookup` walks the longest stored path along a prompt in
   O(prompt), capped at ``len(prompt) - 1`` (the engine needs the last
-  token's logits); :meth:`gather` copies it into caches sized for the
-  prompt.
+  token's logits); :meth:`gather` copies it into the caller's per-layer
+  destinations — the admitted request's slot row — so the store's node
+  format stays its own.
 * :meth:`insert` stores a normally completed request's fed context (the
   prompt plus every generated token with K/V): only the columns past the
   longest stored path, into one new node.
@@ -29,7 +30,7 @@ every slab keeps one holder.
 
 from __future__ import annotations
 
-from repro.nn.kv_arena import KVCache
+from repro.nn.kv_arena import KVCache, SlotRow
 
 
 class _Node:
@@ -124,23 +125,12 @@ class PrefixCache:
         self.tokens_reused += matched
         return matched, path
 
-    def gather(self, match: tuple[int, list[tuple[_Node, int]]], tokens: int) -> list[KVCache]:
-        """Per layer, a new cache holding a :meth:`lookup` match, room for ``tokens`` columns.
-
-        One counted arena acquire per layer; should one fail, the copies
-        already made are released before the fault propagates.
-        """
+    def gather(self, match: tuple[int, list[tuple[_Node, int]]], rows: list[SlotRow]) -> None:
+        """Write a :meth:`lookup` match into ``rows``, one batch-1 destination per
+        layer (:meth:`~repro.nn.kv_arena.SlotRow.gather`: one copy each, no allocation)."""
         parts = [(node, used) for node, used in match[1] if used]
-        gathered: list[KVCache] = []
-        try:
-            for layer in range(len(parts[0][0].caches)):
-                segments = [(node.caches[layer], used) for node, used in parts]
-                gathered.append(KVCache.gather(segments, tokens))
-        except BaseException:
-            for cache in gathered:
-                cache.release()
-            raise
-        return gathered
+        for layer, row in enumerate(rows):
+            row.gather([(node.caches[layer], used) for node, used in parts])
 
     def insert(self, token_ids, layers: list, row: int = 0, pin: bool = False) -> _Node | None:
         """Store the K/V of ``token_ids``, held in row ``row`` of the per-layer ``layers``.

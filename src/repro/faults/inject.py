@@ -11,8 +11,9 @@ Seams instrumented across the stack:
 
 =====================  ====================================================
 ``kv_arena.acquire``   slab allocation in :class:`~repro.nn.kv_arena.KVArena`
-                       (fires at admission: the prefix-store gather and
-                       prefill; the decoding batch's slot slabs and the
+                       (fires at admission when a request opens an empty
+                       decoding batch, one slot slab per layer; a request
+                       joining an open batch allocates nothing, and the
                        prefix store's retirement inserts run under
                        :func:`shield` — see below)
 ``engine.decode_step`` one batched decode step in
@@ -45,12 +46,12 @@ Two properties make schedules *replayable*:
   across replays.
 
 :func:`shield` suspends injection for a block.  The engine shields the
-allocations of shared state (the per-layer slot slabs of
-:class:`~repro.engine.batched_decode.DecodingBatch` and the prefix store's
-segments a completed request leaves on retirement): a fault between
-layers would leave them disagreeing — not a failure mode real allocators
-produce, just corruption.  Allocation faults instead surface at request
-admission (prefill), where exactly one request is chargeable and the
+allocations of shared state (the prefix store's segments a completed
+request leaves on retirement): a fault between layers would leave them
+disagreeing — not a failure mode real allocators produce, just
+corruption.  Allocation faults instead surface at request admission
+(opening an empty decoding batch, whose slabs are released again should
+one layer's fail), where exactly one request is chargeable and the
 batcher can shed it cleanly.
 """
 
@@ -252,8 +253,8 @@ class shield:
     """Suspend injection on this thread for the block (no-op when no injector is active).
 
     Used around multi-cache allocations whose mid-flight failure would
-    corrupt shared state rather than model a real fault: a decoding batch's
-    first admission and every retirement insert into the prefix store.  A
+    corrupt shared state rather than model a real fault: every retirement
+    insert into the prefix store.  A
     plain class, not a ``@contextmanager`` generator: retirement is on the
     per-request path.
     """

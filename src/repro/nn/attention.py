@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.kv_arena import KVArena, KVCache, SlotKVCache, default_arena  # noqa: F401 — re-exported
+from repro.nn.kv_arena import KVArena, KVCache, SlotKVCache, SlotRow, default_arena  # noqa: F401 — re-exported
 from repro.nn.layers import Layer, Linear, softmax, softmax_inplace
 from repro.nn.rotary import apply_rotary, apply_rotary_backward, shared_rotary_tables
 
@@ -190,7 +190,7 @@ class CausalSelfAttention(Layer):
     def forward_incremental(
         self,
         x: np.ndarray,
-        kv_cache: KVCache | SlotKVCache,
+        kv_cache: KVCache | SlotKVCache | SlotRow,
         rope: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Inference forward for the new suffix ``x``, reusing cached K/V.

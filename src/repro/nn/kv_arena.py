@@ -21,14 +21,17 @@ replaces that with an arena of reusable storage slabs:
 * :class:`SlotKVCache` — one layer's K/V for a decoding batch: one slot
   per row in a slab held for the batch's lifetime; rows of different
   lengths append at their own offsets, so a batch never pads or grows.
+* :class:`SlotRow` — a batch-1 view of the next free slot, what a request
+  is prefilled through before it joins the batch.
 
 Every slab has exactly one holder — a :class:`KVCache` or a
 :class:`SlotKVCache` — and goes back to the arena when that holder
 releases it.  So the prefix store keeps its own read-only segments: a
 completed request's row leaves the columns no stored path holds yet in a
 new one (:meth:`SlotKVCache.copy_out`), and a later request that matches a
-stored path gets a copy of the matched columns, gathered from the path's
-segments into one cache of its own (:meth:`KVCache.gather`).
+stored path has the matched columns gathered from the path's segments
+straight into its slot row (:meth:`SlotRow.gather`) — the one copy a hit
+makes.
 
 :class:`DenseKVCache` preserves the pre-arena concatenate-on-append
 behaviour for equivalence tests and benchmarks.
@@ -96,10 +99,10 @@ class KVArena:
         self.slabs_allocated = 0
         self.slabs_reused = 0
         self.bytes_allocated = 0
-        self.bytes_copied = 0  # growth + path gathers + segment copies + batch slot copies
+        self.bytes_copied = 0  # growth + path gathers + segment copies + slot row moves
         self.appends = 0
         self.grow_copies = 0
-        self.cow_copies = 0  # path gathers, one per layer per prefix-store hit
+        self.cow_copies = 0  # path gathers into a slot row, one per layer per prefix-store hit
         #: Slabs garbage-collected while live: each one is a holder
         #: that never called ``release()`` (repro.obs.audit wants zero).
         self.slabs_dropped_live = 0
@@ -115,7 +118,7 @@ class KVArena:
     def acquire(self, batch: int, heads: int, head_dim: int, min_tokens: int) -> ArenaSlab:
         """A writable slab of at least ``min_tokens`` columns (block-rounded)."""
         # Fault seam: chaos schedules model allocation failure here (the
-        # engine shields the decoding batch's acquires; see repro.faults.inject).
+        # engine shields its retirement inserts; see repro.faults.inject).
         fire("kv_arena.acquire", batch=batch, min_tokens=min_tokens)
         capacity = self.round_up(min_tokens)
         key = (batch, heads, capacity, head_dim)
@@ -297,35 +300,12 @@ class KVCache:
         slab = self._slab
         slab.kv.flags.writeable = slab.k.flags.writeable = slab.v.flags.writeable = False
 
-    @classmethod
-    def gather(cls, parts: list[tuple["KVCache", int]], tokens: int) -> "KVCache":
-        """A new batch-1 cache holding the first ``used`` columns of each part, back to back.
-
-        The prefix store's path gather: ``parts`` are one layer's segments
-        along a stored path.  The slab is sized for ``tokens`` columns, so
-        a prefill of the rest of a prompt up to ``tokens`` long appends in
-        place.  One acquire, counted in the arena's ``cow_copies``.
-        """
-        first = parts[0][0]
-        arena = first._arena
-        _, heads, _, head_dim = first._slab.k.shape
-        length = sum(used for _, used in parts)
-        gathered = cls(arena)
-        target = gathered._slab = arena.acquire(1, heads, head_dim, max(length, tokens))
-        arena.cow_copies += 1
-        columns = [part._slab.kv[:, :, :, :used] for part, used in parts]
-        np.concatenate(columns, axis=3, out=target.kv[:, :, :, :length])
-        gathered._length = length
-        arena.bytes_copied += 2 * length * heads * head_dim * target.k.itemsize
-        return gathered
-
     def copy_out(self, row: int, start: int, stop: int) -> "KVCache":
         """Row ``row``'s columns ``[start, stop)`` as a new read-only batch-1 segment.
 
-        The row-to-node copy: a completed request's row (of its prefill
-        caches, or of its batch slot — :class:`SlotKVCache` shares this
-        method) leaves the columns no stored path holds yet in the prefix
-        store.
+        The row-to-node copy: a completed request's batch slot
+        (:class:`SlotKVCache` shares this method) leaves the columns no
+        stored path holds yet in the prefix store.
         """
         columns = self._slab.kv[:, row, :, start:stop]
         _, heads, tokens, head_dim = columns.shape
@@ -419,17 +399,10 @@ class SlotKVCache:
             slab.scores = np.empty((slab.k.shape[0], heads, 1, slab.capacity), dtype=np.float32)
         return slab.scores[: len(self.lengths), :, :, : self.length]
 
-    def copy_in(self, own: KVCache) -> None:
-        """Admit batch-1 ``own`` into the next free slot: one row copy."""
-        keys, values = own.view()
-        if keys.shape[0] != 1:
-            raise ShapeError(f"a slot admits a batch-1 cache, got batch {keys.shape[0]}")
-        slot, length = len(self.lengths), own.length
-        self._slab.k[slot, :, :length] = keys[0]
-        self._slab.v[slot, :, :length] = values[0]
-        self.lengths.append(length)
+    def seat(self, row: "SlotRow") -> None:
+        """Make the prefilled ``row`` the batch's next: the next append writes it too."""
+        self.lengths.append(row.length)
         self._settle()
-        self._arena.bytes_copied += keys.nbytes + values.nbytes
 
     def roll_back(self, slot: int, columns: int) -> None:
         """Forget row ``slot``'s last ``columns`` columns — no copy."""
@@ -457,6 +430,49 @@ class SlotKVCache:
         self._settle()
         if slab is not None:
             self._arena.release(slab)
+
+
+class SlotRow:
+    """Batch-1 view of the next free slot of a :class:`SlotKVCache`, holding no slab.
+
+    Admission writes a request's K/V here — a prefix-store hit's match
+    (:meth:`gather`), then the prefill (:meth:`append`) — before
+    :meth:`SlotKVCache.seat` counts the row in.
+    """
+
+    __slots__ = ("_arena", "_kv", "length", "last_append_moved_bytes")
+
+    def __init__(self, slots: SlotKVCache) -> None:
+        self._arena = slots._arena
+        slot = len(slots.lengths)
+        self._kv = slots._slab.kv[:, slot : slot + 1]  # (2, 1, H, columns, D)
+        self.length = 0
+        self.last_append_moved_bytes = 0
+
+    def row_offsets(self) -> None:
+        return None  # one row: no per-row offsets
+
+    def gather(self, parts: list[tuple[KVCache, int]]) -> None:
+        """The path gather: the first ``used`` columns of one layer's segments
+        along a stored path, back to back from column 0.  One copy, counted
+        in the arena's ``cow_copies``."""
+        length = sum(used for _, used in parts)
+        target = self._kv[:, :, :, :length]
+        np.concatenate([part._slab.kv[:, :, :, :used] for part, used in parts], axis=3, out=target)
+        self.length = length
+        self._arena.cow_copies += 1
+        self._arena.bytes_copied += target.nbytes
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write the new columns in place at :attr:`length`; views over the row's columns."""
+        start, stop = self.length, self.length + keys.shape[2]
+        k, v = self._kv
+        k[:, :, start:stop] = keys
+        v[:, :, start:stop] = values
+        self.length = stop
+        self._arena.appends += 1
+        self.last_append_moved_bytes = 2 * (keys.nbytes + values.nbytes)
+        return k[:, :, :stop], v[:, :, :stop]
 
 
 class DenseKVCache:

@@ -15,6 +15,7 @@ import pytest
 from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_corpus
 from repro.engine import DecodingBatch, InferenceEngine
 from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
+from repro.nn.kv_arena import KVArena, SlotKVCache, SlotRow
 from repro.nn.parameter import numpy_rng
 from repro.nn.sampling import GenerationResult, advance, generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
@@ -135,6 +136,28 @@ def drain(batcher) -> None:
     """Step a batcher until its queue and active batch are both empty."""
     while batcher.step():
         pass
+
+
+def gather_into_slot(store, match, columns: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, copies of the ``(keys, values)`` a store hit writes into a
+    slot row: ``match`` gathered into the open row of a one-slot
+    :class:`SlotKVCache` ``columns`` wide, as admission gathers it."""
+    segments = match[1][-1][0].caches  # the path's last node: one segment per layer
+    arena = KVArena()
+    slots = []
+    for segment in segments:
+        _, heads, _, head_dim = segment.view()[0].shape
+        slots.append(SlotKVCache(arena, 1, heads, head_dim, columns))
+    rows = [SlotRow(cache) for cache in slots]
+    store.gather(match, rows)
+    gathered = [
+        (cache._slab.k[:, :, : row.length].copy(), cache._slab.v[:, :, : row.length].copy())
+        for cache, row in zip(slots, rows)
+    ]
+    for cache in slots:
+        cache.release()
+    assert arena.bytes_in_use == 0
+    return gathered
 
 
 def greedy_via_admit_prompts(model, prompts, max_new_tokens, stop_ids=frozenset()):

@@ -243,14 +243,15 @@ class TestWire:
 
 
 def _fault_a_long_extend(service) -> ServiceOverloadedError:
-    """Open a session, then fail the slab acquisition of a long extend."""
+    """Open a session, then fail the slab acquisition of a long extend: the
+    batch is empty between calls, so the extend opens it."""
     created = service.session_create(PROMPTS[0], 4)
     grown = PROMPTS[0] + created["completion"] + "\n  ansible.builtin.apt:\n    name: nginx\n" * 3
     injector = FaultInjector(seed=0)
     injector.on("kv_arena.acquire", probability=1.0, max_fires=1)
     with injector, pytest.raises(ServiceOverloadedError) as raised:
         service.session_extend(created["session_id"], grown, 4)
-    assert injector.events(), "the extend never grew a slab: lengthen the buffer"
+    assert injector.events(), "the extend never opened the batch: is a row still decoding?"
     return raised.value
 
 

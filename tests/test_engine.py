@@ -21,13 +21,14 @@ from repro.engine import (
     PrefixCache,
     RequestState,
 )
-from repro.errors import EngineError
-from repro.faults import FakeClock, use
+from repro.errors import EngineError, InjectedFault
+from repro.faults import FakeClock, FaultInjector, use
+from repro.nn.kv_arena import KVArena
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
-from tests.conftest import drain, greedy_or_tie, greedy_via_admit_prompts
+from tests.conftest import drain, gather_into_slot, greedy_or_tie, greedy_via_admit_prompts
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +132,9 @@ class TestPrefixCache:
         match = cache.lookup([5, 6, 7, 8])
         assert match is not None
         assert match[0] == 3  # one token always left for live prefill
-        (gathered,) = cache.gather(match, 4)  # the caller's own copy of the match
-        np.testing.assert_array_equal(gathered.view()[0], fake[0].view()[0][:, :, :3])
-        assert gathered.capacity >= 4
+        ((keys, _),) = gather_into_slot(cache, match, 4)  # the admitted row's own copy
+        np.testing.assert_array_equal(keys, fake[0].view()[0][:, :, :3])
+        assert keys.shape[2] == 3  # the row's last column is the prefill's
 
     def test_insert_skips_covered_prompts(self):
         cache = PrefixCache()
@@ -193,8 +194,8 @@ class TestPrefixCache:
         kv.view()[0][...] = -1.0  # the caller's cache stays its own, and writable
         match = cache.lookup([7, 8, 9, 1])
         assert match is not None
-        (gathered,) = cache.gather(match, 4)
-        np.testing.assert_array_equal(gathered.view()[0], original)
+        ((keys, _),) = gather_into_slot(cache, match, 4)
+        np.testing.assert_array_equal(keys, original)
 
 
 def _fake_kv(length: int):
@@ -313,6 +314,26 @@ class TestDecodingBatch:
         assert np.array_equal(layer._slab.k[0, :, :3], last_row_keys)
         batch.retire([0, 1])
         assert batch.caches == [] and len(batch) == 0
+
+    def test_opening_the_batch_claims_every_layer_or_none(self, trained_model):
+        """The first row opens the batch: one slot slab per layer.  A fault
+        on the second layer's acquire gives the first back, and a row
+        opened but never admitted holds nothing: opening again reuses the
+        open batch, and closing it returns every slab."""
+        arena = KVArena()
+        batch = DecodingBatch(trained_model, 2, arena)
+        with FaultInjector(seed=0).on("kv_arena.acquire", at_calls=[2]):
+            with pytest.raises(InjectedFault):
+                batch.open_row()
+        assert batch.caches == [] and arena.bytes_in_use == 0
+        assert arena.slabs_dropped_live == 0
+        opened = batch.open_row()
+        assert len(opened) == len(trained_model.blocks) == len(batch.caches)
+        acquired = arena.slabs_allocated + arena.slabs_reused
+        batch.open_row()  # the first row was dropped, never admitted
+        assert arena.slabs_allocated + arena.slabs_reused == acquired
+        batch.close_if_empty()
+        assert batch.caches == [] and arena.bytes_in_use == 0
 
 
 class TestEngineFacade:

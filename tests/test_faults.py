@@ -22,6 +22,7 @@ from repro.engine import (
     InferenceEngine,
     PrefixCache,
 )
+from repro.engine import batcher as batcher_module
 from repro.engine.chaos import run_engine_chaos
 from repro.errors import (
     DeadlineExceededError,
@@ -340,6 +341,42 @@ class TestEngineChaos:
         assert arena.stats()["bytes_in_use"] == 0
         assert batcher.stats()["shed_requests"] == 1
 
+    def test_a_prefill_that_raises_drops_its_row_and_an_empty_batch_closes(
+        self, chaos_model, monkeypatch
+    ):
+        """The request is prefilled in its own slot row; a prefill that raises
+        drops that half-open row.  Beside a decoding row the batch stays
+        open and the row decodes on; alone, the batch closes and its slabs
+        go back to the arena."""
+        arena = KVArena()
+        batcher = ContinuousBatcher(chaos_model, max_batch_size=2, arena=arena)
+        prefill = batcher_module.prefill_single
+
+        def raising(model, prompt_ids, caches):
+            prefill(model, prompt_ids, caches)  # writes the row, then fails
+            raise InjectedFault("prefill")
+
+        survivor = _request(chaos_model, 0, [2, 3, 4, 1], max_new_tokens=6)
+        batcher.submit(survivor)
+        batcher.step()
+        monkeypatch.setattr(batcher_module, "prefill_single", raising)
+        beside = _request(chaos_model, 1, [1, 2, 3, 4], max_new_tokens=6)
+        batcher.submit(beside)
+        batcher.step()
+        assert beside.outcome == "shed"
+        assert batcher.active_size == 1 and batcher.batch.caches[0].lengths == [6]
+        monkeypatch.setattr(batcher_module, "prefill_single", prefill)
+        drain(batcher)
+        assert survivor.result.token_ids == generate_greedy(chaos_model, [2, 3, 4, 1], 6).token_ids
+        monkeypatch.setattr(batcher_module, "prefill_single", raising)
+        alone = _request(chaos_model, 2, [1, 2, 3, 4], max_new_tokens=6)
+        batcher.submit(alone)
+        drain(batcher)
+        assert alone.outcome == "shed"
+        assert batcher.batch.caches == []
+        assert arena.stats()["bytes_in_use"] == 0
+        assert batcher.stats()["shed_requests"] == 2
+
     def test_decode_fault_is_transient(self, chaos_model):
         injector = FaultInjector(seed=0).on("engine.decode_step", at_calls=[2, 3])
         with injector:
@@ -393,9 +430,11 @@ class TestPrefixCacheInvalidation:
         drain(batcher)
         assert again.prefix_reused > 0
 
-    def test_fault_during_prefix_copy_sheds_only_that_request(self, chaos_model):
-        """A hit gathers its match per layer; a fault on the second gather
-        sheds the request, frees the first copy and leaves the store intact."""
+    def test_fault_opening_the_batch_sheds_only_that_request(self, chaos_model):
+        """A request that finds the batch empty opens it, one slot slab per
+        layer; a fault on the second layer's acquire sheds the request
+        before the store walk, frees the first slab and leaves the store
+        intact."""
         arena = KVArena()
         prefix_cache = PrefixCache(8)
         prompt = [1, 2, 3, 4, 1, 2]
@@ -409,17 +448,21 @@ class TestPrefixCacheInvalidation:
         _, path = prefix_cache.lookup(prompt + [3])
         stored = [cache for node, used in path if used for cache in node.caches]
         inserted = [[array.copy() for array in cache.view()] for cache in stored]
-        # Acquire 1 copies layer 0's match, acquire 2 copies layer 1's.
+        hits = prefix_cache.stats()["hits"]
+        # Acquire 1 is layer 0's slot slab, acquire 2 layer 1's.
         with FaultInjector(seed=0).on("kv_arena.acquire", at_calls=[2]) as injector:
             doomed = _request(chaos_model, 1, prompt, max_new_tokens=4)
             batcher.submit(doomed)
             drain(batcher)
         assert [event["call"] for event in injector.events()] == [2]
         assert doomed.outcome == "shed"
-        assert doomed.prefix_reused == len(prompt) - 1  # booked before the copy
+        assert doomed.prefix_reused == 0  # shed before the store walk: no reuse booked
+        assert prefix_cache.stats()["hits"] == hits
+        assert batcher.stats()["prefix_tokens_reused"] == 0
         assert batcher.stats()["shed_requests"] == 1
         assert arena.stats()["bytes_in_use"] == held
-        assert arena.stats()["slabs_dropped_live"] == 0  # the first copy was released
+        assert arena.stats()["slabs_dropped_live"] == 0  # the first slab was released
+        assert batcher.batch.caches == []  # the batch stayed closed
         for cache, (keys, values) in zip(stored, inserted):
             np.testing.assert_array_equal(cache.view()[0], keys)
             np.testing.assert_array_equal(cache.view()[1], values)

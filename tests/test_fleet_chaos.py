@@ -175,22 +175,29 @@ class TestCrashMechanics:
         with use(FakeClock()):
             _, workers = build_chaos_fleet(0, 1)
             worker = workers[0]
-            # Held (create mints its handles here) so a slab nobody released
-            # is a leak the arena reports, not garbage ``__del__`` squares.
-            network = worker.engine.network
-            minted: list = []
-            mint = network.new_cache
-            network.new_cache = lambda arena=None: minted.append(mint(arena)) or minted[-1]
+            # Held (create opens the batch, whose slot caches hold the
+            # slabs it prefills into) so a slab nobody released is a leak
+            # the arena reports, not garbage ``__del__`` squares.
+            batch = worker.engine.batcher.batch
+            held: list = []
+            open_row = batch.open_row
+
+            def holding_open_row():
+                opened = open_row()
+                held.append(list(batch.caches))
+                return opened
+
+            batch.open_row = holding_open_row
             injector = FaultInjector(seed=0)
             injector.on("engine.decode_step", at_calls=[2], error=WorkerCrashed)
             try:
                 with injector, pytest.raises(WorkerUnavailableError):
                     worker.session_create("- name: Install nginx please\n", max_new_tokens=8)
             finally:
-                del network.new_cache
+                del batch.open_row
             assert worker.crashes == 1 and not worker.alive
-            (handles,) = minted
-            assert [cache.length for cache in handles] == [0] * len(handles)
+            (slots,) = held
+            assert [cache.lengths for cache in slots] == [[]] * len(slots)
             assert worker.arena_bytes_in_use() == 0
             stats = worker.service.stats()
             assert audit(stats) == []

@@ -78,7 +78,8 @@ class TestZeroCopySharing:
     def test_lookup_copies_nothing_and_insert_copies_only_new_columns(self, network):
         arena = KVArena(block_size=8)
         head = [1, 2, 3, 4, 5]
-        caches, _, _ = prefill_single(network, head + [6, 7], arena=arena)
+        caches = network.new_cache(arena)
+        prefill_single(network, head + [6, 7], caches)
         cache = PrefixCache(4)
         assert cache.insert(head, caches) is not None
         copied = arena.bytes_copied

@@ -7,13 +7,15 @@ every rule applies the same operation to both.  K/V columns are a function
 of the token prefix up to them, as a causal model's are, so whatever the
 store hands back for a prompt can be checked against the reference for
 that prompt.  Handles: append, release.  Slots (a decoding batch's layer
-cache): open one, copy a handle into the next slot, write every row at its
-own offset, roll one row back, free a slot by moving the last row into it,
-close.  The store: insert a slot row or a handle (pinned or not), look a
-prompt up and gather the match into a new handle, try to write a segment,
-unpin, clear.  The invariants are the store's and the arena's whole
-contract: every view equals its model, every node reads what was inserted,
-the walk finds the longest stored path, a pinned path survives eviction,
+cache): open one; admit a prompt as admission does — open the next slot
+row, gather the prompt's longest stored path into it, prefill the rest in
+the row, seat it (or drop it unseated, as a prefill that raises does); write every row at its own offset, roll one row back,
+retire a row into the store (pinned or not) or drop it, the last row
+moving into its slot; close.  The store: insert a handle (pinned or not),
+try to write a segment, unpin, clear.  The invariants are the store's and
+the arena's whole contract: every view equals its model, every node reads
+what was inserted, the walk finds the longest stored path, a pinned path
+survives eviction,
 at most ``capacity`` unpinned nodes are kept, the store's ``bytes_held``
 is what its segments hold, and once everything is released no byte is in
 use and no slab was dropped live.
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.engine import PrefixCache
-from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache, SlotKVCache
+from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache, SlotKVCache, SlotRow
 
 HEADS, DIM = 2, 3
 SLOTS, COLUMNS = 3, 12
@@ -124,17 +126,32 @@ class ArenaMachine(RuleBasedStateMachine):
     def open_slots(self):
         self.slots = SlotKVCache(self.arena, SLOTS, HEADS, DIM, COLUMNS)
 
-    def _admissible(self) -> list[int]:
-        return [i for i, (cache, _, _) in enumerate(self.handles) if cache.length <= COLUMNS]
-
-    @precondition(
-        lambda self: self.slots is not None and len(self.rows) < SLOTS and self._admissible()
-    )
-    @rule(data=st.data())
-    def copy_in(self, data):
-        cache, _, tokens = self.handles[data.draw(st.sampled_from(self._admissible()))]
-        self.slots.copy_in(cache)
-        self.rows.append(list(tokens))
+    @precondition(lambda self: self.slots is not None and len(self.rows) < SLOTS)
+    @rule(data=st.data(), tail=TOKENS, raises=st.booleans())
+    def admit(self, data, tail, raises):
+        contexts = self._contexts()
+        base = data.draw(st.sampled_from(contexts)) if contexts else []
+        prompt = (base[: data.draw(st.integers(0, len(base)))] + tail)[:COLUMNS]
+        longest = max(
+            (_common(prompt[:-1], _path_tokens(node)) for node in self.store._nodes),
+            default=0,
+        )
+        row = SlotRow(self.slots)
+        match = self.store.lookup(prompt)
+        if match is None:
+            assert longest == 0 or len(prompt) < 2
+        else:
+            assert match[0] == longest
+            self.store.gather(match, [row])
+        assert row.length == (0 if match is None else longest)
+        keys, values = _kv(prompt)
+        got = row.append(keys[:, :, row.length :].copy(), values[:, :, row.length :].copy())
+        np.testing.assert_array_equal(got[0], keys)  # the prefill attends the whole prompt
+        np.testing.assert_array_equal(got[1], values)
+        if raises:  # the half-open row is dropped: it was never seated
+            return
+        self.slots.seat(row)
+        self.rows.append(list(prompt))
 
     @precondition(lambda self: self.rows and self.slots.length < COLUMNS)
     @rule(data=st.data())
@@ -158,9 +175,12 @@ class ArenaMachine(RuleBasedStateMachine):
         del self.rows[row][length:]
 
     @precondition(lambda self: self.rows)
-    @rule(data=st.data())
-    def pop_row(self, data):
+    @rule(data=st.data(), insert=st.booleans(), pin=st.booleans())
+    def retire(self, data, insert, pin):
         row = data.draw(st.integers(0, len(self.rows) - 1))
+        tokens = self.rows[row]
+        if insert and tokens:  # a normal finish leaves its fed context in the store
+            self._inserted(self.store.insert(tokens, [self.slots], row, pin=pin), tokens, pin)
         self.slots.pop_row(row)
         last = self.rows.pop()
         if row < len(self.rows):
@@ -179,37 +199,11 @@ class ArenaMachine(RuleBasedStateMachine):
             assert node is not None
             self.pins.append((node, list(tokens)))
 
-    @precondition(lambda self: any(self.rows))
-    @rule(data=st.data(), pin=st.booleans())
-    def insert_row(self, data, pin):
-        row = data.draw(st.sampled_from([i for i, tokens in enumerate(self.rows) if tokens]))
-        tokens = self.rows[row]
-        self._inserted(self.store.insert(tokens, [self.slots], row, pin=pin), tokens, pin)
-
     @precondition(lambda self: self.handles)
     @rule(data=st.data(), pin=st.booleans())
     def insert_handle(self, data, pin):
         cache, _, tokens = self.handles[data.draw(st.integers(0, len(self.handles) - 1))]
         self._inserted(self.store.insert(tokens, [cache], 0, pin=pin), tokens, pin)
-
-    @rule(data=st.data(), tail=TOKENS)
-    def lookup_and_gather(self, data, tail):
-        contexts = self._contexts()
-        base = data.draw(st.sampled_from(contexts)) if contexts else []
-        prompt = base[: data.draw(st.integers(0, len(base)))] + tail
-        longest = max(
-            (_common(prompt[:-1], _path_tokens(node)) for node in self.store._nodes),
-            default=0,
-        )
-        match = self.store.lookup(prompt)
-        if match is None:
-            assert longest == 0 or len(prompt) < 2
-            return
-        assert match[0] == longest
-        (gathered,) = self.store.gather(match, len(prompt))
-        assert gathered.capacity >= len(prompt)
-        tokens = prompt[: match[0]]
-        self.handles.append((gathered, _dense(tokens), tokens))
 
     @precondition(lambda self: self.store._nodes)
     @rule(data=st.data())

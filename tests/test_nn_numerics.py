@@ -27,7 +27,7 @@ from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
 from repro.model import load_checkpoint, save_checkpoint
 from repro.model.lm import WisdomModel
 from repro.nn.attention import CausalSelfAttention, causal_mask
-from repro.nn.kv_arena import DenseKVCache, KVCache, SlotKVCache
+from repro.nn.kv_arena import DenseKVCache, KVCache, SlotKVCache, SlotRow
 from repro.nn.layers import LayerNorm, softmax
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
@@ -83,24 +83,36 @@ class TestFloat32EndToEnd:
         list(itertools.product([1, 3], [1, 5], [False, True], [False, True])),
     )
     def test_incremental_forward(self, network, batch, new, slots, dense):
-        """batch x new tokens x one offset or a slot per row x arena/dense warm cache."""
+        """batch x new tokens x one offset or a slot per row x arena/dense warm cache.
+
+        With a slot per row, row b warms to warm + b columns in its own slot
+        row as admission does: prefilled in place (arena), or prefilled in
+        a dense cache whose columns are then appended into the row (dense).
+        """
         warm = 4
         fresh = network.new_dense_cache if dense else network.new_cache
-        if slots:  # row b warms alone to warm + b columns, then takes slot b
-            rows = [fresh() for _ in range(batch)]
+        if slots:
             config = network.config
             caches = [
                 SlotKVCache(None, batch, config.n_heads, config.dim // config.n_heads, config.n_positions)
                 for _ in network.blocks
             ]
         else:
-            rows, caches = [], fresh()
+            caches = fresh()
         try:
-            for row, own in enumerate(rows):
-                first = network.forward_incremental(_ids(1, warm + row, seed=row), own)
+            for row in range(batch if slots else 0):
+                opened = [SlotRow(cache) for cache in caches]
+                ids = _ids(1, warm + row, seed=row)
+                if dense:
+                    own = fresh()
+                    first = network.forward_incremental(ids, own)
+                    for slot_row, layer_cache in zip(opened, own):
+                        slot_row.append(*layer_cache.view())
+                else:
+                    first = network.forward_incremental(ids, opened)
                 assert first.dtype == np.float32
-                for slot_cache, layer_cache in zip(caches, own):
-                    slot_cache.copy_in(layer_cache)
+                for cache, slot_row in zip(caches, opened):
+                    cache.seat(slot_row)
             if not slots:
                 first = network.forward_incremental(_ids(batch, warm), caches)
                 assert first.dtype == np.float32
@@ -110,7 +122,7 @@ class TestFloat32EndToEnd:
                 keys, values = (cache._slab.k, cache._slab.v) if slots else cache.view()
                 assert keys.dtype == values.dtype == np.float32
         finally:
-            for cache in [*caches, *(cache for own in rows for cache in own)]:
+            for cache in caches:
                 if not isinstance(cache, DenseKVCache):
                     cache.release()
 

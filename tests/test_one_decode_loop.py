@@ -25,7 +25,7 @@ from repro.faults import FakeClock, FaultInjector, use
 from repro.nn.kv_arena import KVArena, KVCache
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.serving import PredictionService, SessionManager
-from tests.conftest import drain, greedy_or_tie
+from tests.conftest import drain, gather_into_slot, greedy_or_tie
 from tests.test_streaming_equivalence import BUDGET, TRAIN_TEXTS, build_engine, network_for
 
 pytestmark = pytest.mark.streaming
@@ -243,7 +243,7 @@ class TestAbnormalExitsKeepTheSession:
         manager = SessionManager(engine)
         created = manager.create(self.BUFFER, BUDGET)["session_id"]
         faulty = FaultInjector(seed=0)
-        faulty.on("kv_arena.acquire", at_calls=[1])  # the gather of the session's path
+        faulty.on("kv_arena.acquire", at_calls=[1])  # the batch open: its first slot slab
         with faulty, pytest.raises(ServiceOverloadedError):
             manager.extend(created, self.GROWN, BUDGET)
         assert [event["call"] for event in faulty.events()] == [1]
@@ -256,8 +256,9 @@ class TestAbnormalExitsKeepTheSession:
 
 class TestStoreHitsShareTheBatch:
     """A request that hits the prefix store decodes beside cold rows:
-    admission gathers its match and copies the row into a slot, and its
-    normal finish leaves its fed context in the store."""
+    admission gathers its match straight into its slot row and prefills
+    the rest there, and its normal finish leaves its fed context in the
+    store."""
 
     BUDGET = 6
     HEAD = 4
@@ -270,7 +271,8 @@ class TestStoreHitsShareTheBatch:
     def _request(self, request_id, prompt, engine=None) -> GenerationRequest:
         if engine is not None:  # a hit: the store already holds the prompt's head
             head = prompt[: self.HEAD]
-            caches, _, _ = prefill_single(engine.network, head, arena=engine.kv_arena)
+            caches = engine.network.new_cache(engine.kv_arena)
+            prefill_single(engine.network, head, caches)
             engine.prefix_cache.insert(head, caches)
             for cache in caches:
                 cache.release()
@@ -293,11 +295,11 @@ class TestStoreHitsShareTheBatch:
         store = engine.prefix_cache
         match = store.lookup(fed + [0])
         assert match[0] == len(fed)
-        reference, _, _ = prefill_single(network, fed, arena=KVArena())
-        for got, want in zip(store.gather(match, len(fed) + 1), reference):
-            for got_array, want_array in zip(got.view(), want.view()):
+        reference = network.new_cache(KVArena())
+        prefill_single(network, fed, reference)
+        for got, want in zip(gather_into_slot(store, match, len(fed) + 1), reference):
+            for got_array, want_array in zip(got, want.view()):
                 np.testing.assert_allclose(got_array, want_array, rtol=1e-4, atol=1e-5)
-            got.release()
             want.release()
         store.clear()
         assert engine.kv_arena.stats()["bytes_in_use"] == 0
@@ -327,6 +329,48 @@ class TestStoreHitsShareTheBatch:
         assert batcher.step() and batcher.active_size == 3
         drain(batcher)
         self._check(engine, [hit, *cold], hit)
+
+    def _join_a_decoding_row(self, tokenizer, hit: bool):
+        """Admit one request, a store hit or a miss, while a cold row decodes,
+        with every arena acquire armed to fault.  Returns the arena's counter
+        deltas over that admission step."""
+        engine, prompts = self._setup(tokenizer)
+        batcher, arena = engine.batcher, engine.kv_arena
+        cold = self._request(0, prompts[0])
+        batcher.submit(cold)
+        assert batcher.step() and batcher.active_size == 1
+        joining = self._request(1, prompts[1], engine if hit else None)
+        before = arena.stats()
+        faulty = FaultInjector(seed=0).on("kv_arena.acquire", probability=1.0)
+        with faulty:
+            batcher.submit(joining)
+            assert batcher.step() and batcher.active_size == 2  # nothing retired
+        after = arena.stats()
+        assert faulty.events() == []  # an acquire would have faulted
+        assert batcher.stats()["shed_requests"] == 0
+        drain(batcher)
+        for request in (cold, joining):
+            assert request.outcome == "completed"
+            assert greedy_or_tie(engine.network, request.prompt_ids, request.generated, self.BUDGET)
+        assert joining.prefix_reused == (self.HEAD if hit else 0)
+        engine.prefix_cache.clear()
+        assert arena.stats()["bytes_in_use"] == 0
+        delta = {key: after[key] - before[key] for key in after}
+        assert delta["slabs_allocated"] == delta["slabs_reused"] == 0
+        return engine, delta
+
+    def test_a_hit_joining_an_open_batch_copies_its_match_once_and_allocates_nothing(
+        self, tokenizer
+    ):
+        engine, delta = self._join_a_decoding_row(tokenizer, hit=True)
+        config = engine.network.config
+        column = 2 * config.dim * 4  # K and V of one token in one layer, float32
+        assert delta["cow_copies"] == config.n_layers  # one gather per layer
+        assert delta["bytes_copied"] == config.n_layers * self.HEAD * column
+
+    def test_a_miss_joining_an_open_batch_copies_nothing(self, tokenizer):
+        _, delta = self._join_a_decoding_row(tokenizer, hit=False)
+        assert delta["cow_copies"] == delta["bytes_copied"] == 0
 
 
 class TestFirstTokenFinishHasATtft:
