@@ -33,7 +33,7 @@ def test_fig1_full_stack(benchmark):
 def test_fig1_model_view(benchmark):
     benchmark(lambda: yamlio.loads(FIG1))
     playbook = ansible.Playbook.from_data(yamlio.loads(FIG1))
-    tasks = playbook.all_tasks()
+    tasks: list[ansible.Task] = playbook.all_tasks()
     assert [t.name for t in tasks] == ["Install SSH server", "Start SSH server"]
     assert [t.fqcn for t in tasks] == ["ansible.builtin.apt", "ansible.builtin.service"]
 

@@ -9,10 +9,9 @@ accepts.
 from repro.ansible.equivalence import (
     EQUIVALENCE_GROUPS,
     are_equivalent,
-    equivalence_group,
     module_key_score,
 )
-from repro.ansible.fqcn import is_fqcn, resolve_fqcn, short_name
+from repro.ansible.fqcn import resolve_fqcn, short_name
 from repro.ansible.keywords import (
     BLOCK_KEYS,
     PLAY_KEYWORDS,
@@ -34,11 +33,7 @@ from repro.ansible.modules import (
     CATALOG,
     ModuleSpec,
     ParameterSpec,
-    all_modules,
-    categories,
     get_module,
-    is_known_module,
-    modules_in_category,
 )
 from repro.ansible.schema import (
     LENIENT,
@@ -52,9 +47,7 @@ from repro.ansible.schema import (
 __all__ = [
     "EQUIVALENCE_GROUPS",
     "are_equivalent",
-    "equivalence_group",
     "module_key_score",
-    "is_fqcn",
     "resolve_fqcn",
     "short_name",
     "BLOCK_KEYS",
@@ -76,11 +69,7 @@ __all__ = [
     "CATALOG",
     "ModuleSpec",
     "ParameterSpec",
-    "all_modules",
-    "categories",
     "get_module",
-    "is_known_module",
-    "modules_in_category",
     "LENIENT",
     "STRICT",
     "Violation",

@@ -57,8 +57,3 @@ def module_key_score(module_a: str, module_b: str) -> float:
     if are_equivalent(module_a, module_b):
         return PARTIAL_MODULE_CREDIT
     return 0.0
-
-
-def equivalence_group(module: str) -> frozenset[str]:
-    """The group containing ``module`` (singleton set when ungrouped)."""
-    return _GROUP_BY_MODULE.get(module, frozenset({module}))

@@ -35,9 +35,3 @@ def resolve_fqcn(name: str) -> str:
 def short_name(name: str) -> str:
     """The short (collection-less) form of a module reference."""
     return name.rsplit(".", 1)[-1]
-
-
-def is_fqcn(name: str) -> bool:
-    """True when ``name`` has the ``namespace.collection.module`` shape."""
-    parts = name.split(".")
-    return len(parts) >= 3 and all(part.isidentifier() for part in parts)

@@ -130,16 +130,6 @@ LOOP_KEYWORDS: frozenset[str] = frozenset(
 ) | {"loop"}
 
 
-def is_play_keyword(key: str) -> bool:
-    """True when ``key`` is a valid play-level directive."""
-    return key in PLAY_KEYWORDS
-
-
-def is_task_keyword(key: str) -> bool:
-    """True when ``key`` is a valid task-level directive (not a module)."""
-    return key in TASK_KEYWORDS
-
-
 def looks_like_play(mapping: dict) -> bool:
     """Heuristic from the dataset pipeline: a mapping is a *play* when it
     carries the play-defining keys (``hosts`` or task sections with no

@@ -22,8 +22,6 @@ from repro.ansible.keywords import (
     TASK_KEYWORDS,
     looks_like_play,
 )
-from repro.ansible.kv import parse_kv
-from repro.ansible.modules import get_module
 from repro.errors import AnsibleError
 
 
@@ -93,23 +91,6 @@ class Task:
             return None
         return resolve_fqcn(self.module)
 
-    def normalized_args(self) -> object:
-        """Module arguments with legacy ``k=v`` strings parsed into dicts."""
-        if isinstance(self.args, str):
-            spec = get_module(self.module) if self.module else None
-            free_form = bool(spec and spec.free_form)
-            if free_form:
-                return parse_kv(self.args, free_form=True)
-            try:
-                return parse_kv(self.args, free_form=False)
-            except AnsibleError:
-                return self.args
-        return self.args
-
-    @property
-    def is_block(self) -> bool:
-        return False
-
 
 @dataclass
 class Block:
@@ -161,11 +142,6 @@ class Block:
                 else:
                     leaves.append(entry)
         return leaves
-
-    @property
-    def is_block(self) -> bool:
-        return True
-
 
 def parse_task_entry(data: object) -> Task | Block:
     """Parse one entry of a task list into a Task or a Block."""

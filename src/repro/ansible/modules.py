@@ -944,23 +944,3 @@ def get_module(name: str) -> ModuleSpec | None:
     if name in _BY_FQCN:
         return _BY_FQCN[name]
     return _BY_SHORT_NAME.get(name)
-
-
-def is_known_module(name: str) -> bool:
-    """True when ``name`` resolves in the catalog."""
-    return get_module(name) is not None
-
-
-def all_modules() -> tuple[ModuleSpec, ...]:
-    """The full catalog, in definition order."""
-    return CATALOG
-
-
-def modules_in_category(category: str) -> tuple[ModuleSpec, ...]:
-    """All modules belonging to a functional category."""
-    return tuple(spec for spec in CATALOG if spec.category == category)
-
-
-def categories() -> tuple[str, ...]:
-    """Sorted distinct categories present in the catalog."""
-    return tuple(sorted({spec.category for spec in CATALOG}))

@@ -23,7 +23,6 @@ from repro.baselines.ngram import NgramLM
 from repro.baselines.retrieval import RetrievalBaseline
 from repro.dataset.corpus import Corpus
 from repro.dataset.finetune import extract_samples
-from repro.dataset.prompt import FinetuneSample
 from repro.tokenizer.bpe import BpeTokenizer
 from repro.utils.rng import SeededRng
 
@@ -84,12 +83,6 @@ class CodexSimulator:
             leaked_corpus = Corpus("codex-leak", leaked)
             self._retrieval.index_samples(extract_samples(leaked_corpus))
             self._fallback.fit(leaked_corpus.texts())
-        return self
-
-    def fit_samples(self, samples: list[FinetuneSample]) -> "CodexSimulator":
-        """Directly index pre-extracted samples (used in tests)."""
-        self._retrieval.index_samples(samples)
-        self._fallback.fit([sample.training_text for sample in samples])
         return self
 
     def _recalls_verbatim(self, prompt: str) -> bool:

@@ -6,7 +6,7 @@ rationale.
 """
 
 from repro.dataset.corpus import ANSIBLE, CODE, Corpus, Document, GENERIC, NATURAL
-from repro.dataset.dedup import dedup_documents, dedup_samples, dedup_samples_across_splits
+from repro.dataset.dedup import dedup_documents, dedup_samples_across_splits
 from repro.dataset.finetune import (
     FinetuneDataset,
     build_finetune_dataset,
@@ -38,12 +38,6 @@ from repro.dataset.sources import (
     scaled_count,
 )
 from repro.dataset.splits import SplitCorpora, split_corpus
-from repro.dataset.stats import (
-    CorpusStats,
-    corpus_stats,
-    render_stats_table,
-    stats_by_source,
-)
 from repro.dataset.synthesis import (
     AnsibleSynthesizer,
     GALAXY_STYLE,
@@ -60,7 +54,6 @@ __all__ = [
     "GENERIC",
     "NATURAL",
     "dedup_documents",
-    "dedup_samples",
     "dedup_samples_across_splits",
     "FinetuneDataset",
     "build_finetune_dataset",
@@ -90,10 +83,6 @@ __all__ = [
     "scaled_count",
     "SplitCorpora",
     "split_corpus",
-    "CorpusStats",
-    "corpus_stats",
-    "render_stats_table",
-    "stats_by_source",
     "AnsibleSynthesizer",
     "GALAXY_STYLE",
     "GITHUB_STYLE",

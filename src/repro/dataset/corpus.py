@@ -63,17 +63,6 @@ class Corpus:
     def texts(self) -> list[str]:
         return [document.content for document in self.documents]
 
-    def filter(self, predicate) -> "Corpus":
-        """New corpus with documents satisfying ``predicate``."""
-        kept = [document for document in self.documents if predicate(document)]
-        return Corpus(name=self.name, documents=kept)
-
-    def by_source(self, source: str) -> "Corpus":
-        return self.filter(lambda document: document.source == source)
-
-    def by_type(self, yaml_type: str) -> "Corpus":
-        return self.filter(lambda document: document.yaml_type == yaml_type)
-
     def merged_with(self, other: "Corpus", name: str | None = None) -> "Corpus":
         return Corpus(
             name=name or f"{self.name}+{other.name}",
@@ -90,21 +79,5 @@ class Corpus:
     def counts_by_source(self) -> dict[str, int]:
         return dict(Counter(document.source for document in self.documents))
 
-    def counts_by_type(self) -> dict[str, int]:
-        return dict(Counter(document.yaml_type for document in self.documents))
-
     def counts_by_kind(self) -> dict[str, int]:
         return dict(Counter(document.kind for document in self.documents if document.kind))
-
-    def total_characters(self) -> int:
-        return sum(len(document.content) for document in self.documents)
-
-    def summary_rows(self) -> list[list[object]]:
-        """Rows shaped like the paper's Table 1: source, count, type."""
-        counter: Counter[tuple[str, str]] = Counter()
-        for document in self.documents:
-            counter[(document.source, document.yaml_type)] += 1
-        return [
-            [source, count, yaml_type]
-            for (source, yaml_type), count in sorted(counter.items())
-        ]

@@ -26,19 +26,6 @@ def dedup_documents(corpus: Corpus) -> Corpus:
     return Corpus(name=corpus.name, documents=kept)
 
 
-def dedup_samples(samples: list, key=lambda sample: sample.target_text) -> list:
-    """Keep the first sample per distinct key (default: the target text)."""
-    seen: set[str] = set()
-    kept = []
-    for sample in samples:
-        digest = stable_hash(key(sample))
-        if digest in seen:
-            continue
-        seen.add(digest)
-        kept.append(sample)
-    return kept
-
-
 def dedup_samples_across_splits(splits: dict[str, list], key=lambda sample: sample.target_text) -> dict[str, list]:
     """Dedup samples across all splits, preferring earlier splits.
 

@@ -84,11 +84,6 @@ def _ansible_repo_name(rng: SeededRng) -> tuple[str, str]:
     return f"{word}-{rng.randint(1, 999)}", f"Ansible roles for {word}"
 
 
-def _unrelated_repo_name(rng: SeededRng) -> tuple[str, str]:
-    word = rng.choice(_REPO_WORDS)
-    return f"{word}-scripts-{rng.randint(1, 999)}", f"misc {word} tooling"
-
-
 class GitSourceSimulator:
     """GitHub- or GitLab-style source: repositories with metadata, crawled
     via a repository-name/description filter."""
@@ -97,12 +92,6 @@ class GitSourceSimulator:
         self.source = source
         self.rng = rng
         self.synthesizer = AnsibleSynthesizer(rng.child("ansible"), style)
-
-    def repositories(self, n_matching: int) -> list[tuple[str, str]]:
-        """Simulate the repository search: matching + unrelated repos."""
-        repos = [_ansible_repo_name(self.rng) for _ in range(n_matching)]
-        repos += [_unrelated_repo_name(self.rng) for _ in range(max(1, n_matching // 4))]
-        return self.rng.shuffled(repos)
 
     def crawl(self, n_ansible_files: int) -> list[RawFile]:
         """Produce raw files from repositories matching the Ansible filter.

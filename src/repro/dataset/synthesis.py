@@ -246,15 +246,6 @@ def build_start_service(rng: SeededRng, profile: pools.ServiceProfile) -> TaskDr
     return TaskDraft(name=name, module=module, args=args)
 
 
-def build_restart_handler(rng: SeededRng, profile: pools.ServiceProfile) -> TaskDraft:
-    module = rng.choice(("ansible.builtin.service", "ansible.builtin.systemd"))
-    return TaskDraft(
-        name=f"Restart {profile.service}",
-        module=module,
-        args={"name": profile.service, "state": "restarted"},
-    )
-
-
 def build_firewall(rng: SeededRng, profile: pools.ServiceProfile) -> TaskDraft:
     port = profile.port or 8080
     if rng.bernoulli(0.6):
@@ -674,39 +665,6 @@ class AnsibleSynthesizer:
         drafts = [_maybe_keywords(self.rng, self.style, draft, file_context) for draft in drafts]
         play["tasks"] = [draft.to_data(self.rng, self.style) for draft in drafts]
         return GeneratedFile(kind="playbook", scenario=scenario, data=[play])
-
-    def task_list_with_block(self, scenario: str | None = None) -> GeneratedFile:
-        """A role task list whose risky middle section is wrapped in a block.
-
-        Implements the paper's named future-work item ("Ansible Blocks,
-        which are logical groups of tasks, are also something we have not
-        specifically trained and tested on"): the generated block carries a
-        rescue section with a debug task, the canonical error-handling
-        idiom.
-        """
-        scenario = scenario or self.rng.choice(_SCENARIO_NAMES)
-        count = max(3, min(5, len(SCENARIOS[scenario])))
-        drafts = self._draft_sequence(scenario, count)
-        rendered = [draft.to_data(self.rng, self.style) for draft in drafts]
-        head, body = rendered[0], rendered[1:]
-        block_entry: dict[str, object] = {
-            "name": f"Apply {scenario.replace('_', ' ')} steps",
-            "block": body,
-            "rescue": [
-                {
-                    "name": "Report failure",
-                    "ansible.builtin.debug": {"msg": f"{scenario} failed on {{{{ inventory_hostname }}}}"},
-                }
-            ],
-        }
-        if self.rng.bernoulli(0.4):
-            block_entry["always"] = [
-                {
-                    "name": "Record completion time",
-                    "ansible.builtin.set_fact": {"last_run": "{{ now() }}"},
-                }
-            ]
-        return GeneratedFile(kind="tasks", scenario=scenario, data=[head, block_entry])
 
     def file(self) -> GeneratedFile:
         """A random file: playbooks and role task lists in Galaxy-like ratio.

@@ -41,25 +41,6 @@ class AnsibleError(ReproError):
     """Base class for Ansible data-model errors (:mod:`repro.ansible`)."""
 
 
-class AnsibleSchemaError(AnsibleError):
-    """A playbook or task violates the strict Ansible schema.
-
-    Carries the list of individual violation messages in :attr:`violations`.
-    """
-
-    def __init__(self, message: str, violations: list[str] | None = None):
-        super().__init__(message)
-        self.violations = list(violations or [])
-
-
-class UnknownModuleError(AnsibleError):
-    """A task references a module absent from the module catalog."""
-
-    def __init__(self, module_name: str):
-        super().__init__(f"unknown Ansible module: {module_name!r}")
-        self.module_name = module_name
-
-
 class FreeFormParseError(AnsibleError):
     """The legacy ``k1=v1 k2=v2`` module-argument string cannot be parsed."""
 

@@ -12,12 +12,11 @@ they storm: this package sits below ``nn``); see DESIGN.md §Failure model.
 
 from __future__ import annotations
 
-from repro.faults.clock import FakeClock, SystemClock, get_clock, now, set_clock, sleep, use
+from repro.faults.clock import FakeClock, SystemClock, now, sleep, use
 from repro.faults.inject import (
     KNOWN_SEAMS,
     FaultInjector,
     FaultSpec,
-    active,
     fire,
     render_jsonl,
     shield,
@@ -26,15 +25,12 @@ from repro.faults.inject import (
 __all__ = [
     "FakeClock",
     "SystemClock",
-    "get_clock",
-    "set_clock",
     "now",
     "sleep",
     "use",
     "KNOWN_SEAMS",
     "FaultInjector",
     "FaultSpec",
-    "active",
     "fire",
     "render_jsonl",
     "shield",

@@ -61,15 +61,6 @@ class FakeClock:
 _clock: SystemClock | FakeClock = SystemClock()
 
 
-def get_clock() -> SystemClock | FakeClock:
-    return _clock
-
-
-def set_clock(clock: SystemClock | FakeClock) -> None:
-    global _clock
-    _clock = clock
-
-
 def now() -> float:
     """Monotonic seconds from the currently installed clock."""
     return _clock.now()

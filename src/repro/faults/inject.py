@@ -41,9 +41,9 @@ Two properties make schedules *replayable*:
   derived from the injector seed and the spec's registration order.  The
   same seed against the same code path produces the same schedule.
 * **An event log** — every injected fault appends one event (seam, call
-  index, action); :meth:`FaultInjector.event_log` renders them as
-  canonical sorted-key JSONL, which is what ``repro chaos`` compares
-  across replays.
+  index, action); :func:`render_jsonl` over :meth:`FaultInjector.events`
+  renders them as canonical sorted-key JSONL, which is what ``repro
+  chaos`` compares across replays.
 
 :func:`shield` suspends injection for a block.  The engine shields the
 allocations of shared state (the prefix store's segments a completed
@@ -216,10 +216,6 @@ class FaultInjector:
         with self._lock:
             return [dict(event) for event in self._events]
 
-    def event_log(self) -> str:
-        """Canonical JSONL rendering of the fired faults (sorted keys)."""
-        return render_jsonl(self.events())
-
     # -- installation --------------------------------------------------------
 
     def __enter__(self) -> "FaultInjector":
@@ -235,11 +231,6 @@ class FaultInjector:
 
 
 _ACTIVE: FaultInjector | None = None
-
-
-def active() -> FaultInjector | None:
-    """The installed injector, or None outside chaos scopes."""
-    return _ACTIVE
 
 
 def fire(seam: str, **context) -> None:

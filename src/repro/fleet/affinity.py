@@ -52,7 +52,7 @@ class HashRing:
     """Consistent hashing of string keys onto worker ids.
 
     >>> ring = HashRing(["w0", "w1"])
-    >>> ring.route("some prompt head") in ("w0", "w1")
+    >>> ring.preference("some prompt head")[0] in ("w0", "w1")
     True
     """
 
@@ -102,16 +102,6 @@ class HashRing:
                 index = bisect.bisect_left(self._points, point)
                 if index < len(self._points) and self._points[index] == point:
                     del self._points[index]
-
-    def route(self, key: str) -> str:
-        """The worker owning ``key``: first vnode clockwise from its hash."""
-        if not self._points:
-            raise FleetError("cannot route: the ring has no workers")
-        point = _stable_hash(key)
-        index = bisect.bisect_right(self._points, point)
-        if index == len(self._points):
-            index = 0  # wrap: the ring is circular
-        return self._owners[self._points[index]]
 
     def preference(self, key: str) -> list[str]:
         """Every live worker, nearest-owner first — the failover order.

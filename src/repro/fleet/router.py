@@ -43,8 +43,7 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   it to workers, whose span trees parent under the router's
   ``fleet.predict`` span; with a
   :class:`~repro.obs.distributed.FleetCollector` attached, every
-  heartbeat tick also drains replica telemetry
-  (spans / Prometheus / profiles) for fleet-wide merging.
+  heartbeat tick also drains replica spans for fleet-wide merging.
 
 Every liveness decision and dispatch runs through the PR 5 fault seams
 (``fleet.spawn`` / ``fleet.heartbeat`` / ``fleet.dispatch``), so a seeded
@@ -189,11 +188,6 @@ class FleetRouter:
             self._counts["rebalances"].inc()
             self._g_live.set(len(self._workers))
 
-    def remove_worker(self, worker_id: str, reason: str = "removed") -> None:
-        """Leave / declare dead: drain the replica, rebalance its buckets."""
-        with self._lock:
-            self._mark_dead_locked(worker_id, reason)
-
     def _mark_dead_locked(self, worker_id: str, reason: str) -> None:
         worker = self._workers.pop(worker_id, None)
         if worker is None:
@@ -202,8 +196,7 @@ class FleetRouter:
         self._last_heartbeat.pop(worker_id, None)
         self._dead[worker_id] = reason
         self._counts["rebalances"].inc()
-        if reason != "removed":
-            self._counts["workers_lost"].inc()
+        self._counts["workers_lost"].inc()
         self._g_live.set(len(self._workers))
         # Sessions pinned to this replica died with its arena: forget the
         # affinity mappings so later extends get a crisp 404 (and the
@@ -217,12 +210,10 @@ class FleetRouter:
         # process replica it terminates the child.  Requests currently
         # blocked on the replica surface WorkerUnavailableError in their
         # dispatching threads and re-enqueue through the failover path.
-        kill = getattr(worker, "kill", None)
-        if kill is not None:
-            try:
-                kill()
-            except Exception:
-                pass  # the replica is being declared dead; failures to drain are moot
+        try:
+            worker.kill()
+        except Exception:
+            pass  # the replica is being declared dead; failures to drain are moot
 
     def _on_worker_failure(self, worker_id: str, reason: str) -> None:
         with self._lock:
@@ -299,17 +290,13 @@ class FleetRouter:
 
     def _worker_kwargs(self, deadline_at: float | None, trace_context: TraceContext | None) -> dict:
         """The keywords of one worker call: what is left of the deadline,
-        and the trace context — riding along only when one was minted, so
-        minimal duck-typed workers (tests, adapters) that predate trace
-        propagation keep working untraced."""
-        kwargs: dict = {"deadline_s": None}
+        and the trace context (None when the request is untraced)."""
+        deadline_s = None
         if deadline_at is not None:
-            kwargs["deadline_s"] = deadline_at - clock.now()
-            if kwargs["deadline_s"] <= 0:
+            deadline_s = deadline_at - clock.now()
+            if deadline_s <= 0:
                 raise DeadlineExceededError("deadline exhausted before a replica answered")
-        if trace_context is not None:
-            kwargs["trace_context"] = trace_context
-        return kwargs
+        return {"deadline_s": deadline_s, "trace_context": trace_context}
 
     @contextmanager
     def _admitted(self, deadline_s: float | None, inbound: TraceContext | None):
@@ -483,9 +470,7 @@ class FleetRouter:
                     },
                 )
             finally:
-                close = getattr(inner, "close", None)
-                if close is not None:
-                    close()
+                inner.close()
 
     def predict_batch(
         self,
@@ -737,12 +722,10 @@ class FleetRouter:
         with self._lock:
             workers = list(self._workers.values())
         for worker in workers:
-            stop = getattr(worker, "stop", None)
-            if stop is not None:
-                try:
-                    stop()
-                except Exception:
-                    pass
+            try:
+                worker.stop()
+            except Exception:
+                pass
 
     # -- introspection -------------------------------------------------------
 
@@ -845,15 +828,10 @@ class FleetRouter:
     def telemetry(self) -> dict:
         """The router's own ``/v1/telemetry`` drain (mirrors the service's).
 
-        Contains the *router's* spans and exposition; per-replica
-        telemetry lives in the attached collector (``collector`` key when
-        one is present).
+        Contains the *router's* spans; per-replica spans live in the
+        attached collector (``collector`` key when one is present).
         """
-        payload = {
-            "spans": [span.to_dict() for span in self.obs.tracer.drain()],
-            "metrics_prometheus": self.metrics_prometheus(),
-            "profile": None,
-        }
+        payload = {"spans": [span.to_dict() for span in self.obs.tracer.drain()]}
         if self.collector is not None:
             payload["collector"] = self.collector.stats()
         return payload

@@ -1,14 +1,8 @@
 """Fleet workers: one engine replica each, behind a uniform handle.
 
-The router only sees the *worker protocol*: the request surface every
-backend shares (DESIGN.md "Request surface") plus three liveness calls::
-
-    predict / predict_batch / predict_stream / session_create /
-    session_extend(..., max_new_tokens=None, deadline_s=None,
-                   trace_context=None) -> payload dict (or event stream)
-    session_close(session_id) / health() / stats() / telemetry() -> dict
-    heartbeat() -> float            # raises WorkerUnavailableError when dead
-    kill() / stop()                 # abrupt death / release resources
+The router only sees the *worker protocol*, stated once on :class:`_Worker`:
+the request surface every backend shares (DESIGN.md "Request surface")
+plus the three liveness calls ``heartbeat`` / ``kill`` / ``stop``.
 
 ``trace_context`` is a :class:`~repro.obs.distributed.TraceContext`
 minted by the router: in-process workers hand it straight to the
@@ -42,10 +36,14 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ServiceUnreachableError, WorkerCrashed, WorkerUnavailableError
 from repro.faults import clock
 from repro.faults.inject import fire
+
+if TYPE_CHECKING:
+    from repro.serving.service import PredictionService
 
 #: Tokenizer training corpus for spec-built (random-weight) workers; fixed
 #: so every replica of the same spec builds the identical vocabulary.
@@ -158,8 +156,10 @@ def build_service(spec: WorkerSpec):
 
 
 class _Worker:
-    """The request surface both worker flavours expose (DESIGN.md "Request
-    surface"), stated once over each flavour's own ``_call`` / ``_relay``."""
+    """The worker protocol: the request surface both flavours expose
+    (DESIGN.md "Request surface"), stated once over each flavour's own
+    ``_call`` / ``_relay``, and the liveness calls the router makes, which
+    each flavour answers its own way."""
 
     worker_id: str
 
@@ -218,11 +218,30 @@ class _Worker:
     def telemetry(self) -> dict:
         return self._call("telemetry")
 
+    def heartbeat(self) -> float:
+        """The clock at a successful probe; raises
+        :class:`~repro.errors.WorkerUnavailableError` when the replica is dead."""
+        raise NotImplementedError
+
+    def kill(self) -> None:
+        """Abrupt death (chaos control plane, and the router's drain)."""
+        raise NotImplementedError
+
+    def stop(self) -> None:
+        """Release the replica's resources."""
+        raise NotImplementedError
+
 
 class InProcessWorker(_Worker):
     """One replica served in-process; the deterministic chaos substrate."""
 
-    def __init__(self, worker_id: str, service=None, engine=None, spec: WorkerSpec | None = None):
+    def __init__(
+        self,
+        worker_id: str,
+        service: PredictionService | None = None,
+        engine=None,
+        spec: WorkerSpec | None = None,
+    ):
         if service is None:
             service, engine = build_service(spec if spec is not None else WorkerSpec())
         self.worker_id = worker_id
@@ -334,10 +353,6 @@ class ProcessWorker(_Worker):
         self._process = None
         self._client = None
         self.url: str | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
 
     def start(self) -> "ProcessWorker":
         from repro.serving.client import PredictionClient

@@ -7,61 +7,26 @@ reports alongside them.
 
 from repro.metrics.ansible_aware import (
     ansible_aware,
-    average_ansible_aware,
     play_score,
     snippet_score,
     task_score,
 )
-from repro.metrics.bleu import (
-    average_sentence_bleu,
-    corpus_bleu,
-    sentence_bleu,
-    tokenize,
-)
-from repro.metrics.exact_match import (
-    canonical_exact_match,
-    exact_match,
-    exact_match_rate,
-    normalize_text,
-)
-from repro.metrics.edit_distance import (
-    LineDiff,
-    correction_effort,
-    levenshtein,
-    line_diff,
-    mean_correction_effort,
-    token_edit_distance,
-)
+from repro.metrics.bleu import sentence_bleu, tokenize
+from repro.metrics.exact_match import exact_match, normalize_text
 from repro.metrics.report import EvalReport, SampleScore
-from repro.metrics.schema_correct import (
-    is_schema_correct,
-    schema_correct_rate,
-    schema_violations,
-)
+from repro.metrics.schema_correct import is_schema_correct, schema_violations
 
 __all__ = [
     "ansible_aware",
-    "average_ansible_aware",
     "play_score",
     "snippet_score",
     "task_score",
-    "average_sentence_bleu",
-    "corpus_bleu",
     "sentence_bleu",
     "tokenize",
-    "canonical_exact_match",
     "exact_match",
-    "exact_match_rate",
     "normalize_text",
     "EvalReport",
     "SampleScore",
-    "LineDiff",
-    "correction_effort",
-    "levenshtein",
-    "line_diff",
-    "mean_correction_effort",
-    "token_edit_distance",
     "is_schema_correct",
-    "schema_correct_rate",
     "schema_violations",
 ]

@@ -261,13 +261,3 @@ def _count_insertions(target: object, prediction: object) -> int:
             insertions += _count_insertions(target_entry, predicted_entry)
         insertions += max(0, len(prediction) - len(target))
     return insertions
-
-
-def average_ansible_aware(references: list[str], predictions: list[str]) -> float:
-    """Mean Ansible Aware score over a corpus, in [0, 100]."""
-    if len(references) != len(predictions):
-        raise ValueError("references and predictions must have equal length")
-    if not references:
-        return 0.0
-    total = sum(ansible_aware(ref, pred) for ref, pred in zip(references, predictions))
-    return total / len(references)

@@ -1,11 +1,11 @@
 """BLEU for YAML code, from scratch.
 
-Implements the classic corpus-level BLEU (Papineni et al., the paper's
-[ibm2001bleu]) with modified n-gram precision and brevity penalty, plus the
-ORANGE add-one smoothing of Lin & Och (the paper's [lin2004orange]) for
-sentence-level scores.  The paper motivates BLEU for Ansible because "the
-sequences of tokens in an Ansible YAML file are important, while some
-reordering is permitted".
+Implements BLEU (Papineni et al., the paper's [ibm2001bleu]) with modified
+n-gram precision and brevity penalty, scored per sentence with the ORANGE
+add-one smoothing of Lin & Och (the paper's [lin2004orange]); the tables
+report the mean sentence score (:class:`~repro.metrics.report.EvalReport`).
+The paper motivates BLEU for Ansible because "the sequences of tokens in
+an Ansible YAML file are important, while some reordering is permitted".
 
 Tokenization splits YAML text on whitespace and punctuation so that
 structure characters (``:``, ``-``, quotes, braces) count as tokens —
@@ -71,50 +71,6 @@ def sentence_bleu(reference: str, prediction: str, max_order: int = 4, smooth: b
     geometric_mean = math.exp(log_precision_sum / max_order)
     brevity = _brevity_penalty(len(reference_tokens), len(prediction_tokens))
     return 100.0 * brevity * geometric_mean
-
-
-def corpus_bleu(references: list[str], predictions: list[str], max_order: int = 4) -> float:
-    """Corpus-level BLEU in [0, 100] over parallel lists.
-
-    Accumulates match/total statistics across the corpus before taking the
-    geometric mean (the standard corpus formulation, which needs no
-    smoothing).
-    """
-    if len(references) != len(predictions):
-        raise ValueError("references and predictions must have equal length")
-    if not references:
-        return 0.0
-    match_totals = [0] * max_order
-    count_totals = [0] * max_order
-    reference_length = 0
-    prediction_length = 0
-    for reference, prediction in zip(references, predictions):
-        reference_tokens = tokenize(reference)
-        prediction_tokens = tokenize(prediction)
-        reference_length += len(reference_tokens)
-        prediction_length += len(prediction_tokens)
-        for order in range(1, max_order + 1):
-            matches, total = modified_precision(reference_tokens, prediction_tokens, order)
-            match_totals[order - 1] += matches
-            count_totals[order - 1] += total
-    log_precision_sum = 0.0
-    for matches, total in zip(match_totals, count_totals):
-        if matches == 0 or total == 0:
-            return 0.0
-        log_precision_sum += math.log(matches / total)
-    geometric_mean = math.exp(log_precision_sum / max_order)
-    brevity = _brevity_penalty(reference_length, prediction_length)
-    return 100.0 * brevity * geometric_mean
-
-
-def average_sentence_bleu(references: list[str], predictions: list[str]) -> float:
-    """Mean smoothed sentence BLEU over the corpus (what the tables report)."""
-    if len(references) != len(predictions):
-        raise ValueError("references and predictions must have equal length")
-    if not references:
-        return 0.0
-    total = sum(sentence_bleu(ref, pred) for ref, pred in zip(references, predictions))
-    return total / len(references)
 
 
 def _brevity_penalty(reference_length: int, prediction_length: int) -> float:

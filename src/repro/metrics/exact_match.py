@@ -4,14 +4,10 @@ A prediction scores 1 when it is textually identical to the reference after
 whitespace canonicalization (trailing spaces and surrounding blank lines do
 not count as differences — both sides of the comparison already went through
 the pipeline's formatting standardization, so remaining differences are
-real).  A *canonical* variant also exists that compares the parsed YAML
-value graphs, ignoring formatting entirely.
+real).
 """
 
 from __future__ import annotations
-
-from repro import yamlio
-from repro.errors import YamlError
 
 
 def normalize_text(text: str) -> str:
@@ -28,29 +24,3 @@ def normalize_text(text: str) -> str:
 def exact_match(reference: str, prediction: str) -> bool:
     """Whitespace-canonical textual equality."""
     return normalize_text(reference) == normalize_text(prediction)
-
-
-def canonical_exact_match(reference: str, prediction: str) -> bool:
-    """Equality of the parsed YAML value graphs (formatting-insensitive).
-
-    Unparseable predictions never match; an unparseable reference only
-    matches textually identical predictions.
-    """
-    if exact_match(reference, prediction):
-        return True
-    try:
-        reference_value = yamlio.loads_all(reference)
-        prediction_value = yamlio.loads_all(prediction)
-    except YamlError:
-        return False
-    return reference_value == prediction_value
-
-
-def exact_match_rate(references: list[str], predictions: list[str]) -> float:
-    """Percentage (0-100) of exact matches over parallel lists."""
-    if len(references) != len(predictions):
-        raise ValueError("references and predictions must have equal length")
-    if not references:
-        return 0.0
-    hits = sum(exact_match(ref, pred) for ref, pred in zip(references, predictions))
-    return 100.0 * hits / len(references)

@@ -34,11 +34,3 @@ def is_schema_correct(prediction: str, level: str = schema.STRICT) -> bool:
     """True when the prediction parses and has zero schema violations."""
     violations = schema_violations(prediction, level)
     return violations is not None and not violations
-
-
-def schema_correct_rate(predictions: list[str], level: str = schema.STRICT) -> float:
-    """Percentage (0-100) of schema-correct predictions."""
-    if not predictions:
-        return 0.0
-    hits = sum(is_schema_correct(prediction, level) for prediction in predictions)
-    return 100.0 * hits / len(predictions)

@@ -36,7 +36,6 @@ from repro.model.zoo import (
     build_default_corpora,
     build_model,
     build_tokenizer,
-    build_zoo,
     table2_rows,
 )
 
@@ -70,6 +69,5 @@ __all__ = [
     "build_default_corpora",
     "build_model",
     "build_tokenizer",
-    "build_zoo",
     "table2_rows",
 ]

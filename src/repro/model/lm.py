@@ -7,12 +7,9 @@ hiding token ids, left-truncation and stop handling.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import GenerationError
 from repro.nn.sampling import generate_greedy
 from repro.nn.transformer import DecoderLM, TransformerConfig
-from repro.obs import NULL_PROFILER, Observability, OpProfiler, Tracer
 from repro.tokenizer.bpe import BpeTokenizer
 
 
@@ -42,61 +39,6 @@ class WisdomModel:
         self.size_label = size_label
         self.context_window_label = context_window_label
         self._engine = None
-        self._obs: Observability | None = None
-
-    # -- observability ---------------------------------------------------------
-
-    @property
-    def obs(self) -> Observability | None:
-        return self._obs
-
-    def attach_observability(self, obs: Observability) -> "WisdomModel":
-        """Route this model's spans and metrics through ``obs``.
-
-        Attach *before* the first :meth:`engine` call so the engine shares
-        the registry; attached later, only the tracer propagates (the
-        engine caches its metric handles at construction).
-        """
-        self._obs = obs
-        if self._engine is not None:
-            self._engine.attach_tracer(obs.tracer)
-        return self
-
-    def attach_tracer(self, tracer: Tracer) -> "WisdomModel":
-        """Capture sampling and engine request spans with ``tracer``."""
-        if self._obs is None:
-            self._obs = Observability(tracer=tracer)
-        else:
-            self._obs.attach_tracer(tracer)
-        if self._engine is not None:
-            self._engine.attach_tracer(tracer)
-        return self
-
-    def attach_profiler(self, profiler: OpProfiler) -> "WisdomModel":
-        """Hook every layer op in the network to record into ``profiler``.
-
-        Wraps each layer instance's forward/backward, so every subsequent
-        :meth:`complete`, :meth:`complete_batch`, training step or raw
-        network call feeds the profiler's per-op FLOPs/roofline
-        aggregates.  Call :meth:`detach_profiler` to unhook; a disabled
-        profiler left attached costs one attribute check per op call.
-        """
-        if self._obs is None:
-            self._obs = Observability()
-        self._obs.attach_profiler(profiler)
-        profiler.attach(self.network)
-        return self
-
-    def detach_profiler(self) -> "WisdomModel":
-        """Remove profiler hooks and restore the null profiler."""
-        if self._obs is not None and self._obs.profiler is not NULL_PROFILER:
-            self._obs.profiler.detach()
-            self._obs.profiler = NULL_PROFILER
-        return self
-
-    @property
-    def _tracer(self) -> Tracer | None:
-        return self._obs.tracer if self._obs is not None else None
 
     @property
     def config(self) -> TransformerConfig:
@@ -121,9 +63,7 @@ class WisdomModel:
         if not prompt_ids:
             raise GenerationError("prompt is empty")
         stop_ids = frozenset({self.tokenizer.end_of_text_id, self.tokenizer.separator_id})
-        result = generate_greedy(
-            self.network, prompt_ids, max_new_tokens, stop_ids=stop_ids, tracer=self._tracer
-        )
+        result = generate_greedy(self.network, prompt_ids, max_new_tokens, stop_ids=stop_ids)
         return self.tokenizer.decode(result.token_ids)
 
     # -- batched generation ----------------------------------------------------
@@ -139,8 +79,6 @@ class WisdomModel:
         if self._engine is None:
             from repro.engine import InferenceEngine
 
-            if self._obs is not None:
-                kwargs.setdefault("obs", self._obs)
             self._engine = InferenceEngine.from_model(self, **kwargs)
         elif kwargs:
             raise GenerationError("engine already built; kwargs only apply to the first call")
@@ -155,19 +93,3 @@ class WisdomModel:
         """
         details = self.engine().complete_batch_detailed(prompts, max_new_tokens=max_new_tokens)
         return [detail["completion"] for detail in details]
-
-    # -- scoring ---------------------------------------------------------------
-
-    def loss_on_text(self, text: str) -> float:
-        """Mean next-token cross-entropy of ``text`` (right-truncated to fit)."""
-        ids = self.tokenizer.encode(text)[: self.config.n_positions]
-        if len(ids) < 2:
-            raise GenerationError("text too short to score")
-        array = np.array([ids], dtype=np.int64)
-        targets = np.roll(array, -1, axis=1)
-        targets[:, -1] = -1
-        return self.network.evaluate_loss(array, targets)
-
-    def perplexity(self, text: str) -> float:
-        """exp(loss) on the text."""
-        return float(np.exp(self.loss_on_text(text)))

@@ -2,10 +2,10 @@
 
 Each :class:`ModelCard` records which pretraining sets a model saw — The
 Pile, BigQuery, BigPython, Ansible YAML, Generic YAML — exactly as the
-paper's Table 2 lays them out.  :func:`build_zoo` trains them all, reusing
-the CodeGen-Multi weights as the warm start for the two ``*-Multi`` Wisdom
-models ("initialized with the weights of CodeGen-Multi and we extended the
-pre-training").
+paper's Table 2 lays them out.  :func:`build_model` trains one; passed the
+trained CodeGen-Multi, it warm-starts the two ``*-Multi`` Wisdom models
+from its weights ("initialized with the weights of CodeGen-Multi and we
+extended the pre-training").
 """
 
 from __future__ import annotations
@@ -158,41 +158,6 @@ def build_model(
         size_label=card.size.label,
         context_window_label=card.context_window,
     )
-
-
-def build_zoo(
-    corpora: PretrainingCorpora,
-    tokenizer: BpeTokenizer | None = None,
-    cards: tuple[ModelCard, ...] = MODEL_CARDS,
-    seed: int = 0,
-    epochs: int = 2,
-    max_batches_per_epoch: int | None = 120,
-) -> dict[str, WisdomModel]:
-    """Train every requested card, warm-starting where Table 2 says so."""
-    tokenizer = tokenizer or build_tokenizer(corpora)
-    zoo: dict[str, WisdomModel] = {}
-    for card in cards:
-        base = zoo.get(card.initialized_from) if card.initialized_from else None
-        if card.initialized_from and base is None:
-            base = build_model(
-                CARDS_BY_NAME[card.initialized_from],
-                corpora,
-                tokenizer,
-                seed=seed,
-                epochs=epochs,
-                max_batches_per_epoch=max_batches_per_epoch,
-            )
-            zoo[card.initialized_from] = base
-        zoo[card.name] = build_model(
-            card,
-            corpora,
-            tokenizer,
-            seed=seed,
-            epochs=epochs,
-            max_batches_per_epoch=max_batches_per_epoch,
-            base_model=base,
-        )
-    return zoo
 
 
 def build_default_corpora(rng: SeededRng, scale: float = 0.0003) -> PretrainingCorpora:

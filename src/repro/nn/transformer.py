@@ -141,12 +141,6 @@ class DecoderLM(Layer):
         self.token_embedding.backward(grad_hidden)
         return loss
 
-    def evaluate_loss(self, ids: np.ndarray, targets: np.ndarray, ignore_index: int = -1) -> float:
-        """Loss without gradient accumulation (validation)."""
-        logits = self.forward(ids, training=False)
-        loss, _ = cross_entropy(logits, targets, ignore_index)
-        return loss
-
     # -- inference -----------------------------------------------------------
 
     def new_cache(self, arena: KVArena | None = None) -> list[KVCache]:

@@ -19,11 +19,12 @@ for the router span) because numeric span ids are only unique within one
 tracer; the stitcher joins on the references, not the ids.
 
 **Telemetry collection.**  Workers expose ``GET /v1/telemetry``
-(:meth:`PredictionService.telemetry`) returning a *drain*: buffered spans
-(cleared on read), the cumulative Prometheus exposition, and the profiler
-snapshot.  A :class:`FleetCollector` on the router polls it from the
-heartbeat tick — driven by :mod:`repro.faults.clock`, so seeded chaos
-runs collect deterministically — and accumulates per-replica spans, from
+(:meth:`PredictionService.telemetry`) returning a *drain*: the buffered
+spans, cleared on read.  Metrics stay behind the scrape endpoint,
+``GET /v1/metrics?format=prometheus``.  A :class:`FleetCollector` on the
+router polls the drain from the heartbeat tick — driven by
+:mod:`repro.faults.clock`, so seeded chaos runs collect
+deterministically — and accumulates per-replica spans, from
 which :func:`fleet_chrome_trace` renders one **Chrome/Perfetto trace**
 with a track (pid) per replica and flow arrows from each router span to
 the worker spans it parents.
@@ -126,7 +127,7 @@ class FleetCollector:
 
     def __init__(self) -> None:
         self._spans: dict[str, list[Span]] = {}
-        self._reported: set[str] = set()  # replicas whose drain carried metrics
+        self._polled: set[str] = set()  # replicas with a successful poll
         self.polls = 0
         self.poll_errors = 0
 
@@ -151,16 +152,15 @@ class FleetCollector:
 
     def ingest(self, replica: str, payload: dict) -> None:
         """Fold one ``/v1/telemetry`` payload into the accumulated state."""
+        self._polled.add(replica)
         for record in payload.get("spans") or []:
             self._spans.setdefault(replica, []).append(Span.from_dict(record))
-        if payload.get("metrics_prometheus") or payload.get("profile"):
-            self._reported.add(replica)
 
     # -- reading -------------------------------------------------------------
 
     def replicas(self) -> list[str]:
-        """Replica names with any collected telemetry, sorted."""
-        return sorted(set(self._spans) | self._reported)
+        """Replica names polled successfully at least once, sorted."""
+        return sorted(self._polled)
 
     def spans(self, replica: str | None = None) -> list[Span]:
         """Collected spans for one replica, or all replicas (sorted by name)."""

@@ -141,11 +141,6 @@ class Histogram:
         with self._lock:
             return self._total
 
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
     def bucket_counts(self) -> list[tuple[float, int]]:
         """(upper bound, count) pairs; the overflow bound is +inf."""
         with self._lock:

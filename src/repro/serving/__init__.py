@@ -10,7 +10,6 @@ from repro.serving.stream import (
     SseEvent,
     SseParser,
     TextDelta,
-    sse_comment,
     sse_encode,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "SseEvent",
     "SseParser",
     "TextDelta",
-    "sse_comment",
     "sse_encode",
 ]

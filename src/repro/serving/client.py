@@ -220,16 +220,6 @@ class PredictionClient:
                 self._idle.setdefault(endpoint, []).append(connection)
         return body
 
-    def _read(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> bytes:
-        """One whole answer."""
-        return self._finish(path, *self._open(method, path, payload, headers))
-
     def _request(
         self,
         method: str,
@@ -248,7 +238,8 @@ class PredictionClient:
         swept = 0  # endpoints tried (and failed at transport level) this sweep
         while True:
             try:
-                return json.loads(self._read(method, path, payload, headers).decode("utf-8"))
+                body = self._finish(path, *self._open(method, path, payload, headers))
+                return json.loads(body.decode("utf-8"))
             except ServiceOverloadedError as error:
                 # A 503 is the service answering — stay on this endpoint
                 # and honour its Retry-After through the policy.
@@ -412,7 +403,3 @@ class PredictionClient:
     def telemetry(self) -> dict:
         """Telemetry drain from ``/v1/telemetry`` (spans removed on read)."""
         return self._request("GET", "/v1/telemetry")
-
-    def metrics_prometheus(self) -> str:
-        """Prometheus text exposition from ``/v1/metrics?format=prometheus``."""
-        return self._read("GET", "/v1/metrics?format=prometheus").decode("utf-8")

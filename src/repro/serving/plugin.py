@@ -125,8 +125,3 @@ class EditorSession:
         if self.session_id is not None:
             self.backend.session_close(self.session_id)
         self.session_id = None
-
-    @property
-    def acceptance_rate(self) -> float:
-        total = self.accepted + self.rejected
-        return self.accepted / total if total else 0.0

@@ -31,10 +31,10 @@ Endpoints::
                                    histograms (p50/p90/p99), serving counters,
                                    engine queue-wait/prefill/decode histograms
                                    and prefix-cache hit rate
-    GET  /v1/telemetry          -> telemetry drain for a fleet collector:
-                                   buffered spans (removed on read), the
-                                   cumulative Prometheus exposition and the
-                                   profiler snapshot
+    GET  /v1/metrics?format=prometheus
+                             -> the same registry as Prometheus text
+    GET  /v1/telemetry          -> span drain for a fleet collector:
+                                   {"spans": [...]}, removed on read
 
 POST requests may carry the fleet trace headers ``X-Repro-Trace-Id`` /
 ``X-Repro-Parent-Span`` (see :mod:`repro.obs.distributed`): the service
@@ -83,6 +83,7 @@ import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator, Protocol
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
@@ -799,16 +800,70 @@ class PredictionService:
 
         Spans are **drained** — atomically removed from the tracer's ring
         buffer, so a polling collector receives each span exactly once
-        and the buffer cannot overflow between polls.  The Prometheus
-        exposition and profiler snapshot are *cumulative* and simply
-        reflect the current state; the collector replaces, not appends.
+        and the buffer cannot overflow between polls.  Metrics are not
+        part of the drain: ``/v1/metrics`` is the scrape endpoint.
         """
-        payload = {
-            "spans": [span.to_dict() for span in self.obs.tracer.drain()],
-            "metrics_prometheus": self.metrics_prometheus(),
-            "profile": self.obs.profiler.snapshot() if self.obs.profiler.enabled else None,
-        }
-        return payload
+        return {"spans": [span.to_dict() for span in self.obs.tracer.drain()]}
+
+
+class Backend(Protocol):
+    """What a :class:`RestServer` fronts: the route table's methods plus the
+    Prometheus rendering behind ``/v1/metrics?format=prometheus``.
+    :class:`PredictionService` and :class:`~repro.fleet.router.FleetRouter`
+    satisfy it (DESIGN.md "Request surface")."""
+
+    def predict(
+        self,
+        prompt: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict: ...
+
+    def predict_stream(
+        self,
+        prompt: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> Iterator[tuple[str, dict]]: ...
+
+    def predict_batch(
+        self,
+        prompts: list[str],
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict: ...
+
+    def session_create(
+        self,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict: ...
+
+    def session_extend(
+        self,
+        session_id: str,
+        buffer: str,
+        max_new_tokens: int | None = None,
+        deadline_s: float | None = None,
+        trace_context: TraceContext | None = None,
+    ) -> dict: ...
+
+    def session_close(self, session_id: str) -> dict: ...
+
+    def health(self) -> dict: ...
+
+    def stats(self) -> dict: ...
+
+    def metrics(self) -> dict: ...
+
+    def metrics_prometheus(self) -> str: ...
+
+    def telemetry(self) -> dict: ...
 
 
 #: The route table: ``(verb, path pattern) -> (backend method, body fields)``.
@@ -870,7 +925,7 @@ class _Handler(BaseHTTPRequestHandler):
     closes the connection too.
     """
 
-    service: PredictionService  # set by the server factory
+    service: Backend  # set by the server factory
     protocol_version = "HTTP/1.1"
     # Headers and body leave in two writes: with Nagle's algorithm on, the
     # body waits for the client's delayed ACK of the headers (~40 ms).
@@ -1042,9 +1097,10 @@ class _Server(ThreadingHTTPServer):
 
 
 class RestServer:
-    """A small threaded HTTP server around a :class:`PredictionService`."""
+    """A small threaded HTTP server around a :class:`Backend`: a
+    :class:`PredictionService` or a :class:`~repro.fleet.router.FleetRouter`."""
 
-    def __init__(self, service: PredictionService, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, service: Backend, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {"service": service})
         self._httpd = _Server((host, port), handler)
         self._thread: threading.Thread | None = None

@@ -54,13 +54,6 @@ def sse_encode(event: str, data: dict) -> bytes:
     return f"event: {event}\ndata: {body}\n\n".encode("ascii")
 
 
-def sse_comment(text: str = "") -> bytes:
-    """A comment line (``: text``) — the keepalive a proxy must forward."""
-    if any(c in text for c in "\r\n"):
-        raise ServingError("SSE comments cannot contain line terminators")
-    return f": {text}\n\n".encode("utf-8")
-
-
 @dataclass
 class SseEvent:
     """One parsed server-sent event."""

@@ -1,7 +1,7 @@
 """Training loops: pre-training and fine-tuning."""
 
 from repro.training.finetune import encode_samples, finetune, validation_bleu
-from repro.training.pretrain import continue_pretraining, pretrain
+from repro.training.pretrain import pretrain
 from repro.training.trainer import (
     TrainingHistory,
     iterate_batches,
@@ -13,7 +13,6 @@ __all__ = [
     "encode_samples",
     "finetune",
     "validation_bleu",
-    "continue_pretraining",
     "pretrain",
     "TrainingHistory",
     "iterate_batches",

@@ -59,15 +59,13 @@ def finetune(
     """Fine-tune in place; restores the best-validation-BLEU checkpoint.
 
     Samples are bucketed by length before padding so batches stay dense.
-    ``obs`` (optional, falls back to the model's attached Observability)
-    records per-step timings plus the ``training.validation_s`` histogram
-    around each validation-BLEU evaluation; the ``training.grad_norm``
-    and ``training.learning_rate`` gauges track the latest step.
+    ``obs`` (optional) records per-step timings plus the
+    ``training.validation_s`` histogram around each validation-BLEU
+    evaluation; the ``training.grad_norm`` and ``training.learning_rate``
+    gauges track the latest step.
     ``runlog`` (optional) appends per-step / per-epoch / per-validation
     JSONL records for ``repro obs --runlog``.
     """
-    if obs is None:
-        obs = model.obs
     if not train_samples:
         raise ValueError("no training samples")
     window = model.config.n_positions

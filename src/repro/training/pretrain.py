@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.dataset.corpus import Corpus
 from repro.dataset.packing import next_token_targets, pack_documents
-from repro.model.lm import WisdomModel
 from repro.nn.optim import Adam, LinearSchedule
 from repro.nn.transformer import DecoderLM
 from repro.obs import NULL_TRACER, Observability
@@ -84,34 +83,3 @@ def pretrain(
             runlog.log_epoch(epoch, mean_loss, steps=steps)
         step += steps
     return history
-
-
-def continue_pretraining(
-    model: WisdomModel,
-    corpus: Corpus,
-    epochs: int = 3,
-    batch_size: int = 16,
-    learning_rate: float = 5e-4,
-    seed: int = 0,
-    max_batches_per_epoch: int | None = None,
-    obs: Observability | None = None,
-    runlog: RunLog | None = None,
-) -> TrainingHistory:
-    """Extend an existing model's pretraining with new data.
-
-    This is how Wisdom-Ansible-Multi / Wisdom-Yaml-Multi are built: "was
-    initialized with the weights of CodeGen-Multi and we extended the
-    pre-training using Ansible YAML [and generic YAML]".
-    """
-    return pretrain(
-        model.network,
-        corpus,
-        model.tokenizer,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        seed=seed,
-        max_batches_per_epoch=max_batches_per_epoch,
-        obs=obs if obs is not None else model.obs,
-        runlog=runlog,
-    )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam, LinearSchedule, clip_grad_norm
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability
 from repro.obs.runlog import RunLog
@@ -21,14 +21,6 @@ class TrainingHistory:
     epoch_losses: list[float] = field(default_factory=list)
     validation_losses: list[float] = field(default_factory=list)
     learning_rates: list[float] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
-
-    def improved(self) -> bool:
-        """Did the last epoch improve on the first?"""
-        return len(self.epoch_losses) >= 2 and self.epoch_losses[-1] < self.epoch_losses[0]
 
 
 def iterate_batches(rows: np.ndarray, targets: np.ndarray, batch_size: int, rng: np.random.Generator):
@@ -46,7 +38,7 @@ def run_epoch(
     targets: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
-    schedule=None,
+    schedule: LinearSchedule | None = None,
     step_offset: int = 0,
     max_grad_norm: float = 1.0,
     history: TrainingHistory | None = None,

@@ -2,25 +2,14 @@
 
 from repro.utils.rng import SeededRng, derive_seed
 from repro.utils.tables import format_table
-from repro.utils.text import (
-    dedent_block,
-    indent_block,
-    normalize_newlines,
-    split_words,
-    stable_hash,
-    truncate_left,
-)
+from repro.utils.text import indent_block, stable_hash
 from repro.utils.timing import Stopwatch
 
 __all__ = [
     "SeededRng",
     "derive_seed",
     "format_table",
-    "dedent_block",
     "indent_block",
-    "normalize_newlines",
-    "split_words",
     "stable_hash",
-    "truncate_left",
     "Stopwatch",
 ]

@@ -2,50 +2,11 @@
 
 from __future__ import annotations
 
-import re
-
-_WORD_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-
-
-def normalize_newlines(text: str) -> str:
-    """Convert CRLF / CR line endings to LF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
 
 def indent_block(text: str, spaces: int) -> str:
     """Indent every non-empty line of ``text`` by ``spaces`` spaces."""
     pad = " " * spaces
     return "\n".join(pad + line if line.strip() else line for line in text.split("\n"))
-
-
-def dedent_block(text: str) -> str:
-    """Remove the common leading whitespace of all non-empty lines."""
-    lines = text.split("\n")
-    margins = [len(line) - len(line.lstrip(" ")) for line in lines if line.strip()]
-    if not margins:
-        return text
-    margin = min(margins)
-    return "\n".join(line[margin:] if line.strip() else line for line in lines)
-
-
-def split_words(text: str) -> list[str]:
-    """Split text into simple word tokens (letters, digits, ``_.-``)."""
-    return _WORD_RE.findall(text)
-
-
-def truncate_left(tokens: list[int], limit: int) -> list[int]:
-    """Keep the rightmost ``limit`` tokens.
-
-    This mirrors the paper's inference-time behaviour: when the prompt plus
-    context exceeds the model's context window, the input is *left*-truncated
-    so the most recent context (and the natural-language prompt, which sits at
-    the end) is preserved.
-    """
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    if len(tokens) <= limit:
-        return list(tokens)
-    return list(tokens[len(tokens) - limit:])
 
 
 def stable_hash(text: str) -> str:

@@ -40,10 +40,3 @@ class Stopwatch:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-    @property
-    def mean_lap(self) -> float:
-        """Mean duration of recorded laps (0.0 when no laps exist)."""
-        if not self.laps:
-            return 0.0
-        return sum(self.laps) / len(self.laps)

@@ -2,11 +2,11 @@
 
 Public API:
 
-* :func:`loads` / :func:`loads_all` — parse one document / a stream.
-* :func:`dumps` / :func:`dumps_all` — serialize with Ansible-style formatting.
+* :func:`loads` / :func:`parse_all` — parse one document / a stream.
+* :func:`dumps` — serialize with Ansible-style formatting; ``dumps(loads(text))``
+  canonicalizes a document's formatting (the paper's "standardized the
+  formatting" step).
 * :func:`is_valid` — predicate used by the dataset pipeline's validity filter.
-* :func:`normalize` — canonicalize a YAML document's formatting by a
-  parse→emit round trip (the paper's "standardized the formatting" step).
 
 The engine intentionally rejects anchors, aliases, tags and merge keys;
 files using them are filtered out of the corpus exactly like files PyYAML
@@ -16,7 +16,7 @@ cannot load were filtered out in the paper's pipeline.
 from __future__ import annotations
 
 from repro.errors import YamlEmitError, YamlError, YamlParseError, YamlScanError
-from repro.yamlio.emitter import DEFAULT_STYLE, EmitStyle, emit, emit_all
+from repro.yamlio.emitter import DEFAULT_STYLE, EmitStyle, emit
 from repro.yamlio.parser import parse, parse_all
 
 
@@ -25,19 +25,9 @@ def loads(text: str) -> object:
     return parse(text)
 
 
-def loads_all(text: str) -> list[object]:
-    """Parse a multi-document YAML stream into a list of values."""
-    return parse_all(text)
-
-
 def dumps(value: object, style: EmitStyle | None = None) -> str:
     """Serialize a value to Ansible-style YAML (with ``---`` marker by default)."""
     return emit(value, style)
-
-
-def dumps_all(documents: list[object], style: EmitStyle | None = None) -> str:
-    """Serialize several documents to one stream."""
-    return emit_all(documents, style)
 
 
 def is_valid(text: str) -> bool:
@@ -49,22 +39,13 @@ def is_valid(text: str) -> bool:
     return True
 
 
-def normalize(text: str, style: EmitStyle | None = None) -> str:
-    """Round-trip a document through parse→emit to canonicalize formatting."""
-    return emit(parse(text), style)
-
-
 __all__ = [
     "loads",
-    "loads_all",
     "dumps",
-    "dumps_all",
     "is_valid",
-    "normalize",
     "EmitStyle",
     "DEFAULT_STYLE",
     "emit",
-    "emit_all",
     "parse",
     "parse_all",
     "YamlError",

@@ -55,16 +55,6 @@ def emit(value: object, style: EmitStyle | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_all(documents: list[object], style: EmitStyle | None = None) -> str:
-    """Serialize several documents into one ``---``-separated stream."""
-    style = style or DEFAULT_STYLE
-    chunks = []
-    for document in documents:
-        chunks.append("---")
-        chunks.extend(_emit_node(document, 0, style))
-    return "\n".join(chunks) + "\n"
-
-
 def _emit_node(value: object, indent: int, style: EmitStyle) -> list[str]:
     if isinstance(value, dict):
         return _emit_mapping(value, indent, style)

@@ -16,6 +16,7 @@ from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_cor
 from repro.engine import DecodingBatch, InferenceEngine
 from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
 from repro.nn.kv_arena import KVArena, SlotKVCache, SlotRow
+from repro.nn.layers import cross_entropy
 from repro.nn.parameter import numpy_rng
 from repro.nn.sampling import GenerationResult, advance, generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
@@ -130,6 +131,13 @@ class GenerationGate:
     @property
     def calls(self) -> int:
         return len(self.batches)
+
+
+def evaluate_loss(network: DecoderLM, ids: np.ndarray, targets: np.ndarray) -> float:
+    """The loss of one inference-mode forward, no gradient accumulated: the
+    numerical side of the gradient checks."""
+    loss, _ = cross_entropy(network.forward(ids, training=False), targets, -1)
+    return loss
 
 
 def drain(batcher) -> None:

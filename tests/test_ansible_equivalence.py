@@ -8,10 +8,9 @@ from repro.ansible.equivalence import (
     EQUIVALENCE_GROUPS,
     PARTIAL_MODULE_CREDIT,
     are_equivalent,
-    equivalence_group,
     module_key_score,
 )
-from repro.ansible.modules import get_module
+from repro.ansible.modules import CATALOG, get_module
 
 
 class TestGroups:
@@ -64,9 +63,10 @@ class TestScoring:
         assert are_equivalent("x.y.z", "x.y.z")
 
     def test_equivalence_group_singleton_for_unknown(self):
-        assert equivalence_group("my.weird.module") == frozenset({"my.weird.module"})
+        assert are_equivalent("my.weird.module", "my.weird.module")
+        assert not any(are_equivalent("my.weird.module", spec.fqcn) for spec in CATALOG)
 
     @pytest.mark.parametrize("member", ["ansible.builtin.command", "ansible.builtin.shell"])
     def test_equivalence_group_membership(self, member):
-        group = equivalence_group(member)
-        assert "ansible.builtin.command" in group and "ansible.builtin.shell" in group
+        assert are_equivalent(member, "ansible.builtin.command")
+        assert are_equivalent(member, "ansible.builtin.shell")

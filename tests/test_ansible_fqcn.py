@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ansible.fqcn import is_fqcn, resolve_fqcn, short_name
+from repro.ansible.fqcn import resolve_fqcn, short_name
+
+
+def is_fqcn(name: str) -> bool:
+    """True when ``name`` has the ``namespace.collection.module`` shape."""
+    parts = name.split(".")
+    return len(parts) >= 3 and all(part.isidentifier() for part in parts)
 
 
 class TestResolveFqcn:

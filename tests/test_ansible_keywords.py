@@ -8,8 +8,6 @@ from repro.ansible.keywords import (
     PLAY_KEYWORDS,
     PLAY_TASK_SECTIONS,
     TASK_KEYWORDS,
-    is_play_keyword,
-    is_task_keyword,
     looks_like_play,
 )
 
@@ -17,16 +15,16 @@ from repro.ansible.keywords import (
 class TestKeywordTables:
     def test_core_play_keywords_present(self):
         for keyword in ("hosts", "tasks", "vars", "become", "gather_facts", "roles", "handlers"):
-            assert is_play_keyword(keyword)
+            assert keyword in PLAY_KEYWORDS
 
     def test_core_task_keywords_present(self):
         for keyword in ("name", "when", "loop", "register", "become", "notify", "tags"):
-            assert is_task_keyword(keyword)
+            assert keyword in TASK_KEYWORDS
 
     def test_module_names_are_not_keywords(self):
         for module in ("apt", "ansible.builtin.copy", "service", "debug"):
-            assert not is_task_keyword(module)
-            assert not is_play_keyword(module)
+            assert module not in TASK_KEYWORDS
+            assert module not in PLAY_KEYWORDS
 
     def test_task_sections_are_play_keywords(self):
         assert set(PLAY_TASK_SECTIONS) <= PLAY_KEYWORDS

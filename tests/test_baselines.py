@@ -10,6 +10,7 @@ import pytest
 from repro.baselines.codex_sim import CodexSimulator, RECALL_THRESHOLD
 from repro.baselines.ngram import NgramLM
 from repro.baselines.retrieval import RetrievalBaseline, jaccard
+from repro.dataset.corpus import Corpus
 from repro.dataset.finetune import extract_samples
 from repro.tokenizer.bpe import BpeTokenizer
 
@@ -111,10 +112,10 @@ class TestCodexSimulator:
         assert lossy_hits < perfect_hits
 
     def test_no_contamination_lowers_recall(self, galaxy_corpus, shared_tokenizer, rng):
-        samples = extract_samples(galaxy_corpus)
-        half = len(samples) // 2
-        codex = CodexSimulator(shared_tokenizer).fit_samples(samples[:half])
-        unseen = samples[half:half + 5]
+        documents = galaxy_corpus.documents
+        half = len(documents) // 2
+        codex = CodexSimulator(shared_tokenizer).fit(Corpus("web", documents[:half]))
+        unseen = extract_samples(Corpus("unseen", documents[half:]))[:5]
         exact = sum(codex.complete(s.input_text) == s.target_text for s in unseen)
         assert exact <= 4  # mostly not byte-exact on unseen prompts
 

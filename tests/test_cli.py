@@ -71,7 +71,7 @@ class TestSynthesize:
         code = main(["synthesize", "--count", "2", "--kind", "tasks", "--seed", "1"])
         assert code == 0
         out = capsys.readouterr().out
-        documents = yamlio.loads_all(out)
+        documents = yamlio.parse_all(out)
         assert len(documents) == 2
         assert all(isinstance(document, list) for document in documents)
 

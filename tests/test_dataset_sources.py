@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro import yamlio
 from repro.dataset.corpus import ANSIBLE, GENERIC
 from repro.dataset.sources import (
@@ -124,7 +126,7 @@ class TestCorpusBuilders:
 
     def test_pile_mostly_prose(self):
         corpus = build_pile_corpus(SeededRng(7), n_documents=300)
-        counts = corpus.counts_by_type()
+        counts = Counter(document.yaml_type for document in corpus)
         assert counts.get("natural", 0) > counts.get("code", 0) > counts.get(ANSIBLE, 0)
 
     def test_deterministic(self):

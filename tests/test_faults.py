@@ -30,7 +30,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServingError,
 )
-from repro.faults import FakeClock, FaultInjector, KNOWN_SEAMS, fire, shield, use
+from repro.faults import FakeClock, FaultInjector, KNOWN_SEAMS, fire, render_jsonl, shield, use
 from repro.faults import clock as faults_clock
 from repro.nn.kv_arena import KVArena
 from repro.nn.optim import Adam
@@ -129,7 +129,7 @@ class TestFaultInjector:
                         fire("engine.decode_step")
                     except InjectedFault:
                         pass
-            return injector.event_log()
+            return render_jsonl(injector.events())
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -169,7 +169,7 @@ class TestFaultInjector:
         with injector:
             with pytest.raises(InjectedFault):
                 fire("tokenizer.encode")
-        lines = injector.event_log().splitlines()
+        lines = render_jsonl(injector.events()).splitlines()
         assert len(lines) == 1
         event = json.loads(lines[0])
         assert event["seam"] == "tokenizer.encode" and event["action"] == "raise"

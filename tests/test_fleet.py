@@ -72,25 +72,25 @@ class TestHashRing:
     def test_route_is_stable_and_member(self):
         ring = HashRing(["w0", "w1", "w2"])
         for key in ("alpha", "beta", "gamma"):
-            owner = ring.route(key)
+            owner = ring.preference(key)[0]
             assert owner in ("w0", "w1", "w2")
-            assert ring.route(key) == owner
+            assert ring.preference(key)[0] == owner
 
     def test_preference_starts_with_owner_and_covers_all(self):
         ring = HashRing(["w0", "w1", "w2"])
         for key in ("alpha", "beta", "gamma"):
             order = ring.preference(key)
-            assert order[0] == ring.route(key)
+            assert order == ring.preference(key)
             assert sorted(order) == ["w0", "w1", "w2"]
 
     def test_remove_moves_only_departed_workers_keys(self):
         """The minimal-disruption property of consistent hashing."""
         ring = HashRing([f"w{i}" for i in range(4)])
         keys = [f"bucket-{i}" for i in range(200)]
-        before = {key: ring.route(key) for key in keys}
+        before = {key: ring.preference(key)[0] for key in keys}
         ring.remove("w2")
         for key in keys:
-            after = ring.route(key)
+            after = ring.preference(key)[0]
             if before[key] != "w2":
                 assert after == before[key], f"{key} moved despite surviving owner"
             else:
@@ -103,21 +103,21 @@ class TestHashRing:
         ring.remove("w1")
         for key in keys:
             survivors = [worker for worker in expected[key] if worker != "w1"]
-            assert ring.route(key) == survivors[0]
+            assert ring.preference(key)[0] == survivors[0]
 
     def test_rejoin_restores_original_ownership(self):
         ring = HashRing(["w0", "w1", "w2"])
         keys = [f"bucket-{i}" for i in range(100)]
-        before = {key: ring.route(key) for key in keys}
+        before = {key: ring.preference(key)[0] for key in keys}
         ring.remove("w1")
         ring.add("w1")
-        assert {key: ring.route(key) for key in keys} == before
+        assert {key: ring.preference(key)[0] for key in keys} == before
 
     def test_reasonable_balance(self):
         ring = HashRing([f"w{i}" for i in range(4)], vnodes=64)
         counts: dict[str, int] = {}
         for i in range(1000):
-            owner = ring.route(f"key-{i}")
+            owner = ring.preference(f"key-{i}")[0]
             counts[owner] = counts.get(owner, 0) + 1
         assert min(counts.values()) > 1000 / 4 / 4  # no worker starves badly
 
@@ -128,8 +128,6 @@ class TestHashRing:
         with pytest.raises(FleetError):
             ring.remove("w9")
         ring.remove("w0")
-        with pytest.raises(FleetError):
-            ring.route("anything")
         assert ring.preference("anything") == []
 
 
@@ -168,7 +166,8 @@ class TestLoadProfiles:
 
 
 class FakeWorker:
-    """Scripted replica: records calls, dies or saturates on command."""
+    """Scripted replica on the worker surface (``repro.fleet.worker._Worker``):
+    records calls and their keywords, dies or saturates on command."""
 
     def __init__(self, worker_id: str):
         self.worker_id = worker_id
@@ -176,6 +175,7 @@ class FakeWorker:
         self.overloaded = False
         self.killed = False
         self.calls: list[str] = []
+        self.keywords: list[dict] = []
 
     def _check(self):
         if self.dead:
@@ -183,12 +183,13 @@ class FakeWorker:
         if self.overloaded:
             raise ServiceOverloadedError(f"{self.worker_id} saturated", retry_after_s=0.25)
 
-    def predict(self, prompt, max_new_tokens=None, deadline_s=None):
+    def predict(self, prompt, max_new_tokens=None, **keywords):
         self._check()
         self.calls.append(prompt)
+        self.keywords.append(keywords)
         return {"completion": prompt + "!", "cached": False, "degraded": False}
 
-    def predict_batch(self, prompts, max_new_tokens=None, deadline_s=None):
+    def predict_batch(self, prompts, max_new_tokens=None, deadline_s=None, trace_context=None):
         self._check()
         self.calls.extend(prompts)
         return {
@@ -208,6 +209,21 @@ class FakeWorker:
         self._check()
         self.calls.append(buffer)
         return {"session_id": "s0000", "completion": buffer + "!"}
+
+    def session_extend(
+        self, session_id, buffer, max_new_tokens=None, deadline_s=None, trace_context=None
+    ):
+        self._check()
+        self.calls.append(buffer)
+        return {"session_id": session_id, "completion": buffer + "!"}
+
+    def session_close(self, session_id):
+        self._check()
+        return {"session_id": session_id, "closed": True}
+
+    def telemetry(self):
+        self._check()
+        return {"spans": []}
 
     def heartbeat(self):
         self._check()
@@ -240,6 +256,20 @@ def fake_fleet(n=3, **kwargs) -> tuple[FleetRouter, list[FakeWorker]]:
     return FleetRouter(workers, **kwargs), workers
 
 
+@pytest.fixture()
+def fake_clock():
+    with use(FakeClock()) as fake:
+        yield fake
+
+
+def lapse(router: FleetRouter, worker: FakeWorker, fake: FakeClock) -> None:
+    """Take ``worker`` out of the fleet the way production does: it stops
+    answering, and a heartbeat tick past its deadline declares it dead."""
+    worker.dead = True
+    fake.advance(router.heartbeat_timeout_s)
+    router.heartbeat_tick()
+
+
 class TestRouterRouting:
     def test_affinity_groups_stick_to_one_replica(self):
         router, workers = fake_fleet()
@@ -254,6 +284,11 @@ class TestRouterRouting:
         router, workers = fake_fleet(policy="round_robin")
         served = [router.predict(f"- name: prompt {i}\n")["worker"] for i in range(6)]
         assert served == ["w0", "w1", "w2", "w0", "w1", "w2"]
+
+    def test_an_untraced_call_reaches_the_worker_with_trace_context_none(self):
+        router, workers = fake_fleet(policy="round_robin")  # w0 is asked first
+        router.predict("- name: anything\n")
+        assert workers[0].keywords == [{"deadline_s": None, "trace_context": None}]
 
     def test_rejects_bad_inputs(self):
         router, _ = fake_fleet()
@@ -304,9 +339,9 @@ class TestRouterFailover:
         assert primary not in stats["live_workers"]
 
     def test_dead_replica_is_drained(self):
-        router, workers = fake_fleet()
+        router, workers = fake_fleet(policy="round_robin")  # w0 is asked first
         workers[0].dead = True
-        router.remove_worker("w0", reason="dispatch_failed")
+        router.predict("- name: anything\n")
         assert workers[0].killed  # drain path ran
 
     @pytest.mark.parametrize("method", ROUTED)
@@ -375,12 +410,12 @@ class TestRouterFailover:
 class TestRebalanceProperty:
     """Satellite: prefix affinity is stable under worker join/leave."""
 
-    def test_surviving_buckets_do_not_move(self):
+    def test_surviving_buckets_do_not_move(self, fake_clock):
         router, workers = fake_fleet(4)
         prompts = generate_prompts("shared_prefix", 40, seed=3)
         before = {prefix_bucket(p): router.predict(p)["worker"] for p in prompts}
         victim = "w2"
-        router.remove_worker(victim)
+        lapse(router, workers[2], fake_clock)
         for prompt in prompts:
             bucket = prefix_bucket(prompt)
             after = router.predict(prompt)["worker"]
@@ -389,12 +424,12 @@ class TestRebalanceProperty:
             else:
                 assert after != victim
 
-    def test_no_request_dropped_across_join_and_leave(self):
+    def test_no_request_dropped_across_join_and_leave(self, fake_clock):
         router, workers = fake_fleet(3)
         prompts = generate_prompts("mixed", 30, seed=4)
         for index, prompt in enumerate(prompts):
             if index == 10:
-                router.remove_worker("w1")
+                lapse(router, workers[1], fake_clock)
             if index == 20:
                 router.add_worker(FakeWorker("w3"))
             payload = router.predict(prompt)
@@ -403,11 +438,11 @@ class TestRebalanceProperty:
         assert stats["requests"] == len(prompts)
         assert stats["rebalances"] >= 5  # 3 joins + leave + re-join
 
-    def test_rejoin_restores_affinity(self):
+    def test_rejoin_restores_affinity(self, fake_clock):
         router, workers = fake_fleet(3)
         prompts = generate_prompts("shared_prefix", 24, seed=5)
         before = {prefix_bucket(p): router.predict(p)["worker"] for p in prompts}
-        router.remove_worker("w0")
+        lapse(router, workers[0], fake_clock)
         router.add_worker(FakeWorker("w0"))
         after = {prefix_bucket(p): router.predict(p)["worker"] for p in prompts}
         assert after == before
@@ -479,11 +514,11 @@ class TestStatsAggregation:
         assert aggregate["prefix_cache"]["hit_rate"] == pytest.approx(0.75)
         assert set(stats["workers"]) == {"w0", "w1", "w2"}
 
-    def test_health_reports_membership(self):
+    def test_health_reports_membership(self, fake_clock):
         router, workers = fake_fleet()
         assert router.health()["status"] == "ok"
-        for worker_id in list(router.live_worker_ids):
-            router.remove_worker(worker_id)
+        for worker in workers:
+            lapse(router, worker, fake_clock)
         health = router.health()
         assert health["status"] == "unavailable"
         assert health["live_workers"] == 0
@@ -579,13 +614,14 @@ class TestRequestSurface:
 
         from repro.fleet import ProcessWorker
         from repro.serving import PredictionService
+        from repro.serving.service import Backend
 
         def parameters(backend):
             signature = inspect.signature(getattr(backend, name))
             return [(p.name, p.kind, p.default) for p in signature.parameters.values()]
 
         expected = parameters(PredictionService)
-        for backend in (FleetRouter, InProcessWorker, ProcessWorker):
+        for backend in (Backend, FleetRouter, InProcessWorker, ProcessWorker):
             assert parameters(backend) == expected, f"{backend.__name__}.{name} differs"
 
     def test_instance_attribute_wrappers_are_honoured_at_every_hop(self):
@@ -637,13 +673,14 @@ class TestProcessWorker:
 
         worker = ProcessWorker("p0", WorkerSpec(seed=0, max_new_tokens=8)).start()
         try:
-            assert worker.alive
+            assert worker.heartbeat() >= 0.0
             payload = worker.predict("- name: Install nginx\n", max_new_tokens=4)
             assert isinstance(payload["completion"], str)
             assert worker.health()["status"] == "ok"
         finally:
             worker.stop()
-        assert not worker.alive
+        with pytest.raises(WorkerUnavailableError):
+            worker.heartbeat()
 
     @pytest.mark.slow
     def test_killed_process_surfaces_unavailable(self):

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.ansible_aware import (
-    ansible_aware,
-    average_ansible_aware,
-    snippet_score,
-    task_score,
-)
+from repro.metrics.ansible_aware import ansible_aware, snippet_score, task_score
+from repro.metrics.report import EvalReport
 
 REF_TASK = """- name: Install nginx
   ansible.builtin.apt:
@@ -136,11 +132,10 @@ class TestHelpers:
         assert snippet_score([], []) == 1.0
 
     def test_average(self):
-        assert average_ansible_aware([REF_TASK, REF_TASK], [REF_TASK, "]bad["]) == pytest.approx(50.0)
-
-    def test_average_length_mismatch(self):
-        with pytest.raises(ValueError):
-            average_ansible_aware([REF_TASK], [])
+        report = EvalReport("m")
+        report.add(REF_TASK, REF_TASK)
+        report.add(REF_TASK, "]bad[")
+        assert report.ansible_aware == pytest.approx(50.0)
 
     def test_name_only_task_scores_full(self):
         assert ansible_aware("- name: only\n", "- name: whatever\n") == 100.0

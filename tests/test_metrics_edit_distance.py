@@ -1,17 +1,87 @@
-"""Tests for repro.metrics.edit_distance."""
+"""Edit-distance diagnostics, kept beside their tests.
+
+The paper motivates Ansible Aware by "how many changes must be made to
+correct it": a token-level Levenshtein distance, the derived correction
+effort (edits per reference token) and a line-level diff summary quantify
+that.  No table reports them, so they live here rather than in
+:mod:`repro.metrics`.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics.edit_distance import (
-    correction_effort,
-    levenshtein,
-    line_diff,
-    mean_correction_effort,
-    token_edit_distance,
-)
+from repro.metrics.bleu import tokenize
+
+
+def levenshtein(reference: list[str], prediction: list[str]) -> int:
+    """Token-level Levenshtein distance (insert/delete/substitute)."""
+    previous = list(range(len(prediction) + 1))
+    for row_index, reference_token in enumerate(reference, start=1):
+        current = [row_index] + [0] * len(prediction)
+        for column_index, prediction_token in enumerate(prediction, start=1):
+            current[column_index] = min(
+                previous[column_index] + 1,
+                current[column_index - 1] + 1,
+                previous[column_index - 1] + (reference_token != prediction_token),
+            )
+        previous = current
+    return previous[-1]
+
+
+def correction_effort(reference: str, prediction: str) -> float:
+    """Edits needed per reference token, in [0, inf); 0 = already correct."""
+    reference_tokens, prediction_tokens = tokenize(reference), tokenize(prediction)
+    if not reference_tokens:
+        return float(len(prediction_tokens))
+    return levenshtein(reference_tokens, prediction_tokens) / len(reference_tokens)
+
+
+def mean_correction_effort(references: list[str], predictions: list[str]) -> float:
+    if len(references) != len(predictions):
+        raise ValueError("references and predictions must have equal length")
+    if not references:
+        return 0.0
+    return sum(map(correction_effort, references, predictions)) / len(references)
+
+
+@dataclass(frozen=True)
+class LineDiff:
+    matching_lines: int
+    missing_lines: int
+    extra_lines: int
+    changed_lines: int
+
+    @property
+    def total_reference_lines(self) -> int:
+        return self.matching_lines + self.missing_lines + self.changed_lines
+
+
+def line_diff(reference: str, prediction: str) -> LineDiff:
+    """Greedy line-level diff: exact matches first, then positional pairing;
+    right edges stripped, indentation significant."""
+
+    def lines(text: str) -> list[str]:
+        return [line.rstrip() for line in text.rstrip("\n").split("\n")] if text.strip() else []
+
+    remaining = lines(prediction)
+    matching = 0
+    unmatched: list[str] = []
+    for line in lines(reference):
+        if line in remaining:
+            remaining.remove(line)
+            matching += 1
+        else:
+            unmatched.append(line)
+    changed = min(len(unmatched), len(remaining))
+    return LineDiff(matching, len(unmatched) - changed, len(remaining) - changed, changed)
+
+
+def token_edit_distance(reference: str, prediction: str) -> int:
+    return levenshtein(tokenize(reference), tokenize(prediction))
 
 
 class TestLevenshtein:

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from repro.metrics.schema_correct import (
-    is_schema_correct,
-    schema_correct_rate,
-    schema_violations,
-)
+from repro.metrics.report import EvalReport
+from repro.metrics.schema_correct import is_schema_correct, schema_violations
 
 GOOD = "- name: t\n  ansible.builtin.apt:\n    name: nginx\n    state: present\n"
 HISTORICAL = "- name: t\n  apt: name=nginx state=present\n"
@@ -50,10 +47,13 @@ class TestSchemaViolations:
 
 class TestRate:
     def test_rate(self):
-        assert schema_correct_rate([GOOD, INVALID_YAML]) == 50.0
+        report = EvalReport("m")
+        report.add(GOOD, GOOD)
+        report.add(GOOD, INVALID_YAML)
+        assert report.schema_correct == 50.0
 
     def test_empty(self):
-        assert schema_correct_rate([]) == 0.0
+        assert EvalReport("m").schema_correct == 0.0
 
     def test_paper_caveat_em_perfect_schema_zero(self):
         """A perfect-EM prediction may still be schema-incorrect (the paper's

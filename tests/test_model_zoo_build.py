@@ -11,7 +11,6 @@ from repro.model.zoo import (
     PretrainingCorpora,
     build_model,
     build_tokenizer,
-    build_zoo,
 )
 
 
@@ -88,25 +87,14 @@ class TestBuildZoo:
     def test_subset_zoo_with_warm_start(self, mini_corpora, mini_tokenizer):
         from dataclasses import replace
 
-        cards = (
-            CARDS_BY_NAME["CodeGen-Multi"],
-            replace(
-                CARDS_BY_NAME["Wisdom-Ansible-Multi"],
-                context_window=CARDS_BY_NAME["CodeGen-Multi"].context_window,
-            ),
+        base = build_model(
+            CARDS_BY_NAME["CodeGen-Multi"], mini_corpora, mini_tokenizer, epochs=1, max_batches_per_epoch=2
         )
-        zoo = build_zoo(mini_corpora, mini_tokenizer, cards=cards, epochs=1, max_batches_per_epoch=2)
-        assert set(zoo) == {"CodeGen-Multi", "Wisdom-Ansible-Multi"}
-
-    def test_zoo_builds_missing_base_on_demand(self, mini_corpora, mini_tokenizer):
-        from dataclasses import replace
-
-        cards = (
-            replace(
-                CARDS_BY_NAME["Wisdom-Ansible-Multi"],
-                context_window=CARDS_BY_NAME["CodeGen-Multi"].context_window,
-            ),
+        card = replace(
+            CARDS_BY_NAME["Wisdom-Ansible-Multi"],
+            context_window=CARDS_BY_NAME["CodeGen-Multi"].context_window,
         )
-        zoo = build_zoo(mini_corpora, mini_tokenizer, cards=cards, epochs=1, max_batches_per_epoch=2)
-        # the CodeGen-Multi base was trained implicitly
-        assert "CodeGen-Multi" in zoo
+        warm = build_model(
+            card, mini_corpora, mini_tokenizer, epochs=1, max_batches_per_epoch=2, base_model=base
+        )
+        assert {base.name, warm.name} == {"CodeGen-Multi", "Wisdom-Ansible-Multi"}

@@ -35,7 +35,7 @@ from repro.nn.rotary import apply_rotary
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
-from tests.conftest import drain, greedy_or_tie, greedy_via_admit_prompts
+from tests.conftest import drain, evaluate_loss, greedy_or_tie, greedy_via_admit_prompts
 
 #: The benchmark's model (``bench/fleet.py: SPEC``).
 BENCH_SPEC = WorkerSpec(seed=0, dim=64, n_layers=2, n_heads=4, n_positions=384)
@@ -63,7 +63,7 @@ class TestFloat32EndToEnd:
         ids = _ids(batch, 7)
         assert network.forward(ids, training=True).dtype == np.float32
         assert network.forward(ids, training=False).dtype == np.float32
-        # evaluate_loss returns a Python float: look at the logits it built.
+        # the loss is a Python float: look at the logits it built.
         seen = []
         forward = network.lm_head.forward
 
@@ -73,7 +73,7 @@ class TestFloat32EndToEnd:
 
         network.lm_head.forward = recording
         try:
-            network.evaluate_loss(ids, np.roll(ids, -1, axis=1))
+            evaluate_loss(network, ids, np.roll(ids, -1, axis=1))
         finally:
             del network.lm_head.forward
         assert [logits.dtype for logits in seen] == [np.float32]

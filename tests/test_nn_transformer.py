@@ -9,6 +9,7 @@ from repro.errors import ReproError, ShapeError
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
 from repro.nn.transformer import DecoderLM, TransformerConfig
+from tests.conftest import evaluate_loss
 
 
 @pytest.fixture()
@@ -72,9 +73,9 @@ class TestTraining:
         for i, j in [(1, 0), (3, 7)]:
             original = parameter.data[i, j]
             parameter.data[i, j] = original + eps
-            up = small_model.evaluate_loss(ids, targets)
+            up = evaluate_loss(small_model, ids, targets)
             parameter.data[i, j] = original - eps
-            down = small_model.evaluate_loss(ids, targets)
+            down = evaluate_loss(small_model, ids, targets)
             parameter.data[i, j] = original
             numerical = (up - down) / (2 * eps)
             assert parameter.grad[i, j] == pytest.approx(numerical, abs=5e-3)
@@ -100,7 +101,7 @@ class TestTraining:
         ids = np.array([[1, 2, 3]], dtype=np.int64)
         targets = np.array([[2, 3, -1]], dtype=np.int64)
         small_model.zero_grad()
-        small_model.evaluate_loss(ids, targets)
+        evaluate_loss(small_model, ids, targets)
         for parameter in small_model.parameters():
             assert np.allclose(parameter.grad, 0.0)
 

@@ -119,7 +119,7 @@ class TestRemoteContextAdoption:
 
 class _FakeWorker:
     def __init__(self, payload=None, error=None):
-        self.payload = payload or {"spans": [], "metrics_prometheus": "", "profile": None}
+        self.payload = payload or {"spans": []}
         self.error = error
 
     def telemetry(self):

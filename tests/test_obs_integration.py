@@ -119,8 +119,8 @@ class TestEngineTracing:
 class TestServingMetricsEndpoint:
     def test_metrics_round_trip(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        model.attach_tracer(Tracer(capacity=512))
-        service = PredictionService(model.engine(max_batch_size=4))
+        obs = Observability.with_tracing(capacity=512)
+        service = PredictionService(model.engine(max_batch_size=4, obs=obs))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.predict("- name: install nginx\n", max_new_tokens=4)
@@ -158,10 +158,10 @@ class TestServingMetricsEndpoint:
 
     def test_serving_spans_wrap_engine_spans(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        model.attach_tracer(Tracer(capacity=512))
-        service = PredictionService(model.engine(max_batch_size=2))
+        obs = Observability.with_tracing(capacity=512)
+        service = PredictionService(model.engine(max_batch_size=2, obs=obs))
         service.predict_batch(["- name: install nginx\n"], max_new_tokens=3)
-        tracer = model.obs.tracer
+        tracer = service.obs.tracer
         assert len(tracer.spans("serving.predict_batch")) == 1
         assert len(tracer.spans("engine.request")) == 1
 

@@ -23,6 +23,13 @@ string ``"m"`` whose receiver may be a ``C``:
   called ``m``, or in a file that names ``C`` or one of those relatives;
   any other string only in such a file.
 
+A base that declares ``m`` as well makes its whole family relatives of
+``C.m``: a call through the base may land on any subclass's override.  The
+router's untyped ``worker.heartbeat()`` reaches both worker flavours that
+way, because ``_Worker`` declares it; a backend method the REST handler
+dispatches by name is reached because the handler's file names the
+``Backend`` protocol the class satisfies.
+
 So ``model.complete(...)`` in the CLI, where ``model`` comes from
 ``load_checkpoint() -> WisdomModel``, does not keep a client's
 ``complete`` alive.
@@ -46,91 +53,16 @@ REASONS = {
     "open": 'an option DESIGN.md "Options" marks open',
 }
 
-#: Public definitions no file outside tests/ uses, each with its reason.
+#: Public definitions no file outside tests/ uses, each with its reason and,
+#: above it, the caller the census cannot see.
 ALLOWED = {
+    # bench/trace.py wraps it as an instance attribute
     "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
+    # repro obs --spans reads the JSONL it writes
     "repro.obs.trace.Tracer.export_jsonl": "flag",
+    # tests/test_kv_state_machine.py checks the slot caches against it
     "repro.nn.kv_arena.DenseKVCache.view": "reference",
 }
-
-#: What the census found when it was introduced and no change has triaged
-#: yet: library helpers only tests call (metrics, dataset, ansible, yamlio,
-#: utils) and calls the static rule cannot see (a backend method the REST
-#: handler dispatches by name, a worker method the router calls duck-typed).
-#: Not a reason to stay: an entry goes when it is deleted, moved into
-#: tests/, given an ALLOWED reason or found used — the test fails until it
-#: is struck, so the list only shrinks.  Nothing may be added to it.
-BACKLOG = (
-    "repro.ansible.equivalence.equivalence_group",
-    "repro.ansible.fqcn.is_fqcn",
-    "repro.ansible.keywords.is_play_keyword",
-    "repro.ansible.keywords.is_task_keyword",
-    "repro.ansible.model.Block.is_block",
-    "repro.ansible.model.Task.fqcn",
-    "repro.ansible.model.Task.is_block",
-    "repro.ansible.model.Task.normalized_args",
-    "repro.ansible.modules.all_modules",
-    "repro.ansible.modules.categories",
-    "repro.ansible.modules.is_known_module",
-    "repro.ansible.modules.modules_in_category",
-    "repro.baselines.codex_sim.CodexSimulator.fit_samples",
-    "repro.dataset.corpus.Corpus.by_type",
-    "repro.dataset.corpus.Corpus.counts_by_type",
-    "repro.dataset.corpus.Corpus.summary_rows",
-    "repro.dataset.corpus.Corpus.total_characters",
-    "repro.dataset.dedup.dedup_samples",
-    "repro.dataset.sources.GitSourceSimulator.repositories",
-    "repro.dataset.stats.render_stats_table",
-    "repro.dataset.stats.stats_by_source",
-    "repro.dataset.synthesis.AnsibleSynthesizer.task_list_with_block",
-    "repro.dataset.synthesis.build_restart_handler",
-    "repro.errors.AnsibleSchemaError",
-    "repro.errors.UnknownModuleError",
-    "repro.faults.clock.get_clock",
-    "repro.faults.clock.set_clock",
-    "repro.faults.inject.FaultInjector.event_log",
-    "repro.faults.inject.active",
-    "repro.fleet.affinity.HashRing.route",
-    "repro.fleet.router.FleetRouter.health",
-    "repro.fleet.router.FleetRouter.remove_worker",
-    "repro.fleet.router.FleetRouter.telemetry",
-    "repro.fleet.worker.InProcessWorker.heartbeat",
-    "repro.fleet.worker.ProcessWorker.alive",
-    "repro.fleet.worker.ProcessWorker.heartbeat",
-    "repro.fleet.worker.ProcessWorker.kill",
-    "repro.metrics.ansible_aware.average_ansible_aware",
-    "repro.metrics.bleu.average_sentence_bleu",
-    "repro.metrics.bleu.corpus_bleu",
-    "repro.metrics.edit_distance.LineDiff.total_reference_lines",
-    "repro.metrics.edit_distance.line_diff",
-    "repro.metrics.edit_distance.mean_correction_effort",
-    "repro.metrics.edit_distance.token_edit_distance",
-    "repro.metrics.exact_match.canonical_exact_match",
-    "repro.metrics.exact_match.exact_match_rate",
-    "repro.metrics.schema_correct.schema_correct_rate",
-    "repro.model.lm.WisdomModel.attach_observability",
-    "repro.model.lm.WisdomModel.attach_profiler",
-    "repro.model.lm.WisdomModel.attach_tracer",
-    "repro.model.lm.WisdomModel.detach_profiler",
-    "repro.model.lm.WisdomModel.perplexity",
-    "repro.model.zoo.build_zoo",
-    "repro.nn.optim.LinearSchedule.lr_at",
-    "repro.obs.metrics.Histogram.mean",
-    "repro.serving.client.PredictionClient.metrics_prometheus",
-    "repro.serving.plugin.EditorSession.acceptance_rate",
-    "repro.serving.session.SessionManager.count",
-    "repro.serving.stream.sse_comment",
-    "repro.training.pretrain.continue_pretraining",
-    "repro.training.trainer.TrainingHistory.final_loss",
-    "repro.training.trainer.TrainingHistory.improved",
-    "repro.utils.text.dedent_block",
-    "repro.utils.text.normalize_newlines",
-    "repro.utils.text.split_words",
-    "repro.utils.text.truncate_left",
-    "repro.utils.timing.Stopwatch.mean_lap",
-    "repro.yamlio.dumps_all",
-    "repro.yamlio.normalize",
-)
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 MODULE = "<module>"  # receiver: an imported module
@@ -236,6 +168,7 @@ class Package:
             for member in names:
                 self.owners[member].add(name)
         ancestors = {name: self._closure(name, lambda c: bases[c] & self.classes) for name in nodes}
+        self.members, self.ancestors = members, ancestors
         self.related = {name: {name} | ancestors[name] for name in nodes}
         for name in nodes:
             for ancestor in ancestors[name]:
@@ -256,6 +189,15 @@ class Package:
         for _ in range(2):  # a second pass sees attributes of attributes
             for name, found in nodes.items():
                 self.attributes[name] = self._attribute_kinds(name, found)
+
+    def family(self, owner: str, member: str) -> set[str]:
+        """The classes a receiver of ``owner.member`` may be: ``owner``'s
+        relatives, and the relatives of every ancestor declaring ``member``."""
+        found = set(self.related[owner])
+        for ancestor in self.ancestors[owner]:
+            if member in self.members[ancestor]:
+                found |= self.related[ancestor]
+        return found
 
     @staticmethod
     def _closure(start: str, step) -> set[str]:
@@ -456,7 +398,7 @@ class Census:
 
     def used(self, qualname: str) -> bool:
         name, owner, module = self.package.definitions[qualname]
-        related = self.package.related[owner] if owner is not None else set()
+        related = self.package.family(owner, name) if owner is not None else set()
         unique = self.package.owners[name] <= related
         for where, usage in self.usages.items():
             for receiver, top in usage.uses.get(name, ()):
@@ -486,7 +428,7 @@ def test_every_public_definition_is_used_outside_tests(census):
     unused = [
         qualname
         for qualname in census.package.definitions
-        if qualname not in ALLOWED and qualname not in BACKLOG and not census.used(qualname)
+        if qualname not in ALLOWED and not census.used(qualname)
     ]
     assert not unused, (
         "only tests reach these public definitions: delete them, move them into "
@@ -504,16 +446,6 @@ def test_every_allowed_entry_is_defined_unused_and_reasoned(census):
         elif census.used(qualname):
             stale[qualname] = "used outside tests/"
     assert not stale, stale
-
-
-def test_every_backlog_entry_is_still_defined_and_unused(census):
-    settled = [
-        qualname
-        for qualname in BACKLOG
-        if qualname not in census.package.definitions or census.used(qualname)
-    ]
-    assert not settled, f"strike these from BACKLOG: {settled}"
-    assert len(set(BACKLOG)) == len(BACKLOG) and not set(BACKLOG) & set(ALLOWED)
 
 
 def test_a_shared_method_name_is_resolved_by_its_receiver():
@@ -536,3 +468,43 @@ def test_a_shared_method_name_is_resolved_by_its_receiver():
     assert census.used("pkg.model.Model.complete")
     assert census.used("pkg.client.Client.health")
     assert not census.used("pkg.client.Client.complete")
+
+
+def test_a_method_dispatched_by_name_is_used_through_a_protocol_its_class_satisfies():
+    package = {
+        "pkg.service": (
+            "from typing import Protocol\n\n"
+            "class Backend(Protocol):\n    def health(self): ...\n    def stats(self): ...\n\n"
+            "class Handler:\n    service: Backend\n"
+            "    def route(self, method):\n        return getattr(self.service, method)()\n\n"
+            "ROUTES = {'/health': 'health', '/stats': 'stats'}\n"
+        ),
+        "pkg.router": (
+            "class Router:\n    def health(self): ...\n    def stats(self): ...\n"
+            "class Stopwatch:\n    def stats(self): ...\n"
+        ),
+    }
+    assert Census(package, {"pkg.service": package["pkg.service"]}).used("pkg.router.Router.health")
+    # without the Protocol, a string names no class: the router's method is unused
+    untyped = package["pkg.service"].replace("Protocol", "object").replace("Backend", "Base")
+    assert not Census(package, {"pkg.service": untyped}).used("pkg.router.Router.health")
+
+
+def test_a_method_two_siblings_define_is_used_when_their_base_declares_it():
+    def census(base: str) -> Census:
+        package = {
+            "pkg.worker": (
+                f"class _Worker:\n{base}\n"
+                "class Local(_Worker):\n    def heartbeat(self): ...\n"
+                "class Remote(_Worker):\n    def heartbeat(self): ...\n"
+            )
+        }
+        router = "def tick(workers):\n    for worker in workers:\n        worker.heartbeat()\n"
+        return Census(package, {"pkg.router": router})
+
+    declared = census("    def heartbeat(self): ...\n")
+    assert declared.used("pkg.worker.Local.heartbeat")
+    assert declared.used("pkg.worker.Remote.heartbeat")
+    undeclared = census("    pass\n")
+    assert not undeclared.used("pkg.worker.Local.heartbeat")
+    assert not undeclared.used("pkg.worker.Remote.heartbeat")

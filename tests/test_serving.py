@@ -18,6 +18,19 @@ from repro.serving.service import PredictionService, RestServer
 from tests.conftest import GenerationGate
 
 
+def _scrape(server: RestServer) -> tuple[int, bytes]:
+    """``GET /v1/metrics?format=prometheus`` the way a Prometheus server does."""
+    import http.client
+
+    connection = http.client.HTTPConnection(*server.address, timeout=10)
+    try:
+        connection.request("GET", "/v1/metrics?format=prometheus")
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
 def _wait_for(condition, timeout_s: float = 10.0) -> None:
     """Poll ``condition`` on the real clock (threaded tests only)."""
     import time
@@ -429,7 +442,9 @@ class TestRestRoundTrip:
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.predict("- name: install nginx\n")
-            text = client.metrics_prometheus()
+            status, body = _scrape(server)
+        assert status == 200
+        text = body.decode("utf-8")
         parsed = parse_prometheus(text)  # raises on any unparseable line
         assert "# TYPE serving_requests_total counter" in text
         assert parsed["serving_requests_total"]["samples"][0][2] == 1.0
@@ -563,13 +578,12 @@ class TestTypedErrorRoundTrip:
                 PredictionClient(server.url).predict("- name: a\n")
 
     def test_prometheus_http_error_is_not_reported_as_unreachable(self, make_engine):
-        from repro.errors import ServiceUnreachableError
+        import json
 
         with RestServer(self._Cancelling(make_engine())) as server:
-            with pytest.raises(ServingError) as error_info:
-                PredictionClient(server.url).metrics_prometheus()
-        assert not isinstance(error_info.value, ServiceUnreachableError)
-        assert "cannot reach" not in str(error_info.value)
+            status, body = _scrape(server)
+        assert status == ServingError.status
+        assert json.loads(body) == {"error": "exposition unavailable"}
 
 
 class TestEditorPlugin:
@@ -583,8 +597,7 @@ class TestEditorPlugin:
         assert suggestion.text and session.session_id is not None
         buffer = session.press(TAB)
         assert buffer.startswith("- name: install nginx on RHEL\n" + suggestion.text)
-        assert session.accepted == 1
-        assert session.acceptance_rate == 1.0
+        assert (session.accepted, session.rejected) == (1, 0)
 
     def test_reject_flow(self, session):
         session.type_text("- name: install nginx")

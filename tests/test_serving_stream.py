@@ -22,7 +22,6 @@ from repro.serving.stream import (
     SseEvent,
     SseParser,
     TextDelta,
-    sse_comment,
     sse_encode,
 )
 from repro.utils.rng import SeededRng
@@ -136,7 +135,7 @@ class TestParserEdgeCases:
         assert events[0].data == '"multi\nline"'
 
     def test_comments_surface_as_comment_events(self):
-        events = SseParser().feed(sse_comment("hb") + sse_encode("done", {}))
+        events = SseParser().feed(b": hb\n\n" + sse_encode("done", {}))
         assert events[0].comment and events[0].event == "comment"
         assert events[1].event == "done"
 

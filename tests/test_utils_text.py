@@ -1,18 +1,41 @@
-"""Tests for repro.utils.text."""
+"""Tests for repro.utils.text, and text helpers no library code calls any
+more, kept here with their tests."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.text import (
-    dedent_block,
-    indent_block,
-    normalize_newlines,
-    split_words,
-    stable_hash,
-    truncate_left,
-)
+from repro.utils.text import indent_block, stable_hash
+
+
+def normalize_newlines(text: str) -> str:
+    """Convert CRLF / CR line endings to LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def dedent_block(text: str) -> str:
+    """Remove the common leading whitespace of all non-empty lines."""
+    lines = text.split("\n")
+    margins = [len(line) - len(line.lstrip(" ")) for line in lines if line.strip()]
+    if not margins:
+        return text
+    margin = min(margins)
+    return "\n".join(line[margin:] if line.strip() else line for line in lines)
+
+
+def split_words(text: str) -> list[str]:
+    """Simple word tokens: letters, digits, ``_.-``."""
+    return re.findall(r"[A-Za-z0-9_.\-]+", text)
+
+
+def truncate_left(tokens: list[int], limit: int) -> list[int]:
+    """Keep the rightmost ``limit`` tokens, as a new list."""
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    return list(tokens[len(tokens) - limit:]) if len(tokens) > limit else list(tokens)
 
 
 class TestNormalizeNewlines:

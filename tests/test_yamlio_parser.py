@@ -115,11 +115,11 @@ class TestDocuments:
         assert both("---\na: 1\n") == {"a": 1}
 
     def test_multi_document(self):
-        docs = yamlio.loads_all("---\na: 1\n---\nb: 2\n")
+        docs = yamlio.parse_all("---\na: 1\n---\nb: 2\n")
         assert docs == [{"a": 1}, {"b": 2}]
 
     def test_end_marker(self):
-        docs = yamlio.loads_all("a: 1\n...\n")
+        docs = yamlio.parse_all("a: 1\n...\n")
         assert docs == [{"a": 1}]
 
     def test_loads_rejects_multi_document(self):
