@@ -4,10 +4,10 @@ One process, one engine was PR 1-5; this package is the tier above — a
 :class:`~repro.fleet.router.FleetRouter` spreading traffic over N engine
 replicas (in-process for deterministic tests, real child processes for
 CPU parallelism), routing shared-prefix prompts to the replica whose COW
-prefix cache already holds their K/V, with fleet-level admission control,
-heartbeat liveness, failover and seeded chaos.  Driven by ``repro fleet``
-on the CLI and ``benchmarks/test_fleet.py``; see DESIGN.md §Fleet
-architecture.
+prefix cache already holds their K/V, with spill-then-shed overload
+handling, heartbeat liveness, failover and seeded chaos.  Driven by
+``repro fleet`` on the CLI and ``benchmarks/test_fleet.py``; see DESIGN.md
+§Fleet architecture.
 """
 
 from __future__ import annotations

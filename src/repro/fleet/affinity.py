@@ -10,7 +10,7 @@ Two pieces implement that:
   re-sends the same playbook buffer with a growing tail, so the head of
   the prompt identifies the session/file and is stable across keystrokes.
 * :class:`HashRing` is a consistent-hash ring mapping bucket keys onto
-  worker ids.  Each worker owns ``vnodes`` points on the ring; a key is
+  worker ids.  Each worker owns :data:`VNODES` points on the ring; a key is
   served by the first point clockwise from its own hash.  Removing a
   worker moves *only* the keys that worker owned (they slide to their
   clockwise successors) and adding one back steals only the keys it now
@@ -30,6 +30,9 @@ from repro.errors import FleetError
 
 #: Characters of normalised prompt head that identify an affinity bucket.
 DEFAULT_PREFIX_DEPTH = 96
+
+#: Ring points per worker: enough to spread keys evenly over a few replicas.
+VNODES = 64
 
 
 def _stable_hash(text: str) -> int:
@@ -56,10 +59,7 @@ class HashRing:
     True
     """
 
-    def __init__(self, workers: list[str] | None = None, vnodes: int = 64):
-        if vnodes < 1:
-            raise FleetError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, workers: list[str] | None = None):
         self._points: list[int] = []  # sorted vnode hashes
         self._owners: dict[int, str] = {}  # vnode hash -> worker id
         self._workers: set[str] = set()
@@ -77,7 +77,7 @@ class HashRing:
         return sorted(self._workers)
 
     def _vnode_hashes(self, worker_id: str) -> list[int]:
-        return [_stable_hash(f"{worker_id}#{index}") for index in range(self.vnodes)]
+        return [_stable_hash(f"{worker_id}#{index}") for index in range(VNODES)]
 
     def add(self, worker_id: str) -> None:
         """Insert a worker's vnodes; no-op complaints become errors."""

@@ -10,17 +10,15 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   consistent-hash ring, so requests sharing a prompt head land on the
   replica that already holds their K/V prefix.  ``policy="round_robin"``
   is the baseline the benchmark compares against.
-* **Fleet-level admission control** — ``max_inflight`` bounds concurrent
-  dispatches across the whole fleet; excess load sheds with the same
-  typed 503 + Retry-After contract the per-engine service uses, *before*
-  any replica is touched.
 * **Failover** — a dispatch that finds its replica dead
   (:class:`~repro.errors.WorkerUnavailableError`) marks it dead, drains
   it, rebalances the ring and re-dispatches the request to the next
   replica in the key's preference order: the request is re-enqueued, not
   dropped.  A replica that answers 503 *spills* to the next preference
   without being declared dead; only when every live replica is saturated
-  does the fleet itself shed.
+  does the fleet itself shed, with the same typed 503 + Retry-After
+  contract the per-engine service uses.  Each replica's
+  ``max_queue_depth`` is what bounds the fleet's load.
 * **Streaming passthrough** — :meth:`predict_stream` routes exactly like
   :meth:`predict` (affinity, failover, spill) *until the first event
   flows*; after first byte, replica death surfaces as an in-band
@@ -79,7 +77,7 @@ from repro.obs.distributed import (
     router_span_ref,
 )
 from repro.obs.export import prometheus_exposition
-from repro.serving.service import require_prompts, require_text
+from repro.serving.service import SHED_RETRY_AFTER_S, require_prompts, require_text
 
 ROUTING_POLICIES = ("affinity", "round_robin")
 
@@ -119,8 +117,6 @@ class FleetRouter:
         workers=None,
         *,
         policy: str = "affinity",
-        max_inflight: int | None = None,
-        shed_retry_after_s: float = 0.5,
         heartbeat_timeout_s: float = 5.0,
         spawner=None,
         obs: Observability | None = None,
@@ -128,11 +124,7 @@ class FleetRouter:
     ):
         if policy not in ROUTING_POLICIES:
             raise FleetError(f"unknown policy {policy!r} (known: {ROUTING_POLICIES})")
-        if max_inflight is not None and max_inflight < 1:
-            raise FleetError(f"max_inflight must be >= 1, got {max_inflight}")
         self.policy = policy
-        self.max_inflight = max_inflight
-        self.shed_retry_after_s = shed_retry_after_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.spawner = spawner
         self._workers: dict[str, object] = {}
@@ -232,24 +224,11 @@ class FleetRouter:
             self.add_worker(replacement)
             self._counts["respawns"].inc()
 
-    # -- admission -----------------------------------------------------------
-
-    def _try_admit(self) -> bool:
-        with self._lock:
-            if self.max_inflight is not None and self._inflight_count >= self.max_inflight:
-                return False
-            self._inflight_count += 1
-            self._g_inflight.inc()
-            return True
-
-    def _release_admission(self) -> None:
-        with self._lock:
-            self._inflight_count -= 1
-            self._g_inflight.dec()
+    # -- shedding ------------------------------------------------------------
 
     def _shed(self, reason: str, retry_after_s: float | None = None) -> ServiceOverloadedError:
         self._counts["shed_requests"].inc()
-        retry_after = retry_after_s if retry_after_s is not None else self.shed_retry_after_s
+        retry_after = retry_after_s if retry_after_s is not None else SHED_RETRY_AFTER_S
         return ServiceOverloadedError(
             f"fleet overloaded ({reason}); retry after {retry_after}s",
             retry_after_s=retry_after,
@@ -300,19 +279,22 @@ class FleetRouter:
 
     @contextmanager
     def _admitted(self, deadline_s: float | None, inbound: TraceContext | None):
-        """What every entry point does around its dispatch: claim a fleet
-        admission slot (released on exit), fix the absolute deadline, adopt
-        or mint the trace context.  Yields ``(kwargs, trace_context)``;
-        ``kwargs()`` is evaluated per attempt, because the deadline keeps
-        running across failovers."""
-        if not self._try_admit():
-            raise self._shed("fleet admission queue full")
+        """What every entry point does around its dispatch: count it in
+        flight (until exit), fix the absolute deadline, adopt or mint the
+        trace context.  Yields ``(kwargs, trace_context)``; ``kwargs()`` is
+        evaluated per attempt, because the deadline keeps running across
+        failovers."""
+        with self._lock:
+            self._inflight_count += 1
+            self._g_inflight.inc()
         try:
             deadline_at = clock.now() + deadline_s if deadline_s is not None else None
             trace_context = self._trace_for(inbound)
             yield partial(self._worker_kwargs, deadline_at, trace_context), trace_context
         finally:
-            self._release_admission()
+            with self._lock:
+                self._inflight_count -= 1
+                self._g_inflight.dec()
 
     def _attempt(self, worker_id: str, call, **seam):
         """One call to one replica through the ``fleet.dispatch`` seam.
@@ -750,7 +732,6 @@ class FleetRouter:
                 "policy": self.policy,
                 "live_workers": sorted(self._workers),
                 "dead_workers": dict(self._dead),
-                "max_inflight": self.max_inflight,
                 "inflight": self._inflight_count,
                 "live_sessions": len(self._session_owner),
                 **{key: counter.value for key, counter in self._counts.items()},

@@ -55,6 +55,15 @@ SPEC_TRAIN_TEXTS = (
     "---\n- hosts: servers\n  tasks:\n    - name: Install redis\n      ansible.builtin.apt:\n        name: redis\n",
 )
 
+#: Every replica's sizes: batch rows, unpinned prefix-store nodes and
+#: response-cache entries.
+MAX_BATCH_SIZE = 4
+PREFIX_CACHE_CAPACITY = 32
+CACHE_CAPACITY = 8
+
+#: Seconds a :class:`ProcessWorker` child has to report its port.
+START_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class WorkerSpec:
@@ -77,11 +86,8 @@ class WorkerSpec:
     dim: int = 32
     n_layers: int = 2
     n_heads: int = 4
-    max_batch_size: int = 4
     max_new_tokens: int = 24
     max_queue_depth: int | None = 8
-    prefix_cache_capacity: int = 32
-    cache_capacity: int = 8
     #: Enable span tracing on the replica so ``telemetry()`` drains spans
     #: for the fleet collector; off by default (tracing is opt-in).
     tracing: bool = False
@@ -116,7 +122,7 @@ def build_service(spec: WorkerSpec):
 
         model = load_checkpoint(spec.checkpoint)
         engine = model.engine(
-            max_batch_size=spec.max_batch_size,
+            max_batch_size=MAX_BATCH_SIZE,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, model.tokenizer),
         )
@@ -137,8 +143,8 @@ def build_service(spec: WorkerSpec):
         engine = InferenceEngine(
             DecoderLM(config, numpy_rng(spec.seed)),
             tokenizer,
-            max_batch_size=spec.max_batch_size,
-            prefix_cache_capacity=spec.prefix_cache_capacity,
+            max_batch_size=MAX_BATCH_SIZE,
+            prefix_cache_capacity=PREFIX_CACHE_CAPACITY,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, tokenizer),
         )
@@ -146,7 +152,7 @@ def build_service(spec: WorkerSpec):
         engine,
         max_new_tokens=spec.max_new_tokens,
         max_queue_depth=spec.max_queue_depth,
-        cache_capacity=spec.cache_capacity,
+        cache_capacity=CACHE_CAPACITY,
     )
     if spec.tracing:
         from repro.obs import Tracer
@@ -338,17 +344,9 @@ def _process_worker_main(spec: WorkerSpec, port_queue) -> None:
 class ProcessWorker(_Worker):
     """One replica in a child process, reached over HTTP."""
 
-    def __init__(
-        self,
-        worker_id: str,
-        spec: WorkerSpec,
-        start_timeout_s: float = 60.0,
-        request_timeout_s: float = 30.0,
-    ):
+    def __init__(self, worker_id: str, spec: WorkerSpec):
         self.worker_id = worker_id
         self.spec = spec
-        self.start_timeout_s = start_timeout_s
-        self.request_timeout_s = request_timeout_s
         self._ctx = multiprocessing.get_context("spawn")
         self._process = None
         self._client = None
@@ -364,14 +362,14 @@ class ProcessWorker(_Worker):
         )
         self._process.start()
         try:
-            port = port_queue.get(timeout=self.start_timeout_s)
+            port = port_queue.get(timeout=START_TIMEOUT_S)
         except Exception as error:
             self.stop()
             raise WorkerUnavailableError(
                 f"worker {self.worker_id} failed to start: {error}", worker_id=self.worker_id
             ) from error
         self.url = f"http://127.0.0.1:{port}"
-        self._client = PredictionClient(self.url, timeout=self.request_timeout_s)
+        self._client = PredictionClient(self.url)
         return self
 
     def kill(self) -> None:

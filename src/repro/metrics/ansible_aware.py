@@ -29,7 +29,7 @@ fraction subtracted per inserted key, floored at zero.
 from __future__ import annotations
 
 from repro import yamlio
-from repro.ansible.equivalence import are_equivalent, module_key_score
+from repro.ansible.equivalence import module_key_score
 from repro.ansible.fqcn import resolve_fqcn
 from repro.ansible.keywords import PLAY_TASK_SECTIONS, TASK_KEYWORDS, looks_like_play
 from repro.ansible.kv import parse_kv

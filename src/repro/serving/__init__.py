@@ -1,7 +1,7 @@
 """Serving layer: REST service, client, streaming, sessions, editor plugin."""
 
 from repro.serving.cache import LruCache
-from repro.serving.client import PredictionClient, RetryPolicy
+from repro.serving.client import PredictionClient
 from repro.serving.plugin import ESCAPE, EditorSession, Suggestion, TAB
 from repro.serving.service import PredictionService, RestServer
 from repro.serving.session import SessionManager
@@ -16,7 +16,6 @@ from repro.serving.stream import (
 __all__ = [
     "LruCache",
     "PredictionClient",
-    "RetryPolicy",
     "ESCAPE",
     "EditorSession",
     "Suggestion",

@@ -1,15 +1,14 @@
 """HTTP client for the prediction service (the "REST client" of the demo).
 
-Besides the thin request wrappers, the client implements the polite half
-of the server's backpressure contract: a :class:`RetryPolicy` retries
-overload (503) and transport errors with exponential backoff plus seeded
-jitter, honouring the server's ``Retry-After`` hint as a floor on the
-wait.  Retries are opt-in (``max_retries=0`` by default) and sleep on the
-shared :mod:`repro.faults.clock`, so retry schedules are exact under a
-fake clock.
+The client speaks to one endpoint and surfaces every failure as a typed
+error: a 503 as :class:`~repro.errors.ServiceOverloadedError` carrying the
+server's ``retry_after_s`` hint, no answer at all as
+:class:`~repro.errors.ServiceUnreachableError`.  Failing over between
+replicas is the fleet router's job (``FleetRouter._route``), not the
+client's.
 
 The transport is HTTP/1.1 keep-alive over :mod:`http.client`: each JSON
-exchange borrows an idle connection to its endpoint, or opens one, and
+exchange borrows an idle connection to the endpoint, or opens one, and
 hands it back once the answer is read, so a keystroke pays no TCP connect.
 """
 
@@ -23,13 +22,10 @@ from urllib.parse import urlsplit
 from repro.errors import (
     ServiceOverloadedError,
     ServiceUnreachableError,
-    ServingError,
     SessionNotFoundError,
     error_for_status,
 )
-from repro.faults import clock
 from repro.serving.stream import SseParser
-from repro.utils.rng import SeededRng
 
 #: What "no HTTP answer" looks like: a refused, reset or timed-out socket
 #: (``OSError``) or a response cut short or without a status line
@@ -37,104 +33,30 @@ from repro.utils.rng import SeededRng
 _NO_ANSWER = (OSError, http.client.HTTPException)
 
 
-class RetryPolicy:
-    """Exponential backoff with jitter for overload / transport errors.
-
-    The delay before attempt ``n`` (1-based) is::
-
-        min(max_delay_s, base_delay_s * 2**(n-1)) * (1 + jitter * U[-1, 1])
-
-    floored at the server's ``Retry-After`` hint when one came back with
-    the 503.  Jitter draws from a :class:`~repro.utils.rng.SeededRng`, so
-    a policy constructed with the same seed backs off identically.
-    """
-
-    def __init__(
-        self,
-        max_retries: int = 3,
-        base_delay_s: float = 0.1,
-        max_delay_s: float = 5.0,
-        jitter: float = 0.25,
-        seed: int = 0,
-    ):
-        if max_retries < 0:
-            raise ServingError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= jitter <= 1.0:
-            raise ServingError(f"jitter must be in [0, 1], got {jitter}")
-        self.max_retries = max_retries
-        self.base_delay_s = base_delay_s
-        self.max_delay_s = max_delay_s
-        self.jitter = jitter
-        self._rng = SeededRng(seed).child("client-retry")
-
-    def delay(self, attempt: int, retry_after_s: float | None = None) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based)."""
-        backoff = min(self.max_delay_s, self.base_delay_s * (2 ** (attempt - 1)))
-        if self.jitter:
-            backoff *= 1.0 + self.jitter * self._rng.uniform(-1.0, 1.0)
-        if retry_after_s is not None:
-            backoff = max(backoff, retry_after_s)
-        return backoff
-
-
 class PredictionClient:
-    """Talks to one or more :class:`repro.serving.service.RestServer`\\ s.
-
-    ``base_url`` may be a single URL or a list of equivalent endpoints
-    (replicas of the same service).  On a *transport* failure — connection
-    refused, reset, timeout — the client fails over to the next endpoint
-    immediately, without sleeping; only once a full sweep of every
-    endpoint has failed does the :class:`RetryPolicy` backoff apply (and
-    with no policy, a failed sweep raises).  After a success the client
-    stays sticky on the endpoint that answered.  HTTP-level errors (503
-    overload, 504 deadline) are *service* answers, not dead endpoints,
-    and never trigger failover.
-
-    ``retry_policy`` opts into backoff-retry of 503s and unreachable-host
-    errors; ``sleep`` is injectable for tests and defaults to the shared
-    faults clock (real ``time.sleep`` in production).
+    """Talks to one :class:`repro.serving.service.RestServer`.
 
     One client is safe to share between threads (a ``ProcessWorker``'s
     client serves every router thread): idle keep-alive connections wait
-    in a lock-guarded list per endpoint, and each exchange holds its
-    connection alone until the answer is read.  A request that gets no
-    status line on a *reused* connection is sent once more on a fresh one
-    to the same endpoint — the server closed it while it sat idle — which
-    is not a failover.  :meth:`close` drops the idle connections.
+    in a lock-guarded list, and each exchange holds its connection alone
+    until the answer is read.  A request that gets no status line on a
+    *reused* connection is sent once more on a fresh one — the server
+    closed it while it sat idle — which is transport correctness, not a
+    retry.  :meth:`close` drops the idle connections.
     """
 
-    def __init__(
-        self,
-        base_url: str | list[str],
-        timeout: float = 30.0,
-        retry_policy: RetryPolicy | None = None,
-        sleep=None,
-    ):
-        urls = [base_url] if isinstance(base_url, str) else list(base_url)
-        if not urls:
-            raise ServingError("base_url must name at least one endpoint")
-        self.base_urls = [url.rstrip("/") for url in urls]
-        self._endpoint = 0
+    def __init__(self, base_url: str, timeout: float = 30.0):
+        self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retry_policy = retry_policy
-        self._sleep = sleep if sleep is not None else clock.sleep
-        self.retries = 0  # lifetime count of retry sleeps taken
-        self.failovers = 0  # lifetime count of endpoint rotations
-        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
-
-    @property
-    def base_url(self) -> str:
-        """The endpoint currently in use (rotates on transport failure)."""
-        return self.base_urls[self._endpoint]
 
     def close(self) -> None:
         """Close every idle connection; a later request opens a new one."""
         with self._idle_lock:
-            idle, self._idle = self._idle, {}
-        for connections in idle.values():
-            for connection in connections:
-                connection.close()
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def _http_error(self, method: str, path: str, status: int, body: bytes) -> Exception:
         """The typed error an HTTP error status stands for (the disposition
@@ -158,21 +80,19 @@ class PredictionClient:
         path: str,
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[str, http.client.HTTPConnection, http.client.HTTPResponse]:
-        """The one place a request is sent; returns ``(endpoint, connection,
-        response)`` with the status line read and the body not yet.
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """The one place a request is sent; returns ``(connection, response)``
+        with the status line read and the body not yet.
 
-        The request borrows an idle connection to the endpoint when one
-        waits.  An HTTP error status raises its typed error; no answer at
-        all raises :class:`~repro.errors.ServiceUnreachableError`.
+        The request borrows an idle connection when one waits.  An HTTP
+        error status raises its typed error; no answer at all raises
+        :class:`~repro.errors.ServiceUnreachableError`.
         """
-        endpoint = self.base_url
-        target = urlsplit(endpoint)
+        target = urlsplit(self.base_url)
         body = json.dumps(payload).encode("utf-8") if payload is not None else None
         head = {"Content-Type": "application/json", **(headers or {})}
         with self._idle_lock:
-            idle = self._idle.get(endpoint)
-            connection = idle.pop() if idle else None
+            connection = self._idle.pop() if self._idle else None
         while True:
             reused = connection is not None
             if connection is None:
@@ -190,17 +110,16 @@ class PredictionClient:
                 if reused and not isinstance(error, TimeoutError):
                     continue
                 raise ServiceUnreachableError(
-                    f"cannot reach service at {endpoint}{path}: {error}"
+                    f"cannot reach service at {self.base_url}{path}: {error}"
                 ) from error
         if not 200 <= response.status < 300:
-            answer = self._finish(path, endpoint, connection, response)
+            answer = self._finish(path, connection, response)
             raise self._http_error(method, path, response.status, answer)
-        return endpoint, connection, response
+        return connection, response
 
     def _finish(
         self,
         path: str,
-        endpoint: str,
         connection: http.client.HTTPConnection,
         response: http.client.HTTPResponse,
     ) -> bytes:
@@ -212,12 +131,12 @@ class PredictionClient:
         except _NO_ANSWER as error:
             connection.close()
             raise ServiceUnreachableError(
-                f"answer from {endpoint}{path} cut short: {error}"
+                f"answer from {self.base_url}{path} cut short: {error}"
             ) from error
         # http.client drops the socket of an answer that closes the connection.
         if connection.sock is not None:
             with self._idle_lock:
-                self._idle.setdefault(endpoint, []).append(connection)
+                self._idle.append(connection)
         return body
 
     def _request(
@@ -227,46 +146,9 @@ class PredictionClient:
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> dict:
-        """One JSON exchange under the retry / endpoint-rotation rules.
-
-        Only overload and unreachable endpoints are retried: every other
-        status is the service's final answer (a later retry cannot beat an
-        already-spent deadline).
-        """
-        policy = self.retry_policy
-        attempt = 0
-        swept = 0  # endpoints tried (and failed at transport level) this sweep
-        while True:
-            try:
-                body = self._finish(path, *self._open(method, path, payload, headers))
-                return json.loads(body.decode("utf-8"))
-            except ServiceOverloadedError as error:
-                # A 503 is the service answering — stay on this endpoint
-                # and honour its Retry-After through the policy.
-                if policy is None or attempt >= policy.max_retries:
-                    raise
-                attempt += 1
-                self.retries += 1
-                self._sleep(policy.delay(attempt, error.retry_after_s))
-            except ServiceUnreachableError:
-                swept += 1
-                if swept < len(self.base_urls):
-                    # Another replica may be up: rotate and retry NOW —
-                    # failing over costs nothing, sleeping costs latency.
-                    self._endpoint = (self._endpoint + 1) % len(self.base_urls)
-                    self.failovers += 1
-                    continue
-                # Every endpoint refused in one sweep: now it's a real
-                # outage and the backoff policy (if any) takes over.
-                if policy is None or attempt >= policy.max_retries:
-                    raise
-                attempt += 1
-                self.retries += 1
-                swept = 0
-                self._endpoint = (self._endpoint + 1) % len(self.base_urls)
-                if len(self.base_urls) > 1:
-                    self.failovers += 1
-                self._sleep(policy.delay(attempt))
+        """One JSON exchange; any error status raises its typed error."""
+        body = self._finish(path, *self._open(method, path, payload, headers))
+        return json.loads(body.decode("utf-8"))
 
     @staticmethod
     def _body(field: str, value, max_new_tokens, deadline_ms, **extra) -> dict:
@@ -321,8 +203,8 @@ class PredictionClient:
         and the final event is ``done`` (or ``error``).  Closing the
         generator early closes the socket, which the server observes as a
         client disconnect and answers by cancelling the request.  Streams
-        do not retry or fail over: once bytes flowed, a replay could
-        duplicate delivered tokens.
+        are never resent: once bytes flowed, a replay could duplicate
+        delivered tokens.
 
         The server closes the connection after a stream — the close
         delimits the body, which has no ``Content-Length`` — so the
@@ -336,7 +218,7 @@ class PredictionClient:
         """
         payload = self._body("prompt", prompt, max_new_tokens, deadline_ms, stream=True)
         path = "/v1/completions?stream=1"
-        endpoint, connection, response = self._open("POST", path, payload, headers)
+        connection, response = self._open("POST", path, payload, headers)
         parser = SseParser()
         ended = False
         try:
@@ -345,7 +227,7 @@ class PredictionClient:
                     chunk = response.read1(chunk_size)
                 except _NO_ANSWER as error:
                     raise ServiceUnreachableError(
-                        f"stream from {endpoint} cut short: {error}"
+                        f"stream from {self.base_url} cut short: {error}"
                     ) from error
                 for event in parser.feed(chunk) if chunk else parser.close():
                     ended = ended or event.event in ("done", "error")
@@ -357,7 +239,7 @@ class PredictionClient:
             connection.close()
         if not ended:
             raise ServiceUnreachableError(
-                f"stream from {endpoint} ended without a done or error event"
+                f"stream from {self.base_url} ended without a done or error event"
             )
 
     # -- sessions -------------------------------------------------------------

@@ -11,9 +11,9 @@ Endpoints::
     POST /v1/completions        {"prompt": "...", "max_new_tokens": 96}
                              -> {"completion": "...", "latency_ms": ..., "cached": ...}
     POST /v1/completions?stream=1
-                             -> text/event-stream of token / heartbeat /
-                                done (or error) SSE events; concatenated
-                                token text == the non-streaming completion
+                             -> text/event-stream of token and done (or
+                                error) SSE events; concatenated token
+                                text == the non-streaming completion
     POST /v1/batch_completions  {"prompts": ["...", ...], "max_new_tokens": 96}
                              -> {"completions": [...], "latency_ms": ..., "cached": [...]}
     POST /v1/sessions           {"buffer": "..."} -> {"session_id": ..., "completion": ...}
@@ -64,7 +64,8 @@ And three overload behaviours (the hardening layer):
 * **Admission control** — ``max_queue_depth`` bounds concurrent
   generations; excess requests are *shed* before touching the model with
   a typed :class:`~repro.errors.ServiceOverloadedError` carrying a
-  retry-after hint (HTTP 503 + ``Retry-After``).
+  retry-after hint of :data:`SHED_RETRY_AFTER_S` (HTTP 503 +
+  ``Retry-After``).
 * **Graceful degradation** — with a ``fallback`` model (e.g. the
   n-gram baseline), saturated or engine-shed requests are served by the
   fallback instead of erroring, flagged ``"degraded": true`` and never
@@ -100,6 +101,10 @@ from repro.obs.export import prometheus_exposition
 from repro.serving.cache import LruCache
 from repro.serving.session import SessionManager
 from repro.serving.stream import TextDelta, sse_encode
+
+#: Seconds a shed request is told to wait (``retry_after_s`` / the
+#: ``Retry-After`` header), by the service and the fleet router alike.
+SHED_RETRY_AFTER_S = 0.5
 
 
 def require_text(name: str, value) -> None:
@@ -150,15 +155,12 @@ class PredictionService:
         max_new_tokens: int = 96,
         max_queue_depth: int | None = None,
         fallback=None,
-        shed_retry_after_s: float = 0.5,
-        max_sessions: int = 64,
-        heartbeat_interval_s: float | None = None,
     ):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServingError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         # Keystroke sessions are pinned paths in the engine's prefix store;
         # the manager rejects an engine without a tokenizer.
-        self.sessions = SessionManager(engine, max_sessions=max_sessions)
+        self.sessions = SessionManager(engine)
         self.engine = engine
         self.fallback = fallback
         self.obs = engine.obs
@@ -168,8 +170,6 @@ class PredictionService:
         self.cache = LruCache(cache_capacity, metrics)
         self.max_new_tokens = max_new_tokens
         self.max_queue_depth = max_queue_depth
-        self.shed_retry_after_s = shed_retry_after_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         self._inflight_count = 0  # generations currently admitted (backpressure)
         self._lock = threading.Lock()
         self._inflight: dict[str, _InflightEntry] = {}
@@ -209,8 +209,8 @@ class PredictionService:
         """Account a shed request and build the typed 503 to raise."""
         self._c_shed.inc()
         return ServiceOverloadedError(
-            f"service overloaded ({reason}); retry after {self.shed_retry_after_s}s",
-            retry_after_s=self.shed_retry_after_s,
+            f"service overloaded ({reason}); retry after {SHED_RETRY_AFTER_S}s",
+            retry_after_s=SHED_RETRY_AFTER_S,
         )
 
     def _degrade(self, prompt: str, budget: int, reason: str) -> str:
@@ -392,11 +392,10 @@ class PredictionService:
 
         Events follow :data:`repro.serving.stream.STREAM_EVENTS`: zero or
         more ``token`` events whose ``text`` fields concatenate to exactly
-        the non-streaming completion, optional ``heartbeat`` keepalives
-        (every ``heartbeat_interval_s`` on the faults clock), and one
-        terminal ``done`` — or ``error`` carrying an HTTP-ish ``status``
-        for dispositions that surface after the first byte has been sent
-        (504 deadline, 408 cancel, 503 shed with no fallback).
+        the non-streaming completion, and one terminal ``done`` — or
+        ``error`` carrying an HTTP-ish ``status`` for dispositions that
+        surface after the first byte has been sent (504 deadline, 408
+        cancel, 503 shed with no fallback).
 
         Closing the generator mid-stream is the client-disconnect path:
         the engine request is cancelled cooperatively and its KV slabs
@@ -488,11 +487,6 @@ class PredictionService:
                         self._h_stream_ttft.observe(now - started)
                     else:
                         self._h_intertoken.observe(now - last_emit)
-                    if (
-                        self.heartbeat_interval_s is not None
-                        and now - last_emit >= self.heartbeat_interval_s
-                    ):
-                        yield "heartbeat", {"elapsed_ms": (now - started) * 1000.0}
                     last_emit = now
                     token_ids.extend(burst)
                     text = deltas.push(token_ids)

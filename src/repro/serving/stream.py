@@ -1,9 +1,8 @@
 """Server-sent-event wire format for token streaming.
 
 ``POST /v1/completions?stream=1`` answers with ``text/event-stream``: one
-SSE event per emitted token burst, heartbeat keepalives while the decode
-is between tokens, and a terminal ``done`` (or ``error``) event carrying
-the request's disposition.  This module owns both halves of that wire:
+SSE event per emitted token burst and a terminal ``done`` (or ``error``)
+event carrying the request's disposition.  This module owns both halves of that wire:
 
 * :func:`sse_encode` — render one event as bytes.  Payloads are JSON with
   ``ensure_ascii``, so bytes that would corrupt the SSE framing (``\\r``,
@@ -15,8 +14,8 @@ the request's disposition.  This module owns both halves of that wire:
   so the parser buffers *bytes* until a complete line is delimited and
   only then decodes.  Per the SSE spec it honours ``\\r\\n``, ``\\n`` and
   bare ``\\r`` line terminators, joins multiple ``data:`` lines with
-  ``\\n``, strips one optional space after the field colon, and ignores
-  comment lines (``:`` prefix) apart from surfacing them as heartbeats.
+  ``\\n``, strips one optional space after the field colon, and surfaces
+  comment lines (``:`` prefix) as events flagged ``comment``.
 * :class:`TextDelta` — turns a growing token-id sequence into text
   deltas whose concatenation is byte-identical to decoding the full
   sequence at once, holding back trailing bytes that do not yet form a
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.errors import ServingError
 
 #: Event names the serving layer emits on a completion stream.
-STREAM_EVENTS = ("token", "heartbeat", "done", "error")
+STREAM_EVENTS = ("token", "done", "error")
 
 _REPLACEMENT = "�"
 

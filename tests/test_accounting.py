@@ -35,6 +35,7 @@ from repro.fleet.worker import build_service
 from repro.obs import audit
 from repro.serving import RestServer
 from repro.serving.client import PredictionClient
+from repro.serving.service import SHED_RETRY_AFTER_S
 from tests.test_faults import ENGINE_SHAPES
 
 PROMPTS = [
@@ -73,7 +74,7 @@ SESSION_KEYS = {
     "prefill_tokens", "reused_tokens", "decode_tokens", "token_reuse_rate",
 }  # fmt: skip
 ROUTER_KEYS = {
-    "policy", "live_workers", "dead_workers", "max_inflight", "inflight", "requests",
+    "policy", "live_workers", "dead_workers", "inflight", "requests",
     "batch_requests", "stream_requests", "session_creates", "session_extends",
     "sessions_lost", "live_sessions", "shed_requests", "failovers", "spills", "rebalances",
     "heartbeat_misses", "workers_lost", "respawns", "spawn_failures", "aggregate", "workers",
@@ -277,7 +278,7 @@ class TestAccountingHoles:
     def test_the_503_of_a_shed_session_call_is_counted_and_carries_retry_after(self):
         service, _engine = build_service(WorkerSpec(seed=0))
         error = _fault_a_long_extend(service)
-        assert error.retry_after_s == service.shed_retry_after_s
+        assert error.retry_after_s == SHED_RETRY_AFTER_S
         stats = service.stats()
         assert stats["shed_requests"] == 1
         assert service.metrics()["metrics"]["counters"]["serving.shed"] == 1

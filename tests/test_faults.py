@@ -37,8 +37,8 @@ from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
 from repro.nn.sampling import generate_greedy, plan_prompt
 from repro.nn.transformer import DecoderLM, TransformerConfig
-from repro.serving.client import PredictionClient, RetryPolicy
-from repro.serving.service import PredictionService, RestServer
+from repro.serving.client import PredictionClient
+from repro.serving.service import SHED_RETRY_AFTER_S, PredictionService, RestServer
 from tests.conftest import GenerationGate, drain, greedy_or_tie
 
 pytestmark = pytest.mark.faults
@@ -531,11 +531,11 @@ class TestServingBackpressure:
             thread.join(timeout=10)
 
     def test_saturation_sheds_typed_503_without_fallback(self, make_engine):
-        service, gate, thread = _saturated_service(make_engine(), shed_retry_after_s=0.25)
+        service, gate, thread = _saturated_service(make_engine())
         try:
             with pytest.raises(ServiceOverloadedError) as exc_info:
                 service.predict("another prompt")
-            assert exc_info.value.retry_after_s == 0.25
+            assert exc_info.value.retry_after_s == SHED_RETRY_AFTER_S
             assert service.stats()["shed_requests"] == 1
             assert service.obs.metrics.snapshot()["counters"]["serving.shed"] == 1
         finally:
@@ -619,32 +619,6 @@ class TestServingHttpFaults:
         finally:
             gate.release.set()
             thread.join(timeout=10)
-
-    def test_client_retries_with_backoff_honoring_retry_after(self, make_engine):
-        service, gate, thread = _saturated_service(make_engine())
-        sleeps: list[float] = []
-        try:
-            with RestServer(service) as server:
-                client = PredictionClient(
-                    server.url,
-                    retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.05, seed=3),
-                    sleep=sleeps.append,
-                )
-                with pytest.raises(ServiceOverloadedError):
-                    client.predict("another prompt")
-        finally:
-            gate.release.set()
-            thread.join(timeout=10)
-        assert len(sleeps) == 2 and client.retries == 2
-        # Retry-After (0.5s) floors the backoff regardless of base delay.
-        assert all(delay >= 0.5 for delay in sleeps)
-
-    def test_retry_policy_backoff_is_seeded_and_bounded(self):
-        a = [RetryPolicy(seed=9).delay(n) for n in (1, 2, 3)]
-        b = [RetryPolicy(seed=9).delay(n) for n in (1, 2, 3)]
-        assert a == b  # same seed, same jittered schedule
-        assert RetryPolicy(jitter=0.0, base_delay_s=1.0, max_delay_s=2.0).delay(5) == 2.0
-        assert RetryPolicy(jitter=0.0).delay(1, retry_after_s=4.0) == 4.0
 
 
 # -- chaos CLI ----------------------------------------------------------------

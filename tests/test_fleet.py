@@ -36,6 +36,7 @@ from repro.fleet import (
     generate_prompts,
     prefix_bucket,
 )
+from repro.serving.service import SHED_RETRY_AFTER_S
 
 pytestmark = pytest.mark.fleet
 
@@ -114,7 +115,7 @@ class TestHashRing:
         assert {key: ring.preference(key)[0] for key in keys} == before
 
     def test_reasonable_balance(self):
-        ring = HashRing([f"w{i}" for i in range(4)], vnodes=64)
+        ring = HashRing([f"w{i}" for i in range(4)])
         counts: dict[str, int] = {}
         for i in range(1000):
             owner = ring.preference(f"key-{i}")[0]
@@ -378,17 +379,9 @@ class TestRouterFailover:
             worker.dead = True
         with pytest.raises(ServiceOverloadedError) as excinfo:
             _request(router, method, "- name: anything\n")
-        assert excinfo.value.retry_after_s == router.shed_retry_after_s
+        assert excinfo.value.retry_after_s == SHED_RETRY_AFTER_S
         assert router.live_worker_ids == []
         assert router.stats()["inflight"] == 0
-
-    def test_fleet_admission_control(self):
-        router, _ = fake_fleet(max_inflight=1)
-        assert router._try_admit()  # occupy the only slot
-        with pytest.raises(ServiceOverloadedError):
-            router.predict("- name: anything\n")
-        router._release_admission()
-        assert router.predict("- name: anything\n")["completion"]
 
     def test_batch_reenqueues_dead_groups(self):
         router, workers = fake_fleet()

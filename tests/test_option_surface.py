@@ -26,6 +26,7 @@ from repro.fleet.router import FleetRouter
 from repro.fleet.worker import ProcessWorker, WorkerSpec
 from repro.model.throughput import measure_engine_throughput
 from repro.nn.kv_arena import KVArena
+from repro.serving.client import PredictionClient
 from repro.serving.service import PredictionService
 
 SURFACE = {
@@ -35,19 +36,14 @@ SURFACE = {
     ),
     ContinuousBatcher: "model max_batch_size prefix_cache obs arena speculative_k draft_model",
     KVArena: "block_size",
-    PredictionService: (
-        "engine cache_capacity max_new_tokens max_queue_depth fallback "
-        "shed_retry_after_s max_sessions heartbeat_interval_s"
-    ),
-    FleetRouter: (
-        "workers policy max_inflight shed_retry_after_s heartbeat_timeout_s spawner obs collector"
-    ),
-    HashRing: "workers vnodes",
-    ProcessWorker: "worker_id spec start_timeout_s request_timeout_s",
+    PredictionClient: "base_url timeout",
+    PredictionService: "engine cache_capacity max_new_tokens max_queue_depth fallback",
+    FleetRouter: "workers policy heartbeat_timeout_s spawner obs collector",
+    HashRing: "workers",
+    ProcessWorker: "worker_id spec",
     WorkerSpec: (
-        "seed checkpoint vocab_size n_positions dim n_layers n_heads max_batch_size "
-        "max_new_tokens max_queue_depth prefix_cache_capacity cache_capacity tracing "
-        "speculative_k draft_model"
+        "seed checkpoint vocab_size n_positions dim n_layers n_heads max_new_tokens "
+        "max_queue_depth tracing speculative_k draft_model"
     ),
     run_engine_chaos: (
         "seed requests max_batch alloc_fault_rate decode_fault_rate slow_step_rate "
@@ -61,6 +57,10 @@ SURFACE = {
         "network batch_size prompt_length new_tokens runs warmup_runs seed obs"
     ),
 }
+
+#: The serving and fleet front door: what a deployment can set on the way
+#: from a client to a replica.
+FRONT_DOOR = (PredictionClient, PredictionService, FleetRouter, HashRing, ProcessWorker, WorkerSpec)
 
 
 def _settable(target) -> list[str]:
@@ -90,6 +90,10 @@ def test_signature_matches_the_pinned_surface(target):
         f"removed {sorted(set(pinned) - set(actual))} — a new option needs two callers "
         'outside tests/ and benchmarks/ that set it differently (DESIGN.md "Options")'
     )
+
+
+def test_the_front_door_has_28_settable_values():
+    assert sum(len(SURFACE[target].split()) for target in FRONT_DOOR) == 28
 
 
 def test_repro_chaos_parses_exactly_what_the_engine_harness_takes():

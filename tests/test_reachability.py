@@ -11,8 +11,11 @@ The census is static — stdlib ``ast`` over every ``*.py`` under ``src/``,
 A *name* is an identifier, an attribute or an equal string constant; the
 definition itself, ``__all__`` entries, dict keys and subscripts are not
 names.  A module-level function or class is used when a name equals it
-outside its own body.  A method ``C.m`` is used by an attribute ``.m`` or a
-string ``"m"`` whose receiver may be a ``C``:
+outside its own body.  An annotation *mentions* what it names and types
+receivers, but *uses* only a ``Protocol``: annotation is a protocol's one
+use, while a concrete class only annotated is never built or called.  A
+method ``C.m`` is used by an attribute ``.m`` or a string ``"m"`` whose
+receiver may be a ``C``:
 
 * a receiver whose class the syntax shows — ``self``, a class name, a local
   or ``self.`` attribute bound by ``C(...)``, by an annotation or by a call
@@ -60,6 +63,9 @@ ALLOWED = {
     "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
     # repro obs --spans reads the JSONL it writes
     "repro.obs.trace.Tracer.export_jsonl": "flag",
+    # repro obs --runlog reads the JSONL it writes; training takes one as
+    # runlog=, which only tests hand in
+    "repro.obs.runlog.RunLog": "flag",
     # tests/test_kv_state_machine.py checks the slot caches against it
     "repro.nn.kv_arena.DenseKVCache.view": "reference",
 }
@@ -173,7 +179,8 @@ class Package:
         for name in nodes:
             for ancestor in ancestors[name]:
                 self.related[ancestor].add(name)
-        for protocol in (name for name in nodes if "Protocol" in bases[name]):
+        self.protocols = {name for name in nodes if "Protocol" in bases[name]}
+        for protocol in self.protocols:
             required = {member for member in members[protocol] if not member.startswith("_")}
             for name in nodes:
                 inherited = members[name].union(*(members[a] for a in ancestors[name]))
@@ -266,6 +273,7 @@ class Usage(ast.NodeVisitor):
         self.owner: str | None = None  # the class whose body is being visited
         self.top: str | None = None
         self.quiet: set[int] = set()  # string constants that are not names
+        self.annotating = False
         self.visit(ast.parse(source))
 
     def _lookup(self, name: str) -> str | None:
@@ -273,6 +281,16 @@ class Usage(ast.NodeVisitor):
             if name in scope:
                 return scope[name]
         return None
+
+    def _use(self, name: str, receiver: str | None) -> None:
+        """Record a use; inside an annotation only a protocol's counts."""
+        if not self.annotating or name in self.package.protocols:
+            self.uses[name].append((receiver, self.top))
+
+    def _visit_annotation(self, node) -> None:
+        outer, self.annotating = self.annotating, True
+        self.visit(node)
+        self.annotating = outer
 
     def _receiver(self, node) -> str | None:
         if isinstance(node, ast.Name) and node.id in self.modules:
@@ -303,9 +321,12 @@ class Usage(ast.NodeVisitor):
         positional, every = _arguments(node)
         annotations = [argument.annotation for argument in every]
         outside = (*node.decorator_list, *arguments.defaults, *arguments.kw_defaults)
-        for child in (*outside, *annotations, node.returns):
+        for child in outside:
             if child is not None:
                 self.visit(child)
+        for child in (*annotations, node.returns):
+            if child is not None:
+                self._visit_annotation(child)
         classes = self.package.classes
         scope = {argument.arg: _annotation(argument.annotation, classes) for argument in every}
         if self.owner is not None and positional and not _decorated(node, "staticmethod"):
@@ -344,27 +365,34 @@ class Usage(ast.NodeVisitor):
             _bind(self.scopes[-1], node.target.id, kind)
         else:
             self.visit(node.target)
-        self.visit(node.annotation)
+        self._visit_annotation(node.annotation)
         if node.value is not None:
             self.visit(node.value)
 
     def visit_Name(self, node) -> None:
         self.mentions.add(node.id)
         if isinstance(node.ctx, ast.Load):
-            self.uses[node.id].append((NAME, self.top))
+            self._use(node.id, NAME)
         else:
             _bind(self.scopes[-1], node.id, None)
 
     def visit_Attribute(self, node) -> None:
         self.mentions.add(node.attr)
         if isinstance(node.ctx, ast.Load):
-            self.uses[node.attr].append((self._receiver(node.value), self.top))
+            self._use(node.attr, self._receiver(node.value))
         self.visit(node.value)
 
     def visit_Constant(self, node) -> None:
-        if isinstance(node.value, str) and id(node) not in self.quiet:
+        if not isinstance(node.value, str):
+            return
+        if self.annotating:  # a forward reference: the annotation it spells
+            try:
+                self.visit(ast.parse(node.value, mode="eval").body)
+            except SyntaxError:
+                pass
+        elif id(node) not in self.quiet:
             self.mentions.add(node.value)
-            self.uses[node.value].append((STRING, self.top))
+            self._use(node.value, STRING)
 
     def visit_Dict(self, node) -> None:
         self.quiet.update(id(key) for key in node.keys if key is not None)
@@ -508,3 +536,29 @@ def test_a_method_two_siblings_define_is_used_when_their_base_declares_it():
     undeclared = census("    pass\n")
     assert not undeclared.used("pkg.worker.Local.heartbeat")
     assert not undeclared.used("pkg.worker.Remote.heartbeat")
+
+
+def test_an_annotation_mentions_a_class_but_uses_only_a_protocol():
+    package = {
+        "pkg.model": (
+            "from typing import Protocol\n\n"
+            "class Completer(Protocol):\n    def complete(self): ...\n\n"
+            "class Task:\n    def fqcn(self): ...\n\n"
+            "class Module:\n    def fqcn(self): ...\n"
+        ),
+    }
+
+    def census(annotation: str) -> Census:
+        caller = (
+            f"def run(tasks: {annotation}) -> 'Completer':\n"
+            "    for task in tasks:\n        task.fqcn()\n"
+        )
+        return Census(package, {"bench.py": caller})
+
+    annotated = census("list[Task]")
+    # annotation, a forward reference here, is a protocol's one use
+    assert annotated.used("pkg.model.Completer")
+    assert not annotated.used("pkg.model.Task")  # annotated, never built or called
+    assert annotated.used("pkg.model.Task.fqcn")  # the mention types the loop's receiver
+    assert not annotated.used("pkg.model.Module.fqcn")
+    assert not census("list").used("pkg.model.Task.fqcn")

@@ -643,93 +643,6 @@ class TestEditorPlugin:
         assert yamlio.is_valid(session.buffer)
 
 
-class TestClientEndpointFailover:
-    """Satellite: the client rotates to the next replica on dead endpoints."""
-
-    @pytest.fixture()
-    def server(self, make_engine):
-        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
-            yield server
-
-    def test_failover_to_live_endpoint_without_sleeping(self, server):
-        slept: list[float] = []
-        client = PredictionClient(["http://127.0.0.1:1", server.url], sleep=slept.append)
-        completion = client.predict("- name: install nginx\n")["completion"]
-        assert completion == client.predict("- name: install nginx\n")["completion"]
-        assert client.failovers == 1
-        assert client.retries == 0
-        assert slept == []  # rotation is free; only full sweeps back off
-
-    def test_sticky_on_the_endpoint_that_answered(self, server):
-        client = PredictionClient(["http://127.0.0.1:1", server.url])
-        client.predict("- name: install nginx\n")
-        assert client.base_url == server.url
-        client.predict("- name: install redis\n")
-        assert client.failovers == 1  # second call went straight there
-
-    def test_all_dead_without_policy_raises_after_one_sweep(self):
-        client = PredictionClient(["http://127.0.0.1:1", "http://127.0.0.1:2"])
-        with pytest.raises(ServingError):
-            client.health()
-        assert client.failovers == 1  # one rotation, then the sweep was over
-
-    def test_all_dead_with_policy_backs_off_between_sweeps(self):
-        from repro.serving.client import RetryPolicy
-
-        slept: list[float] = []
-        client = PredictionClient(
-            ["http://127.0.0.1:1", "http://127.0.0.1:2"],
-            retry_policy=RetryPolicy(max_retries=2, seed=11),
-            sleep=slept.append,
-        )
-        with pytest.raises(ServingError):
-            client.health()
-        assert len(slept) == 2  # one backoff per failed sweep
-        assert client.retries == 2
-
-    def test_seeded_backoff_schedule_is_reproducible(self):
-        from repro.serving.client import RetryPolicy
-
-        def sweep(seed: int) -> list[float]:
-            slept: list[float] = []
-            client = PredictionClient(
-                ["http://127.0.0.1:1", "http://127.0.0.1:2"],
-                retry_policy=RetryPolicy(max_retries=3, seed=seed),
-                sleep=slept.append,
-            )
-            with pytest.raises(ServingError):
-                client.health()
-            return slept
-
-        # same seed, same jittered schedule; different seed diverges
-        assert sweep(5) == sweep(5)
-        assert sweep(5) != sweep(6)
-
-    def test_single_endpoint_behaviour_unchanged(self):
-        client = PredictionClient("http://127.0.0.1:1")
-        with pytest.raises(ServingError):
-            client.health()
-        assert client.failovers == 0
-        assert client.base_urls == ["http://127.0.0.1:1"]
-
-    def test_empty_endpoint_list_rejected(self):
-        with pytest.raises(ServingError):
-            PredictionClient([])
-
-    def test_http_errors_do_not_rotate(self, make_engine):
-        # a 503 is the service answering, not a dead endpoint: the client
-        # must stay on it (and honour Retry-After) rather than failing over
-        service = PredictionService(make_engine(), max_queue_depth=1)
-        assert service._try_admit()  # saturate the only slot
-        with RestServer(service) as server:
-            client = PredictionClient([server.url, "http://127.0.0.1:1"])
-            from repro.errors import ServiceOverloadedError
-
-            with pytest.raises(ServiceOverloadedError):
-                client.predict("- name: install nginx\n")
-            assert client.failovers == 0
-
-
 class _HangUp:
     """A loopback socket that accepts each connection, reads the whole
     request, sends ``reply`` (nothing by default: no status line) and closes."""
@@ -763,8 +676,8 @@ class _HangUp:
 class TestNoAnswerIsUnreachable:
     """A connection that closes without an HTTP answer, or a stream that ends
     without its terminal event, is a transport failure: the client raises
-    ServiceUnreachableError, rotates endpoints on it, and a process replica
-    behind the router is declared dead."""
+    ServiceUnreachableError, and a process replica behind the router is
+    declared dead."""
 
     SSE_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\n\r\n"
 
@@ -787,14 +700,6 @@ class TestNoAnswerIsUnreachable:
 
         with pytest.raises(ServiceUnreachableError):
             PredictionClient(hang_up.url, timeout=5).predict("- name: a\n")
-
-    def test_rotates_past_an_endpoint_that_hangs_up(self, hang_up, make_engine):
-        with RestServer(PredictionService(make_engine(), max_new_tokens=4)) as server:
-            client = PredictionClient([hang_up.url, server.url], timeout=5)
-            payload = client.predict("- name: install nginx\n")
-        assert payload["completion"]
-        assert client.failovers == 1
-        assert client.base_url == server.url
 
     def test_stream_without_terminal_event_raises_after_what_arrived(self, cut_stream):
         from repro.errors import ServiceUnreachableError
@@ -928,9 +833,9 @@ class TestKeepAliveFraming:
 
 
 class TestKeepAliveClient:
-    """The client's side: connections pooled per endpoint, shared safely
-    between threads, and a connection the server closed while idle is
-    replaced without a failover."""
+    """The client's side: connections pooled, shared safely between
+    threads, and a connection the server closed while idle is replaced
+    by a fresh one to the same server."""
 
     @pytest.fixture()
     def server(self, make_engine):
@@ -997,7 +902,6 @@ class TestKeepAliveClient:
         assert client.health()["status"] == "ok"
         client.close()
         assert len(connects) == 2
-        assert client.failovers == 0
 
     def test_close_drops_idle_connections(self, server, connects):
         client = PredictionClient(server.url)

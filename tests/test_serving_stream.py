@@ -4,9 +4,8 @@ The parser is byte-oriented and the encoder escapes everything non-ASCII,
 so the adversarial inputs SSE is notorious for — carriage returns inside
 data, ``\\n\\n`` sequences that look like frame boundaries, U+2028/U+2029
 line separators, multi-byte UTF-8 split across chunk reads — must all
-round-trip exactly.  Plus the serving-side streaming behaviours that ride
-the wire format: heartbeats on the faults clock and client-disconnect
-cancellation.
+round-trip exactly.  Plus the serving-side streaming behaviour that rides
+the wire format: client-disconnect cancellation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import pytest
 
 from repro.errors import ServingError
-from repro.faults import FakeClock, use
 from repro.serving.stream import (
     STREAM_EVENTS,
     SseEvent,
@@ -154,7 +152,7 @@ class TestParserEdgeCases:
             sse_encode("token\nevil: injection", {})
 
     def test_known_stream_events(self):
-        assert set(STREAM_EVENTS) == {"token", "heartbeat", "done", "error"}
+        assert set(STREAM_EVENTS) == {"token", "done", "error"}
 
     def test_non_json_data_raises_on_json_accessor(self):
         events = SseParser().feed(b"event: token\ndata: not-json\n\n")
@@ -189,21 +187,7 @@ class TestServiceStreaming:
             vocab_size=300,
         )
         engine = build_engine(tokenizer, 0)
-        return PredictionService(engine, heartbeat_interval_s=1.0)
-
-    def test_heartbeats_ride_the_faults_clock(self, service):
-        fake = FakeClock()
-        original_interval = service.heartbeat_interval_s
-        assert original_interval == 1.0
-        with use(fake):
-            # Slow consumer: advance the fake clock between events so every
-            # inter-token gap crosses the heartbeat interval.
-            events = []
-            for event, data in service.predict_stream("- name: Install nginx\n", 6):
-                events.append(event)
-                fake.advance(2.0)
-        assert "heartbeat" in events
-        assert events[-1] == "done"
+        return PredictionService(engine)
 
     def test_generator_close_counts_a_disconnect_and_frees_kv(self, service):
         stream = service.predict_stream("- name: Install nginx\n", 8)
