@@ -55,6 +55,9 @@ SPEC_TRAIN_TEXTS = (
     "---\n- hosts: servers\n  tasks:\n    - name: Install redis\n      ansible.builtin.apt:\n        name: redis\n",
 )
 
+#: Entries in a spec-built replica's tokenizer vocabulary.
+SPEC_VOCAB_SIZE = 300
+
 #: Every replica's sizes: batch rows, unpinned prefix-store nodes and
 #: response-cache entries.
 MAX_BATCH_SIZE = 4
@@ -77,7 +80,6 @@ class WorkerSpec:
 
     seed: int = 0
     checkpoint: str | None = None
-    vocab_size: int = 300
     # Wide enough that the loadgen profiles' playbook-head prompts
     # (~110 tokens) fit without left-truncation — truncation keeps the
     # differing *tail* and discards the shared head, which would defeat
@@ -132,7 +134,7 @@ def build_service(spec: WorkerSpec):
         from repro.nn.transformer import DecoderLM, TransformerConfig
         from repro.tokenizer.bpe import BpeTokenizer
 
-        tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=spec.vocab_size)
+        tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=SPEC_VOCAB_SIZE)
         config = TransformerConfig(
             vocab_size=tokenizer.vocab_size,
             n_positions=spec.n_positions,

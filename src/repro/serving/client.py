@@ -7,9 +7,11 @@ server's ``retry_after_s`` hint, no answer at all as
 replicas is the fleet router's job (``FleetRouter._route``), not the
 client's.
 
-The transport is HTTP/1.1 keep-alive over :mod:`http.client`: each JSON
+The transport is HTTP/1.1 keep-alive over :mod:`http.client`: each
 exchange borrows an idle connection to the endpoint, or opens one, and
 hands it back once the answer is read, so a keystroke pays no TCP connect.
+A stream is an answer like any other: a chunked body whose connection goes
+back to the idle list once its terminal chunk is read.
 """
 
 from __future__ import annotations
@@ -133,11 +135,15 @@ class PredictionClient:
             raise ServiceUnreachableError(
                 f"answer from {self.base_url}{path} cut short: {error}"
             ) from error
+        self._give_back(connection)
+        return body
+
+    def _give_back(self, connection: http.client.HTTPConnection) -> None:
+        """Put a connection whose answer was read to its end on the idle list."""
         # http.client drops the socket of an answer that closes the connection.
         if connection.sock is not None:
             with self._idle_lock:
                 self._idle.append(connection)
-        return body
 
     def _request(
         self,
@@ -206,21 +212,23 @@ class PredictionClient:
         are never resent: once bytes flowed, a replay could duplicate
         delivered tokens.
 
-        The server closes the connection after a stream — the close
-        delimits the body, which has no ``Content-Length`` — so the
-        connection is never handed back, and a replica that dies
-        mid-stream looks like a clean end of file: a
-        stream that ends without its ``done`` or ``error`` event raises
+        The stream rides the keep-alive connection: the server sends each
+        event as one HTTP chunk, and once the terminal chunk is read the
+        connection goes back to the idle list for the next call.  A stream
+        closed early never hands its connection back.  A replica that dies
+        mid-stream cuts the chunked body short, which raises
         :class:`~repro.errors.ServiceUnreachableError` after yielding what
-        arrived.  Each read returns what one socket read delivered, at
-        most ``chunk_size`` bytes, so an event is yielded as soon as it
-        lands rather than once ``chunk_size`` bytes have queued up.
+        arrived; so does a close-delimited stream (an HTTP/1.0 peer) that
+        ends without its ``done`` or ``error`` event.  Each read returns at
+        most one chunk, at most ``chunk_size`` bytes, so an event is
+        yielded as soon as it lands rather than once ``chunk_size`` bytes
+        have queued up.
         """
         payload = self._body("prompt", prompt, max_new_tokens, deadline_ms, stream=True)
         path = "/v1/completions?stream=1"
         connection, response = self._open("POST", path, payload, headers)
         parser = SseParser()
-        ended = False
+        ended = read_to_end = False
         try:
             while True:
                 try:
@@ -233,10 +241,14 @@ class PredictionClient:
                     ended = ended or event.event in ("done", "error")
                     yield event
                 if not chunk:
+                    read_to_end = True
                     break
         finally:
-            response.close()
-            connection.close()
+            if read_to_end:
+                self._give_back(connection)
+            else:
+                response.close()
+                connection.close()
         if not ended:
             raise ServiceUnreachableError(
                 f"stream from {self.base_url} ended without a done or error event"

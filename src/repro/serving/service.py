@@ -78,6 +78,7 @@ And three overload behaviours (the hardening layer):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import socket
@@ -915,8 +916,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     Keep-alive makes the framing strict.  An answer sent before the
     request's body was read closes the connection, or the unread bytes
-    would be parsed as the next request; a stream has no length, so it
-    closes the connection too.
+    would be parsed as the next request.  A stream has no length, so it
+    goes out chunked and ends with the zero-length chunk; a stream whose
+    client hung up mid-way closes the connection.
     """
 
     service: Backend  # set by the server factory
@@ -957,35 +959,46 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(payload, status=error.status, headers=headers)
 
     def _stream_sse(self, events, trace_context: TraceContext | None) -> None:
-        """Write a ``(event, data)`` generator as a ``text/event-stream``.
+        """Write a ``(event, data)`` generator as a chunked ``text/event-stream``.
 
         The first event is pulled *before* the status line goes out, so
         pre-stream failures (validation, shed-without-fallback) still map
-        to plain HTTP statuses in the caller.  Once streaming, a broken
-        pipe — the client hung up — closes the generator, which cancels
-        the underlying engine request and frees its KV slabs.
+        to plain HTTP statuses in the caller.  Each event is one chunk and
+        one write — size line, SSE bytes and CRLF together — and the
+        terminal zero-length chunk ends the body, so the connection carries
+        the next request.  An HTTP/1.0 peer cannot read chunks: its body is
+        the bare events, delimited by the close.  Once streaming, a failed
+        write — the client hung up — closes the generator, which cancels
+        the underlying engine request and frees its KV slabs, and closes
+        the connection.
         """
         events = iter(events)
         try:
             first = next(events)
         except StopIteration:
             first = None
+        chunked = self.request_version != "HTTP/1.0"
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")  # the close delimits the body
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        if self._unread_body or not chunked:
+            self.send_header("Connection", "close")
         if trace_context is not None:
             self.send_header(TRACE_ID_HEADER, trace_context.trace_id)
         self.end_headers()
         try:
             if first is not None:
-                self.wfile.write(sse_encode(*first))
-                self.wfile.flush()
-                for event, data in events:
-                    self.wfile.write(sse_encode(event, data))
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client disconnect: fall through to close() below
+                for event, data in itertools.chain((first,), events):
+                    frame = sse_encode(event, data)
+                    if chunked:
+                        frame = b"%x\r\n%s\r\n" % (len(frame), frame)
+                    self.wfile.write(frame)
+            if chunked:
+                self.wfile.write(b"0\r\n\r\n")
+        except OSError:
+            self.close_connection = True  # the client hung up mid-stream
         finally:
             events.close()
 

@@ -28,10 +28,15 @@ the conformance suite fuzz the framing separately from the engine.
 
 from __future__ import annotations
 
+import codecs
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ServingError
+
+if TYPE_CHECKING:
+    from repro.tokenizer.bpe import BpeTokenizer
 
 #: Event names the serving layer emits on a completion stream.
 STREAM_EVENTS = ("token", "done", "error")
@@ -96,27 +101,23 @@ class SseParser:
         lines: list[bytes] = []
         buffer = self._buffer
         start = 0
-        index = 0
         end = len(buffer)
-        while index < end:
-            byte = buffer[index]
-            if byte == 0x0A:  # \n
-                lines.append(buffer[start:index])
-                index += 1
-                start = index
-            elif byte == 0x0D:  # \r — maybe \r\n
-                if index + 1 < end:
-                    lines.append(buffer[start:index])
-                    index += 2 if buffer[index + 1] == 0x0A else 1
-                    start = index
-                elif closing:
-                    lines.append(buffer[start:index])
-                    index += 1
-                    start = index
-                else:
-                    break  # trailing \r: wait for the next chunk
+        while start < end:
+            lf = buffer.find(b"\n", start)
+            cr = buffer.find(b"\r", start, end if lf < 0 else lf)
+            if cr < 0:  # the line ends at \n, or is not complete yet
+                if lf < 0:
+                    break
+                lines.append(buffer[start:lf])
+                start = lf + 1
+            elif cr + 1 < end:  # \r, maybe \r\n
+                lines.append(buffer[start:cr])
+                start = cr + 2 if buffer[cr + 1] == 0x0A else cr + 1
+            elif closing:
+                lines.append(buffer[start:cr])
+                start = cr + 1
             else:
-                index += 1
+                break  # trailing \r: wait for the next chunk
         self._buffer = buffer[start:]
         return lines
 
@@ -173,7 +174,6 @@ class SseParser:
         return events
 
 
-@dataclass
 class TextDelta:
     """Incremental detokenizer whose deltas concatenate to the full decode.
 
@@ -186,27 +186,39 @@ class TextDelta:
     that is a stable prefix of every future decode.  ``flush`` emits the
     remainder (genuine replacement characters included) once the token
     sequence is final.
+
+    Each call decodes only the tokens added since the last one, through an
+    incremental UTF-8 decoder that keeps an unfinished character's bytes
+    for the next call; ``replace`` decoding split that way agrees with
+    decoding the whole byte string at once.
     """
 
-    tokenizer: object
-    _sent: str = field(default="", repr=False)
+    def __init__(self, tokenizer: BpeTokenizer) -> None:
+        self._vocabulary = tokenizer.vocabulary
+        self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
+        self._seen = 0  # token ids decoded so far
+        self._held = ""  # decoded, not yet emitted: a trailing U+FFFD run
+
+    def _decode(self, token_ids: list[int], final: bool) -> str:
+        vocabulary = self._vocabulary
+        data = b"".join(
+            vocabulary.bytes_of(token_id)
+            for token_id in token_ids[self._seen:]
+            if not vocabulary.is_special(token_id)
+        )
+        self._seen = len(token_ids)
+        return self._held + self._decoder.decode(data, final)
 
     def push(self, token_ids: list[int]) -> str:
-        """The new stable text given the full token sequence so far."""
-        full = self.tokenizer.decode(list(token_ids))
-        stable = full.rstrip(_REPLACEMENT)
-        if not stable.startswith(self._sent):
-            # The held-back tail resolved differently than the previous
-            # stable prefix predicted (cannot happen for prefix-extending
-            # sequences, but guard against misuse): wait for flush.
-            return ""
-        delta = stable[len(self._sent):]
-        self._sent = stable
-        return delta
+        """The new stable text given the full token sequence so far (each
+        call's sequence extends the previous one)."""
+        text = self._decode(token_ids, final=False)
+        stable = text.rstrip(_REPLACEMENT)
+        self._held = text[len(stable):]
+        return stable
 
     def flush(self, token_ids: list[int]) -> str:
         """The final remainder so the concatenation equals the full decode."""
-        full = self.tokenizer.decode(list(token_ids))
-        delta = full[len(self._sent):] if full.startswith(self._sent) else full
-        self._sent = full
-        return delta
+        text = self._decode(token_ids, final=True)
+        self._held = ""
+        return text

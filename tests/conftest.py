@@ -14,7 +14,7 @@ import pytest
 
 from repro.dataset import build_finetune_dataset, build_galaxy_corpus, split_corpus
 from repro.engine import DecodingBatch, InferenceEngine
-from repro.fleet.worker import SPEC_TRAIN_TEXTS, WorkerSpec
+from repro.fleet.worker import SPEC_TRAIN_TEXTS, SPEC_VOCAB_SIZE, WorkerSpec
 from repro.nn.kv_arena import KVArena, SlotKVCache, SlotRow
 from repro.nn.layers import cross_entropy
 from repro.nn.parameter import numpy_rng
@@ -86,7 +86,7 @@ def make_engine():
     its budget long.  Keyword arguments go to :class:`InferenceEngine`.
     """
     spec = WorkerSpec()
-    tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=spec.vocab_size)
+    tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=SPEC_VOCAB_SIZE)
     config = TransformerConfig(
         vocab_size=tokenizer.vocab_size,
         n_positions=spec.n_positions,

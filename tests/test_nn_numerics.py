@@ -23,7 +23,7 @@ from repro.engine.batched_decode import DecodingBatch
 from repro.engine.batcher import ContinuousBatcher, GenerationRequest
 from repro.errors import ShapeError
 from repro.fleet.loadgen import generate_prompts
-from repro.fleet.worker import MAX_BATCH_SIZE, SPEC_TRAIN_TEXTS, WorkerSpec
+from repro.fleet.worker import MAX_BATCH_SIZE, SPEC_TRAIN_TEXTS, SPEC_VOCAB_SIZE, WorkerSpec
 from repro.model import load_checkpoint, save_checkpoint
 from repro.model.lm import WisdomModel
 from repro.nn.attention import CausalSelfAttention, causal_mask
@@ -370,7 +370,7 @@ def test_three_decoders_agree_at_the_bench_spec():
     """generate_greedy == admit_prompts + step == ContinuousBatcher, 32 prompts,
     each by the tie rule (``tests/conftest.py: greedy_or_tie``)."""
     spec = BENCH_SPEC
-    tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=spec.vocab_size)
+    tokenizer = BpeTokenizer.train(list(SPEC_TRAIN_TEXTS), vocab_size=SPEC_VOCAB_SIZE)
     config = TransformerConfig(
         vocab_size=tokenizer.vocab_size,
         n_positions=spec.n_positions,

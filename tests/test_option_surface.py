@@ -42,7 +42,7 @@ SURFACE = {
     HashRing: "workers",
     ProcessWorker: "worker_id spec",
     WorkerSpec: (
-        "seed checkpoint vocab_size n_positions dim n_layers n_heads max_new_tokens "
+        "seed checkpoint n_positions dim n_layers n_heads max_new_tokens "
         "max_queue_depth tracing speculative_k draft_model"
     ),
     run_engine_chaos: (
@@ -92,8 +92,8 @@ def test_signature_matches_the_pinned_surface(target):
     )
 
 
-def test_the_front_door_has_28_settable_values():
-    assert sum(len(SURFACE[target].split()) for target in FRONT_DOOR) == 28
+def test_the_front_door_has_27_settable_values():
+    assert sum(len(SURFACE[target].split()) for target in FRONT_DOOR) == 27
 
 
 def test_repro_chaos_parses_exactly_what_the_engine_harness_takes():

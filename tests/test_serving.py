@@ -679,7 +679,13 @@ class TestNoAnswerIsUnreachable:
     ServiceUnreachableError, and a process replica behind the router is
     declared dead."""
 
+    #: A close-delimited stream (an HTTP/1.0 peer) and a chunked one, each
+    #: cut after one token event, before the terminal event.
     SSE_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\n\r\n"
+    CHUNKED_HEAD = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+    )
 
     @pytest.fixture()
     def hang_up(self):
@@ -695,26 +701,31 @@ class TestNoAnswerIsUnreachable:
         yield server
         server.close()
 
-    def test_no_status_line_is_unreachable(self, hang_up):
-        from repro.errors import ServiceUnreachableError
+    @pytest.fixture()
+    def cut_chunked_stream(self):
+        from repro.serving.stream import sse_encode
 
-        with pytest.raises(ServiceUnreachableError):
-            PredictionClient(hang_up.url, timeout=5).predict("- name: a\n")
+        event = sse_encode("token", {"text": "- name"})
+        server = _HangUp(self.CHUNKED_HEAD + b"%x\r\n%s\r\n" % (len(event), event))
+        yield server
+        server.close()
 
-    def test_stream_without_terminal_event_raises_after_what_arrived(self, cut_stream):
+    @staticmethod
+    def _raises_after_the_token(url: str) -> None:
         from repro.errors import ServiceUnreachableError
 
         events = []
         with pytest.raises(ServiceUnreachableError):
-            for event in PredictionClient(cut_stream.url, timeout=5).predict_stream("- name: a\n"):
+            for event in PredictionClient(url, timeout=5).predict_stream("- name: a\n"):
                 events.append(event)
         assert [(event.event, event.json()) for event in events] == [("token", {"text": "- name"})]
 
-    def test_router_reports_a_cut_stream_in_band_and_the_replica_dead(self, cut_stream):
+    @staticmethod
+    def _router_reports_the_cut(url: str) -> None:
         from repro.fleet import FleetRouter, ProcessWorker, WorkerSpec
 
         worker = ProcessWorker("w0", WorkerSpec())
-        worker._client = PredictionClient(cut_stream.url, timeout=5)  # a child that died mid-stream
+        worker._client = PredictionClient(url, timeout=5)  # a child that died mid-stream
         router = FleetRouter([worker])
         events = list(router.predict_stream("- name: a\n"))
         assert events[0] == ("token", {"text": "- name"})
@@ -722,15 +733,54 @@ class TestNoAnswerIsUnreachable:
         assert event == "error" and data["status"] == 503
         assert router.dead_worker_ids == ["w0"]
 
+    def test_no_status_line_is_unreachable(self, hang_up):
+        from repro.errors import ServiceUnreachableError
 
-def _read_answer(reader) -> tuple[int, dict[str, str], bytes]:
-    """One HTTP answer off a raw socket's reader: status, headers, body.
-    A body without ``Content-Length`` runs to the end of the stream."""
+        with pytest.raises(ServiceUnreachableError):
+            PredictionClient(hang_up.url, timeout=5).predict("- name: a\n")
+
+    def test_stream_without_terminal_event_raises_after_what_arrived(self, cut_stream):
+        self._raises_after_the_token(cut_stream.url)
+
+    def test_a_chunked_stream_cut_short_raises_after_what_arrived(self, cut_chunked_stream):
+        self._raises_after_the_token(cut_chunked_stream.url)
+
+    def test_router_reports_a_cut_stream_in_band_and_the_replica_dead(self, cut_stream):
+        self._router_reports_the_cut(cut_stream.url)
+
+    def test_router_reports_a_cut_chunked_stream_in_band_and_the_replica_dead(
+        self, cut_chunked_stream
+    ):
+        self._router_reports_the_cut(cut_chunked_stream.url)
+
+
+def _read_chunks(reader) -> list[bytes]:
+    """A chunked body's chunks, through the terminal zero-length chunk."""
+    chunks = []
+    while (size := int(reader.readline(), 16)) > 0:
+        chunks.append(reader.read(size))
+        assert reader.read(2) == b"\r\n"
+    assert reader.readline() == b"\r\n"  # no trailers
+    return chunks
+
+
+def _read_head(reader) -> tuple[int, dict[str, str]]:
+    """An HTTP answer's status and headers off a raw socket's reader."""
     status = int(reader.readline().split()[1])
     headers = {}
     while (line := reader.readline().decode("latin-1").strip()):
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    return status, headers
+
+
+def _read_answer(reader) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP answer off a raw socket's reader: status, headers, body.
+    A body neither chunked nor with a ``Content-Length`` runs to the end
+    of the stream."""
+    status, headers = _read_head(reader)
+    if headers.get("transfer-encoding") == "chunked":
+        return status, headers, b"".join(_read_chunks(reader))
     length = headers.get("content-length")
     return status, headers, reader.read(int(length)) if length is not None else reader.read()
 
@@ -790,22 +840,56 @@ class TestKeepAliveFraming:
             assert (answered, headers["connection"]) == (status, "close")
             assert reader.read() == b""  # the smuggled request got no answer
 
-    def test_the_stream_is_close_delimited(self, server):
+    @staticmethod
+    def _stream_request(version: bytes = b"HTTP/1.1", extra: bytes = b"") -> bytes:
+        import json
+
+        body = json.dumps({"prompt": "- name: install nginx\n"}).encode()
+        return (
+            b"POST /v1/completions?stream=1 %s\r\nHost: x\r\n%s"
+            b"Content-Length: %d\r\n\r\n%s" % (version, extra, len(body), body)
+        )
+
+    def test_the_stream_is_chunked_and_keeps_the_connection(self, server):
         import json
 
         from repro.serving.stream import SseParser
 
-        body = json.dumps({"prompt": "- name: install nginx\n"}).encode()
+        connection, reader = self._connect(server)
+        with connection, reader:
+            connection.sendall(self._stream_request())
+            status, headers = _read_head(reader)
+            assert (status, headers["transfer-encoding"]) == (200, "chunked")
+            assert "content-length" not in headers and "connection" not in headers
+            chunks = _read_chunks(reader)
+            # One SSE event per chunk, the last of them ``done``.
+            events = [SseParser().feed(chunk) for chunk in chunks]
+            assert [len(parsed) for parsed in events] == [1] * len(chunks)
+            assert events[-1][0].event == "done"
+            connection.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, _, answer = _read_answer(reader)
+            assert status == 200 and json.loads(answer)["status"] == "ok"
+
+    def test_an_http_1_0_stream_is_close_delimited(self, server):
+        from repro.serving.stream import SseParser
+
+        connection, reader = self._connect(server)
+        with connection, reader:
+            connection.sendall(self._stream_request(version=b"HTTP/1.0"))
+            status, headers, answer = _read_answer(reader)
+        assert (status, headers["connection"]) == (200, "close")
+        assert "transfer-encoding" not in headers and "content-length" not in headers
+        assert SseParser().feed(answer)[-1].event == "done"
+
+    def test_a_stream_after_an_unread_body_closes_the_connection(self, server):
         connection, reader = self._connect(server)
         with connection, reader:
             connection.sendall(
-                b"POST /v1/completions?stream=1 HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                self._stream_request(extra=b"Transfer-Encoding: chunked\r\n") + self.SMUGGLED
             )
-            status, headers, answer = _read_answer(reader)
-        assert (status, headers["connection"]) == (200, "close")
-        assert "content-length" not in headers
-        assert SseParser().feed(answer)[-1].event == "done"
+            status, headers, _ = _read_answer(reader)
+            assert (status, headers["connection"]) == (200, "close")
+            assert reader.read() == b""  # the smuggled request got no answer
 
     def test_sequential_requests_do_not_wait_on_delayed_acks(self, server):
         # With Nagle's algorithm on, each answer's body waits ~40 ms for the
@@ -835,7 +919,8 @@ class TestKeepAliveFraming:
 class TestKeepAliveClient:
     """The client's side: connections pooled, shared safely between
     threads, and a connection the server closed while idle is replaced
-    by a fresh one to the same server."""
+    by a fresh one to the same server.  A stream read to its end hands
+    its connection back like any answer; one closed early never does."""
 
     @pytest.fixture()
     def server(self, make_engine):
@@ -902,6 +987,46 @@ class TestKeepAliveClient:
         assert client.health()["status"] == "ok"
         client.close()
         assert len(connects) == 2
+
+    def test_streams_and_predicts_share_one_connection(self, server, connects):
+        client = PredictionClient(server.url)
+        for index in range(5):
+            events = list(client.predict_stream(f"- name: install package {index}\n"))
+            assert events[-1].event == "done"
+        assert client.predict("- name: install nginx\n")["completion"]
+        client.close()
+        assert len(connects) == 1
+
+    def test_a_stream_closed_halfway_is_never_pooled(self, make_engine, connects):
+        service = PredictionService(make_engine(), max_new_tokens=4)
+        engine = service.engine
+        stream_ids = engine.stream_ids
+        resumed = threading.Event()
+
+        def parked(*args, **kwargs):
+            # The server holds its second burst until the client has hung up.
+            inner = stream_ids(*args, **kwargs)
+            try:
+                yield next(inner)
+                resumed.wait(timeout=10)
+                yield from inner
+            finally:
+                inner.close()
+
+        engine.stream_ids = parked
+        with RestServer(service) as server:
+            client = PredictionClient(server.url, timeout=10)
+            stream = client.predict_stream("- name: install nginx\n", max_new_tokens=32)
+            assert next(stream).event == "token"
+            stream.close()
+            resumed.set()
+            _wait_for(lambda: service.stats()["stream_disconnects"] == 1)
+            del engine.stream_ids
+            assert client.predict("- name: install nginx\n")["completion"]
+            client.close()
+        assert len(connects) == 2
+        engine.prefix_cache.clear()
+        assert engine.kv_arena.stats()["bytes_in_use"] == 0
 
     def test_close_drops_idle_connections(self, server, connects):
         client = PredictionClient(server.url)

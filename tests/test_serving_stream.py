@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ServingError
 from repro.serving.stream import (
@@ -173,6 +174,47 @@ class TestTextDelta:
             pieces.append(delta.push(ids[:end]))
         pieces.append(delta.flush(ids))
         assert "".join(pieces) == tokenizer.decode(ids)
+
+
+def _one_shot_deltas(tokenizer, token_ids: list[int], cuts: list[int]) -> list[str]:
+    """The deltas of the whole-sequence rule: decode every prefix at once
+    and emit what grew, holding back a trailing U+FFFD run until flush."""
+    deltas, sent = [], ""
+    for cut in cuts:
+        stable = tokenizer.decode(token_ids[:cut]).rstrip("\ufffd")
+        deltas.append(stable[len(sent):])
+        sent = stable
+    deltas.append(tokenizer.decode(token_ids)[len(sent):])
+    return deltas
+
+
+@pytest.fixture(scope="module")
+def multibyte_tokenizer():
+    from repro.tokenizer.bpe import BpeTokenizer
+
+    texts = ["- name: café € 🚀 日本語 한글\n  ansible.builtin.apt:\n    name: nginx\n"] * 3
+    return BpeTokenizer.train(texts, vocab_size=300)
+
+
+#: Lead and continuation bytes of multi-byte characters, so random draws
+#: split characters, truncate them and string invalid sequences together.
+_MULTIBYTE = sorted(set("é€🚀日한".encode("utf-8")) | {0x80, 0xBF, 0xC0, 0xFF})
+
+
+class TestTextDeltaMatchesTheOneShotRule:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_ids_and_splits(self, multibyte_tokenizer, data):
+        size = multibyte_tokenizer.vocab_size
+        token_ids = data.draw(
+            st.lists(st.one_of(st.integers(0, size - 1), st.sampled_from(_MULTIBYTE)), max_size=24)
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(token_ids)), max_size=8)))
+        delta = TextDelta(multibyte_tokenizer)
+        got = [delta.push(token_ids[:cut]) for cut in cuts]
+        got.append(delta.flush(token_ids))
+        assert got == _one_shot_deltas(multibyte_tokenizer, token_ids, cuts)
+        assert "".join(got) == multibyte_tokenizer.decode(token_ids)
 
 
 class TestServiceStreaming:
