@@ -19,6 +19,8 @@ fronts a whole fleet unchanged.  What it adds over one engine:
   does the fleet itself shed, with the same typed 503 + Retry-After
   contract the per-engine service uses.  Each replica's
   ``max_queue_depth`` is what bounds the fleet's load.
+* **Whole batches** — :meth:`predict_batch` routes a batch as one
+  request, so it decodes in one pass of one replica's batcher.
 * **Streaming passthrough** — :meth:`predict_stream` routes exactly like
   :meth:`predict` (affinity, failover, spill) *until the first event
   flows*; after first byte, replica death surfaces as an in-band
@@ -303,7 +305,9 @@ class FleetRouter:
         did not answer: ``"gone"`` (a concurrent removal got there first)
         or ``"died"`` (it failed under the call and is declared dead here:
         drained, ring rebalanced, failover counted).  A replica's 503
-        propagates — spilling, bouncing or surfacing it is caller policy.
+        propagates — spilling or surfacing it is caller policy.  Every
+        answer's wait lands in ``fleet.dispatch_s`` (a stream's: until
+        its first event).
         """
         with self._lock:
             worker = self._workers.get(worker_id)
@@ -311,12 +315,15 @@ class FleetRouter:
             return None, "gone"
         try:
             fire("fleet.dispatch", worker=worker_id, **seam)
+            started = clock.now()
             result = call(worker)
         except (WorkerUnavailableError, InjectedFault):
             self._on_worker_failure(worker_id, "dispatch_failed")
             return None, "died"
+        answered = clock.now()
+        self._h_dispatch.observe(answered - started)
         with self._lock:
-            self._last_heartbeat[worker_id] = clock.now()
+            self._last_heartbeat[worker_id] = answered
         return result, None
 
     def _route(self, key: str, attempt, **seam) -> tuple[str, object, int]:
@@ -387,17 +394,12 @@ class FleetRouter:
         require_text("prompt", prompt)
         tracer = self.obs.tracer
         with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
-
-            def attempt(worker):
-                started = clock.now()
-                payload = worker.predict(prompt, max_new_tokens, **kwargs())
-                self._h_dispatch.observe(clock.now() - started)
-                return payload
-
             with adopt(tracer, trace_context), tracer.span(
                 "fleet.predict", **_root_attrs(downstream)
             ) as span:
-                worker_id, payload, failovers = self._route(prompt, attempt)
+                worker_id, payload, failovers = self._route(
+                    prompt, lambda worker: worker.predict(prompt, max_new_tokens, **kwargs())
+                )
                 span.set(worker=worker_id, failovers=failovers)
         self._counts["requests"].inc()
         return self._annotate(payload, downstream, worker_id, failovers)
@@ -461,83 +463,30 @@ class FleetRouter:
         deadline_s: float | None = None,
         trace_context: TraceContext | None = None,
     ) -> dict:
-        """Batched completions, grouped per replica so each group decodes
-        through its replica's continuous batcher in one pass.
-
-        Groups whose replica dies mid-dispatch are re-enqueued and
-        re-grouped over the survivors; no prompt is dropped by a
-        membership change.
-        """
+        """Batched completions, the whole batch on one replica, so it
+        decodes in one pass of that replica's continuous batcher.  It
+        routes like :meth:`predict`, keyed by its first prompt; failover
+        and spill move it whole."""
         require_prompts(prompts)
         tracer = self.obs.tracer
         started = clock.now()
         with self._admitted(deadline_s, trace_context) as (kwargs, downstream):
             with adopt(tracer, trace_context), tracer.span(
                 "fleet.predict_batch", batch_size=len(prompts), **_root_attrs(downstream)
-            ):
-                merged = self._dispatch_batch(prompts, max_new_tokens, kwargs)
+            ) as span:
+                worker_id, payload, failovers = self._route(
+                    prompts[0],
+                    lambda worker: worker.predict_batch(prompts, max_new_tokens, **kwargs()),
+                    batch=len(prompts),
+                )
+                span.set(worker=worker_id, failovers=failovers)
         with self._lock:
             self._counts["requests"].inc(len(prompts))
             self._counts["batch_requests"].inc()
-        merged["latency_ms"] = (clock.now() - started) * 1000.0
-        merged["batch_size"] = len(prompts)
-        return self._annotate(merged, downstream)
-
-    def _dispatch_batch(self, prompts: list[str], max_new_tokens, kwargs) -> dict:
-        completions: list[str | None] = [None] * len(prompts)
-        cached: list[bool] = [False] * len(prompts)
-        degraded: list[bool] = [False] * len(prompts)
-        workers: list[str | None] = [None] * len(prompts)
-        decoded = 0
-        pending = list(enumerate(prompts))
-        bounce_budget = None  # set on first full-overload sweep
-        while pending:
-            groups: dict[str, list[tuple[int, str]]] = {}
-            for index, prompt in pending:
-                candidates = self._candidates(prompt)
-                if not candidates:
-                    raise self._shed("no live replicas")
-                groups.setdefault(candidates[0], []).append((index, prompt))
-            pending = []
-            for worker_id, items in groups.items():
-                group_prompts = [prompt for _, prompt in items]
-                try:
-                    payload, _ = self._attempt(
-                        worker_id,
-                        lambda worker: worker.predict_batch(group_prompts, max_new_tokens, **kwargs()),
-                        batch=len(items),
-                    )
-                except ServiceOverloadedError as error:
-                    # Spill the whole group; bounded so a fully saturated
-                    # fleet sheds instead of spinning.
-                    self._counts["spills"].inc()
-                    if bounce_budget is None:
-                        bounce_budget = max(1, len(self.live_worker_ids))
-                    bounce_budget -= 1
-                    if bounce_budget <= 0:
-                        raise self._shed(
-                            "every live replica is saturated",
-                            retry_after_s=error.retry_after_s,
-                        ) from error
-                    payload = None
-                if payload is None:
-                    pending.extend(items)  # gone, dead or saturated: re-group over the rest
-                    continue
-                for (index, _prompt), completion, was_cached, was_degraded in zip(
-                    items, payload["completions"], payload["cached"], payload["degraded"]
-                ):
-                    completions[index] = completion
-                    cached[index] = was_cached
-                    degraded[index] = was_degraded
-                    workers[index] = worker_id
-                decoded += payload.get("decoded", 0)
-        return {
-            "completions": completions,
-            "cached": cached,
-            "degraded": degraded,
-            "workers": workers,
-            "decoded": decoded,
-        }
+        payload["workers"] = [worker_id] * len(prompts)
+        payload["latency_ms"] = (clock.now() - started) * 1000.0
+        payload["batch_size"] = len(prompts)
+        return self._annotate(payload, downstream, failovers=failovers)
 
     # -- sessions ------------------------------------------------------------
 

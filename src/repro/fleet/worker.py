@@ -58,9 +58,8 @@ SPEC_TRAIN_TEXTS = (
 #: Entries in a spec-built replica's tokenizer vocabulary.
 SPEC_VOCAB_SIZE = 300
 
-#: Every replica's sizes: batch rows, unpinned prefix-store nodes and
-#: response-cache entries.
-MAX_BATCH_SIZE = 4
+#: Every replica's sizes: unpinned prefix-store nodes and response-cache
+#: entries.  A replica seats the engine's default number of batch rows.
 PREFIX_CACHE_CAPACITY = 32
 CACHE_CAPACITY = 8
 
@@ -124,7 +123,6 @@ def build_service(spec: WorkerSpec):
 
         model = load_checkpoint(spec.checkpoint)
         engine = model.engine(
-            max_batch_size=MAX_BATCH_SIZE,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, model.tokenizer),
         )
@@ -145,7 +143,6 @@ def build_service(spec: WorkerSpec):
         engine = InferenceEngine(
             DecoderLM(config, numpy_rng(spec.seed)),
             tokenizer,
-            max_batch_size=MAX_BATCH_SIZE,
             prefix_cache_capacity=PREFIX_CACHE_CAPACITY,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, tokenizer),

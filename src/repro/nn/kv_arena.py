@@ -381,9 +381,11 @@ class SlotKVCache:
             k[:batch, :, start : start + new] = keys
             v[:batch, :, start : start + new] = values
         else:
-            for row, start in enumerate(lengths):
-                k[row, :, start : start + new] = keys[row]
-                v[row, :, start : start + new] = values[row]
+            # One scattered write each for K and V: row b's columns start at its offset.
+            rows = np.arange(batch)[:, None]
+            columns = self._offsets[:, None] + np.arange(new)
+            k[rows, :, columns] = keys.transpose(0, 2, 1, 3)
+            v[rows, :, columns] = values.transpose(0, 2, 1, 3)
             self._offsets = self._offsets + new  # a new array: callers hold the old one
         for row in range(batch):
             lengths[row] += new

@@ -36,6 +36,7 @@ from repro.fleet import (
     generate_prompts,
     prefix_bucket,
 )
+from repro.fleet.worker import build_service
 from repro.serving.service import SHED_RETRY_AFTER_S
 
 pytestmark = pytest.mark.fleet
@@ -177,6 +178,7 @@ class FakeWorker:
         self.killed = False
         self.calls: list[str] = []
         self.keywords: list[dict] = []
+        self.batches: list[list[str]] = []
 
     def _check(self):
         if self.dead:
@@ -193,6 +195,7 @@ class FakeWorker:
     def predict_batch(self, prompts, max_new_tokens=None, deadline_s=None, trace_context=None):
         self._check()
         self.calls.extend(prompts)
+        self.batches.append(list(prompts))
         return {
             "completions": [prompt + "!" for prompt in prompts],
             "cached": [False] * len(prompts),
@@ -300,14 +303,36 @@ class TestRouterRouting:
         with pytest.raises(FleetError):
             FleetRouter(policy="zigzag")
 
-    def test_batch_grouped_by_replica(self):
+    def test_a_batch_is_one_replica_call(self):
         router, workers = fake_fleet()
         prompts = generate_prompts("shared_prefix", 12, seed=1)
         payload = router.predict_batch(prompts)
         assert payload["completions"] == [prompt + "!" for prompt in prompts]
         assert payload["batch_size"] == 12
-        for prompt, worker_id in zip(prompts, payload["workers"]):
-            assert prompt in {w.worker_id: w for w in workers}[worker_id].calls
+        served = [worker for worker in workers if worker.batches]
+        assert [worker.batches for worker in served] == [[prompts]]
+        assert payload["workers"] == [served[0].worker_id] * 12
+        assert "failovers" not in payload
+        assert router.predict(prompts[0])["worker"] == served[0].worker_id  # keyed by prompt 0
+
+    def test_round_robin_batches_rotate_whole(self):
+        router, workers = fake_fleet(policy="round_robin")
+        prompts = generate_prompts("shared_prefix", 8, seed=5)
+        served = [router.predict_batch(prompts)["workers"] for _ in range(3)]
+        assert served == [[worker.worker_id] * 8 for worker in workers]
+
+    def test_every_dispatch_is_timed_once(self):
+        router, _ = fake_fleet()
+        timed = router.obs.metrics.histogram("fleet.dispatch_s")
+        router.predict_batch(["- name: a\n", "- name: b\n"])
+        assert timed.count == 1
+        session = router.session_create("- name: c\n")
+        assert timed.count == 2
+        router.session_extend(session["session_id"], "- name: c\n  x")
+        assert timed.count == 3
+        router.predict("- name: d\n")
+        list(router.predict_stream("- name: e\n"))
+        assert timed.count == 5
 
 
 def _request(router: FleetRouter, method: str, text: str) -> dict:
@@ -385,12 +410,33 @@ class TestRouterFailover:
 
     def test_batch_reenqueues_dead_groups(self):
         router, workers = fake_fleet()
+        by_id = {worker.worker_id: worker for worker in workers}
         prompts = generate_prompts("shared_prefix", 16, seed=2)
-        primary = {router.predict(prompts[0])["worker"]}
-        {w.worker_id: w for w in workers}[primary.pop()].dead = True
+        primary = router.predict(prompts[0])["worker"]
+        by_id[primary].dead = True
         payload = router.predict_batch(prompts)
         assert payload["completions"] == [prompt + "!" for prompt in prompts]
-        assert None not in payload["workers"]  # nothing dropped
+        (survivor,) = set(payload["workers"])  # nothing dropped, nothing split
+        assert survivor != primary
+        assert by_id[survivor].batches == [prompts]
+        assert payload["failovers"] == 1
+        assert router.stats()["dead_workers"] == {primary: "dispatch_failed"}
+
+    def test_a_saturated_replica_spills_the_whole_batch(self):
+        router, workers = fake_fleet()
+        by_id = {worker.worker_id: worker for worker in workers}
+        prompts = generate_prompts("shared_prefix", 8, seed=4)
+        chosen = router.predict_batch(prompts)["workers"][0]
+        by_id[chosen].overloaded = True
+        payload = router.predict_batch(prompts)
+        (spilled_to,) = set(payload["workers"])
+        assert spilled_to != chosen
+        assert by_id[spilled_to].batches == [prompts]
+        assert "failovers" not in payload
+        stats = router.stats()
+        assert stats["spills"] == 1
+        assert stats["failovers"] == 0
+        assert stats["dead_workers"] == {}
 
     def test_batch_all_saturated_sheds_instead_of_spinning(self):
         router, workers = fake_fleet()
@@ -558,6 +604,15 @@ class TestRouterOverEngines:
         assert first["worker"] == second["worker"]
         hits = router.stats()["aggregate"]["prefix_cache"]["hits"]
         assert hits >= 1  # the shared head hit the same replica's cache
+
+    def test_a_replica_decodes_a_batch_of_8_in_one_pass(self):
+        service, engine = build_service(WorkerSpec(seed=0))
+        prompts = [f"- name: Install package {index}\n" for index in range(8)]
+        budget = 6
+        service.predict_batch(prompts, max_new_tokens=budget)
+        stats = engine.stats()
+        assert stats["peak_batch_size"] == 8
+        assert stats["decode_steps"] == budget - 1
 
     def test_batch_end_to_end(self, engine_fleet):
         router, _ = engine_fleet

@@ -32,7 +32,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.engine import PrefixCache
+from repro.engine.batched_decode import DecodingBatch
 from repro.nn.kv_arena import DenseKVCache, KVArena, KVCache, SlotKVCache, SlotRow
+from repro.nn.parameter import numpy_rng
+from repro.nn.transformer import DecoderLM, TransformerConfig
 
 HEADS, DIM = 2, 3
 SLOTS, COLUMNS = 3, 12
@@ -297,3 +300,39 @@ ArenaMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=25, deadline=None, database=None
 )
 TestArenaMachine = ArenaMachine.TestCase
+
+
+def test_a_decode_step_is_bit_identical_to_row_by_row_writes(monkeypatch):
+    """An append over rows of different lengths writes K and V with one
+    scattered assignment each; 23 decode steps at 8 rows read the same
+    logits, bit for bit, as writing each row's columns alone."""
+    config = TransformerConfig(vocab_size=64, n_positions=64, dim=32, n_layers=2, n_heads=4)
+    model = DecoderLM(config, numpy_rng(0))
+    prompts = [[1 + (7 * row + i) % 63 for i in range(2 + 3 * row)] for row in range(8)]
+
+    def decode() -> list[np.ndarray]:
+        batch = DecodingBatch(model, len(prompts))
+        pending = batch.admit_prompts(prompts, list(range(len(prompts))))
+        assert len(set(batch.caches[0].lengths)) == len(prompts)
+        steps = []
+        for _ in range(23):
+            logits = model.forward_incremental(np.array(pending)[:, None], batch.caches)
+            steps.append(logits)
+            pending = logits[:, -1].argmax(axis=-1).tolist()
+        batch.retire(list(range(len(prompts))))
+        return steps
+
+    scattered = decode()
+    append = SlotKVCache.append
+
+    def row_by_row(cache, keys, values):
+        starts, new = list(cache.lengths), keys.shape[2]
+        views = append(cache, np.zeros_like(keys), np.zeros_like(values))
+        for row, start in enumerate(starts):
+            cache._slab.k[row, :, start : start + new] = keys[row]
+            cache._slab.v[row, :, start : start + new] = values[row]
+        return views
+
+    monkeypatch.setattr(SlotKVCache, "append", row_by_row)
+    for got, want in zip(scattered, decode(), strict=True):
+        assert np.array_equal(got, want)

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
+from repro.engine import InferenceEngine
 from repro.engine.batched_decode import DecodingBatch
 from repro.engine.batcher import ContinuousBatcher, GenerationRequest
 from repro.errors import ShapeError
 from repro.fleet.loadgen import generate_prompts
-from repro.fleet.worker import MAX_BATCH_SIZE, SPEC_TRAIN_TEXTS, SPEC_VOCAB_SIZE, WorkerSpec
+from repro.fleet.worker import SPEC_TRAIN_TEXTS, SPEC_VOCAB_SIZE, WorkerSpec
 from repro.model import load_checkpoint, save_checkpoint
 from repro.model.lm import WisdomModel
 from repro.nn.attention import CausalSelfAttention, causal_mask
@@ -387,7 +389,8 @@ def test_three_decoders_agree_at_the_bench_spec():
         for prompt, result in zip(chunk, greedy_via_admit_prompts(model, chunk, budget)):
             assert greedy_or_tie(model, prompt, result.token_ids, budget)
 
-    batcher = ContinuousBatcher(model, max_batch_size=MAX_BATCH_SIZE)
+    replica_rows = inspect.signature(InferenceEngine).parameters["max_batch_size"].default
+    batcher = ContinuousBatcher(model, max_batch_size=replica_rows)
     requests = []
     for index, prompt in enumerate(prompts):
         planned, effective = plan_prompt(config.n_positions, prompt, budget)
