@@ -9,7 +9,6 @@ Mirrors the workflows a user of the released system would run::
     python -m repro.cli score --reference ref.yml --prediction pred.yml
     python -m repro.cli obs --url http://127.0.0.1:8181
     python -m repro.cli obs --spans /tmp/trace.jsonl
-    python -m repro.cli obs --runlog /tmp/run.jsonl [--compare /tmp/run2.jsonl]
     python -m repro.cli profile --size 350M --mode generate --trace /tmp/prof.json
     python -m repro.cli chaos --seed 1 --verify
     python -m repro.cli fleet chaos --seed 1 --verify
@@ -117,21 +116,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import read_spans_jsonl
     from repro.obs.report import format_metrics_snapshot, format_span_tree
-    from repro.obs.runlog import compare_runlogs, format_runlog, load_runlog
 
-    if args.compare and not args.runlog:
-        print("--compare requires --runlog", file=sys.stderr)
-        return 2
-    if args.runlog:
-        primary = load_runlog(args.runlog)
-        if args.json:
-            print(json.dumps(primary.summary(), indent=2))
-            return 0
-        if args.compare:
-            print(compare_runlogs(primary, load_runlog(args.compare)))
-        else:
-            print(format_runlog(primary))
-        return 0
     if args.url:
         from repro.serving.client import PredictionClient
 
@@ -165,11 +150,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.engine import InferenceEngine
     from repro.model.config import SIZE_PRESETS, transformer_config
     from repro.nn.parameter import numpy_rng
-    from repro.nn.sampling import generate_greedy
     from repro.nn.transformer import DecoderLM
-    from repro.obs import OpProfiler, Tracer
+    from repro.obs import Observability, OpProfiler, Tracer
     from repro.obs.export import export_chrome_trace
     from repro.obs.report import format_op_table
 
@@ -188,19 +173,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         targets = np.roll(ids, -1, axis=1)
         targets[:, -1] = -1
         network.loss_and_backward(ids, targets)
-    else:  # generate: prefill + short greedy decode through the KV cache
-        prompt = [int(token) for token in ids[0]]
-        generate_greedy(network, prompt, max_new_tokens=args.new_tokens, tracer=tracer)
+    else:  # generate: the batch decoded through the engine that serves
+        engine = InferenceEngine(network, obs=Observability(tracer=tracer))
+        engine.generate_batch(ids.tolist(), max_new_tokens=args.new_tokens)
     if args.track_memory:
         profiler.stop_memory_tracking()
     stats = profiler.stats()
     if args.json:
         print(json.dumps(profiler.snapshot(), indent=2))
     else:
-        title = (
-            f"Hot ops: {args.size} / context {args.context} / {args.mode} "
-            f"(batch {args.batch if args.mode != 'generate' else 1})"
-        )
+        title = f"Hot ops: {args.size} / context {args.context} / {args.mode} (batch {args.batch})"
         print(format_op_table(stats, top=args.top, title=title))
         total_flops = sum(stat.flops for stat in stats)
         total_self = sum(stat.self_s for stat in stats)
@@ -215,8 +197,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if profiler.tracemalloc_peak_bytes:
             print(f"process peak (tracemalloc): {profiler.tracemalloc_peak_bytes / 1e6:.2f} MB")
     if args.trace:
-        spans = tracer.spans() if args.mode == "generate" else []
-        written = export_chrome_trace(args.trace, spans=spans, op_events=profiler.events())
+        written = export_chrome_trace(args.trace, spans=tracer.spans(), op_events=profiler.events())
         print(f"chrome trace ({written} events) written to {args.trace}", file=sys.stderr)
     profiler.detach()
     return 0
@@ -427,20 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--prediction", required=True)
     score.set_defaults(handler=_cmd_score)
 
-    obs = subparsers.add_parser(
-        "obs", help="pretty-print a /v1/metrics snapshot, a JSONL span dump or a training run log"
-    )
+    obs = subparsers.add_parser("obs", help="pretty-print a /v1/metrics snapshot or a JSONL span dump")
     source = obs.add_mutually_exclusive_group(required=True)
     source.add_argument("--url", help="base URL of a running repro serve instance")
     source.add_argument("--spans", help="path to a Tracer.export_jsonl dump")
-    source.add_argument("--runlog", help="path to a RunLog JSONL training record")
-    obs.add_argument("--compare", help="second run log to diff against --runlog")
     obs.add_argument("--json", action="store_true", help="emit raw JSON instead of tables")
     obs.set_defaults(handler=_cmd_obs)
 
     profile = subparsers.add_parser(
         "profile",
-        help="op-level FLOPs/roofline profile of a forward/backward or a short generation",
+        help="op-level FLOPs/roofline profile of a forward/backward or a short engine generation",
     )
     profile.add_argument("--size", choices=("350M", "2.7B", "6B"), default="350M")
     profile.add_argument(

@@ -58,9 +58,8 @@ SPEC_TRAIN_TEXTS = (
 #: Entries in a spec-built replica's tokenizer vocabulary.
 SPEC_VOCAB_SIZE = 300
 
-#: Every replica's sizes: unpinned prefix-store nodes and response-cache
-#: entries.  A replica seats the engine's default number of batch rows.
-PREFIX_CACHE_CAPACITY = 32
+#: Entries in every replica's response cache.  A replica seats the engine's
+#: default number of batch rows behind its default prefix store.
 CACHE_CAPACITY = 8
 
 #: Seconds a :class:`ProcessWorker` child has to report its port.
@@ -143,7 +142,6 @@ def build_service(spec: WorkerSpec):
         engine = InferenceEngine(
             DecoderLM(config, numpy_rng(spec.seed)),
             tokenizer,
-            prefix_cache_capacity=PREFIX_CACHE_CAPACITY,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, tokenizer),
         )

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import GenerationError
 from repro.nn.transformer import DecoderLM
-from repro.obs.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
@@ -92,30 +91,17 @@ def generate_greedy(
     prompt_ids: list[int],
     max_new_tokens: int,
     stop_ids: frozenset[int] | set[int] = frozenset(),
-    tracer: Tracer | None = None,
 ) -> GenerationResult:
     """Greedy decoding with KV cache; stops at a stop token, the token
-    budget, or a full context window.
-
-    ``tracer`` (optional, default-off) records ``sampling.greedy`` with
-    ``sampling.prefill`` / ``sampling.decode`` children; tracing only
-    reads the monotonic clock, so the produced tokens are identical with
-    or without it.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
+    budget, or a full context window."""
     window = model.config.n_positions
     prompt, budget = plan_prompt(window, prompt_ids, max_new_tokens)
-    with tracer.span("sampling.greedy", prompt_tokens=len(prompt)) as span:
-        with tracer.span("sampling.prefill", tokens=len(prompt)):
-            caches = model.new_cache()
-            logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
-        generated: list[int] = []
-        with tracer.span("sampling.decode"):
-            while True:
-                next_id = int(logits[0, -1].argmax())
-                reason = advance(generated, next_id, stop_ids, max_new_tokens, len(prompt), window)
-                if reason is not None:
-                    break
-                logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)
-        span.set(tokens=len(generated), stop_reason=reason)
-        return GenerationResult(generated, reason, budget)
+    caches = model.new_cache()
+    logits = model.forward_incremental(np.array([prompt], dtype=np.int64), caches)
+    generated: list[int] = []
+    while True:
+        next_id = int(logits[0, -1].argmax())
+        reason = advance(generated, next_id, stop_ids, max_new_tokens, len(prompt), window)
+        if reason is not None:
+            return GenerationResult(generated, reason, budget)
+        logits = model.forward_incremental(np.array([[next_id]], dtype=np.int64), caches)

@@ -1,8 +1,8 @@
-"""Observability: tracing, metrics, op profiling and training run logs.
+"""Observability: tracing, metrics and op profiling.
 
 The operational substrate for the serving stack — the paper's system runs
 as a latency-sensitive editor service, and you cannot operate (or
-optimise) one without knowing where time goes.  Four primitives:
+optimise) one without knowing where time goes.  Three primitives:
 
 * :mod:`repro.obs.trace` — a span tracer with context-manager/decorator
   API, parent/child nesting, a bounded ring buffer and JSONL export;
@@ -10,9 +10,7 @@ optimise) one without knowing where time goes.  Four primitives:
   fixed-bucket histograms with percentile summaries;
 * :mod:`repro.obs.profile` — an op-level profiler hooking every layer's
   forward/backward with analytic FLOPs, bytes-moved and roofline
-  accounting (achieved GFLOP/s, arithmetic intensity);
-* :mod:`repro.obs.runlog` — a structured JSONL training-run recorder
-  with rendering and a two-run compare mode.
+  accounting (achieved GFLOP/s, arithmetic intensity).
 
 :mod:`repro.obs.export` turns all of it into standard formats: Chrome
 trace-event JSON (Perfetto-loadable span + op timelines) and Prometheus
@@ -23,8 +21,8 @@ text exposition (served via ``GET /v1/metrics?format=prometheus``).
 :class:`Observability` bundles a tracer, a metrics registry and a
 profiler, and is what instrumented components
 (:class:`~repro.engine.engine.InferenceEngine`,
-:class:`~repro.serving.service.PredictionService`, the training loops)
-accept.  The default posture is *metrics on, tracing and profiling off*:
+:class:`~repro.serving.service.PredictionService`,
+:class:`~repro.fleet.router.FleetRouter`) accept.  The default posture is *metrics on, tracing and profiling off*:
 metrics are cheap enough to always collect, while span tracing and op
 profiling are opt-in via :meth:`Observability.with_tracing` /
 :meth:`Observability.attach_profiler` (or the components'

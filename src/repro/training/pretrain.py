@@ -14,10 +14,8 @@ from repro.dataset.corpus import Corpus
 from repro.dataset.packing import next_token_targets, pack_documents
 from repro.nn.optim import Adam, LinearSchedule
 from repro.nn.transformer import DecoderLM
-from repro.obs import NULL_TRACER, Observability
-from repro.obs.runlog import RunLog
 from repro.tokenizer.bpe import BpeTokenizer
-from repro.training.trainer import TrainingHistory, run_epoch
+from repro.training.trainer import TrainingHistory, iterate_batches, run_epoch
 
 
 def pretrain(
@@ -29,16 +27,11 @@ def pretrain(
     learning_rate: float = 1e-3,
     seed: int = 0,
     max_batches_per_epoch: int | None = None,
-    obs: Observability | None = None,
-    runlog: RunLog | None = None,
 ) -> TrainingHistory:
     """Pre-train ``network`` on a packed corpus; returns the loss history.
 
     ``max_batches_per_epoch`` caps compute for large corpora (a uniformly
-    random subset of windows is seen each epoch).  ``obs`` (optional)
-    collects per-step timings and wraps each epoch in a
-    ``training.epoch`` span; ``runlog`` (optional) appends per-step and
-    per-epoch JSONL records for ``repro obs --runlog``.
+    random subset of windows is seen each epoch).
     """
     window = network.config.n_positions
     rows = pack_documents(corpus, tokenizer, window)
@@ -55,31 +48,20 @@ def pretrain(
         final_fraction=0.1,
     )
     history = TrainingHistory()
-    tracer = obs.tracer if obs is not None else None
     step = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         if max_batches_per_epoch is not None and rows.shape[0] > max_batches_per_epoch * batch_size:
             chosen = rng.choice(rows.shape[0], size=max_batches_per_epoch * batch_size, replace=False)
             epoch_rows, epoch_targets = rows[chosen], targets[chosen]
         else:
             epoch_rows, epoch_targets = rows, targets
-        with (tracer or NULL_TRACER).span(
-            "training.epoch", epoch=epoch, rows=int(epoch_rows.shape[0])
-        ):
-            mean_loss, steps = run_epoch(
-                network,
-                optimizer,
-                epoch_rows,
-                epoch_targets,
-                batch_size,
-                rng,
-                schedule=schedule,
-                step_offset=step,
-                history=history,
-                obs=obs,
-                runlog=runlog,
-            )
-        if runlog is not None:
-            runlog.log_epoch(epoch, mean_loss, steps=steps)
+        _, steps = run_epoch(
+            network,
+            optimizer,
+            iterate_batches(epoch_rows, epoch_targets, batch_size, rng),
+            schedule=schedule,
+            step_offset=step,
+            history=history,
+        )
         step += steps
     return history

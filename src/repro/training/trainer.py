@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.optim import Adam, LinearSchedule, clip_grad_norm
+from repro.nn.optim import Adam, CosineSchedule, LinearSchedule, clip_grad_norm
 from repro.nn.transformer import DecoderLM
-from repro.obs import Observability
-from repro.obs.runlog import RunLog
+
+#: Gradients are clipped to this global L2 norm before every optimizer step.
+MAX_GRAD_NORM = 1.0
 
 
 @dataclass
@@ -34,65 +35,25 @@ def iterate_batches(rows: np.ndarray, targets: np.ndarray, batch_size: int, rng:
 def run_epoch(
     model: DecoderLM,
     optimizer: Adam,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-    schedule: LinearSchedule | None = None,
+    batches: Iterable[tuple[np.ndarray, np.ndarray]],
+    schedule: LinearSchedule | CosineSchedule | None = None,
     step_offset: int = 0,
-    max_grad_norm: float = 1.0,
     history: TrainingHistory | None = None,
-    obs: Observability | None = None,
-    runlog: RunLog | None = None,
 ) -> tuple[float, int]:
-    """Train one epoch; returns (mean loss, steps executed).
+    """Train one epoch over ``(ids, targets)`` batches; returns (mean loss, steps executed).
 
-    When ``obs`` is given, each optimizer step feeds the
-    ``training.step_s`` histogram and the ``training.steps`` /
-    ``training.tokens`` counters; the ``training.tokens_per_s``,
-    ``training.grad_norm`` and ``training.learning_rate`` gauges track
-    the most recent step — the same per-step facts a ``runlog`` records,
-    so ``/v1/metrics`` and the run log agree on what a training step did.
-    ``runlog`` (optional) appends one JSONL record per step.
+    The one optimizer step of every training loop: zero the gradients,
+    backpropagate, clip to :data:`MAX_GRAD_NORM`, step at the schedule's
+    rate for the global step (the optimizer's own rate without one).
     """
-    if obs is not None:
-        step_histogram = obs.metrics.histogram("training.step_s")
-        step_counter = obs.metrics.counter("training.steps")
-        token_counter = obs.metrics.counter("training.tokens")
-        throughput_gauge = obs.metrics.gauge("training.tokens_per_s")
-        grad_norm_gauge = obs.metrics.gauge("training.grad_norm")
-        lr_gauge = obs.metrics.gauge("training.learning_rate")
-    observing = obs is not None or runlog is not None
     losses: list[float] = []
     step = step_offset
-    for batch_ids, batch_targets in iterate_batches(rows, targets, batch_size, rng):
-        step_started = time.perf_counter() if observing else 0.0
+    for batch_ids, batch_targets in batches:
         model.zero_grad()
         loss = model.loss_and_backward(batch_ids, batch_targets)
-        grad_norm = clip_grad_norm(model.parameters(), max_grad_norm)
+        clip_grad_norm(model.parameters(), MAX_GRAD_NORM)
         learning_rate = schedule.lr_at(step) if schedule is not None else None
         optimizer.step(learning_rate)
-        if observing:
-            elapsed = time.perf_counter() - step_started
-            tokens = int(batch_ids.size)
-            if obs is not None:
-                step_histogram.observe(elapsed)
-                step_counter.inc()
-                token_counter.inc(tokens)
-                grad_norm_gauge.set(grad_norm)
-                if learning_rate is not None:
-                    lr_gauge.set(learning_rate)
-                if elapsed > 0:
-                    throughput_gauge.set(tokens / elapsed)
-            if runlog is not None:
-                runlog.log_step(
-                    step,
-                    loss,
-                    grad_norm=grad_norm,
-                    learning_rate=learning_rate,
-                    tokens=tokens,
-                    step_s=elapsed,
-                )
         losses.append(loss)
         if history is not None:
             history.step_losses.append(loss)

@@ -1,7 +1,7 @@
 """The option surface is pinned: a new knob needs a row, not just a default.
 
 ``SURFACE`` lists every settable value of the engine, serving and fleet
-entry points.  The signatures must match it, and DESIGN.md's "Options"
+entry points, the training loops and the reference decoder.  The signatures must match it, and DESIGN.md's "Options"
 table — which says who needs each value to differ — must list exactly the
 same names.  Adding (or removing) a parameter fails here until both are
 edited; the rule for what may stay an option is stated above that table.
@@ -26,8 +26,10 @@ from repro.fleet.router import FleetRouter
 from repro.fleet.worker import ProcessWorker, WorkerSpec
 from repro.model.throughput import measure_engine_throughput
 from repro.nn.kv_arena import KVArena
+from repro.nn.sampling import generate_greedy
 from repro.serving.client import PredictionClient
 from repro.serving.service import PredictionService
+from repro.training import finetune, pretrain, run_epoch
 
 SURFACE = {
     InferenceEngine: (
@@ -56,6 +58,13 @@ SURFACE = {
     measure_engine_throughput: (
         "network batch_size prompt_length new_tokens runs warmup_runs seed obs"
     ),
+    pretrain: "network corpus tokenizer epochs batch_size learning_rate seed max_batches_per_epoch",
+    finetune: (
+        "model train_samples validation_samples epochs batch_size learning_rate seed "
+        "validation_subset"
+    ),
+    run_epoch: "model optimizer batches schedule step_offset history",
+    generate_greedy: "model prompt_ids max_new_tokens stop_ids",
 }
 
 #: The serving and fleet front door: what a deployment can set on the way

@@ -63,9 +63,6 @@ ALLOWED = {
     "repro.engine.batched_decode.DecodingBatch.admit_prompts": "bench",
     # repro obs --spans reads the JSONL it writes
     "repro.obs.trace.Tracer.export_jsonl": "flag",
-    # repro obs --runlog reads the JSONL it writes; training takes one as
-    # runlog=, which only tests hand in
-    "repro.obs.runlog.RunLog": "flag",
     # tests/test_kv_state_machine.py checks the slot caches against it
     "repro.nn.kv_arena.DenseKVCache.view": "reference",
 }

@@ -43,9 +43,9 @@ class TestRunEpoch:
         optimizer = Adam(tiny_network.parameters(), learning_rate=2e-3)
         history = TrainingHistory()
         rng = np.random.default_rng(0)
-        first, _ = run_epoch(tiny_network, optimizer, rows, targets, 2, rng, history=history)
+        first, _ = run_epoch(tiny_network, optimizer, iterate_batches(rows, targets, 2, rng), history=history)
         for _ in range(6):
-            last, _ = run_epoch(tiny_network, optimizer, rows, targets, 2, rng, history=history)
+            last, _ = run_epoch(tiny_network, optimizer, iterate_batches(rows, targets, 2, rng), history=history)
         assert last < first
         assert history.epoch_losses[-1] < history.epoch_losses[0]
 
@@ -91,9 +91,10 @@ class TestFinetune:
             epochs=3,
             batch_size=8,
             learning_rate=2e-3,
-            select_best_by_bleu=False,
         )
         assert history.epoch_losses[-1] < history.epoch_losses[0]
+        # one cosine-schedule rate per step, as pretrain records its linear one
+        assert len(history.learning_rates) == len(history.step_losses) == 3 * 3
 
     def test_finetune_empty_rejected(self, tiny_wisdom):
         with pytest.raises(ValueError):
