@@ -168,7 +168,6 @@ class ExperimentSuite:
             train_samples,
             self.dataset.validation,
             epochs=self.profile.finetune_epochs,
-            learning_rate=3e-3,
             seed=self.seed,
             validation_subset=6,
         )
@@ -281,7 +280,6 @@ class ExperimentSuite:
             self.prefix_dataset.train,
             self.prefix_dataset.validation,
             epochs=self.profile.finetune_epochs,
-            learning_rate=3e-3,
             seed=self.seed,
             validation_subset=6,
         )

@@ -54,7 +54,7 @@ def main() -> None:
         max_batches_per_epoch=FULL.pretrain_max_batches, base_model=base,
     )
     finetune(model, dataset.train, dataset.validation, epochs=epochs,
-             learning_rate=3e-3, seed=SEED, validation_subset=6)
+             seed=SEED, validation_subset=6)
     model.name = "Wisdom-Ansible-Multi-ft"
     save_checkpoint(model, ARTIFACTS_DIR / "reference-model")
     print(f"[t5] model ready ({time.time() - started:.0f}s)", flush=True)

@@ -57,7 +57,7 @@ def main() -> None:
     print(f"[patch] pretrained ({time.time() - started:.0f}s)", flush=True)
 
     finetune(model, dataset.train, dataset.validation, epochs=epochs,
-             learning_rate=3e-3, seed=SEED, validation_subset=6)
+             seed=SEED, validation_subset=6)
     model.name = "Wisdom-Ansible-Multi-ft"
     report = evaluate(model, dataset.test, max_new_tokens=96)
     rows = {model.name: _row(report, "350M", 1024)}
@@ -78,7 +78,7 @@ def main() -> None:
         max_batches_per_epoch=FULL.pretrain_max_batches, base_model=base,
     )
     finetune(ablated, reduced.train, dataset.validation, epochs=epochs,
-             learning_rate=3e-3, seed=SEED, validation_subset=6)
+             seed=SEED, validation_subset=6)
     ablated.name = "Wisdom-Ansible-Multi-50"
     ablated_report = evaluate(ablated, dataset.test, max_new_tokens=96)
     rows[ablated.name] = _row(ablated_report, "350M", 1024)

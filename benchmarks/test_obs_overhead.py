@@ -22,7 +22,7 @@ import pytest
 
 from repro.fleet.chaos import build_chaos_fleet
 from repro.fleet.loadgen import generate_prompts
-from repro.model import SIZE_350M, measure_engine_throughput, transformer_config
+from repro.model import SIZE_350M, measure_throughput, transformer_config
 from repro.nn.parameter import numpy_rng
 from repro.nn.transformer import DecoderLM
 from repro.obs import Observability
@@ -62,8 +62,8 @@ def test_tracing_overhead_under_10_percent(network):
 
     def pair() -> tuple[float, float]:
         # interleave the measurements so both see the same process state
-        untraced = measure_engine_throughput(network, **kwargs)
-        traced = measure_engine_throughput(network, obs=obs, **kwargs)
+        untraced = measure_throughput(network, **kwargs)
+        traced = measure_throughput(network, obs=obs, **kwargs)
         return untraced.tokens_per_second, traced.tokens_per_second
 
     ratio, untraced_tps, traced_tps = _best_ratio(pair)

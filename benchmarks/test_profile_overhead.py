@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model import SIZE_6B, measure_engine_throughput, transformer_config
+from repro.model import SIZE_6B, measure_throughput, transformer_config
 from repro.nn.parameter import numpy_rng
 from repro.nn.transformer import DecoderLM
 from repro.obs import OpProfiler
@@ -42,14 +42,14 @@ def test_profiler_overhead_within_budget(network):
     last = {"baseline": 0.0, "off": 0.0, "on": 0.0}
     profiler = None
     for _ in range(5):
-        baseline = measure_engine_throughput(network, **kwargs).tokens_per_second
+        baseline = measure_throughput(network, **kwargs).tokens_per_second
 
         disabled = OpProfiler(enabled=False).attach(network)
-        off = measure_engine_throughput(network, **kwargs).tokens_per_second
+        off = measure_throughput(network, **kwargs).tokens_per_second
         disabled.detach()
 
         profiler = OpProfiler(capacity=65536).attach(network)
-        on = measure_engine_throughput(network, **kwargs).tokens_per_second
+        on = measure_throughput(network, **kwargs).tokens_per_second
         profiler.detach()
 
         ratios_off.append(off / baseline)

@@ -4,10 +4,10 @@ Trains a small Wisdom model, then drives :mod:`repro.engine` three ways:
 
 1. batched text completion through ``model.complete_batch`` — token-identical
    to per-prompt ``model.complete`` but decoded together;
-2. the engine's stats surface (batch occupancy, prefill/decode token split,
-   prefix-cache reuse across requests sharing a playbook prefix);
-3. a throughput comparison: sequential greedy decode vs the engine at
-   batch 4 on the same network.
+2. a kept engine's stats surface (batch occupancy, prefill/decode token
+   split, prefix-cache reuse across requests sharing a playbook prefix);
+3. a throughput comparison: the engine at batch 1 vs batch 4 on the same
+   network.
 
 Run::
 
@@ -17,7 +17,8 @@ Run::
 from __future__ import annotations
 
 from repro import quickstart_model
-from repro.model import measure_engine_throughput, measure_throughput
+from repro.engine import InferenceEngine
+from repro.model import measure_throughput
 
 
 def main() -> None:
@@ -43,19 +44,20 @@ def main() -> None:
 
     print("\n-- prefix reuse: same playbook context, growing buffer --")
     buffer = "- name: Install nginx\n  ansible.builtin.apt:\n    name: nginx\n"
-    model.complete_batch([buffer], max_new_tokens=16)
-    model.complete_batch([buffer + "    state: present\n"], max_new_tokens=16)
+    engine = InferenceEngine.from_model(model)  # kept: its prefix store persists
+    engine.complete_batch_detailed([buffer], max_new_tokens=16)
+    engine.complete_batch_detailed([buffer + "    state: present\n"], max_new_tokens=16)
 
     print("\n-- engine stats --")
-    for key, value in model.engine().stats().items():
+    for key, value in engine.stats().items():
         print(f"  {key}: {value}")
 
-    print("\n-- throughput: sequential vs engine at batch 4 --")
-    seq = measure_throughput(model.network, prompt_length=16, new_tokens=24, runs=2)
-    eng = measure_engine_throughput(model.network, batch_size=4, prompt_length=16, new_tokens=24, runs=2)
-    print(f"  sequential: {seq.tokens_per_second:8.0f} tokens/s")
-    print(f"  engine    : {eng.tokens_per_second:8.0f} tokens/s")
-    print(f"  speedup   : {eng.tokens_per_second / seq.tokens_per_second:.2f}x")
+    print("\n-- throughput: the engine at batch 1 vs batch 4 --")
+    one = measure_throughput(model.network, prompt_length=16, new_tokens=24, runs=2)
+    four = measure_throughput(model.network, batch_size=4, prompt_length=16, new_tokens=24, runs=2)
+    print(f"  batch 1: {one.tokens_per_second:8.0f} tokens/s")
+    print(f"  batch 4: {four.tokens_per_second:8.0f} tokens/s")
+    print(f"  speedup: {four.tokens_per_second / one.tokens_per_second:.2f}x")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ def main() -> None:
     splits = split_corpus(galaxy, rng.child("split"))
     dataset = build_finetune_dataset(splits.train, splits.validation, splits.test)
     print(f"samples: {dataset.sizes()}  types: {dataset.counts_by_type('train')}")
-    history = finetune(model, dataset.train, dataset.validation, epochs=14, learning_rate=3e-3, validation_subset=4)
+    history = finetune(model, dataset.train, dataset.validation, epochs=14, validation_subset=4)
     print(f"loss: {history.epoch_losses[0]:.2f} -> {history.epoch_losses[-1]:.2f}")
 
     print("\n== 4. generation ==")

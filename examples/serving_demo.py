@@ -14,6 +14,7 @@ Run::
 from __future__ import annotations
 
 from repro import quickstart_model
+from repro.engine import InferenceEngine
 from repro.serving import EditorSession, PredictionClient, PredictionService, RestServer, TAB
 
 
@@ -21,7 +22,7 @@ def main() -> None:
     print("training a small model first (this takes a minute or two)...")
     model, _ = quickstart_model(seed=7, galaxy_scale=0.001, finetune_epochs=6)
 
-    service = PredictionService(model.engine(), cache_capacity=64, max_new_tokens=64)
+    service = PredictionService(InferenceEngine.from_model(model), cache_capacity=64, max_new_tokens=64)
     with RestServer(service) as server:
         print(f"\nREST service listening at {server.url}")
         client = PredictionClient(server.url)

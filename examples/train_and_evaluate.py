@@ -52,7 +52,7 @@ def main() -> None:
     print("fine-tuning both models...")
     finetuned_reports = []
     for name, model in models.items():
-        finetune(model, dataset.train, dataset.validation, epochs=8, learning_rate=3e-3, validation_subset=4)
+        finetune(model, dataset.train, dataset.validation, epochs=8, validation_subset=4)
         report = evaluate(model, dataset.test, max_samples=24, label=f"{name} (fine-tuned)")
         rows.append(report.as_row())
         finetuned_reports.append(report)

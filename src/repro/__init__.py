@@ -57,5 +57,5 @@ def quickstart_model(seed: int = 7, galaxy_scale: float = 0.002, finetune_epochs
     galaxy = build_galaxy_corpus(rng.child("galaxy"), scale=galaxy_scale)
     splits = split_corpus(galaxy, rng.child("split"))
     dataset = build_finetune_dataset(splits.train, splits.validation, splits.test)
-    finetune(model, dataset.train, dataset.validation, epochs=finetune_epochs, learning_rate=3e-3)
+    finetune(model, dataset.train, dataset.validation, epochs=finetune_epochs)
     return model, dataset

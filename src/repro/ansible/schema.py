@@ -90,8 +90,7 @@ class _Validator:
         elif any(looks_like_play(entry) for entry in data):
             self.report(path, "mixed-plays-and-tasks", "document mixes plays and bare tasks")
         else:
-            for index, task in enumerate(data):
-                self.validate_task(task, f"{path}.tasks[{index}]")
+            self._validate_task_section(data, f"{path}.tasks")
 
     # -- plays --------------------------------------------------------------
 

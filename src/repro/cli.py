@@ -79,11 +79,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.engine import InferenceEngine
     from repro.model import load_checkpoint
     from repro.serving import PredictionService, RestServer
 
     model = load_checkpoint(args.model)
-    service = PredictionService(model.engine(), max_new_tokens=args.max_new_tokens)
+    service = PredictionService(
+        InferenceEngine.from_model(model), max_new_tokens=args.max_new_tokens
+    )
     server = RestServer(service, host=args.host, port=args.port).start()
     print(f"serving {model.name} at {server.url} (ctrl-c to stop)")
     try:

@@ -18,8 +18,8 @@ Layers (bottom-up):
 * :mod:`repro.engine.engine` — the :class:`InferenceEngine` facade.
 
 Two decode loops exist: :meth:`ContinuousBatcher.step` decodes every
-served token, and :func:`repro.nn.sampling.generate_greedy` is the batch-1
-oracle it is held to.
+served and every scored token, and the batch-1 reference decoder in
+:mod:`repro.nn.sampling` is the oracle it is held to.
 """
 
 from repro.engine.batched_decode import BatchRow, DecodingBatch, prefill_single

@@ -55,8 +55,8 @@ def prefill_single(
     In the engine ``caches`` are a slot row (:meth:`DecodingBatch.open_row`).
     Returns ``(first_token, prefilled)``, ``prefilled`` being the prompt
     tokens run through the model.  Batch-1 prefill is bit-identical to the
-    sequential :func:`~repro.nn.sampling.generate_greedy` prefill, which is
-    what makes engine outputs token-identical to sequential decoding.
+    batch-1 reference decoder's prefill (:mod:`repro.nn.sampling`), which
+    is what makes engine outputs token-identical to sequential decoding.
     """
     suffix = prompt_ids[caches[0].length :]
     if not suffix:
@@ -120,8 +120,8 @@ class DecodingBatch:
         """Prefill each prompt in its slot and admit it; the first greedy token per prompt.
 
         No serving path calls it: ``bench/trace.py`` wraps it by name, and
-        the static-batch conformance case drives it against
-        ``generate_greedy``.
+        the static-batch conformance case drives it against the batch-1
+        reference decoder.
         """
         if len(prompts) != len(payloads):
             raise EngineError(f"{len(prompts)} prompts vs {len(payloads)} payloads")

@@ -94,10 +94,12 @@ class InferenceEngine:
 
     @classmethod
     def from_model(cls, model, **kwargs) -> "InferenceEngine":
-        """Build from a :class:`repro.model.lm.WisdomModel`-shaped object.
+        """Build over a :class:`repro.model.lm.WisdomModel`-shaped object.
 
-        Picks up the tokenizer and the same stop tokens the model's own
-        ``complete`` uses (end-of-text and the packing separator).
+        Picks up its tokenizer, its name and the model's stop tokens — the
+        end-of-text and packing-separator ids, stated here and nowhere
+        else: ``WisdomModel.complete`` decodes through an engine built here,
+        as does every server over a checkpoint.
         """
         tokenizer = model.tokenizer
         kwargs.setdefault(
@@ -176,8 +178,8 @@ class InferenceEngine:
         """Greedy-decode every prompt through the continuous batcher.
 
         Results come back in submission order and are token-identical to
-        running :func:`~repro.nn.sampling.generate_greedy` per prompt —
-        when nothing interferes.  ``deadline_s`` bounds each request's
+        running the batch-1 reference decoder (:mod:`repro.nn.sampling`)
+        per prompt — when nothing interferes.  ``deadline_s`` bounds each request's
         wall time (queueing included); a caller holding ``handles`` (the
         live :class:`GenerationRequest` objects, appended before decoding
         starts) may :meth:`~GenerationRequest.cancel` from another thread.

@@ -115,18 +115,19 @@ def build_service(spec: WorkerSpec):
     Importable module-level function so :class:`ProcessWorker` children can
     run it after a ``spawn``-context fork-exec.
     """
+    from repro.engine import InferenceEngine
     from repro.serving.service import PredictionService
 
     if spec.checkpoint is not None:
         from repro.model import load_checkpoint
 
         model = load_checkpoint(spec.checkpoint)
-        engine = model.engine(
+        engine = InferenceEngine.from_model(
+            model,
             speculative_k=spec.speculative_k,
             draft_model=_draft_model(spec, model.tokenizer),
         )
     else:
-        from repro.engine import InferenceEngine
         from repro.nn.parameter import numpy_rng
         from repro.nn.transformer import DecoderLM, TransformerConfig
         from repro.tokenizer.bpe import BpeTokenizer

@@ -18,7 +18,6 @@ from repro.model.config import (
 from repro.model.lm import WisdomModel
 from repro.model.throughput import (
     ThroughputResult,
-    measure_engine_throughput,
     measure_throughput,
     speedup,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "transformer_config",
     "WisdomModel",
     "ThroughputResult",
-    "measure_engine_throughput",
     "measure_throughput",
     "speedup",
     "ANSIBLE_YAML",

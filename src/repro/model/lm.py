@@ -8,7 +8,6 @@ hiding token ids, left-truncation and stop handling.
 from __future__ import annotations
 
 from repro.errors import GenerationError
-from repro.nn.sampling import generate_greedy
 from repro.nn.transformer import DecoderLM, TransformerConfig
 from repro.tokenizer.bpe import BpeTokenizer
 
@@ -38,7 +37,6 @@ class WisdomModel:
         self.network = network
         self.size_label = size_label
         self.context_window_label = context_window_label
-        self._engine = None
 
     @property
     def config(self) -> TransformerConfig:
@@ -51,7 +49,7 @@ class WisdomModel:
     # -- generation -----------------------------------------------------------
 
     def complete(self, prompt: str, max_new_tokens: int = 96) -> str:
-        """Greedy continuation of ``prompt``.
+        """Greedy continuation of ``prompt``: :meth:`complete_batch` of one.
 
         The prompt is left-truncated to the context window (paper: "when the
         input to the model is larger than the context window, it is
@@ -59,37 +57,22 @@ class WisdomModel:
         ``max_new_tokens`` so a long prompt cannot silently exhaust the
         budget.  Generation stops at the end-of-text token.
         """
-        prompt_ids = self.tokenizer.encode(prompt)
-        if not prompt_ids:
+        if not prompt:  # byte-level BPE: any other text encodes to tokens
             raise GenerationError("prompt is empty")
-        stop_ids = frozenset({self.tokenizer.end_of_text_id, self.tokenizer.separator_id})
-        result = generate_greedy(self.network, prompt_ids, max_new_tokens, stop_ids=stop_ids)
-        return self.tokenizer.decode(result.token_ids)
-
-    # -- batched generation ----------------------------------------------------
-
-    def engine(self, **kwargs):
-        """This model's :class:`~repro.engine.engine.InferenceEngine`.
-
-        Built lazily on first use (pass kwargs then, e.g. ``max_batch_size``
-        to size the batcher); the instance — and with it the prefix cache
-        and the paged KV arena — persists across calls, which is what makes
-        repeated playbook-buffer completions skip redundant prefill.
-        """
-        if self._engine is None:
-            from repro.engine import InferenceEngine
-
-            self._engine = InferenceEngine.from_model(self, **kwargs)
-        elif kwargs:
-            raise GenerationError("engine already built; kwargs only apply to the first call")
-        return self._engine
+        return self.complete_batch([prompt], max_new_tokens)[0]
 
     def complete_batch(self, prompts: list[str], max_new_tokens: int = 96) -> list[str]:
-        """Greedy-complete several prompts through the batching engine.
+        """Greedy-complete ``prompts`` through the engine that serves.
 
-        Token-identical to calling :meth:`complete` per prompt, but decoded
-        together: one continuous batch amortises the per-step overhead and
-        shared prompt prefixes skip prefill via the engine's prefix cache.
+        The engine is built per call and dropped after it: one kept across
+        calls would keep its prefix store across a weight change (a
+        finetune epoch, ``restore_weights``) and serve K/V computed under
+        the old weights.  Serving callers build and keep their own
+        ``InferenceEngine.from_model(model)``.
         """
-        details = self.engine().complete_batch_detailed(prompts, max_new_tokens=max_new_tokens)
+        from repro.engine import InferenceEngine
+
+        details = InferenceEngine.from_model(self).complete_batch_detailed(
+            prompts, max_new_tokens=max_new_tokens
+        )
         return [detail["completion"] for detail in details]

@@ -3,7 +3,8 @@
 The paper motivates the 350M architecture by latency: "We benchmarked the
 generation throughput on single GPU for both models and found that the 350M
 model was ~1.9x faster than the 2.7B."  :func:`measure_throughput` produces
-the tokens-per-second number behind that comparison, on our substrate.
+the tokens-per-second number behind that comparison, on our substrate, by
+timing the engine that serves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.sampling import generate_greedy
 from repro.nn.transformer import DecoderLM
 from repro.utils.timing import Stopwatch
 
@@ -29,35 +29,7 @@ class ThroughputResult:
 
 def measure_throughput(
     network: DecoderLM,
-    prompt_length: int = 16,
-    new_tokens: int = 32,
-    runs: int = 3,
-    warmup_runs: int = 1,
-    seed: int = 0,
-) -> ThroughputResult:
-    """Time greedy generation of ``new_tokens`` tokens, ``runs`` times."""
-    rng = np.random.default_rng(seed)
-    vocab = network.config.vocab_size
-    prompt = [int(token) for token in rng.integers(0, vocab, size=prompt_length)]
-    for _ in range(warmup_runs):
-        generate_greedy(network, prompt, max_new_tokens=new_tokens)
-    watch = Stopwatch()
-    produced = 0
-    for _ in range(runs):
-        with watch:
-            result = generate_greedy(network, prompt, max_new_tokens=new_tokens)
-        produced += max(1, len(result.token_ids))
-    return ThroughputResult(
-        tokens_per_second=produced / watch.elapsed if watch.elapsed > 0 else float("inf"),
-        total_tokens=produced,
-        total_seconds=watch.elapsed,
-        runs=runs,
-    )
-
-
-def measure_engine_throughput(
-    network: DecoderLM,
-    batch_size: int = 4,
+    batch_size: int = 1,
     prompt_length: int = 16,
     new_tokens: int = 32,
     runs: int = 3,
@@ -65,18 +37,16 @@ def measure_engine_throughput(
     seed: int = 0,
     obs=None,
 ) -> ThroughputResult:
-    """Time the continuous-batching engine on ``batch_size`` distinct prompts.
+    """Time the engine decoding ``batch_size`` distinct prompts, ``runs`` times.
 
-    ``obs`` (an :class:`repro.obs.Observability`, optional) is forwarded
-    to the engine — how ``benchmarks/test_obs_overhead.py`` compares the
-    traced and untraced decode paths on otherwise identical engines.
-
-    The batched counterpart of :func:`measure_throughput`: each timed run
-    decodes ``batch_size`` prompts of ``prompt_length`` random tokens (all
-    distinct, so the prefix cache cannot shortcut the comparison) for up to
-    ``new_tokens`` tokens each.  Tokens/second counts generated tokens
-    across the whole batch, so the ratio against the sequential baseline is
-    the batching speedup.
+    Each timed run decodes ``batch_size`` prompts of ``prompt_length``
+    random tokens for up to ``new_tokens`` tokens each, on an engine with
+    no prefix store, so no run reuses another's prefill.  Tokens/second
+    counts generated tokens across the whole batch: at ``batch_size=1`` it
+    is the paper's single-stream rate, and the ratio of a wider batch's
+    rate to it is the batching speedup.  ``obs`` (an
+    :class:`repro.obs.Observability`) is handed to the engine, which is how
+    a traced run is compared against an untraced one.
     """
     from repro.engine import InferenceEngine
 

@@ -126,7 +126,6 @@ def build_model(
     tokenizer: BpeTokenizer,
     seed: int = 0,
     epochs: int = 2,
-    batch_size: int = 16,
     learning_rate: float = 1e-3,
     max_batches_per_epoch: int | None = 120,
     base_model: WisdomModel | None = None,
@@ -146,7 +145,6 @@ def build_model(
         corpus,
         tokenizer,
         epochs=epochs,
-        batch_size=batch_size,
         learning_rate=learning_rate,
         seed=derive_seed(seed, "pretrain", card.name),
         max_batches_per_epoch=max_batches_per_epoch,

@@ -16,7 +16,7 @@ from repro.nn.layers import (
 from repro.nn.optim import Adam, CosineSchedule, LinearSchedule, clip_grad_norm
 from repro.nn.parameter import Parameter, numpy_rng
 from repro.nn.rotary import apply_rotary, apply_rotary_backward, rotary_tables, shared_rotary_tables
-from repro.nn.sampling import GenerationResult, generate_greedy, plan_prompt
+from repro.nn.sampling import GenerationResult, plan_prompt
 from repro.nn.transformer import Block, DecoderLM, Mlp, TransformerConfig
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "rotary_tables",
     "shared_rotary_tables",
     "GenerationResult",
-    "generate_greedy",
     "plan_prompt",
     "Block",
     "DecoderLM",

@@ -4,8 +4,9 @@ prompt plan and stop policy every decode loop shares.
 The paper evaluates with greedy decoding only ("all results presented
 thereafter were obtained using greedy decoding"), so greedy is the one
 strategy here.  :func:`generate_greedy` is the batch-1 oracle that
-``bench/loadgen.py`` and the conformance suites hold the production loop,
-``ContinuousBatcher.step``, to.
+``bench/loadgen.py``, the engine chaos harness and the conformance suites
+hold the one production loop, ``ContinuousBatcher.step``, to; nothing
+serves or scores through it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Training loops: pre-training and fine-tuning."""
 
-from repro.training.finetune import encode_samples, finetune, validation_bleu
+from repro.training.finetune import encode_samples, finetune
 from repro.training.pretrain import pretrain
 from repro.training.trainer import (
     TrainingHistory,
@@ -12,7 +12,6 @@ from repro.training.trainer import (
 __all__ = [
     "encode_samples",
     "finetune",
-    "validation_bleu",
     "pretrain",
     "TrainingHistory",
     "iterate_batches",

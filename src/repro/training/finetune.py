@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataset.prompt import FinetuneSample, prediction_snippet
-from repro.eval.truncation import truncate_generation
-from repro.metrics.bleu import sentence_bleu
+from repro.dataset.prompt import FinetuneSample
+from repro.eval.harness import evaluate
 from repro.model.checkpoints import restore_weights, snapshot_weights
 from repro.model.lm import WisdomModel
 from repro.nn.optim import Adam, CosineSchedule
-from repro.training.trainer import TrainingHistory, pad_sequences, run_epoch
+from repro.training.trainer import BATCH_SIZE, TrainingHistory, pad_sequences, run_epoch
+
+#: Peak of the cosine schedule: the rate every caller outside the tests set.
+LEARNING_RATE = 3e-3
 
 
 def encode_samples(samples: list[FinetuneSample], model: WisdomModel) -> list[list[int]]:
@@ -25,36 +27,22 @@ def encode_samples(samples: list[FinetuneSample], model: WisdomModel) -> list[li
     return [tokenizer.encode(sample.training_text, allow_special=False) + [eot] for sample in samples]
 
 
-def validation_bleu(model: WisdomModel, samples: list[FinetuneSample], max_samples: int = 16, max_new_tokens: int = 96) -> float:
-    """Mean sentence BLEU of greedy completions on validation samples."""
-    chosen = samples[:max_samples]
-    if not chosen:
-        return 0.0
-    total = 0.0
-    for sample in chosen:
-        body = model.complete(sample.input_text, max_new_tokens=max_new_tokens)
-        body = truncate_generation(body, sample.indent, sample.generation_type)
-        predicted = prediction_snippet(sample, body)
-        total += sentence_bleu(sample.reference_snippet, predicted)
-    return total / len(chosen)
-
-
 def finetune(
     model: WisdomModel,
     train_samples: list[FinetuneSample],
     validation_samples: list[FinetuneSample] | None = None,
     epochs: int = 8,
-    batch_size: int = 16,
-    learning_rate: float = 1e-3,
     seed: int = 0,
     validation_subset: int = 16,
 ) -> TrainingHistory:
     """Fine-tune in place; restores the best-validation-BLEU checkpoint.
 
-    Samples are bucketed by length before padding so batches stay dense.
-    With ``validation_samples``, BLEU on the first ``validation_subset`` of
-    them is scored after every epoch and the best epoch's weights win;
-    without, the last epoch's weights stay.
+    Samples are bucketed by length before padding so batches stay dense;
+    every batch holds :data:`BATCH_SIZE` samples and the cosine schedule
+    peaks at :data:`LEARNING_RATE`.  With ``validation_samples``, the
+    evaluation harness scores BLEU on the first ``validation_subset`` of
+    them after every epoch and the best epoch's weights win; without, the
+    last epoch's weights stay.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -63,14 +51,14 @@ def finetune(
     # Length-bucketed padding: sort, then batch contiguously.
     encoded.sort(key=len)
     batches: list[tuple[np.ndarray, np.ndarray]] = []
-    for start in range(0, len(encoded), batch_size):
-        chunk = encoded[start:start + batch_size]
+    for start in range(0, len(encoded), BATCH_SIZE):
+        chunk = encoded[start:start + BATCH_SIZE]
         batches.append(pad_sequences(chunk, model.tokenizer.pad_id, window))
 
     rng = np.random.default_rng(seed)
-    optimizer = Adam(model.network.parameters(), learning_rate=learning_rate)
+    optimizer = Adam(model.network.parameters(), learning_rate=LEARNING_RATE)
     schedule = CosineSchedule(
-        peak_lr=learning_rate,
+        peak_lr=LEARNING_RATE,
         total_steps=max(1, len(batches) * epochs),
         warmup_steps=min(10, len(batches)),
         final_fraction=0.05,
@@ -88,7 +76,7 @@ def finetune(
             history=history,
         )
         if validation_samples:
-            bleu = validation_bleu(model, validation_samples, max_samples=validation_subset)
+            bleu = evaluate(model, validation_samples, max_samples=validation_subset).bleu
             history.validation_losses.append(-bleu)
             if bleu > best_bleu:
                 best_bleu = bleu
@@ -98,4 +86,4 @@ def finetune(
     return history
 
 
-__all__ = ["finetune", "validation_bleu", "encode_samples"]
+__all__ = ["finetune", "encode_samples"]

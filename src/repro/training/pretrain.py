@@ -15,7 +15,7 @@ from repro.dataset.packing import next_token_targets, pack_documents
 from repro.nn.optim import Adam, LinearSchedule
 from repro.nn.transformer import DecoderLM
 from repro.tokenizer.bpe import BpeTokenizer
-from repro.training.trainer import TrainingHistory, iterate_batches, run_epoch
+from repro.training.trainer import BATCH_SIZE, TrainingHistory, iterate_batches, run_epoch
 
 
 def pretrain(
@@ -23,7 +23,6 @@ def pretrain(
     corpus: Corpus,
     tokenizer: BpeTokenizer,
     epochs: int = 3,
-    batch_size: int = 16,
     learning_rate: float = 1e-3,
     seed: int = 0,
     max_batches_per_epoch: int | None = None,
@@ -38,7 +37,7 @@ def pretrain(
     targets = next_token_targets(rows, pad_id=tokenizer.pad_id)
     rng = np.random.default_rng(seed)
     optimizer = Adam(network.parameters(), learning_rate=learning_rate)
-    steps_per_epoch = (rows.shape[0] + batch_size - 1) // batch_size
+    steps_per_epoch = (rows.shape[0] + BATCH_SIZE - 1) // BATCH_SIZE
     if max_batches_per_epoch is not None:
         steps_per_epoch = min(steps_per_epoch, max_batches_per_epoch)
     schedule = LinearSchedule(
@@ -50,15 +49,15 @@ def pretrain(
     history = TrainingHistory()
     step = 0
     for _ in range(epochs):
-        if max_batches_per_epoch is not None and rows.shape[0] > max_batches_per_epoch * batch_size:
-            chosen = rng.choice(rows.shape[0], size=max_batches_per_epoch * batch_size, replace=False)
+        if max_batches_per_epoch is not None and rows.shape[0] > max_batches_per_epoch * BATCH_SIZE:
+            chosen = rng.choice(rows.shape[0], size=max_batches_per_epoch * BATCH_SIZE, replace=False)
             epoch_rows, epoch_targets = rows[chosen], targets[chosen]
         else:
             epoch_rows, epoch_targets = rows, targets
         _, steps = run_epoch(
             network,
             optimizer,
-            iterate_batches(epoch_rows, epoch_targets, batch_size, rng),
+            iterate_batches(epoch_rows, epoch_targets, BATCH_SIZE, rng),
             schedule=schedule,
             step_offset=step,
             history=history,

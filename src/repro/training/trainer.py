@@ -13,6 +13,9 @@ from repro.nn.transformer import DecoderLM
 #: Gradients are clipped to this global L2 norm before every optimizer step.
 MAX_GRAD_NORM = 1.0
 
+#: Sequences per optimizer step, in pretraining and finetuning alike.
+BATCH_SIZE = 16
+
 
 @dataclass
 class TrainingHistory:

@@ -135,7 +135,9 @@ class GenerationGate:
 
 def evaluate_loss(network: DecoderLM, ids: np.ndarray, targets: np.ndarray) -> float:
     """The loss of one inference-mode forward, no gradient accumulated: the
-    numerical side of the gradient checks."""
+    numerical side of ``tests/test_nn_transformer.py::TestTraining::
+    test_full_model_gradient_check``'s central differences, and the loss
+    ``tests/test_model_layer.py`` and ``tests/test_nn_numerics.py`` read."""
     loss, _ = cross_entropy(network.forward(ids, training=False), targets, -1)
     return loss
 

@@ -168,6 +168,10 @@ class TestTaskList:
         with pytest.raises(AnsibleError):
             TaskList.from_data(TASK)
 
+    def test_flat_tasks_enter_blocks(self):
+        tasks = TaskList.from_data([TASK, TestBlock.BLOCK])
+        assert [task.name for task in tasks.flat_tasks()] == ["Install nginx", "try", "recover", "cleanup"]
+
 
 class TestClassifySnippet:
     def test_playbook(self, fig1_text):

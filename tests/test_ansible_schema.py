@@ -178,6 +178,32 @@ class TestBlocks:
         play = [{"hosts": "all", "tasks": [{"block": [GOOD_TASK]}]}]
         assert schema.validate(play) == []
 
+    def test_block_task_list_survives_a_yaml_round_trip_valid(self):
+        # the canonical error-handling idiom: a task, then a block whose
+        # rescue reports the failure and whose always section records it
+        tasks = [
+            GOOD_TASK,
+            {
+                "name": "Apply web server steps",
+                "block": [
+                    GOOD_TASK,
+                    {"name": "Start nginx", "ansible.builtin.service": {"name": "nginx", "state": "started"}},
+                ],
+                "rescue": [
+                    {
+                        "name": "Report failure",
+                        "ansible.builtin.debug": {"msg": "web failed on {{ inventory_hostname }}"},
+                    }
+                ],
+                "always": [
+                    {"name": "Record completion time", "ansible.builtin.set_fact": {"last_run": "{{ now() }}"}}
+                ],
+            },
+        ]
+        data = yamlio.loads(yamlio.dumps(tasks))
+        assert data == tasks
+        assert schema.validate(data) == []
+
 
 class TestIsSchemaCorrect:
     def test_predicate(self, fig1_text):

@@ -8,6 +8,7 @@ import pytest
 
 from repro import yamlio
 from repro.cli import build_parser, main
+from repro.engine import InferenceEngine
 from repro.model import save_checkpoint
 from repro.model.lm import WisdomModel
 from repro.nn.parameter import numpy_rng
@@ -114,7 +115,7 @@ class TestObs:
         from repro.serving.service import PredictionService, RestServer
 
         model = WisdomModel("cli-obs", tiny_tokenizer, tiny_network)
-        service = PredictionService(model.engine(max_batch_size=2))
+        service = PredictionService(InferenceEngine.from_model(model, max_batch_size=2))
         with RestServer(service) as server:
             service.predict("- name: install nginx\n", max_new_tokens=3)
             code = main(["obs", "--url", server.url])

@@ -23,6 +23,7 @@ from repro.engine import (
 )
 from repro.errors import EngineError, InjectedFault
 from repro.faults import FakeClock, FaultInjector, use
+from repro.model import WisdomModel, restore_weights, snapshot_weights
 from repro.nn.kv_arena import KVArena
 from repro.nn.optim import Adam
 from repro.nn.parameter import numpy_rng
@@ -373,21 +374,44 @@ class TestEngineFacade:
 
 
 class TestWisdomModelBatchInterface:
-    def test_complete_batch_matches_complete(self, tiny_tokenizer, tiny_network):
-        from repro.model.lm import WisdomModel
+    PROMPTS = [
+        "- name: Install SSH server\n",
+        "- name: Start the service\n",
+        "- name: Copy configuration\n",
+        "- name: Install SSH server on RHEL\n",
+    ]
 
-        model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        prompts = [
-            "- name: Install SSH server\n",
-            "- name: Start the service\n",
-            "- name: Copy configuration\n",
-            "- name: Install SSH server on RHEL\n",
+    @staticmethod
+    def reference(model, prompts, max_new_tokens):
+        """Per prompt, the batch-1 oracle's text under the model's stop ids."""
+        tokenizer = model.tokenizer
+        stop_ids = frozenset({tokenizer.end_of_text_id, tokenizer.separator_id})
+        return [
+            tokenizer.decode(
+                generate_greedy(
+                    model.network, tokenizer.encode(prompt), max_new_tokens, stop_ids=stop_ids
+                ).token_ids
+            )
+            for prompt in prompts
         ]
-        batched = model.complete_batch(prompts, max_new_tokens=8)
-        sequential = [model.complete(prompt, max_new_tokens=8) for prompt in prompts]
-        assert batched == sequential
-        stats = model.engine().stats()
-        assert stats["completed_requests"] == len(prompts)
+
+    def test_complete_batch_matches_complete(self, tiny_tokenizer, tiny_network):
+        model = WisdomModel("test", tiny_tokenizer, tiny_network)
+        batched = model.complete_batch(self.PROMPTS, max_new_tokens=8)
+        assert batched == self.reference(model, self.PROMPTS, 8)
+        assert batched == [model.complete(prompt, max_new_tokens=8) for prompt in self.PROMPTS]
+
+    def test_a_weight_change_between_calls_decodes_under_the_new_weights(
+        self, tiny_tokenizer, tiny_config
+    ):
+        # an engine kept across the two calls would hit its prefix store
+        # and attend to the prompts' K/V computed under the old weights
+        model = WisdomModel("test", tiny_tokenizer, DecoderLM(tiny_config, numpy_rng(0)))
+        before = model.complete_batch(self.PROMPTS, max_new_tokens=8)
+        restore_weights(model.network, snapshot_weights(DecoderLM(tiny_config, numpy_rng(1))))
+        after = model.complete_batch(self.PROMPTS, max_new_tokens=8)
+        assert after == self.reference(model, self.PROMPTS, 8)
+        assert after != before
 
 
 class TestStatsSnapshotConsistency:

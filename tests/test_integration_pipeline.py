@@ -7,6 +7,7 @@ import pytest
 
 from repro import yamlio
 from repro.baselines import RetrievalBaseline
+from repro.engine import InferenceEngine
 from repro.eval import evaluate
 from repro.model.lm import WisdomModel
 from repro.nn.parameter import numpy_rng
@@ -22,15 +23,13 @@ def pipeline_model(galaxy_corpus, tiny_tokenizer, finetune_dataset):
         vocab_size=tiny_tokenizer.vocab_size, n_positions=64, dim=32, n_layers=2, n_heads=4
     )
     network = DecoderLM(config, numpy_rng(11))
-    pretrain(network, galaxy_corpus, tiny_tokenizer, epochs=2, batch_size=8, learning_rate=2e-3, max_batches_per_epoch=20)
+    pretrain(network, galaxy_corpus, tiny_tokenizer, epochs=2, learning_rate=2e-3, max_batches_per_epoch=20)
     model = WisdomModel("pipeline-wisdom", tiny_tokenizer, network)
     finetune(
         model,
         finetune_dataset.train,
         finetune_dataset.validation[:4],
         epochs=4,
-        batch_size=8,
-        learning_rate=3e-3,
         validation_subset=2,
     )
     return model
@@ -59,7 +58,7 @@ class TestPipeline:
         assert report.bleu > 10.0
 
     def test_served_model_flow(self, pipeline_model):
-        service = PredictionService(pipeline_model.engine(), max_new_tokens=32)
+        service = PredictionService(InferenceEngine.from_model(pipeline_model), max_new_tokens=32)
         session = EditorSession(backend=service)
         session.type_text("- name: Install nginx")
         session.press_enter()

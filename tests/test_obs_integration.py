@@ -120,7 +120,7 @@ class TestServingMetricsEndpoint:
     def test_metrics_round_trip(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
         obs = Observability.with_tracing(capacity=512)
-        service = PredictionService(model.engine(max_batch_size=4, obs=obs))
+        service = PredictionService(InferenceEngine.from_model(model, max_batch_size=4, obs=obs))
         with RestServer(service) as server:
             client = PredictionClient(server.url)
             client.predict("- name: install nginx\n", max_new_tokens=4)
@@ -146,7 +146,7 @@ class TestServingMetricsEndpoint:
 
     def test_stats_gains_tracing_and_inflight(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
-        service = PredictionService(model.engine())
+        service = PredictionService(InferenceEngine.from_model(model))
         service.predict("- name: install nginx\n", max_new_tokens=3)
         stats = service.stats()
         assert stats["inflight"] == 0
@@ -159,7 +159,7 @@ class TestServingMetricsEndpoint:
     def test_serving_spans_wrap_engine_spans(self, tiny_tokenizer, tiny_network):
         model = WisdomModel("test", tiny_tokenizer, tiny_network)
         obs = Observability.with_tracing(capacity=512)
-        service = PredictionService(model.engine(max_batch_size=2, obs=obs))
+        service = PredictionService(InferenceEngine.from_model(model, max_batch_size=2, obs=obs))
         service.predict_batch(["- name: install nginx\n"], max_new_tokens=3)
         tracer = service.obs.tracer
         assert len(tracer.spans("serving.predict_batch")) == 1

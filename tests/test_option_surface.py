@@ -24,7 +24,7 @@ from repro.fleet.affinity import HashRing
 from repro.fleet.chaos import run_fleet_chaos
 from repro.fleet.router import FleetRouter
 from repro.fleet.worker import ProcessWorker, WorkerSpec
-from repro.model.throughput import measure_engine_throughput
+from repro.model.throughput import measure_throughput
 from repro.nn.kv_arena import KVArena
 from repro.nn.sampling import generate_greedy
 from repro.serving.client import PredictionClient
@@ -55,14 +55,9 @@ SURFACE = {
         "seed n_workers n_requests kill_decode_call slow_step_rate decode_fault_rate "
         "alloc_fault_rate heartbeat_fault_rate deadline_rate profile tracing slo_specs stream"
     ),
-    measure_engine_throughput: (
-        "network batch_size prompt_length new_tokens runs warmup_runs seed obs"
-    ),
-    pretrain: "network corpus tokenizer epochs batch_size learning_rate seed max_batches_per_epoch",
-    finetune: (
-        "model train_samples validation_samples epochs batch_size learning_rate seed "
-        "validation_subset"
-    ),
+    measure_throughput: "network batch_size prompt_length new_tokens runs warmup_runs seed obs",
+    pretrain: "network corpus tokenizer epochs learning_rate seed max_batches_per_epoch",
+    finetune: "model train_samples validation_samples epochs seed validation_subset",
     run_epoch: "model optimizer batches schedule step_offset history",
     generate_greedy: "model prompt_ids max_new_tokens stop_ids",
 }
